@@ -15,7 +15,8 @@ Three routes:
   form below, which is then the exact lognormal law.
 
 * ``price_mc`` — risk-neutral Monte Carlo via the Euler scheme (not a
-  solution map), an independent check on the formula.
+  solution map), an independent check on the formula.  The strikes of a
+  strip share one cached path set.
 
 * ``price_bs`` — the Black-Scholes closed form, the c1 = 0 oracle.
 
@@ -95,9 +96,6 @@ class RiskNeutralParams:
             raise NonPositiveSpot(f"s0 must be > 0, got {self.s0}")
         if self.sigma < 0 or self.c1 < 0:
             raise NegativeCoefficient("sigma and c1 must be >= 0")
-        if abs(self.r - 0.5 * self.sigma ** 2) < GAMMA_TOL:
-            raise SingularDelta(
-                f"|r - sigma^2/2| = {abs(self.r - 0.5 * self.sigma**2):.3e} < {GAMMA_TOL}")
 
     @property
     def gamma(self) -> float:
@@ -105,6 +103,9 @@ class RiskNeutralParams:
 
     @property
     def delta(self) -> float:
+        """r / gamma, the closed-form map's coefficient; SingularDelta at gamma ~ 0."""
+        if abs(self.gamma) < GAMMA_TOL:
+            raise SingularDelta(f"|r - sigma^2/2| = {abs(self.gamma):.3e} < {GAMMA_TOL}")
         return self.r / self.gamma
 
 
@@ -522,6 +523,18 @@ def price_formula(rn: RiskNeutralParams, opt: OptionSpec, tol: float = 1e-10) ->
         "law_error_estimate": abs(quote.price - coarse.price)})
 
 
+@functools.lru_cache(maxsize=4)
+def _terminal_values(params: ModelParams, tau: float, steps: int, n_paths: int,
+                     seed: int) -> tuple[np.ndarray, float]:
+    """``euler_terminal``, cached so that the strikes of a strip share one path set.
+
+    The array is read-only: every later quote on the same key reads it.
+    """
+    terminal, exploded_fraction = euler_terminal(params, tau, steps, n_paths, seed)
+    terminal.flags.writeable = False
+    return terminal, exploded_fraction
+
+
 def price_mc(rn: RiskNeutralParams, opt: OptionSpec, n_paths: int, steps: int,
              seed: int) -> OptionQuote:
     """Risk-neutral Monte Carlo price via the Euler scheme.
@@ -530,6 +543,12 @@ def price_mc(rn: RiskNeutralParams, opt: OptionSpec, n_paths: int, steps: int,
     estimate is the Monte Carlo standard error.  Paths frozen by the
     overflow guard contribute their truncated values, with the exploded
     fraction reported in the diagnostics.
+
+    The terminal values depend on (rn, T - t, steps, n_paths, seed) and not
+    on the strike, so quotes that share those arguments share one simulated
+    path set: the last 4 path sets are cached, at most 4 x 8 bytes x
+    ``n_paths`` (32 MB at 10^6 paths).  Every quote is the same as from a
+    fresh simulation.
     """
     tau = opt.maturity - opt.t
     if tau == 0:
@@ -543,7 +562,7 @@ def price_mc(rn: RiskNeutralParams, opt: OptionSpec, n_paths: int, steps: int,
                                         "deterministic": True,
                                         "exploded_fraction": 0.0})
     params = ModelParams(mu=rn.r, sigma=rn.sigma, c1=rn.c1, s0=rn.s0)
-    terminal, exploded_fraction = euler_terminal(params, tau, steps, n_paths, seed)
+    terminal, exploded_fraction = _terminal_values(params, tau, steps, n_paths, seed)
     payoffs = np.maximum(terminal - opt.strike, 0.0)
     mean = float(payoffs.mean())
     se = float(payoffs.std(ddof=1) / math.sqrt(n_paths))

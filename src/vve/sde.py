@@ -14,8 +14,8 @@ residuals are nonzero (checked symbolically), and the gap between the closed
 form and refined Euler paths plateaus instead of vanishing as dt -> 0.  No
 function of (t, B_t) alone can solve this SDE, so the defect is structural,
 not a transcription issue.  The closed form is kept as stated for
-cross-checking; use a refined Euler path as the convergence reference when
-c1 > 0 (``strong_convergence(..., reference="refined")``).
+cross-checking; when c1 > 0 the convergence reference is the measured scheme
+itself on a finer grid (``strong_convergence(..., reference="refined")``).
 
 Randomness
 ----------
@@ -132,7 +132,8 @@ def _block_generator(seed: int, block: int) -> np.random.Generator:
 def _block_increments(seed: int, block: int, rows: int, steps: int, dt: float) -> np.ndarray:
     """Increment matrix for the first ``rows`` paths of one block."""
     z = _block_generator(seed, block).standard_normal((rows, steps))
-    return z * np.sqrt(dt)
+    z *= np.sqrt(dt)
+    return z
 
 
 def sample_brownian(grid: TimeGrid, seed: int, path_index: int) -> BrownianPath:
@@ -354,8 +355,9 @@ def strong_convergence(params: ModelParams, horizon: float, dt_levels, n_paths: 
     the finest-level ones.  ``reference``:
 
     * ``"exact"``   — closed-form value at (horizon, B_T); valid for c1 = 0.
-    * ``"refined"`` — Euler on a grid ``refine_factor`` x finer than the
-      finest level (the reference when c1 > 0).
+    * ``"refined"`` — the measured scheme on a grid ``refine_factor`` x
+      finer than the finest level (the reference when c1 > 0).  A reference
+      of another scheme would floor the measured errors at its own error.
     * ``"auto"``    — "exact" if c1 == 0 else "refined".
 
     Fitted slope is the least-squares slope of log2(error) vs log2(dt).
@@ -382,7 +384,7 @@ def strong_convergence(params: ModelParams, horizon: float, dt_levels, n_paths: 
         if reference == "exact":
             ref, _ = exact_values(params, horizon, b_T)
         else:
-            ref = _step_paths(params, gen_dt, params.s0, db, milstein=False)[0][:, -1]
+            ref = _step_paths(params, gen_dt, params.s0, db, milstein)[0][:, -1]
         for i, n in enumerate(level_steps):
             db_level = db.reshape(rows, n, gen_steps // n).sum(axis=2)
             term = _step_paths(params, horizon / n, params.s0, db_level, milstein)[0][:, -1]

@@ -143,6 +143,16 @@ class TestPrice:
     def test_unknown_method(self, tmp_path, capsys):
         assert main(["price", "--method", "trinomial", "--out-dir", str(tmp_path)]) == 1
 
+    def test_mc_and_bs_at_r_equal_half_sigma_squared(self, tmp_path, capsys):
+        argv = ["price", "--sigma", "0.2", "--r", "0.02", "--paths", "2000",
+                "--steps", "50", "--out-dir", str(tmp_path)]
+        assert main(argv + ["--method", "mc,bs"]) == 0
+        assert set(json.loads((tmp_path / "price.json").read_text())["quotes"]) == {"mc", "bs"}
+        capsys.readouterr()
+        assert main(argv + ["--method", "formula", "--c1", "0"]) == 1
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == \
+            "singular_delta"
+
     def test_byte_identical_rerun(self, tmp_path):
         argv = ["price", "--method", "formula,mc,bs", "--paths", "5000",
                 "--steps", "50", "--seed", "1"]

@@ -14,6 +14,7 @@ from vve.errors import (
     SigmaZeroUnsupported,
     SingularDelta,
 )
+from vve.model import ModelParams
 from vve.pricing import (
     LAW_NODES_BELOW,
     LAW_STEPS,
@@ -22,6 +23,7 @@ from vve.pricing import (
     _CandidateMap,
     _formula_quote,
     _map_coefficients,
+    _terminal_values,
     bs_delta,
     compare_inverse_forms,
     forward_map,
@@ -34,6 +36,7 @@ from vve.pricing import (
     price_formula,
     price_mc,
 )
+from vve.sde import euler_terminal
 
 RN_GBM = RiskNeutralParams(sigma=0.2, c1=0.0, s0=100.0, r=0.05)
 RN_VVE = RiskNeutralParams(sigma=0.2, c1=5e-4, s0=100.0, r=0.05)
@@ -48,8 +51,16 @@ class TestSpecsAndParams:
             OptionSpec(strike=100.0, maturity=1.0, rate=0.05, t=1.5)
 
     def test_singular_delta_rejected(self):
+        """Only the closed-form map divides by r - sigma^2/2."""
+        gbm = RiskNeutralParams(sigma=0.2, c1=0.0, s0=100.0, r=0.02)  # r = sigma^2/2
+        vve = RiskNeutralParams(sigma=0.2, c1=1e-4, s0=100.0, r=0.02)
+        for rn in (gbm, vve):
+            with pytest.raises(SingularDelta):
+                _map_coefficients(rn, 1.0)
+            assert price_mc(rn, ATM, 100, 10, 0).price > 0.0
         with pytest.raises(SingularDelta):
-            RiskNeutralParams(sigma=0.2, c1=1e-4, s0=100.0, r=0.02)  # r = sigma^2/2
+            price_formula(gbm, ATM)  # the closed form at c1 = 0
+        assert price_formula(vve, ATM).price > 0.0  # the law map at c1 > 0
 
     def test_non_positive_spot(self):
         with pytest.raises(NonPositiveSpot):
@@ -268,6 +279,59 @@ class TestPriceMc:
         a = price_mc(RN_VVE, ATM, 5000, 50, 42)
         b = price_mc(RN_VVE, ATM, 5000, 50, 42)
         assert a.price == b.price and a.error_estimate == b.error_estimate
+
+
+class TestPriceMcCache:
+    STRIP = [OptionSpec(strike=k, maturity=1.0, rate=0.05) for k in (90.0, 100.0, 110.0)]
+    BASE = {"sigma": 0.2, "c1": 5e-4, "s0": 100.0, "r": 0.05, "maturity": 1.0,
+            "steps": 50, "n_paths": 2000, "seed": 42}
+
+    @staticmethod
+    def count_simulations(monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return euler_terminal(*args)
+
+        _terminal_values.cache_clear()
+        monkeypatch.setattr("vve.pricing.euler_terminal", counted)
+        return calls
+
+    @staticmethod
+    def quote(a):
+        rn = RiskNeutralParams(sigma=a["sigma"], c1=a["c1"], s0=a["s0"], r=a["r"])
+        return price_mc(rn, OptionSpec(strike=100.0, maturity=a["maturity"], rate=a["r"]),
+                        a["n_paths"], a["steps"], a["seed"])
+
+    def test_strip_matches_cold_calls(self):
+        _terminal_values.cache_clear()
+        strip = [price_mc(RN_VVE, opt, 5000, 50, 42) for opt in self.STRIP]
+        for opt, quote in zip(self.STRIP, strip):
+            _terminal_values.cache_clear()
+            assert price_mc(RN_VVE, opt, 5000, 50, 42).to_dict() == quote.to_dict()
+
+    def test_repeated_key_simulates_once(self, monkeypatch):
+        calls = self.count_simulations(monkeypatch)
+        for opt in self.STRIP:
+            price_mc(RN_VVE, opt, 2000, 50, 42)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("change", [
+        {"sigma": 0.25}, {"c1": 1e-4}, {"s0": 101.0}, {"r": 0.04}, {"maturity": 0.5},
+        {"steps": 40}, {"n_paths": 1999}, {"seed": 43}], ids=lambda change: [*change][0])
+    def test_any_changed_argument_misses(self, monkeypatch, change):
+        calls = self.count_simulations(monkeypatch)
+        self.quote(self.BASE)
+        self.quote({**self.BASE, **change})
+        assert len(calls) == 2
+
+    def test_cached_terminal_values_read_only(self):
+        params = ModelParams(mu=0.05, sigma=0.2, c1=5e-4, s0=100.0)
+        terminal, _ = _terminal_values(params, 1.0, 50, 2000, 42)
+        assert not terminal.flags.writeable
+        with pytest.raises(ValueError):
+            terminal[0] = 0.0
 
 
 class TestPriceBs:

@@ -276,6 +276,11 @@ class TestStrongConvergence:
         assert np.all(np.diff(rep.strong_errors) < 0)
         assert rep.fitted_slope > 0.25
 
+    def test_refined_reference_recovers_milstein_order_for_vve(self):
+        rep = strong_convergence(VVE, 1.0, self.LEVELS, 256, seed=0,
+                                 scheme="milstein", reference="refined")
+        assert 0.8 <= rep.fitted_slope <= 1.2
+
     def test_dt_level_validation(self):
         with pytest.raises(InvalidGrid):
             strong_convergence(GBM, 1.0, [0.125, 0.25], 16, seed=0)  # increasing
