@@ -5,6 +5,9 @@ simple OLS regression of volatility on the contemporaneous close.  Under the
 model the volatility level is ``sigma + c1 * S``, so the regression intercept
 estimates sigma and the slope estimates c1.  The drift mu is estimated
 separately from the log returns.
+
+The module needs numpy only at import; ``ols_fit`` imports ``scipy.special``
+at first use, for the Student-t tail of its p-values.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import stats
 
 from .errors import (
     DegenerateX,
@@ -124,6 +126,11 @@ def rolling_hv(series: MarketSeries, window: int,
 def ols_fit(x, y) -> RegressionReport:
     """Simple OLS of y on x with two-sided t-test p-values (n-2 dof).
 
+    The slope, intercept, correlation and slope p-value are computed as
+    ``scipy.stats.linregress`` computes them, operation for operation, so
+    they are the same bits; the intercept's p-value is ``2 * stats.t.sf``
+    of its t statistic, also bit for bit.
+
     A perfect linear fit (zero residual variance) reports both p-values as 0
     and sets ``exact_fit``.
     """
@@ -137,8 +144,10 @@ def ols_fit(x, y) -> RegressionReport:
     if np.ptp(x) == 0:
         raise DegenerateX("x has zero variance; slope undefined")
 
-    res = stats.linregress(x, y)
-    slope, intercept = float(res.slope), float(res.intercept)
+    xmean, ymean = np.mean(x), np.mean(y)
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    slope = float(ssxym / ssxm)
+    intercept = float(ymean - slope * xmean)
     resid = y - intercept - slope * x
     sse = float(resid @ resid)
     sst = float(np.sum((y - y.mean()) ** 2))
@@ -154,13 +163,21 @@ def ols_fit(x, y) -> RegressionReport:
                                 pearson_corr=float(np.sign(slope)) if slope else 0.0,
                                 n_points=n, exact_fit=True)
 
-    p_slope = float(res.pvalue)
-    t_int = intercept / float(res.intercept_stderr)
-    p_intercept = float(2.0 * stats.t.sf(abs(t_int), n - 2))
+    from scipy import special
+
+    if ssxm == 0.0 or ssym == 0.0:
+        r = math.nan if ssxym == 0 else 0.0
+    else:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    df = n - 2
+    t_slope = r * np.sqrt(df / ((1.0 - r + 1e-20) * (1.0 + r + 1e-20)))
+    slope_stderr = np.sqrt((1 - r ** 2) * ssym / ssxm / df)
+    t_int = intercept / float(slope_stderr * np.sqrt(ssxm + xmean ** 2))
     r_squared = 1.0 - sse / sst
-    return RegressionReport(slope=slope, intercept=intercept, p_slope=p_slope,
-                            p_intercept=p_intercept, r_squared=r_squared,
-                            pearson_corr=float(res.rvalue), n_points=n)
+    return RegressionReport(slope=slope, intercept=intercept,
+                            p_slope=float(2.0 * special.stdtr(df, -abs(t_slope))),
+                            p_intercept=float(2.0 * special.stdtr(df, -abs(t_int))),
+                            r_squared=r_squared, pearson_corr=float(r), n_points=n)
 
 
 def estimate_drift(series: MarketSeries,

@@ -57,9 +57,14 @@ class ModelParams:
         _check(self.mu, self.sigma, self.c1, self.s0)
 
 
-def _check(mu, sigma, c1, s0):
-    if not np.isfinite([mu, sigma, c1, s0]).all():
+def require_finite(*values) -> None:
+    """Raise NegativeCoefficient unless every value is a finite number."""
+    if not np.isfinite(values).all():
         raise NegativeCoefficient("parameters must be finite numbers")
+
+
+def _check(mu, sigma, c1, s0):
+    require_finite(mu, sigma, c1, s0)
     if s0 <= 0:
         raise NonPositiveSpot(f"s0 must be > 0, got {s0}")
     if sigma < 0 or c1 < 0:

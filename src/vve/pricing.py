@@ -31,6 +31,11 @@ s0 = 100), so its discounted value is not a martingale.  Its inverse is
 numeric; the literal closed-form inverse (``literal_inverse_map``) has a
 logarithm whose argument goes negative for admissible inputs and is kept
 only for cross-checking.
+
+The module needs numpy only at import.  The functions that call scipy (the
+root finder, the law solve, the law map and the quadrature) import it at
+first use, so that ``vve`` commands that never price by formula do not pay
+for loading it.
 """
 
 from __future__ import annotations
@@ -40,8 +45,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import integrate, interpolate, optimize, special
-from scipy.linalg import lapack
 
 from .errors import (
     ExplosionRegion,
@@ -52,7 +55,7 @@ from .errors import (
     SigmaZeroUnsupported,
     SingularDelta,
 )
-from .model import GAMMA_TOL, ModelParams
+from .model import GAMMA_TOL, ModelParams, require_finite
 from .sde import DEN_TOL_FACTOR, euler_terminal
 
 #: margin denominator (in units of sigma + c1*s0) at which the quadrature
@@ -75,6 +78,7 @@ class OptionSpec:
     t: float = 0.0
 
     def __post_init__(self):
+        require_finite(self.strike, self.maturity, self.rate, self.t)
         if self.strike < 0:
             raise NegativeCoefficient(f"strike must be >= 0, got {self.strike}")
         if not (0 <= self.t <= self.maturity):
@@ -92,6 +96,7 @@ class RiskNeutralParams:
     r: float
 
     def __post_init__(self):
+        require_finite(self.sigma, self.c1, self.s0, self.r)
         if self.s0 <= 0:
             raise NonPositiveSpot(f"s0 must be > 0, got {self.s0}")
         if self.sigma < 0 or self.c1 < 0:
@@ -117,6 +122,9 @@ class OptionQuote:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not (math.isfinite(self.price) and math.isfinite(self.error_estimate)):
+            raise OutOfRange(f"price {self.price} and error_estimate {self.error_estimate} "
+                             "must be finite")
         if self.price < 0 or self.error_estimate < 0:
             raise NegativeCoefficient("price and error_estimate must be >= 0")
 
@@ -209,6 +217,8 @@ def inverse_map(rn: RiskNeutralParams, t: float, x: float) -> float:
         step *= 2.0
         w_lo -= step
 
+    from scipy import optimize
+
     w = optimize.brentq(lambda v: _forward_raw(rn, t, v)[0] - x, w_lo, w_hi,
                         xtol=1e-14, rtol=8.9e-16, maxiter=200)
     # Newton polish: f'(w) = sigma*b*c*u / (a*u + b)^2 with u = exp(sigma*w)
@@ -291,6 +301,8 @@ def _solve_law(rn: RiskNeutralParams, tau: float, s_max: float | None,
 
     Returns (nodes, probabilities, h).
     """
+    from scipy.linalg.lapack import dgtsv
+
     if nodes_below < 2 or steps < 2:
         raise InvalidGrid("law solve needs at least 2 nodes below the spot and 2 steps")
     vol0 = rn.sigma + rn.c1 * rn.s0
@@ -318,8 +330,7 @@ def _solve_law(rn: RiskNeutralParams, tau: float, s_max: float | None,
         flow[1:] += up[:-1] * p[:-1]
         flow[:-1] += down[1:] * p[1:]
         a = theta * dt_n
-        p = lapack.dgtsv(-a * up[:-1], 1.0 - a * diag, -a * down[1:],
-                         p + (dt_n - a) * flow)[3]
+        p = dgtsv(-a * up[:-1], 1.0 - a * diag, -a * down[1:], p + (dt_n - a) * flow)[3]
         t += dt_n
     if not np.all(np.isfinite(p)):
         raise OutOfRange("law solve overflowed; c1 * s0 * tau is too large for its grid")
@@ -339,6 +350,8 @@ class LawMap:
     w_t = 0.0
 
     def __init__(self, rn: RiskNeutralParams, tau: float, x, p, h: float, steps: int):
+        from scipy import integrate, interpolate, special
+
         self.sqrt_tau = math.sqrt(tau)
         cdf = np.cumsum(p)
         survival = np.append(np.cumsum(p[::-1])[::-1][1:], 0.0)
@@ -383,6 +396,8 @@ class LawMap:
         elif target >= y1:
             z = z1 + (target - y1) / m1
         else:
+            from scipy import optimize
+
             z = optimize.brentq(lambda v: float(self.spline(v)) - target, z0, z1,
                                 xtol=1e-14, rtol=8.9e-16, maxiter=200)
         return z * self.sqrt_tau
@@ -475,6 +490,8 @@ def _formula_quote(rn: RiskNeutralParams, opt: OptionSpec, tol: float, smap) -> 
     if z_hi <= z_lo:
         raise OutOfRange("strike beyond the quadrature domain of f_T")
 
+    from scipy import integrate
+
     def integrand(z):
         return smap(z) * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
@@ -548,8 +565,10 @@ def price_mc(rn: RiskNeutralParams, opt: OptionSpec, n_paths: int, steps: int,
     on the strike, so quotes that share those arguments share one simulated
     path set: the last 4 path sets are cached, at most 4 x 8 bytes x
     ``n_paths`` (32 MB at 10^6 paths).  Every quote is the same as from a
-    fresh simulation.
+    fresh simulation.  The standard error needs ``n_paths >= 2``.
     """
+    if n_paths < 2:
+        raise InvalidGrid(f"n_paths must be >= 2 for a standard error, got {n_paths}")
     tau = opt.maturity - opt.t
     if tau == 0:
         return _intrinsic_quote(rn.s0, opt.strike, "monte_carlo")
@@ -575,6 +594,7 @@ def price_mc(rn: RiskNeutralParams, opt: OptionSpec, n_paths: int, steps: int,
 
 def price_bs(s: float, strike: float, tau: float, r: float, sigma: float) -> OptionQuote:
     """Black-Scholes European call price."""
+    require_finite(s, strike, tau, r, sigma)
     if s <= 0:
         raise NonPositiveSpot(f"s must be > 0, got {s}")
     if sigma <= 0 or tau <= 0:

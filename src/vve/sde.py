@@ -162,15 +162,15 @@ def coarsen_brownian(bpath: BrownianPath, factor: int) -> BrownianPath:
 # Discretization schemes
 # --------------------------------------------------------------------------
 
-def _step_paths(params: ModelParams, dt: float, s0, db, milstein: bool):
+def _step_terminal(params: ModelParams, dt: float, s0, db, milstein: bool, out=None):
     """Advance an array of states through all columns of ``db``.
 
-    Returns (full path matrix including the initial column, exploded mask).
+    Returns (final states, exploded mask).  Only the current states are
+    kept, unless ``out`` is given: its column k + 1 then receives the states
+    after step k.
     """
     mu, sigma, c1 = params.mu, params.sigma, params.c1
     n, steps = db.shape
-    out = np.empty((n, steps + 1))
-    out[:, 0] = s0
     s = np.full(n, float(s0)) if np.isscalar(s0) else np.array(s0, dtype=float)
     exploded = np.zeros(n, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -185,8 +185,19 @@ def _step_paths(params: ModelParams, dt: float, s0, db, milstein: bool):
                 s_new[bad] = s[bad]
                 exploded |= bad
             s = s_new
-            out[:, k + 1] = s
-    return out, exploded
+            if out is not None:
+                out[:, k + 1] = s
+    return s, exploded
+
+
+def _step_paths(params: ModelParams, dt: float, s0, db, milstein: bool):
+    """Advance an array of states through all columns of ``db``.
+
+    Returns (full path matrix including the initial column, exploded mask).
+    """
+    out = np.empty((db.shape[0], db.shape[1] + 1))
+    out[:, 0] = s0
+    return out, _step_terminal(params, dt, s0, db, milstein, out)[1]
 
 
 def _simulate(params: ModelParams, grid: TimeGrid, n_paths: int, seed: int,
@@ -384,10 +395,10 @@ def strong_convergence(params: ModelParams, horizon: float, dt_levels, n_paths: 
         if reference == "exact":
             ref, _ = exact_values(params, horizon, b_T)
         else:
-            ref = _step_paths(params, gen_dt, params.s0, db, milstein)[0][:, -1]
+            ref = _step_terminal(params, gen_dt, params.s0, db, milstein)[0]
         for i, n in enumerate(level_steps):
             db_level = db.reshape(rows, n, gen_steps // n).sum(axis=2)
-            term = _step_paths(params, horizon / n, params.s0, db_level, milstein)[0][:, -1]
+            term = _step_terminal(params, horizon / n, params.s0, db_level, milstein)[0]
             errors[i] += np.abs(term - ref).sum()
         count += rows
     errors /= count

@@ -2,6 +2,8 @@
 
 import datetime as dt
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +24,12 @@ from vve.errors import (
     SeriesTooShort,
     TooFewPoints,
 )
+from vve.io import ingest_csv
 from vve.model import ModelParams
 from vve.sde import TimeGrid, simulate_euler
 
 BASE = dt.date(2000, 1, 1)
+DATA = Path(__file__).parent / "data"
 
 
 def make_series(closes):
@@ -105,7 +109,37 @@ class TestRollingHv:
             rolling_hv(gbm_series(29, seed=0), 30)  # 30 closes = window exactly
 
 
+def linregress_figures(x, y) -> dict:
+    """The fitted figures of ``ols_fit`` as scipy.stats computes them."""
+    from scipy import stats
+
+    res = stats.linregress(x, y)
+    t_int = float(res.intercept) / float(res.intercept_stderr)
+    return {"slope": float(res.slope), "intercept": float(res.intercept),
+            "p_slope": float(res.pvalue),
+            "p_intercept": float(2.0 * stats.t.sf(abs(t_int), len(x) - 2)),
+            "pearson_corr": float(res.rvalue)}
+
+
 class TestOlsFit:
+    def test_bit_identical_to_scipy_stats(self):
+        series = ingest_csv(DATA / "vve_synthetic.csv")
+        ten_point = np.loadtxt(DATA / "ols_ten_point.csv", delimiter=",", skiprows=1)
+        cases = [(series.closes[30:], rolling_hv(series, 30).vols),
+                 (ten_point[:, 0], ten_point[:, 1])]
+        rng = np.random.Generator(np.random.Philox(key=[80, 0]))
+        for _ in range(1000):
+            n = int(rng.integers(3, 300))
+            x = rng.normal(100.0, 10.0 ** rng.uniform(-2, 2), n)
+            y = rng.uniform(-1, 1) * x + rng.normal(0.0, 10.0 ** rng.uniform(-4, 1), n)
+            cases.append((x, y))
+        for x, y in cases:
+            rep = ols_fit(x, y)
+            assert not rep.exact_fit
+            for key, want in linregress_figures(x, y).items():
+                got = rep.to_dict()[key]
+                assert struct.pack("<d", got) == struct.pack("<d", want), (key, got, want)
+
     def test_perfect_line(self):
         x = np.arange(5, dtype=float)
         rep = ols_fit(x, 2.0 * x + 1.0)

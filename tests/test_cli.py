@@ -153,6 +153,17 @@ class TestPrice:
         assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == \
             "singular_delta"
 
+    @pytest.mark.parametrize("argv, error", [
+        (["--method", "mc", "--paths", "1", "--steps", "10"], "invalid_grid"),
+        (["--method", "bs", "--r", "nan"], "negative_coefficient"),
+        (["--method", "formula", "--sigma", "nan"], "negative_coefficient"),
+    ])
+    def test_input_without_finite_quote_is_json_error(self, tmp_path, capsys, argv, error):
+        assert main(["price", *argv, "--out-dir", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == error and err["message"]
+        assert not (tmp_path / "price.json").exists()
+
     def test_byte_identical_rerun(self, tmp_path):
         argv = ["price", "--method", "formula,mc,bs", "--paths", "5000",
                 "--steps", "50", "--seed", "1"]

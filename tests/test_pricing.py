@@ -8,6 +8,7 @@ import pytest
 from oracles import bs_call_mp
 from vve.errors import (
     ExplosionRegion,
+    InvalidGrid,
     NegativeCoefficient,
     NonPositiveSpot,
     OutOfRange,
@@ -18,6 +19,7 @@ from vve.model import ModelParams
 from vve.pricing import (
     LAW_NODES_BELOW,
     LAW_STEPS,
+    OptionQuote,
     OptionSpec,
     RiskNeutralParams,
     _CandidateMap,
@@ -49,6 +51,9 @@ class TestSpecsAndParams:
             OptionSpec(strike=-1.0, maturity=1.0, rate=0.05)
         with pytest.raises(NegativeCoefficient):
             OptionSpec(strike=100.0, maturity=1.0, rate=0.05, t=1.5)
+        for bad in ({"strike": math.nan}, {"maturity": math.inf}, {"rate": math.nan}):
+            with pytest.raises(NegativeCoefficient):
+                OptionSpec(**{"strike": 100.0, "maturity": 1.0, "rate": 0.05, **bad})
 
     def test_singular_delta_rejected(self):
         """Only the closed-form map divides by r - sigma^2/2."""
@@ -65,6 +70,18 @@ class TestSpecsAndParams:
     def test_non_positive_spot(self):
         with pytest.raises(NonPositiveSpot):
             RiskNeutralParams(sigma=0.2, c1=0.0, s0=0.0, r=0.05)
+
+    @pytest.mark.parametrize("field", ["sigma", "c1", "s0", "r"])
+    def test_non_finite_params_rejected(self, field):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(NegativeCoefficient):
+                RiskNeutralParams(**{"sigma": 0.2, "c1": 1e-4, "s0": 100.0, "r": 0.05,
+                                     field: bad})
+
+    def test_non_finite_quote_rejected(self):
+        for price, error in ((math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0)):
+            with pytest.raises(OutOfRange):
+                OptionQuote(price=price, method="monte_carlo", error_estimate=error)
 
     def test_norm_cdf(self):
         assert norm_cdf(0.0) == 0.5
@@ -254,6 +271,12 @@ class TestPriceMc:
         assert quote.price == pytest.approx(expected, rel=1e-15)
         assert quote.error_estimate == 0.0
 
+    def test_single_path_rejected(self):
+        """One payoff has no standard error; the quote would carry NaN."""
+        for n_paths in (1, 0):
+            with pytest.raises(InvalidGrid):
+                price_mc(RN_VVE, ATM, n_paths, 10, 0)
+
     def test_intrinsic_at_expiry(self):
         quote = price_mc(RN_VVE, OptionSpec(strike=80.0, maturity=1.0, rate=0.05, t=1.0),
                          10, 10, 0)
@@ -358,6 +381,8 @@ class TestPriceBs:
             price_bs(100.0, 100.0, 0.0, 0.05, 0.2)
         with pytest.raises(NegativeCoefficient):
             price_bs(100.0, 100.0, 1.0, 0.05, 0.0)
+        with pytest.raises(NegativeCoefficient):
+            price_bs(100.0, 100.0, 1.0, math.nan, 0.2)
 
 
 class TestGreeks:
