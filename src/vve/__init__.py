@@ -25,7 +25,6 @@ from .model import (
     cev_volatility,
     elasticity,
     elasticity_derivative,
-    riskfree_value,
     validate_params,
     volatility,
 )
@@ -34,11 +33,9 @@ from .pricing import (
     OptionSpec,
     RiskNeutralParams,
     bs_delta,
-    compare_inverse_forms,
     forward_map,
     greeks_bump,
     inverse_map,
-    literal_inverse_map,
     price_bs,
     price_formula,
     price_mc,

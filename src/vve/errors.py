@@ -35,10 +35,6 @@ class NonPositivePrice(VveError):
     code = "non_positive_price"
 
 
-class NegativeTime(VveError):
-    code = "negative_time"
-
-
 class InvalidCevParams(VveError):
     code = "invalid_cev_params"
 
@@ -55,10 +51,10 @@ class SigmaZeroUnsupported(VveError):
     code = "sigma_zero_unsupported"
 
 
-class GammaNearZero(VveError):
-    """mu (or r) too close to sigma^2/2; the closed form divides by mu - sigma^2/2."""
+class SingularDelta(VveError):
+    """Drift (mu or r) too close to sigma^2/2; the closed form divides by their difference."""
 
-    code = "gamma_near_zero"
+    code = "singular_delta"
 
 
 # --- calibration ---------------------------------------------------------------
@@ -95,12 +91,6 @@ class OutOfRange(VveError):
     """Target price unreachable by the solution map at this time."""
 
     code = "out_of_range"
-
-
-class SingularDelta(VveError):
-    """|r - sigma^2/2| below tolerance; the pricing formula's delta is undefined."""
-
-    code = "singular_delta"
 
 
 # --- CSV ingestion ---------------------------------------------------------------

@@ -13,7 +13,6 @@ identically 1.  All rates and volatilities are annualized; time is in years.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,6 @@ from .errors import (
     InvalidCevParams,
     NegativeCoefficient,
     NegativePrice,
-    NegativeTime,
     NonPositivePrice,
     NonPositiveSpot,
 )
@@ -137,10 +135,3 @@ def cev_volatility(params: CevParams, s):
         raise NonPositivePrice("CEV volatility requires s > 0")
     out = params.sigma * s ** (params.beta / 2.0 - 1.0)
     return float(out) if out.ndim == 0 else out
-
-
-def riskfree_value(b0: float, r: float, t: float) -> float:
-    """Value of the risk-free accumulator: b0 * exp(r * t)."""
-    if t < 0:
-        raise NegativeTime(f"t must be >= 0, got {t}")
-    return b0 * math.exp(r * t)

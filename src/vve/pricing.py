@@ -28,9 +28,8 @@ f_t(B_t), lies 8 to 48 Monte Carlo standard errors above the model's price
 on the acceptance grid, depends on the valuation time t and not only on
 T - t, and prices the zero-strike call above the spot (101.31 at c1 = 5e-4,
 s0 = 100), so its discounted value is not a martingale.  Its inverse is
-numeric; the literal closed-form inverse (``literal_inverse_map``) has a
-logarithm whose argument goes negative for admissible inputs and is kept
-only for cross-checking.
+numeric, since the literal closed-form inverse takes the logarithm of a
+number that is not positive for admissible inputs.
 
 The module needs numpy only at import.  The functions that call scipy (the
 root finder, the law solve, the law map and the quadrature) import it at
@@ -53,10 +52,9 @@ from .errors import (
     NonPositiveSpot,
     OutOfRange,
     SigmaZeroUnsupported,
-    SingularDelta,
 )
-from .model import GAMMA_TOL, ModelParams, require_finite
-from .sde import DEN_TOL_FACTOR, euler_terminal
+from .model import ModelParams, require_finite
+from .sde import DEN_TOL_FACTOR, closed_form_rates, euler_terminal
 
 #: margin denominator (in units of sigma + c1*s0) at which the quadrature
 #: domain is cut short of the explosion asymptote of f_T
@@ -106,13 +104,6 @@ class RiskNeutralParams:
     def gamma(self) -> float:
         return self.r - 0.5 * self.sigma ** 2
 
-    @property
-    def delta(self) -> float:
-        """r / gamma, the closed-form map's coefficient; SingularDelta at gamma ~ 0."""
-        if abs(self.gamma) < GAMMA_TOL:
-            raise SingularDelta(f"|r - sigma^2/2| = {abs(self.gamma):.3e} < {GAMMA_TOL}")
-        return self.r / self.gamma
-
 
 @dataclass(frozen=True)
 class OptionQuote:
@@ -140,9 +131,7 @@ class OptionQuote:
 
 def _map_coefficients(rn: RiskNeutralParams, t: float) -> tuple[float, float, float]:
     """(a, b, c) with f_t(w) = c * u / (a*u + b), u = exp(sigma*w)."""
-    if rn.sigma == 0:
-        raise SigmaZeroUnsupported("solution map requires sigma > 0")
-    delta, gamma = rn.delta, rn.gamma
+    gamma, delta = closed_form_rates(rn.r, rn.sigma, "r")
     egt = math.exp(gamma * t)
     a = rn.c1 * rn.s0 * ((delta - 1.0) * egt - delta)
     b = rn.sigma + rn.c1 * rn.s0
@@ -232,38 +221,6 @@ def inverse_map(rn: RiskNeutralParams, t: float, x: float) -> float:
             break
         w -= resid / deriv
     return float(w)
-
-
-def literal_inverse_map(rn: RiskNeutralParams, t: float, x: float) -> float:
-    """The literal closed-form inverse, kept only for cross-checking.
-
-    w = ln[ ((delta-1)e^{gamma t} - delta) * c1 * x / sigma ] / sigma
-        - gamma * t / sigma
-
-    Its logarithm argument is non-positive for admissible inputs (e.g. near
-    t = 0 when r > sigma^2/2), in which case NaN is returned.  Where defined
-    it generally disagrees with :func:`inverse_map`; use
-    :func:`compare_inverse_forms` to tabulate the discrepancy.
-    """
-    if rn.sigma == 0:
-        raise SigmaZeroUnsupported("solution map requires sigma > 0")
-    delta, gamma, sigma = rn.delta, rn.gamma, rn.sigma
-    arg = ((delta - 1.0) * math.exp(gamma * t) - delta) * rn.c1 * x / sigma
-    if arg <= 0:
-        return math.nan
-    return math.log(arg) / sigma - gamma * t / sigma
-
-
-def compare_inverse_forms(rn: RiskNeutralParams, t: float, xs) -> list[dict]:
-    """Cross-evaluate the numeric and literal inverse at each price in xs."""
-    rows = []
-    for x in np.asarray(xs, dtype=float):
-        numeric = inverse_map(rn, t, float(x))
-        literal = literal_inverse_map(rn, t, float(x))
-        rows.append({"x": float(x), "numeric": numeric, "literal": literal,
-                     "abs_diff": abs(numeric - literal) if math.isfinite(literal)
-                     else math.inf})
-    return rows
 
 
 # --------------------------------------------------------------------------
@@ -526,6 +483,8 @@ def price_formula(rn: RiskNeutralParams, opt: OptionSpec, tol: float = 1e-10) ->
     second-order scheme).  The law map's ``ft_inv_x`` is 0 and
     ``fT_inv_K`` is d sqrt(T - t).
     """
+    if not 0 < tol < math.inf:
+        raise InvalidGrid(f"tol must be a finite number > 0, got {tol}")
     tau = opt.maturity - opt.t
     if tau == 0:
         return _intrinsic_quote(rn.s0, opt.strike, "formula")

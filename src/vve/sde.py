@@ -24,7 +24,8 @@ Paths are grouped in fixed blocks of ``BLOCK_SIZE``; block ``b`` of seed
 ``s`` draws from ``Philox(key=[s, b])``, and path ``i`` owns row
 ``i % BLOCK_SIZE`` of its block's increment matrix.  Every path is therefore
 a pure function of (seed, path_index, grid), independent of execution order,
-chunking, or thread count.
+chunking, or thread count.  ``_blocks`` is the one place an ensemble draws
+its increments; ``sample_brownian`` reads one row of the same matrix.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GammaNearZero, InvalidGrid, SigmaZeroUnsupported
+from .errors import InvalidGrid, SigmaZeroUnsupported, SingularDelta
 from .model import GAMMA_TOL, ModelParams
 
 BLOCK_SIZE = 4096
@@ -136,6 +137,14 @@ def _block_increments(seed: int, block: int, rows: int, steps: int, dt: float) -
     return z
 
 
+def _blocks(seed: int, n_paths: int, steps: int, dt: float):
+    """Yield (row slice, increment matrix) for each block of ``n_paths`` paths."""
+    for start in range(0, n_paths, BLOCK_SIZE):
+        rows = min(BLOCK_SIZE, n_paths - start)
+        yield (slice(start, start + rows),
+               _block_increments(seed, start // BLOCK_SIZE, rows, steps, dt))
+
+
 def sample_brownian(grid: TimeGrid, seed: int, path_index: int) -> BrownianPath:
     """Brownian path for (seed, path_index): increments ~ Normal(0, dt) i.i.d.
 
@@ -206,11 +215,8 @@ def _simulate(params: ModelParams, grid: TimeGrid, n_paths: int, seed: int,
         raise InvalidGrid(f"n_paths must be >= 1, got {n_paths}")
     paths = np.empty((n_paths, grid.steps + 1))
     exploded = np.zeros(n_paths, dtype=bool)
-    for start in range(0, n_paths, BLOCK_SIZE):
-        rows = min(BLOCK_SIZE, n_paths - start)
-        db = _block_increments(seed, start // BLOCK_SIZE, rows, grid.steps, grid.dt)
-        paths[start:start + rows], exploded[start:start + rows] = _step_paths(
-            params, grid.dt, params.s0, db, milstein)
+    for rows, db in _blocks(seed, n_paths, grid.steps, grid.dt):
+        paths[rows], exploded[rows] = _step_paths(params, grid.dt, params.s0, db, milstein)
     return PathEnsemble(grid=grid, paths=paths, seed=seed, scheme=scheme_name,
                         exploded=exploded)
 
@@ -233,33 +239,32 @@ def euler_terminal(params: ModelParams, horizon: float, steps: int, n_paths: int
     the Monte Carlo pricer where full path matrices would not fit in memory.
     Returns (terminal values, exploded fraction).
     """
-    grid = TimeGrid(horizon, steps)
-    mu, sigma, c1 = params.mu, params.sigma, params.c1
-    dt = grid.dt
+    dt = TimeGrid(horizon, steps).dt
     terminal = np.empty(n_paths)
-    n_exploded = 0
-    for start in range(0, n_paths, BLOCK_SIZE):
-        rows = min(BLOCK_SIZE, n_paths - start)
-        db = _block_increments(seed, start // BLOCK_SIZE, rows, steps, dt)
-        s = np.full(rows, params.s0)
-        exploded = np.zeros(rows, dtype=bool)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(steps):
-                s_new = s + mu * s * dt + s * (sigma + c1 * s) * db[:, k]
-                s_new = np.maximum(s_new, 0.0)
-                bad = ~np.isfinite(s_new)
-                if bad.any():
-                    s_new[bad] = s[bad]
-                    exploded |= bad
-                s = s_new
-        terminal[start:start + rows] = s
-        n_exploded += int(exploded.sum())
-    return terminal, n_exploded / n_paths
+    exploded = np.zeros(n_paths, dtype=bool)
+    for rows, db in _blocks(seed, n_paths, steps, dt):
+        terminal[rows], exploded[rows] = _step_terminal(params, dt, params.s0, db, False)
+    return terminal, int(exploded.sum()) / n_paths
 
 
 # --------------------------------------------------------------------------
 # Closed-form candidate solution
 # --------------------------------------------------------------------------
+
+def closed_form_rates(drift: float, sigma: float, drift_name: str) -> tuple[float, float]:
+    """(gamma, delta) = (drift - sigma^2/2, drift / gamma) of the closed form.
+
+    The closed form divides by sigma and by gamma: raises
+    SigmaZeroUnsupported at sigma = 0 and SingularDelta where
+    |gamma| < GAMMA_TOL.  ``drift_name`` names the drift in the message.
+    """
+    if sigma == 0:
+        raise SigmaZeroUnsupported("closed form requires sigma > 0")
+    gamma = drift - 0.5 * sigma ** 2
+    if abs(gamma) < GAMMA_TOL:
+        raise SingularDelta(f"|{drift_name} - sigma^2/2| = {abs(gamma):.3e} < {GAMMA_TOL}")
+    return gamma, drift / gamma
+
 
 def exact_values(params: ModelParams, t, b):
     """Evaluate the closed-form candidate solution at times t, Brownian values b.
@@ -270,13 +275,8 @@ def exact_values(params: ModelParams, t, b):
     for c1 = 0 (geometric Brownian motion); see the module docstring for the
     c1 > 0 verification status.  Returns (values, denominator).
     """
-    mu, sigma, c1, s0 = params.mu, params.sigma, params.c1, params.s0
-    if sigma == 0:
-        raise SigmaZeroUnsupported("closed form requires sigma > 0")
-    gamma = mu - 0.5 * sigma ** 2
-    if abs(gamma) < GAMMA_TOL:
-        raise GammaNearZero(f"|mu - sigma^2/2| = {abs(gamma):.3e} < {GAMMA_TOL}")
-    delta = mu / gamma
+    sigma, c1, s0 = params.sigma, params.c1, params.s0
+    gamma, delta = closed_form_rates(params.mu, sigma, "mu")
     t = np.asarray(t, dtype=float)
     b = np.asarray(b, dtype=float)
     big_e = np.exp(gamma * t + sigma * b)
@@ -287,23 +287,33 @@ def exact_values(params: ModelParams, t, b):
     return values, den
 
 
+def _exact_rows(params: ModelParams, times: np.ndarray, b: np.ndarray):
+    """Closed-form paths at ``times`` for each row of Brownian values ``b``.
+
+    A row whose denominator falls to or below ``DEN_TOL_FACTOR*(sigma+c1*s0)``
+    is flagged exploded and is NaN from its first crossing onward.  Returns
+    (values, exploded mask, index of each row's first crossing).
+    """
+    values, den = exact_values(params, times[None, :], b)
+    values[:, 0] = params.s0  # t=0, B=0 reduces algebraically to s0
+    bad = den <= DEN_TOL_FACTOR * (params.sigma + params.c1 * params.s0)
+    hit = bad.any(axis=1)
+    first = np.argmax(bad, axis=1)
+    if hit.any():
+        col = np.arange(times.size)[None, :]
+        values = np.where(hit[:, None] & (col >= first[:, None]), np.nan, values)
+    return values, hit, first
+
+
 def exact_path(params: ModelParams, bpath: BrownianPath) -> ExactPath:
     """Closed-form candidate path on the grid of ``bpath``.
 
     Paths whose denominator falls to or below ``DEN_TOL_FACTOR*(sigma+c1*s0)``
     are flagged exploded; values from the first crossing onward are NaN.
     """
-    values, den = exact_values(params, bpath.grid.times, bpath.cumulative)
-    values[0] = params.s0  # t=0, B=0 reduces algebraically to s0
-    den_tol = DEN_TOL_FACTOR * (params.sigma + params.c1 * params.s0)
-    bad = den <= den_tol
-    if bad.any():
-        first = int(np.argmax(bad))
-        values = values.copy()
-        values[first:] = np.nan
-        return ExactPath(grid=bpath.grid, values=values, exploded=True,
-                         explosion_index=first)
-    return ExactPath(grid=bpath.grid, values=values, exploded=False)
+    values, hit, first = _exact_rows(params, bpath.grid.times, bpath.cumulative[None, :])
+    return ExactPath(grid=bpath.grid, values=values[0], exploded=bool(hit[0]),
+                     explosion_index=int(first[0]) if hit[0] else None)
 
 
 def simulate_exact(params: ModelParams, grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
@@ -314,23 +324,11 @@ def simulate_exact(params: ModelParams, grid: TimeGrid, n_paths: int, seed: int)
     """
     if n_paths < 1:
         raise InvalidGrid(f"n_paths must be >= 1, got {n_paths}")
-    den_tol = DEN_TOL_FACTOR * (params.sigma + params.c1 * params.s0)
     paths = np.empty((n_paths, grid.steps + 1))
     exploded = np.zeros(n_paths, dtype=bool)
-    for start in range(0, n_paths, BLOCK_SIZE):
-        rows = min(BLOCK_SIZE, n_paths - start)
-        db = _block_increments(seed, start // BLOCK_SIZE, rows, grid.steps, grid.dt)
-        b = np.concatenate([np.zeros((rows, 1)), np.cumsum(db, axis=1)], axis=1)
-        values, den = exact_values(params, grid.times[None, :], b)
-        values[:, 0] = params.s0  # t=0, B=0 reduces algebraically to s0
-        bad = den <= den_tol
-        hit = bad.any(axis=1)
-        if hit.any():
-            first = np.argmax(bad, axis=1)
-            col = np.arange(grid.steps + 1)[None, :]
-            values = np.where(hit[:, None] & (col >= first[:, None]), np.nan, values)
-        paths[start:start + rows] = values
-        exploded[start:start + rows] = hit
+    for rows, db in _blocks(seed, n_paths, grid.steps, grid.dt):
+        b = np.concatenate([np.zeros((len(db), 1)), np.cumsum(db, axis=1)], axis=1)
+        paths[rows], exploded[rows], _ = _exact_rows(params, grid.times, b)
     return PathEnsemble(grid=grid, paths=paths, seed=seed, scheme="exact",
                         exploded=exploded)
 
@@ -387,21 +385,17 @@ def strong_convergence(params: ModelParams, horizon: float, dt_levels, n_paths: 
 
     milstein = scheme == "milstein"
     errors = np.zeros(len(level_steps))
-    count = 0
-    for start in range(0, n_paths, BLOCK_SIZE):
-        rows = min(BLOCK_SIZE, n_paths - start)
-        db = _block_increments(seed, start // BLOCK_SIZE, rows, gen_steps, gen_dt)
+    for _, db in _blocks(seed, n_paths, gen_steps, gen_dt):
         b_T = db.sum(axis=1)
         if reference == "exact":
             ref, _ = exact_values(params, horizon, b_T)
         else:
             ref = _step_terminal(params, gen_dt, params.s0, db, milstein)[0]
         for i, n in enumerate(level_steps):
-            db_level = db.reshape(rows, n, gen_steps // n).sum(axis=2)
+            db_level = db.reshape(len(db), n, gen_steps // n).sum(axis=2)
             term = _step_terminal(params, horizon / n, params.s0, db_level, milstein)[0]
             errors[i] += np.abs(term - ref).sum()
-        count += rows
-    errors /= count
+    errors /= n_paths
 
     log_dt = np.log2(horizon / np.asarray(level_steps, dtype=float))
     slope = float(np.polyfit(log_dt, np.log2(errors), 1)[0])

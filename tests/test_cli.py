@@ -70,6 +70,12 @@ class TestSimulate:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "sigma_zero_unsupported"
         assert err["message"]
+        # mu = sigma^2/2: the closed form divides by mu - sigma^2/2
+        assert main(["simulate", "--scheme", "exact", "--mu", "0.02",
+                     "--out-dir", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "singular_delta"
+        assert err["message"]
 
     def test_unknown_scheme(self, tmp_path, capsys):
         assert main(["simulate", "--scheme", "heun", "--out-dir", str(tmp_path)]) == 1
@@ -157,6 +163,8 @@ class TestPrice:
         (["--method", "mc", "--paths", "1", "--steps", "10"], "invalid_grid"),
         (["--method", "bs", "--r", "nan"], "negative_coefficient"),
         (["--method", "formula", "--sigma", "nan"], "negative_coefficient"),
+        (["--method", "formula", "--tol", "0"], "invalid_grid"),
+        (["--method", "formula", "--tol", "nan"], "invalid_grid"),
     ])
     def test_input_without_finite_quote_is_json_error(self, tmp_path, capsys, argv, error):
         assert main(["price", *argv, "--out-dir", str(tmp_path)]) == 1

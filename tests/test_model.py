@@ -10,7 +10,6 @@ from vve.errors import (
     InvalidCevParams,
     NegativeCoefficient,
     NegativePrice,
-    NegativeTime,
     NonPositivePrice,
     NonPositiveSpot,
 )
@@ -20,7 +19,6 @@ from vve.model import (
     cev_volatility,
     elasticity,
     elasticity_derivative,
-    riskfree_value,
     validate_params,
     volatility,
 )
@@ -169,18 +167,3 @@ class TestCevVolatility:
         s = np.linspace(1, 200, 50)
         vals = cev_volatility(CevParams(0.3, 1.0), s)
         assert np.all(np.diff(vals) < 0)
-
-
-class TestRiskfreeValue:
-    def test_zero_horizon(self):
-        assert riskfree_value(1, 0.05, 0) == 1.0
-
-    def test_zero_rate(self):
-        assert riskfree_value(1, 0.0, 10) == 1.0
-
-    def test_direct_evaluation(self):
-        assert riskfree_value(100, 0.05, 1) == pytest.approx(100 * math.exp(0.05), rel=1e-15)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(NegativeTime):
-            riskfree_value(1, 0.05, -1)

@@ -27,12 +27,10 @@ from vve.pricing import (
     _map_coefficients,
     _terminal_values,
     bs_delta,
-    compare_inverse_forms,
     forward_map,
     greeks_bump,
     inverse_map,
     law_map,
-    literal_inverse_map,
     norm_cdf,
     price_bs,
     price_formula,
@@ -144,20 +142,6 @@ class TestInverseMap:
     def test_non_positive_price(self):
         with pytest.raises(OutOfRange):
             inverse_map(RN_VVE, 1.0, 0.0)
-
-    def test_literal_inverse_nan_near_t_zero(self):
-        # the literal closed form's log argument is non-positive at t = 0
-        assert math.isnan(literal_inverse_map(RN_VVE, 0.0, 100.0))
-
-    def test_compare_inverse_forms_logs_discrepancy(self):
-        rows = compare_inverse_forms(RN_VVE, 40.0, np.linspace(50, 500, 10))
-        assert len(rows) == 10
-        for row in rows:
-            assert set(row) == {"x", "numeric", "literal", "abs_diff"}
-            assert math.isfinite(row["numeric"])
-        # where defined, the literal form disagrees with the true inverse
-        finite = [r for r in rows if math.isfinite(r["literal"])]
-        assert all(r["abs_diff"] > 1e-6 for r in finite)
 
 
 class TestPriceFormula:

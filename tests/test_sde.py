@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from vve.errors import GammaNearZero, InvalidGrid, SigmaZeroUnsupported
+from vve.errors import InvalidGrid, SigmaZeroUnsupported, SingularDelta
 from vve.model import ModelParams
 from vve.sde import (
     BLOCK_SIZE,
@@ -123,9 +123,11 @@ class TestSimulateEuler:
         assert abs(terminal.mean() - 100.0 * math.exp(0.05)) < 4 * se
 
     def test_euler_terminal_matches_full_simulation(self):
-        ens = simulate_euler(VVE, TimeGrid(1.0, 16), 20, seed=4)
-        terminal, _ = euler_terminal(VVE, 1.0, 16, 20, seed=4)
-        assert np.array_equal(terminal, ens.paths[:, -1])
+        # BLOCK_SIZE + 3 paths cross a block seam
+        for n in (20, BLOCK_SIZE + 3):
+            ens = simulate_euler(VVE, TimeGrid(1.0, 16), n, seed=4)
+            terminal, _ = euler_terminal(VVE, 1.0, 16, n, seed=4)
+            assert np.array_equal(terminal, ens.paths[:, -1])
 
     def test_nonnegative_and_absorbing_at_zero(self):
         # a crafted increment drives the state negative; truncation pins it at 0
@@ -208,7 +210,7 @@ class TestExactPath:
 
     def test_gamma_near_zero(self):
         p = ModelParams(mu=0.02, sigma=0.2, c1=0.001, s0=100.0)  # mu = sigma^2/2
-        with pytest.raises(GammaNearZero):
+        with pytest.raises(SingularDelta):
             exact_path(p, sample_brownian(TimeGrid(1.0, 4), 0, 0))
 
     def test_explosion_flagged_and_truncated(self):
@@ -224,11 +226,14 @@ class TestExactPath:
 
     def test_simulate_exact_matches_exact_path(self):
         grid = TimeGrid(1.0, 32)
-        ens = simulate_exact(VVE, grid, 8, seed=6)
-        assert ens.scheme == "exact"
-        for i in range(8):
-            vals = exact_path(VVE, sample_brownian(grid, 6, i)).values
-            np.testing.assert_allclose(ens.paths[i], vals, rtol=1e-14)
+        # BLOCK_SIZE + 3 paths cross a block seam: check the rows around it
+        for n, rows in ((8, range(8)),
+                        (BLOCK_SIZE + 3, (0, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 2))):
+            ens = simulate_exact(VVE, grid, n, seed=6)
+            assert ens.scheme == "exact"
+            for i in rows:
+                vals = exact_path(VVE, sample_brownian(grid, 6, i)).values
+                np.testing.assert_allclose(ens.paths[i], vals, rtol=1e-14)
 
     def test_closed_form_gap_does_not_vanish_for_positive_c1(self):
         # Documented defect (see vve.sde docstring): for c1 > 0 the closed

@@ -1,0 +1,114 @@
+"""Golden check of the ``vve`` CLI against an earlier commit.
+
+    python3 tools/golden_cli.py --base HEAD~1
+
+Extracts ``src/`` and ``tests/data/`` of ``--base`` with ``git archive`` into
+a temporary directory (no worktree, no checkout change), runs a fixed list of
+``vve`` commands from that tree and from this working tree, and compares every
+output file, stdout, stderr and exit code.  Output directories are written as
+``<out>`` in stdout and stderr before the comparison.  Prints one line per
+command and each difference; exits 1 if any command differs.  Uses the
+standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CSV = "tests/data/vve_synthetic.csv"
+
+#: (name, argv) run from each tree's root; the CSV path is relative to it
+COMMANDS = [
+    ("calibrate", ["calibrate", "--csv", CSV]),
+    ("hv", ["hv", "--csv", CSV]),
+    ("regress", ["regress", "--csv", CSV]),
+    ("simulate", ["simulate", "--c1", "5e-4", "--seed", "1"]),
+    ("convergence", ["convergence", "--c1", "5e-4"]),
+    ("price", ["price", "--method", "formula,bs", "--c1", "5e-4"]),
+    ("price_default", ["price"]),
+    ("price_mc_bs", ["price", "--method", "mc,bs"]),
+    ("price_c1_zero", ["price", "--c1", "0", "--method", "formula,bs,mc"]),
+    ("convergence_c1_zero", ["convergence", "--c1", "0"]),
+    ("simulate_milstein", ["simulate", "--scheme", "milstein", "--c1", "5e-4"]),
+    ("simulate_exact", ["simulate", "--scheme", "exact", "--c1", "5e-4"]),
+    ("simulate_exact_c1_zero", ["simulate", "--scheme", "exact", "--c1", "0"]),
+    # 4099 paths cross a 4096-path block seam; c1 = 0.05 explodes closed-form paths
+    ("simulate_block_seam", ["simulate", "--paths", "4099", "--steps", "64", "--c1", "5e-4"]),
+    ("simulate_exact_exploding", ["simulate", "--scheme", "exact", "--sigma", "0.3",
+                                  "--c1", "0.05", "--steps", "64"]),
+    # guard errors: the closed form divides by sigma and by drift - sigma^2/2
+    ("error_exact_mu_half_sigma_sq", ["simulate", "--scheme", "exact", "--mu", "0.02"]),
+    ("error_formula_r_half_sigma_sq", ["price", "--method", "formula", "--c1", "0",
+                                       "--r", "0.02"]),
+    ("error_formula_sigma_zero", ["price", "--method", "formula", "--c1", "0",
+                                  "--sigma", "0"]),
+]
+
+
+def extract(rev: str, dest: Path) -> None:
+    """Write ``src/`` and ``tests/data/`` of ``rev`` under ``dest``."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev, "src", "tests/data"],
+                             cwd=ROOT, check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def run(tree: Path, argv: list[str], out: Path) -> dict[str, bytes]:
+    """Run one command from ``tree``; return its outputs keyed by name."""
+    proc = subprocess.run([sys.executable, "-m", "vve.cli", *argv, "--out-dir", str(out)],
+                          cwd=tree, env=dict(os.environ, PYTHONPATH=str(tree / "src")),
+                          capture_output=True)
+    mark = str(out).encode()
+    result = {"exit code": str(proc.returncode).encode(),
+              "stdout": proc.stdout.replace(mark, b"<out>"),
+              "stderr": proc.stderr.replace(mark, b"<out>")}
+    if out.is_dir():
+        result.update({f"file {p.name}": p.read_bytes() for p in sorted(out.iterdir())})
+    return result
+
+
+def first_diff(a: bytes, b: bytes) -> str:
+    """Where two byte strings first differ, with the lines there."""
+    a_lines, b_lines = a.splitlines(), b.splitlines()
+    for i, (x, y) in enumerate(zip(a_lines, b_lines)):
+        if x != y:
+            return f"line {i + 1}: {x[:160]!r} -> {y[:160]!r}"
+    return f"{len(a_lines)} -> {len(b_lines)} lines"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    args = parser.parse_args(argv)
+    n_differ = 0
+    with tempfile.TemporaryDirectory(prefix="vve_golden_") as tmp:
+        base = Path(tmp) / "base"
+        extract(args.base, base)
+        for name, cmd in COMMANDS:
+            before = run(base, cmd, Path(tmp) / "out_base" / name)
+            after = run(ROOT, cmd, Path(tmp) / "out_head" / name)
+            diffs = []
+            for key in sorted(before.keys() | after.keys()):
+                if key not in before or key not in after:
+                    diffs.append(f"{key}: only in {'base' if key in before else 'working tree'}")
+                elif before[key] != after[key]:
+                    diffs.append(f"{key}: {first_diff(before[key], after[key])}")
+            print(f"{'DIFFERS' if diffs else 'same   '} {name}: vve {' '.join(cmd)} "
+                  f"(exit {after['exit code'].decode()}, {len(after)} outputs)")
+            for line in diffs:
+                print(f"    {line}")
+            n_differ += bool(diffs)
+    print(f"{len(COMMANDS) - n_differ} of {len(COMMANDS)} commands identical to {args.base}")
+    return 1 if n_differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
