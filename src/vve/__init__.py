@@ -20,9 +20,7 @@ from .calibration import (
 )
 from .io import ensemble_summary, ensemble_to_csv, ingest_csv
 from .model import (
-    CevParams,
     ModelParams,
-    cev_volatility,
     elasticity,
     elasticity_derivative,
     validate_params,
@@ -46,7 +44,6 @@ from .sde import (
     ExactPath,
     PathEnsemble,
     TimeGrid,
-    coarsen_brownian,
     exact_path,
     sample_brownian,
     simulate_euler,

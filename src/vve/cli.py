@@ -2,10 +2,12 @@
 
 Subcommands: simulate | calibrate | price | convergence | hv | regress.
 
-Configuration precedence: CLI flags > config file (--config, JSON) >
-built-in defaults.  ``--show-config`` prints the merged configuration and
-exits.  The only environment variable honored is VVE_OUTPUT_DIR, which
-overrides the default output directory.
+Each command's options are declared once, in ``COMMANDS``, as (name,
+default, help); a flag's type is its default's (``str`` for None).
+Configuration precedence: CLI flags > config file (--config, JSON; the
+command's section, then flat keys) > built-in defaults.  ``--show-config``
+prints the merged configuration and exits.  The only environment variable
+honored is VVE_OUTPUT_DIR, which overrides the default output directory.
 
 Every command is deterministic for a fixed seed and configuration;
 re-running produces byte-identical output files.  Errors are emitted to
@@ -17,43 +19,67 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import calibration, io, pricing, sde
-from .errors import VveError
+from .errors import InvalidGrid, VveError
 from .model import validate_params
 
-DEFAULTS = {
-    "simulate": {
-        "mu": 0.05, "sigma": 0.2, "c1": 0.0, "s0": 100.0,
-        "horizon": 1.0, "steps": 252, "paths": 1000, "seed": 0,
-        "scheme": "euler", "out_dir": ".",
-    },
-    "calibrate": {
-        "csv": None, "window": 30, "trading_days": 252, "out_dir": ".",
-    },
-    "price": {
-        "method": "formula,mc", "sigma": 0.2, "c1": 0.0001, "s0": 100.0,
-        "r": 0.05, "strike": 100.0, "maturity": 1.0, "t": 0.0,
-        "paths": 100000, "steps": 500, "seed": 0, "tol": 1e-10, "out_dir": ".",
-    },
-    "convergence": {
-        "mu": 0.05, "sigma": 0.2, "c1": 0.0, "s0": 100.0, "horizon": 1.0,
-        "levels": "64,128,256,512,1024,2048", "paths": 1000, "seed": 0,
-        "scheme": "euler,milstein", "reference": "auto", "out_dir": ".",
-    },
-    "hv": {
-        "csv": None, "window": 30, "trading_days": 252, "out_dir": ".",
-    },
-    "regress": {
-        "csv": None, "window": 30, "trading_days": 252, "out_dir": ".",
-    },
+_CSV_OPTIONS = [
+    ("csv", None, "input CSV (date,close)"),
+    ("window", 30, "rolling volatility window in trading days"),
+    ("trading_days", 252, "trading days per year"),
+]
+_PATH_OPTIONS = [
+    ("mu", 0.05, "drift, per year"),
+    ("sigma", 0.2, "base volatility"),
+    ("c1", 0.0, "volatility-per-price coefficient"),
+    ("s0", 100.0, "initial price"),
+    ("horizon", 1.0, "horizon in years"),
+    ("paths", 1000, "number of paths"),
+    ("seed", 0, "random seed"),
+]
+
+#: command -> (help, [(option, default, help)])
+COMMANDS = {
+    "simulate": ("simulate price paths", [
+        *_PATH_OPTIONS,
+        ("steps", 252, "time steps"),
+        ("scheme", "euler", "euler | milstein | exact"),
+    ]),
+    "calibrate": ("calibrate (sigma, c1) from a close-price CSV", _CSV_OPTIONS),
+    "price": ("price a European call", [
+        ("method", "formula,mc", "comma list of formula,mc,bs"),
+        ("sigma", 0.2, "base volatility"),
+        ("c1", 0.0001, "volatility-per-price coefficient"),
+        ("s0", 100.0, "spot price"),
+        ("r", 0.05, "risk-free rate"),
+        ("strike", 100.0, "strike price"),
+        ("maturity", 1.0, "maturity in years"),
+        ("t", 0.0, "valuation time in years"),
+        ("paths", 100000, "Monte Carlo paths"),
+        ("steps", 500, "Monte Carlo time steps"),
+        ("seed", 0, "random seed"),
+        ("tol", 1e-10, "quadrature absolute tolerance"),
+    ]),
+    "convergence": ("strong-convergence study", [
+        *_PATH_OPTIONS,
+        ("levels", "64,128,256,512,1024,2048", "comma list of step counts, coarse to fine"),
+        ("scheme", "euler,milstein", "comma list of euler,milstein"),
+        ("reference", "auto", "exact | refined | auto"),
+    ]),
+    "hv": ("rolling historical volatility from a close-price CSV", _CSV_OPTIONS),
+    "regress": ("volatility-on-price regression report from a CSV", _CSV_OPTIONS),
 }
+
+
+def _options(command: str) -> list[tuple[str, object, type, str]]:
+    """(name, default, type, help) of each option; the type is the default's."""
+    return [(name, default, str if default is None else type(default), help_)
+            for name, default, help_ in [*COMMANDS[command][1],
+                                         ("out_dir", ".", "output directory")]]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -61,87 +87,46 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="vve",
         description="Variable-volatility-elasticity model: simulate, calibrate, price.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(cmd, help_text, options):
-        p = sub.add_parser(cmd, help=help_text)
+    for command, (help_text, _) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--show-config", action="store_true",
                        help="print the merged configuration and exit")
-        p.add_argument("--out-dir", dest="out_dir", help="output directory")
-        for name, typ, help_ in options:
-            p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=typ,
-                           default=None, help=help_)
-        return p
-
-    add("simulate", "simulate price paths", [
-        ("mu", float, "drift, per year"),
-        ("sigma", float, "base volatility"),
-        ("c1", float, "volatility-per-price coefficient"),
-        ("s0", float, "initial price"),
-        ("horizon", float, "horizon in years"),
-        ("steps", int, "time steps"),
-        ("paths", int, "number of paths"),
-        ("seed", int, "random seed"),
-        ("scheme", str, "euler | milstein | exact"),
-    ])
-    add("calibrate", "calibrate (sigma, c1) from a close-price CSV", [
-        ("csv", str, "input CSV (date,close)"),
-        ("window", int, "rolling volatility window in trading days"),
-        ("trading_days", int, "trading days per year"),
-    ])
-    add("price", "price a European call", [
-        ("method", str, "comma list of formula,mc,bs"),
-        ("sigma", float, "base volatility"),
-        ("c1", float, "volatility-per-price coefficient"),
-        ("s0", float, "spot price"),
-        ("r", float, "risk-free rate"),
-        ("strike", float, "strike price"),
-        ("maturity", float, "maturity in years"),
-        ("t", float, "valuation time in years"),
-        ("paths", int, "Monte Carlo paths"),
-        ("steps", int, "Monte Carlo time steps"),
-        ("seed", int, "random seed"),
-        ("tol", float, "quadrature absolute tolerance"),
-    ])
-    add("convergence", "strong-convergence study", [
-        ("mu", float, "drift, per year"),
-        ("sigma", float, "base volatility"),
-        ("c1", float, "volatility-per-price coefficient"),
-        ("s0", float, "initial price"),
-        ("horizon", float, "horizon in years"),
-        ("levels", str, "comma list of step counts, coarse to fine"),
-        ("paths", int, "number of paths"),
-        ("seed", int, "random seed"),
-        ("scheme", str, "comma list of euler,milstein"),
-        ("reference", str, "exact | refined | auto"),
-    ])
-    add("hv", "rolling historical volatility from a close-price CSV", [
-        ("csv", str, "input CSV (date,close)"),
-        ("window", int, "rolling window in trading days"),
-        ("trading_days", int, "trading days per year"),
-    ])
-    add("regress", "volatility-on-price regression report from a CSV", [
-        ("csv", str, "input CSV (date,close)"),
-        ("window", int, "rolling window in trading days"),
-        ("trading_days", int, "trading days per year"),
-    ])
+        for name, _, typ, help_ in _options(command):
+            p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=typ, help=help_)
     return parser
 
 
 def _merge_config(command: str, args: argparse.Namespace) -> dict:
-    cfg = dict(DEFAULTS[command])
+    """Flags > config command section > config flat keys > VVE_OUTPUT_DIR > defaults.
+
+    A config value is read as its text would be read as a flag; null leaves
+    the option unset.
+    """
+    options = _options(command)
+    cfg = {name: default for name, default, _, _ in options}
     if os.environ.get("VVE_OUTPUT_DIR"):
         cfg["out_dir"] = os.environ["VVE_OUTPUT_DIR"]
     if args.config:
-        loaded = json.loads(Path(args.config).read_text())
-        section = loaded.get(command, {}) if isinstance(loaded.get(command), dict) else {}
-        flat = {k: v for k, v in loaded.items() if k in cfg}
-        cfg.update(flat)
-        cfg.update({k: v for k, v in section.items() if k in cfg})
-    for key in cfg:
-        value = getattr(args, key, None)
+        try:
+            loaded = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:
+            raise VveError(f"cannot read config {args.config}: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise VveError(f"config {args.config} must hold a JSON object")
+        section = loaded.get(command) if isinstance(loaded.get(command), dict) else {}
+        types = {name: typ for name, _, typ, _ in options}
+        for name, value in [*loaded.items(), *section.items()]:
+            if name in types and value is not None:
+                try:
+                    cfg[name] = types[name](str(value))
+                except ValueError:
+                    raise VveError(f"config {name}: invalid {types[name].__name__} "
+                                   f"value {value!r}") from None
+    for name in cfg:
+        value = getattr(args, name)
         if value is not None:
-            cfg[key] = value
+            cfg[name] = value
     return cfg
 
 
@@ -200,8 +185,8 @@ def cmd_calibrate(cfg: dict) -> list[str]:
 def cmd_price(cfg: dict) -> list[str]:
     methods = [m.strip() for m in cfg["method"].split(",") if m.strip()]
     unknown = set(methods) - {"formula", "mc", "bs"}
-    if unknown:
-        raise VveError(f"unknown pricing method(s): {sorted(unknown)}")
+    if unknown or not methods:
+        raise VveError(f"unknown pricing method(s): {sorted(unknown) or cfg['method']!r}")
     rn = pricing.RiskNeutralParams(sigma=cfg["sigma"], c1=cfg["c1"],
                                    s0=cfg["s0"], r=cfg["r"])
     opt = pricing.OptionSpec(strike=cfg["strike"], maturity=cfg["maturity"],
@@ -242,10 +227,15 @@ def cmd_price(cfg: dict) -> list[str]:
 
 def cmd_convergence(cfg: dict) -> list[str]:
     params = validate_params(cfg["mu"], cfg["sigma"], cfg["c1"], cfg["s0"])
-    steps = [int(s) for s in cfg["levels"].split(",")]
     horizon = cfg["horizon"]
-    dt_levels = [horizon / n for n in steps]
+    try:
+        dt_levels = [horizon / int(n) for n in cfg["levels"].split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise InvalidGrid(f"levels must be a comma list of step counts, "
+                          f"got {cfg['levels']!r}") from None
     schemes = [s.strip() for s in cfg["scheme"].split(",") if s.strip()]
+    if not schemes:
+        raise InvalidGrid(f"unknown scheme {cfg['scheme']!r}")
     results = {}
     for scheme in schemes:
         rep = sde.strong_convergence(params, horizon, dt_levels, cfg["paths"],

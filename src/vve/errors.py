@@ -35,10 +35,6 @@ class NonPositivePrice(VveError):
     code = "non_positive_price"
 
 
-class InvalidCevParams(VveError):
-    code = "invalid_cev_params"
-
-
 # --- SDE engine ---------------------------------------------------------------
 
 class InvalidGrid(VveError):

@@ -19,10 +19,8 @@ import numpy as np
 
 from .errors import (
     DegenerateDiffusion,
-    InvalidCevParams,
     NegativeCoefficient,
     NegativePrice,
-    NonPositivePrice,
     NonPositiveSpot,
 )
 
@@ -80,20 +78,6 @@ def validate_params(mu: float, sigma: float, c1: float, s0: float) -> ModelParam
     return ModelParams(float(mu), float(sigma), float(c1), float(s0))
 
 
-@dataclass(frozen=True)
-class CevParams:
-    """Constant-elasticity-of-variance comparison model: vol(s) = sigma * s**(beta/2 - 1)."""
-
-    sigma: float
-    beta: float
-
-    def __post_init__(self):
-        if not (self.sigma > 0):
-            raise InvalidCevParams(f"sigma must be > 0, got {self.sigma}")
-        if not (0 < self.beta <= 2):
-            raise InvalidCevParams(f"beta must lie in (0, 2], got {self.beta}")
-
-
 def volatility(params: ModelParams, s):
     """Volatility level sigma + c1 * s.  Accepts scalar or array s >= 0."""
     s = np.asarray(s, dtype=float)
@@ -127,11 +111,3 @@ def elasticity_derivative(params: ModelParams, s):
     out = params.c1 * params.sigma / (params.sigma + params.c1 * s) ** 2
     return float(out) if out.ndim == 0 else out
 
-
-def cev_volatility(params: CevParams, s):
-    """CEV volatility sigma * s**(beta/2 - 1); requires s > 0."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s <= 0):
-        raise NonPositivePrice("CEV volatility requires s > 0")
-    out = params.sigma * s ** (params.beta / 2.0 - 1.0)
-    return float(out) if out.ndim == 0 else out

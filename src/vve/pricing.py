@@ -27,14 +27,15 @@ finding stays measurable: the candidate prices the process
 f_t(B_t), lies 8 to 48 Monte Carlo standard errors above the model's price
 on the acceptance grid, depends on the valuation time t and not only on
 T - t, and prices the zero-strike call above the spot (101.31 at c1 = 5e-4,
-s0 = 100), so its discounted value is not a martingale.  Its inverse is
-numeric, since the literal closed-form inverse takes the logarithm of a
-number that is not positive for admissible inputs.
+s0 = 100), so its discounted value is not a martingale.  The paper's own
+inverse formula takes the logarithm of a number that is not positive for
+admissible inputs; the map as coded has the algebraic inverse
+w = ln(b x / (c - a x)) / sigma on its whole range, which ``inverse_map``
+evaluates.
 
 The module needs numpy only at import.  The functions that call scipy (the
-root finder, the law solve, the law map and the quadrature) import it at
-first use, so that ``vve`` commands that never price by formula do not pay
-for loading it.
+law solve, the law map and the quadrature) import it at first use, so that
+``vve`` commands that never price by formula do not pay for loading it.
 """
 
 from __future__ import annotations
@@ -173,54 +174,21 @@ def _explosion_w(rn: RiskNeutralParams, t: float, den_level: float) -> float | N
 
 
 def inverse_map(rn: RiskNeutralParams, t: float, x: float) -> float:
-    """Brownian value w with f_t(w) = x, to relative residual 1e-12.
+    """Brownian value w with f_t(w) = x: w = ln(b x / (c - a x)) / sigma.
 
-    Monotone bracketing and Brent root-finding on ``forward_map``, followed
-    by Newton polish with the analytic derivative.  Raises OutOfRange for x
-    outside the range of f_t (including beyond the explosion asymptote).
+    The algebraic inverse of f_t(w) = c u / (a u + b), u = exp(sigma w).
+    Raises OutOfRange for x outside the range of f_t (including beyond the
+    explosion asymptote).
     """
     if x <= 0 or not math.isfinite(x):
         raise OutOfRange(f"x must be a finite positive price, got {x}")
     a, b, c = _map_coefficients(rn, t)
-    sigma = rn.sigma
-    den_tol = DEN_TOL_FACTOR * b
-
     if a > 0 and x >= c / a:
         raise OutOfRange(f"x={x} at or above the map's supremum {c / a}")
-    if a < 0:
-        w_hi = _explosion_w(rn, t, den_tol)
-        f_hi = c / den_tol
-        if x >= f_hi:
-            raise OutOfRange(f"x={x} beyond the explosion asymptote (f <= {f_hi:.6g})")
-    else:
-        # expand upward from a GBM-style guess
-        w_hi = (math.log(x / rn.s0) - rn.gamma * t) / sigma + 1.0
-        step = 1.0
-        while _forward_raw(rn, t, w_hi)[0] < x:
-            step *= 2.0
-            w_hi += step
-
-    w_lo = min((math.log(x / rn.s0) - rn.gamma * t) / sigma, w_hi) - 1.0
-    step = 1.0
-    while _forward_raw(rn, t, w_lo)[0] >= x:
-        step *= 2.0
-        w_lo -= step
-
-    from scipy import optimize
-
-    w = optimize.brentq(lambda v: _forward_raw(rn, t, v)[0] - x, w_lo, w_hi,
-                        xtol=1e-14, rtol=8.9e-16, maxiter=200)
-    # Newton polish: f'(w) = sigma*b*c*u / (a*u + b)^2 with u = exp(sigma*w)
-    for _ in range(3):
-        f, den = _forward_raw(rn, t, w)
-        resid = float(f) - x
-        if abs(resid) <= 1e-12 * x:
-            break
-        deriv = sigma * b * c * math.exp(-sigma * w) / float(den) ** 2
-        if deriv <= 0 or not math.isfinite(deriv):
-            break
-        w -= resid / deriv
-    return float(w)
+    f_hi = c / (DEN_TOL_FACTOR * b)
+    if a < 0 and x >= f_hi:
+        raise OutOfRange(f"x={x} beyond the explosion asymptote (f <= {f_hi:.6g})")
+    return math.log(b * x / (c - a * x)) / rn.sigma
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,8 @@ form and refined Euler paths plateaus instead of vanishing as dt -> 0.  No
 function of (t, B_t) alone can solve this SDE, so the defect is structural,
 not a transcription issue.  The closed form is kept as stated for
 cross-checking; when c1 > 0 the convergence reference is the measured scheme
-itself on a finer grid (``strong_convergence(..., reference="refined")``).
+itself on a grid ``REFINE_FACTOR`` (8) times finer than the finest level
+(``strong_convergence(..., reference="refined")``).
 
 Randomness
 ----------
@@ -30,7 +31,7 @@ its increments; ``sample_brownian`` reads one row of the same matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +43,9 @@ BLOCK_SIZE = 4096
 #: denominator threshold factor for flagging exploded closed-form paths
 DEN_TOL_FACTOR = 1e-10
 
+#: how much finer than the finest level the ``"refined"`` convergence reference steps
+REFINE_FACTOR = 8
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -51,8 +55,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if not (self.horizon > 0):
-            raise InvalidGrid(f"horizon must be > 0, got {self.horizon}")
+        if not 0 < self.horizon < np.inf:
+            raise InvalidGrid(f"horizon must be a finite number > 0, got {self.horizon}")
         if self.steps < 1:
             raise InvalidGrid(f"steps must be >= 1, got {self.steps}")
 
@@ -90,7 +94,7 @@ class PathEnsemble:
     paths: np.ndarray
     seed: int
     scheme: str
-    exploded: np.ndarray = field(default=None)
+    exploded: np.ndarray
 
     @property
     def n_paths(self) -> int:
@@ -98,8 +102,6 @@ class PathEnsemble:
 
     @property
     def exploded_fraction(self) -> float:
-        if self.exploded is None:
-            return 0.0
         return float(np.mean(self.exploded))
 
 
@@ -157,16 +159,6 @@ def sample_brownian(grid: TimeGrid, seed: int, path_index: int) -> BrownianPath:
     return BrownianPath(grid=grid, increments=inc)
 
 
-def coarsen_brownian(bpath: BrownianPath, factor: int) -> BrownianPath:
-    """Aggregate increments onto a ``factor``-times-coarser grid (exact sums)."""
-    steps = bpath.grid.steps
-    if factor < 1 or steps % factor != 0:
-        raise InvalidGrid(f"factor {factor} does not divide {steps} steps")
-    inc = bpath.increments.reshape(steps // factor, factor).sum(axis=1)
-    grid = TimeGrid(bpath.grid.horizon, steps // factor)
-    return BrownianPath(grid=grid, increments=inc)
-
-
 # --------------------------------------------------------------------------
 # Discretization schemes
 # --------------------------------------------------------------------------
@@ -209,10 +201,14 @@ def _step_paths(params: ModelParams, dt: float, s0, db, milstein: bool):
     return out, _step_terminal(params, dt, s0, db, milstein, out)[1]
 
 
-def _simulate(params: ModelParams, grid: TimeGrid, n_paths: int, seed: int,
-              milstein: bool, scheme_name: str) -> PathEnsemble:
+def _check_n_paths(n_paths: int) -> None:
     if n_paths < 1:
         raise InvalidGrid(f"n_paths must be >= 1, got {n_paths}")
+
+
+def _simulate(params: ModelParams, grid: TimeGrid, n_paths: int, seed: int,
+              milstein: bool, scheme_name: str) -> PathEnsemble:
+    _check_n_paths(n_paths)
     paths = np.empty((n_paths, grid.steps + 1))
     exploded = np.zeros(n_paths, dtype=bool)
     for rows, db in _blocks(seed, n_paths, grid.steps, grid.dt):
@@ -239,6 +235,7 @@ def euler_terminal(params: ModelParams, horizon: float, steps: int, n_paths: int
     the Monte Carlo pricer where full path matrices would not fit in memory.
     Returns (terminal values, exploded fraction).
     """
+    _check_n_paths(n_paths)
     dt = TimeGrid(horizon, steps).dt
     terminal = np.empty(n_paths)
     exploded = np.zeros(n_paths, dtype=bool)
@@ -322,8 +319,7 @@ def simulate_exact(params: ModelParams, grid: TimeGrid, n_paths: int, seed: int)
     Exploded paths carry NaN from the first denominator crossing onward and
     are flagged in ``exploded``.
     """
-    if n_paths < 1:
-        raise InvalidGrid(f"n_paths must be >= 1, got {n_paths}")
+    _check_n_paths(n_paths)
     paths = np.empty((n_paths, grid.steps + 1))
     exploded = np.zeros(n_paths, dtype=bool)
     for rows, db in _blocks(seed, n_paths, grid.steps, grid.dt):
@@ -339,13 +335,14 @@ def simulate_exact(params: ModelParams, grid: TimeGrid, n_paths: int, seed: int)
 
 def _validate_dt_levels(horizon: float, dt_levels) -> list[int]:
     """Check dyadic refinement structure; return steps per level, coarse to fine."""
+    TimeGrid(horizon, 1)  # checks the horizon
     dts = np.asarray(dt_levels, dtype=float)
     if len(dts) < 2 or np.any(np.diff(dts) >= 0):
         raise InvalidGrid("dt_levels must be strictly decreasing with >= 2 entries")
     steps = []
     for dt in dts:
         n = horizon / dt
-        if abs(n - round(n)) > 1e-9:
+        if not 0.5 < n < np.inf or abs(n - round(n)) > 1e-9:
             raise InvalidGrid(f"dt={dt} does not divide horizon={horizon}")
         steps.append(int(round(n)))
     finest = steps[-1]
@@ -357,14 +354,14 @@ def _validate_dt_levels(horizon: float, dt_levels) -> list[int]:
 
 def strong_convergence(params: ModelParams, horizon: float, dt_levels, n_paths: int,
                        seed: int, scheme: str = "euler",
-                       reference: str = "auto", refine_factor: int = 8) -> ConvergenceReport:
+                       reference: str = "auto") -> ConvergenceReport:
     """Mean absolute terminal error of a scheme against a pathwise reference.
 
     All levels share Brownian increments: coarse increments are exact sums of
     the finest-level ones.  ``reference``:
 
     * ``"exact"``   — closed-form value at (horizon, B_T); valid for c1 = 0.
-    * ``"refined"`` — the measured scheme on a grid ``refine_factor`` x
+    * ``"refined"`` — the measured scheme on a grid ``REFINE_FACTOR`` x
       finer than the finest level (the reference when c1 > 0).  A reference
       of another scheme would floor the measured errors at its own error.
     * ``"auto"``    — "exact" if c1 == 0 else "refined".
@@ -378,9 +375,10 @@ def strong_convergence(params: ModelParams, horizon: float, dt_levels, n_paths: 
     if reference not in ("exact", "refined"):
         raise InvalidGrid(f"unknown reference {reference!r}")
 
+    _check_n_paths(n_paths)
     level_steps = _validate_dt_levels(horizon, dt_levels)
     finest = level_steps[-1]
-    gen_steps = finest * refine_factor if reference == "refined" else finest
+    gen_steps = finest * REFINE_FACTOR if reference == "refined" else finest
     gen_dt = horizon / gen_steps
 
     milstein = scheme == "milstein"

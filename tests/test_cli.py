@@ -42,6 +42,22 @@ def read_bytes(path):
     return Path(path).read_bytes()
 
 
+class ConfigText(str):
+    """Text of a --config file: the test writes it and passes the file's path."""
+
+
+def with_config_files(argv, tmp_path):
+    """argv with each ConfigText replaced by the path of a file holding it."""
+    out = []
+    for i, arg in enumerate(argv):
+        if isinstance(arg, ConfigText):
+            path = tmp_path / f"cfg{i}.json"
+            path.write_text(arg)
+            arg = str(path)
+        out.append(arg)
+    return out
+
+
 class TestSimulate:
     def test_shape_and_schema(self, tmp_path):
         code = main(["simulate", "--paths", "100", "--steps", "252",
@@ -147,7 +163,10 @@ class TestPrice:
         assert report["quotes"]["mc"]["price"] == 20.0
 
     def test_unknown_method(self, tmp_path, capsys):
-        assert main(["price", "--method", "trinomial", "--out-dir", str(tmp_path)]) == 1
+        for method in ("trinomial", "", ","):
+            assert main(["price", "--method", method, "--out-dir", str(tmp_path)]) == 1
+            assert json.loads(capsys.readouterr().err)["error"] == "error"
+            assert not (tmp_path / "price.json").exists()
 
     def test_mc_and_bs_at_r_equal_half_sigma_squared(self, tmp_path, capsys):
         argv = ["price", "--sigma", "0.2", "--r", "0.02", "--paths", "2000",
@@ -165,8 +184,15 @@ class TestPrice:
         (["--method", "formula", "--sigma", "nan"], "negative_coefficient"),
         (["--method", "formula", "--tol", "0"], "invalid_grid"),
         (["--method", "formula", "--tol", "nan"], "invalid_grid"),
+        # config values go through the flag's type; unreadable configs are errors
+        (["--method", "mc", "--config", ConfigText('{"paths": 2000.0}')], "error"),
+        (["--method", "mc", "--config", ConfigText('{"price": {"paths": "abc"}}')], "error"),
+        (["--method", "bs", "--config", ConfigText('{"sigma": ')], "error"),
+        (["--method", "bs", "--config", ConfigText('[0.2]')], "error"),
+        (["--method", "bs", "--config", "no/such/config.json"], "error"),
     ])
     def test_input_without_finite_quote_is_json_error(self, tmp_path, capsys, argv, error):
+        argv = with_config_files(argv, tmp_path)
         assert main(["price", *argv, "--out-dir", str(tmp_path)]) == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == error and err["message"]
@@ -204,6 +230,22 @@ class TestConvergence:
         errors = report["euler"]["strong_errors"]
         assert errors == sorted(errors, reverse=True)
 
+    @pytest.mark.parametrize("argv", [
+        ["--paths", "0"],
+        ["--paths", "-3"],
+        ["--horizon", "nan"],
+        ["--horizon", "inf"],
+        ["--levels", "64,abc"],
+        ["--levels", "0,64"],
+        ["--scheme", ""],
+        ["--scheme", ","],
+    ])
+    def test_bad_input_is_json_error(self, tmp_path, capsys, argv):
+        argv = ["convergence", "--levels", "4,8", "--paths", "16", *argv]
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "invalid_grid"
+        assert not (tmp_path / "convergence.json").exists()
+
 
 class TestHvAndRegress:
     def test_hv_output(self, tmp_path):
@@ -233,6 +275,14 @@ class TestConfigPrecedence:
         assert code == 0
         merged = json.loads(capsys.readouterr().out)
         assert merged["window"] == 40
+        # a config value is read as the same text would be read as a flag
+        cfg.write_text(json.dumps({"sigma": 1, "paths": "2000", "seed": None,
+                                   "price": {"strike": 90}}))
+        assert main(["price", "--config", str(cfg), "--show-config"]) == 0
+        merged = json.loads(capsys.readouterr().out)
+        assert merged["sigma"] == 1.0 and isinstance(merged["sigma"], float)
+        assert merged["paths"] == 2000 and merged["strike"] == 90.0
+        assert merged["seed"] == 0
 
     def test_cli_flag_beats_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

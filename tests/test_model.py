@@ -7,16 +7,12 @@ import pytest
 
 from vve.errors import (
     DegenerateDiffusion,
-    InvalidCevParams,
     NegativeCoefficient,
     NegativePrice,
-    NonPositivePrice,
     NonPositiveSpot,
 )
 from vve.model import (
-    CevParams,
     ModelParams,
-    cev_volatility,
     elasticity,
     elasticity_derivative,
     validate_params,
@@ -52,18 +48,6 @@ class TestValidateParams:
     def test_degenerate_cases_allowed(self):
         validate_params(0.05, 0.0, 0.001, 100)  # CVE
         validate_params(0.05, 0.2, 0.0, 100)    # GBM
-
-
-class TestCevParams:
-    def test_valid(self):
-        CevParams(sigma=0.3, beta=1.0)
-        CevParams(sigma=0.3, beta=2.0)
-
-    @pytest.mark.parametrize("sigma,beta", [(0.0, 1.0), (-0.1, 1.0),
-                                            (0.3, 0.0), (0.3, 2.5), (0.3, -1.0)])
-    def test_invalid(self, sigma, beta):
-        with pytest.raises(InvalidCevParams):
-            CevParams(sigma=sigma, beta=beta)
 
 
 class TestVolatility:
@@ -148,22 +132,3 @@ class TestElasticityIdentities:
         resid = alpha ** 2 + elasticity_derivative(p, s) * s - alpha
         assert np.max(np.abs(resid)) < 1e-12
 
-
-class TestCevVolatility:
-    def test_lognormal_case(self):
-        assert cev_volatility(CevParams(0.2, 2.0), 50) == pytest.approx(0.2, rel=1e-15)
-
-    def test_sqrt_case(self):
-        assert cev_volatility(CevParams(0.3, 1.0), 100) == pytest.approx(0.03, rel=1e-14)
-
-    def test_unit_price(self):
-        assert cev_volatility(CevParams(0.3, 1.0), 1) == pytest.approx(0.3, rel=1e-15)
-
-    def test_zero_price_rejected(self):
-        with pytest.raises(NonPositivePrice):
-            cev_volatility(CevParams(0.3, 1.0), 0)
-
-    def test_decreasing_in_s_below_beta_two(self):
-        s = np.linspace(1, 200, 50)
-        vals = cev_volatility(CevParams(0.3, 1.0), s)
-        assert np.all(np.diff(vals) < 0)

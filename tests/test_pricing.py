@@ -127,6 +127,10 @@ class TestInverseMap:
     def test_gbm_inverse(self):
         x = 100.0 * math.exp(0.05 - 0.02)
         assert inverse_map(RN_GBM, 1.0, x) == pytest.approx(0.0, abs=1e-9)
+        assert inverse_map(RN_GBM, 0.0, 100.0) == 0.0  # the spot maps to B = 0
+        for t, x in ((0.0, 80.0), (0.5, 100.0), (1.0, 125.0), (2.0, 40.0)):
+            w = (math.log(x / RN_GBM.s0) - RN_GBM.gamma * t) / RN_GBM.sigma
+            assert inverse_map(RN_GBM, t, x) == pytest.approx(w, rel=0, abs=1e-15)
 
     def test_out_of_range_above_supremum(self):
         # at large t the map coefficient a turns positive and f is bounded

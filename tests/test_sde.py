@@ -13,7 +13,6 @@ from vve.sde import (
     TimeGrid,
     _block_increments,
     _step_paths,
-    coarsen_brownian,
     euler_terminal,
     exact_path,
     sample_brownian,
@@ -33,7 +32,8 @@ class TestTimeGrid:
         assert grid.dt == 0.25
         np.testing.assert_allclose(grid.times, [0, 0.25, 0.5, 0.75, 1.0])
 
-    @pytest.mark.parametrize("horizon,steps", [(0.0, 4), (-1.0, 4), (1.0, 0)])
+    @pytest.mark.parametrize("horizon,steps", [(0.0, 4), (-1.0, 4), (1.0, 0),
+                                               (math.nan, 4), (math.inf, 4)])
     def test_invalid(self, horizon, steps):
         with pytest.raises(InvalidGrid):
             TimeGrid(horizon, steps)
@@ -79,22 +79,6 @@ class TestSampleBrownian:
     def test_negative_index_rejected(self):
         with pytest.raises(InvalidGrid):
             sample_brownian(TimeGrid(1.0, 4), 0, -1)
-
-
-class TestCoarsenBrownian:
-    def test_pairwise_sums(self):
-        bp = sample_brownian(TimeGrid(1.0, 64), 9, 0)
-        coarse = coarsen_brownian(bp, 2)
-        assert coarse.grid.steps == 32
-        np.testing.assert_allclose(coarse.increments,
-                                   bp.increments.reshape(32, 2).sum(axis=1))
-        # terminal Brownian value preserved exactly
-        assert coarse.cumulative[-1] == pytest.approx(bp.cumulative[-1], abs=1e-15)
-
-    def test_bad_factor(self):
-        bp = sample_brownian(TimeGrid(1.0, 64), 9, 0)
-        with pytest.raises(InvalidGrid):
-            coarsen_brownian(bp, 3)
 
 
 class TestSimulateEuler:
@@ -149,6 +133,11 @@ class TestSimulateEuler:
     def test_invalid_n_paths(self):
         with pytest.raises(InvalidGrid):
             simulate_euler(GBM, TimeGrid(1.0, 4), 0, seed=0)
+        for n_paths in (0, -1):
+            with pytest.raises(InvalidGrid):
+                euler_terminal(GBM, 1.0, 4, n_paths, seed=0)
+            with pytest.raises(InvalidGrid):
+                strong_convergence(GBM, 1.0, [0.5, 0.25], n_paths, seed=0)
 
 
 class TestSimulateMilstein:
@@ -243,7 +232,9 @@ class TestExactPath:
         fine = sample_brownian(TimeGrid(1.0, 2 ** 13), 0, 0)
         gaps = {}
         for factor in (8, 1):
-            bp = coarsen_brownian(fine, factor) if factor > 1 else fine
+            steps = fine.grid.steps // factor
+            bp = BrownianPath(TimeGrid(1.0, steps),
+                              fine.increments.reshape(steps, factor).sum(axis=1))
             ref = exact_path(VVE, bp).values[-1]
             eu = _step_paths(VVE, bp.grid.dt, VVE.s0,
                              bp.increments[None, :], milstein=False)[0][0, -1]
@@ -295,6 +286,13 @@ class TestStrongConvergence:
             strong_convergence(GBM, 1.0, [0.5, 0.25, 0.1], 16, seed=0)  # non-dyadic
         with pytest.raises(InvalidGrid):
             strong_convergence(GBM, 1.0, [0.5], 16, seed=0)  # single level
+        for horizon in (math.nan, math.inf):
+            with pytest.raises(InvalidGrid):
+                strong_convergence(GBM, horizon, [0.5, 0.25], 16, seed=0)
+        with pytest.raises(InvalidGrid):
+            strong_convergence(GBM, 1.0, [math.nan, 0.25], 16, seed=0)
+        with pytest.raises(InvalidGrid):
+            strong_convergence(GBM, 1.0, [0.5, -0.25], 16, seed=0)
 
     def test_unknown_scheme_and_reference(self):
         with pytest.raises(InvalidGrid):

@@ -5,7 +5,9 @@
 Extracts ``src/`` and ``tests/data/`` of ``--base`` with ``git archive`` into
 a temporary directory (no worktree, no checkout change), runs a fixed list of
 ``vve`` commands from that tree and from this working tree, and compares every
-output file, stdout, stderr and exit code.  Output directories are written as
+output file, stdout, stderr and exit code.  The config files that some
+commands read are written to the same temporary directory, which ``{tmp}`` in
+a command names.  Output directories are written as
 ``<out>`` in stdout and stderr before the comparison.  Prints one line per
 command and each difference; exits 1 if any command differs.  Uses the
 standard library only.
@@ -24,6 +26,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CSV = "tests/data/vve_synthetic.csv"
+
+#: config files written under the temporary directory; ``{tmp}`` in an argv names it
+CONFIGS = {
+    # float values, flat and per command; the price section beats the flat keys
+    "cfg.json": '{"sigma": 0.3, "strike": 95.0, "window": 40,'
+                ' "price": {"c1": 0.0002, "maturity": 0.5, "strike": 105.0},'
+                ' "simulate": {"sigma": 0.9}}',
+    "bad.json": '{"sigma": 0.3,',
+}
 
 #: (name, argv) run from each tree's root; the CSV path is relative to it
 COMMANDS = [
@@ -50,6 +61,11 @@ COMMANDS = [
                                        "--r", "0.02"]),
     ("error_formula_sigma_zero", ["price", "--method", "formula", "--c1", "0",
                                   "--sigma", "0"]),
+    # the merged configuration: option defaults, config files and their precedence
+    *((f"show_config_{cmd}", [cmd, "--show-config"])
+      for cmd in ("simulate", "calibrate", "price", "convergence", "hv", "regress")),
+    ("show_config_price_file", ["price", "--config", "{tmp}/cfg.json", "--show-config"]),
+    ("error_config_malformed", ["price", "--method", "bs", "--config", "{tmp}/bad.json"]),
 ]
 
 
@@ -61,8 +77,9 @@ def extract(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def run(tree: Path, argv: list[str], out: Path) -> dict[str, bytes]:
+def run(tree: Path, argv: list[str], out: Path, tmp: str) -> dict[str, bytes]:
     """Run one command from ``tree``; return its outputs keyed by name."""
+    argv = [arg.format(tmp=tmp) for arg in argv]
     proc = subprocess.run([sys.executable, "-m", "vve.cli", *argv, "--out-dir", str(out)],
                           cwd=tree, env=dict(os.environ, PYTHONPATH=str(tree / "src")),
                           capture_output=True)
@@ -92,9 +109,11 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="vve_golden_") as tmp:
         base = Path(tmp) / "base"
         extract(args.base, base)
+        for file_name, text in CONFIGS.items():
+            (Path(tmp) / file_name).write_text(text)
         for name, cmd in COMMANDS:
-            before = run(base, cmd, Path(tmp) / "out_base" / name)
-            after = run(ROOT, cmd, Path(tmp) / "out_head" / name)
+            before = run(base, cmd, Path(tmp) / "out_base" / name, tmp)
+            after = run(ROOT, cmd, Path(tmp) / "out_head" / name, tmp)
             diffs = []
             for key in sorted(before.keys() | after.keys()):
                 if key not in before or key not in after:
