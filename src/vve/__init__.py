@@ -41,6 +41,7 @@ from .pricing import (
 from .sde import (
     BrownianPath,
     ConvergenceReport,
+    ConvergenceReports,
     ExactPath,
     PathEnsemble,
     TimeGrid,

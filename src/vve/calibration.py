@@ -21,6 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegenerateX,
+    InvalidGrid,
     NegativeSlope,
     NonPositivePrice,
     SeriesTooShort,
@@ -102,16 +103,23 @@ def log_returns(series: MarketSeries) -> np.ndarray:
     return np.diff(np.log(series.closes))
 
 
+def _check_trading_days(trading_days_per_year) -> None:
+    if not 1 <= trading_days_per_year < math.inf:
+        raise InvalidGrid(f"trading_days_per_year must be a finite number >= 1, "
+                          f"got {trading_days_per_year}")
+
+
 def rolling_hv(series: MarketSeries, window: int,
                trading_days_per_year: int = TRADING_DAYS_PER_YEAR) -> VolSeries:
     """Rolling annualized historical volatility of log returns.
 
     The volatility at date index k (k >= window) is the sample standard
     deviation (n-1 denominator) of the ``window`` returns ending at date k,
-    times sqrt(trading_days_per_year).  Output length is len(series) - window
-    and is aligned with the closes at dates[window:] for contemporaneous
-    regression.
+    times sqrt(trading_days_per_year), which must be >= 1.  Output length is
+    len(series) - window and is aligned with the closes at dates[window:] for
+    contemporaneous regression.
     """
+    _check_trading_days(trading_days_per_year)
     if window < 2:
         raise SeriesTooShort(f"window must be >= 2, got {window}")
     if len(series) <= window:
@@ -187,6 +195,7 @@ def estimate_drift(series: MarketSeries,
     mu = mean(r)*tdpy + var(r, ddof=1)*tdpy/2 (geometric mean plus the Ito
     variance correction).  A constant series gives 0.
     """
+    _check_trading_days(trading_days_per_year)
     r = log_returns(series)
     if len(r) < 1:
         raise SeriesTooShort("need at least 2 observations")

@@ -236,15 +236,13 @@ def cmd_convergence(cfg: dict) -> list[str]:
     schemes = [s.strip() for s in cfg["scheme"].split(",") if s.strip()]
     if not schemes:
         raise InvalidGrid(f"unknown scheme {cfg['scheme']!r}")
-    results = {}
-    for scheme in schemes:
-        rep = sde.strong_convergence(params, horizon, dt_levels, cfg["paths"],
-                                     cfg["seed"], scheme=scheme,
-                                     reference=cfg["reference"])
-        results[scheme] = {"dt_levels": rep.dt_levels,
-                           "strong_errors": rep.strong_errors,
-                           "fitted_slope": rep.fitted_slope,
-                           "reference": rep.reference}
+    reports = sde.strong_convergence(params, horizon, dt_levels, cfg["paths"], cfg["seed"],
+                                     scheme=schemes, reference=cfg["reference"])
+    results = {rep.scheme: {"dt_levels": rep.dt_levels,
+                            "strong_errors": rep.strong_errors,
+                            "fitted_slope": rep.fitted_slope,
+                            "reference": rep.reference}
+               for rep in reports}
     json_file, csv_file = _out(cfg, "convergence.json"), _out(cfg, "convergence.csv")
     io.write_json(json_file, results)
     header = ["dt"] + [f"error_{s}" for s in schemes]

@@ -25,12 +25,32 @@ Paths are grouped in fixed blocks of ``BLOCK_SIZE``; block ``b`` of seed
 ``s`` draws from ``Philox(key=[s, b])``, and path ``i`` owns row
 ``i % BLOCK_SIZE`` of its block's increment matrix.  Every path is therefore
 a pure function of (seed, path_index, grid), independent of execution order,
-chunking, or thread count.  ``_blocks`` is the one place an ensemble draws
-its increments; ``sample_brownian`` reads one row of the same matrix.
+chunking, or thread count.  ``sample_brownian`` reads one row of the same
+matrix.
+
+Block engine
+------------
+``_map_blocks(fn, seed, n_paths, steps, dt)`` is the one place an ensemble
+draws its increments.  Each block's work (the Philox fill, then
+``fn(row slice, increments)``) runs on a module-level thread pool of
+``min(usable CPUs, 4)`` workers, created, together with the
+``concurrent.futures`` import, at the first call; ``fn``'s results come back
+in block order.  Block functions write disjoint row slices of the caller's
+arrays or return per-block sums that the caller adds in block order, so no
+bit depends on the number of threads.  A block function never submits work to
+the pool.
+
+Memory: the calling thread allocates ``k = min(workers, blocks)`` increment
+buffers of ``min(BLOCK_SIZE, n_paths) x steps`` once per call; block ``i``
+fills buffer ``i % k`` in place, and at most ``k`` blocks are in flight.
+Workers allocate no block of their own, so the peak stays one buffer per
+block in flight and freed blocks do not pile up in per-thread malloc arenas.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,19 +152,83 @@ def _block_generator(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[int(seed), int(block)]))
 
 
+def _fill_increments(seed: int, block: int, out: np.ndarray, dt: float) -> np.ndarray:
+    """Fill ``out`` with the increments of the first ``len(out)`` paths of one block."""
+    _block_generator(seed, block).standard_normal(out=out)
+    out *= np.sqrt(dt)
+    return out
+
+
 def _block_increments(seed: int, block: int, rows: int, steps: int, dt: float) -> np.ndarray:
     """Increment matrix for the first ``rows`` paths of one block."""
-    z = _block_generator(seed, block).standard_normal((rows, steps))
-    z *= np.sqrt(dt)
-    return z
+    return _fill_increments(seed, block, np.empty((rows, steps)), dt)
 
 
-def _blocks(seed: int, n_paths: int, steps: int, dt: float):
-    """Yield (row slice, increment matrix) for each block of ``n_paths`` paths."""
-    for start in range(0, n_paths, BLOCK_SIZE):
+_pool = None  # (ThreadPoolExecutor, its number of workers), made at first use
+_pool_lock = threading.Lock()
+
+
+def _block_pool():
+    """The block engine's thread pool and its number of workers."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            try:
+                cpus = len(os.sched_getaffinity(0))
+            except AttributeError:  # no affinity on this platform
+                cpus = os.cpu_count() or 1
+            workers = min(cpus, 4)
+            _pool = (ThreadPoolExecutor(max_workers=workers, thread_name_prefix="vve-block"),
+                     workers)
+        return _pool
+
+
+def _forget_pool():
+    # a forked child inherits the pool object and lock but none of the threads
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _map_blocks(fn, seed: int, n_paths: int, steps: int, dt: float) -> list:
+    """``fn(row slice, increments)`` for each block of ``n_paths`` paths, on the pool.
+
+    Returns ``fn``'s results in block order.  The increments passed to ``fn``
+    live in a buffer that the next block using it refills, so ``fn`` must copy
+    out what it keeps.  If a block raises, the blocks not yet started are
+    cancelled, the running ones are waited for, and the exception propagates.
+    """
+    from concurrent.futures import wait
+
+    pool, workers = _block_pool()
+    n_blocks = -(-n_paths // BLOCK_SIZE)
+    k = min(workers, n_blocks)
+    bufs = [np.empty((min(BLOCK_SIZE, n_paths), steps)) for _ in range(k)]
+
+    def work(block):
+        start = block * BLOCK_SIZE
         rows = min(BLOCK_SIZE, n_paths - start)
-        yield (slice(start, start + rows),
-               _block_increments(seed, start // BLOCK_SIZE, rows, steps, dt))
+        db = _fill_increments(seed, block, bufs[block % k][:rows], dt)
+        return fn(slice(start, start + rows), db)
+
+    results, in_flight = [], []
+    try:
+        for block in range(n_blocks):
+            if len(in_flight) == k:
+                results.append(in_flight.pop(0).result())
+            in_flight.append(pool.submit(work, block))
+        while in_flight:
+            results.append(in_flight.pop(0).result())
+    finally:
+        for future in in_flight:
+            future.cancel()
+        wait(in_flight)
+    return results
 
 
 def sample_brownian(grid: TimeGrid, seed: int, path_index: int) -> BrownianPath:
@@ -211,8 +295,11 @@ def _simulate(params: ModelParams, grid: TimeGrid, n_paths: int, seed: int,
     _check_n_paths(n_paths)
     paths = np.empty((n_paths, grid.steps + 1))
     exploded = np.zeros(n_paths, dtype=bool)
-    for rows, db in _blocks(seed, n_paths, grid.steps, grid.dt):
+
+    def block(rows, db):
         paths[rows], exploded[rows] = _step_paths(params, grid.dt, params.s0, db, milstein)
+
+    _map_blocks(block, seed, n_paths, grid.steps, grid.dt)
     return PathEnsemble(grid=grid, paths=paths, seed=seed, scheme=scheme_name,
                         exploded=exploded)
 
@@ -239,8 +326,11 @@ def euler_terminal(params: ModelParams, horizon: float, steps: int, n_paths: int
     dt = TimeGrid(horizon, steps).dt
     terminal = np.empty(n_paths)
     exploded = np.zeros(n_paths, dtype=bool)
-    for rows, db in _blocks(seed, n_paths, steps, dt):
+
+    def block(rows, db):
         terminal[rows], exploded[rows] = _step_terminal(params, dt, params.s0, db, False)
+
+    _map_blocks(block, seed, n_paths, steps, dt)
     return terminal, int(exploded.sum()) / n_paths
 
 
@@ -322,9 +412,12 @@ def simulate_exact(params: ModelParams, grid: TimeGrid, n_paths: int, seed: int)
     _check_n_paths(n_paths)
     paths = np.empty((n_paths, grid.steps + 1))
     exploded = np.zeros(n_paths, dtype=bool)
-    for rows, db in _blocks(seed, n_paths, grid.steps, grid.dt):
+
+    def block(rows, db):
         b = np.concatenate([np.zeros((len(db), 1)), np.cumsum(db, axis=1)], axis=1)
         paths[rows], exploded[rows], _ = _exact_rows(params, grid.times, b)
+
+    _map_blocks(block, seed, n_paths, grid.steps, grid.dt)
     return PathEnsemble(grid=grid, paths=paths, seed=seed, scheme="exact",
                         exploded=exploded)
 
@@ -352,9 +445,20 @@ def _validate_dt_levels(horizon: float, dt_levels) -> list[int]:
     return steps
 
 
+class ConvergenceReports(list):
+    """One ConvergenceReport per scheme, in the order asked.
+
+    ``reference`` is the reference they share, as on a single report.
+    """
+
+    def __init__(self, reports, reference: str):
+        super().__init__(reports)
+        self.reference = reference
+
+
 def strong_convergence(params: ModelParams, horizon: float, dt_levels, n_paths: int,
-                       seed: int, scheme: str = "euler",
-                       reference: str = "auto") -> ConvergenceReport:
+                       seed: int, scheme="euler",
+                       reference: str = "auto") -> ConvergenceReport | ConvergenceReports:
     """Mean absolute terminal error of a scheme against a pathwise reference.
 
     All levels share Brownian increments: coarse increments are exact sums of
@@ -367,9 +471,16 @@ def strong_convergence(params: ModelParams, horizon: float, dt_levels, n_paths: 
     * ``"auto"``    — "exact" if c1 == 0 else "refined".
 
     Fitted slope is the least-squares slope of log2(error) vs log2(dt).
+    ``scheme`` is one name, which returns one ConvergenceReport, or a list of
+    names, which returns ``ConvergenceReports``: every scheme is stepped from
+    the one fill of the increments, each to the same errors as alone.
     """
-    if scheme not in ("euler", "milstein"):
-        raise InvalidGrid(f"unknown scheme {scheme!r}")
+    schemes = [scheme] if isinstance(scheme, str) else list(scheme)
+    if not schemes:
+        raise InvalidGrid("no scheme given")
+    for name in schemes:
+        if name not in ("euler", "milstein"):
+            raise InvalidGrid(f"unknown scheme {name!r}")
     if reference == "auto":
         reference = "exact" if params.c1 == 0 else "refined"
     if reference not in ("exact", "refined"):
@@ -380,23 +491,31 @@ def strong_convergence(params: ModelParams, horizon: float, dt_levels, n_paths: 
     finest = level_steps[-1]
     gen_steps = finest * REFINE_FACTOR if reference == "refined" else finest
     gen_dt = horizon / gen_steps
+    milstein = [name == "milstein" for name in schemes]
 
-    milstein = scheme == "milstein"
-    errors = np.zeros(len(level_steps))
-    for _, db in _blocks(seed, n_paths, gen_steps, gen_dt):
-        b_T = db.sum(axis=1)
+    def block(_, db):
+        """Per-scheme, per-level sums of |level terminal - reference| over the block."""
         if reference == "exact":
-            ref, _ = exact_values(params, horizon, b_T)
+            refs = [exact_values(params, horizon, db.sum(axis=1))[0]] * len(schemes)
         else:
-            ref = _step_terminal(params, gen_dt, params.s0, db, milstein)[0]
+            refs = [_step_terminal(params, gen_dt, params.s0, db, m)[0] for m in milstein]
+        sums = np.empty((len(schemes), len(level_steps)))
         for i, n in enumerate(level_steps):
             db_level = db.reshape(len(db), n, gen_steps // n).sum(axis=2)
-            term = _step_terminal(params, horizon / n, params.s0, db_level, milstein)[0]
-            errors[i] += np.abs(term - ref).sum()
+            for j, m in enumerate(milstein):
+                term = _step_terminal(params, horizon / n, params.s0, db_level, m)[0]
+                sums[j, i] = np.abs(term - refs[j]).sum()
+        return sums
+
+    errors = np.zeros((len(schemes), len(level_steps)))
+    for sums in _map_blocks(block, seed, n_paths, gen_steps, gen_dt):
+        errors += sums
     errors /= n_paths
 
-    log_dt = np.log2(horizon / np.asarray(level_steps, dtype=float))
-    slope = float(np.polyfit(log_dt, np.log2(errors), 1)[0])
-    return ConvergenceReport(
-        dt_levels=horizon / np.asarray(level_steps, dtype=float),
-        strong_errors=errors, fitted_slope=slope, scheme=scheme, reference=reference)
+    dts = horizon / np.asarray(level_steps, dtype=float)
+    reports = []
+    for name, errs in zip(schemes, errors):
+        slope = float(np.polyfit(np.log2(dts), np.log2(errs), 1)[0])
+        reports.append(ConvergenceReport(dt_levels=dts, strong_errors=errs, fitted_slope=slope,
+                                         scheme=name, reference=reference))
+    return reports[0] if isinstance(scheme, str) else ConvergenceReports(reports, reference)

@@ -19,6 +19,7 @@ from vve.calibration import (
 )
 from vve.errors import (
     DegenerateX,
+    InvalidGrid,
     NegativeSlope,
     NonPositivePrice,
     SeriesTooShort,
@@ -107,6 +108,17 @@ class TestRollingHv:
             rolling_hv(series, 1)
         with pytest.raises(SeriesTooShort):
             rolling_hv(gbm_series(29, seed=0), 30)  # 30 closes = window exactly
+
+    @pytest.mark.parametrize("days", [0, -252, 0.5, math.nan, math.inf])
+    def test_trading_days_must_be_at_least_one(self, days):
+        # 0 would annualize every volatility to 0; a negative count has no sqrt
+        series = gbm_series(100, seed=0)
+        with pytest.raises(InvalidGrid):
+            rolling_hv(series, 30, days)
+        with pytest.raises(InvalidGrid):
+            estimate_drift(series, days)
+        with pytest.raises(InvalidGrid):
+            calibrate_vve(series, 30, days)
 
 
 def linregress_figures(x, y) -> dict:

@@ -266,6 +266,15 @@ class TestHvAndRegress:
         out = json.loads(capsys.readouterr().out)
         assert out == report
 
+    @pytest.mark.parametrize("days", ["0", "-252"])
+    @pytest.mark.parametrize("command", ["hv", "calibrate", "regress"])
+    def test_trading_days_below_one_is_json_error(self, tmp_path, capsys, command, days):
+        code = main([command, "--csv", str(DATA / "vve_synthetic.csv"),
+                     "--trading-days", days, "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "invalid_grid"
+        assert not list(tmp_path.iterdir())
+
 
 class TestConfigPrecedence:
     def test_config_file_overrides_defaults(self, tmp_path, capsys):

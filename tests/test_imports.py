@@ -2,8 +2,10 @@
 
 ``import vve`` and the commands that need no scipy (hv, simulate,
 convergence) load none of it; calibrate and regress load scipy.special for
-their p-values, never scipy.stats.  Each check runs in a fresh interpreter,
-since this test process has imported scipy long before.
+their p-values, never scipy.stats.  ``import vve`` also starts no thread and
+does not load ``concurrent.futures``: the Monte Carlo thread pool is made at
+first use.  Each check runs in a fresh interpreter, since this test process
+has imported scipy long before.
 """
 
 import json
@@ -57,3 +59,12 @@ def test_no_scipy_stats(command, tmp_path):
     modules = scipy_modules_after([command, "--csv", CSV], tmp_path)
     assert "scipy.special" in modules
     assert not [m for m in modules if m == "scipy.stats" or m.startswith("scipy.stats.")]
+
+
+def test_import_starts_no_thread(tmp_path):
+    code = ("import sys, threading; sys.path.insert(0, sys.argv[1]); import vve; "
+            "print(threading.active_count(), 'concurrent.futures' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(SRC)], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "False"]

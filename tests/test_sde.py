@@ -1,6 +1,10 @@
 """Unit tests for vve.sde: Brownian streams, schemes, closed form, convergence."""
 
 import math
+import os
+import signal
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,9 +16,12 @@ from vve.sde import (
     BrownianPath,
     TimeGrid,
     _block_increments,
+    _exact_rows,
     _step_paths,
+    _step_terminal,
     euler_terminal,
     exact_path,
+    exact_values,
     sample_brownian,
     simulate_euler,
     simulate_exact,
@@ -299,3 +306,123 @@ class TestStrongConvergence:
             strong_convergence(GBM, 1.0, [0.5, 0.25], 16, seed=0, scheme="heun")
         with pytest.raises(InvalidGrid):
             strong_convergence(GBM, 1.0, [0.5, 0.25], 16, seed=0, reference="other")
+
+
+class TestBlockEngine:
+    """The thread-pool block engine against a serial, block-by-block oracle."""
+
+    N = 2 * BLOCK_SIZE + 3  # three blocks, the last one partial
+    GRID = TimeGrid(1.0, 16)
+    LEVELS = [0.25, 0.125, 0.0625]
+
+    def serial_blocks(self, seed, steps, dt):
+        for b, start in enumerate(range(0, self.N, BLOCK_SIZE)):
+            rows = min(BLOCK_SIZE, self.N - start)
+            yield slice(start, start + rows), _block_increments(seed, b, rows, steps, dt)
+
+    def test_euler_terminal_matches_serial_oracle(self):
+        terminal, fraction = euler_terminal(VVE, 1.0, 16, self.N, seed=3)
+        expected = np.empty(self.N)
+        for rows, db in self.serial_blocks(3, 16, self.GRID.dt):
+            expected[rows] = _step_terminal(VVE, self.GRID.dt, VVE.s0, db, False)[0]
+        assert np.array_equal(terminal, expected)
+        assert fraction == 0.0
+
+    @pytest.mark.parametrize("simulate,milstein", [(simulate_euler, False),
+                                                   (simulate_milstein, True)])
+    def test_stepped_ensembles_match_serial_oracle(self, simulate, milstein):
+        ens = simulate(VVE, self.GRID, self.N, seed=4)
+        expected = np.empty((self.N, self.GRID.steps + 1))
+        expected[:, 0] = VVE.s0
+        for rows, db in self.serial_blocks(4, self.GRID.steps, self.GRID.dt):
+            _step_terminal(VVE, self.GRID.dt, VVE.s0, db, milstein, out=expected[rows])
+        assert np.array_equal(ens.paths, expected)
+
+    def test_simulate_exact_matches_serial_oracle(self):
+        p = ModelParams(mu=0.05, sigma=0.3, c1=0.05, s0=100.0)  # some rows explode
+        ens = simulate_exact(p, self.GRID, self.N, seed=5)
+        expected, exploded = [], []
+        for _, db in self.serial_blocks(5, self.GRID.steps, self.GRID.dt):
+            b = np.concatenate([np.zeros((len(db), 1)), np.cumsum(db, axis=1)], axis=1)
+            values, hit, _ = _exact_rows(p, self.GRID.times, b)
+            expected.append(values)
+            exploded.append(hit)
+        assert np.array_equal(ens.paths, np.concatenate(expected), equal_nan=True)
+        assert np.array_equal(ens.exploded, np.concatenate(exploded))
+        assert ens.exploded.any()
+
+    @pytest.mark.parametrize("params,reference", [(GBM, "exact"), (VVE, "refined")])
+    def test_strong_convergence_matches_serial_oracle(self, params, reference):
+        steps = [4, 8, 16]
+        gen_steps = 16 * (8 if reference == "refined" else 1)
+        reports = strong_convergence(params, 1.0, self.LEVELS, self.N, seed=6,
+                                     scheme=["euler", "milstein"], reference=reference)
+        assert reports.reference == reference
+        for report in reports:
+            milstein = report.scheme == "milstein"
+            errors = np.zeros(len(steps))
+            for _, db in self.serial_blocks(6, gen_steps, 1.0 / gen_steps):
+                if reference == "exact":
+                    ref = exact_values(params, 1.0, db.sum(axis=1))[0]
+                else:
+                    ref = _step_terminal(params, 1.0 / gen_steps, params.s0, db, milstein)[0]
+                for i, n in enumerate(steps):
+                    db_level = db.reshape(len(db), n, gen_steps // n).sum(axis=2)
+                    term = _step_terminal(params, 1.0 / n, params.s0, db_level, milstein)[0]
+                    errors[i] += np.abs(term - ref).sum()
+            errors /= self.N
+            assert np.array_equal(report.strong_errors, errors)
+            single = strong_convergence(params, 1.0, self.LEVELS, self.N, seed=6,
+                                        scheme=report.scheme, reference=reference)
+            assert np.array_equal(single.strong_errors, errors)
+            assert single.fitted_slope == report.fitted_slope
+
+    def test_error_in_a_block_propagates_and_engine_recovers(self):
+        before = euler_terminal(VVE, 1.0, 16, self.N, seed=7)[0]
+        singular = ModelParams(mu=0.02, sigma=0.2, c1=0.0, s0=100.0)  # mu = sigma^2/2
+        with pytest.raises(SingularDelta) as info:
+            strong_convergence(singular, 1.0, self.LEVELS, self.N, seed=0, reference="exact")
+        assert type(info.value) is SingularDelta
+        assert np.array_equal(euler_terminal(VVE, 1.0, 16, self.N, seed=7)[0], before)
+
+    def test_concurrent_callers_get_sequential_bits(self):
+        # more callers than cores, and frequent thread switches, share the one pool
+        n, seeds = 3 * BLOCK_SIZE + 5, (8, 9, 10, 11)
+        sequential = [euler_terminal(VVE, 1.0, 32, n, seed)[0] for seed in seeds]
+        results = [None] * len(seeds)
+        barrier = threading.Barrier(len(seeds))
+
+        def call(i, seed):
+            barrier.wait()
+            results[i] = euler_terminal(VVE, 1.0, 32, n, seed)[0]
+
+        threads = [threading.Thread(target=call, args=(i, seed)) for i, seed in enumerate(seeds)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, expected in zip(results, sequential):
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_gets_its_own_pool(self):
+        # the child inherits the parent's pool object but none of its threads
+        expected = euler_terminal(VVE, 1.0, 16, self.N, seed=12)[0]
+        pid = os.fork()
+        if pid == 0:
+            signal.alarm(60)  # a child waiting on the parent's threads dies here
+            same = np.array_equal(euler_terminal(VVE, 1.0, 16, self.N, seed=12)[0], expected)
+            os._exit(0 if same else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_scheme_list_validation(self):
+        for scheme in ([], ["euler", "heun"]):
+            with pytest.raises(InvalidGrid):
+                strong_convergence(GBM, 1.0, [0.5, 0.25], 16, seed=0, scheme=scheme)

@@ -55,6 +55,11 @@ COMMANDS = [
     ("simulate_block_seam", ["simulate", "--paths", "4099", "--steps", "64", "--c1", "5e-4"]),
     ("simulate_exact_exploding", ["simulate", "--scheme", "exact", "--sigma", "0.3",
                                   "--c1", "0.05", "--steps", "64"]),
+    # 8195 paths are three blocks, the last partial: block-order error sums and exact rows
+    ("convergence_multi_block", ["convergence", "--c1", "5e-4", "--paths", "8195",
+                                 "--levels", "8,16,32"]),
+    ("simulate_exact_multi_block", ["simulate", "--scheme", "exact", "--c1", "5e-4",
+                                    "--paths", "8195", "--steps", "16"]),
     # guard errors: the closed form divides by sigma and by drift - sigma^2/2
     ("error_exact_mu_half_sigma_sq", ["simulate", "--scheme", "exact", "--mu", "0.02"]),
     ("error_formula_r_half_sigma_sq", ["price", "--method", "formula", "--c1", "0",
