@@ -41,7 +41,6 @@ from .pricing import (
 from .sde import (
     BrownianPath,
     ConvergenceReport,
-    ConvergenceReports,
     ExactPath,
     PathEnsemble,
     TimeGrid,

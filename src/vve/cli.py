@@ -234,10 +234,8 @@ def cmd_convergence(cfg: dict) -> list[str]:
         raise InvalidGrid(f"levels must be a comma list of step counts, "
                           f"got {cfg['levels']!r}") from None
     schemes = [s.strip() for s in cfg["scheme"].split(",") if s.strip()]
-    if not schemes:
-        raise InvalidGrid(f"unknown scheme {cfg['scheme']!r}")
-    reports = sde.strong_convergence(params, horizon, dt_levels, cfg["paths"], cfg["seed"],
-                                     scheme=schemes, reference=cfg["reference"])
+    reports = sde._strong_convergence(params, horizon, dt_levels, cfg["paths"], cfg["seed"],
+                                      schemes, cfg["reference"])
     results = {rep.scheme: {"dt_levels": rep.dt_levels,
                             "strong_errors": rep.strong_errors,
                             "fitted_slope": rep.fitted_slope,

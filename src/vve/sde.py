@@ -33,12 +33,14 @@ Block engine
 ``_map_blocks(fn, seed, n_paths, steps, dt)`` is the one place an ensemble
 draws its increments.  Each block's work (the Philox fill, then
 ``fn(row slice, increments)``) runs on a module-level thread pool of
-``min(usable CPUs, 4)`` workers, created, together with the
+``min(usable CPUs, 2)`` workers, created, together with the
 ``concurrent.futures`` import, at the first call; ``fn``'s results come back
-in block order.  Block functions write disjoint row slices of the caller's
-arrays or return per-block sums that the caller adds in block order, so no
-bit depends on the number of threads.  A block function never submits work to
-the pool.
+in block order.  Two workers let one block's fill overlap another block's
+steps; the steps hold the GIL between their small numpy calls, so a third
+worker would mostly add a buffer.  Block functions write disjoint row slices
+of the caller's arrays or return per-block sums that the caller adds in block
+order, so no bit depends on the number of threads.  A block function never
+submits work to the pool.
 
 Memory: the calling thread allocates ``k = min(workers, blocks)`` increment
 buffers of ``min(BLOCK_SIZE, n_paths) x steps`` once per call; block ``i``
@@ -179,7 +181,7 @@ def _block_pool():
                 cpus = len(os.sched_getaffinity(0))
             except AttributeError:  # no affinity on this platform
                 cpus = os.cpu_count() or 1
-            workers = min(cpus, 4)
+            workers = min(cpus, 2)
             _pool = (ThreadPoolExecutor(max_workers=workers, thread_name_prefix="vve-block"),
                      workers)
         return _pool
@@ -445,20 +447,9 @@ def _validate_dt_levels(horizon: float, dt_levels) -> list[int]:
     return steps
 
 
-class ConvergenceReports(list):
-    """One ConvergenceReport per scheme, in the order asked.
-
-    ``reference`` is the reference they share, as on a single report.
-    """
-
-    def __init__(self, reports, reference: str):
-        super().__init__(reports)
-        self.reference = reference
-
-
 def strong_convergence(params: ModelParams, horizon: float, dt_levels, n_paths: int,
-                       seed: int, scheme="euler",
-                       reference: str = "auto") -> ConvergenceReport | ConvergenceReports:
+                       seed: int, scheme: str = "euler",
+                       reference: str = "auto") -> ConvergenceReport:
     """Mean absolute terminal error of a scheme against a pathwise reference.
 
     All levels share Brownian increments: coarse increments are exact sums of
@@ -471,11 +462,19 @@ def strong_convergence(params: ModelParams, horizon: float, dt_levels, n_paths: 
     * ``"auto"``    — "exact" if c1 == 0 else "refined".
 
     Fitted slope is the least-squares slope of log2(error) vs log2(dt).
-    ``scheme`` is one name, which returns one ConvergenceReport, or a list of
-    names, which returns ``ConvergenceReports``: every scheme is stepped from
-    the one fill of the increments, each to the same errors as alone.
     """
-    schemes = [scheme] if isinstance(scheme, str) else list(scheme)
+    return _strong_convergence(params, horizon, dt_levels, n_paths, seed, [scheme],
+                               reference)[0]
+
+
+def _strong_convergence(params: ModelParams, horizon: float, dt_levels, n_paths: int,
+                        seed: int, schemes: list[str],
+                        reference: str) -> list[ConvergenceReport]:
+    """``strong_convergence`` for each of ``schemes``, stepped from one fill.
+
+    Each report has the same errors as a ``strong_convergence`` call of its
+    scheme alone.
+    """
     if not schemes:
         raise InvalidGrid("no scheme given")
     for name in schemes:
@@ -518,4 +517,4 @@ def strong_convergence(params: ModelParams, horizon: float, dt_levels, n_paths: 
         slope = float(np.polyfit(np.log2(dts), np.log2(errs), 1)[0])
         reports.append(ConvergenceReport(dt_levels=dts, strong_errors=errs, fitted_slope=slope,
                                          scheme=name, reference=reference))
-    return reports[0] if isinstance(scheme, str) else ConvergenceReports(reports, reference)
+    return reports

@@ -19,6 +19,7 @@ from vve.sde import (
     _exact_rows,
     _step_paths,
     _step_terminal,
+    _strong_convergence,
     euler_terminal,
     exact_path,
     exact_values,
@@ -355,10 +356,11 @@ class TestBlockEngine:
     def test_strong_convergence_matches_serial_oracle(self, params, reference):
         steps = [4, 8, 16]
         gen_steps = 16 * (8 if reference == "refined" else 1)
-        reports = strong_convergence(params, 1.0, self.LEVELS, self.N, seed=6,
-                                     scheme=["euler", "milstein"], reference=reference)
-        assert reports.reference == reference
+        reports = _strong_convergence(params, 1.0, self.LEVELS, self.N, 6,
+                                      ["euler", "milstein"], reference)
+        assert [r.scheme for r in reports] == ["euler", "milstein"]
         for report in reports:
+            assert report.reference == reference
             milstein = report.scheme == "milstein"
             errors = np.zeros(len(steps))
             for _, db in self.serial_blocks(6, gen_steps, 1.0 / gen_steps):
@@ -425,4 +427,4 @@ class TestBlockEngine:
     def test_scheme_list_validation(self):
         for scheme in ([], ["euler", "heun"]):
             with pytest.raises(InvalidGrid):
-                strong_convergence(GBM, 1.0, [0.5, 0.25], 16, seed=0, scheme=scheme)
+                _strong_convergence(GBM, 1.0, [0.5, 0.25], 16, 0, scheme, "auto")
