@@ -108,15 +108,22 @@ def ingest_csv(path) -> MarketSeries:
 # --------------------------------------------------------------------------
 
 def ensemble_to_csv(ensemble: PathEnsemble, path) -> None:
-    """One row per path; columns are the grid times."""
-    header = [fmt(t) for t in ensemble.grid.times]
-    rows = ([fmt(v) if math.isfinite(v) else "nan" for v in row]
-            for row in ensemble.paths)
-    write_csv(path, header, rows)
+    """One row per path; columns are the grid times.
+
+    Values are written as ``fmt`` writes them, and any non-finite value,
+    inf included, as ``nan``.
+    """
+    paths = ensemble.paths
+    if not np.isfinite(paths).all():
+        paths = np.where(np.isfinite(paths), paths, np.nan)
+    row_format = ",".join(["%.12g"] * paths.shape[1]) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(fmt(t) for t in ensemble.grid.times) + "\n")
+        fh.writelines(row_format % tuple(row) for row in paths.tolist())
 
 
 def ensemble_summary(ensemble: PathEnsemble) -> dict:
-    """Mean path, terminal quantiles, and the exploded fraction."""
+    """Mean path (None where every path is NaN), terminal quantiles, exploded fraction."""
     paths = ensemble.paths
     terminal = paths[:, -1]
     finite = np.isfinite(terminal)
@@ -124,8 +131,10 @@ def ensemble_summary(ensemble: PathEnsemble) -> dict:
     if finite.any():
         qs = np.quantile(terminal[finite], [0.05, 0.25, 0.5, 0.75, 0.95])
         quantiles = dict(zip(["q05", "q25", "q50", "q75", "q95"], qs.tolist()))
-    with np.errstate(invalid="ignore"):
-        mean_path = np.nanmean(paths, axis=0)
+    # a column in which every path has exploded has no mean: null in JSON
+    has_value = ~np.isnan(paths).all(axis=0)
+    mean_path = np.full(paths.shape[1], None)
+    mean_path[has_value] = np.nanmean(paths[:, has_value], axis=0)
     return {
         "scheme": ensemble.scheme,
         "seed": ensemble.seed,

@@ -47,10 +47,27 @@ buffers of ``min(BLOCK_SIZE, n_paths) x steps`` once per call; block ``i``
 fills buffer ``i % k`` in place, and at most ``k`` blocks are in flight.
 Workers allocate no block of their own, so the peak stays one buffer per
 block in flight and freed blocks do not pile up in per-thread malloc arenas.
+
+Step kernel
+-----------
+``_step_terminal`` is the one Euler/Milstein kernel.  It steps a stack of
+schemes over one increment matrix: states of shape ``(schemes, rows)``, the
+Euler part once per step over the whole stack, the Milstein correction on
+the Milstein rows only.  ``euler_terminal`` and the ``simulate_*`` functions
+pass a one-scheme stack; ``_strong_convergence`` makes one call for the
+refined reference and one per level, covering all its schemes.
+
+Memory: each call allocates four ``(schemes, rows)`` work arrays and the
+exploded mask, a ``PANEL_WIDTH x rows`` increment panel (1 MB at 4096 rows),
+a ``TILE_ROWS x PANEL_WIDTH`` staging tile (32 kB) and, when the stack has a
+Milstein row, a second panel for ``dB^2 - dt`` and one row of corrections.
+Every step writes into these, so a step allocates no array data unless a
+state overflows.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -61,6 +78,15 @@ from .errors import InvalidGrid, SigmaZeroUnsupported, SingularDelta
 from .model import GAMMA_TOL, ModelParams
 
 BLOCK_SIZE = 4096
+
+#: increment columns the step kernel copies into one contiguous panel
+PANEL_WIDTH = 32
+
+#: rows per staging tile of a panel copy.  Copying a whole panel transposed
+#: walks down each column, one cache line per row, and with thousands of rows
+#: (or rows a power of two apart) a line is evicted before the next column
+#: reuses it; a tile copies its rows contiguously, then transposes in cache.
+TILE_ROWS = 128
 
 #: denominator threshold factor for flagging exploded closed-form paths
 DEN_TOL_FACTOR = 1e-10
@@ -249,31 +275,76 @@ def sample_brownian(grid: TimeGrid, seed: int, path_index: int) -> BrownianPath:
 # Discretization schemes
 # --------------------------------------------------------------------------
 
-def _step_terminal(params: ModelParams, dt: float, s0, db, milstein: bool, out=None):
-    """Advance an array of states through all columns of ``db``.
+def _step_terminal(params: ModelParams, dt: float, s0, db, milstein, out=None):
+    """Advance a stack of schemes through all columns of ``db``.
 
-    Returns (final states, exploded mask).  Only the current states are
-    kept, unless ``out`` is given: its column k + 1 then receives the states
-    after step k.
+    ``milstein`` holds one flag per scheme (False: Euler, True: Milstein);
+    every scheme steps the ``rows`` states of ``s0`` (a scalar or an array
+    that broadcasts to ``(schemes, rows)``) with the same increments ``db`` of
+    shape ``(rows, steps)``.  Returns (final states, exploded mask), both of
+    shape ``(schemes, rows)``.  Only the current states are kept, unless
+    ``out`` is given: an array of shape ``(schemes, rows, steps + 1)`` whose
+    column k + 1 then receives the states after step k.
+
+    Each step runs the Euler part once over every row of the stack and adds
+    the Milstein correction on the Milstein rows only; every element takes the
+    same IEEE operations, in the same order, as a scheme stepped alone.  Every
+    ufunc writes into work arrays allocated once per call.  Increments are
+    read through a panel that holds ``db[:, k0:k0 + PANEL_WIDTH].T`` in
+    contiguous rows, copied row tile by row tile, so a step reads a
+    contiguous row instead of a strided column; ``dB^2 - dt`` is computed
+    once per panel.  After the truncation at zero every entry is >= 0, inf
+    or NaN, so one max-reduction per step finds a step with a non-finite
+    entry; only such a step runs the per-element freeze.
     """
-    mu, sigma, c1 = params.mu, params.sigma, params.c1
-    n, steps = db.shape
-    s = np.full(n, float(s0)) if np.isscalar(s0) else np.array(s0, dtype=float)
-    exploded = np.zeros(n, dtype=bool)
+    # 0-d arrays: a ufunc takes them with less call overhead than Python floats
+    mu, sigma, c1, two_c1, dt, half, zero = (np.array(float(v)) for v in (
+        params.mu, params.sigma, params.c1, 2.0 * params.c1, dt, 0.5, 0.0))
+    rows, steps = db.shape
+    shape = (len(milstein), rows)
+    s, s_new, b, work = (np.empty(shape) for _ in range(4))
+    s[...] = s0
+    exploded = np.zeros(shape, dtype=bool)
+    m_rows = [i for i, flag in enumerate(milstein) if flag]
+    panel = np.empty((min(PANEL_WIDTH, steps), rows))
+    tile = np.empty((min(TILE_ROWS, rows), len(panel)))
+    if m_rows:
+        corr = np.empty(rows)
+        sq = np.empty_like(panel)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            b = s * (sigma + c1 * s)
-            s_new = s + mu * s * dt + b * db[:, k]
-            if milstein:
-                s_new += 0.5 * b * (sigma + 2.0 * c1 * s) * (db[:, k] ** 2 - dt)
-            s_new = np.maximum(s_new, 0.0)
-            bad = ~np.isfinite(s_new)
-            if bad.any():
-                s_new[bad] = s[bad]
-                exploded |= bad
-            s = s_new
-            if out is not None:
-                out[:, k + 1] = s
+        for k0 in range(0, steps, PANEL_WIDTH):
+            width = min(PANEL_WIDTH, steps - k0)
+            for r0 in range(0, rows, TILE_ROWS):  # rows first, then transpose in cache
+                rows_in = tile[:min(TILE_ROWS, rows - r0), :width]
+                np.copyto(rows_in, db[r0:r0 + TILE_ROWS, k0:k0 + width])
+                np.copyto(panel[:width, r0:r0 + TILE_ROWS], rows_in.T)
+            if m_rows:
+                np.square(panel[:width], out=sq[:width])
+                np.subtract(sq[:width], dt, out=sq[:width])
+            for j in range(width):
+                np.multiply(s, c1, out=b)
+                np.add(b, sigma, out=b)
+                np.multiply(b, s, out=b)                     # b = s (sigma + c1 s)
+                np.multiply(s, mu, out=s_new)
+                np.multiply(s_new, dt, out=s_new)
+                np.add(s, s_new, out=s_new)
+                np.multiply(b, panel[j], out=work)
+                np.add(s_new, work, out=s_new)               # s + mu s dt + b dB
+                for i in m_rows:
+                    np.multiply(s[i], two_c1, out=work[i])
+                    np.add(work[i], sigma, out=work[i])
+                    np.multiply(b[i], half, out=corr)
+                    np.multiply(corr, work[i], out=corr)
+                    np.multiply(corr, sq[j], out=corr)
+                    np.add(s_new[i], corr, out=s_new[i])     # + 0.5 b b' (dB^2 - dt)
+                np.maximum(s_new, zero, out=s_new)
+                if not math.isfinite(np.maximum.reduce(s_new, axis=None)):
+                    bad = ~np.isfinite(s_new)
+                    s_new[bad] = s[bad]
+                    exploded |= bad
+                s, s_new = s_new, s
+                if out is not None:
+                    out[..., k0 + j + 1] = s
     return s, exploded
 
 
@@ -282,9 +353,9 @@ def _step_paths(params: ModelParams, dt: float, s0, db, milstein: bool):
 
     Returns (full path matrix including the initial column, exploded mask).
     """
-    out = np.empty((db.shape[0], db.shape[1] + 1))
-    out[:, 0] = s0
-    return out, _step_terminal(params, dt, s0, db, milstein, out)[1]
+    out = np.empty((1, db.shape[0], db.shape[1] + 1))
+    out[..., 0] = s0
+    return out[0], _step_terminal(params, dt, s0, db, (milstein,), out)[1][0]
 
 
 def _check_n_paths(n_paths: int) -> None:
@@ -330,7 +401,8 @@ def euler_terminal(params: ModelParams, horizon: float, steps: int, n_paths: int
     exploded = np.zeros(n_paths, dtype=bool)
 
     def block(rows, db):
-        terminal[rows], exploded[rows] = _step_terminal(params, dt, params.s0, db, False)
+        s, bad = _step_terminal(params, dt, params.s0, db, (False,))
+        terminal[rows], exploded[rows] = s[0], bad[0]
 
     _map_blocks(block, seed, n_paths, steps, dt)
     return terminal, int(exploded.sum()) / n_paths
@@ -495,15 +567,15 @@ def _strong_convergence(params: ModelParams, horizon: float, dt_levels, n_paths:
     def block(_, db):
         """Per-scheme, per-level sums of |level terminal - reference| over the block."""
         if reference == "exact":
-            refs = [exact_values(params, horizon, db.sum(axis=1))[0]] * len(schemes)
+            ref = exact_values(params, horizon, db.sum(axis=1))[0]
         else:
-            refs = [_step_terminal(params, gen_dt, params.s0, db, m)[0] for m in milstein]
+            ref = _step_terminal(params, gen_dt, params.s0, db, milstein)[0]
         sums = np.empty((len(schemes), len(level_steps)))
         for i, n in enumerate(level_steps):
             db_level = db.reshape(len(db), n, gen_steps // n).sum(axis=2)
-            for j, m in enumerate(milstein):
-                term = _step_terminal(params, horizon / n, params.s0, db_level, m)[0]
-                sums[j, i] = np.abs(term - refs[j]).sum()
+            term = _step_terminal(params, horizon / n, params.s0, db_level, milstein)[0]
+            del db_level  # else it is still held while the next, twice larger level is summed
+            sums[:, i] = np.abs(term - ref).sum(axis=1)
         return sums
 
     errors = np.zeros((len(schemes), len(level_steps)))

@@ -4,12 +4,15 @@ These deliberately avoid the code paths they check: the OLS oracle works the
 textbook normal equations with explicit loops (p-values via the regularized
 incomplete beta function rather than a t-distribution object), and the
 Black-Scholes oracle evaluates the two normal-CDF terms in 50-digit
-arithmetic with mpmath.
+arithmetic with mpmath.  The step-kernel oracle is the one-scheme,
+column-at-a-time Euler/Milstein loop that ``vve.sde._step_terminal`` must
+reproduce bit for bit.
 """
 
 import math
 
 import mpmath
+import numpy as np
 from scipy import special
 
 
@@ -60,3 +63,31 @@ def bs_call_mp(s, strike, tau, r, sigma):
         d2 = d1 - sigma * mpmath.sqrt(tau)
         price = s * mpmath.ncdf(d1) - strike * mpmath.exp(-r * tau) * mpmath.ncdf(d2)
         return float(price)
+
+
+def step_terminal_reference(params, dt, s0, db, milstein: bool, out=None):
+    """Advance an array of states through all columns of ``db``, one scheme.
+
+    Returns (final states, exploded mask).  Only the current states are
+    kept, unless ``out`` is given: its column k + 1 then receives the states
+    after step k.
+    """
+    mu, sigma, c1 = params.mu, params.sigma, params.c1
+    n, steps = db.shape
+    s = np.full(n, float(s0)) if np.isscalar(s0) else np.array(s0, dtype=float)
+    exploded = np.zeros(n, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            b = s * (sigma + c1 * s)
+            s_new = s + mu * s * dt + b * db[:, k]
+            if milstein:
+                s_new += 0.5 * b * (sigma + 2.0 * c1 * s) * (db[:, k] ** 2 - dt)
+            s_new = np.maximum(s_new, 0.0)
+            bad = ~np.isfinite(s_new)
+            if bad.any():
+                s_new[bad] = s[bad]
+                exploded |= bad
+            s = s_new
+            if out is not None:
+                out[:, k + 1] = s
+    return s, exploded

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -78,6 +79,24 @@ class TestSimulate:
         assert main(argv + ["--out-dir", str(b)]) == 0
         for name in ("paths.csv", "summary.json"):
             assert read_bytes(a / name) == read_bytes(b / name)
+
+    def test_all_exploded_column_mean_is_null(self, tmp_path):
+        # the one closed-form path explodes, so the columns after it have no value
+        argv = ["simulate", "--scheme", "exact", "--sigma", "0.5", "--c1", "0.2",
+                "--paths", "1", "--steps", "50", "--seed", "1", "--out-dir", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "Mean of empty slice"
+            assert main(argv) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON (RFC 8259)")
+
+        summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
+        validate(summary, "summary.json")
+        row = (tmp_path / "paths.csv").read_text().splitlines()[1].split(",")
+        assert "nan" in row
+        assert [v is None for v in summary["mean_path"]] == [v == "nan" for v in row]
+        assert summary["mean_path"][0] == 100.0
 
     def test_exact_sigma_zero_error_surfaced(self, tmp_path, capsys):
         code = main(["simulate", "--scheme", "exact", "--sigma", "0",

@@ -9,10 +9,12 @@ import threading
 import numpy as np
 import pytest
 
+from oracles import step_terminal_reference
 from vve.errors import InvalidGrid, SigmaZeroUnsupported, SingularDelta
 from vve.model import ModelParams
 from vve.sde import (
     BLOCK_SIZE,
+    TILE_ROWS,
     BrownianPath,
     TimeGrid,
     _block_increments,
@@ -325,7 +327,7 @@ class TestBlockEngine:
         terminal, fraction = euler_terminal(VVE, 1.0, 16, self.N, seed=3)
         expected = np.empty(self.N)
         for rows, db in self.serial_blocks(3, 16, self.GRID.dt):
-            expected[rows] = _step_terminal(VVE, self.GRID.dt, VVE.s0, db, False)[0]
+            expected[rows] = step_terminal_reference(VVE, self.GRID.dt, VVE.s0, db, False)[0]
         assert np.array_equal(terminal, expected)
         assert fraction == 0.0
 
@@ -336,7 +338,8 @@ class TestBlockEngine:
         expected = np.empty((self.N, self.GRID.steps + 1))
         expected[:, 0] = VVE.s0
         for rows, db in self.serial_blocks(4, self.GRID.steps, self.GRID.dt):
-            _step_terminal(VVE, self.GRID.dt, VVE.s0, db, milstein, out=expected[rows])
+            step_terminal_reference(VVE, self.GRID.dt, VVE.s0, db, milstein,
+                                    out=expected[rows])
         assert np.array_equal(ens.paths, expected)
 
     def test_simulate_exact_matches_serial_oracle(self):
@@ -367,10 +370,12 @@ class TestBlockEngine:
                 if reference == "exact":
                     ref = exact_values(params, 1.0, db.sum(axis=1))[0]
                 else:
-                    ref = _step_terminal(params, 1.0 / gen_steps, params.s0, db, milstein)[0]
+                    ref = step_terminal_reference(params, 1.0 / gen_steps, params.s0, db,
+                                                  milstein)[0]
                 for i, n in enumerate(steps):
                     db_level = db.reshape(len(db), n, gen_steps // n).sum(axis=2)
-                    term = _step_terminal(params, 1.0 / n, params.s0, db_level, milstein)[0]
+                    term = step_terminal_reference(params, 1.0 / n, params.s0, db_level,
+                                                   milstein)[0]
                     errors[i] += np.abs(term - ref).sum()
             errors /= self.N
             assert np.array_equal(report.strong_errors, errors)
@@ -428,3 +433,50 @@ class TestBlockEngine:
         for scheme in ([], ["euler", "heun"]):
             with pytest.raises(InvalidGrid):
                 _strong_convergence(GBM, 1.0, [0.5, 0.25], 16, 0, scheme, "auto")
+
+
+class TestStepKernel:
+    """The stacked, panel-read step kernel against the one-scheme column loop."""
+
+    STACKS = [(False, True), (True, False)]
+
+    def check(self, params, dt, s0, db, milstein):
+        """Kernel states, exploded masks and paths equal the oracle's, scheme by scheme."""
+        rows, steps = db.shape
+        out = np.full((len(milstein), rows, steps + 1), np.nan)
+        out[..., 0] = s0
+        states, exploded = _step_terminal(params, dt, s0, db, milstein, out=out)
+        assert states.shape == exploded.shape == (len(milstein), rows)
+        for i, m in enumerate(milstein):
+            expected = np.empty((rows, steps + 1))
+            expected[:, 0] = s0
+            ref_states, ref_exploded = step_terminal_reference(params, dt, s0, db, m,
+                                                               out=expected)
+            assert np.array_equal(states[i], ref_states)
+            assert np.array_equal(exploded[i], ref_exploded)
+            assert np.array_equal(out[i], expected)
+        no_out = _step_terminal(params, dt, s0, db, milstein)
+        assert np.array_equal(no_out[0], states)
+        assert np.array_equal(no_out[1], exploded)
+        return exploded
+
+    @pytest.mark.parametrize("milstein", STACKS)
+    @pytest.mark.parametrize("steps", [1, 31, 32, 33, 100])  # across the panel seams
+    def test_stack_matches_oracle(self, milstein, steps):
+        rows = 2 * TILE_ROWS + 37  # two full row tiles of a panel copy and a partial one
+        db = _block_increments(13, 0, rows, steps, 1.0 / steps)
+        s0 = np.linspace(0.0, 400.0, rows)  # a state at 0 stays there
+        self.check(VVE, 1.0 / steps, s0, db, milstein)
+        self.check(VVE, 1.0 / steps, VVE.s0, db, milstein)
+
+    @pytest.mark.parametrize("milstein", STACKS)
+    def test_rows_that_overflow_in_one_scheme_only(self, milstein):
+        # superlinear diffusion at dt = 1: dB = 0.5 squares the Euler state each step
+        # until it overflows, while Milstein's correction, -0.375 b b', truncates it to
+        # 0; dB = -2 truncates Euler and drives Milstein over
+        p = ModelParams(mu=0.0, sigma=0.1, c1=1.0, s0=100.0)
+        db = np.repeat([[0.5], [-2.0], [0.0]], 40, axis=1)
+        exploded = self.check(p, 1.0, p.s0, db, milstein)
+        euler, mil = milstein.index(False), milstein.index(True)
+        assert exploded[euler].tolist() == [True, False, False]
+        assert exploded[mil].tolist() == [False, True, False]

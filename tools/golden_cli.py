@@ -60,6 +60,17 @@ COMMANDS = [
                                  "--levels", "8,16,32"]),
     ("simulate_exact_multi_block", ["simulate", "--scheme", "exact", "--c1", "5e-4",
                                     "--paths", "8195", "--steps", "16"]),
+    # the step kernel's scheme stacks: either order, one scheme, and Euler rows that
+    # overflow and are frozen (c1 = 0.2 at 16 and 32 steps); 33 steps cross a panel seam
+    ("convergence_milstein_euler", ["convergence", "--c1", "5e-4", "--scheme", "milstein,euler"]),
+    ("convergence_milstein", ["convergence", "--c1", "5e-4", "--scheme", "milstein"]),
+    ("convergence_euler_exploding", ["convergence", "--c1", "0.2", "--levels", "8,16,32"]),
+    ("simulate_milstein_panel_seam", ["simulate", "--scheme", "milstein", "--c1", "5e-4",
+                                      "--steps", "33"]),
+    # the one closed-form path explodes at once: every later column has no mean
+    ("simulate_exact_all_exploded", ["simulate", "--scheme", "exact", "--sigma", "0.5",
+                                     "--c1", "0.2", "--paths", "1", "--steps", "50",
+                                     "--seed", "1"]),
     # guard errors: the closed form divides by sigma and by drift - sigma^2/2
     ("error_exact_mu_half_sigma_sq", ["simulate", "--scheme", "exact", "--mu", "0.02"]),
     ("error_formula_r_half_sigma_sq", ["price", "--method", "formula", "--c1", "0",
