@@ -242,20 +242,36 @@ def _solve_law(rn: RiskNeutralParams, tau: float, s_max: float | None,
     gap_up, gap_down = math.expm1(h), -math.expm1(-h)
     p = np.zeros(x.size)
     p[nodes_below] = 1.0
+    # every step writes into these; dgtsv solves in place, overwriting dl, d, du and p
+    var, up, down, tot, flow, d = (np.empty(x.size) for _ in range(6))
+    dl, du = np.empty(x.size - 1), np.empty(x.size - 1)
+    up_den, down_den = gap_up * (gap_up + gap_down), gap_down * (gap_up + gap_down)
     t = 0.0
     dt = tau / steps
     for dt_n, theta in [(0.5 * dt, 1.0)] * 4 + [(dt, 0.5)] * (steps - 2):
-        var = (rn.sigma + rn.c1 * math.exp(rn.r * (t + theta * dt_n)) * x) ** 2
-        up = var / (gap_up * (gap_up + gap_down))
-        down = var / (gap_down * (gap_up + gap_down))
+        np.multiply(x, rn.c1 * math.exp(rn.r * (t + theta * dt_n)), out=var)
+        np.add(var, rn.sigma, out=var)
+        np.square(var, out=var)
+        np.divide(var, up_den, out=up)
+        np.divide(var, down_den, out=down)
         up[0] = down[0] = up[-1] = 0.0
-        # dp/dt = A p with A tridiagonal: (up[:-1], diag, down[1:])
-        diag = -(up + down)
-        flow = diag * p
-        flow[1:] += up[:-1] * p[:-1]
-        flow[:-1] += down[1:] * p[1:]
+        # dp/dt = A p with A tridiagonal: (up[:-1], -tot, down[1:]), tot = up + down
+        np.add(up, down, out=tot)
+        np.multiply(tot, p, out=flow)
+        np.negative(flow, out=flow)
+        np.multiply(up[:-1], p[:-1], out=dl)
+        np.add(flow[1:], dl, out=flow[1:])
+        np.multiply(down[1:], p[1:], out=du)
+        np.add(flow[:-1], du, out=flow[:-1])
+        # (I - a A) p_next = p + (dt_n - a) A p
         a = theta * dt_n
-        p = dgtsv(-a * up[:-1], 1.0 - a * diag, -a * down[1:], p + (dt_n - a) * flow)[3]
+        np.multiply(up[:-1], -a, out=dl)
+        np.multiply(tot, a, out=d)
+        np.add(d, 1.0, out=d)
+        np.multiply(down[1:], -a, out=du)
+        np.multiply(flow, dt_n - a, out=flow)
+        np.add(p, flow, out=p)
+        p = dgtsv(dl, d, du, p, 1, 1, 1, 1)[3]
         t += dt_n
     if not np.all(np.isfinite(p)):
         raise OutOfRange("law solve overflowed; c1 * s0 * tau is too large for its grid")
@@ -342,7 +358,10 @@ def law_map(rn: RiskNeutralParams, tau: float, s_max: float | None = None,
             nodes_below: int = LAW_NODES_BELOW, steps: int = LAW_STEPS) -> LawMap:
     """The law map of S_{t+tau} given S_t = rn.s0 (cached: it is the costly step).
 
-    It depends on tau alone, not on t, as the SDE is time-homogeneous.
+    It depends on tau alone, not on t, as the SDE is time-homogeneous.  A
+    ``price_formula`` quote at c1 > 0 reads two maps, the default grid's and
+    the 2x coarser one of its ``law_error_estimate``; a ``greeks_bump`` set of
+    it reads the default grid's map at each of its four bumped parameter sets.
     """
     if rn.sigma == 0:
         raise SigmaZeroUnsupported("law map requires sigma > 0")
@@ -435,6 +454,25 @@ def _formula_quote(rn: RiskNeutralParams, opt: OptionSpec, tol: float, smap) -> 
                      "exploded_fraction": 0.0})
 
 
+def _law_formula_quote(rn: RiskNeutralParams, opt: OptionSpec,
+                       tol: float = 1e-10) -> OptionQuote:
+    """``price_formula`` without ``law_error_estimate``: one law solve, on the fine grid.
+
+    The same validation, price and other diagnostics; it skips the coarse
+    grid's law solve and quadrature, which feed the estimate alone.
+    """
+    if not 0 < tol < math.inf:
+        raise InvalidGrid(f"tol must be a finite number > 0, got {tol}")
+    tau = opt.maturity - opt.t
+    if tau == 0:
+        return _intrinsic_quote(rn.s0, opt.strike, "formula")
+    if rn.c1 == 0:
+        return _formula_quote(rn, opt, tol, _CandidateMap(rn, opt))
+    law = law_map(rn, tau)
+    quote = _formula_quote(rn, opt, tol, law)
+    return replace(quote, diagnostics={**quote.diagnostics, **law.grid})
+
+
 def price_formula(rn: RiskNeutralParams, opt: OptionSpec, tol: float = 1e-10) -> OptionQuote:
     """Explicit-formula price by adaptive quadrature.
 
@@ -451,20 +489,14 @@ def price_formula(rn: RiskNeutralParams, opt: OptionSpec, tol: float = 1e-10) ->
     second-order scheme).  The law map's ``ft_inv_x`` is 0 and
     ``fT_inv_K`` is d sqrt(T - t).
     """
-    if not 0 < tol < math.inf:
-        raise InvalidGrid(f"tol must be a finite number > 0, got {tol}")
-    tau = opt.maturity - opt.t
-    if tau == 0:
-        return _intrinsic_quote(rn.s0, opt.strike, "formula")
-    if rn.c1 == 0:
-        return _formula_quote(rn, opt, tol, _CandidateMap(rn, opt))
-    law = law_map(rn, tau)
-    quote = _formula_quote(rn, opt, tol, law)
-    coarse = _formula_quote(rn, opt, tol, law_map(rn, tau, nodes_below=LAW_NODES_BELOW // 2,
+    quote = _law_formula_quote(rn, opt, tol)
+    if "law_nodes" not in quote.diagnostics:  # intrinsic, or the closed form at c1 = 0
+        return quote
+    coarse = _formula_quote(rn, opt, tol, law_map(rn, opt.maturity - opt.t,
+                                                  nodes_below=LAW_NODES_BELOW // 2,
                                                   steps=LAW_STEPS // 2))
     return replace(quote, diagnostics={
-        **quote.diagnostics, **law.grid,
-        "law_error_estimate": abs(quote.price - coarse.price)})
+        **quote.diagnostics, "law_error_estimate": abs(quote.price - coarse.price)})
 
 
 @functools.lru_cache(maxsize=4)
@@ -484,9 +516,10 @@ def price_mc(rn: RiskNeutralParams, opt: OptionSpec, n_paths: int, steps: int,
     """Risk-neutral Monte Carlo price via the Euler scheme.
 
     Discounted mean call payoff over ``n_paths`` terminal values; the error
-    estimate is the Monte Carlo standard error.  Paths frozen by the
-    overflow guard contribute their truncated values, with the exploded
-    fraction reported in the diagnostics.
+    estimate is the Monte Carlo standard error.  Paths flagged by the
+    overflow guard (which discards each overflowing step, and the path steps
+    on from its state before it) contribute their terminal values, with the
+    exploded fraction reported in the diagnostics.
 
     The terminal values depend on (rn, T - t, steps, n_paths, seed) and not
     on the strike, so quotes that share those arguments share one simulated
@@ -549,8 +582,13 @@ def greeks_bump(pricer, rn: RiskNeutralParams, opt: OptionSpec,
     """Central-finite-difference delta, gamma (spot) and vega (sigma).
 
     ``pricer(rn, opt, **pricer_kwargs) -> OptionQuote``; pass price_mc with a
-    fixed seed to get common random numbers across bumps.
+    fixed seed to get common random numbers across bumps.  The differences
+    read each quote's price alone, so ``price_formula`` is repriced without
+    its ``law_error_estimate``: a set at c1 > 0 pays four law solves, one per
+    bump, on the fine grid only, and the same prices.
     """
+    if pricer is price_formula:
+        pricer = _law_formula_quote
     if ds is None:
         ds = 1e-3 * rn.s0
     if dsig is None:

@@ -134,8 +134,9 @@ class PathEnsemble:
     """Matrix of simulated price paths with seed provenance.
 
     ``paths`` has shape (n_paths, steps + 1); column 0 is s0.  ``exploded``
-    flags paths whose update left the finite range (the value is then frozen
-    at the last finite state).
+    flags paths of which some update left the finite range.  Such a step is
+    discarded (the state holds through it) and the path steps on from that
+    state, so it can later be truncated to 0 and absorbed there.
     """
 
     grid: TimeGrid
@@ -167,7 +168,7 @@ class ExactPath:
 class ConvergenceReport:
     dt_levels: np.ndarray
     strong_errors: np.ndarray
-    fitted_slope: float
+    fitted_slope: float | None
     scheme: str
     reference: str
 
@@ -295,7 +296,9 @@ def _step_terminal(params: ModelParams, dt: float, s0, db, milstein, out=None):
     contiguous row instead of a strided column; ``dB^2 - dt`` is computed
     once per panel.  After the truncation at zero every entry is >= 0, inf
     or NaN, so one max-reduction per step finds a step with a non-finite
-    entry; only such a step runs the per-element freeze.
+    entry; only such a step runs the per-element guard, which keeps each
+    overflowing state at its value before the step and flags it exploded.
+    The next step starts from that value.
     """
     # 0-d arrays: a ufunc takes them with less call overhead than Python floats
     mu, sigma, c1, two_c1, dt, half, zero = (np.array(float(v)) for v in (
@@ -533,7 +536,8 @@ def strong_convergence(params: ModelParams, horizon: float, dt_levels, n_paths: 
       of another scheme would floor the measured errors at its own error.
     * ``"auto"``    — "exact" if c1 == 0 else "refined".
 
-    Fitted slope is the least-squares slope of log2(error) vs log2(dt).
+    Fitted slope is the least-squares slope of log2(error) vs log2(dt), or
+    None when some level's error is 0 (every path ends where the reference does).
     """
     return _strong_convergence(params, horizon, dt_levels, n_paths, seed, [scheme],
                                reference)[0]
@@ -586,7 +590,8 @@ def _strong_convergence(params: ModelParams, horizon: float, dt_levels, n_paths:
     dts = horizon / np.asarray(level_steps, dtype=float)
     reports = []
     for name, errs in zip(schemes, errors):
-        slope = float(np.polyfit(np.log2(dts), np.log2(errs), 1)[0])
+        # a zero error has no logarithm: no slope, rather than NaN after a warning
+        slope = float(np.polyfit(np.log2(dts), np.log2(errs), 1)[0]) if np.all(errs > 0) else None
         reports.append(ConvergenceReport(dt_levels=dts, strong_errors=errs, fitted_slope=slope,
                                          scheme=name, reference=reference))
     return reports

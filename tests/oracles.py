@@ -6,6 +6,8 @@ incomplete beta function rather than a t-distribution object), and the
 Black-Scholes oracle evaluates the two normal-CDF terms in 50-digit
 arithmetic with mpmath.  The step-kernel oracle is the one-scheme,
 column-at-a-time Euler/Milstein loop that ``vve.sde._step_terminal`` must
+reproduce bit for bit.  The law-solve oracle is the Crank-Nicolson step loop
+that allocates its arrays each step, which ``vve.pricing._solve_law`` must
 reproduce bit for bit.
 """
 
@@ -91,3 +93,46 @@ def step_terminal_reference(params, dt, s0, db, milstein: bool, out=None):
             if out is not None:
                 out[:, k + 1] = s
     return s, exploded
+
+
+def solve_law_reference(rn, tau, s_max, nodes_below, steps):
+    """Law of X = e^{-r tau} S_tau on the nodes x_k = s0 e^{k h}, new arrays each step.
+
+    Returns (nodes, probabilities, h); raises as ``vve.pricing._solve_law`` does.
+    """
+    from scipy.linalg.lapack import dgtsv
+    from vve.errors import InvalidGrid, OutOfRange
+    from vve.pricing import _LAW_DEPTH_SD, _LAW_TOP_LOG
+
+    if nodes_below < 2 or steps < 2:
+        raise InvalidGrid("law solve needs at least 2 nodes below the spot and 2 steps")
+    vol0 = rn.sigma + rn.c1 * rn.s0
+    depth = _LAW_DEPTH_SD * vol0 * math.sqrt(tau) + 0.5 * vol0 * vol0 * tau
+    if not rn.s0 * math.exp(-depth) > 0.0:
+        raise OutOfRange(f"law grid depth {depth:.3g} (log price) is beyond float range")
+    h = depth / nodes_below
+    if s_max is None:
+        s_max = rn.s0 * math.exp(min(2.0 * depth, _LAW_TOP_LOG))
+    nodes_above = max(math.ceil(math.log(s_max / rn.s0) / h), 1)
+    x = rn.s0 * np.exp(h * np.arange(-nodes_below, nodes_above + 1))
+    gap_up, gap_down = math.expm1(h), -math.expm1(-h)
+    p = np.zeros(x.size)
+    p[nodes_below] = 1.0
+    t = 0.0
+    dt = tau / steps
+    for dt_n, theta in [(0.5 * dt, 1.0)] * 4 + [(dt, 0.5)] * (steps - 2):
+        var = (rn.sigma + rn.c1 * math.exp(rn.r * (t + theta * dt_n)) * x) ** 2
+        up = var / (gap_up * (gap_up + gap_down))
+        down = var / (gap_down * (gap_up + gap_down))
+        up[0] = down[0] = up[-1] = 0.0
+        # dp/dt = A p with A tridiagonal: (up[:-1], diag, down[1:])
+        diag = -(up + down)
+        flow = diag * p
+        flow[1:] += up[:-1] * p[:-1]
+        flow[:-1] += down[1:] * p[1:]
+        a = theta * dt_n
+        p = dgtsv(-a * up[:-1], 1.0 - a * diag, -a * down[1:], p + (dt_n - a) * flow)[3]
+        t += dt_n
+    if not np.all(np.isfinite(p)):
+        raise OutOfRange("law solve overflowed; c1 * s0 * tau is too large for its grid")
+    return x, p, h

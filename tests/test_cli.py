@@ -249,6 +249,22 @@ class TestConvergence:
         errors = report["euler"]["strong_errors"]
         assert errors == sorted(errors, reverse=True)
 
+    def test_zero_error_level_has_null_slope(self, tmp_path):
+        # at c1 = 5 every path is absorbed at 0 on the finer levels, as is the reference
+        argv = ["convergence", "--c1", "5", "--levels", "8,16,32", "--out-dir", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "divide by zero encountered in log2"
+            assert main(argv) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON (RFC 8259)")
+
+        report = json.loads((tmp_path / "convergence.json").read_text(), parse_constant=reject)
+        validate(report, "convergence.json")
+        for scheme in ("euler", "milstein"):
+            assert 0.0 in report[scheme]["strong_errors"]
+            assert report[scheme]["fitted_slope"] is None
+
     @pytest.mark.parametrize("argv", [
         ["--paths", "0"],
         ["--paths", "-3"],

@@ -1,11 +1,12 @@
 """Unit tests for vve.pricing: solution map, inverse, and the three pricers."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import bs_call_mp
+from oracles import bs_call_mp, solve_law_reference
 from vve.errors import (
     ExplosionRegion,
     InvalidGrid,
@@ -19,12 +20,14 @@ from vve.model import ModelParams
 from vve.pricing import (
     LAW_NODES_BELOW,
     LAW_STEPS,
+    _LAW_TOP_LOG,
     OptionQuote,
     OptionSpec,
     RiskNeutralParams,
     _CandidateMap,
     _formula_quote,
     _map_coefficients,
+    _solve_law,
     _terminal_values,
     bs_delta,
     forward_map,
@@ -179,6 +182,20 @@ class TestPriceFormula:
                 p = price_formula(rn, OptionSpec(strike=k, maturity=1.0, rate=0.05)).price
                 assert max(100.0 - k * math.exp(-0.05), 0.0) - 1e-9 <= p <= 100.0 + 1e-9
 
+    def test_wide_parameter_bounds(self):
+        # the discounted price is a strict local martingale: at c1 s0 = 10 the
+        # zero-strike call is far below the spot, so the parity lower bound
+        # S0 - K e^{-rT} fails and only 0 <= C(K) <= S0 holds
+        rn = RiskNeutralParams(sigma=0.2, c1=0.01, s0=1000.0, r=0.05)
+        strikes = (0.0, 100.0, 500.0, 1000.0, 2000.0)
+        prices = [price_formula(rn, OptionSpec(strike=k, maturity=1.0, rate=0.05)).price
+                  for k in strikes]
+        for p in prices:
+            assert 0.0 <= p <= 1000.0
+        assert np.all(np.diff(prices) < 0)
+        assert prices[0] < 1000.0
+        assert prices[0] == pytest.approx(68.4, abs=0.5)
+
     def test_diagnostics_contract(self):
         quote = price_formula(RN_VVE, ATM)
         for key in ("d", "fT_inv_K", "ft_inv_x", "nodes_or_paths",
@@ -249,6 +266,39 @@ class TestLawMap:
         prices = [_formula_quote(RN_VVE, ATM, 1e-10, law_map(RN_VVE, 1.0, s_max)).price
                   for s_max in (3000.0, 10000.0)]
         assert abs(prices[1] - prices[0]) < 1e-4
+
+
+REF_CASES = {
+    "c1>0": (RN_VVE, 1.0, None),
+    "r=0": (RiskNeutralParams(sigma=0.2, c1=1e-3, s0=100.0, r=0.0), 0.5, None),
+    "s_max": (RN_VVE, 1.0, 3000.0),
+    # 2 x depth is beyond _LAW_TOP_LOG, so the top is capped near 1e30 x s0
+    "top_capped": (RiskNeutralParams(sigma=0.2, c1=0.01, s0=1000.0, r=0.05), 1.0, None),
+}
+
+
+class TestLawSolve:
+    @pytest.mark.parametrize("case", REF_CASES)
+    @pytest.mark.parametrize("grid", [(LAW_NODES_BELOW, LAW_STEPS),
+                                      (LAW_NODES_BELOW // 2, LAW_STEPS // 2)],
+                             ids=["fine", "coarse"])
+    def test_matches_reference_bit_for_bit(self, case, grid):
+        rn, tau, s_max = REF_CASES[case]
+        x, p, h = _solve_law(rn, tau, s_max, *grid)
+        x_ref, p_ref, h_ref = solve_law_reference(rn, tau, s_max, *grid)
+        assert h == h_ref
+        assert x.tobytes() == x_ref.tobytes()
+        assert p.tobytes() == p_ref.tobytes()
+        if s_max is not None:
+            assert x[-2] < s_max <= x[-1]
+        if case == "top_capped":
+            assert x[-1] / rn.s0 < math.exp(_LAW_TOP_LOG + h)
+
+    def test_overflow_raises_as_reference(self):
+        rn = RiskNeutralParams(sigma=0.2, c1=1e-3, s0=100.0, r=0.05)
+        for solve in (_solve_law, solve_law_reference):
+            with np.errstate(all="ignore"), pytest.raises(OutOfRange, match="overflowed"):
+                solve(rn, 1.0, 1e160, 50, 7)  # the variance at the top node overflows
 
 
 class TestPriceMc:
@@ -391,6 +441,42 @@ class TestGreeks:
         e1 = abs(greeks_bump(price_formula, RN_GBM, ATM, ds=0.1, tol=1e-12)["delta"] - d_true)
         e2 = abs(greeks_bump(price_formula, RN_GBM, ATM, ds=0.05, tol=1e-12)["delta"] - d_true)
         assert 2.0 < e1 / e2 < 8.0  # ~4x shrink for a second-order scheme
+
+    @pytest.mark.parametrize("rn", [RN_GBM, RN_VVE], ids=["c1=0", "c1>0"])
+    @pytest.mark.parametrize("tol", [None, 1e-6])
+    def test_formula_greeks_from_bumped_prices(self, rn, tol):
+        # the bumps reprice without the coarse grid, to the same bits; tol = 1e-6
+        # moves the last bits of these prices, so a dropped tol shows
+        kwargs = {} if tol is None else {"tol": tol}
+
+        def price(**over):
+            return price_formula(replace(rn, **over), ATM, **kwargs).price
+
+        ds, dsig = 1e-3 * rn.s0, 1e-3 * max(rn.sigma, 0.1)
+        p0, p_up, p_dn = price(), price(s0=rn.s0 + ds), price(s0=rn.s0 - ds)
+        v_up, v_dn = price(sigma=rn.sigma + dsig), price(sigma=rn.sigma - dsig)
+        assert greeks_bump(price_formula, rn, ATM, **kwargs) == {
+            "delta": (p_up - p_dn) / (2.0 * ds),
+            "gamma": (p_up - 2.0 * p0 + p_dn) / ds ** 2,
+            "vega": (v_up - v_dn) / (2.0 * dsig),
+            "ds": ds, "dsig": dsig}
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+    def test_formula_greeks_invalid_tol(self, tol):
+        for rn in (RN_GBM, RN_VVE):
+            with pytest.raises(InvalidGrid):
+                greeks_bump(price_formula, rn, ATM, tol=tol)
+
+    def test_cold_formula_set_solves_four_laws(self):
+        # after a strip, a set pays one fine-grid law solve per bump, none coarse
+        rn = RiskNeutralParams(sigma=0.2, c1=1e-3, s0=100.0, r=0.05)
+        law_map.cache_clear()
+        for k in (90.0, 100.0, 110.0):
+            price_formula(rn, OptionSpec(strike=k, maturity=0.5, rate=0.05))
+        misses = law_map.cache_info().misses
+        assert misses == 2
+        greeks_bump(price_formula, rn, OptionSpec(strike=100.0, maturity=0.5, rate=0.05))
+        assert law_map.cache_info().misses - misses == 4
 
     def test_mc_common_random_numbers(self):
         g = greeks_bump(price_mc, RN_GBM, ATM, n_paths=50_000, steps=100, seed=7)

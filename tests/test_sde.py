@@ -138,7 +138,19 @@ class TestSimulateEuler:
         out, exploded = _step_paths(p, 1.0, 100.0, db, milstein=False)
         assert exploded[0]
         assert np.all(np.isfinite(out[0]))
-        assert out[0, -1] == out[0, -2]  # frozen at the last finite state
+        assert out[0, -1] == out[0, -2]  # every later step overflows too, so the state holds
+
+    def test_overflowed_path_steps_on(self):
+        # the guard discards the overflowing step, not the path: the state holds
+        # through that step, and the next one (dB = -1) truncates it to 0
+        db = np.array([[1.0] * 8 + [-1.0, 1.0]])
+        p = ModelParams(mu=0.0, sigma=0.1, c1=1.0, s0=100.0)
+        out, exploded = _step_paths(p, 1.0, 100.0, db, milstein=False)
+        assert exploded[0]
+        assert out[0, 8] == out[0, 7] > 1e250  # step 8 overflowed and was discarded
+        assert out[0, 9] == out[0, 10] == 0.0
+        terminal, flagged = _step_terminal(p, 1.0, 100.0, db, (False,))
+        assert flagged[0, 0] and terminal[0, 0] == 0.0 != out[0, 8]
 
     def test_invalid_n_paths(self):
         with pytest.raises(InvalidGrid):

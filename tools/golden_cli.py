@@ -61,7 +61,7 @@ COMMANDS = [
     ("simulate_exact_multi_block", ["simulate", "--scheme", "exact", "--c1", "5e-4",
                                     "--paths", "8195", "--steps", "16"]),
     # the step kernel's scheme stacks: either order, one scheme, and Euler rows that
-    # overflow and are frozen (c1 = 0.2 at 16 and 32 steps); 33 steps cross a panel seam
+    # overflow and are guarded (c1 = 0.2 at 16 and 32 steps); 33 steps cross a panel seam
     ("convergence_milstein_euler", ["convergence", "--c1", "5e-4", "--scheme", "milstein,euler"]),
     ("convergence_milstein", ["convergence", "--c1", "5e-4", "--scheme", "milstein"]),
     ("convergence_euler_exploding", ["convergence", "--c1", "0.2", "--levels", "8,16,32"]),
@@ -71,6 +71,16 @@ COMMANDS = [
     ("simulate_exact_all_exploded", ["simulate", "--scheme", "exact", "--sigma", "0.5",
                                      "--c1", "0.2", "--paths", "1", "--steps", "50",
                                      "--seed", "1"]),
+    # every path is absorbed at 0 on the finer levels: a zero error, no fitted slope
+    ("convergence_zero_error", ["convergence", "--c1", "5", "--levels", "8,16,32"]),
+    # law-map formula quotes: a long maturity, a grid top capped near 1e30 x s0
+    # (c1 s0 = 10), and a grid depth beyond the float range (c1 s0 = 100)
+    ("price_formula_long", ["price", "--method", "formula", "--c1", "2e-3",
+                            "--maturity", "2"]),
+    ("price_formula_top_capped", ["price", "--method", "formula", "--c1", "0.01",
+                                  "--s0", "1000", "--strike", "1000"]),
+    ("error_formula_out_of_range", ["price", "--method", "formula", "--c1", "0.1",
+                                    "--s0", "1000", "--strike", "1000"]),
     # guard errors: the closed form divides by sigma and by drift - sigma^2/2
     ("error_exact_mu_half_sigma_sq", ["simulate", "--scheme", "exact", "--mu", "0.02"]),
     ("error_formula_r_half_sigma_sq", ["price", "--method", "formula", "--c1", "0",
