@@ -36,10 +36,18 @@ evaluates.
 The module needs numpy only at import.  The functions that call scipy (the
 law solve, the law map and the quadrature) import it at first use, so that
 ``vve`` commands that never price by formula do not pay for loading it.
+
+Law solves at c1 > 0 that do not depend on each other run side by side:
+``price_formula`` solves its coarse-grid map, and ``greeks_bump`` of it its
+four bumped maps, on :mod:`vve.sde`'s block pool (two threads at most) while
+the calling thread works on.  Each solve's tridiagonal systems go to LAPACK
+``dgtsv`` through ctypes, which drops the GIL (``_dgtsv``).  The pool
+changes no bit, error or warning of a serial run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, field, replace
@@ -53,9 +61,10 @@ from .errors import (
     NonPositiveSpot,
     OutOfRange,
     SigmaZeroUnsupported,
+    VveError,
 )
 from .model import ModelParams, require_finite
-from .sde import DEN_TOL_FACTOR, closed_form_rates, euler_terminal
+from .sde import DEN_TOL_FACTOR, _block_pool, closed_form_rates, euler_terminal
 
 #: margin denominator (in units of sigma + c1*s0) at which the quadrature
 #: domain is cut short of the explosion asymptote of f_T
@@ -206,6 +215,30 @@ _LAW_Z_TABLE = 8.5
 _LAW_TOP_LOG = 69.0
 
 
+@functools.cache
+def _dgtsv():
+    """LAPACK ``dgtsv`` from scipy's own library, as a ctypes function that drops the GIL.
+
+    ``scipy.linalg.lapack.dgtsv`` holds the GIL while it solves, so two law
+    solves on two threads could not overlap their tridiagonal solves, about
+    70 % of a step.  The pointer is the one scipy exports to Cython
+    (``scipy.linalg.cython_lapack``): the same routine in the same library,
+    so the same bits.  A ctypes foreign call releases the GIL.
+    """
+    import ctypes
+    from scipy.linalg import cython_lapack
+
+    capsule = cython_lapack.__pyx_capi__["dgtsv"]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    int_p, double_p = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+    prototype = ctypes.CFUNCTYPE(None, int_p, int_p, double_p, double_p, double_p, double_p,
+                                 int_p, int_p)
+    return prototype(get_pointer(capsule, get_name(capsule)))
+
+
 def _solve_law(rn: RiskNeutralParams, tau: float, s_max: float | None,
                nodes_below: int, steps: int):
     """Law of the discounted price X = e^{-r tau} S_tau given S_0 = s0.
@@ -222,11 +255,12 @@ def _solve_law(rn: RiskNeutralParams, tau: float, s_max: float | None,
     grid's depth below it, but at most e^69 ~ 1e30 times the spot: the mass
     the top reflects converges as it rises).  Raises OutOfRange when the grid
     or the solve leaves the floating-point range, as for very large
-    c1 * s0 * tau.
+    c1 * s0 * tau or r * tau.  Each step's tridiagonal solve runs without the
+    GIL (``_dgtsv``), so solves on two threads overlap.
 
     Returns (nodes, probabilities, h).
     """
-    from scipy.linalg.lapack import dgtsv
+    import ctypes
 
     if nodes_below < 2 or steps < 2:
         raise InvalidGrid("law solve needs at least 2 nodes below the spot and 2 steps")
@@ -234,6 +268,11 @@ def _solve_law(rn: RiskNeutralParams, tau: float, s_max: float | None,
     depth = _LAW_DEPTH_SD * vol0 * math.sqrt(tau) + 0.5 * vol0 * vol0 * tau
     if not rn.s0 * math.exp(-depth) > 0.0:
         raise OutOfRange(f"law grid depth {depth:.3g} (log price) is beyond float range")
+    try:
+        math.exp(rn.r * tau)  # the steps scale c1 by exp(r t), t <= tau
+    except OverflowError:
+        raise OutOfRange(f"law solve needs exp(r * tau) in float range, got r * tau = "
+                         f"{rn.r * tau:.6g}") from None
     h = depth / nodes_below
     if s_max is None:
         s_max = rn.s0 * math.exp(min(2.0 * depth, _LAW_TOP_LOG))
@@ -245,6 +284,14 @@ def _solve_law(rn: RiskNeutralParams, tau: float, s_max: float | None,
     # every step writes into these; dgtsv solves in place, overwriting dl, d, du and p
     var, up, down, tot, flow, d = (np.empty(x.size) for _ in range(6))
     dl, du = np.empty(x.size - 1), np.empty(x.size - 1)
+    # dgtsv(n, nrhs, dl, d, du, b, ldb, info); info > 0 (a zero pivot) goes unread, as
+    # scipy.linalg.lapack.dgtsv's did
+    n, nrhs, info = ctypes.c_int(x.size), ctypes.c_int(1), ctypes.c_int()
+    double_p = ctypes.POINTER(ctypes.c_double)
+    dgtsv_args = (ctypes.byref(n), ctypes.byref(nrhs),
+                  *(v.ctypes.data_as(double_p) for v in (dl, d, du, p)),
+                  ctypes.byref(n), ctypes.byref(info))
+    dgtsv = _dgtsv()
     up_den, down_den = gap_up * (gap_up + gap_down), gap_down * (gap_up + gap_down)
     t = 0.0
     dt = tau / steps
@@ -271,7 +318,7 @@ def _solve_law(rn: RiskNeutralParams, tau: float, s_max: float | None,
         np.multiply(down[1:], -a, out=du)
         np.multiply(flow, dt_n - a, out=flow)
         np.add(p, flow, out=p)
-        p = dgtsv(dl, d, du, p, 1, 1, 1, 1)[3]
+        dgtsv(*dgtsv_args)
         t += dt_n
     if not np.all(np.isfinite(p)):
         raise OutOfRange("law solve overflowed; c1 * s0 * tau is too large for its grid")
@@ -362,11 +409,65 @@ def law_map(rn: RiskNeutralParams, tau: float, s_max: float | None = None,
     ``price_formula`` quote at c1 > 0 reads two maps, the default grid's and
     the 2x coarser one of its ``law_error_estimate``; a ``greeks_bump`` set of
     it reads the default grid's map at each of its four bumped parameter sets.
+    Both solve the maps they do not compute themselves on the block pool
+    (``_law_maps_ahead``) and then read them here, from the cache.  The cache
+    is safe to share between threads; two threads that miss on one key at
+    once each solve it, to the same bits.
     """
     if rn.sigma == 0:
         raise SigmaZeroUnsupported("law map requires sigma > 0")
     x, p, h = _solve_law(rn, tau, s_max, nodes_below, steps)
     return LawMap(rn, tau, x, p, h, steps)
+
+
+def _law_map_task(errors: dict, rn: RiskNeutralParams, tau: float, grid: dict) -> None:
+    """``law_map(rn, tau, **grid)`` on a pool worker, for its caller to read from the cache.
+
+    ``errors`` is the caller's floating-point handling with every mode that
+    reports (warn, call, print, log, raise) made ``raise``, and the exception
+    is dropped: a worker caches only a map that met no event the caller
+    would report, and the caller's own call repeats any other solve and
+    reports it as a serial run does.  A Python warning (scipy's quadrature
+    can issue one while the map is built) meets the process-wide filters,
+    as the caller's would; one that a filter turns into an exception is
+    dropped and repeated the same way.
+    """
+    with np.errstate(**errors):
+        try:
+            law_map(rn, tau, **grid)
+        except Exception:  # the caller's own call raises or warns as it should
+            pass
+
+
+@contextlib.contextmanager
+def _law_maps_ahead(keys):
+    """Solve ``law_map(rn, tau, **grid)`` for each ``(rn, tau, grid)`` on the block pool.
+
+    The maps are solved on ``sde``'s block pool while the body runs, and the
+    exit waits for them all; if the body raises, the ones not yet started are
+    cancelled.  The tasks call ``law_map`` alone, so they never submit to the
+    pool themselves.
+    """
+    if not keys:
+        yield
+        return
+    # a process's first law maps import scipy; a worker that imports holds the GIL
+    # for long stretches, stalling this thread's solve steps, so import here first
+    from scipy import integrate, interpolate, special
+    _dgtsv()
+    errors = {k: "ignore" if v == "ignore" else "raise" for k, v in np.geterr().items()}
+    pool, _ = _block_pool()
+    tasks = [pool.submit(_law_map_task, errors, rn, tau, grid) for rn, tau, grid in keys]
+    try:
+        yield
+    except BaseException:
+        for task in tasks:
+            task.cancel()
+        raise
+    finally:
+        for task in tasks:
+            if not task.cancelled():
+                task.result()
 
 
 class _CandidateMap:
@@ -454,15 +555,26 @@ def _formula_quote(rn: RiskNeutralParams, opt: OptionSpec, tol: float, smap) -> 
                      "exploded_fraction": 0.0})
 
 
+#: quadrature tolerance of ``price_formula``
+_FORMULA_TOL = 1e-10
+
+#: the 2x coarser law-solve grid of ``law_error_estimate``
+_COARSE_GRID = {"nodes_below": LAW_NODES_BELOW // 2, "steps": LAW_STEPS // 2}
+
+
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < math.inf:
+        raise InvalidGrid(f"tol must be a finite number > 0, got {tol}")
+
+
 def _law_formula_quote(rn: RiskNeutralParams, opt: OptionSpec,
-                       tol: float = 1e-10) -> OptionQuote:
+                       tol: float = _FORMULA_TOL) -> OptionQuote:
     """``price_formula`` without ``law_error_estimate``: one law solve, on the fine grid.
 
     The same validation, price and other diagnostics; it skips the coarse
     grid's law solve and quadrature, which feed the estimate alone.
     """
-    if not 0 < tol < math.inf:
-        raise InvalidGrid(f"tol must be a finite number > 0, got {tol}")
+    _check_tol(tol)
     tau = opt.maturity - opt.t
     if tau == 0:
         return _intrinsic_quote(rn.s0, opt.strike, "formula")
@@ -473,7 +585,8 @@ def _law_formula_quote(rn: RiskNeutralParams, opt: OptionSpec,
     return replace(quote, diagnostics={**quote.diagnostics, **law.grid})
 
 
-def price_formula(rn: RiskNeutralParams, opt: OptionSpec, tol: float = 1e-10) -> OptionQuote:
+def price_formula(rn: RiskNeutralParams, opt: OptionSpec,
+                  tol: float = _FORMULA_TOL) -> OptionQuote:
     """Explicit-formula price by adaptive quadrature.
 
     f is the law map of S_T (``law_map``) for c1 > 0, and the closed form,
@@ -488,13 +601,18 @@ def price_formula(rn: RiskNeutralParams, opt: OptionSpec, tol: float = 1e-10) ->
     coarsened 2x in price and in time (about 3x the grid's own error for a
     second-order scheme).  The law map's ``ft_inv_x`` is 0 and
     ``fT_inv_K`` is d sqrt(T - t).
+
+    At c1 > 0 the coarse grid's map is solved on the block pool while this
+    thread solves the default grid's, once ``tol`` is known to be valid.
+    Every bit, error and warning is a serial run's (see ``_law_map_task``).
     """
-    quote = _law_formula_quote(rn, opt, tol)
+    _check_tol(tol)
+    tau = opt.maturity - opt.t
+    with _law_maps_ahead([(rn, tau, _COARSE_GRID)] if rn.c1 > 0 and tau > 0 else []):
+        quote = _law_formula_quote(rn, opt, tol)
     if "law_nodes" not in quote.diagnostics:  # intrinsic, or the closed form at c1 = 0
         return quote
-    coarse = _formula_quote(rn, opt, tol, law_map(rn, opt.maturity - opt.t,
-                                                  nodes_below=LAW_NODES_BELOW // 2,
-                                                  steps=LAW_STEPS // 2))
+    coarse = _formula_quote(rn, opt, tol, law_map(rn, tau, **_COARSE_GRID))
     return replace(quote, diagnostics={
         **quote.diagnostics, "law_error_estimate": abs(quote.price - coarse.price)})
 
@@ -585,7 +703,11 @@ def greeks_bump(pricer, rn: RiskNeutralParams, opt: OptionSpec,
     fixed seed to get common random numbers across bumps.  The differences
     read each quote's price alone, so ``price_formula`` is repriced without
     its ``law_error_estimate``: a set at c1 > 0 pays four law solves, one per
-    bump, on the fine grid only, and the same prices.
+    bump, on the fine grid only, and the same prices.  Those four run on the
+    block pool while this thread prices the unbumped point; the bumps are
+    then repriced in the serial order, each reading its map from the cache.
+    Nothing goes to the pool when ``tol`` or a bumped parameter set is
+    invalid, so every error and warning is a serial run's.
     """
     if pricer is price_formula:
         pricer = _law_formula_quote
@@ -593,15 +715,23 @@ def greeks_bump(pricer, rn: RiskNeutralParams, opt: OptionSpec,
         ds = 1e-3 * rn.s0
     if dsig is None:
         dsig = 1e-3 * max(rn.sigma, 0.1)
+    bumps = [{"s0": rn.s0 + ds}, {"s0": rn.s0 - ds},
+             {"sigma": rn.sigma + dsig}, {"sigma": rn.sigma - dsig}]
 
-    def reprice(**over):
-        fields = {"sigma": rn.sigma, "c1": rn.c1, "s0": rn.s0, "r": rn.r}
-        fields.update(over)
-        return pricer(RiskNeutralParams(**fields), opt, **pricer_kwargs).price
+    def reprice(over):
+        return pricer(replace(rn, **over), opt, **pricer_kwargs).price
 
-    p0 = reprice()
-    p_up, p_dn = reprice(s0=rn.s0 + ds), reprice(s0=rn.s0 - ds)
-    v_up, v_dn = reprice(sigma=rn.sigma + dsig), reprice(sigma=rn.sigma - dsig)
+    tau = opt.maturity - opt.t
+    ahead = []
+    if pricer is _law_formula_quote and rn.c1 > 0 and tau > 0:
+        _check_tol(pricer_kwargs.get("tol", _FORMULA_TOL))
+        try:
+            ahead = [(replace(rn, **over), tau, {}) for over in bumps]
+        except VveError:  # the repricing below raises it where a serial run does
+            pass
+    with _law_maps_ahead(ahead):
+        p0 = reprice({})
+    p_up, p_dn, v_up, v_dn = (reprice(over) for over in bumps)
     return {
         "delta": (p_up - p_dn) / (2.0 * ds),
         "gamma": (p_up - 2.0 * p0 + p_dn) / ds ** 2,

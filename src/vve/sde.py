@@ -39,14 +39,24 @@ in block order.  Two workers let one block's fill overlap another block's
 steps; the steps hold the GIL between their small numpy calls, so a third
 worker would mostly add a buffer.  Block functions write disjoint row slices
 of the caller's arrays or return per-block sums that the caller adds in block
-order, so no bit depends on the number of threads.  A block function never
-submits work to the pool.
+order, so no bit depends on the number of threads.
 
 Memory: the calling thread allocates ``k = min(workers, blocks)`` increment
 buffers of ``min(BLOCK_SIZE, n_paths) x steps`` once per call; block ``i``
 fills buffer ``i % k`` in place, and at most ``k`` blocks are in flight.
 Workers allocate no block of their own, so the peak stays one buffer per
 block in flight and freed blocks do not pile up in per-thread malloc arenas.
+
+The pool also runs law solves: ``pricing`` submits the law maps of a
+formula quote's coarse grid and of a Greek set's four bumps, which the caller
+then reads from the law-map cache.  Their tridiagonal solves drop the GIL, so
+two solves overlap.  No pool task ever submits work to the pool, so a task
+never waits on another and two workers cannot deadlock.
+
+Threads cost memory of their own: each worker's stack (about 0.75 MB for
+two) and, once a worker allocates (a law solve does), its own malloc arena.  With law solves on
+the workers, the ``formula_surface`` benchmark's peak RSS rose by about
+2 MB, most of it arenas.
 
 Step kernel
 -----------

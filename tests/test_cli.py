@@ -209,6 +209,8 @@ class TestPrice:
         (["--method", "bs", "--config", ConfigText('{"sigma": ')], "error"),
         (["--method", "bs", "--config", ConfigText('[0.2]')], "error"),
         (["--method", "bs", "--config", "no/such/config.json"], "error"),
+        # exp(r t) leaves the float range inside the law solve
+        (["--method", "formula", "--c1", "1e-3", "--r", "800"], "out_of_range"),
     ])
     def test_input_without_finite_quote_is_json_error(self, tmp_path, capsys, argv, error):
         argv = with_config_files(argv, tmp_path)

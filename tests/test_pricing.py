@@ -1,6 +1,10 @@
 """Unit tests for vve.pricing: solution map, inverse, and the three pricers."""
 
+import contextlib
 import math
+import sys
+import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +20,7 @@ from vve.errors import (
     SigmaZeroUnsupported,
     SingularDelta,
 )
+from vve import pricing
 from vve.model import ModelParams
 from vve.pricing import (
     LAW_NODES_BELOW,
@@ -300,6 +305,34 @@ class TestLawSolve:
             with np.errstate(all="ignore"), pytest.raises(OutOfRange, match="overflowed"):
                 solve(rn, 1.0, 1e160, 50, 7)  # the variance at the top node overflows
 
+    def test_rate_beyond_float_range_raises(self):
+        # exp(r t) overflows near t = tau; the reference dies with an OverflowError
+        rn = RiskNeutralParams(sigma=0.2, c1=1e-3, s0=100.0, r=800.0)
+        with pytest.raises(OutOfRange, match="exp"):
+            _solve_law(rn, 1.0, None, 50, 7)
+        with np.errstate(all="ignore"), pytest.raises(OverflowError):
+            solve_law_reference(rn, 1.0, None, 50, 7)
+
+    def test_two_solves_at_once_match_reference(self):
+        # the tridiagonal solves drop the GIL; two threads must not share any state
+        cases = [REF_CASES["c1>0"], REF_CASES["r=0"]]
+        start, results = threading.Barrier(len(cases)), {}
+
+        def solve(i):
+            start.wait(timeout=60)
+            results[i] = _solve_law(*cases[i], LAW_NODES_BELOW, LAW_STEPS)
+
+        threads = [threading.Thread(target=solve, args=(i,)) for i in range(len(cases))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        for i, (rn, tau, s_max) in enumerate(cases):
+            x_ref, p_ref, _ = solve_law_reference(rn, tau, s_max, LAW_NODES_BELOW, LAW_STEPS)
+            assert results[i][0].tobytes() == x_ref.tobytes()
+            assert results[i][1].tobytes() == p_ref.tobytes()
+
 
 class TestPriceMc:
     def test_deterministic_degenerate_case(self):
@@ -478,6 +511,102 @@ class TestGreeks:
         greeks_bump(price_formula, rn, OptionSpec(strike=100.0, maturity=0.5, rate=0.05))
         assert law_map.cache_info().misses - misses == 4
 
+    def test_parallel_solves_keep_serial_bits(self, monkeypatch):
+        # three user threads (more than this pool's two workers), each set's bumps
+        # on the pool: a Greek set twice on one key, and quotes on that key and another
+        rn_b = replace(RN_VVE, c1=1e-3)
+        short = OptionSpec(strike=95.0, maturity=0.25, rate=0.05)
+        calls = [lambda: greeks_bump(price_formula, RN_VVE, short),
+                 lambda: greeks_bump(price_formula, RN_VVE, short),
+                 lambda: (price_formula(RN_VVE, short).to_dict(),
+                          price_formula(rn_b, short).to_dict())]
+        with monkeypatch.context() as serial:
+            serial.setattr(pricing, "_law_maps_ahead", lambda keys: contextlib.nullcontext())
+            law_map.cache_clear()
+            expected = [call() for call in calls]
+        law_map.cache_clear()
+        results = {}
+
+        def run(i):
+            results[i] = calls[i]()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert [results[i] for i in range(len(calls))] == expected
+
     def test_mc_common_random_numbers(self):
         g = greeks_bump(price_mc, RN_GBM, ATM, n_paths=50_000, steps=100, seed=7)
         assert g["delta"] == pytest.approx(bs_delta(100.0, 100.0, 1.0, 0.05, 0.2), abs=0.02)
+
+
+class TestLawSolvesOnPool:
+    """Errors and warnings of formula quotes and Greek sets are a serial run's.
+
+    At r = 600, tau = 1 the law solve overflows: serially, the Greek set stops
+    at its first price, after 201 RuntimeWarnings, with OutOfRange.
+    """
+
+    RN = RiskNeutralParams(sigma=0.2, c1=1e-3, s0=100.0, r=600.0)
+    OPT = OptionSpec(strike=100.0, maturity=1.0, rate=600.0)
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        law_map.cache_clear()
+
+    @pytest.fixture
+    def submitted(self, monkeypatch):
+        """The law-map keys handed to the pool."""
+        keys, ahead = [], pricing._law_maps_ahead
+
+        def spy(new_keys):
+            new_keys = list(new_keys)
+            keys.extend(new_keys)
+            return ahead(new_keys)
+
+        monkeypatch.setattr(pricing, "_law_maps_ahead", spy)
+        return keys
+
+    def test_warnings_as_serial(self):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            with pytest.raises(OutOfRange, match="overflowed"):
+                greeks_bump(price_formula, self.RN, self.OPT)
+        assert len(record) == 201
+        assert all(w.category is RuntimeWarning for w in record)
+
+    def test_ignored_errors_stay_silent(self):
+        with warnings.catch_warnings(record=True) as record, np.errstate(all="ignore"):
+            warnings.simplefilter("always")
+            with pytest.raises(OutOfRange, match="overflowed"):
+                greeks_bump(price_formula, self.RN, self.OPT)
+        assert record == []
+
+    def test_raise_mode_raises(self):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            price_formula(self.RN, self.OPT)
+
+    def test_invalid_tol_starts_no_solve(self, submitted):
+        before = law_map.cache_info()
+        for call in (lambda: price_formula(RN_VVE, ATM, tol=0.0),
+                     lambda: greeks_bump(price_formula, RN_VVE, ATM, tol=math.nan)):
+            with pytest.raises(InvalidGrid):
+                call()
+        assert submitted == []
+        assert law_map.cache_info() == before
+
+    def test_invalid_bump_submits_nothing(self, submitted):
+        # sigma - dsig < 0: the serial path prices three bumps, then raises
+        rn = RiskNeutralParams(sigma=5e-5, c1=1e-3, s0=100.0, r=0.05)
+        with pytest.raises(NegativeCoefficient, match="sigma and c1 must be >= 0"):
+            greeks_bump(price_formula, rn, OptionSpec(strike=100.0, maturity=0.25, rate=0.05))
+        assert submitted == []
+        assert law_map.cache_info().misses == 4

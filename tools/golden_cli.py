@@ -73,14 +73,19 @@ COMMANDS = [
                                      "--seed", "1"]),
     # every path is absorbed at 0 on the finer levels: a zero error, no fitted slope
     ("convergence_zero_error", ["convergence", "--c1", "5", "--levels", "8,16,32"]),
-    # law-map formula quotes: a long maturity, a grid top capped near 1e30 x s0
-    # (c1 s0 = 10), and a grid depth beyond the float range (c1 s0 = 100)
+    # law-map formula quotes: a short and a long maturity, a grid top capped near
+    # 1e30 x s0 (c1 s0 = 10), a grid depth beyond the float range (c1 s0 = 100), and
+    # exp(r t) beyond it (r = 800)
+    ("price_formula_short", ["price", "--method", "formula", "--c1", "1e-3",
+                             "--maturity", "0.25", "--strike", "90"]),
     ("price_formula_long", ["price", "--method", "formula", "--c1", "2e-3",
                             "--maturity", "2"]),
     ("price_formula_top_capped", ["price", "--method", "formula", "--c1", "0.01",
                                   "--s0", "1000", "--strike", "1000"]),
     ("error_formula_out_of_range", ["price", "--method", "formula", "--c1", "0.1",
                                     "--s0", "1000", "--strike", "1000"]),
+    ("error_formula_rate_overflow", ["price", "--method", "formula", "--c1", "1e-3",
+                                     "--r", "800"]),
     # guard errors: the closed form divides by sigma and by drift - sigma^2/2
     ("error_exact_mu_half_sigma_sq", ["simulate", "--scheme", "exact", "--mu", "0.02"]),
     ("error_formula_r_half_sigma_sq", ["price", "--method", "formula", "--c1", "0",
