@@ -30,7 +30,6 @@ from .pricing import (
     OptionQuote,
     OptionSpec,
     RiskNeutralParams,
-    bs_delta,
     forward_map,
     greeks_bump,
     inverse_map,
@@ -39,13 +38,9 @@ from .pricing import (
     price_mc,
 )
 from .sde import (
-    BrownianPath,
     ConvergenceReport,
-    ExactPath,
     PathEnsemble,
     TimeGrid,
-    exact_path,
-    sample_brownian,
     simulate_euler,
     simulate_exact,
     simulate_milstein,

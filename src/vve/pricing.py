@@ -36,18 +36,10 @@ evaluates.
 The module needs numpy only at import.  The functions that call scipy (the
 law solve, the law map and the quadrature) import it at first use, so that
 ``vve`` commands that never price by formula do not pay for loading it.
-
-Law solves at c1 > 0 that do not depend on each other run side by side:
-``price_formula`` solves its coarse-grid map, and ``greeks_bump`` of it its
-four bumped maps, on :mod:`vve.sde`'s block pool (two threads at most) while
-the calling thread works on.  Each solve's tridiagonal systems go to LAPACK
-``dgtsv`` through ctypes, which drops the GIL (``_dgtsv``).  The pool
-changes no bit, error or warning of a serial run.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass, field, replace
@@ -61,10 +53,9 @@ from .errors import (
     NonPositiveSpot,
     OutOfRange,
     SigmaZeroUnsupported,
-    VveError,
 )
 from .model import ModelParams, require_finite
-from .sde import DEN_TOL_FACTOR, _block_pool, closed_form_rates, euler_terminal
+from .sde import DEN_TOL_FACTOR, closed_form_rates, euler_terminal
 
 #: margin denominator (in units of sigma + c1*s0) at which the quadrature
 #: domain is cut short of the explosion asymptote of f_T
@@ -205,38 +196,14 @@ def inverse_map(rn: RiskNeutralParams, t: float, x: float) -> float:
 # --------------------------------------------------------------------------
 
 #: default law-solve grid: nodes below the spot, and time steps
-LAW_NODES_BELOW = 2000
-LAW_STEPS = 400
+LAW_NODES_BELOW = 1000
+LAW_STEPS = 200
 #: depth of the grid below the spot, in standard deviations at the spot
 _LAW_DEPTH_SD = 12.0
 #: |z| range over which the law map is tabulated; it is log-linear beyond
 _LAW_Z_TABLE = 8.5
 #: largest log distance of the default grid top above the spot (~1e30 x s0)
 _LAW_TOP_LOG = 69.0
-
-
-@functools.cache
-def _dgtsv():
-    """LAPACK ``dgtsv`` from scipy's own library, as a ctypes function that drops the GIL.
-
-    ``scipy.linalg.lapack.dgtsv`` holds the GIL while it solves, so two law
-    solves on two threads could not overlap their tridiagonal solves, about
-    70 % of a step.  The pointer is the one scipy exports to Cython
-    (``scipy.linalg.cython_lapack``): the same routine in the same library,
-    so the same bits.  A ctypes foreign call releases the GIL.
-    """
-    import ctypes
-    from scipy.linalg import cython_lapack
-
-    capsule = cython_lapack.__pyx_capi__["dgtsv"]
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    int_p, double_p = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
-    prototype = ctypes.CFUNCTYPE(None, int_p, int_p, double_p, double_p, double_p, double_p,
-                                 int_p, int_p)
-    return prototype(get_pointer(capsule, get_name(capsule)))
 
 
 def _solve_law(rn: RiskNeutralParams, tau: float, s_max: float | None,
@@ -255,12 +222,14 @@ def _solve_law(rn: RiskNeutralParams, tau: float, s_max: float | None,
     grid's depth below it, but at most e^69 ~ 1e30 times the spot: the mass
     the top reflects converges as it rises).  Raises OutOfRange when the grid
     or the solve leaves the floating-point range, as for very large
-    c1 * s0 * tau or r * tau.  Each step's tridiagonal solve runs without the
-    GIL (``_dgtsv``), so solves on two threads overlap.
+    c1 * s0 * tau or r * tau.  With the Rannacher start the error expands
+    cleanly in h^2 and dt^2 (Giles & Carter 2006), so ``price_formula``
+    cancels its leading term by Richardson extrapolation from the default
+    grid (``LAW_NODES_BELOW`` x ``LAW_STEPS``) and the one 2x coarser in both.
 
     Returns (nodes, probabilities, h).
     """
-    import ctypes
+    from scipy.linalg.lapack import dgtsv
 
     if nodes_below < 2 or steps < 2:
         raise InvalidGrid("law solve needs at least 2 nodes below the spot and 2 steps")
@@ -284,14 +253,6 @@ def _solve_law(rn: RiskNeutralParams, tau: float, s_max: float | None,
     # every step writes into these; dgtsv solves in place, overwriting dl, d, du and p
     var, up, down, tot, flow, d = (np.empty(x.size) for _ in range(6))
     dl, du = np.empty(x.size - 1), np.empty(x.size - 1)
-    # dgtsv(n, nrhs, dl, d, du, b, ldb, info); info > 0 (a zero pivot) goes unread, as
-    # scipy.linalg.lapack.dgtsv's did
-    n, nrhs, info = ctypes.c_int(x.size), ctypes.c_int(1), ctypes.c_int()
-    double_p = ctypes.POINTER(ctypes.c_double)
-    dgtsv_args = (ctypes.byref(n), ctypes.byref(nrhs),
-                  *(v.ctypes.data_as(double_p) for v in (dl, d, du, p)),
-                  ctypes.byref(n), ctypes.byref(info))
-    dgtsv = _dgtsv()
     up_den, down_den = gap_up * (gap_up + gap_down), gap_down * (gap_up + gap_down)
     t = 0.0
     dt = tau / steps
@@ -318,7 +279,7 @@ def _solve_law(rn: RiskNeutralParams, tau: float, s_max: float | None,
         np.multiply(down[1:], -a, out=du)
         np.multiply(flow, dt_n - a, out=flow)
         np.add(p, flow, out=p)
-        dgtsv(*dgtsv_args)
+        p = dgtsv(dl, d, du, p, 1, 1, 1, 1)[3]  # info > 0 (a zero pivot) goes unread
         t += dt_n
     if not np.all(np.isfinite(p)):
         raise OutOfRange("law solve overflowed; c1 * s0 * tau is too large for its grid")
@@ -373,7 +334,10 @@ class LawMap:
         return float(self.spline(z))
 
     def __call__(self, z: float) -> float:
-        return math.exp(self.log_shift + self._log_price(z))
+        try:
+            return math.exp(self.log_shift + self._log_price(z))
+        except OverflowError:  # a strike near the float maximum puts z there
+            raise OutOfRange(f"law map value at z = {z:.6g} is beyond float range") from None
 
     def inverse(self, x: float) -> float:
         """Brownian value w = z sqrt(tau) with f(z) = x."""
@@ -406,68 +370,17 @@ def law_map(rn: RiskNeutralParams, tau: float, s_max: float | None = None,
     """The law map of S_{t+tau} given S_t = rn.s0 (cached: it is the costly step).
 
     It depends on tau alone, not on t, as the SDE is time-homogeneous.  A
-    ``price_formula`` quote at c1 > 0 reads two maps, the default grid's and
-    the 2x coarser one of its ``law_error_estimate``; a ``greeks_bump`` set of
-    it reads the default grid's map at each of its four bumped parameter sets.
-    Both solve the maps they do not compute themselves on the block pool
-    (``_law_maps_ahead``) and then read them here, from the cache.  The cache
-    is safe to share between threads; two threads that miss on one key at
-    once each solve it, to the same bits.
+    ``price_formula`` quote at c1 > 0 reads three maps: the default grid's
+    and the 2x coarser one of its Richardson price, and the 4x coarser one
+    of its ``law_error_estimate``; a ``greeks_bump`` set of it reads the
+    first two at each of its five parameter sets.  The cache is safe to
+    share between threads; two threads that miss on one key at once each
+    solve it, to the same bits.
     """
     if rn.sigma == 0:
         raise SigmaZeroUnsupported("law map requires sigma > 0")
     x, p, h = _solve_law(rn, tau, s_max, nodes_below, steps)
     return LawMap(rn, tau, x, p, h, steps)
-
-
-def _law_map_task(errors: dict, rn: RiskNeutralParams, tau: float, grid: dict) -> None:
-    """``law_map(rn, tau, **grid)`` on a pool worker, for its caller to read from the cache.
-
-    ``errors`` is the caller's floating-point handling with every mode that
-    reports (warn, call, print, log, raise) made ``raise``, and the exception
-    is dropped: a worker caches only a map that met no event the caller
-    would report, and the caller's own call repeats any other solve and
-    reports it as a serial run does.  A Python warning (scipy's quadrature
-    can issue one while the map is built) meets the process-wide filters,
-    as the caller's would; one that a filter turns into an exception is
-    dropped and repeated the same way.
-    """
-    with np.errstate(**errors):
-        try:
-            law_map(rn, tau, **grid)
-        except Exception:  # the caller's own call raises or warns as it should
-            pass
-
-
-@contextlib.contextmanager
-def _law_maps_ahead(keys):
-    """Solve ``law_map(rn, tau, **grid)`` for each ``(rn, tau, grid)`` on the block pool.
-
-    The maps are solved on ``sde``'s block pool while the body runs, and the
-    exit waits for them all; if the body raises, the ones not yet started are
-    cancelled.  The tasks call ``law_map`` alone, so they never submit to the
-    pool themselves.
-    """
-    if not keys:
-        yield
-        return
-    # a process's first law maps import scipy; a worker that imports holds the GIL
-    # for long stretches, stalling this thread's solve steps, so import here first
-    from scipy import integrate, interpolate, special
-    _dgtsv()
-    errors = {k: "ignore" if v == "ignore" else "raise" for k, v in np.geterr().items()}
-    pool, _ = _block_pool()
-    tasks = [pool.submit(_law_map_task, errors, rn, tau, grid) for rn, tau, grid in keys]
-    try:
-        yield
-    except BaseException:
-        for task in tasks:
-            task.cancel()
-        raise
-    finally:
-        for task in tasks:
-            if not task.cancelled():
-                task.result()
 
 
 class _CandidateMap:
@@ -558,31 +471,50 @@ def _formula_quote(rn: RiskNeutralParams, opt: OptionSpec, tol: float, smap) -> 
 #: quadrature tolerance of ``price_formula``
 _FORMULA_TOL = 1e-10
 
-#: the 2x coarser law-solve grid of ``law_error_estimate``
-_COARSE_GRID = {"nodes_below": LAW_NODES_BELOW // 2, "steps": LAW_STEPS // 2}
-
-
 def _check_tol(tol: float) -> None:
     if not 0 < tol < math.inf:
         raise InvalidGrid(f"tol must be a finite number > 0, got {tol}")
 
 
-def _law_formula_quote(rn: RiskNeutralParams, opt: OptionSpec,
-                       tol: float = _FORMULA_TOL) -> OptionQuote:
-    """``price_formula`` without ``law_error_estimate``: one law solve, on the fine grid.
+def _richardson(fine: float, coarse: float) -> float:
+    """A second-order price with its h^2 error cancelled, from grids h (fine) and 2h."""
+    return fine + (fine - coarse) / 3.0
 
-    The same validation, price and other diagnostics; it skips the coarse
-    grid's law solve and quadrature, which feed the estimate alone.
+
+def _law_quote(rn: RiskNeutralParams, opt: OptionSpec, tol: float,
+               estimate: bool) -> OptionQuote:
+    """The formula on the law map, at any c1 and tau > 0 (see ``price_formula``).
+
+    The price reads two law solves and ``law_error_estimate`` a third, so
+    with ``estimate`` false (prices alone, as ``greeks_bump`` reads) that
+    solve and its quadrature are skipped.
     """
+    tau = opt.maturity - opt.t
+
+    def coarse_price(m):  # on the default grid coarsened m x in price and in time
+        law = law_map(rn, tau, nodes_below=LAW_NODES_BELOW // m, steps=LAW_STEPS // m)
+        return _formula_quote(rn, opt, tol, law).price
+
+    law = law_map(rn, tau)
+    quote = _formula_quote(rn, opt, tol, law)
+    half = coarse_price(2)
+    price = _richardson(quote.price, half)
+    diagnostics = {**quote.diagnostics, **law.grid}
+    if estimate:
+        diagnostics["law_error_estimate"] = abs(price - _richardson(half, coarse_price(4)))
+    return replace(quote, price=max(price, 0.0), diagnostics=diagnostics)
+
+
+def _law_formula_quote(rn: RiskNeutralParams, opt: OptionSpec, tol: float = _FORMULA_TOL,
+                       estimate: bool = False) -> OptionQuote:
+    """``price_formula``, with ``law_error_estimate`` only if ``estimate``."""
     _check_tol(tol)
     tau = opt.maturity - opt.t
     if tau == 0:
         return _intrinsic_quote(rn.s0, opt.strike, "formula")
     if rn.c1 == 0:
         return _formula_quote(rn, opt, tol, _CandidateMap(rn, opt))
-    law = law_map(rn, tau)
-    quote = _formula_quote(rn, opt, tol, law)
-    return replace(quote, diagnostics={**quote.diagnostics, **law.grid})
+    return _law_quote(rn, opt, tol, estimate)
 
 
 def price_formula(rn: RiskNeutralParams, opt: OptionSpec,
@@ -594,27 +526,20 @@ def price_formula(rn: RiskNeutralParams, opt: OptionSpec,
     same quadrature as ``_formula_quote(rn, opt, tol, _CandidateMap(rn, opt))``;
     for c1 > 0 that is not the model's price.)
 
-    ``error_estimate`` is the quadrature tolerance only.  For the law map
-    the diagnostics also give the law solve's grid (``law_nodes``,
-    ``law_steps``, ``law_s_min``, ``law_s_max``: the node prices in today's
-    money) and ``law_error_estimate``, the price's change when the grid is
-    coarsened 2x in price and in time (about 3x the grid's own error for a
-    second-order scheme).  The law map's ``ft_inv_x`` is 0 and
+    For the law map the price is R = P + (P - P_2) / 3, from the prices P on
+    the default law grid and P_2 on the grid 2x coarser in price and in time.
+    The law solve's error is second order with a clean h^2 term
+    (Crank-Nicolson after a Rannacher start), and R cancels it (Richardson
+    extrapolation).  ``error_estimate`` is the quadrature tolerance only.
+    The diagnostics also give the default grid (``law_nodes``, ``law_steps``,
+    ``law_s_min``, ``law_s_max``: the node prices in today's money) and
+    ``law_error_estimate`` = |R - R_2|, where R_2 is the same extrapolation
+    from the grids 2x and 4x coarser: about the coarser extrapolation's
+    error, which was 6 to 180 times R's own on the cells of the
+    ``formula_surface`` benchmark.  The law map's ``ft_inv_x`` is 0 and
     ``fT_inv_K`` is d sqrt(T - t).
-
-    At c1 > 0 the coarse grid's map is solved on the block pool while this
-    thread solves the default grid's, once ``tol`` is known to be valid.
-    Every bit, error and warning is a serial run's (see ``_law_map_task``).
     """
-    _check_tol(tol)
-    tau = opt.maturity - opt.t
-    with _law_maps_ahead([(rn, tau, _COARSE_GRID)] if rn.c1 > 0 and tau > 0 else []):
-        quote = _law_formula_quote(rn, opt, tol)
-    if "law_nodes" not in quote.diagnostics:  # intrinsic, or the closed form at c1 = 0
-        return quote
-    coarse = _formula_quote(rn, opt, tol, law_map(rn, tau, **_COARSE_GRID))
-    return replace(quote, diagnostics={
-        **quote.diagnostics, "law_error_estimate": abs(quote.price - coarse.price)})
+    return _law_formula_quote(rn, opt, tol, estimate=True)
 
 
 @functools.lru_cache(maxsize=4)
@@ -688,12 +613,6 @@ def price_bs(s: float, strike: float, tau: float, r: float, sigma: float) -> Opt
                        error_estimate=0.0, diagnostics={"d1": d1, "d2": d2})
 
 
-def bs_delta(s: float, strike: float, tau: float, r: float, sigma: float) -> float:
-    """Analytic Black-Scholes call delta N(d1)."""
-    d1 = (math.log(s / strike) + (r + 0.5 * sigma ** 2) * tau) / (sigma * math.sqrt(tau))
-    return norm_cdf(d1)
-
-
 def greeks_bump(pricer, rn: RiskNeutralParams, opt: OptionSpec,
                 ds: float | None = None, dsig: float | None = None,
                 **pricer_kwargs) -> dict:
@@ -702,12 +621,9 @@ def greeks_bump(pricer, rn: RiskNeutralParams, opt: OptionSpec,
     ``pricer(rn, opt, **pricer_kwargs) -> OptionQuote``; pass price_mc with a
     fixed seed to get common random numbers across bumps.  The differences
     read each quote's price alone, so ``price_formula`` is repriced without
-    its ``law_error_estimate``: a set at c1 > 0 pays four law solves, one per
-    bump, on the fine grid only, and the same prices.  Those four run on the
-    block pool while this thread prices the unbumped point; the bumps are
-    then repriced in the serial order, each reading its map from the cache.
-    Nothing goes to the pool when ``tol`` or a bumped parameter set is
-    invalid, so every error and warning is a serial run's.
+    its ``law_error_estimate``: a set at c1 > 0 pays two law solves per bump,
+    the default grid's and the 2x coarser one of its Richardson price, and
+    the same prices.
     """
     if pricer is price_formula:
         pricer = _law_formula_quote
@@ -715,23 +631,13 @@ def greeks_bump(pricer, rn: RiskNeutralParams, opt: OptionSpec,
         ds = 1e-3 * rn.s0
     if dsig is None:
         dsig = 1e-3 * max(rn.sigma, 0.1)
-    bumps = [{"s0": rn.s0 + ds}, {"s0": rn.s0 - ds},
-             {"sigma": rn.sigma + dsig}, {"sigma": rn.sigma - dsig}]
 
-    def reprice(over):
+    def reprice(**over):
         return pricer(replace(rn, **over), opt, **pricer_kwargs).price
 
-    tau = opt.maturity - opt.t
-    ahead = []
-    if pricer is _law_formula_quote and rn.c1 > 0 and tau > 0:
-        _check_tol(pricer_kwargs.get("tol", _FORMULA_TOL))
-        try:
-            ahead = [(replace(rn, **over), tau, {}) for over in bumps]
-        except VveError:  # the repricing below raises it where a serial run does
-            pass
-    with _law_maps_ahead(ahead):
-        p0 = reprice({})
-    p_up, p_dn, v_up, v_dn = (reprice(over) for over in bumps)
+    p0 = reprice()
+    p_up, p_dn = reprice(s0=rn.s0 + ds), reprice(s0=rn.s0 - ds)
+    v_up, v_dn = reprice(sigma=rn.sigma + dsig), reprice(sigma=rn.sigma - dsig)
     return {
         "delta": (p_up - p_dn) / (2.0 * ds),
         "gamma": (p_up - 2.0 * p0 + p_dn) / ds ** 2,

@@ -4,7 +4,7 @@
 
 Schemes: Euler-Maruyama and Milstein with full truncation at zero (the
 diffusion vanishes at 0, so 0 is absorbing), plus the closed-form candidate
-solution ``exact_path``.
+solution (``exact_values``, ``simulate_exact``).
 
 Verification status of the closed form
 --------------------------------------
@@ -25,8 +25,7 @@ Paths are grouped in fixed blocks of ``BLOCK_SIZE``; block ``b`` of seed
 ``s`` draws from ``Philox(key=[s, b])``, and path ``i`` owns row
 ``i % BLOCK_SIZE`` of its block's increment matrix.  Every path is therefore
 a pure function of (seed, path_index, grid), independent of execution order,
-chunking, or thread count.  ``sample_brownian`` reads one row of the same
-matrix.
+chunking, or thread count.
 
 Block engine
 ------------
@@ -39,24 +38,14 @@ in block order.  Two workers let one block's fill overlap another block's
 steps; the steps hold the GIL between their small numpy calls, so a third
 worker would mostly add a buffer.  Block functions write disjoint row slices
 of the caller's arrays or return per-block sums that the caller adds in block
-order, so no bit depends on the number of threads.
+order, so no bit depends on the number of threads.  A block function never
+submits work to the pool.
 
 Memory: the calling thread allocates ``k = min(workers, blocks)`` increment
 buffers of ``min(BLOCK_SIZE, n_paths) x steps`` once per call; block ``i``
 fills buffer ``i % k`` in place, and at most ``k`` blocks are in flight.
 Workers allocate no block of their own, so the peak stays one buffer per
 block in flight and freed blocks do not pile up in per-thread malloc arenas.
-
-The pool also runs law solves: ``pricing`` submits the law maps of a
-formula quote's coarse grid and of a Greek set's four bumps, which the caller
-then reads from the law-map cache.  Their tridiagonal solves drop the GIL, so
-two solves overlap.  No pool task ever submits work to the pool, so a task
-never waits on another and two workers cannot deadlock.
-
-Threads cost memory of their own: each worker's stack (about 0.75 MB for
-two) and, once a worker allocates (a law solve does), its own malloc arena.  With law solves on
-the workers, the ``formula_surface`` benchmark's peak RSS rose by about
-2 MB, most of it arenas.
 
 Step kernel
 -----------
@@ -127,18 +116,6 @@ class TimeGrid:
         return np.linspace(0.0, self.horizon, self.steps + 1)
 
 
-@dataclass(frozen=True)
-class BrownianPath:
-    """One Brownian path on a grid: per-step increments and their partial sums."""
-
-    grid: TimeGrid
-    increments: np.ndarray
-
-    @property
-    def cumulative(self) -> np.ndarray:
-        return np.concatenate([[0.0], np.cumsum(self.increments)])
-
-
 @dataclass
 class PathEnsemble:
     """Matrix of simulated price paths with seed provenance.
@@ -162,16 +139,6 @@ class PathEnsemble:
     @property
     def exploded_fraction(self) -> float:
         return float(np.mean(self.exploded))
-
-
-@dataclass(frozen=True)
-class ExactPath:
-    """Closed-form path evaluation with explosion bookkeeping."""
-
-    grid: TimeGrid
-    values: np.ndarray
-    exploded: bool
-    explosion_index: int | None = None
 
 
 @dataclass(frozen=True)
@@ -270,18 +237,6 @@ def _map_blocks(fn, seed: int, n_paths: int, steps: int, dt: float) -> list:
     return results
 
 
-def sample_brownian(grid: TimeGrid, seed: int, path_index: int) -> BrownianPath:
-    """Brownian path for (seed, path_index): increments ~ Normal(0, dt) i.i.d.
-
-    Deterministic: the same arguments always produce the identical path.
-    """
-    if path_index < 0:
-        raise InvalidGrid(f"path_index must be >= 0, got {path_index}")
-    block, row = divmod(int(path_index), BLOCK_SIZE)
-    inc = _block_increments(seed, block, row + 1, grid.steps, grid.dt)[row]
-    return BrownianPath(grid=grid, increments=inc)
-
-
 # --------------------------------------------------------------------------
 # Discretization schemes
 # --------------------------------------------------------------------------
@@ -361,16 +316,6 @@ def _step_terminal(params: ModelParams, dt: float, s0, db, milstein, out=None):
     return s, exploded
 
 
-def _step_paths(params: ModelParams, dt: float, s0, db, milstein: bool):
-    """Advance an array of states through all columns of ``db``.
-
-    Returns (full path matrix including the initial column, exploded mask).
-    """
-    out = np.empty((1, db.shape[0], db.shape[1] + 1))
-    out[..., 0] = s0
-    return out[0], _step_terminal(params, dt, s0, db, (milstein,), out)[1][0]
-
-
 def _check_n_paths(n_paths: int) -> None:
     if n_paths < 1:
         raise InvalidGrid(f"n_paths must be >= 1, got {n_paths}")
@@ -383,7 +328,9 @@ def _simulate(params: ModelParams, grid: TimeGrid, n_paths: int, seed: int,
     exploded = np.zeros(n_paths, dtype=bool)
 
     def block(rows, db):
-        paths[rows], exploded[rows] = _step_paths(params, grid.dt, params.s0, db, milstein)
+        paths[rows, 0] = params.s0
+        exploded[rows] = _step_terminal(params, grid.dt, params.s0, db, (milstein,),
+                                        out=paths[None, rows])[1][0]
 
     _map_blocks(block, seed, n_paths, grid.steps, grid.dt)
     return PathEnsemble(grid=grid, paths=paths, seed=seed, scheme=scheme_name,
@@ -466,28 +413,13 @@ def _exact_rows(params: ModelParams, times: np.ndarray, b: np.ndarray):
 
     A row whose denominator falls to or below ``DEN_TOL_FACTOR*(sigma+c1*s0)``
     is flagged exploded and is NaN from its first crossing onward.  Returns
-    (values, exploded mask, index of each row's first crossing).
+    (values, exploded mask).
     """
     values, den = exact_values(params, times[None, :], b)
     values[:, 0] = params.s0  # t=0, B=0 reduces algebraically to s0
     bad = den <= DEN_TOL_FACTOR * (params.sigma + params.c1 * params.s0)
-    hit = bad.any(axis=1)
-    first = np.argmax(bad, axis=1)
-    if hit.any():
-        col = np.arange(times.size)[None, :]
-        values = np.where(hit[:, None] & (col >= first[:, None]), np.nan, values)
-    return values, hit, first
-
-
-def exact_path(params: ModelParams, bpath: BrownianPath) -> ExactPath:
-    """Closed-form candidate path on the grid of ``bpath``.
-
-    Paths whose denominator falls to or below ``DEN_TOL_FACTOR*(sigma+c1*s0)``
-    are flagged exploded; values from the first crossing onward are NaN.
-    """
-    values, hit, first = _exact_rows(params, bpath.grid.times, bpath.cumulative[None, :])
-    return ExactPath(grid=bpath.grid, values=values[0], exploded=bool(hit[0]),
-                     explosion_index=int(first[0]) if hit[0] else None)
+    values[np.logical_or.accumulate(bad, axis=1)] = np.nan
+    return values, bad.any(axis=1)
 
 
 def simulate_exact(params: ModelParams, grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
@@ -502,7 +434,7 @@ def simulate_exact(params: ModelParams, grid: TimeGrid, n_paths: int, seed: int)
 
     def block(rows, db):
         b = np.concatenate([np.zeros((len(db), 1)), np.cumsum(db, axis=1)], axis=1)
-        paths[rows], exploded[rows], _ = _exact_rows(params, grid.times, b)
+        paths[rows], exploded[rows] = _exact_rows(params, grid.times, b)
 
     _map_blocks(block, seed, n_paths, grid.steps, grid.dt)
     return PathEnsemble(grid=grid, paths=paths, seed=seed, scheme="exact",

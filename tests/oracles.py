@@ -3,8 +3,8 @@
 These deliberately avoid the code paths they check: the OLS oracle works the
 textbook normal equations with explicit loops (p-values via the regularized
 incomplete beta function rather than a t-distribution object), and the
-Black-Scholes oracle evaluates the two normal-CDF terms in 50-digit
-arithmetic with mpmath.  The step-kernel oracle is the one-scheme,
+Black-Scholes oracles evaluate the normal-CDF terms in 50-digit arithmetic
+with mpmath.  The step-kernel oracle is the one-scheme,
 column-at-a-time Euler/Milstein loop that ``vve.sde._step_terminal`` must
 reproduce bit for bit.  The law-solve oracle is the Crank-Nicolson step loop
 that allocates its arrays each step, which ``vve.pricing._solve_law`` must
@@ -65,6 +65,14 @@ def bs_call_mp(s, strike, tau, r, sigma):
         d2 = d1 - sigma * mpmath.sqrt(tau)
         price = s * mpmath.ncdf(d1) - strike * mpmath.exp(-r * tau) * mpmath.ncdf(d2)
         return float(price)
+
+
+def bs_delta_mp(s, strike, tau, r, sigma):
+    """Black-Scholes call delta N(d1) in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        s, strike, tau, r, sigma = map(mpmath.mpf, (s, strike, tau, r, sigma))
+        d1 = (mpmath.log(s / strike) + (r + sigma ** 2 / 2) * tau) / (sigma * mpmath.sqrt(tau))
+        return float(mpmath.ncdf(d1))
 
 
 def step_terminal_reference(params, dt, s0, db, milstein: bool, out=None):

@@ -1,16 +1,17 @@
 """Unit tests for vve.pricing: solution map, inverse, and the three pricers."""
 
-import contextlib
+import json
 import math
 import sys
 import threading
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import bs_call_mp, solve_law_reference
+from oracles import bs_call_mp, bs_delta_mp, solve_law_reference
 from vve.errors import (
     ExplosionRegion,
     InvalidGrid,
@@ -20,7 +21,6 @@ from vve.errors import (
     SigmaZeroUnsupported,
     SingularDelta,
 )
-from vve import pricing
 from vve.model import ModelParams
 from vve.pricing import (
     LAW_NODES_BELOW,
@@ -31,10 +31,10 @@ from vve.pricing import (
     RiskNeutralParams,
     _CandidateMap,
     _formula_quote,
+    _law_quote,
     _map_coefficients,
     _solve_law,
     _terminal_values,
-    bs_delta,
     forward_map,
     greeks_bump,
     inverse_map,
@@ -251,19 +251,21 @@ class TestPriceFormula:
 
 class TestLawMap:
     def test_lognormal_law_at_c1_zero(self):
-        # the law solve itself (price_formula uses the closed form at c1 = 0)
-        law = law_map(RN_GBM, 1.0)
+        # the law solve itself (price_formula uses the closed form at c1 = 0), on one
+        # grid 2000 x 400 and its 2x coarser one, not on the default grids: this bounds
+        # a single grid's price, which a Richardson pair refines (TestRichardsonTable)
+        law = law_map(RN_GBM, 1.0, nodes_below=2000, steps=400)
         log_mean = math.log(100.0) + RN_GBM.gamma
         for x in np.geomspace(20.0, 500.0, 50):
             cdf = norm_cdf(law.inverse(x))  # w = z at tau = 1
             assert abs(cdf - norm_cdf((math.log(x) - log_mean) / 0.2)) < 1e-5
-        coarse = law_map(RN_GBM, 1.0, nodes_below=LAW_NODES_BELOW // 2, steps=LAW_STEPS // 2)
+        coarse = law_map(RN_GBM, 1.0, nodes_below=1000, steps=200)
         for k in (0.0, 60.0, 100.0, 120.0, 160.0):
             opt = OptionSpec(strike=k, maturity=1.0, rate=0.05)
             price = _formula_quote(RN_GBM, opt, 1e-10, law).price
             error = abs(price - price_bs(100.0, k, 1.0, 0.05, 0.2).price)
             assert error < 1e-4
-            # the coarse-grid change (law_error_estimate) covers the true error
+            # the coarse grid's change covers the true error
             if k > 0:
                 assert error <= abs(price - _formula_quote(RN_GBM, opt, 1e-10, coarse).price)
 
@@ -314,7 +316,7 @@ class TestLawSolve:
             solve_law_reference(rn, 1.0, None, 50, 7)
 
     def test_two_solves_at_once_match_reference(self):
-        # the tridiagonal solves drop the GIL; two threads must not share any state
+        # two threads solving at once must not share any state
         cases = [REF_CASES["c1>0"], REF_CASES["r=0"]]
         start, results = threading.Barrier(len(cases)), {}
 
@@ -467,10 +469,10 @@ class TestGreeks:
 
     def test_gbm_delta_matches_analytic(self):
         g = greeks_bump(price_formula, RN_GBM, ATM, ds=0.1, tol=1e-12)
-        assert g["delta"] == pytest.approx(bs_delta(100.0, 100.0, 1.0, 0.05, 0.2), abs=1e-4)
+        assert g["delta"] == pytest.approx(bs_delta_mp(100.0, 100.0, 1.0, 0.05, 0.2), abs=1e-4)
 
     def test_bump_halving_second_order(self):
-        d_true = bs_delta(100.0, 100.0, 1.0, 0.05, 0.2)
+        d_true = bs_delta_mp(100.0, 100.0, 1.0, 0.05, 0.2)
         e1 = abs(greeks_bump(price_formula, RN_GBM, ATM, ds=0.1, tol=1e-12)["delta"] - d_true)
         e2 = abs(greeks_bump(price_formula, RN_GBM, ATM, ds=0.05, tol=1e-12)["delta"] - d_true)
         assert 2.0 < e1 / e2 < 8.0  # ~4x shrink for a second-order scheme
@@ -478,7 +480,7 @@ class TestGreeks:
     @pytest.mark.parametrize("rn", [RN_GBM, RN_VVE], ids=["c1=0", "c1>0"])
     @pytest.mark.parametrize("tol", [None, 1e-6])
     def test_formula_greeks_from_bumped_prices(self, rn, tol):
-        # the bumps reprice without the coarse grid, to the same bits; tol = 1e-6
+        # the bumps reprice without the estimate's grid, to the same bits; tol = 1e-6
         # moves the last bits of these prices, so a dropped tol shows
         kwargs = {} if tol is None else {"tol": tol}
 
@@ -501,29 +503,28 @@ class TestGreeks:
                 greeks_bump(price_formula, rn, ATM, tol=tol)
 
     def test_cold_formula_set_solves_four_laws(self):
-        # after a strip, a set pays one fine-grid law solve per bump, none coarse
+        # a strip pays three law solves (the price's two grids and the estimate's);
+        # after it, a set pays the price's two per bump, and none for the estimate
         rn = RiskNeutralParams(sigma=0.2, c1=1e-3, s0=100.0, r=0.05)
         law_map.cache_clear()
         for k in (90.0, 100.0, 110.0):
             price_formula(rn, OptionSpec(strike=k, maturity=0.5, rate=0.05))
         misses = law_map.cache_info().misses
-        assert misses == 2
+        assert misses == 3
         greeks_bump(price_formula, rn, OptionSpec(strike=100.0, maturity=0.5, rate=0.05))
-        assert law_map.cache_info().misses - misses == 4
+        assert law_map.cache_info().misses - misses == 8
 
-    def test_parallel_solves_keep_serial_bits(self, monkeypatch):
-        # three user threads (more than this pool's two workers), each set's bumps
-        # on the pool: a Greek set twice on one key, and quotes on that key and another
+    def test_parallel_solves_keep_serial_bits(self):
+        # three user threads sharing the law-map cache: a Greek set twice on one key,
+        # and quotes on that key and another, against the same calls in sequence
         rn_b = replace(RN_VVE, c1=1e-3)
         short = OptionSpec(strike=95.0, maturity=0.25, rate=0.05)
         calls = [lambda: greeks_bump(price_formula, RN_VVE, short),
                  lambda: greeks_bump(price_formula, RN_VVE, short),
                  lambda: (price_formula(RN_VVE, short).to_dict(),
                           price_formula(rn_b, short).to_dict())]
-        with monkeypatch.context() as serial:
-            serial.setattr(pricing, "_law_maps_ahead", lambda keys: contextlib.nullcontext())
-            law_map.cache_clear()
-            expected = [call() for call in calls]
+        law_map.cache_clear()
+        expected = [call() for call in calls]
         law_map.cache_clear()
         results = {}
 
@@ -545,14 +546,14 @@ class TestGreeks:
 
     def test_mc_common_random_numbers(self):
         g = greeks_bump(price_mc, RN_GBM, ATM, n_paths=50_000, steps=100, seed=7)
-        assert g["delta"] == pytest.approx(bs_delta(100.0, 100.0, 1.0, 0.05, 0.2), abs=0.02)
+        assert g["delta"] == pytest.approx(bs_delta_mp(100.0, 100.0, 1.0, 0.05, 0.2), abs=0.02)
 
 
-class TestLawSolvesOnPool:
-    """Errors and warnings of formula quotes and Greek sets are a serial run's.
+class TestLawSolveErrors:
+    """Errors and warnings of formula quotes and Greek sets at c1 > 0.
 
-    At r = 600, tau = 1 the law solve overflows: serially, the Greek set stops
-    at its first price, after 201 RuntimeWarnings, with OutOfRange.
+    At r = 600, tau = 1 the law solve overflows: the Greek set stops at its
+    first price with OutOfRange.
     """
 
     RN = RiskNeutralParams(sigma=0.2, c1=1e-3, s0=100.0, r=600.0)
@@ -562,26 +563,12 @@ class TestLawSolvesOnPool:
     def cold(self):
         law_map.cache_clear()
 
-    @pytest.fixture
-    def submitted(self, monkeypatch):
-        """The law-map keys handed to the pool."""
-        keys, ahead = [], pricing._law_maps_ahead
-
-        def spy(new_keys):
-            new_keys = list(new_keys)
-            keys.extend(new_keys)
-            return ahead(new_keys)
-
-        monkeypatch.setattr(pricing, "_law_maps_ahead", spy)
-        return keys
-
-    def test_warnings_as_serial(self):
+    def test_overflow_raises_out_of_range(self):
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
             with pytest.raises(OutOfRange, match="overflowed"):
                 greeks_bump(price_formula, self.RN, self.OPT)
-        assert len(record) == 201
-        assert all(w.category is RuntimeWarning for w in record)
+        assert record and all(w.category is RuntimeWarning for w in record)
 
     def test_ignored_errors_stay_silent(self):
         with warnings.catch_warnings(record=True) as record, np.errstate(all="ignore"):
@@ -594,19 +581,46 @@ class TestLawSolvesOnPool:
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
             price_formula(self.RN, self.OPT)
 
-    def test_invalid_tol_starts_no_solve(self, submitted):
+    def test_invalid_tol_starts_no_solve(self):
         before = law_map.cache_info()
         for call in (lambda: price_formula(RN_VVE, ATM, tol=0.0),
                      lambda: greeks_bump(price_formula, RN_VVE, ATM, tol=math.nan)):
             with pytest.raises(InvalidGrid):
                 call()
-        assert submitted == []
         assert law_map.cache_info() == before
 
-    def test_invalid_bump_submits_nothing(self, submitted):
-        # sigma - dsig < 0: the serial path prices three bumps, then raises
+    def test_invalid_bump_raises(self):
+        # sigma - dsig < 0: the set prices three bumps, then raises
         rn = RiskNeutralParams(sigma=5e-5, c1=1e-3, s0=100.0, r=0.05)
         with pytest.raises(NegativeCoefficient, match="sigma and c1 must be >= 0"):
             greeks_bump(price_formula, rn, OptionSpec(strike=100.0, maturity=0.25, rate=0.05))
-        assert submitted == []
-        assert law_map.cache_info().misses == 4
+        assert law_map.cache_info().misses == 8
+
+
+class TestRichardsonTable:
+    """The law-map price against the committed limits of ``tools/law_richardson_table.py``.
+
+    The limit is the Richardson extrapolation from grids 2000 x 400 and
+    4000 x 800, far finer than the default ones; the table is read, not
+    recomputed.
+    """
+
+    TABLE = json.loads((Path(__file__).parent / "data" / "law_richardson_limits.json").read_text())
+
+    @pytest.mark.parametrize("case", TABLE["cases"],
+                             ids=lambda c: f"c1={c['c1']:g}-tau={c['tau']:g}-K={c['strike']:g}")
+    def test_price_within_1e6_of_limit_and_estimate_covers_error(self, case):
+        t = self.TABLE
+        rn = RiskNeutralParams(sigma=t["sigma"], c1=case["c1"], s0=t["s0"], r=t["r"])
+        quote = price_formula(rn, OptionSpec(strike=case["strike"], maturity=case["tau"],
+                                             rate=t["r"]), tol=t["tol"])
+        error = abs(quote.price - case["limit"])
+        assert error <= 1e-6
+        assert quote.diagnostics["law_error_estimate"] >= error
+
+    @pytest.mark.parametrize("case", TABLE["black_scholes"], ids=lambda c: f"K={c['strike']:g}")
+    def test_law_route_at_c1_zero_matches_black_scholes(self, case):
+        t = self.TABLE
+        rn = RiskNeutralParams(sigma=t["sigma"], c1=0.0, s0=t["s0"], r=t["r"])
+        opt = OptionSpec(strike=case["strike"], maturity=case["tau"], rate=t["r"])
+        assert abs(_law_quote(rn, opt, t["tol"], estimate=True).price - case["price"]) <= 1e-7

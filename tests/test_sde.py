@@ -15,17 +15,13 @@ from vve.model import ModelParams
 from vve.sde import (
     BLOCK_SIZE,
     TILE_ROWS,
-    BrownianPath,
     TimeGrid,
     _block_increments,
     _exact_rows,
-    _step_paths,
     _step_terminal,
     _strong_convergence,
     euler_terminal,
-    exact_path,
     exact_values,
-    sample_brownian,
     simulate_euler,
     simulate_exact,
     simulate_milstein,
@@ -34,6 +30,21 @@ from vve.sde import (
 
 GBM = ModelParams(mu=0.05, sigma=0.2, c1=0.0, s0=100.0)
 VVE = ModelParams(mu=0.05, sigma=0.2, c1=5e-4, s0=100.0)
+
+
+def euler_path(params, dt, db):
+    """One Euler row of ``db`` with every state kept: (path from s0, exploded)."""
+    out = np.empty((1, 1, db.shape[1] + 1))
+    out[..., 0] = params.s0
+    exploded = _step_terminal(params, dt, params.s0, db, (False,), out=out)[1]
+    return out[0, 0], exploded[0, 0]
+
+
+def brownian_values(seed, path, steps, dt):
+    """B at the grid times of one path: 0, then the partial sums of its increments."""
+    block, row = divmod(path, BLOCK_SIZE)
+    increments = _block_increments(seed, block, row + 1, steps, dt)[row]
+    return np.concatenate([[0.0], np.cumsum(increments)])
 
 
 class TestTimeGrid:
@@ -50,29 +61,41 @@ class TestTimeGrid:
 
 
 class TestSampleBrownian:
+    """Brownian increments: path i of a seed is row i % BLOCK_SIZE of its block's matrix."""
+
     def test_determinism(self):
-        grid = TimeGrid(1.0, 64)
-        a = sample_brownian(grid, 42, 0)
-        b = sample_brownian(grid, 42, 0)
-        assert np.array_equal(a.increments, b.increments)
+        a = _block_increments(42, 0, 1, 64, 1.0 / 64)
+        b = _block_increments(42, 0, 1, 64, 1.0 / 64)
+        assert np.array_equal(a, b)
 
     def test_cumulative_starts_at_zero(self):
-        bp = sample_brownian(TimeGrid(1.0, 16), 1, 3)
-        assert bp.cumulative[0] == 0.0
-        np.testing.assert_allclose(bp.cumulative[1:], np.cumsum(bp.increments))
+        # the closed form at c1 = 0 gives back the B it read: 0 at t = 0, then the
+        # partial sums of the path's increments
+        grid = TimeGrid(1.0, 16)
+        paths = simulate_exact(GBM, grid, 4, seed=1).paths
+        gamma = GBM.mu - 0.5 * GBM.sigma ** 2
+        b = (np.log(paths / GBM.s0) - gamma * grid.times) / GBM.sigma
+        assert np.all(b[:, 0] == 0.0)
+        np.testing.assert_allclose(b[:, 1:], np.cumsum(_block_increments(1, 0, 4, 16, grid.dt),
+                                                       axis=1), rtol=0, atol=1e-13)
 
     def test_different_paths_differ(self):
-        grid = TimeGrid(1.0, 16)
-        a = sample_brownian(grid, 7, 0)
-        b = sample_brownian(grid, 7, 1)
-        assert not np.array_equal(a.increments, b.increments)
+        rows = _block_increments(7, 0, 2, 16, 1.0 / 16)
+        assert not np.array_equal(rows[0], rows[1])
+        assert not np.array_equal(rows[0], _block_increments(7, 1, 1, 16, 1.0 / 16)[0])
 
     def test_path_independent_of_how_many_requested(self):
-        # Path i must not depend on how many rows of its block were drawn.
+        # Path i must not depend on how many rows of its block were drawn, nor on
+        # how many paths an ensemble holds: it is a pure function of (seed, i)
         grid = TimeGrid(1.0, 8)
-        solo = sample_brownian(grid, 5, 2).increments
+        solo = _block_increments(5, 0, 3, 8, grid.dt)[2]
         batch = _block_increments(5, 0, 10, 8, grid.dt)[2]
         assert np.array_equal(solo, batch)
+        i = BLOCK_SIZE + 2  # row 2 of block 1
+        b = brownian_values(5, i, 8, grid.dt)
+        for n_paths in (i + 1, i + 10):
+            path = simulate_exact(VVE, grid, n_paths, seed=5).paths[i]
+            assert np.array_equal(path, _exact_rows(VVE, grid.times, b[None, :])[0][0])
 
     def test_terminal_mean_matches_normal_law(self):
         # B_T ~ Normal(0, T): sample mean of 1e5 draws within 4*sqrt(T/n).
@@ -85,10 +108,6 @@ class TestSampleBrownian:
             count += rows
             block += 1
         assert abs(total / n) < 4 * math.sqrt(horizon / n)
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(InvalidGrid):
-            sample_brownian(TimeGrid(1.0, 4), 0, -1)
 
 
 class TestSimulateEuler:
@@ -127,30 +146,30 @@ class TestSimulateEuler:
         # a crafted increment drives the state negative; truncation pins it at 0
         db = np.array([[-1.0, 0.5, 0.5]])
         p = ModelParams(mu=0.0, sigma=5.0, c1=0.0, s0=100.0)
-        out, exploded = _step_paths(p, 1.0, 100.0, db, milstein=False)
-        np.testing.assert_allclose(out[0], [100.0, 0.0, 0.0, 0.0])
-        assert not exploded[0]
+        path, exploded = euler_path(p, 1.0, db)
+        np.testing.assert_allclose(path, [100.0, 0.0, 0.0, 0.0])
+        assert not exploded
 
     def test_overflow_flagged_and_frozen(self):
         # superlinear diffusion squares the state each step until it overflows
         db = np.ones((1, 12))
         p = ModelParams(mu=0.0, sigma=0.1, c1=1.0, s0=100.0)
-        out, exploded = _step_paths(p, 1.0, 100.0, db, milstein=False)
-        assert exploded[0]
-        assert np.all(np.isfinite(out[0]))
-        assert out[0, -1] == out[0, -2]  # every later step overflows too, so the state holds
+        path, exploded = euler_path(p, 1.0, db)
+        assert exploded
+        assert np.all(np.isfinite(path))
+        assert path[-1] == path[-2]  # every later step overflows too, so the state holds
 
     def test_overflowed_path_steps_on(self):
         # the guard discards the overflowing step, not the path: the state holds
         # through that step, and the next one (dB = -1) truncates it to 0
         db = np.array([[1.0] * 8 + [-1.0, 1.0]])
         p = ModelParams(mu=0.0, sigma=0.1, c1=1.0, s0=100.0)
-        out, exploded = _step_paths(p, 1.0, 100.0, db, milstein=False)
-        assert exploded[0]
-        assert out[0, 8] == out[0, 7] > 1e250  # step 8 overflowed and was discarded
-        assert out[0, 9] == out[0, 10] == 0.0
+        path, exploded = euler_path(p, 1.0, db)
+        assert exploded
+        assert path[8] == path[7] > 1e250  # step 8 overflowed and was discarded
+        assert path[9] == path[10] == 0.0
         terminal, flagged = _step_terminal(p, 1.0, 100.0, db, (False,))
-        assert flagged[0, 0] and terminal[0, 0] == 0.0 != out[0, 8]
+        assert flagged[0, 0] and terminal[0, 0] == 0.0 != path[8]
 
     def test_invalid_n_paths(self):
         with pytest.raises(InvalidGrid):
@@ -172,8 +191,7 @@ class TestSimulateMilstein:
         # with c1=0 the correction is 0.5*sigma^2*S*(dB^2 - dt)
         grid = TimeGrid(1.0, 3)
         ens = simulate_milstein(GBM, grid, 5, seed=11)
-        for i in range(5):
-            inc = sample_brownian(grid, 11, i).increments
+        for i, inc in enumerate(_block_increments(11, 0, 5, 3, grid.dt)):
             s = 100.0
             for k in range(3):
                 s = (s + GBM.mu * s * grid.dt + GBM.sigma * s * inc[k]
@@ -186,8 +204,7 @@ class TestSimulateMilstein:
         grid = TimeGrid(1.0, 8)
         eu = simulate_euler(VVE, grid, 6, seed=2).paths
         mi = simulate_milstein(VVE, grid, 6, seed=2).paths
-        for i in range(6):
-            db0 = sample_brownian(grid, 2, i).increments[0]
+        for i, db0 in enumerate(_block_increments(2, 0, 6, 8, grid.dt)[:, 0]):
             s = VVE.s0
             b = s * (VVE.sigma + VVE.c1 * s)
             corr = 0.5 * b * (VVE.sigma + 2 * VVE.c1 * s) * (db0 ** 2 - grid.dt)
@@ -195,45 +212,43 @@ class TestSimulateMilstein:
 
 
 class TestExactPath:
+    """The closed-form candidate: ``exact_values``, ``simulate_exact`` and its rows."""
+
     def test_initial_value_exact(self):
-        bp = sample_brownian(TimeGrid(1.0, 16), 0, 0)
-        assert exact_path(VVE, bp).values[0] == 100.0
+        assert simulate_exact(VVE, TimeGrid(1.0, 16), 1, seed=0).paths[0, 0] == 100.0
 
     def test_gbm_collapse_at_zero_brownian(self):
         # c1=0, B_1=0: S_1 = 100*exp(mu - sigma^2/2) = 100*exp(0.03)
-        grid = TimeGrid(1.0, 2)
-        bp = BrownianPath(grid=grid, increments=np.array([0.7, -0.7]))
-        vals = exact_path(GBM, bp).values
+        vals = exact_values(GBM, [0.0, 0.5, 1.0], np.cumsum([0.0, 0.7, -0.7]))[0]
         assert vals[-1] == pytest.approx(100.0 * math.exp(0.03), rel=1e-12)
 
     def test_gbm_identity_along_path(self):
         grid = TimeGrid(2.0, 128)
-        bp = sample_brownian(grid, 5, 0)
-        vals = exact_path(GBM, bp).values
+        vals = simulate_exact(GBM, grid, 1, seed=5).paths[0]
         gamma = GBM.mu - 0.5 * GBM.sigma ** 2
-        expected = 100.0 * np.exp(gamma * grid.times + GBM.sigma * bp.cumulative)
+        b = brownian_values(5, 0, 128, grid.dt)
+        expected = 100.0 * np.exp(gamma * grid.times + GBM.sigma * b)
         np.testing.assert_allclose(vals, expected, rtol=1e-12)
 
     def test_sigma_zero_unsupported(self):
         p = ModelParams(mu=0.05, sigma=0.0, c1=0.001, s0=100.0)
         with pytest.raises(SigmaZeroUnsupported):
-            exact_path(p, sample_brownian(TimeGrid(1.0, 4), 0, 0))
+            simulate_exact(p, TimeGrid(1.0, 4), 1, seed=0)
 
     def test_gamma_near_zero(self):
         p = ModelParams(mu=0.02, sigma=0.2, c1=0.001, s0=100.0)  # mu = sigma^2/2
         with pytest.raises(SingularDelta):
-            exact_path(p, sample_brownian(TimeGrid(1.0, 4), 0, 0))
+            simulate_exact(p, TimeGrid(1.0, 4), 1, seed=0)
 
     def test_explosion_flagged_and_truncated(self):
         # large upward Brownian move drives the denominator through zero
         p = ModelParams(mu=0.05, sigma=0.2, c1=0.05, s0=100.0)
-        grid = TimeGrid(1.0, 2)
-        bp = BrownianPath(grid=grid, increments=np.array([3.0, 3.0]))
-        ep = exact_path(p, bp)
-        assert ep.exploded
-        assert ep.explosion_index is not None
-        assert np.all(np.isnan(ep.values[ep.explosion_index:]))
-        assert np.all(np.isfinite(ep.values[:ep.explosion_index]))
+        values, exploded = _exact_rows(p, TimeGrid(1.0, 2).times, np.array([[0.0, 3.0, 6.0]]))
+        assert exploded[0]
+        first = int(np.argmax(np.isnan(values[0])))
+        assert first > 0
+        assert np.all(np.isnan(values[0, first:]))
+        assert np.all(np.isfinite(values[0, :first]))
 
     def test_simulate_exact_matches_exact_path(self):
         grid = TimeGrid(1.0, 32)
@@ -243,7 +258,7 @@ class TestExactPath:
             ens = simulate_exact(VVE, grid, n, seed=6)
             assert ens.scheme == "exact"
             for i in rows:
-                vals = exact_path(VVE, sample_brownian(grid, 6, i)).values
+                vals = exact_values(VVE, grid.times, brownian_values(6, i, 32, grid.dt))[0]
                 np.testing.assert_allclose(ens.paths[i], vals, rtol=1e-14)
 
     def test_closed_form_gap_does_not_vanish_for_positive_c1(self):
@@ -251,16 +266,14 @@ class TestExactPath:
         # form is NOT a solution of the SDE.  The gap to Euler on the same
         # Brownian path stays O(1) under an 8x dt refinement instead of
         # shrinking like sqrt(dt).
-        fine = sample_brownian(TimeGrid(1.0, 2 ** 13), 0, 0)
+        fine = _block_increments(0, 0, 1, 2 ** 13, 2.0 ** -13)[0]
         gaps = {}
         for factor in (8, 1):
-            steps = fine.grid.steps // factor
-            bp = BrownianPath(TimeGrid(1.0, steps),
-                              fine.increments.reshape(steps, factor).sum(axis=1))
-            ref = exact_path(VVE, bp).values[-1]
-            eu = _step_paths(VVE, bp.grid.dt, VVE.s0,
-                             bp.increments[None, :], milstein=False)[0][0, -1]
-            gaps[bp.grid.steps] = abs(ref - eu)
+            steps = fine.size // factor
+            inc = fine.reshape(steps, factor).sum(axis=1)
+            ref = exact_values(VVE, 1.0, np.cumsum(inc)[-1])[0]
+            eu = _step_terminal(VVE, 1.0 / steps, VVE.s0, inc[None, :], (False,))[0][0, 0]
+            gaps[steps] = abs(ref - eu)
         assert all(g > 0.1 for g in gaps.values()), gaps
         ratio = gaps[2 ** 13] / gaps[2 ** 10]
         assert 0.25 < ratio < 4.0, (gaps, ratio)
@@ -360,7 +373,7 @@ class TestBlockEngine:
         expected, exploded = [], []
         for _, db in self.serial_blocks(5, self.GRID.steps, self.GRID.dt):
             b = np.concatenate([np.zeros((len(db), 1)), np.cumsum(db, axis=1)], axis=1)
-            values, hit, _ = _exact_rows(p, self.GRID.times, b)
+            values, hit = _exact_rows(p, self.GRID.times, b)
             expected.append(values)
             exploded.append(hit)
         assert np.array_equal(ens.paths, np.concatenate(expected), equal_nan=True)

@@ -74,8 +74,8 @@ COMMANDS = [
     # every path is absorbed at 0 on the finer levels: a zero error, no fitted slope
     ("convergence_zero_error", ["convergence", "--c1", "5", "--levels", "8,16,32"]),
     # law-map formula quotes: a short and a long maturity, a grid top capped near
-    # 1e30 x s0 (c1 s0 = 10), a grid depth beyond the float range (c1 s0 = 100), and
-    # exp(r t) beyond it (r = 800)
+    # 1e30 x s0 (c1 s0 = 10), a grid depth beyond the float range (c1 s0 = 100),
+    # exp(r t) beyond it (r = 800), and a law-map value beyond it (K = 1e308)
     ("price_formula_short", ["price", "--method", "formula", "--c1", "1e-3",
                              "--maturity", "0.25", "--strike", "90"]),
     ("price_formula_long", ["price", "--method", "formula", "--c1", "2e-3",
@@ -86,6 +86,7 @@ COMMANDS = [
                                     "--s0", "1000", "--strike", "1000"]),
     ("error_formula_rate_overflow", ["price", "--method", "formula", "--c1", "1e-3",
                                      "--r", "800"]),
+    ("error_formula_strike_overflow", ["price", "--method", "formula", "--strike", "1e308"]),
     # guard errors: the closed form divides by sigma and by drift - sigma^2/2
     ("error_exact_mu_half_sigma_sq", ["simulate", "--scheme", "exact", "--mu", "0.02"]),
     ("error_formula_r_half_sigma_sq", ["price", "--method", "formula", "--c1", "0",
