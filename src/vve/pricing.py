@@ -12,7 +12,10 @@ Three routes:
   The map is the model's own law map f(z) = F^{-1}(Phi(z)), where F is the
   risk-neutral distribution function of S_T given S_t = x (``law_map``,
   one solve of the model's forward equation).  At c1 = 0 it is the closed
-  form below, which is then the exact lognormal law.
+  form below, which is then the exact lognormal law.  The law map keeps
+  its cubic spline as a table of knots and coefficients and evaluates it
+  in plain Python floats, to the bits of scipy's ``CubicSpline`` at a
+  fraction of the cost of a call into it.
 
 * ``price_mc`` — risk-neutral Monte Carlo via the Euler scheme (not a
   solution map), an independent check on the formula.  The strikes of a
@@ -40,6 +43,7 @@ law solve, the law map and the quadrature) import it at first use, so that
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field, replace
@@ -121,9 +125,12 @@ class OptionQuote:
             raise NegativeCoefficient("price and error_estimate must be >= 0")
 
     def to_dict(self) -> dict:
+        """The quote as a JSON-ready dict; an infinite diagnostic (d at a zero
+        strike) is None, as RFC 8259 JSON has no infinity."""
         return {"price": self.price, "method": self.method,
                 "error_estimate": self.error_estimate,
-                "diagnostics": dict(self.diagnostics)}
+                "diagnostics": {k: None if isinstance(v, float) and not math.isfinite(v) else v
+                                for k, v in self.diagnostics.items()}}
 
 
 # --------------------------------------------------------------------------
@@ -133,7 +140,11 @@ class OptionQuote:
 def _map_coefficients(rn: RiskNeutralParams, t: float) -> tuple[float, float, float]:
     """(a, b, c) with f_t(w) = c * u / (a*u + b), u = exp(sigma*w)."""
     gamma, delta = closed_form_rates(rn.r, rn.sigma, "r")
-    egt = math.exp(gamma * t)
+    try:
+        egt = math.exp(gamma * t)
+    except OverflowError:
+        raise OutOfRange(f"closed form needs exp(gamma t) in float range, got gamma t = "
+                         f"{gamma * t:.6g}") from None
     a = rn.c1 * rn.s0 * ((delta - 1.0) * egt - delta)
     b = rn.sigma + rn.c1 * rn.s0
     c = rn.sigma * rn.s0 * egt
@@ -286,6 +297,11 @@ def _solve_law(rn: RiskNeutralParams, tau: float, s_max: float | None,
     return x, p, h
 
 
+def _float_buffer(a) -> memoryview:
+    """The values of ``a`` in C order as a flat buffer that indexes to Python floats."""
+    return memoryview(np.ascontiguousarray(a, dtype=float)).cast("B").cast("d")
+
+
 class LawMap:
     """The model's law map f(z) = F^{-1}(Phi(z)) for S at t + tau given S_t = s0.
 
@@ -294,6 +310,13 @@ class LawMap:
     cell boundaries, where |z| <= _LAW_Z_TABLE, and log-linear in z beyond.
     It is scaled so that its mean equals the law solve's (exactly conserved)
     mean.  In Brownian units w = z sqrt(tau) the spot sits at w_t = 0.
+
+    The map keeps the spline as its table alone: the knots and each
+    interval's four coefficients, in flat float64 buffers, and the slopes at
+    the two end knots.  ``_spline`` evaluates a cubic of that table in plain
+    Python floats, and the quadrature, the root solve of ``inverse`` and the
+    mean integral all go through it; its values equal scipy's
+    ``CubicSpline.__call__`` bit for bit at a fraction of the call cost.
     """
 
     w_t = 0.0
@@ -311,8 +334,11 @@ class LawMap:
         z, log_x = z[keep], np.log(upper_edge[keep])
         if z.size < 4 or np.any(np.diff(z) <= 0):
             raise OutOfRange("law solve gave no strictly increasing distribution table")
-        self.spline = interpolate.CubicSpline(z, log_x)
-        self.ends = tuple((float(zz), float(yy), float(self.spline(zz, 1)))
+        spline = interpolate.CubicSpline(z, log_x)
+        self._knots = _float_buffer(spline.x)
+        self._coefs = _float_buffer(spline.c.T)  # interval i: c[0..3, i], cubic term first
+        self._last = len(self._knots) - 2
+        self.ends = tuple((float(zz), float(yy), float(spline(zz, 1)))
                           for zz, yy in ((z[0], log_x[0]), (z[-1], log_x[-1])))
         # scale the spline's law to the solve's mean, which the interpolation
         # between cell edges would otherwise shift by O(h^2)
@@ -325,13 +351,30 @@ class LawMap:
         self.grid = {"law_nodes": int(x.size), "law_steps": steps,
                      "law_s_min": float(x[0]), "law_s_max": float(x[-1])}
 
+    def _spline(self, z: float) -> float:
+        """The spline's log price at z in [z0, z1], from its table.
+
+        The interval is the last whose left knot is at or below z, and the
+        last one at the last knot (scipy closes it on the right).  The terms
+        are summed in scipy ``PPoly``'s order, not Horner's, so that the
+        value is ``CubicSpline.__call__``'s bit for bit.
+        """
+        knots, c = self._knots, self._coefs
+        i = min(bisect.bisect_right(knots, z) - 1, self._last)
+        s = z - knots[i]
+        j = 4 * i
+        res = 0.0 + c[j + 3]
+        res = res + c[j + 2] * s
+        res = res + c[j + 1] * (s * s)
+        return res + c[j] * ((s * s) * s)
+
     def _log_price(self, z: float) -> float:
         (z0, y0, m0), (z1, y1, m1) = self.ends
         if z < z0:
             return y0 + m0 * (z - z0)
         if z > z1:
             return y1 + m1 * (z - z1)
-        return float(self.spline(z))
+        return self._spline(z)
 
     def __call__(self, z: float) -> float:
         try:
@@ -340,17 +383,23 @@ class LawMap:
             raise OutOfRange(f"law map value at z = {z:.6g} is beyond float range") from None
 
     def inverse(self, x: float) -> float:
-        """Brownian value w = z sqrt(tau) with f(z) = x."""
+        """Brownian value w = z sqrt(tau) with f(z) = x.
+
+        Raises OutOfRange where x lies on a flat log-linear tail, as at a
+        maturity so short that the table's end slope is 0.
+        """
         target = math.log(x) - self.log_shift
-        (z0, y0, m0), (z1, y1, m1) = self.ends
-        if target <= y0:
-            z = z0 + (target - y0) / m0
-        elif target >= y1:
-            z = z1 + (target - y1) / m1
+        (z0, y0, _), (z1, y1, _) = self.ends
+        if target <= y0 or target >= y1:
+            z_e, y_e, m = self.ends[0 if target <= y0 else 1]
+            if m == 0:
+                raise OutOfRange(f"law map is flat beyond z = {z_e:.6g}: no z with "
+                                 f"f(z) = {x:.6g}")
+            z = z_e + (target - y_e) / m
         else:
             from scipy import optimize
 
-            z = optimize.brentq(lambda v: float(self.spline(v)) - target, z0, z1,
+            z = optimize.brentq(lambda v: self._spline(v) - target, z0, z1,
                                 xtol=1e-14, rtol=8.9e-16, maxiter=200)
         return z * self.sqrt_tau
 
@@ -375,7 +424,8 @@ def law_map(rn: RiskNeutralParams, tau: float, s_max: float | None = None,
     of its ``law_error_estimate``; a ``greeks_bump`` set of it reads the
     first two at each of its five parameter sets.  The cache is safe to
     share between threads; two threads that miss on one key at once each
-    solve it, to the same bits.
+    solve it, to the same bits.  A cached map holds its spline as flat
+    float64 tables (see ``LawMap``), not as a scipy ``CubicSpline``.
     """
     if rn.sigma == 0:
         raise SigmaZeroUnsupported("law map requires sigma > 0")
@@ -606,7 +656,11 @@ def price_bs(s: float, strike: float, tau: float, r: float, sigma: float) -> Opt
         return OptionQuote(price=s, method="black_scholes", error_estimate=0.0,
                            diagnostics={"d1": math.inf, "d2": math.inf})
     sqrt_tau = math.sqrt(tau)
-    d1 = (math.log(s / strike) + (r + 0.5 * sigma ** 2) * tau) / (sigma * sqrt_tau)
+    try:
+        d1 = (math.log(s / strike) + (r + 0.5 * sigma ** 2) * tau) / (sigma * sqrt_tau)
+    except OverflowError:
+        raise OutOfRange(f"Black-Scholes needs sigma^2 in float range, got sigma = "
+                         f"{sigma:.6g}") from None
     d2 = d1 - sigma * sqrt_tau
     price = s * norm_cdf(d1) - strike * math.exp(-r * tau) * norm_cdf(d2)
     return OptionQuote(price=max(price, 0.0), method="black_scholes",

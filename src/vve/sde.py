@@ -73,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGrid, SigmaZeroUnsupported, SingularDelta
+from .errors import InvalidGrid, OutOfRange, SigmaZeroUnsupported, SingularDelta
 from .model import GAMMA_TOL, ModelParams
 
 BLOCK_SIZE = 4096
@@ -377,11 +377,16 @@ def closed_form_rates(drift: float, sigma: float, drift_name: str) -> tuple[floa
 
     The closed form divides by sigma and by gamma: raises
     SigmaZeroUnsupported at sigma = 0 and SingularDelta where
-    |gamma| < GAMMA_TOL.  ``drift_name`` names the drift in the message.
+    |gamma| < GAMMA_TOL, and OutOfRange where sigma^2 is beyond the float
+    range.  ``drift_name`` names the drift in the message.
     """
     if sigma == 0:
         raise SigmaZeroUnsupported("closed form requires sigma > 0")
-    gamma = drift - 0.5 * sigma ** 2
+    try:
+        gamma = drift - 0.5 * sigma ** 2
+    except OverflowError:
+        raise OutOfRange(f"closed form needs sigma^2 in float range, got sigma = "
+                         f"{sigma:.6g}") from None
     if abs(gamma) < GAMMA_TOL:
         raise SingularDelta(f"|{drift_name} - sigma^2/2| = {abs(gamma):.3e} < {GAMMA_TOL}")
     return gamma, drift / gamma
@@ -513,7 +518,8 @@ def _strong_convergence(params: ModelParams, horizon: float, dt_levels, n_paths:
     def block(_, db):
         """Per-scheme, per-level sums of |level terminal - reference| over the block."""
         if reference == "exact":
-            ref = exact_values(params, horizon, db.sum(axis=1))[0]
+            with np.errstate(over="ignore", invalid="ignore"):  # raised below as OutOfRange
+                ref = exact_values(params, horizon, db.sum(axis=1))[0]
         else:
             ref = _step_terminal(params, gen_dt, params.s0, db, milstein)[0]
         sums = np.empty((len(schemes), len(level_steps)))
@@ -528,6 +534,9 @@ def _strong_convergence(params: ModelParams, horizon: float, dt_levels, n_paths:
     for sums in _map_blocks(block, seed, n_paths, gen_steps, gen_dt):
         errors += sums
     errors /= n_paths
+    if not np.isfinite(errors).all():
+        raise OutOfRange(f"strong errors are not finite: the paths or the {reference} "
+                         "reference left the float range")
 
     dts = horizon / np.asarray(level_steps, dtype=float)
     reports = []

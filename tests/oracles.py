@@ -8,7 +8,10 @@ with mpmath.  The step-kernel oracle is the one-scheme,
 column-at-a-time Euler/Milstein loop that ``vve.sde._step_terminal`` must
 reproduce bit for bit.  The law-solve oracle is the Crank-Nicolson step loop
 that allocates its arrays each step, which ``vve.pricing._solve_law`` must
-reproduce bit for bit.
+reproduce bit for bit.  The law-map oracle evaluates the law map through
+scipy's ``CubicSpline.__call__`` and inverts it with ``brentq`` on that
+spline, which ``vve.pricing.LawMap``'s table kernel must reproduce bit for
+bit.
 """
 
 import math
@@ -144,3 +147,65 @@ def solve_law_reference(rn, tau, s_max, nodes_below, steps):
     if not np.all(np.isfinite(p)):
         raise OutOfRange("law solve overflowed; c1 * s0 * tau is too large for its grid")
     return x, p, h
+
+
+class LawMapReference:
+    """The law map of ``vve.pricing.LawMap`` on scipy's ``CubicSpline``.
+
+    Built from a law solve's (x, p, h) as ``LawMap`` builds its table; every
+    evaluation goes through ``CubicSpline.__call__``.
+    """
+
+    def __init__(self, rn, tau, x, p, h):
+        from scipy import integrate, interpolate, special
+        from vve.pricing import _LAW_Z_TABLE
+
+        cdf = np.cumsum(p)
+        survival = np.append(np.cumsum(p[::-1])[::-1][1:], 0.0)
+        upper_edge = x * (2.0 / (1.0 + math.exp(-h)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = np.where(cdf < 0.5, special.ndtri(cdf), -special.ndtri(survival))
+        keep = np.abs(z) <= _LAW_Z_TABLE
+        self.knots, log_x = z[keep], np.log(upper_edge[keep])
+        self.spline = interpolate.CubicSpline(self.knots, log_x)
+        z = self.knots
+        self.ends = [(float(z[i]), float(log_x[i]), float(self.spline(z[i], 1))) for i in (0, -1)]
+        self.sqrt_tau = math.sqrt(tau)
+        self.log_shift = 0.0
+        body = integrate.quad(
+            lambda v: self(v) * math.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi),
+            z[0], z[-1], epsabs=0.0, epsrel=1e-13, limit=400)[0]
+        tails = []
+        for (z_e, y_e, m), upper in zip(self.ends, (False, True)):
+            scale = math.exp(y_e - m * z_e + 0.5 * m * m)
+            cut = m - z_e if upper else z_e - m
+            tails.append(scale * 0.5 * math.erfc(-cut / math.sqrt(2.0)))
+        mean = body + tails[1] + tails[0]
+        self.log_shift = rn.r * tau + math.log(float(np.dot(p, x)) / mean)
+
+    def log_price(self, z):
+        """log f(z) - log_shift: the spline, or its end tangents beyond its knots."""
+        (z0, y0, m0), (z1, y1, m1) = self.ends
+        if z < z0:
+            return y0 + m0 * (z - z0)
+        if z > z1:
+            return y1 + m1 * (z - z1)
+        return float(self.spline(z))
+
+    def __call__(self, z):
+        return math.exp(self.log_shift + self.log_price(z))
+
+    def inverse(self, x):
+        """Brownian value w = z sqrt(tau) with f(z) = x, by brentq on the spline."""
+        from scipy import optimize
+
+        target = math.log(x) - self.log_shift
+        (z0, y0, m0), (z1, y1, m1) = self.ends
+        if target <= y0:
+            z = z0 + (target - y0) / m0
+        elif target >= y1:
+            z = z1 + (target - y1) / m1
+        else:
+            z = optimize.brentq(lambda v: float(self.spline(v)) - target, z0, z1,
+                                xtol=1e-14, rtol=8.9e-16, maxiter=200)
+        return z * self.sqrt_tau

@@ -43,6 +43,14 @@ def read_bytes(path):
     return Path(path).read_bytes()
 
 
+def read_strict_json(path):
+    """The JSON in ``path``; raises ValueError on NaN or Infinity, which RFC 8259 has not."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON (RFC 8259)")
+
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
 class ConfigText(str):
     """Text of a --config file: the test writes it and passes the file's path."""
 
@@ -111,6 +119,11 @@ class TestSimulate:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "singular_delta"
         assert err["message"]
+
+    def test_exact_sigma_squared_overflow_is_json_error(self, tmp_path, capsys):
+        assert main(["simulate", "--scheme", "exact", "--sigma", "1e300",
+                     "--out-dir", str(tmp_path)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "out_of_range"
 
     def test_unknown_scheme(self, tmp_path, capsys):
         assert main(["simulate", "--scheme", "heun", "--out-dir", str(tmp_path)]) == 1
@@ -213,6 +226,12 @@ class TestPrice:
         (["--method", "formula", "--c1", "1e-3", "--r", "800"], "out_of_range"),
         # the law map's value near the strike leaves the float range
         (["--method", "formula", "--strike", "1e308"], "out_of_range"),
+        # so short a maturity leaves the law map flat: no z reaches the strike
+        (["--method", "formula", "--maturity", "1e-100"], "out_of_range"),
+        (["--method", "formula", "--maturity", "1e-300"], "out_of_range"),
+        # sigma^2 leaves the float range
+        (["--method", "bs", "--sigma", "1e300"], "out_of_range"),
+        (["--method", "formula", "--c1", "0", "--sigma", "1e200"], "out_of_range"),
     ])
     def test_input_without_finite_quote_is_json_error(self, tmp_path, capsys, argv, error):
         argv = with_config_files(argv, tmp_path)
@@ -220,6 +239,17 @@ class TestPrice:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == error and err["message"]
         assert not (tmp_path / "price.json").exists()
+
+    def test_zero_strike_infinite_diagnostics_are_null(self, tmp_path):
+        assert main(["price", "--method", "formula,bs", "--strike", "0",
+                     "--out-dir", str(tmp_path)]) == 0
+
+        report = read_strict_json(tmp_path / "price.json")
+        validate(report, "price.json")
+        formula, bs = (report["quotes"][m]["diagnostics"] for m in ("formula", "bs"))
+        assert formula["d"] is None and formula["fT_inv_K"] is None
+        assert bs == {"d1": None, "d2": None}
+        assert report["quotes"]["bs"]["price"] == 100.0
 
     def test_byte_identical_rerun(self, tmp_path):
         argv = ["price", "--method", "formula,mc,bs", "--paths", "5000",
@@ -268,6 +298,19 @@ class TestConvergence:
         for scheme in ("euler", "milstein"):
             assert 0.0 in report[scheme]["strong_errors"]
             assert report[scheme]["fitted_slope"] is None
+
+    @pytest.mark.parametrize("argv", [
+        # the exact reference leaves the float range: NaN errors, which JSON cannot hold
+        ["--mu", "1e300"],
+        ["--horizon", "1e300"],
+        # sigma^2 leaves the float range in the closed form
+        ["--sigma", "1e300"],
+    ])
+    def test_non_finite_errors_are_json_error(self, tmp_path, capsys, argv):
+        argv = ["convergence", "--levels", "4,8", "--paths", "16", *argv]
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "out_of_range"
+        assert not (tmp_path / "convergence.json").exists()
 
     @pytest.mark.parametrize("argv", [
         ["--paths", "0"],
@@ -397,3 +440,66 @@ class TestIngest:
             io.ingest_csv(f)
         with pytest.raises(CsvParseError):
             io.ingest_csv(tmp_path / "nope.csv")
+
+
+class TestFuzzGrid:
+    """Every numeric flag of every command at edge values: a clean run or a JSON error.
+
+    Each float flag gets NaN, +-inf, 0, -1, 1e300 and 1e-300; each int flag
+    gets 0, -1 and 1 (a huge int would allocate).  A command is fuzzed from
+    each base that reaches a different route (each pricing method, the exact
+    and the refined reference, closed-form paths), with small grids so that
+    each run is short.
+    """
+
+    FLOATS = ["nan", "inf", "-inf", "0", "-1", "1e300", "1e-300"]
+    INTS = ["0", "-1", "1"]
+    CSV = ["--csv", "{csv}", "--window", "5"]
+    BASES = {
+        "simulate": [["--paths", "8", "--steps", "8", "--c1", "5e-4"],
+                     ["--paths", "8", "--steps", "8", "--scheme", "exact"]],
+        "calibrate": [CSV],
+        "price": [["--method", "formula"], ["--method", "formula", "--c1", "0"],
+                  ["--method", "mc", "--paths", "64", "--steps", "8"], ["--method", "bs"]],
+        "convergence": [["--levels", "4,8", "--paths", "8"],
+                        ["--levels", "4,8", "--paths", "8", "--c1", "5e-4"]],
+        "hv": [CSV],
+        "regress": [CSV],
+    }
+
+    @classmethod
+    def cases(cls):
+        from vve.cli import COMMANDS, _options
+        for command in COMMANDS:
+            for name, _, typ, _ in _options(command):
+                for value in {float: cls.FLOATS, int: cls.INTS}.get(typ, []):
+                    for base in cls.BASES[command]:
+                        yield command, base, f"--{name.replace('_', '-')}={value}"
+
+    def test_clean_run_or_json_error(self, tmp_path, capsys):
+        csv = tmp_path / "short.csv"
+        csv.write_text("".join((DATA / "vve_synthetic.csv").read_text().splitlines(True)[:41]))
+
+        failures = []
+        for i, (command, base, flag) in enumerate(self.cases()):
+            out = tmp_path / str(i)
+            argv = [command, *(arg.format(csv=csv) for arg in base), flag, "--out-dir", str(out)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    code = main(argv)
+                except Exception as exc:  # noqa: BLE001 - any escape is a failure
+                    failures.append(f"{' '.join(argv[:-2])}: {type(exc).__name__}: {exc}")
+                    continue
+            err = capsys.readouterr().err.strip().splitlines()
+            try:
+                if code == 0:
+                    for path in out.glob("*.json"):
+                        read_strict_json(path)
+                else:
+                    assert code == 1, f"exit {code}"
+                    line = json.loads(err[-1])
+                    assert set(line) == {"error", "message"} and line["message"]
+            except (AssertionError, ValueError, IndexError) as exc:
+                failures.append(f"{' '.join(argv[:-2])}: exit {code}: {exc}")
+        assert not failures, "\n".join(failures)

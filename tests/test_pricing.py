@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import bs_call_mp, bs_delta_mp, solve_law_reference
+from oracles import LawMapReference, bs_call_mp, bs_delta_mp, solve_law_reference
 from vve.errors import (
     ExplosionRegion,
     InvalidGrid,
@@ -273,6 +273,62 @@ class TestLawMap:
         prices = [_formula_quote(RN_VVE, ATM, 1e-10, law_map(RN_VVE, 1.0, s_max)).price
                   for s_max in (3000.0, 10000.0)]
         assert abs(prices[1] - prices[0]) < 1e-4
+
+
+def float_bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestLawMapTable:
+    """The law map's table kernel against ``CubicSpline.__call__``, bit for bit.
+
+    On the default grid and the 2x and 4x coarser ones that a quote reads.
+    """
+
+    @pytest.fixture(scope="class", params=[(RN_VVE, 1.0), (replace(RN_VVE, c1=2e-3), 0.25)],
+                    ids=["c1=5e-4", "c1=2e-3,tau=0.25"])
+    def case(self, request):
+        return request.param
+
+    @pytest.fixture(scope="class", params=[1, 2, 4], ids=["fine", "2x", "4x"])
+    def maps(self, request, case):
+        rn, tau = case
+        grid = (LAW_NODES_BELOW // request.param, LAW_STEPS // request.param)
+        reference = LawMapReference(rn, tau, *_solve_law(rn, tau, None, *grid))
+        return law_map(rn, tau, None, *grid), reference
+
+    def test_log_price_matches_cubic_spline(self, maps):
+        law, ref = maps
+        knots = ref.knots.tolist()
+        assert float_bits(law._knots) == float_bits(knots)
+        mids = [0.5 * (a + b) for a, b in zip(knots, knots[1:])]
+        rng = np.random.default_rng(12)
+        inside = rng.uniform(knots[0], knots[-1], 4000).tolist()
+        beyond = [knots[0] - 1.0, knots[0] - 1e-9, knots[-1] + 1e-9, knots[-1] + 1.0]
+        for zs in (knots, [knots[-1]], mids, inside, beyond):
+            assert float_bits([law._log_price(z) for z in zs]) == \
+                float_bits([ref.log_price(z) for z in zs])
+        assert law.log_shift == ref.log_shift
+        zs = inside[:500] + knots[::10]
+        assert float_bits([law(z) for z in zs]) == float_bits([ref(z) for z in zs])
+
+    def test_inverse_matches_brentq_on_cubic_spline(self, maps):
+        law, ref = maps
+        prices = np.geomspace(law(ref.knots[0] - 0.5), law(ref.knots[-1] + 0.5), 301).tolist()
+        prices += [law(z) for z in ref.knots[::25].tolist()]
+        assert float_bits([law.inverse(x) for x in prices]) == \
+            float_bits([ref.inverse(x) for x in prices])
+
+    def test_cached_map_holds_no_spline(self):
+        from scipy.interpolate import PPoly
+
+        law = law_map(RN_VVE, 1.0)
+        assert law_map(RN_VVE, 1.0) is law
+        held = list(vars(law).values())
+        held += [v for value in held if isinstance(value, (tuple, dict))
+                 for v in (value.values() if isinstance(value, dict) else value)]
+        assert not any(isinstance(value, PPoly) for value in held)
+        assert isinstance(law._knots, memoryview) and isinstance(law._coefs, memoryview)
 
 
 REF_CASES = {

@@ -87,6 +87,14 @@ COMMANDS = [
     ("error_formula_rate_overflow", ["price", "--method", "formula", "--c1", "1e-3",
                                      "--r", "800"]),
     ("error_formula_strike_overflow", ["price", "--method", "formula", "--strike", "1e308"]),
+    # so short a maturity leaves the law map flat: its end slopes are 0
+    ("error_formula_tiny_maturity", ["price", "--method", "formula", "--maturity", "1e-100"]),
+    # a zero strike: d, fT_inv_K, d1 and d2 are infinite, written as null
+    ("price_zero_strike", ["price", "--method", "formula,bs", "--strike", "0"]),
+    # sigma^2 beyond the float range, and an exact reference that leaves it
+    ("error_bs_sigma_overflow", ["price", "--method", "bs", "--sigma", "1e300"]),
+    ("error_convergence_overflow", ["convergence", "--mu", "1e300", "--levels", "8,16",
+                                    "--paths", "64"]),
     # guard errors: the closed form divides by sigma and by drift - sigma^2/2
     ("error_exact_mu_half_sigma_sq", ["simulate", "--scheme", "exact", "--mu", "0.02"]),
     ("error_formula_r_half_sigma_sq", ["price", "--method", "formula", "--c1", "0",
