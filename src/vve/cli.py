@@ -221,7 +221,7 @@ def cmd_price(cfg: dict) -> list[str]:
     }
     json_file = _out(cfg, "price.json")
     io.write_json(json_file, report)
-    print(json.dumps(io._round12(report), indent=2, sort_keys=True))
+    print(io.dumps(report))
     return [str(json_file)]
 
 
@@ -266,7 +266,7 @@ def cmd_regress(cfg: dict) -> list[str]:
     report = calibration.ols_fit(series.closes[window:], vols.vols)
     json_file = _out(cfg, "regress.json")
     io.write_json(json_file, report.to_dict())
-    print(json.dumps(io._round12(report.to_dict()), indent=2, sort_keys=True))
+    print(io.dumps(report.to_dict()))
     return [str(json_file)]
 
 
@@ -285,7 +285,7 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(args.command, args)
         if args.show_config:
-            print(json.dumps(io._round12(cfg), indent=2, sort_keys=True))
+            print(io.dumps(cfg))
             return 0
         written = HANDLERS[args.command](cfg)
         for path in written:

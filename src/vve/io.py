@@ -41,8 +41,13 @@ def _round12(obj):
     return obj
 
 
+def dumps(obj) -> str:
+    """``obj`` as the reports' JSON text: 12 significant digits, sorted keys."""
+    return json.dumps(_round12(obj), indent=2, sort_keys=True)
+
+
 def write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(_round12(obj), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(dumps(obj) + "\n")
 
 
 def write_csv(path, header, rows) -> None:

@@ -636,8 +636,12 @@ def price_mc(rn: RiskNeutralParams, opt: OptionSpec, n_paths: int, steps: int,
     params = ModelParams(mu=rn.r, sigma=rn.sigma, c1=rn.c1, s0=rn.s0)
     terminal, exploded_fraction = _terminal_values(params, tau, steps, n_paths, seed)
     payoffs = np.maximum(terminal - opt.strike, 0.0)
-    mean = float(payoffs.mean())
-    se = float(payoffs.std(ddof=1) / math.sqrt(n_paths))
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below as OutOfRange
+        mean = float(payoffs.mean())
+        se = float(payoffs.std(ddof=1) / math.sqrt(n_paths))
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise OutOfRange(f"Monte Carlo payoffs have no finite spread (mean {mean:.6g}, "
+                         f"standard error {se:.6g}): they leave the float range")
     return OptionQuote(price=disc * mean, method="monte_carlo",
                        error_estimate=disc * se,
                        diagnostics={"nodes_or_paths": n_paths, "steps": steps,

@@ -31,21 +31,21 @@ Block engine
 ------------
 ``_map_blocks(fn, seed, n_paths, steps, dt)`` is the one place an ensemble
 draws its increments.  Each block's work (the Philox fill, then
-``fn(row slice, increments)``) runs on a module-level thread pool of
-``min(usable CPUs, 2)`` workers, created, together with the
-``concurrent.futures`` import, at the first call; ``fn``'s results come back
-in block order.  Two workers let one block's fill overlap another block's
-steps; the steps hold the GIL between their small numpy calls, so a third
-worker would mostly add a buffer.  Block functions write disjoint row slices
-of the caller's arrays or return per-block sums that the caller adds in block
-order, so no bit depends on the number of threads.  A block function never
-submits work to the pool.
+``fn(row slice, increments)``) runs on a thread pool of
+``k = min(usable CPUs, 2, blocks)`` workers that the call makes for itself
+(``concurrent.futures`` is imported at the first call) and whose threads it
+joins before it returns, so no thread outlives a call; ``fn``'s results
+come back in block order.  Two workers let one block's fill overlap another
+block's steps; the steps hold the GIL between their small numpy calls, so a
+third worker would mostly add a buffer.  Block functions write disjoint row
+slices of the caller's arrays or return per-block sums that the caller adds
+in block order, so no bit depends on the number of threads.
 
-Memory: the calling thread allocates ``k = min(workers, blocks)`` increment
-buffers of ``min(BLOCK_SIZE, n_paths) x steps`` once per call; block ``i``
-fills buffer ``i % k`` in place, and at most ``k`` blocks are in flight.
-Workers allocate no block of their own, so the peak stays one buffer per
-block in flight and freed blocks do not pile up in per-thread malloc arenas.
+Memory: the calling thread allocates ``k`` increment buffers of
+``min(BLOCK_SIZE, n_paths) x steps`` once per call; block ``i`` fills buffer
+``i % k`` in place, and at most ``k`` blocks are in flight.  Workers
+allocate no block of their own, so the peak stays one buffer per block in
+flight and freed blocks do not pile up in per-thread malloc arenas.
 
 Step kernel
 -----------
@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,50 +169,24 @@ def _block_increments(seed: int, block: int, rows: int, steps: int, dt: float) -
     return _fill_increments(seed, block, np.empty((rows, steps)), dt)
 
 
-_pool = None  # (ThreadPoolExecutor, its number of workers), made at first use
-_pool_lock = threading.Lock()
-
-
-def _block_pool():
-    """The block engine's thread pool and its number of workers."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            try:
-                cpus = len(os.sched_getaffinity(0))
-            except AttributeError:  # no affinity on this platform
-                cpus = os.cpu_count() or 1
-            workers = min(cpus, 2)
-            _pool = (ThreadPoolExecutor(max_workers=workers, thread_name_prefix="vve-block"),
-                     workers)
-        return _pool
-
-
-def _forget_pool():
-    # a forked child inherits the pool object and lock but none of the threads
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _map_blocks(fn, seed: int, n_paths: int, steps: int, dt: float) -> list:
-    """``fn(row slice, increments)`` for each block of ``n_paths`` paths, on the pool.
+    """``fn(row slice, increments)`` for each block of ``n_paths`` paths, on a thread pool.
 
-    Returns ``fn``'s results in block order.  The increments passed to ``fn``
-    live in a buffer that the next block using it refills, so ``fn`` must copy
-    out what it keeps.  If a block raises, the blocks not yet started are
-    cancelled, the running ones are waited for, and the exception propagates.
+    The pool has ``k = min(usable CPUs, 2, blocks)`` workers, is made for
+    this call and its threads are joined before the call returns.  Returns
+    ``fn``'s results in block order.  The increments passed to ``fn`` live in
+    one of ``k`` buffers that the next block using it refills, so ``fn`` must
+    copy out what it keeps.  If a block raises, the at most ``k`` blocks in
+    flight are waited for and the exception propagates.
     """
-    from concurrent.futures import wait
+    from concurrent.futures import ThreadPoolExecutor
 
-    pool, workers = _block_pool()
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        cpus = os.cpu_count() or 1
     n_blocks = -(-n_paths // BLOCK_SIZE)
-    k = min(workers, n_blocks)
+    k = min(cpus, 2, n_blocks)
     bufs = [np.empty((min(BLOCK_SIZE, n_paths), steps)) for _ in range(k)]
 
     def work(block):
@@ -223,17 +196,13 @@ def _map_blocks(fn, seed: int, n_paths: int, steps: int, dt: float) -> list:
         return fn(slice(start, start + rows), db)
 
     results, in_flight = [], []
-    try:
+    with ThreadPoolExecutor(max_workers=k, thread_name_prefix="vve-block") as pool:
         for block in range(n_blocks):
             if len(in_flight) == k:
                 results.append(in_flight.pop(0).result())
             in_flight.append(pool.submit(work, block))
         while in_flight:
             results.append(in_flight.pop(0).result())
-    finally:
-        for future in in_flight:
-            future.cancel()
-        wait(in_flight)
     return results
 
 
@@ -416,13 +385,15 @@ def exact_values(params: ModelParams, t, b):
 def _exact_rows(params: ModelParams, times: np.ndarray, b: np.ndarray):
     """Closed-form paths at ``times`` for each row of Brownian values ``b``.
 
-    A row whose denominator falls to or below ``DEN_TOL_FACTOR*(sigma+c1*s0)``
-    is flagged exploded and is NaN from its first crossing onward.  Returns
-    (values, exploded mask).
+    A row whose denominator falls to or below ``DEN_TOL_FACTOR*(sigma+c1*s0)``,
+    or is NaN, is flagged exploded and is NaN from its first crossing onward.
+    Returns (values, exploded mask).
     """
-    values, den = exact_values(params, times[None, :], b)
+    with np.errstate(over="ignore", invalid="ignore"):  # flagged below
+        values, den = exact_values(params, times[None, :], b)
     values[:, 0] = params.s0  # t=0, B=0 reduces algebraically to s0
-    bad = den <= DEN_TOL_FACTOR * (params.sigma + params.c1 * params.s0)
+    # a NaN denominator (an overflowing exponential times zero) is flagged too
+    bad = ~(den > DEN_TOL_FACTOR * (params.sigma + params.c1 * params.s0))
     values[np.logical_or.accumulate(bad, axis=1)] = np.nan
     return values, bad.any(axis=1)
 

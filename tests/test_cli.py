@@ -443,7 +443,8 @@ class TestIngest:
 
 
 class TestFuzzGrid:
-    """Every numeric flag of every command at edge values: a clean run or a JSON error.
+    """Every numeric flag of every command at edge values: a clean run or a JSON error,
+    with no ``RuntimeWarning`` on the way.
 
     Each float flag gets NaN, +-inf, 0, -1, 1e300 and 1e-300; each int flag
     gets 0, -1 and 1 (a huge int would allocate).  A command is fuzzed from
@@ -484,13 +485,15 @@ class TestFuzzGrid:
         for i, (command, base, flag) in enumerate(self.cases()):
             out = tmp_path / str(i)
             argv = [command, *(arg.format(csv=csv) for arg in base), flag, "--out-dir", str(out)]
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 try:
                     code = main(argv)
                 except Exception as exc:  # noqa: BLE001 - any escape is a failure
                     failures.append(f"{' '.join(argv[:-2])}: {type(exc).__name__}: {exc}")
                     continue
+            failures += [f"{' '.join(argv[:-2])}: RuntimeWarning: {w.message}"
+                         for w in caught if issubclass(w.category, RuntimeWarning)]
             err = capsys.readouterr().err.strip().splitlines()
             try:
                 if code == 0:

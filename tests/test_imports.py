@@ -3,8 +3,8 @@
 ``import vve`` and the commands that need no scipy (hv, simulate,
 convergence) load none of it; calibrate and regress load scipy.special for
 their p-values, never scipy.stats.  ``import vve`` also starts no thread and
-does not load ``concurrent.futures``: the Monte Carlo thread pool is made at
-first use.  Each check runs in a fresh interpreter, since this test process
+does not load ``concurrent.futures``: the block engine's thread pool is made
+per call.  Each check runs in a fresh interpreter, since this test process
 has imported scipy long before.
 """
 

@@ -5,6 +5,7 @@ import os
 import signal
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -250,6 +251,17 @@ class TestExactPath:
         assert np.all(np.isnan(values[0, first:]))
         assert np.all(np.isfinite(values[0, :first]))
 
+    @pytest.mark.parametrize("mu,horizon", [(1e300, 1.0), (0.05, 1e300)])
+    def test_overflowing_exponential_flagged_without_warning(self, mu, horizon):
+        # at c1 = 0 an overflowing exp(gamma t + sigma B) makes the denominator 0 * inf = NaN
+        p = ModelParams(mu=mu, sigma=0.2, c1=0.0, s0=100.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ens = simulate_exact(p, TimeGrid(horizon, 8), 8, seed=0)
+        assert ens.exploded.all()
+        assert np.all(ens.paths[:, 0] == 100.0)
+        assert np.all(np.isnan(ens.paths[:, 1:]))
+
     def test_simulate_exact_matches_exact_path(self):
         grid = TimeGrid(1.0, 32)
         # BLOCK_SIZE + 3 paths cross a block seam: check the rows around it
@@ -418,7 +430,7 @@ class TestBlockEngine:
         assert np.array_equal(euler_terminal(VVE, 1.0, 16, self.N, seed=7)[0], before)
 
     def test_concurrent_callers_get_sequential_bits(self):
-        # more callers than cores, and frequent thread switches, share the one pool
+        # more callers than cores, each with its own pool, and frequent thread switches
         n, seeds = 3 * BLOCK_SIZE + 5, (8, 9, 10, 11)
         sequential = [euler_terminal(VVE, 1.0, 32, n, seed)[0] for seed in seeds]
         results = [None] * len(seeds)
@@ -444,15 +456,21 @@ class TestBlockEngine:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_gets_its_own_pool(self):
-        # the child inherits the parent's pool object but none of its threads
+        # a child forked after the parent ran blocks on threads makes and joins its own
         expected = euler_terminal(VVE, 1.0, 16, self.N, seed=12)[0]
         pid = os.fork()
         if pid == 0:
-            signal.alarm(60)  # a child waiting on the parent's threads dies here
+            signal.alarm(60)  # a child that hangs dies here
             same = np.array_equal(euler_terminal(VVE, 1.0, 16, self.N, seed=12)[0], expected)
             os._exit(0 if same else 1)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_call_leaves_no_thread_behind(self):
+        before = threading.active_count()
+        euler_terminal(VVE, 1.0, 16, self.N, seed=13)
+        assert threading.active_count() == before
+        assert not [t for t in threading.enumerate() if t.name.startswith("vve-block")]
 
     def test_scheme_list_validation(self):
         for scheme in ([], ["euler", "heun"]):

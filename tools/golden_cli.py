@@ -7,10 +7,13 @@ a temporary directory (no worktree, no checkout change), runs a fixed list of
 ``vve`` commands from that tree and from this working tree, and compares every
 output file, stdout, stderr and exit code.  The config files that some
 commands read are written to the same temporary directory, which ``{tmp}`` in
-a command names.  Output directories are written as
-``<out>`` in stdout and stderr before the comparison.  Prints one line per
-command and each difference; exits 1 if any command differs.  Uses the
-standard library only.
+a command names.  Before the comparison, stdout and stderr name the output
+directory ``<out>`` and the tree the command ran from ``<tree>``, and a line
+number in a ``vve`` source file (``<tree>/src/vve/sde.py:403`` in a numpy
+warning, ``line 403`` in a traceback) reads ``<line>``, so that a warning
+raised by the same code, moved within its file, compares equal.  Prints one
+line per command and each difference; exits 1 if any command differs.  Uses
+the standard library only.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import argparse
 import io
 import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -95,6 +99,12 @@ COMMANDS = [
     ("error_bs_sigma_overflow", ["price", "--method", "bs", "--sigma", "1e300"]),
     ("error_convergence_overflow", ["convergence", "--mu", "1e300", "--levels", "8,16",
                                     "--paths", "64"]),
+    # closed-form paths whose exponential overflows (a NaN denominator), and Monte
+    # Carlo payoffs whose spread overflows
+    ("simulate_exact_overflow", ["simulate", "--scheme", "exact", "--mu", "1e300",
+                                 "--paths", "8", "--steps", "8"]),
+    ("error_mc_overflow", ["price", "--method", "mc", "--paths", "64", "--steps", "8",
+                           "--r", "1e300"]),
     # guard errors: the closed form divides by sigma and by drift - sigma^2/2
     ("error_exact_mu_half_sigma_sq", ["simulate", "--scheme", "exact", "--mu", "0.02"]),
     ("error_formula_r_half_sigma_sq", ["price", "--method", "formula", "--c1", "0",
@@ -117,16 +127,26 @@ def extract(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
+#: a line number in a vve source file, as a warning (``:403:``) or a traceback
+#: (``", line 403``) gives it
+VVE_LINE = re.compile(rb'(<tree>/src/vve/[^\s:"]+\.py)(:|", line )\d+')
+
+
+def neutral(text: bytes, tree: Path, out: Path) -> bytes:
+    """``text`` with the output directory, the tree and vve line numbers as markers."""
+    text = text.replace(str(out).encode(), b"<out>").replace(str(tree).encode(), b"<tree>")
+    return VVE_LINE.sub(rb"\1\2<line>", text)
+
+
 def run(tree: Path, argv: list[str], out: Path, tmp: str) -> dict[str, bytes]:
     """Run one command from ``tree``; return its outputs keyed by name."""
     argv = [arg.format(tmp=tmp) for arg in argv]
     proc = subprocess.run([sys.executable, "-m", "vve.cli", *argv, "--out-dir", str(out)],
                           cwd=tree, env=dict(os.environ, PYTHONPATH=str(tree / "src")),
                           capture_output=True)
-    mark = str(out).encode()
     result = {"exit code": str(proc.returncode).encode(),
-              "stdout": proc.stdout.replace(mark, b"<out>"),
-              "stderr": proc.stderr.replace(mark, b"<out>")}
+              "stdout": neutral(proc.stdout, tree, out),
+              "stderr": neutral(proc.stderr, tree, out)}
     if out.is_dir():
         result.update({f"file {p.name}": p.read_bytes() for p in sorted(out.iterdir())})
     return result
