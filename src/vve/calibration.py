@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -80,15 +80,8 @@ class RegressionReport:
     exact_fit: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "p_slope": self.p_slope,
-            "p_intercept": self.p_intercept,
-            "r_squared": self.r_squared,
-            "pearson_corr": self.pearson_corr,
-            "n_points": self.n_points,
-        }
+        """The seven statistics by field name; ``exact_fit`` is not reported."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "exact_fit"}
 
 
 @dataclass
@@ -197,8 +190,6 @@ def estimate_drift(series: MarketSeries,
     """
     _check_trading_days(trading_days_per_year)
     r = log_returns(series)
-    if len(r) < 1:
-        raise SeriesTooShort("need at least 2 observations")
     var = float(np.var(r, ddof=1)) if len(r) > 1 else 0.0
     return float(np.mean(r)) * trading_days_per_year + 0.5 * var * trading_days_per_year
 

@@ -2,8 +2,9 @@
 
 Subcommands: simulate | calibrate | price | convergence | hv | regress.
 
-Each command's options are declared once, in ``COMMANDS``, as (name,
-default, help); a flag's type is its default's (``str`` for None).
+Each command is declared once, in ``COMMANDS``: its help, its options as
+(name, default, help) and its handler; a flag's type is its default's
+(``str`` for None).
 Configuration precedence: CLI flags > config file (--config, JSON; the
 command's section, then flat keys) > built-in defaults.  ``--show-config``
 prints the merged configuration and exits.  The only environment variable
@@ -18,6 +19,7 @@ error occurred.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -26,53 +28,6 @@ from pathlib import Path
 from . import calibration, io, pricing, sde
 from .errors import InvalidGrid, VveError
 from .model import validate_params
-
-_CSV_OPTIONS = [
-    ("csv", None, "input CSV (date,close)"),
-    ("window", 30, "rolling volatility window in trading days"),
-    ("trading_days", 252, "trading days per year"),
-]
-_PATH_OPTIONS = [
-    ("mu", 0.05, "drift, per year"),
-    ("sigma", 0.2, "base volatility"),
-    ("c1", 0.0, "volatility-per-price coefficient"),
-    ("s0", 100.0, "initial price"),
-    ("horizon", 1.0, "horizon in years"),
-    ("paths", 1000, "number of paths"),
-    ("seed", 0, "random seed"),
-]
-
-#: command -> (help, [(option, default, help)])
-COMMANDS = {
-    "simulate": ("simulate price paths", [
-        *_PATH_OPTIONS,
-        ("steps", 252, "time steps"),
-        ("scheme", "euler", "euler | milstein | exact"),
-    ]),
-    "calibrate": ("calibrate (sigma, c1) from a close-price CSV", _CSV_OPTIONS),
-    "price": ("price a European call", [
-        ("method", "formula,mc", "comma list of formula,mc,bs"),
-        ("sigma", 0.2, "base volatility"),
-        ("c1", 0.0001, "volatility-per-price coefficient"),
-        ("s0", 100.0, "spot price"),
-        ("r", 0.05, "risk-free rate"),
-        ("strike", 100.0, "strike price"),
-        ("maturity", 1.0, "maturity in years"),
-        ("t", 0.0, "valuation time in years"),
-        ("paths", 100000, "Monte Carlo paths"),
-        ("steps", 500, "Monte Carlo time steps"),
-        ("seed", 0, "random seed"),
-        ("tol", 1e-10, "quadrature absolute tolerance"),
-    ]),
-    "convergence": ("strong-convergence study", [
-        *_PATH_OPTIONS,
-        ("levels", "64,128,256,512,1024,2048", "comma list of step counts, coarse to fine"),
-        ("scheme", "euler,milstein", "comma list of euler,milstein"),
-        ("reference", "auto", "exact | refined | auto"),
-    ]),
-    "hv": ("rolling historical volatility from a close-price CSV", _CSV_OPTIONS),
-    "regress": ("volatility-on-price regression report from a CSV", _CSV_OPTIONS),
-}
 
 
 def _options(command: str) -> list[tuple[str, object, type, str]]:
@@ -87,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="vve",
         description="Variable-volatility-elasticity model: simulate, calibrate, price.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, _) in COMMANDS.items():
+    for command, (help_text, _, _) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--show-config", action="store_true",
@@ -167,8 +122,7 @@ def cmd_calibrate(cfg: dict) -> list[str]:
     result = calibration.calibrate_vve(series, window, cfg["trading_days"])
     vols = calibration.rolling_hv(series, window, cfg["trading_days"])
     report = {
-        "params": {"mu": result.params.mu, "sigma": result.params.sigma,
-                   "c1": result.params.c1, "s0": result.params.s0},
+        "params": dataclasses.asdict(result.params),
         "regression": result.report.to_dict(),
         "warnings": result.warnings,
         "window": window,
@@ -270,13 +224,52 @@ def cmd_regress(cfg: dict) -> list[str]:
     return [str(json_file)]
 
 
-HANDLERS = {
-    "simulate": cmd_simulate,
-    "calibrate": cmd_calibrate,
-    "price": cmd_price,
-    "convergence": cmd_convergence,
-    "hv": cmd_hv,
-    "regress": cmd_regress,
+_CSV_OPTIONS = [
+    ("csv", None, "input CSV (date,close)"),
+    ("window", 30, "rolling volatility window in trading days"),
+    ("trading_days", 252, "trading days per year"),
+]
+_PATH_OPTIONS = [
+    ("mu", 0.05, "drift, per year"),
+    ("sigma", 0.2, "base volatility"),
+    ("c1", 0.0, "volatility-per-price coefficient"),
+    ("s0", 100.0, "initial price"),
+    ("horizon", 1.0, "horizon in years"),
+    ("paths", 1000, "number of paths"),
+    ("seed", 0, "random seed"),
+]
+
+#: command -> (help, [(option, default, help)], handler)
+COMMANDS = {
+    "simulate": ("simulate price paths", [
+        *_PATH_OPTIONS,
+        ("steps", 252, "time steps"),
+        ("scheme", "euler", "euler | milstein | exact"),
+    ], cmd_simulate),
+    "calibrate": ("calibrate (sigma, c1) from a close-price CSV", _CSV_OPTIONS, cmd_calibrate),
+    "price": ("price a European call", [
+        ("method", "formula,mc", "comma list of formula,mc,bs"),
+        ("sigma", 0.2, "base volatility"),
+        ("c1", 0.0001, "volatility-per-price coefficient"),
+        ("s0", 100.0, "spot price"),
+        ("r", 0.05, "risk-free rate"),
+        ("strike", 100.0, "strike price"),
+        ("maturity", 1.0, "maturity in years"),
+        ("t", 0.0, "valuation time in years"),
+        ("paths", 100000, "Monte Carlo paths"),
+        ("steps", 500, "Monte Carlo time steps"),
+        ("seed", 0, "random seed"),
+        ("tol", 1e-10, "quadrature absolute tolerance"),
+    ], cmd_price),
+    "convergence": ("strong-convergence study", [
+        *_PATH_OPTIONS,
+        ("levels", "64,128,256,512,1024,2048", "comma list of step counts, coarse to fine"),
+        ("scheme", "euler,milstein", "comma list of euler,milstein"),
+        ("reference", "auto", "exact | refined | auto"),
+    ], cmd_convergence),
+    "hv": ("rolling historical volatility from a close-price CSV", _CSV_OPTIONS, cmd_hv),
+    "regress": ("volatility-on-price regression report from a CSV", _CSV_OPTIONS,
+                cmd_regress),
 }
 
 
@@ -287,7 +280,7 @@ def main(argv=None) -> int:
         if args.show_config:
             print(io.dumps(cfg))
             return 0
-        written = HANDLERS[args.command](cfg)
+        written = COMMANDS[args.command][2](cfg)
         for path in written:
             print(f"wrote {path}", file=sys.stderr)
         return 0

@@ -50,7 +50,9 @@ class ModelParams:
     s0: float
 
     def __post_init__(self):
-        _check(self.mu, self.sigma, self.c1, self.s0)
+        check_coefficients(self.mu, self.sigma, self.c1, self.s0)
+        if self.sigma == 0 and self.c1 == 0:
+            raise DegenerateDiffusion("sigma = c1 = 0 leaves a risk-free asset, not a risk asset")
 
 
 def require_finite(*values) -> None:
@@ -59,14 +61,13 @@ def require_finite(*values) -> None:
         raise NegativeCoefficient("parameters must be finite numbers")
 
 
-def _check(mu, sigma, c1, s0):
-    require_finite(mu, sigma, c1, s0)
+def check_coefficients(drift, sigma, c1, s0) -> None:
+    """Raise unless all four are finite, s0 > 0 and sigma, c1 >= 0."""
+    require_finite(drift, sigma, c1, s0)
     if s0 <= 0:
         raise NonPositiveSpot(f"s0 must be > 0, got {s0}")
     if sigma < 0 or c1 < 0:
         raise NegativeCoefficient(f"sigma and c1 must be >= 0, got sigma={sigma}, c1={c1}")
-    if sigma == 0 and c1 == 0:
-        raise DegenerateDiffusion("sigma = c1 = 0 leaves a risk-free asset, not a risk asset")
 
 
 def validate_params(mu: float, sigma: float, c1: float, s0: float) -> ModelParams:
@@ -78,11 +79,17 @@ def validate_params(mu: float, sigma: float, c1: float, s0: float) -> ModelParam
     return ModelParams(float(mu), float(sigma), float(c1), float(s0))
 
 
-def volatility(params: ModelParams, s):
-    """Volatility level sigma + c1 * s.  Accepts scalar or array s >= 0."""
+def _prices(s) -> np.ndarray:
+    """``s`` as a float array; raises NegativePrice if any price is below 0."""
     s = np.asarray(s, dtype=float)
     if np.any(s < 0):
         raise NegativePrice("price must be >= 0")
+    return s
+
+
+def volatility(params: ModelParams, s):
+    """Volatility level sigma + c1 * s.  Accepts scalar or array s >= 0."""
+    s = _prices(s)
     out = params.sigma + params.c1 * s
     return float(out) if out.ndim == 0 else out
 
@@ -92,9 +99,7 @@ def elasticity(params: ModelParams, s):
 
     Equals 0 identically when c1 = 0 and 1 identically when sigma = 0.
     """
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
-        raise NegativePrice("price must be >= 0")
+    s = _prices(s)
     num = params.c1 * s
     den = params.sigma + num
     if np.any(den <= 0):
@@ -105,9 +110,7 @@ def elasticity(params: ModelParams, s):
 
 def elasticity_derivative(params: ModelParams, s):
     """d/ds of the elasticity: c1*sigma / (sigma + c1*s)**2."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
-        raise NegativePrice("price must be >= 0")
+    s = _prices(s)
     out = params.c1 * params.sigma / (params.sigma + params.c1 * s) ** 2
     return float(out) if out.ndim == 0 else out
 

@@ -58,7 +58,7 @@ from .errors import (
     OutOfRange,
     SigmaZeroUnsupported,
 )
-from .model import ModelParams, require_finite
+from .model import ModelParams, check_coefficients, require_finite
 from .sde import DEN_TOL_FACTOR, closed_form_rates, euler_terminal
 
 #: margin denominator (in units of sigma + c1*s0) at which the quadrature
@@ -69,6 +69,15 @@ _QUAD_DEN_MARGIN = 1e-6
 def norm_cdf(x: float) -> float:
     """Standard normal CDF via the complementary error function."""
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def _exp(x: float, what: str, name: str) -> float:
+    """exp(x); raises OutOfRange, naming the exponent ``name``, where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise OutOfRange(f"{what} needs exp({name}) in float range, got {name} = "
+                         f"{x:.6g}") from None
 
 
 @dataclass(frozen=True)
@@ -99,11 +108,7 @@ class RiskNeutralParams:
     r: float
 
     def __post_init__(self):
-        require_finite(self.sigma, self.c1, self.s0, self.r)
-        if self.s0 <= 0:
-            raise NonPositiveSpot(f"s0 must be > 0, got {self.s0}")
-        if self.sigma < 0 or self.c1 < 0:
-            raise NegativeCoefficient("sigma and c1 must be >= 0")
+        check_coefficients(self.r, self.sigma, self.c1, self.s0)
 
     @property
     def gamma(self) -> float:
@@ -140,23 +145,22 @@ class OptionQuote:
 def _map_coefficients(rn: RiskNeutralParams, t: float) -> tuple[float, float, float]:
     """(a, b, c) with f_t(w) = c * u / (a*u + b), u = exp(sigma*w)."""
     gamma, delta = closed_form_rates(rn.r, rn.sigma, "r")
-    try:
-        egt = math.exp(gamma * t)
-    except OverflowError:
-        raise OutOfRange(f"closed form needs exp(gamma t) in float range, got gamma t = "
-                         f"{gamma * t:.6g}") from None
+    egt = _exp(gamma * t, "closed form", "gamma t")
+    if egt == 0.0:  # c = 0 would leave f_t = 0 and its inverse undefined
+        raise OutOfRange(f"closed form needs exp(gamma t) > 0, got gamma t = {gamma * t:.6g}")
     a = rn.c1 * rn.s0 * ((delta - 1.0) * egt - delta)
     b = rn.sigma + rn.c1 * rn.s0
     c = rn.sigma * rn.s0 * egt
     return a, b, c
 
 
-def _forward_raw(rn: RiskNeutralParams, t: float, w):
-    """f_t(w) and the (positive-in-domain) denominator a + b*exp(-sigma*w)."""
-    a, b, c = _map_coefficients(rn, t)
+def _forward_raw(coefs: tuple[float, float, float], sigma: float, w):
+    """f(w) = c / (a + b*exp(-sigma*w)) for ``coefs`` (a, b, c), and that
+    (positive-in-domain) denominator."""
+    a, b, c = coefs
     w = np.asarray(w, dtype=float)
     with np.errstate(over="ignore"):
-        den = a + b * np.exp(-rn.sigma * w)
+        den = a + b * np.exp(-sigma * w)
         values = np.where(np.isinf(den), 0.0, c / den)
     return values, den
 
@@ -167,21 +171,12 @@ def forward_map(rn: RiskNeutralParams, t: float, w):
     Raises ExplosionRegion when the denominator is at or below tolerance
     (beyond the map's asymptote).
     """
-    values, den = _forward_raw(rn, t, w)
-    _, b, _ = _map_coefficients(rn, t)
-    den_tol = DEN_TOL_FACTOR * b
+    coefs = _map_coefficients(rn, t)
+    values, den = _forward_raw(coefs, rn.sigma, w)
     w = np.asarray(w, dtype=float)
-    if np.any(den <= den_tol * np.exp(-rn.sigma * w)):
+    if np.any(den <= DEN_TOL_FACTOR * coefs[1] * np.exp(-rn.sigma * w)):
         raise ExplosionRegion(f"denominator at or below tolerance for t={t}")
     return float(values) if values.ndim == 0 else values
-
-
-def _explosion_w(rn: RiskNeutralParams, t: float, den_level: float) -> float | None:
-    """w at which a + b*exp(-sigma*w) equals den_level (None if never)."""
-    a, b, _ = _map_coefficients(rn, t)
-    if a >= den_level:
-        return None
-    return -math.log((den_level - a) / b) / rn.sigma
 
 
 def inverse_map(rn: RiskNeutralParams, t: float, x: float) -> float:
@@ -248,11 +243,7 @@ def _solve_law(rn: RiskNeutralParams, tau: float, s_max: float | None,
     depth = _LAW_DEPTH_SD * vol0 * math.sqrt(tau) + 0.5 * vol0 * vol0 * tau
     if not rn.s0 * math.exp(-depth) > 0.0:
         raise OutOfRange(f"law grid depth {depth:.3g} (log price) is beyond float range")
-    try:
-        math.exp(rn.r * tau)  # the steps scale c1 by exp(r t), t <= tau
-    except OverflowError:
-        raise OutOfRange(f"law solve needs exp(r * tau) in float range, got r * tau = "
-                         f"{rn.r * tau:.6g}") from None
+    _exp(rn.r * tau, "law solve", "r * tau")  # the steps scale c1 by exp(r t), t <= tau
     h = depth / nodes_below
     if s_max is None:
         s_max = rn.s0 * math.exp(min(2.0 * depth, _LAW_TOP_LOG))
@@ -440,9 +431,10 @@ class _CandidateMap:
         self.rn, self.maturity = rn, opt.maturity
         self.sqrt_tau = math.sqrt(opt.maturity - opt.t)
         self.w_t = inverse_map(rn, opt.t, rn.s0)
+        self.coefs = _map_coefficients(rn, opt.maturity)  # f_T's (a, b, c)
 
     def __call__(self, z: float) -> float:
-        f, _ = _forward_raw(self.rn, self.maturity, self.w_t + z * self.sqrt_tau)
+        f, _ = _forward_raw(self.coefs, self.rn.sigma, self.w_t + z * self.sqrt_tau)
         return float(f)
 
     def inverse(self, x: float) -> float:
@@ -450,20 +442,20 @@ class _CandidateMap:
 
     def cut(self, z_hi: float) -> tuple[float, float]:
         """Cut short of f_T's explosion asymptote; bound the cut tail mass."""
-        rn, maturity = self.rn, self.maturity
-        a, b, c = _map_coefficients(rn, maturity)
+        (a, b, c), sigma = self.coefs, self.rn.sigma
         tail_bound = 0.0
         if a < 0:
-            w_star = _explosion_w(rn, maturity, 0.0)
-            w_cut = _explosion_w(rn, maturity, _QUAD_DEN_MARGIN * b)
-            w_dentol = _explosion_w(rn, maturity, DEN_TOL_FACTOR * b)
+            # the w at which the denominator a + b*exp(-sigma*w) falls to 0, to the
+            # cut margin and to the explosion tolerance
+            w_star, w_cut, w_dentol = (-math.log((level - a) / b) / sigma for level in
+                                       (0.0, _QUAD_DEN_MARGIN * b, DEN_TOL_FACTOR * b))
             z_cut = (w_cut - self.w_t) / self.sqrt_tau
             if z_cut < z_hi:
                 z_hi = z_cut
                 # f ~ c / (sigma*|a|*(w* - w)) near the asymptote; bound the cut
                 # logarithmic tail mass by its value at the cut point
                 phi_cut = math.exp(-0.5 * z_cut ** 2) / math.sqrt(2.0 * math.pi)
-                tail_bound = (phi_cut / self.sqrt_tau * c / (rn.sigma * abs(a))
+                tail_bound = (phi_cut / self.sqrt_tau * c / (sigma * abs(a))
                               * math.log((w_star - w_cut) / (w_star - w_dentol)))
         return z_hi, tail_bound
 
@@ -506,7 +498,7 @@ def _formula_quote(rn: RiskNeutralParams, opt: OptionSpec, tol: float, smap) -> 
     integral, quad_err, info = integrate.quad(
         integrand, z_lo, z_hi, epsabs=tol, epsrel=0.0, limit=200, full_output=1)[:3]
 
-    disc = math.exp(-rn.r * tau)
+    disc = _exp(-rn.r * tau, "discount", "-r tau")
     n_d = norm_cdf(d) if math.isfinite(d) else 0.0
     price = disc * integral - opt.strike * disc * (1.0 - n_d)
     return OptionQuote(
@@ -520,10 +512,6 @@ def _formula_quote(rn: RiskNeutralParams, opt: OptionSpec, tol: float, smap) -> 
 
 #: quadrature tolerance of ``price_formula``
 _FORMULA_TOL = 1e-10
-
-def _check_tol(tol: float) -> None:
-    if not 0 < tol < math.inf:
-        raise InvalidGrid(f"tol must be a finite number > 0, got {tol}")
 
 
 def _richardson(fine: float, coarse: float) -> float:
@@ -558,7 +546,8 @@ def _law_quote(rn: RiskNeutralParams, opt: OptionSpec, tol: float,
 def _law_formula_quote(rn: RiskNeutralParams, opt: OptionSpec, tol: float = _FORMULA_TOL,
                        estimate: bool = False) -> OptionQuote:
     """``price_formula``, with ``law_error_estimate`` only if ``estimate``."""
-    _check_tol(tol)
+    if not 0 < tol < math.inf:
+        raise InvalidGrid(f"tol must be a finite number > 0, got {tol}")
     tau = opt.maturity - opt.t
     if tau == 0:
         return _intrinsic_quote(rn.s0, opt.strike, "formula")
@@ -625,9 +614,10 @@ def price_mc(rn: RiskNeutralParams, opt: OptionSpec, n_paths: int, steps: int,
     tau = opt.maturity - opt.t
     if tau == 0:
         return _intrinsic_quote(rn.s0, opt.strike, "monte_carlo")
-    disc = math.exp(-rn.r * tau)
+    disc = _exp(-rn.r * tau, "discount", "-r tau")
     if rn.sigma == 0 and rn.c1 == 0:
-        payoff = max(rn.s0 * math.exp(rn.r * tau) - opt.strike, 0.0)
+        payoff = max(rn.s0 * _exp(rn.r * tau, "deterministic growth", "r tau")
+                     - opt.strike, 0.0)
         return OptionQuote(price=disc * payoff, method="monte_carlo",
                            error_estimate=0.0,
                            diagnostics={"nodes_or_paths": n_paths,
@@ -654,6 +644,8 @@ def price_bs(s: float, strike: float, tau: float, r: float, sigma: float) -> Opt
     require_finite(s, strike, tau, r, sigma)
     if s <= 0:
         raise NonPositiveSpot(f"s must be > 0, got {s}")
+    if strike < 0:
+        raise NegativeCoefficient(f"strike must be >= 0, got {strike}")
     if sigma <= 0 or tau <= 0:
         raise NegativeCoefficient("sigma and tau must be > 0")
     if strike == 0:
@@ -666,7 +658,7 @@ def price_bs(s: float, strike: float, tau: float, r: float, sigma: float) -> Opt
         raise OutOfRange(f"Black-Scholes needs sigma^2 in float range, got sigma = "
                          f"{sigma:.6g}") from None
     d2 = d1 - sigma * sqrt_tau
-    price = s * norm_cdf(d1) - strike * math.exp(-r * tau) * norm_cdf(d2)
+    price = s * norm_cdf(d1) - strike * _exp(-r * tau, "discount", "-r tau") * norm_cdf(d2)
     return OptionQuote(price=max(price, 0.0), method="black_scholes",
                        error_estimate=0.0, diagnostics={"d1": d1, "d2": d2})
 

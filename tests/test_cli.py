@@ -232,6 +232,10 @@ class TestPrice:
         # sigma^2 leaves the float range
         (["--method", "bs", "--sigma", "1e300"], "out_of_range"),
         (["--method", "formula", "--c1", "0", "--sigma", "1e200"], "out_of_range"),
+        # the deterministic growth exp(r tau) at sigma = c1 = 0 leaves the float range
+        (["--method", "mc", "--sigma", "0", "--c1", "0", "--r", "1e3"], "out_of_range"),
+        # f_T's quadrature domain ends below the strike
+        (["--method", "formula", "--c1", "0", "--sigma", "38"], "out_of_range"),
     ])
     def test_input_without_finite_quote_is_json_error(self, tmp_path, capsys, argv, error):
         argv = with_config_files(argv, tmp_path)
@@ -432,6 +436,30 @@ class TestIngest:
         with pytest.raises(DuplicateDate):
             io.ingest_csv(f)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"),
+        ("date,close\n2020-01-02,100\n2020-01-03\n", ":3: expected 2 columns"),
+        ("date,close\n2020-01-02,100\n2020-13-03,101\n", ":3: column 1:"),
+        ("date,close\n2020-01-02,100\n2020-01-03,abc\n", ":3: column 2: not a number"),
+        ("date,close\n2020-01-02,100\n", "need at least 2 data rows, got 1"),
+        # blank and whitespace-only lines are skipped, not read as rows
+        ("date,close\n\n2020-01-02,100\n  \n", "need at least 2 data rows, got 1"),
+    ])
+    def test_malformed_file_rejected(self, tmp_path, text, message):
+        from vve.errors import CsvParseError
+        f = tmp_path / "bad.csv"
+        f.write_text(text)
+        with pytest.raises(CsvParseError, match=message):
+            io.ingest_csv(f)
+
+    def test_malformed_file_is_json_error(self, tmp_path, capsys):
+        f = tmp_path / "bad.csv"
+        f.write_text("date,close\n2020-01-02,100\n2020-01-03,abc\n")
+        assert main(["hv", "--csv", str(f), "--out-dir", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "csv_parse_error" and ":3:" in err["message"]
+        assert not (tmp_path / "hv.csv").exists()
+
     def test_bad_header_and_missing_file(self, tmp_path):
         from vve.errors import CsvParseError
         f = tmp_path / "h.csv"
@@ -446,14 +474,14 @@ class TestFuzzGrid:
     """Every numeric flag of every command at edge values: a clean run or a JSON error,
     with no ``RuntimeWarning`` on the way.
 
-    Each float flag gets NaN, +-inf, 0, -1, 1e300 and 1e-300; each int flag
+    Each float flag gets NaN, +-inf, 0, -1, +-1e3, 1e300 and 1e-300; each int flag
     gets 0, -1 and 1 (a huge int would allocate).  A command is fuzzed from
     each base that reaches a different route (each pricing method, the exact
     and the refined reference, closed-form paths), with small grids so that
     each run is short.
     """
 
-    FLOATS = ["nan", "inf", "-inf", "0", "-1", "1e300", "1e-300"]
+    FLOATS = ["nan", "inf", "-inf", "0", "-1", "1e3", "-1e3", "1e300", "1e-300"]
     INTS = ["0", "-1", "1"]
     CSV = ["--csv", "{csv}", "--window", "5"]
     BASES = {

@@ -102,6 +102,13 @@ class TestElasticity:
     def test_negative_price_rejected(self):
         with pytest.raises(NegativePrice):
             elasticity(ModelParams(0.0, 0.2, 0.001, 100), -0.5)
+        with pytest.raises(NegativePrice, match="price must be >= 0"):
+            elasticity_derivative(ModelParams(0.0, 0.2, 0.001, 100), np.array([1.0, -0.5]))
+
+    def test_zero_volatility_level_rejected(self):
+        # sigma = 0 and s = 0: the elasticity's denominator sigma + c1*s is 0
+        with pytest.raises(NegativePrice, match=r"sigma \+ c1\*s must be > 0"):
+            elasticity(ModelParams(0.0, 0.0, 0.5, 100), 0.0)
 
     def test_derivative_closed_form(self):
         p = ModelParams(0.0, 0.1, 0.001, 100)

@@ -77,6 +77,11 @@ class TestSpecsAndParams:
         with pytest.raises(NonPositiveSpot):
             RiskNeutralParams(sigma=0.2, c1=0.0, s0=0.0, r=0.05)
 
+    def test_negative_coefficient_names_values(self):
+        with pytest.raises(NegativeCoefficient, match=r"got sigma=-0\.2, c1=0\.0001"):
+            RiskNeutralParams(sigma=-0.2, c1=1e-4, s0=100.0, r=0.05)
+        assert RiskNeutralParams(sigma=0.0, c1=0.0, s0=100.0, r=0.05).gamma == 0.05
+
     @pytest.mark.parametrize("field", ["sigma", "c1", "s0", "r"])
     def test_non_finite_params_rejected(self, field):
         for bad in (math.nan, math.inf):
@@ -512,6 +517,8 @@ class TestPriceBs:
             price_bs(100.0, 100.0, 1.0, 0.05, 0.0)
         with pytest.raises(NegativeCoefficient):
             price_bs(100.0, 100.0, 1.0, math.nan, 0.2)
+        with pytest.raises(NegativeCoefficient, match="strike must be >= 0"):
+            price_bs(100.0, -1.0, 1.0, 0.05, 0.2)
 
 
 class TestGreeks:

@@ -105,6 +105,17 @@ COMMANDS = [
                                  "--paths", "8", "--steps", "8"]),
     ("error_mc_overflow", ["price", "--method", "mc", "--paths", "64", "--steps", "8",
                            "--r", "1e300"]),
+    # exponentials beyond the float range: each method's discount at a large negative
+    # rate, the deterministic growth at sigma = c1 = 0, and exp(gamma T) underflowing
+    # to 0 in the closed form
+    ("error_formula_discount_overflow", ["price", "--method", "formula", "--r=-1e3"]),
+    ("error_mc_discount_overflow", ["price", "--method", "mc", "--paths", "64",
+                                    "--steps", "8", "--r=-1e3"]),
+    ("error_bs_discount_overflow", ["price", "--method", "bs", "--r=-1e3"]),
+    ("error_mc_deterministic_overflow", ["price", "--method", "mc", "--sigma", "0",
+                                         "--c1", "0", "--r", "1e3"]),
+    ("error_formula_closed_form_underflow", ["price", "--method", "formula", "--c1", "0",
+                                             "--sigma", "1e3"]),
     # guard errors: the closed form divides by sigma and by drift - sigma^2/2
     ("error_exact_mu_half_sigma_sq", ["simulate", "--scheme", "exact", "--mu", "0.02"]),
     ("error_formula_r_half_sigma_sq", ["price", "--method", "formula", "--c1", "0",
