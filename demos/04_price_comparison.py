@@ -39,7 +39,7 @@ def compare(c1):
         print(f"  law solve    : ~{formula.diagnostics['law_error_estimate']:.0e} grid error")
     print(f"  monte carlo  : {mc.price:9.4f}  (SE {mc.error_estimate:.4f})")
     if c1 == 0.0:
-        bs = price_bs(100.0, 100.0, 1.0, 0.05, 0.2)
+        bs = price_bs(rn, opt)
         print(f"  black-scholes: {bs.price:9.4f}")
     for label, quote in (("formula", formula), ("candidate", candidate)):
         gap = quote.price - mc.price

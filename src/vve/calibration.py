@@ -88,6 +88,7 @@ class RegressionReport:
 class CalibrationResult:
     params: ModelParams
     report: RegressionReport
+    vols: VolSeries
     warnings: list[str] = field(default_factory=list)
 
 
@@ -220,4 +221,4 @@ def calibrate_vve(series: MarketSeries, window: int = 30,
         sigma = SIGMA_FLOOR
     mu = estimate_drift(series, trading_days_per_year)
     params = validate_params(mu, sigma, report.slope, float(series.closes[-1]))
-    return CalibrationResult(params=params, report=report, warnings=warnings)
+    return CalibrationResult(params=params, report=report, vols=vol, warnings=warnings)

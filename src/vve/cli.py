@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -120,7 +121,6 @@ def cmd_calibrate(cfg: dict) -> list[str]:
     series = io.ingest_csv(_require_csv(cfg))
     window = cfg["window"]
     result = calibration.calibrate_vve(series, window, cfg["trading_days"])
-    vols = calibration.rolling_hv(series, window, cfg["trading_days"])
     report = {
         "params": dataclasses.asdict(result.params),
         "regression": result.report.to_dict(),
@@ -131,42 +131,32 @@ def cmd_calibrate(cfg: dict) -> list[str]:
     json_file, overlay_file = _out(cfg, "calibration.json"), _out(cfg, "overlay.csv")
     io.write_json(json_file, report)
     rows = ([d.isoformat(), io.fmt(c), io.fmt(v)] for d, c, v in
-            zip(vols.dates, series.closes[window:], vols.vols))
+            zip(result.vols.dates, series.closes[window:], result.vols.vols))
     io.write_csv(overlay_file, ["date", "close", "hv"], rows)
     return [str(json_file), str(overlay_file)]
 
 
 def cmd_price(cfg: dict) -> list[str]:
+    pricers = {"formula": lambda: pricing.price_formula(rn, opt, tol=cfg["tol"]),
+               "mc": lambda: pricing.price_mc(rn, opt, cfg["paths"], cfg["steps"], cfg["seed"]),
+               "bs": lambda: pricing.price_bs(rn, opt)}
     methods = [m.strip() for m in cfg["method"].split(",") if m.strip()]
-    unknown = set(methods) - {"formula", "mc", "bs"}
+    unknown = set(methods) - pricers.keys()
     if unknown or not methods:
         raise VveError(f"unknown pricing method(s): {sorted(unknown) or cfg['method']!r}")
     rn = pricing.RiskNeutralParams(sigma=cfg["sigma"], c1=cfg["c1"],
                                    s0=cfg["s0"], r=cfg["r"])
     opt = pricing.OptionSpec(strike=cfg["strike"], maturity=cfg["maturity"],
                              rate=cfg["r"], t=cfg["t"])
-    quotes = {}
-    for m in methods:
-        if m == "formula":
-            quotes[m] = pricing.price_formula(rn, opt, tol=cfg["tol"])
-        elif m == "mc":
-            quotes[m] = pricing.price_mc(rn, opt, cfg["paths"], cfg["steps"], cfg["seed"])
-        else:
-            quotes[m] = pricing.price_bs(rn.s0, opt.strike,
-                                         opt.maturity - opt.t, rn.r, rn.sigma)
+    quotes = {m: pricers[m]() for m in methods}
+    mc_se = quotes["mc"].error_estimate if "mc" in quotes else 0.0
     differences = {}
-    names = sorted(quotes)
-    for i, m1 in enumerate(names):
-        for m2 in names[i + 1:]:
-            diff = abs(quotes[m1].price - quotes[m2].price)
-            mc_se = None
-            for m in (m1, m2):
-                if quotes[m].method == "monte_carlo" and quotes[m].error_estimate > 0:
-                    mc_se = quotes[m].error_estimate
-            differences[f"{m1}_vs_{m2}"] = {
-                "abs_diff": diff,
-                "se_units": diff / mc_se if mc_se else None,
-            }
+    for m1, m2 in itertools.combinations(sorted(quotes), 2):
+        diff = abs(quotes[m1].price - quotes[m2].price)
+        differences[f"{m1}_vs_{m2}"] = {
+            "abs_diff": diff,
+            "se_units": diff / mc_se if "mc" in (m1, m2) and mc_se > 0 else None,
+        }
     report = {
         "spec": {"sigma": rn.sigma, "c1": rn.c1, "s0": rn.s0, "r": rn.r,
                  "strike": opt.strike, "maturity": opt.maturity, "t": opt.t},

@@ -54,7 +54,6 @@ from .errors import (
     ExplosionRegion,
     InvalidGrid,
     NegativeCoefficient,
-    NonPositiveSpot,
     OutOfRange,
     SigmaZeroUnsupported,
 )
@@ -82,7 +81,8 @@ def _exp(x: float, what: str, name: str) -> float:
 
 @dataclass(frozen=True)
 class OptionSpec:
-    """European call: strike, maturity T, valuation time t, risk-free rate."""
+    """European call: strike, maturity T, valuation time t, and a rate kept for
+    positional callers: validated, never read (pricers read ``RiskNeutralParams.r``)."""
 
     strike: float
     maturity: float
@@ -159,7 +159,7 @@ def _forward_raw(coefs: tuple[float, float, float], sigma: float, w):
     (positive-in-domain) denominator."""
     a, b, c = coefs
     w = np.asarray(w, dtype=float)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):  # a zero den: the quote rejects inf
         den = a + b * np.exp(-sigma * w)
         values = np.where(np.isinf(den), 0.0, c / den)
     return values, den
@@ -639,14 +639,12 @@ def price_mc(rn: RiskNeutralParams, opt: OptionSpec, n_paths: int, steps: int,
                                     "exploded_fraction": exploded_fraction})
 
 
-def price_bs(s: float, strike: float, tau: float, r: float, sigma: float) -> OptionQuote:
-    """Black-Scholes European call price."""
-    require_finite(s, strike, tau, r, sigma)
-    if s <= 0:
-        raise NonPositiveSpot(f"s must be > 0, got {s}")
-    if strike < 0:
-        raise NegativeCoefficient(f"strike must be >= 0, got {strike}")
-    if sigma <= 0 or tau <= 0:
+def price_bs(rn: RiskNeutralParams, opt: OptionSpec) -> OptionQuote:
+    """Black-Scholes call price from rn.s0, rn.r and rn.sigma (c1 is not read)."""
+    s, strike, tau, r, sigma = rn.s0, opt.strike, opt.maturity - opt.t, rn.r, rn.sigma
+    if tau == 0:
+        return _intrinsic_quote(s, strike, "black_scholes")
+    if sigma == 0:
         raise NegativeCoefficient("sigma and tau must be > 0")
     if strike == 0:
         return OptionQuote(price=s, method="black_scholes", error_estimate=0.0,

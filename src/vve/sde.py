@@ -4,7 +4,8 @@
 
 Schemes: Euler-Maruyama and Milstein with full truncation at zero (the
 diffusion vanishes at 0, so 0 is absorbing), plus the closed-form candidate
-solution (``exact_values``, ``simulate_exact``).
+solution (``exact_values``, ``simulate_exact``).  The three ``simulate_*``
+functions call one ensemble driver, ``_simulate(..., scheme)``.
 
 Verification status of the closed form
 --------------------------------------
@@ -52,8 +53,8 @@ Step kernel
 ``_step_terminal`` is the one Euler/Milstein kernel.  It steps a stack of
 schemes over one increment matrix: states of shape ``(schemes, rows)``, the
 Euler part once per step over the whole stack, the Milstein correction on
-the Milstein rows only.  ``euler_terminal`` and the ``simulate_*`` functions
-pass a one-scheme stack; ``_strong_convergence`` makes one call for the
+the Milstein rows only.  ``euler_terminal`` and ``_simulate`` pass a
+one-scheme stack; ``_strong_convergence`` makes one call for the
 refined reference and one per level, covering all its schemes.
 
 Memory: each call allocates four ``(schemes, rows)`` work arrays and the
@@ -291,29 +292,33 @@ def _check_n_paths(n_paths: int) -> None:
 
 
 def _simulate(params: ModelParams, grid: TimeGrid, n_paths: int, seed: int,
-              milstein: bool, scheme_name: str) -> PathEnsemble:
+              scheme: str) -> PathEnsemble:
+    """Ensemble of ``scheme`` ("euler", "milstein" or "exact") paths."""
     _check_n_paths(n_paths)
     paths = np.empty((n_paths, grid.steps + 1))
     exploded = np.zeros(n_paths, dtype=bool)
 
     def block(rows, db):
-        paths[rows, 0] = params.s0
-        exploded[rows] = _step_terminal(params, grid.dt, params.s0, db, (milstein,),
-                                        out=paths[None, rows])[1][0]
+        if scheme == "exact":
+            b = np.concatenate([np.zeros((len(db), 1)), np.cumsum(db, axis=1)], axis=1)
+            paths[rows], exploded[rows] = _exact_rows(params, grid.times, b)
+        else:
+            paths[rows, 0] = params.s0
+            exploded[rows] = _step_terminal(params, grid.dt, params.s0, db,
+                                            (scheme == "milstein",), out=paths[None, rows])[1][0]
 
     _map_blocks(block, seed, n_paths, grid.steps, grid.dt)
-    return PathEnsemble(grid=grid, paths=paths, seed=seed, scheme=scheme_name,
-                        exploded=exploded)
+    return PathEnsemble(grid=grid, paths=paths, seed=seed, scheme=scheme, exploded=exploded)
 
 
 def simulate_euler(params: ModelParams, grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
     """Euler-Maruyama ensemble with full truncation at zero."""
-    return _simulate(params, grid, n_paths, seed, milstein=False, scheme_name="euler")
+    return _simulate(params, grid, n_paths, seed, "euler")
 
 
 def simulate_milstein(params: ModelParams, grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
     """Milstein ensemble: Euler plus 0.5*b*b'*(dB^2 - dt), full truncation at zero."""
-    return _simulate(params, grid, n_paths, seed, milstein=True, scheme_name="milstein")
+    return _simulate(params, grid, n_paths, seed, "milstein")
 
 
 def euler_terminal(params: ModelParams, horizon: float, steps: int, n_paths: int,
@@ -404,17 +409,7 @@ def simulate_exact(params: ModelParams, grid: TimeGrid, n_paths: int, seed: int)
     Exploded paths carry NaN from the first denominator crossing onward and
     are flagged in ``exploded``.
     """
-    _check_n_paths(n_paths)
-    paths = np.empty((n_paths, grid.steps + 1))
-    exploded = np.zeros(n_paths, dtype=bool)
-
-    def block(rows, db):
-        b = np.concatenate([np.zeros((len(db), 1)), np.cumsum(db, axis=1)], axis=1)
-        paths[rows], exploded[rows] = _exact_rows(params, grid.times, b)
-
-    _map_blocks(block, seed, n_paths, grid.steps, grid.dt)
-    return PathEnsemble(grid=grid, paths=paths, seed=seed, scheme="exact",
-                        exploded=exploded)
+    return _simulate(params, grid, n_paths, seed, "exact")
 
 
 # --------------------------------------------------------------------------

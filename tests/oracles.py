@@ -78,6 +78,22 @@ def bs_delta_mp(s, strike, tau, r, sigma):
         return float(mpmath.ncdf(d1))
 
 
+def bs_gamma_mp(s, strike, tau, r, sigma):
+    """Black-Scholes call gamma N'(d1) / (s sigma sqrt(tau)) in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        s, strike, tau, r, sigma = map(mpmath.mpf, (s, strike, tau, r, sigma))
+        d1 = (mpmath.log(s / strike) + (r + sigma ** 2 / 2) * tau) / (sigma * mpmath.sqrt(tau))
+        return float(mpmath.npdf(d1) / (s * sigma * mpmath.sqrt(tau)))
+
+
+def bs_vega_mp(s, strike, tau, r, sigma):
+    """Black-Scholes call vega s N'(d1) sqrt(tau) in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        s, strike, tau, r, sigma = map(mpmath.mpf, (s, strike, tau, r, sigma))
+        d1 = (mpmath.log(s / strike) + (r + sigma ** 2 / 2) * tau) / (sigma * mpmath.sqrt(tau))
+        return float(s * mpmath.npdf(d1) * mpmath.sqrt(tau))
+
+
 def step_terminal_reference(params, dt, s0, db, milstein: bool, out=None):
     """Advance an array of states through all columns of ``db``, one scheme.
 

@@ -142,9 +142,9 @@ def test_criterion_03_black_scholes_degeneracy(capsys):
     for strike in (80.0, 100.0, 120.0):
         for maturity in (0.25, 1.0, 2.0):
             steps = int(round(500 * maturity))
-            mc = price_mc(rn, OptionSpec(strike=strike, maturity=maturity, rate=0.05),
-                          1_000_000, steps, seed=31)
-            bs = price_bs(100.0, strike, maturity, 0.05, 0.2)
+            opt = OptionSpec(strike=strike, maturity=maturity, rate=0.05)
+            mc = price_mc(rn, opt, 1_000_000, steps, seed=31)
+            bs = price_bs(rn, opt)
             se_units = abs(mc.price - bs.price) / mc.error_estimate
             worst = max(worst, se_units)
             rows.append(f"K={strike:g} T={maturity:g}: {se_units:.2f} SE")

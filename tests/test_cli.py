@@ -150,6 +150,19 @@ class TestCalibrate:
         series = io.ingest_csv(tmp_path / "overlay.csv")
         assert len(series) == 5001 - 30
 
+    def test_rolling_hv_computed_once(self, tmp_path, monkeypatch):
+        from vve import calibration
+        rolling_hv, calls = calibration.rolling_hv, []
+
+        def counted(*args):
+            calls.append(args)
+            return rolling_hv(*args)
+
+        monkeypatch.setattr(calibration, "rolling_hv", counted)
+        assert main(["calibrate", "--csv", str(DATA / "vve_synthetic.csv"),
+                     "--out-dir", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
     def test_constant_prices_degenerate_x(self, tmp_path, capsys):
         code = main(["calibrate", "--csv", str(DATA / "constant.csv"),
                      "--out-dir", str(tmp_path)])
@@ -194,6 +207,18 @@ class TestPrice:
         assert report["quotes"]["formula"]["price"] == 20.0
         assert report["quotes"]["mc"]["price"] == 20.0
 
+    @pytest.mark.parametrize("strike", ["100", "80"])
+    def test_at_expiry_every_method_intrinsic(self, tmp_path, strike):
+        assert main(["price", "--method", "formula,mc,bs", "--t", "1", "--strike", strike,
+                     "--out-dir", str(tmp_path)]) == 0
+        report = read_strict_json(tmp_path / "price.json")
+        validate(report, "price.json")
+        intrinsic = max(100.0 - float(strike), 0.0)
+        assert [q["price"] for q in report["quotes"].values()] == [intrinsic] * 3
+        assert report["differences"] == {
+            pair: {"abs_diff": 0.0, "se_units": None}
+            for pair in ("bs_vs_formula", "bs_vs_mc", "formula_vs_mc")}
+
     def test_unknown_method(self, tmp_path, capsys):
         for method in ("trinomial", "", ","):
             assert main(["price", "--method", method, "--out-dir", str(tmp_path)]) == 1
@@ -236,10 +261,15 @@ class TestPrice:
         (["--method", "mc", "--sigma", "0", "--c1", "0", "--r", "1e3"], "out_of_range"),
         # f_T's quadrature domain ends below the strike
         (["--method", "formula", "--c1", "0", "--sigma", "38"], "out_of_range"),
+        # f_T's denominator underflows to 0 at a tiny spot
+        (["--method", "formula", "--c1", "0", "--s0", "1e-300", "--sigma", "10",
+          "--r", "40"], "out_of_range"),
     ])
     def test_input_without_finite_quote_is_json_error(self, tmp_path, capsys, argv, error):
         argv = with_config_files(argv, tmp_path)
-        assert main(["price", *argv, "--out-dir", str(tmp_path)]) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["price", *argv, "--out-dir", str(tmp_path)]) == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == error and err["message"]
         assert not (tmp_path / "price.json").exists()

@@ -11,7 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import LawMapReference, bs_call_mp, bs_delta_mp, solve_law_reference
+from oracles import (
+    LawMapReference,
+    bs_call_mp,
+    bs_delta_mp,
+    bs_gamma_mp,
+    bs_vega_mp,
+    solve_law_reference,
+)
 from vve.errors import (
     ExplosionRegion,
     InvalidGrid,
@@ -174,7 +181,7 @@ class TestPriceFormula:
 
     def test_gbm_matches_black_scholes(self):
         formula = price_formula(RN_GBM, ATM).price
-        bs = price_bs(100.0, 100.0, 1.0, 0.05, 0.2).price
+        bs = price_bs(RN_GBM, ATM).price
         assert formula == pytest.approx(bs, abs=1e-9)
 
     def test_zero_strike_gbm_equals_spot(self):
@@ -268,7 +275,7 @@ class TestLawMap:
         for k in (0.0, 60.0, 100.0, 120.0, 160.0):
             opt = OptionSpec(strike=k, maturity=1.0, rate=0.05)
             price = _formula_quote(RN_GBM, opt, 1e-10, law).price
-            error = abs(price - price_bs(100.0, k, 1.0, 0.05, 0.2).price)
+            error = abs(price - price_bs(RN_GBM, opt).price)
             assert error < 1e-4
             # the coarse grid's change covers the true error
             if k > 0:
@@ -423,7 +430,7 @@ class TestPriceMc:
 
     def test_gbm_matches_black_scholes(self):
         quote = price_mc(RN_GBM, ATM, 100_000, 250, 3)
-        bs = price_bs(100.0, 100.0, 1.0, 0.05, 0.2).price
+        bs = price_bs(RN_GBM, ATM).price
         assert abs(quote.price - bs) < 3 * quote.error_estimate
 
     def test_discounted_martingale_small_c1_short_t(self):
@@ -493,32 +500,51 @@ class TestPriceMcCache:
 
 class TestPriceBs:
     def test_zero_strike(self):
-        assert price_bs(100.0, 0.0, 1.0, 0.05, 0.2).price == 100.0
+        assert price_bs(RN_GBM, OptionSpec(strike=0.0, maturity=1.0, rate=0.05)).price == 100.0
 
     def test_deep_otm(self):
-        assert price_bs(100.0, 1e9, 1.0, 0.05, 0.2).price < 1e-8
+        assert price_bs(RN_GBM, OptionSpec(strike=1e9, maturity=1.0, rate=0.05)).price < 1e-8
 
     def test_atm_against_high_precision_oracle(self):
         oracle = bs_call_mp(100, 100, 1, 0.05, 0.2)
-        assert price_bs(100.0, 100.0, 1.0, 0.05, 0.2).price == pytest.approx(oracle, abs=1e-12)
+        assert price_bs(RN_GBM, ATM).price == pytest.approx(oracle, abs=1e-12)
         assert oracle == pytest.approx(10.4506, abs=5e-5)
 
     def test_bounds(self):
         for k in (50.0, 100.0, 150.0):
-            p = price_bs(100.0, k, 1.0, 0.05, 0.2).price
+            p = price_bs(RN_GBM, OptionSpec(strike=k, maturity=1.0, rate=0.05)).price
             assert max(100.0 - k * math.exp(-0.05), 0.0) <= p <= 100.0
 
     def test_validation(self):
         with pytest.raises(NonPositiveSpot):
-            price_bs(0.0, 100.0, 1.0, 0.05, 0.2)
+            price_bs(replace(RN_GBM, s0=0.0), ATM)
+        assert price_bs(RN_GBM, OptionSpec(strike=100.0, maturity=0.0, rate=0.05)) == \
+            OptionQuote(price=0.0, method="black_scholes", error_estimate=0.0,
+                        diagnostics={"intrinsic": True})
         with pytest.raises(NegativeCoefficient):
-            price_bs(100.0, 100.0, 0.0, 0.05, 0.2)
+            price_bs(replace(RN_GBM, sigma=0.0), ATM)
         with pytest.raises(NegativeCoefficient):
-            price_bs(100.0, 100.0, 1.0, 0.05, 0.0)
-        with pytest.raises(NegativeCoefficient):
-            price_bs(100.0, 100.0, 1.0, math.nan, 0.2)
+            price_bs(replace(RN_GBM, r=math.nan), ATM)
         with pytest.raises(NegativeCoefficient, match="strike must be >= 0"):
-            price_bs(100.0, -1.0, 1.0, 0.05, 0.2)
+            price_bs(RN_GBM, OptionSpec(strike=-1.0, maturity=1.0, rate=0.05))
+
+    def test_reads_neither_c1_nor_rate(self):
+        quote = price_bs(RN_GBM, ATM)
+        assert price_bs(RN_VVE, replace(ATM, rate=0.5)) == quote
+
+
+class TestAtExpiry:
+    """At t = maturity every pricer returns the intrinsic value."""
+
+    @pytest.mark.parametrize("strike", [0.0, 90.0, 100.0, 110.0])
+    def test_three_pricers_agree(self, strike):
+        opt = OptionSpec(strike=strike, maturity=1.0, rate=0.05, t=1.0)
+        quotes = [price_formula(RN_VVE, opt), price_mc(RN_VVE, opt, 100, 10, 0),
+                  price_bs(RN_VVE, opt)]
+        assert [q.price for q in quotes] == [max(100.0 - strike, 0.0)] * 3
+        assert [q.method for q in quotes] == ["formula", "monte_carlo", "black_scholes"]
+        assert all(q.error_estimate == 0.0 and q.diagnostics == {"intrinsic": True}
+                   for q in quotes)
 
 
 class TestGreeks:
@@ -533,6 +559,14 @@ class TestGreeks:
     def test_gbm_delta_matches_analytic(self):
         g = greeks_bump(price_formula, RN_GBM, ATM, ds=0.1, tol=1e-12)
         assert g["delta"] == pytest.approx(bs_delta_mp(100.0, 100.0, 1.0, 0.05, 0.2), abs=1e-4)
+
+    def test_bs_greeks_match_closed_forms(self):
+        # the default vega bump (2e-4) leaves an O(dsig^2) error of 1.2e-6; 1e-4 leaves 3e-7
+        g = greeks_bump(price_bs, RN_GBM, ATM, dsig=1e-4)
+        args = (100.0, 100.0, 1.0, 0.05, 0.2)
+        assert g["delta"] == pytest.approx(bs_delta_mp(*args), abs=1e-6)
+        assert g["gamma"] == pytest.approx(bs_gamma_mp(*args), abs=1e-6)
+        assert g["vega"] == pytest.approx(bs_vega_mp(*args), abs=1e-6)
 
     def test_bump_halving_second_order(self):
         d_true = bs_delta_mp(100.0, 100.0, 1.0, 0.05, 0.2)

@@ -122,6 +122,11 @@ COMMANDS = [
                                        "--r", "0.02"]),
     ("error_formula_sigma_zero", ["price", "--method", "formula", "--c1", "0",
                                   "--sigma", "0"]),
+    # every method at expiry (t = maturity) quotes the intrinsic value
+    ("price_at_expiry", ["price", "--method", "formula,mc,bs", "--t", "1"]),
+    # f_T's denominator underflows to 0 at a tiny spot: no finite formula quote
+    ("error_formula_den_underflow", ["price", "--method", "formula", "--c1", "0",
+                                     "--s0", "1e-300", "--sigma", "10", "--r", "40"]),
     # the merged configuration: option defaults, config files and their precedence
     *((f"show_config_{cmd}", [cmd, "--show-config"])
       for cmd in ("simulate", "calibrate", "price", "convergence", "hv", "regress")),

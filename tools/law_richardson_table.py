@@ -68,7 +68,9 @@ def main() -> int:
                       f"price_formula error {quote.price - limit:+.2e}, "
                       f"law_error_estimate {quote.diagnostics['law_error_estimate']:.2e}")
             law_map.cache_clear()  # the finest maps are large
-    black_scholes = [{"tau": 1.0, "strike": k, "price": price_bs(S0, k, 1.0, RATE, SIGMA).price}
+    gbm = RiskNeutralParams(SIGMA, 0.0, S0, RATE)
+    black_scholes = [{"tau": 1.0, "strike": k,
+                      "price": price_bs(gbm, OptionSpec(k, 1.0, RATE)).price}
                      for k in (80.0, 100.0, 120.0)]
     table = {"sigma": SIGMA, "s0": S0, "r": RATE, "tol": TOL,
              "limit_grids": [list(g) for g in LIMIT_GRIDS],
