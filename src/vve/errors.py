@@ -27,6 +27,10 @@ class NegativeCoefficient(VveError):
     code = "negative_coefficient"
 
 
+class NonFinite(NegativeCoefficient):  # a NaN or inf input
+    code = "non_finite"
+
+
 class NegativePrice(VveError):
     code = "negative_price"
 

@@ -21,6 +21,7 @@ from .errors import (
     DegenerateDiffusion,
     NegativeCoefficient,
     NegativePrice,
+    NonFinite,
     NonPositiveSpot,
 )
 
@@ -56,9 +57,9 @@ class ModelParams:
 
 
 def require_finite(*values) -> None:
-    """Raise NegativeCoefficient unless every value is a finite number."""
+    """Raise NonFinite unless every value is a finite number."""
     if not np.isfinite(values).all():
-        raise NegativeCoefficient("parameters must be finite numbers")
+        raise NonFinite("parameters must be finite numbers")
 
 
 def check_coefficients(drift, sigma, c1, s0) -> None:

@@ -6,16 +6,16 @@ Three routes:
   standard normal variable Z to the price at maturity,
 
       C(t, x) = e^{-r(T-t)} E[ f(Z) 1_{Z > d} ] - K e^{-r(T-t)} (1 - N(d)),
-      f(d) = K,
+      f(d) = K.
 
-  evaluated by adaptive quadrature against the standard normal density.
-  The map is the model's own law map f(z) = F^{-1}(Phi(z)), where F is the
-  risk-neutral distribution function of S_T given S_t = x (``law_map``,
-  one solve of the model's forward equation).  At c1 = 0 it is the closed
-  form below, which is then the exact lognormal law.  The law map keeps
-  its cubic spline as a table of knots and coefficients and evaluates it
-  in plain Python floats, to the bits of scipy's ``CubicSpline`` at a
-  fraction of the cost of a call into it.
+  For c1 > 0 the map is the model's own law map f(z) = F^{-1}(Phi(z)),
+  where F is the risk-neutral distribution function of S_T given S_t = x;
+  on a law solve of the model's forward equation (``law_map``) the formula
+  is the same number as E[(X - K')^+] for the discounted price X and strike
+  K' = K e^{-r(T-t)}, which the solve's node sums give directly.  At c1 = 0
+  the map is the closed form below, then the exact lognormal law, and the
+  formula is evaluated by adaptive quadrature against the standard normal
+  density.
 
 * ``price_mc`` — risk-neutral Monte Carlo via the Euler scheme (not a
   solution map), an independent check on the formula.  The strikes of a
@@ -37,13 +37,13 @@ w = ln(b x / (c - a x)) / sigma on its whole range, which ``inverse_map``
 evaluates.
 
 The module needs numpy only at import.  The functions that call scipy (the
-law solve, the law map and the quadrature) import it at first use, so that
-``vve`` commands that never price by formula do not pay for loading it.
+law solve and the quadrature) import it at first use, so that ``vve``
+commands that never price by formula do not pay for loading it; a c1 > 0
+formula quote loads only scipy's tridiagonal solver.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass, field, replace
@@ -198,7 +198,7 @@ def inverse_map(rn: RiskNeutralParams, t: float, x: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# The model's law map F^{-1}(Phi(z))
+# The model's law, solved on a price grid
 # --------------------------------------------------------------------------
 
 #: default law-solve grid: nodes below the spot, and time steps
@@ -206,8 +206,6 @@ LAW_NODES_BELOW = 1000
 LAW_STEPS = 200
 #: depth of the grid below the spot, in standard deviations at the spot
 _LAW_DEPTH_SD = 12.0
-#: |z| range over which the law map is tabulated; it is log-linear beyond
-_LAW_Z_TABLE = 8.5
 #: largest log distance of the default grid top above the spot (~1e30 x s0)
 _LAW_TOP_LOG = 69.0
 
@@ -288,140 +286,62 @@ def _solve_law(rn: RiskNeutralParams, tau: float, s_max: float | None,
     return x, p, h
 
 
-def _float_buffer(a) -> memoryview:
-    """The values of ``a`` in C order as a flat buffer that indexes to Python floats."""
-    return memoryview(np.ascontiguousarray(a, dtype=float)).cast("B").cast("d")
-
-
-class LawMap:
-    """The model's law map f(z) = F^{-1}(Phi(z)) for S at t + tau given S_t = s0.
-
-    F comes from ``_solve_law``: each node is the arithmetic centre of its
-    cell, and the map is a cubic spline of the log price in z through the
-    cell boundaries, where |z| <= _LAW_Z_TABLE, and log-linear in z beyond.
-    It is scaled so that its mean equals the law solve's (exactly conserved)
-    mean.  In Brownian units w = z sqrt(tau) the spot sits at w_t = 0.
-
-    The map keeps the spline as its table alone: the knots and each
-    interval's four coefficients, in flat float64 buffers, and the slopes at
-    the two end knots.  ``_spline`` evaluates a cubic of that table in plain
-    Python floats, and the quadrature, the root solve of ``inverse`` and the
-    mean integral all go through it; its values equal scipy's
-    ``CubicSpline.__call__`` bit for bit at a fraction of the call cost.
+class SolvedLaw:
+    """A law solve's node sums as read-only arrays: on the nodes x_j (discounted
+    prices), ``calls[j]`` = E[(X - x_j)^+] = sum_{k>j} p_k (x_k - x_j), from two
+    reversed cumulative sums, and ``cdf[j]`` = P(X <= x_j).  Raises OutOfRange
+    where the nodes are not strictly increasing in floating point, as at a
+    maturity so short that the grid's log spacing is below the precision of log s0.
     """
 
-    w_t = 0.0
-
-    def __init__(self, rn: RiskNeutralParams, tau: float, x, p, h: float, steps: int):
-        from scipy import integrate, interpolate, special
-
-        self.sqrt_tau = math.sqrt(tau)
-        cdf = np.cumsum(p)
-        survival = np.append(np.cumsum(p[::-1])[::-1][1:], 0.0)
-        upper_edge = x * (2.0 / (1.0 + math.exp(-h)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.where(cdf < 0.5, special.ndtri(cdf), -special.ndtri(survival))
-        keep = np.abs(z) <= _LAW_Z_TABLE
-        z, log_x = z[keep], np.log(upper_edge[keep])
-        if z.size < 4 or np.any(np.diff(z) <= 0):
-            raise OutOfRange("law solve gave no strictly increasing distribution table")
-        spline = interpolate.CubicSpline(z, log_x)
-        self._knots = _float_buffer(spline.x)
-        self._coefs = _float_buffer(spline.c.T)  # interval i: c[0..3, i], cubic term first
-        self._last = len(self._knots) - 2
-        self.ends = tuple((float(zz), float(yy), float(spline(zz, 1)))
-                          for zz, yy in ((z[0], log_x[0]), (z[-1], log_x[-1])))
-        # scale the spline's law to the solve's mean, which the interpolation
-        # between cell edges would otherwise shift by O(h^2)
-        self.log_shift = 0.0
-        body = integrate.quad(
-            lambda v: self(v) * math.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi),
-            z[0], z[-1], epsabs=0.0, epsrel=1e-13, limit=400)[0]
-        mean = body + self.tail_mass(z[-1]) + self.tail_mass(z[0], upper=False)
-        self.log_shift = rn.r * tau + math.log(float(np.dot(p, x)) / mean)
+    def __init__(self, x, p, steps: int):
+        log_x = np.log(x)
+        if not np.all(np.diff(log_x) > 0):
+            raise OutOfRange(f"law nodes from {x[0]:.17g} to {x[-1]:.17g} are not strictly "
+                             "increasing in floating point")
+        tail_p, tail_px = (np.cumsum(a[::-1])[::-1] for a in (p, p * x))
+        self.x, self.log_x, self.calls, self.cdf = x, log_x, tail_px - x * tail_p, np.cumsum(p)
+        for a in (self.x, self.log_x, self.calls, self.cdf):
+            a.flags.writeable = False
+        self.mean = float(tail_px[0])
         self.grid = {"law_nodes": int(x.size), "law_steps": steps,
                      "law_s_min": float(x[0]), "law_s_max": float(x[-1])}
 
-    def _spline(self, z: float) -> float:
-        """The spline's log price at z in [z0, z1], from its table.
+    def price(self, strike: float) -> tuple[float, float, int]:
+        """E[(X - K)^+] at the discounted strike K, P(X <= K) and the nodes read.
 
-        The interval is the last whose left knot is at or below z, and the
-        last one at the last knot (scipy closes it on the right).  The terms
-        are summed in scipy ``PPoly``'s order, not Horner's, so that the
-        value is ``CubicSpline.__call__``'s bit for bit.
-        """
-        knots, c = self._knots, self._coefs
-        i = min(bisect.bisect_right(knots, z) - 1, self._last)
-        s = z - knots[i]
-        j = 4 * i
-        res = 0.0 + c[j + 3]
-        res = res + c[j + 2] * s
-        res = res + c[j + 1] * (s * s)
-        return res + c[j] * ((s * s) * s)
-
-    def _log_price(self, z: float) -> float:
-        (z0, y0, m0), (z1, y1, m1) = self.ends
-        if z < z0:
-            return y0 + m0 * (z - z0)
-        if z > z1:
-            return y1 + m1 * (z - z1)
-        return self._spline(z)
-
-    def __call__(self, z: float) -> float:
-        try:
-            return math.exp(self.log_shift + self._log_price(z))
-        except OverflowError:  # a strike near the float maximum puts z there
-            raise OutOfRange(f"law map value at z = {z:.6g} is beyond float range") from None
-
-    def inverse(self, x: float) -> float:
-        """Brownian value w = z sqrt(tau) with f(z) = x.
-
-        Raises OutOfRange where x lies on a flat log-linear tail, as at a
-        maturity so short that the table's end slope is 0.
-        """
-        target = math.log(x) - self.log_shift
-        (z0, y0, _), (z1, y1, _) = self.ends
-        if target <= y0 or target >= y1:
-            z_e, y_e, m = self.ends[0 if target <= y0 else 1]
-            if m == 0:
-                raise OutOfRange(f"law map is flat beyond z = {z_e:.6g}: no z with "
-                                 f"f(z) = {x:.6g}")
-            z = z_e + (target - y_e) / m
-        else:
-            from scipy import optimize
-
-            z = optimize.brentq(lambda v: self._spline(v) - target, z0, z1,
-                                xtol=1e-14, rtol=8.9e-16, maxiter=200)
-        return z * self.sqrt_tau
-
-    def tail_mass(self, z_cut: float, upper: bool = True) -> float:
-        """E[f(Z) 1_{Z > z_cut}] (or 1_{Z < z_cut}) on the log-linear tail."""
-        z_e, y_e, m = self.ends[1 if upper else 0]
-        scale = math.exp(self.log_shift + y_e - m * z_e + 0.5 * m * m)
-        return scale * norm_cdf(m - z_cut if upper else z_cut - m)
-
-    def cut(self, z_hi: float) -> tuple[float, float]:
-        return z_hi, self.tail_mass(z_hi)
+        The call is the 4-node Lagrange interpolation of ``calls`` in log strike,
+        mean - K below the bottom node and 0 at or above the top one (where
+        P(X <= K) is 1: the solve conserves mass), clamped at 0."""
+        i = int(np.searchsorted(self.x, strike, side="right"))  # the nodes at or below K
+        if i == 0:
+            return max(self.mean - strike, 0.0), 0.0, 0
+        if i == self.x.size:
+            return 0.0, 1.0, 0
+        k = min(max(i - 2, 0), self.x.size - 4)
+        ys, cs = self.log_x[k:k + 4].tolist(), self.calls[k:k + 4].tolist()
+        y = math.log(strike)
+        price = sum(c * math.prod([(y - ym) / (yj - ym) for ym in ys if ym != yj])
+                    for yj, c in zip(ys, cs))
+        return max(price, 0.0), float(self.cdf[i - 1]), 4
 
 
 @functools.lru_cache(maxsize=32)
 def law_map(rn: RiskNeutralParams, tau: float, s_max: float | None = None,
-            nodes_below: int = LAW_NODES_BELOW, steps: int = LAW_STEPS) -> LawMap:
-    """The law map of S_{t+tau} given S_t = rn.s0 (cached: it is the costly step).
+            nodes_below: int = LAW_NODES_BELOW, steps: int = LAW_STEPS) -> SolvedLaw:
+    """The law of the discounted S_{t+tau} given S_t = rn.s0, with its node sums.
 
-    It depends on tau alone, not on t, as the SDE is time-homogeneous.  A
-    ``price_formula`` quote at c1 > 0 reads three maps: the default grid's
-    and the 2x coarser one of its Richardson price, and the 4x coarser one
-    of its ``law_error_estimate``; a ``greeks_bump`` set of it reads the
-    first two at each of its five parameter sets.  The cache is safe to
-    share between threads; two threads that miss on one key at once each
-    solve it, to the same bits.  A cached map holds its spline as flat
-    float64 tables (see ``LawMap``), not as a scipy ``CubicSpline``.
+    Cached, as the solve is the costly step; a warm quote is one binary search
+    and a 4-node interpolation.  It depends on tau, not t: the SDE is
+    time-homogeneous.  A c1 > 0 ``price_formula`` quote reads the default grid,
+    the 2x coarser one and (for ``law_error_estimate``) the 4x coarser one; a
+    ``greeks_bump`` set reads the first two at each of its five parameter sets.
+    Threads may share the cache; two that miss on one key each solve it alike.
     """
     if rn.sigma == 0:
         raise SigmaZeroUnsupported("law map requires sigma > 0")
-    x, p, h = _solve_law(rn, tau, s_max, nodes_below, steps)
-    return LawMap(rn, tau, x, p, h, steps)
+    x, p, _ = _solve_law(rn, tau, s_max, nodes_below, steps)
+    return SolvedLaw(x, p, steps)
 
 
 class _CandidateMap:
@@ -477,16 +397,11 @@ def _formula_quote(rn: RiskNeutralParams, opt: OptionSpec, tol: float, smap) -> 
     ``truncation_bound``.
     """
     tau = opt.maturity - opt.t
-    sqrt_tau, w_t = smap.sqrt_tau, smap.w_t
-    if opt.strike == 0:
-        d = -math.inf
-        w_K = -math.inf
-        z_lo = -12.0
-    else:
-        w_K = smap.inverse(opt.strike)
-        d = (w_K - w_t) / sqrt_tau
-        z_lo = d
-    z_hi, tail_bound = smap.cut(max(d if math.isfinite(d) else 0.0, 0.0) + 12.0)
+    w_t = smap.w_t
+    w_K = smap.inverse(opt.strike) if opt.strike > 0 else -math.inf
+    d = (w_K - w_t) / smap.sqrt_tau
+    z_lo = d if math.isfinite(d) else -12.0
+    z_hi, tail_bound = smap.cut(max(d, 0.0) + 12.0)
     if z_hi <= z_lo:
         raise OutOfRange("strike beyond the quadrature domain of f_T")
 
@@ -521,26 +436,29 @@ def _richardson(fine: float, coarse: float) -> float:
 
 def _law_quote(rn: RiskNeutralParams, opt: OptionSpec, tol: float,
                estimate: bool) -> OptionQuote:
-    """The formula on the law map, at any c1 and tau > 0 (see ``price_formula``).
+    """The formula on the solved law, at any c1 and tau > 0 (see ``price_formula``);
+    with ``estimate`` false (prices alone, as ``greeks_bump`` reads) it skips
+    the third solve, that of ``law_error_estimate``."""
+    from statistics import NormalDist  # 5 ms that commands without a law quote skip
 
-    The price reads two law solves and ``law_error_estimate`` a third, so
-    with ``estimate`` false (prices alone, as ``greeks_bump`` reads) that
-    solve and its quadrature are skipped.
-    """
     tau = opt.maturity - opt.t
+    strike = opt.strike * _exp(-rn.r * tau, "discount", "-r tau")
 
     def coarse_price(m):  # on the default grid coarsened m x in price and in time
         law = law_map(rn, tau, nodes_below=LAW_NODES_BELOW // m, steps=LAW_STEPS // m)
-        return _formula_quote(rn, opt, tol, law).price
+        return law.price(strike)[0]
 
     law = law_map(rn, tau)
-    quote = _formula_quote(rn, opt, tol, law)
+    fine, below, nodes_read = law.price(strike)
     half = coarse_price(2)
-    price = _richardson(quote.price, half)
-    diagnostics = {**quote.diagnostics, **law.grid}
+    price = _richardson(fine, half)
+    d = -math.inf if below <= 0 else math.inf if below >= 1 else NormalDist().inv_cdf(below)
+    diagnostics = {"d": d, "fT_inv_K": d * math.sqrt(tau), "ft_inv_x": 0.0,
+                   "nodes_or_paths": nodes_read, "exploded_fraction": 0.0, **law.grid}
     if estimate:
         diagnostics["law_error_estimate"] = abs(price - _richardson(half, coarse_price(4)))
-    return replace(quote, price=max(price, 0.0), diagnostics=diagnostics)
+    return OptionQuote(price=max(price, 0.0), method="formula", error_estimate=tol,
+                       diagnostics=diagnostics)
 
 
 def _law_formula_quote(rn: RiskNeutralParams, opt: OptionSpec, tol: float = _FORMULA_TOL,
@@ -558,25 +476,22 @@ def _law_formula_quote(rn: RiskNeutralParams, opt: OptionSpec, tol: float = _FOR
 
 def price_formula(rn: RiskNeutralParams, opt: OptionSpec,
                   tol: float = _FORMULA_TOL) -> OptionQuote:
-    """Explicit-formula price by adaptive quadrature.
+    """Explicit-formula price: on the solved law for c1 > 0, by quadrature at c1 = 0.
 
-    f is the law map of S_T (``law_map``) for c1 > 0, and the closed form,
-    then exact, at c1 = 0.  (The paper's candidate map is priced through the
-    same quadrature as ``_formula_quote(rn, opt, tol, _CandidateMap(rn, opt))``;
-    for c1 > 0 that is not the model's price.)
-
-    For the law map the price is R = P + (P - P_2) / 3, from the prices P on
-    the default law grid and P_2 on the grid 2x coarser in price and in time.
-    The law solve's error is second order with a clean h^2 term
-    (Crank-Nicolson after a Rannacher start), and R cancels it (Richardson
-    extrapolation).  ``error_estimate`` is the quadrature tolerance only.
-    The diagnostics also give the default grid (``law_nodes``, ``law_steps``,
-    ``law_s_min``, ``law_s_max``: the node prices in today's money) and
-    ``law_error_estimate`` = |R - R_2|, where R_2 is the same extrapolation
-    from the grids 2x and 4x coarser: about the coarser extrapolation's
-    error, which was 6 to 180 times R's own on the cells of the
-    ``formula_surface`` benchmark.  The law map's ``ft_inv_x`` is 0 and
-    ``fT_inv_K`` is d sqrt(T - t).
+    For c1 > 0 the formula on the law map is E[(X - K')^+] on the law solve
+    (``law_map``), K' = K e^{-r(T-t)}, read off its node sums
+    (``SolvedLaw.price``) as R = P + (P - P_2) / 3 from the default grid and
+    the one 2x coarser in price and time: the solve's error has a clean h^2
+    term (Crank-Nicolson after a Rannacher start), which R cancels.  The
+    diagnostics give the grid (``law_nodes``, ``law_steps``, ``law_s_min``,
+    ``law_s_max``, in today's money), the nodes read (``nodes_or_paths``),
+    d = Phi^{-1}(P(X <= K')), ``fT_inv_K`` = d sqrt(T - t), ``ft_inv_x`` = 0
+    and ``law_error_estimate`` = |R - R_2|, R_2 the same extrapolation from
+    the grids 2x and 4x coarser.  At c1 = 0 the map is the closed form, then
+    exact, integrated by adaptive quadrature to ``tol``, the only price
+    ``tol`` moves; ``error_estimate`` is ``tol``.  (``_formula_quote(rn, opt,
+    tol, _CandidateMap(rn, opt))`` prices the paper's candidate map, which
+    for c1 > 0 is not the model's.)
     """
     return _law_formula_quote(rn, opt, tol, estimate=True)
 

@@ -8,10 +8,12 @@ with mpmath.  The step-kernel oracle is the one-scheme,
 column-at-a-time Euler/Milstein loop that ``vve.sde._step_terminal`` must
 reproduce bit for bit.  The law-solve oracle is the Crank-Nicolson step loop
 that allocates its arrays each step, which ``vve.pricing._solve_law`` must
-reproduce bit for bit.  The law-map oracle evaluates the law map through
-scipy's ``CubicSpline.__call__`` and inverts it with ``brentq`` on that
-spline, which ``vve.pricing.LawMap``'s table kernel must reproduce bit for
-bit.
+reproduce bit for bit.  The law-map oracle is the explicit formula's other
+route on a law solve: a cubic spline of the quantile through scipy's
+``CubicSpline``, inverted with ``brentq`` and integrated by the quadrature,
+which the node-sum price of ``vve.pricing.SolvedLaw`` must match within its
+``law_error_estimate``.  The inverse-Bessel oracle is the exact call price of
+the model at sigma = 0.
 """
 
 import math
@@ -165,16 +167,25 @@ def solve_law_reference(rn, tau, s_max, nodes_below, steps):
     return x, p, h
 
 
-class LawMapReference:
-    """The law map of ``vve.pricing.LawMap`` on scipy's ``CubicSpline``.
+#: |z| range over which ``LawMapReference`` tabulates its spline; it is log-linear beyond
+_LAW_Z_TABLE = 8.5
 
-    Built from a law solve's (x, p, h) as ``LawMap`` builds its table; every
-    evaluation goes through ``CubicSpline.__call__``.
+
+class LawMapReference:
+    """The law map f(z) = F^{-1}(Phi(z)) of a law solve, on scipy's ``CubicSpline``.
+
+    Built from a law solve's (x, p, h): each node is the arithmetic centre of
+    its cell, and the map is a cubic spline of the log price in z through the
+    cell boundaries where |z| <= _LAW_Z_TABLE, log-linear in z beyond, scaled
+    to the solve's mean.  It is a solution map for
+    ``vve.pricing._formula_quote`` (``w_t``, ``sqrt_tau``, ``inverse``,
+    ``cut``), so the quadrature prices the formula on it.
     """
+
+    w_t = 0.0
 
     def __init__(self, rn, tau, x, p, h):
         from scipy import integrate, interpolate, special
-        from vve.pricing import _LAW_Z_TABLE
 
         cdf = np.cumsum(p)
         survival = np.append(np.cumsum(p[::-1])[::-1][1:], 0.0)
@@ -225,3 +236,41 @@ class LawMapReference:
             z = optimize.brentq(lambda v: float(self.spline(v)) - target, z0, z1,
                                 xtol=1e-14, rtol=8.9e-16, maxiter=200)
         return z * self.sqrt_tau
+
+    def cut(self, z_hi):
+        """No cut short of z_hi; the mass beyond it on the log-linear upper tail."""
+        z_e, y_e, m = self.ends[1]
+        scale = math.exp(self.log_shift + y_e - m * z_e + 0.5 * m * m)
+        return z_hi, scale * 0.5 * math.erfc((z_hi - m) / math.sqrt(2.0))
+
+
+def inverse_bessel_call(s0, c1, r, tau, strike):
+    """The exact call price of the model at sigma = 0, in 50-digit arithmetic.
+
+    At sigma = 0 the discounted price X solves dX = c1 e^{rt} X^2 dB, and
+    1/X is a 3-d Bessel process from rho0 = 1/s0 run on the clock
+    A = c1^2 (e^{2 r tau} - 1) / (2 r) (c1^2 tau at r = 0): its density is
+    (rho / rho0) (phi_A(rho - rho0) - phi_A(rho + rho0)), phi_A the N(0, A)
+    density.  With K' = K e^{-r tau} and b = 1/K', the call
+    E[(X - K')^+] = E[(1/R - K') 1{R < b}] = ((I1 - I2) - K' (J1 - J2)) / rho0.
+    X is a strict local martingale: the zero-strike call
+    s0 (2 Phi(rho0 / sqrt(A)) - 1) is below s0.
+    """
+    with mpmath.workdps(50):
+        s0, c1, r, tau, strike = (mpmath.mpf(v) for v in (s0, c1, r, tau, strike))
+        rho0 = 1 / s0
+        clock = c1 ** 2 * (mpmath.expm1(2 * r * tau) / (2 * r) if r else tau)
+        sd = mpmath.sqrt(clock)
+        k = strike * mpmath.exp(-r * tau)
+        b = 1 / k if k else mpmath.inf
+
+        def cdf(v):
+            return mpmath.ncdf(v / sd)
+
+        def phi(v):
+            return mpmath.npdf(v, 0, sd) if mpmath.isfinite(v) else mpmath.mpf(0)
+
+        i1, i2 = cdf(b - rho0) - cdf(-rho0), cdf(b + rho0) - cdf(rho0)
+        j1 = rho0 * i1 + clock * (phi(rho0) - phi(b - rho0))
+        j2 = -rho0 * i2 + clock * (phi(rho0) - phi(b + rho0))
+        return float((i1 - i2 - k * (j1 - j2)) / rho0)

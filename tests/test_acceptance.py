@@ -1,10 +1,12 @@
 """Acceptance suite: one test per criterion, one printed PASS/FAIL line each.
 
 Criterion 4 compares price_formula with an independent Monte Carlo price of
-the SDE at 3 standard errors.  price_formula builds its formula on the
-model's law map F^{-1}(Phi(z)) (vve.pricing.law_map).  The paper's
-closed-form solution map, which does not satisfy the SDE for c1 > 0 (see the
-vve.sde module docstring and README), stays reachable through the same
+the SDE at 3 standard errors.  At c1 > 0 price_formula evaluates its formula
+on the model's law map F^{-1}(Phi(z)) as E[(X - K')^+] on the law solve's
+node sums (vve.pricing.law_map), with no quadrature, so criterion 9's
+tolerance halving moves those quotes by exactly 0.  The paper's closed-form
+solution map, which does not satisfy the SDE for c1 > 0 (see the vve.sde
+module docstring and README), stays reachable through the formula's
 quadrature (candidate_quote below); its companion test pins that the
 candidate sits systematically above Monte Carlo by far more than 3 standard
 errors.

@@ -237,8 +237,8 @@ class TestPrice:
 
     @pytest.mark.parametrize("argv, error", [
         (["--method", "mc", "--paths", "1", "--steps", "10"], "invalid_grid"),
-        (["--method", "bs", "--r", "nan"], "negative_coefficient"),
-        (["--method", "formula", "--sigma", "nan"], "negative_coefficient"),
+        (["--method", "bs", "--r", "nan"], "non_finite"),
+        (["--method", "formula", "--sigma", "nan"], "non_finite"),
         (["--method", "formula", "--tol", "0"], "invalid_grid"),
         (["--method", "formula", "--tol", "nan"], "invalid_grid"),
         # config values go through the flag's type; unreadable configs are errors
@@ -249,9 +249,7 @@ class TestPrice:
         (["--method", "bs", "--config", "no/such/config.json"], "error"),
         # exp(r t) leaves the float range inside the law solve
         (["--method", "formula", "--c1", "1e-3", "--r", "800"], "out_of_range"),
-        # the law map's value near the strike leaves the float range
-        (["--method", "formula", "--strike", "1e308"], "out_of_range"),
-        # so short a maturity leaves the law map flat: no z reaches the strike
+        # so short a maturity that the law's nodes collide in floating point
         (["--method", "formula", "--maturity", "1e-100"], "out_of_range"),
         (["--method", "formula", "--maturity", "1e-300"], "out_of_range"),
         # sigma^2 leaves the float range
@@ -284,6 +282,14 @@ class TestPrice:
         assert formula["d"] is None and formula["fT_inv_K"] is None
         assert bs == {"d1": None, "d2": None}
         assert report["quotes"]["bs"]["price"] == 100.0
+
+    def test_strike_above_law_grid_quotes_zero(self, tmp_path):
+        # no law node reaches the strike: the call is worth 0, and d is +inf, written null
+        assert main(["price", "--method", "formula", "--strike", "1e308",
+                     "--out-dir", str(tmp_path)]) == 0
+        formula = read_strict_json(tmp_path / "price.json")["quotes"]["formula"]
+        assert formula["price"] == 0.0
+        assert formula["diagnostics"]["d"] is None
 
     def test_byte_identical_rerun(self, tmp_path):
         argv = ["price", "--method", "formula,mc,bs", "--paths", "5000",

@@ -2,7 +2,9 @@
 
 ``import vve`` and the commands that need no scipy (hv, simulate,
 convergence) load none of it; calibrate and regress load scipy.special for
-their p-values, never scipy.stats.  ``import vve`` also starts no thread and
+their p-values, never scipy.stats; a formula price at c1 > 0 loads scipy's
+tridiagonal solver and none of its quadrature, interpolation, root finding
+or special functions.  ``import vve`` also starts no thread and
 does not load ``concurrent.futures``: the block engine's thread pool is made
 per call.  Each check runs in a fresh interpreter, since this test process
 has imported scipy long before.
@@ -59,6 +61,13 @@ def test_no_scipy_stats(command, tmp_path):
     modules = scipy_modules_after([command, "--csv", CSV], tmp_path)
     assert "scipy.special" in modules
     assert not [m for m in modules if m == "scipy.stats" or m.startswith("scipy.stats.")]
+
+
+def test_law_price_loads_only_the_tridiagonal_solver(tmp_path):
+    modules = scipy_modules_after(["price", "--c1", "1e-4", "--method", "formula"], tmp_path)
+    assert "scipy.linalg.lapack" in modules
+    for name in ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.special"):
+        assert name not in modules
 
 
 def test_import_starts_no_thread(tmp_path):

@@ -77,9 +77,9 @@ COMMANDS = [
                                      "--seed", "1"]),
     # every path is absorbed at 0 on the finer levels: a zero error, no fitted slope
     ("convergence_zero_error", ["convergence", "--c1", "5", "--levels", "8,16,32"]),
-    # law-map formula quotes: a short and a long maturity, a grid top capped near
+    # law formula quotes: a short and a long maturity, a grid top capped near
     # 1e30 x s0 (c1 s0 = 10), a grid depth beyond the float range (c1 s0 = 100),
-    # exp(r t) beyond it (r = 800), and a law-map value beyond it (K = 1e308)
+    # exp(r t) beyond it (r = 800), and a strike above the grid top (K = 1e308)
     ("price_formula_short", ["price", "--method", "formula", "--c1", "1e-3",
                              "--maturity", "0.25", "--strike", "90"]),
     ("price_formula_long", ["price", "--method", "formula", "--c1", "2e-3",
@@ -90,8 +90,8 @@ COMMANDS = [
                                     "--s0", "1000", "--strike", "1000"]),
     ("error_formula_rate_overflow", ["price", "--method", "formula", "--c1", "1e-3",
                                      "--r", "800"]),
-    ("error_formula_strike_overflow", ["price", "--method", "formula", "--strike", "1e308"]),
-    # so short a maturity leaves the law map flat: its end slopes are 0
+    ("price_formula_strike_above_grid", ["price", "--method", "formula", "--strike", "1e308"]),
+    # so short a maturity that the law grid's nodes collide in floating point
     ("error_formula_tiny_maturity", ["price", "--method", "formula", "--maturity", "1e-100"]),
     # a zero strike: d, fT_inv_K, d1 and d2 are infinite, written as null
     ("price_zero_strike", ["price", "--method", "formula,bs", "--strike", "0"]),
