@@ -12,10 +12,11 @@ Three routes:
   where F is the risk-neutral distribution function of S_T given S_t = x;
   on a law solve of the model's forward equation (``law_map``) the formula
   is the same number as E[(X - K')^+] for the discounted price X and strike
-  K' = K e^{-r(T-t)}, which the solve's node sums give directly.  At c1 = 0
-  the map is the closed form below, then the exact lognormal law, and the
-  formula is evaluated by adaptive quadrature against the standard normal
-  density.
+  K' = K e^{-r(T-t)}, which the solve's node sums give directly; its delta,
+  gamma and vega come from one backward sweep of the solve's Markov chain
+  per grid (``greeks_bump``).  At c1 = 0 the map is the closed form below,
+  then the exact lognormal law, and the formula is evaluated by adaptive
+  quadrature against the standard normal density.
 
 * ``price_mc`` — risk-neutral Monte Carlo via the Euler scheme (not a
   solution map), an independent check on the formula.  The strikes of a
@@ -39,7 +40,7 @@ evaluates.
 The module needs numpy only at import.  The functions that call scipy (the
 law solve and the quadrature) import it at first use, so that ``vve``
 commands that never price by formula do not pay for loading it; a c1 > 0
-formula quote loads only scipy's tridiagonal solver.
+formula quote, and its Greeks, load only scipy's tridiagonal solver.
 """
 
 from __future__ import annotations
@@ -210,6 +211,57 @@ _LAW_DEPTH_SD = 12.0
 _LAW_TOP_LOG = 69.0
 
 
+class _LawChain:
+    """The grid and the Markov chain of a law solve (see ``_solve_law``).
+
+    ``x`` holds the nodes x_k = s0 e^{kh}, the spot at index ``nodes_below``, and
+    ``steps`` the march's steps (t, dt_n, theta): four implicit-Euler half steps
+    (Rannacher), then Crank-Nicolson.  ``rates`` fills the jump rates at one
+    step into buffers every step reuses.
+    """
+
+    def __init__(self, rn: RiskNeutralParams, tau: float, s_max: float | None,
+                 nodes_below: int, steps: int):
+        if nodes_below < 2 or steps < 2:
+            raise InvalidGrid("law solve needs at least 2 nodes below the spot and 2 steps")
+        vol0 = rn.sigma + rn.c1 * rn.s0
+        depth = _LAW_DEPTH_SD * vol0 * math.sqrt(tau) + 0.5 * vol0 * vol0 * tau
+        if not rn.s0 * math.exp(-depth) > 0.0:
+            raise OutOfRange(f"law grid depth {depth:.3g} (log price) is beyond float range")
+        _exp(rn.r * tau, "law solve", "r * tau")  # the steps scale c1 by exp(r t), t <= tau
+        h = depth / nodes_below
+        if s_max is None:
+            s_max = rn.s0 * math.exp(min(2.0 * depth, _LAW_TOP_LOG))
+        nodes_above = max(math.ceil(math.log(s_max / rn.s0) / h), 1)
+        self.rn, self.h = rn, h
+        self.x = rn.s0 * np.exp(h * np.arange(-nodes_below, nodes_above + 1))
+        self.steps, t, dt = [], 0.0, tau / steps
+        for dt_n, theta in [(0.5 * dt, 1.0)] * 4 + [(dt, 0.5)] * (steps - 2):
+            self.steps.append((t, dt_n, theta))
+            t += dt_n
+        gap_up, gap_down = math.expm1(h), -math.expm1(-h)
+        self.up_den, self.down_den = gap_up * (gap_up + gap_down), gap_down * (gap_up + gap_down)
+        self.vol, self.var, self.up, self.down, self.tot = (np.empty(self.x.size) for _ in range(5))
+
+    def rates(self, t: float, dt_n: float, theta: float) -> None:
+        """Fill vol = sigma + c1 e^{rt} x at t + theta dt_n, var = vol^2, the rates
+        ``up`` and ``down`` that match that variance (the bottom node absorbs, the
+        top only jumps down) and their sum ``tot``."""
+        rn, vol, var, up, down = self.rn, self.vol, self.var, self.up, self.down
+        np.multiply(self.x, rn.c1 * math.exp(rn.r * (t + theta * dt_n)), out=vol)
+        np.add(vol, rn.sigma, out=vol)
+        np.square(vol, out=var)
+        np.divide(var, self.up_den, out=up)
+        np.divide(var, self.down_den, out=down)
+        up[0] = down[0] = up[-1] = 0.0
+        np.add(up, down, out=self.tot)
+
+
+def _require_finite_law(*arrays) -> None:
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise OutOfRange("law solve overflowed; c1 * s0 * tau is too large for its grid")
+
+
 def _solve_law(rn: RiskNeutralParams, tau: float, s_max: float | None,
                nodes_below: int, steps: int):
     """Law of the discounted price X = e^{-r tau} S_tau given S_0 = s0.
@@ -235,36 +287,16 @@ def _solve_law(rn: RiskNeutralParams, tau: float, s_max: float | None,
     """
     from scipy.linalg.lapack import dgtsv
 
-    if nodes_below < 2 or steps < 2:
-        raise InvalidGrid("law solve needs at least 2 nodes below the spot and 2 steps")
-    vol0 = rn.sigma + rn.c1 * rn.s0
-    depth = _LAW_DEPTH_SD * vol0 * math.sqrt(tau) + 0.5 * vol0 * vol0 * tau
-    if not rn.s0 * math.exp(-depth) > 0.0:
-        raise OutOfRange(f"law grid depth {depth:.3g} (log price) is beyond float range")
-    _exp(rn.r * tau, "law solve", "r * tau")  # the steps scale c1 by exp(r t), t <= tau
-    h = depth / nodes_below
-    if s_max is None:
-        s_max = rn.s0 * math.exp(min(2.0 * depth, _LAW_TOP_LOG))
-    nodes_above = max(math.ceil(math.log(s_max / rn.s0) / h), 1)
-    x = rn.s0 * np.exp(h * np.arange(-nodes_below, nodes_above + 1))
-    gap_up, gap_down = math.expm1(h), -math.expm1(-h)
-    p = np.zeros(x.size)
+    chain = _LawChain(rn, tau, s_max, nodes_below, steps)
+    up, down, tot = chain.up, chain.down, chain.tot
+    p = np.zeros(chain.x.size)
     p[nodes_below] = 1.0
     # every step writes into these; dgtsv solves in place, overwriting dl, d, du and p
-    var, up, down, tot, flow, d = (np.empty(x.size) for _ in range(6))
-    dl, du = np.empty(x.size - 1), np.empty(x.size - 1)
-    up_den, down_den = gap_up * (gap_up + gap_down), gap_down * (gap_up + gap_down)
-    t = 0.0
-    dt = tau / steps
-    for dt_n, theta in [(0.5 * dt, 1.0)] * 4 + [(dt, 0.5)] * (steps - 2):
-        np.multiply(x, rn.c1 * math.exp(rn.r * (t + theta * dt_n)), out=var)
-        np.add(var, rn.sigma, out=var)
-        np.square(var, out=var)
-        np.divide(var, up_den, out=up)
-        np.divide(var, down_den, out=down)
-        up[0] = down[0] = up[-1] = 0.0
+    flow, d = np.empty(p.size), np.empty(p.size)
+    dl, du = np.empty(p.size - 1), np.empty(p.size - 1)
+    for t, dt_n, theta in chain.steps:
+        chain.rates(t, dt_n, theta)
         # dp/dt = A p with A tridiagonal: (up[:-1], -tot, down[1:]), tot = up + down
-        np.add(up, down, out=tot)
         np.multiply(tot, p, out=flow)
         np.negative(flow, out=flow)
         np.multiply(up[:-1], p[:-1], out=dl)
@@ -280,10 +312,26 @@ def _solve_law(rn: RiskNeutralParams, tau: float, s_max: float | None,
         np.multiply(flow, dt_n - a, out=flow)
         np.add(p, flow, out=p)
         p = dgtsv(dl, d, du, p, 1, 1, 1, 1)[3]  # info > 0 (a zero pivot) goes unread
-        t += dt_n
-    if not np.all(np.isfinite(p)):
-        raise OutOfRange("law solve overflowed; c1 * s0 * tau is too large for its grid")
-    return x, p, h
+    _require_finite_law(p)
+    return chain.x, p, chain.h
+
+
+def _log_nodes(x):
+    """log x; raises OutOfRange where the nodes are not strictly increasing in floating point."""
+    log_x = np.log(x)
+    if not np.all(np.diff(log_x) > 0):
+        raise OutOfRange(f"law nodes from {x[0]:.17g} to {x[-1]:.17g} are not strictly "
+                         "increasing in floating point")
+    return log_x
+
+
+def _lagrange_weights(log_x, i: int, strike: float) -> tuple[int, list[float]]:
+    """The first k of the 4 nodes around ``strike`` (``i`` of the nodes at or below
+    it, 0 < i < nodes) and their Lagrange weights in log strike."""
+    k = min(max(i - 2, 0), log_x.size - 4)
+    ys = log_x[k:k + 4].tolist()
+    y = math.log(strike)
+    return k, [math.prod([(y - ym) / (yj - ym) for ym in ys if ym != yj]) for yj in ys]
 
 
 class SolvedLaw:
@@ -295,10 +343,7 @@ class SolvedLaw:
     """
 
     def __init__(self, x, p, steps: int):
-        log_x = np.log(x)
-        if not np.all(np.diff(log_x) > 0):
-            raise OutOfRange(f"law nodes from {x[0]:.17g} to {x[-1]:.17g} are not strictly "
-                             "increasing in floating point")
+        log_x = _log_nodes(x)
         tail_p, tail_px = (np.cumsum(a[::-1])[::-1] for a in (p, p * x))
         self.x, self.log_x, self.calls, self.cdf = x, log_x, tail_px - x * tail_p, np.cumsum(p)
         for a in (self.x, self.log_x, self.calls, self.cdf):
@@ -318,11 +363,8 @@ class SolvedLaw:
             return max(self.mean - strike, 0.0), 0.0, 0
         if i == self.x.size:
             return 0.0, 1.0, 0
-        k = min(max(i - 2, 0), self.x.size - 4)
-        ys, cs = self.log_x[k:k + 4].tolist(), self.calls[k:k + 4].tolist()
-        y = math.log(strike)
-        price = sum(c * math.prod([(y - ym) / (yj - ym) for ym in ys if ym != yj])
-                    for yj, c in zip(ys, cs))
+        k, weights = _lagrange_weights(self.log_x, i, strike)
+        price = sum(c * w for c, w in zip(self.calls[k:k + 4].tolist(), weights))
         return max(price, 0.0), float(self.cdf[i - 1]), 4
 
 
@@ -334,14 +376,94 @@ def law_map(rn: RiskNeutralParams, tau: float, s_max: float | None = None,
     Cached, as the solve is the costly step; a warm quote is one binary search
     and a 4-node interpolation.  It depends on tau, not t: the SDE is
     time-homogeneous.  A c1 > 0 ``price_formula`` quote reads the default grid,
-    the 2x coarser one and (for ``law_error_estimate``) the 4x coarser one; a
-    ``greeks_bump`` set reads the first two at each of its five parameter sets.
-    Threads may share the cache; two that miss on one key each solve it alike.
+    the 2x coarser one and (for ``law_error_estimate``) the 4x coarser one.  A
+    ``greeks_bump`` set of that quote reads none: it sweeps the chain of the
+    first two grids backward (``_sweep_law``), uncached.  Threads may share the
+    cache; two that miss on one key each solve it alike.
     """
     if rn.sigma == 0:
         raise SigmaZeroUnsupported("law map requires sigma > 0")
     x, p, _ = _solve_law(rn, tau, s_max, nodes_below, steps)
     return SolvedLaw(x, p, steps)
+
+
+def _sweep_law(rn: RiskNeutralParams, tau: float, strike: float, nodes_below: int,
+               steps: int) -> tuple[float, float, float, float, float]:
+    """(price, delta, gamma, vega, s0 h) of E[(X - K)^+] at the discounted strike
+    K, from a backward sweep of ``_solve_law``'s chain on the same grid.
+
+    The terminal vector g_k = sum_j w_j (x_k - x_j)^+ over the 4 nodes that
+    ``SolvedLaw.price`` interpolates (weights w_j; x - K below the bottom node,
+    0 at or above the top one) is that price's exact dual, so the swept value
+    at the spot node is the forward price, unclamped, to rounding.  With
+    B = (I - a A)^{-1} (I + (dt_n - a) A) the forward step, the sweep walks
+    the steps in reverse: v <- B^T v, one transposed tridiagonal solve and a
+    product.  Delta and gamma are central differences in log price at the
+    spot node (the grid held fixed); vega is the tangent dv/dsigma, carried by
+    a second solve per step on the same matrix, where dA/dsigma is A with var
+    replaced by 2 vol.  Raises OutOfRange as ``_solve_law`` does.
+    """
+    from scipy.linalg.lapack import dgtsv
+
+    chain = _LawChain(rn, tau, None, nodes_below, steps)
+    x, h, s = chain.x, chain.h, nodes_below
+    vol, var, up, down, tot = chain.vol, chain.var, chain.up, chain.down, chain.tot
+    log_x = _log_nodes(x)
+    i = int(np.searchsorted(x, strike, side="right"))  # the nodes at or below K
+    v = np.zeros(x.size)
+    if i == 0:
+        v = x - strike
+    elif i < x.size:
+        k, weights = _lagrange_weights(log_x, i, strike)
+        for xj, w in zip(x[k:k + 4].tolist(), weights):
+            v += w * np.maximum(x - xj, 0.0)
+    dv = np.zeros(x.size)
+    # every step writes into these; dgtsv solves in place, overwriting dl, d, du and its b
+    diff, tmp = np.empty(x.size - 1), np.empty(x.size - 1)
+    q, gen, dgen, d = (np.empty(x.size) for _ in range(4))
+    dl, du = np.empty(x.size - 1), np.empty(x.size - 1)
+
+    def rate_weights(w):
+        # A^T w = var * q and (dA/dsigma)^T w = 2 vol * q: q holds the up and down
+        # differences of w over their rate denominators (0 at the absorbing bottom)
+        np.subtract(w[1:], w[:-1], out=diff)
+        np.divide(diff, chain.up_den, out=q[:-1])
+        q[-1] = 0.0
+        np.divide(diff, chain.down_den, out=tmp)
+        np.subtract(q[1:], tmp, out=q[1:])
+        q[0] = 0.0
+
+    def solve_transposed(a, b):
+        # (I - a A)^T: the sub- and super-diagonals of the forward system swap
+        np.multiply(down[1:], -a, out=dl)
+        np.multiply(tot, a, out=d)
+        np.add(d, 1.0, out=d)
+        np.multiply(up[:-1], -a, out=du)
+        return dgtsv(dl, d, du, b, 1, 1, 1, 1)[3]
+
+    for t, dt_n, theta in reversed(chain.steps):
+        chain.rates(t, dt_n, theta)
+        a = theta * dt_n
+        w = solve_transposed(a, v)
+        rate_weights(w)
+        np.multiply(var, q, out=gen)  # A^T w
+        np.multiply(vol, q, out=dgen)  # (dA/dsigma)^T w / 2
+        np.multiply(dgen, 2.0 * a, out=q)
+        np.add(dv, q, out=dv)
+        dw = solve_transposed(a, dv)  # (I - a A)^T dw = dv + a (dA/dsigma)^T w
+        # v <- (I + (dt_n - a) A)^T w, dv <- its sigma derivative
+        np.multiply(gen, dt_n - a, out=gen)
+        v = np.add(w, gen, out=w)
+        rate_weights(dw)
+        np.multiply(var, q, out=gen)
+        np.multiply(dgen, 2.0, out=dgen)
+        np.add(gen, dgen, out=gen)
+        np.multiply(gen, dt_n - a, out=gen)
+        dv = np.add(dw, gen, out=dw)
+    _require_finite_law(v, dv)
+    below, price, above = v[s - 1:s + 2].tolist()
+    v_y, v_yy = (above - below) / (2.0 * h), (above - 2.0 * price + below) / (h * h)
+    return price, v_y / rn.s0, (v_yy - v_y) / rn.s0 ** 2, float(dv[s]), rn.s0 * h
 
 
 class _CandidateMap:
@@ -461,11 +583,33 @@ def _law_quote(rn: RiskNeutralParams, opt: OptionSpec, tol: float,
                        diagnostics=diagnostics)
 
 
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < math.inf:
+        raise InvalidGrid(f"tol must be a finite number > 0, got {tol}")
+
+
+def _law_greeks(rn: RiskNeutralParams, opt: OptionSpec,
+                tol: float = _FORMULA_TOL) -> tuple[float, dict]:
+    """The price and ``greeks_bump``'s Greeks of ``price_formula`` at tau > 0, from
+    ``_sweep_law`` on the default grid and the 2x coarser one, each
+    Richardson-extrapolated as the price is; ``tol`` is checked, as it moves
+    no law price.  ``ds`` is the fine grid's spot step s0 h and ``dsig`` is 0,
+    as the vega is a tangent."""
+    _check_tol(tol)
+    if rn.sigma == 0:
+        raise SigmaZeroUnsupported("law map requires sigma > 0")
+    tau = opt.maturity - opt.t
+    strike = opt.strike * _exp(-rn.r * tau, "discount", "-r tau")
+    fine, coarse = (_sweep_law(rn, tau, strike, LAW_NODES_BELOW // m, LAW_STEPS // m)
+                    for m in (1, 2))
+    price, delta, gamma, vega = map(_richardson, fine[:4], coarse[:4])
+    return price, {"delta": delta, "gamma": gamma, "vega": vega, "ds": fine[4], "dsig": 0.0}
+
+
 def _law_formula_quote(rn: RiskNeutralParams, opt: OptionSpec, tol: float = _FORMULA_TOL,
                        estimate: bool = False) -> OptionQuote:
     """``price_formula``, with ``law_error_estimate`` only if ``estimate``."""
-    if not 0 < tol < math.inf:
-        raise InvalidGrid(f"tol must be a finite number > 0, got {tol}")
+    _check_tol(tol)
     tau = opt.maturity - opt.t
     if tau == 0:
         return _intrinsic_quote(rn.s0, opt.strike, "formula")
@@ -579,16 +723,23 @@ def price_bs(rn: RiskNeutralParams, opt: OptionSpec) -> OptionQuote:
 def greeks_bump(pricer, rn: RiskNeutralParams, opt: OptionSpec,
                 ds: float | None = None, dsig: float | None = None,
                 **pricer_kwargs) -> dict:
-    """Central-finite-difference delta, gamma (spot) and vega (sigma).
+    """Delta, gamma (spot) and vega (sigma) of ``pricer(rn, opt, **pricer_kwargs)
+    -> OptionQuote``, by central finite differences of bumped prices.
 
-    ``pricer(rn, opt, **pricer_kwargs) -> OptionQuote``; pass price_mc with a
-    fixed seed to get common random numbers across bumps.  The differences
-    read each quote's price alone, so ``price_formula`` is repriced without
-    its ``law_error_estimate``: a set at c1 > 0 pays two law solves per bump,
-    the default grid's and the 2x coarser one of its Richardson price, and
-    the same prices.
+    Pass price_mc with a fixed seed to get common random numbers across bumps.
+    ``price_formula`` at c1 > 0 and T > t is not bumped: its Greeks come from
+    one backward sweep of the law solve's chain on each grid of its Richardson
+    price (``_law_greeks``), where ``ds`` is the fine grid's spot step and
+    ``dsig`` is 0, and an explicit ``ds`` or ``dsig`` raises InvalidGrid.
+    Elsewhere it is repriced without its ``law_error_estimate``, to the same
+    prices.
     """
     if pricer is price_formula:
+        if rn.c1 > 0 and opt.maturity > opt.t:
+            if ds is not None or dsig is not None:
+                raise InvalidGrid("price_formula's c1 > 0 Greeks are swept, not bumped: "
+                                  "pass neither ds nor dsig")
+            return _law_greeks(rn, opt, **pricer_kwargs)[1]
         pricer = _law_formula_quote
     if ds is None:
         ds = 1e-3 * rn.s0

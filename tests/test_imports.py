@@ -2,9 +2,9 @@
 
 ``import vve`` and the commands that need no scipy (hv, simulate,
 convergence) load none of it; calibrate and regress load scipy.special for
-their p-values, never scipy.stats; a formula price at c1 > 0 loads scipy's
-tridiagonal solver and none of its quadrature, interpolation, root finding
-or special functions.  ``import vve`` also starts no thread and
+their p-values, never scipy.stats; a formula price at c1 > 0, and the
+Greeks of one, load scipy's tridiagonal solver and none of its quadrature,
+interpolation, root finding or special functions.  ``import vve`` also starts no thread and
 does not load ``concurrent.futures``: the block engine's thread pool is made
 per call.  Each check runs in a fresh interpreter, since this test process
 has imported scipy long before.
@@ -63,11 +63,31 @@ def test_no_scipy_stats(command, tmp_path):
     assert not [m for m in modules if m == "scipy.stats" or m.startswith("scipy.stats.")]
 
 
-def test_law_price_loads_only_the_tridiagonal_solver(tmp_path):
-    modules = scipy_modules_after(["price", "--c1", "1e-4", "--method", "formula"], tmp_path)
+GREEKS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from vve.pricing import OptionSpec, RiskNeutralParams, greeks_bump, price_formula
+greeks_bump(price_formula, RiskNeutralParams(0.2, 1e-4, 100.0, 0.05), OptionSpec(100.0, 1.0, 0.05))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def assert_only_the_tridiagonal_solver(modules):
     assert "scipy.linalg.lapack" in modules
     for name in ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.special"):
         assert name not in modules
+
+
+def test_law_price_loads_only_the_tridiagonal_solver(tmp_path):
+    assert_only_the_tridiagonal_solver(
+        scipy_modules_after(["price", "--c1", "1e-4", "--method", "formula"], tmp_path))
+
+
+def test_law_greeks_load_only_the_tridiagonal_solver(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", GREEKS, str(SRC)], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert_only_the_tridiagonal_solver(json.loads(proc.stdout.strip().splitlines()[-1]))
 
 
 def test_import_starts_no_thread(tmp_path):

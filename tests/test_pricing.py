@@ -1,5 +1,6 @@
 """Unit tests for vve.pricing: solution map, inverse, and the three pricers."""
 
+import functools
 import json
 import math
 import sys
@@ -40,10 +41,13 @@ from vve.pricing import (
     SolvedLaw,
     _CandidateMap,
     _formula_quote,
+    _law_formula_quote,
+    _law_greeks,
     _law_quote,
     _map_coefficients,
     _richardson,
     _solve_law,
+    _sweep_law,
     _terminal_values,
     forward_map,
     greeks_bump,
@@ -612,11 +616,13 @@ class TestGreeks:
         e2 = abs(greeks_bump(price_formula, RN_GBM, ATM, ds=0.05, tol=1e-12)["delta"] - d_true)
         assert 2.0 < e1 / e2 < 8.0  # ~4x shrink for a second-order scheme
 
-    @pytest.mark.parametrize("rn", [RN_GBM, RN_VVE], ids=["c1=0", "c1>0"])
+    @pytest.mark.parametrize("rn, pricer", [(RN_GBM, price_formula), (RN_VVE, _law_formula_quote)],
+                             ids=["c1=0", "c1>0"])
     @pytest.mark.parametrize("tol", [None, 1e-6])
-    def test_formula_greeks_from_bumped_prices(self, rn, tol):
+    def test_formula_greeks_from_bumped_prices(self, rn, pricer, tol):
         # the bumps reprice without the estimate's grid, to the same bits; tol = 1e-6
-        # moves the last bits of these prices, so a dropped tol shows
+        # moves the last bits of the c1 = 0 prices, so a dropped tol shows.  At c1 > 0
+        # price_formula's set is swept: _law_formula_quote is its bump oracle
         kwargs = {} if tol is None else {"tol": tol}
 
         def price(**over):
@@ -625,7 +631,7 @@ class TestGreeks:
         ds, dsig = 1e-3 * rn.s0, 1e-3 * max(rn.sigma, 0.1)
         p0, p_up, p_dn = price(), price(s0=rn.s0 + ds), price(s0=rn.s0 - ds)
         v_up, v_dn = price(sigma=rn.sigma + dsig), price(sigma=rn.sigma - dsig)
-        assert greeks_bump(price_formula, rn, ATM, **kwargs) == {
+        assert greeks_bump(pricer, rn, ATM, **kwargs) == {
             "delta": (p_up - p_dn) / (2.0 * ds),
             "gamma": (p_up - 2.0 * p0 + p_dn) / ds ** 2,
             "vega": (v_up - v_dn) / (2.0 * dsig),
@@ -637,25 +643,35 @@ class TestGreeks:
             with pytest.raises(InvalidGrid):
                 greeks_bump(price_formula, rn, ATM, tol=tol)
 
-    def test_cold_formula_set_solves_four_laws(self):
+    def test_cold_formula_set_runs_two_sweeps(self, monkeypatch):
         # a strip pays three law solves (the price's two grids and the estimate's);
-        # after it, a set pays the price's two per bump, and none for the estimate
+        # after it, a set solves no law and sweeps each grid of the price once
         rn = RiskNeutralParams(sigma=0.2, c1=1e-3, s0=100.0, r=0.05)
         law_map.cache_clear()
         for k in (90.0, 100.0, 110.0):
             price_formula(rn, OptionSpec(strike=k, maturity=0.5, rate=0.05))
         misses = law_map.cache_info().misses
         assert misses == 3
+        grids = []
+
+        def sweep(rn, tau, strike, nodes_below, steps):
+            grids.append((nodes_below, steps))
+            return _sweep_law(rn, tau, strike, nodes_below, steps)
+
+        monkeypatch.setattr("vve.pricing._sweep_law", sweep)
         greeks_bump(price_formula, rn, OptionSpec(strike=100.0, maturity=0.5, rate=0.05))
-        assert law_map.cache_info().misses - misses == 8
+        assert law_map.cache_info().misses == misses
+        assert grids == [(LAW_NODES_BELOW, LAW_STEPS), (LAW_NODES_BELOW // 2, LAW_STEPS // 2)]
 
     def test_parallel_solves_keep_serial_bits(self):
-        # three user threads sharing the law-map cache: a Greek set twice on one key,
-        # and quotes on that key and another, against the same calls in sequence
+        # four user threads: a bump set twice on one key of the law-map cache, a
+        # swept set, and quotes on that key and another, against the same calls in
+        # sequence
         rn_b = replace(RN_VVE, c1=1e-3)
         short = OptionSpec(strike=95.0, maturity=0.25, rate=0.05)
-        calls = [lambda: greeks_bump(price_formula, RN_VVE, short),
-                 lambda: greeks_bump(price_formula, RN_VVE, short),
+        calls = [lambda: greeks_bump(_law_formula_quote, RN_VVE, short),
+                 lambda: greeks_bump(_law_formula_quote, RN_VVE, short),
+                 lambda: greeks_bump(price_formula, rn_b, short),
                  lambda: (price_formula(RN_VVE, short).to_dict(),
                           price_formula(rn_b, short).to_dict())]
         law_map.cache_clear()
@@ -687,8 +703,8 @@ class TestGreeks:
 class TestLawSolveErrors:
     """Errors and warnings of formula quotes and Greek sets at c1 > 0.
 
-    At r = 600, tau = 1 the law solve overflows: the Greek set stops at its
-    first price with OutOfRange.
+    At r = 600, tau = 1 the law solve overflows, and so does the sweep of its
+    chain: the Greek set stops at its first sweep with OutOfRange.
     """
 
     RN = RiskNeutralParams(sigma=0.2, c1=1e-3, s0=100.0, r=600.0)
@@ -725,11 +741,79 @@ class TestLawSolveErrors:
         assert law_map.cache_info() == before
 
     def test_invalid_bump_raises(self):
-        # sigma - dsig < 0: the set prices three bumps, then raises
+        # sigma - dsig < 0 on the bump route: the set prices three bumps, then raises
         rn = RiskNeutralParams(sigma=5e-5, c1=1e-3, s0=100.0, r=0.05)
         with pytest.raises(NegativeCoefficient, match="sigma and c1 must be >= 0"):
-            greeks_bump(price_formula, rn, OptionSpec(strike=100.0, maturity=0.25, rate=0.05))
+            greeks_bump(_law_formula_quote, rn,
+                        OptionSpec(strike=100.0, maturity=0.25, rate=0.05))
         assert law_map.cache_info().misses == 8
+
+
+#: the c1 > 0 cells of the benchmark's formula surface (sigma 0.2, s0 100, r 0.05)
+SURFACE = [(c1, tau) for c1 in (5e-4, 1e-3, 2e-3) for tau in (0.25, 0.5, 1.0, 2.0)]
+
+
+@functools.cache
+def swept(c1, tau, strike):
+    rn = replace(RN_VVE, c1=c1)
+    return _law_greeks(rn, OptionSpec(strike=strike, maturity=tau, rate=0.05))
+
+
+class TestLawGreeks:
+    """``price_formula``'s c1 > 0 Greeks from a backward sweep of the law solve's chain."""
+
+    @pytest.mark.parametrize("c1, tau", SURFACE, ids=lambda v: f"{v:g}")
+    def test_swept_price_is_the_formula_price(self, c1, tau):
+        rn = replace(RN_VVE, c1=c1)
+        for k in (90.0, 100.0, 110.0):
+            price = price_formula(rn, OptionSpec(strike=k, maturity=tau, rate=0.05)).price
+            assert abs(swept(c1, tau, k)[0] - price) <= 1e-12
+
+    @pytest.mark.parametrize("c1, tau", SURFACE, ids=lambda v: f"{v:g}")
+    def test_greeks_within_1e5_of_bumped(self, c1, tau):
+        rn = replace(RN_VVE, c1=c1)
+        for k in (90.0, 100.0, 110.0):
+            opt = OptionSpec(strike=k, maturity=tau, rate=0.05)
+            bumped = greeks_bump(_law_formula_quote, rn, opt)
+            greeks = swept(c1, tau, k)[1]
+            for name in ("delta", "gamma", "vega"):
+                assert abs(greeks[name] - bumped[name]) <= 1e-5, name
+
+    @pytest.mark.parametrize("strike", [90.0, 100.0, 110.0])
+    def test_c1_zero_matches_black_scholes(self, strike):
+        greeks = _law_greeks(RN_GBM, replace(ATM, strike=strike))[1]
+        args = (100.0, strike, 1.0, 0.05, 0.2)
+        assert abs(greeks["delta"] - bs_delta_mp(*args)) <= 1e-6
+        assert abs(greeks["gamma"] - bs_gamma_mp(*args)) <= 1e-6
+        assert abs(greeks["vega"] - bs_vega_mp(*args)) <= 1e-6
+
+    def test_default_grids_within_1e5_of_finer_pair(self):
+        rn, tau, strike = replace(RN_VVE, c1=1e-3), 1.0, 100.0 * math.exp(-0.05)
+        finer = [_sweep_law(rn, tau, strike, 2 * LAW_NODES_BELOW // m, 2 * LAW_STEPS // m)
+                 for m in (1, 2)]
+        greeks = swept(1e-3, tau, 100.0)[1]
+        for i, name in enumerate(("delta", "gamma", "vega"), start=1):
+            assert abs(greeks[name] - _richardson(finer[0][i], finer[1][i])) <= 1e-5, name
+
+    def test_set_keys(self):
+        greeks = greeks_bump(price_formula, replace(RN_VVE, c1=1e-3), ATM)
+        assert greeks == swept(1e-3, 1.0, 100.0)[1]
+        assert greeks["dsig"] == 0.0
+        assert greeks["ds"] == _sweep_law(replace(RN_VVE, c1=1e-3), 1.0, 100.0, LAW_NODES_BELOW,
+                                          LAW_STEPS)[4]
+
+    def test_small_sigma_quotes(self):
+        # the bump route cannot price sigma - dsig < 0 (TestLawSolveErrors); the sweep
+        # has no sigma bump
+        rn = RiskNeutralParams(sigma=5e-5, c1=1e-3, s0=100.0, r=0.05)
+        greeks = greeks_bump(price_formula, rn, OptionSpec(strike=100.0, maturity=0.25, rate=0.05))
+        assert all(math.isfinite(v) for v in greeks.values())
+        assert 0.0 < greeks["delta"] < 1.0
+
+    @pytest.mark.parametrize("bump", [{"ds": 0.1}, {"dsig": 1e-3}])
+    def test_explicit_bump_rejected(self, bump):
+        with pytest.raises(InvalidGrid, match="ds"):
+            greeks_bump(price_formula, RN_VVE, ATM, **bump)
 
 
 class TestRichardsonTable:
