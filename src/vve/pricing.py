@@ -14,9 +14,10 @@ Three routes:
   is the same number as E[(X - K')^+] for the discounted price X and strike
   K' = K e^{-r(T-t)}, which the solve's node sums give directly; its delta,
   gamma and vega come from one backward sweep of the solve's Markov chain
-  per grid (``greeks_bump``).  At c1 = 0 the map is the closed form below,
-  then the exact lognormal law, and the formula is evaluated by adaptive
-  quadrature against the standard normal density.
+  per grid (``greeks_bump``).  The forward solve and the sweep step through
+  one system solve (``_LawChain.solve``).  At c1 = 0 the map is the closed
+  form below, then the exact lognormal law, and the formula is evaluated by
+  adaptive quadrature against the standard normal density.
 
 * ``price_mc`` — risk-neutral Monte Carlo via the Euler scheme (not a
   solution map), an independent check on the formula.  The strikes of a
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -195,7 +197,11 @@ def inverse_map(rn: RiskNeutralParams, t: float, x: float) -> float:
     f_hi = c / (DEN_TOL_FACTOR * b)
     if a < 0 and x >= f_hi:
         raise OutOfRange(f"x={x} beyond the explosion asymptote (f <= {f_hi:.6g})")
-    return math.log(b * x / (c - a * x)) / rn.sigma
+    num, den = b * x, c - a * x
+    if not (den > 0 and 0 < num / den < math.inf):
+        raise OutOfRange(f"x={x}: the inverse ln(b x / (c - a x)) leaves float range "
+                         f"(b x = {num:.6g}, c - a x = {den:.6g})")
+    return math.log(num / den) / rn.sigma
 
 
 # --------------------------------------------------------------------------
@@ -209,6 +215,8 @@ LAW_STEPS = 200
 _LAW_DEPTH_SD = 12.0
 #: largest log distance of the default grid top above the spot (~1e30 x s0)
 _LAW_TOP_LOG = 69.0
+#: largest rounding error of a swept gamma, relative to max(1, |gamma|)
+_GAMMA_ROUNDING = 1e-6
 
 
 class _LawChain:
@@ -217,7 +225,9 @@ class _LawChain:
     ``x`` holds the nodes x_k = s0 e^{kh}, the spot at index ``nodes_below``, and
     ``steps`` the march's steps (t, dt_n, theta): four implicit-Euler half steps
     (Rannacher), then Crank-Nicolson.  ``rates`` fills the jump rates at one
-    step into buffers every step reuses.
+    step, and ``solve`` solves that step's implicit system, in buffers every
+    step reuses.  Raises OutOfRange, before any step, where the grid leaves
+    the float range.
     """
 
     def __init__(self, rn: RiskNeutralParams, tau: float, s_max: float | None,
@@ -232,6 +242,9 @@ class _LawChain:
         h = depth / nodes_below
         if s_max is None:
             s_max = rn.s0 * math.exp(min(2.0 * depth, _LAW_TOP_LOG))
+        if not s_max * _exp(h, "law grid", "h") < math.inf:  # the top node is below s_max e^h
+            raise OutOfRange(f"law grid top {s_max:.3g} times e^h, h = {h:.3g}, is beyond "
+                             "float range")
         nodes_above = max(math.ceil(math.log(s_max / rn.s0) / h), 1)
         self.rn, self.h = rn, h
         self.x = rn.s0 * np.exp(h * np.arange(-nodes_below, nodes_above + 1))
@@ -241,7 +254,15 @@ class _LawChain:
             t += dt_n
         gap_up, gap_down = math.expm1(h), -math.expm1(-h)
         self.up_den, self.down_den = gap_up * (gap_up + gap_down), gap_down * (gap_up + gap_down)
-        self.vol, self.var, self.up, self.down, self.tot = (np.empty(self.x.size) for _ in range(5))
+        if not self.down_den > vol0 * vol0 / sys.float_info.max:  # a finite rate at the spot
+            raise OutOfRange(f"law grid step h = {h:.3g} is too fine: its rate denominator "
+                             f"{self.down_den:.3g} cannot carry the spot's variance "
+                             f"{vol0 * vol0:.3g} in float range")
+        self.vol, self.var, self.up, self.down, self.tot, self.d = (
+            np.empty(self.x.size) for _ in range(6))
+        self.dl, self.du = np.empty(self.x.size - 1), np.empty(self.x.size - 1)
+        from scipy.linalg.lapack import dgtsv
+        self._dgtsv = dgtsv
 
     def rates(self, t: float, dt_n: float, theta: float) -> None:
         """Fill vol = sigma + c1 e^{rt} x at t + theta dt_n, var = vol^2, the rates
@@ -255,6 +276,17 @@ class _LawChain:
         np.divide(var, self.down_den, out=down)
         up[0] = down[0] = up[-1] = 0.0
         np.add(up, down, out=self.tot)
+
+    def solve(self, a: float, b, transposed: bool = False):
+        """y with (I - a A) y = b, or (I - a A)^T y = b, for the generator A of the
+        last ``rates``: A is tridiagonal (up[:-1], -tot, down[1:]), and its
+        transpose swaps the off-diagonals.  ``dgtsv`` solves in place, overwriting
+        the chain's diagonals and, where it can, ``b``."""
+        np.multiply(self.down[1:] if transposed else self.up[:-1], -a, out=self.dl)
+        np.multiply(self.tot, a, out=self.d)
+        np.add(self.d, 1.0, out=self.d)
+        np.multiply(self.up[:-1] if transposed else self.down[1:], -a, out=self.du)
+        return self._dgtsv(self.dl, self.d, self.du, b, 1, 1, 1, 1)[3]  # info > 0 goes unread
 
 
 def _require_finite_law(*arrays) -> None:
@@ -285,33 +317,24 @@ def _solve_law(rn: RiskNeutralParams, tau: float, s_max: float | None,
 
     Returns (nodes, probabilities, h).
     """
-    from scipy.linalg.lapack import dgtsv
-
     chain = _LawChain(rn, tau, s_max, nodes_below, steps)
     up, down, tot = chain.up, chain.down, chain.tot
     p = np.zeros(chain.x.size)
     p[nodes_below] = 1.0
-    # every step writes into these; dgtsv solves in place, overwriting dl, d, du and p
-    flow, d = np.empty(p.size), np.empty(p.size)
-    dl, du = np.empty(p.size - 1), np.empty(p.size - 1)
+    flow, part = np.empty(p.size), np.empty(p.size - 1)  # every step writes into these
     for t, dt_n, theta in chain.steps:
         chain.rates(t, dt_n, theta)
-        # dp/dt = A p with A tridiagonal: (up[:-1], -tot, down[1:]), tot = up + down
+        # flow = A p, then (I - a A) p_next = p + (dt_n - a) A p
         np.multiply(tot, p, out=flow)
         np.negative(flow, out=flow)
-        np.multiply(up[:-1], p[:-1], out=dl)
-        np.add(flow[1:], dl, out=flow[1:])
-        np.multiply(down[1:], p[1:], out=du)
-        np.add(flow[:-1], du, out=flow[:-1])
-        # (I - a A) p_next = p + (dt_n - a) A p
+        np.multiply(up[:-1], p[:-1], out=part)
+        np.add(flow[1:], part, out=flow[1:])
+        np.multiply(down[1:], p[1:], out=part)
+        np.add(flow[:-1], part, out=flow[:-1])
         a = theta * dt_n
-        np.multiply(up[:-1], -a, out=dl)
-        np.multiply(tot, a, out=d)
-        np.add(d, 1.0, out=d)
-        np.multiply(down[1:], -a, out=du)
         np.multiply(flow, dt_n - a, out=flow)
         np.add(p, flow, out=p)
-        p = dgtsv(dl, d, du, p, 1, 1, 1, 1)[3]  # info > 0 (a zero pivot) goes unread
+        p = chain.solve(a, p)
     _require_finite_law(p)
     return chain.x, p, chain.h
 
@@ -375,11 +398,11 @@ def law_map(rn: RiskNeutralParams, tau: float, s_max: float | None = None,
 
     Cached, as the solve is the costly step; a warm quote is one binary search
     and a 4-node interpolation.  It depends on tau, not t: the SDE is
-    time-homogeneous.  A c1 > 0 ``price_formula`` quote reads the default grid,
-    the 2x coarser one and (for ``law_error_estimate``) the 4x coarser one.  A
-    ``greeks_bump`` set of that quote reads none: it sweeps the chain of the
-    first two grids backward (``_sweep_law``), uncached.  Threads may share the
-    cache; two that miss on one key each solve it alike.
+    time-homogeneous.  Every c1 > 0 ``price_formula`` quote reads the default
+    grid, the 2x coarser one and (for ``law_error_estimate``) the 4x coarser
+    one.  A ``greeks_bump(price_formula, ...)`` set reads none: it sweeps the
+    chain of the first two grids backward (``_sweep_law``), uncached.  Threads
+    may share the cache; two that miss on one key each solve it alike.
     """
     if rn.sigma == 0:
         raise SigmaZeroUnsupported("law map requires sigma > 0")
@@ -401,13 +424,14 @@ def _sweep_law(rn: RiskNeutralParams, tau: float, strike: float, nodes_below: in
     product.  Delta and gamma are central differences in log price at the
     spot node (the grid held fixed); vega is the tangent dv/dsigma, carried by
     a second solve per step on the same matrix, where dA/dsigma is A with var
-    replaced by 2 vol.  Raises OutOfRange as ``_solve_law`` does.
+    replaced by 2 vol.  Raises OutOfRange as ``_solve_law`` does, and where the
+    rounding of the gamma's second difference, 4 eps max|v| / (s0 h)^2 over the
+    three nodes, exceeds ``_GAMMA_ROUNDING`` x max(1, |gamma|): at maturities
+    so short that s0 h is tiny against the option's value (at c1 = 5e-4,
+    s0 = 100, K = 90 and tau = 1e-8, a rounding bound of 9.9e-6).
     """
-    from scipy.linalg.lapack import dgtsv
-
     chain = _LawChain(rn, tau, None, nodes_below, steps)
-    x, h, s = chain.x, chain.h, nodes_below
-    vol, var, up, down, tot = chain.vol, chain.var, chain.up, chain.down, chain.tot
+    x, h, s, vol, var = chain.x, chain.h, nodes_below, chain.vol, chain.var
     log_x = _log_nodes(x)
     i = int(np.searchsorted(x, strike, side="right"))  # the nodes at or below K
     v = np.zeros(x.size)
@@ -418,10 +442,9 @@ def _sweep_law(rn: RiskNeutralParams, tau: float, strike: float, nodes_below: in
         for xj, w in zip(x[k:k + 4].tolist(), weights):
             v += w * np.maximum(x - xj, 0.0)
     dv = np.zeros(x.size)
-    # every step writes into these; dgtsv solves in place, overwriting dl, d, du and its b
+    # every step writes into these
     diff, tmp = np.empty(x.size - 1), np.empty(x.size - 1)
-    q, gen, dgen, d = (np.empty(x.size) for _ in range(4))
-    dl, du = np.empty(x.size - 1), np.empty(x.size - 1)
+    q, gen, dgen = (np.empty(x.size) for _ in range(3))
 
     def rate_weights(w):
         # A^T w = var * q and (dA/dsigma)^T w = 2 vol * q: q holds the up and down
@@ -433,24 +456,16 @@ def _sweep_law(rn: RiskNeutralParams, tau: float, strike: float, nodes_below: in
         np.subtract(q[1:], tmp, out=q[1:])
         q[0] = 0.0
 
-    def solve_transposed(a, b):
-        # (I - a A)^T: the sub- and super-diagonals of the forward system swap
-        np.multiply(down[1:], -a, out=dl)
-        np.multiply(tot, a, out=d)
-        np.add(d, 1.0, out=d)
-        np.multiply(up[:-1], -a, out=du)
-        return dgtsv(dl, d, du, b, 1, 1, 1, 1)[3]
-
     for t, dt_n, theta in reversed(chain.steps):
         chain.rates(t, dt_n, theta)
         a = theta * dt_n
-        w = solve_transposed(a, v)
+        w = chain.solve(a, v, transposed=True)
         rate_weights(w)
         np.multiply(var, q, out=gen)  # A^T w
         np.multiply(vol, q, out=dgen)  # (dA/dsigma)^T w / 2
         np.multiply(dgen, 2.0 * a, out=q)
         np.add(dv, q, out=dv)
-        dw = solve_transposed(a, dv)  # (I - a A)^T dw = dv + a (dA/dsigma)^T w
+        dw = chain.solve(a, dv, transposed=True)  # (I - a A)^T dw = dv + a (dA/dsigma)^T w
         # v <- (I + (dt_n - a) A)^T w, dv <- its sigma derivative
         np.multiply(gen, dt_n - a, out=gen)
         v = np.add(w, gen, out=w)
@@ -463,7 +478,13 @@ def _sweep_law(rn: RiskNeutralParams, tau: float, strike: float, nodes_below: in
     _require_finite_law(v, dv)
     below, price, above = v[s - 1:s + 2].tolist()
     v_y, v_yy = (above - below) / (2.0 * h), (above - 2.0 * price + below) / (h * h)
-    return price, v_y / rn.s0, (v_yy - v_y) / rn.s0 ** 2, float(dv[s]), rn.s0 * h
+    gamma = (v_yy - v_y) / rn.s0 ** 2
+    rounding = (4.0 * sys.float_info.epsilon * max(map(abs, (below, price, above)))
+                / (rn.s0 * h) ** 2)
+    if rounding > _GAMMA_ROUNDING * max(1.0, abs(gamma)):
+        raise OutOfRange(f"swept gamma {gamma:.6g} has a rounding error up to {rounding:.3g} on "
+                         f"the grid step s0 h = {rn.s0 * h:.3g}: the maturity is too short")
+    return price, v_y / rn.s0, gamma, float(dv[s]), rn.s0 * h
 
 
 class _CandidateMap:
@@ -556,11 +577,8 @@ def _richardson(fine: float, coarse: float) -> float:
     return fine + (fine - coarse) / 3.0
 
 
-def _law_quote(rn: RiskNeutralParams, opt: OptionSpec, tol: float,
-               estimate: bool) -> OptionQuote:
-    """The formula on the solved law, at any c1 and tau > 0 (see ``price_formula``);
-    with ``estimate`` false (prices alone, as ``greeks_bump`` reads) it skips
-    the third solve, that of ``law_error_estimate``."""
+def _law_quote(rn: RiskNeutralParams, opt: OptionSpec, tol: float) -> OptionQuote:
+    """The formula on the solved law, at any c1 and tau > 0 (see ``price_formula``)."""
     from statistics import NormalDist  # 5 ms that commands without a law quote skip
 
     tau = opt.maturity - opt.t
@@ -575,12 +593,11 @@ def _law_quote(rn: RiskNeutralParams, opt: OptionSpec, tol: float,
     half = coarse_price(2)
     price = _richardson(fine, half)
     d = -math.inf if below <= 0 else math.inf if below >= 1 else NormalDist().inv_cdf(below)
-    diagnostics = {"d": d, "fT_inv_K": d * math.sqrt(tau), "ft_inv_x": 0.0,
-                   "nodes_or_paths": nodes_read, "exploded_fraction": 0.0, **law.grid}
-    if estimate:
-        diagnostics["law_error_estimate"] = abs(price - _richardson(half, coarse_price(4)))
+    estimate = abs(price - _richardson(half, coarse_price(4)))
     return OptionQuote(price=max(price, 0.0), method="formula", error_estimate=tol,
-                       diagnostics=diagnostics)
+                       diagnostics={"d": d, "fT_inv_K": d * math.sqrt(tau), "ft_inv_x": 0.0,
+                                    "nodes_or_paths": nodes_read, "exploded_fraction": 0.0,
+                                    **law.grid, "law_error_estimate": estimate})
 
 
 def _check_tol(tol: float) -> None:
@@ -606,38 +623,32 @@ def _law_greeks(rn: RiskNeutralParams, opt: OptionSpec,
     return price, {"delta": delta, "gamma": gamma, "vega": vega, "ds": fine[4], "dsig": 0.0}
 
 
-def _law_formula_quote(rn: RiskNeutralParams, opt: OptionSpec, tol: float = _FORMULA_TOL,
-                       estimate: bool = False) -> OptionQuote:
-    """``price_formula``, with ``law_error_estimate`` only if ``estimate``."""
-    _check_tol(tol)
-    tau = opt.maturity - opt.t
-    if tau == 0:
-        return _intrinsic_quote(rn.s0, opt.strike, "formula")
-    if rn.c1 == 0:
-        return _formula_quote(rn, opt, tol, _CandidateMap(rn, opt))
-    return _law_quote(rn, opt, tol, estimate)
-
-
 def price_formula(rn: RiskNeutralParams, opt: OptionSpec,
                   tol: float = _FORMULA_TOL) -> OptionQuote:
     """Explicit-formula price: on the solved law for c1 > 0, by quadrature at c1 = 0.
 
-    For c1 > 0 the formula on the law map is E[(X - K')^+] on the law solve
-    (``law_map``), K' = K e^{-r(T-t)}, read off its node sums
-    (``SolvedLaw.price``) as R = P + (P - P_2) / 3 from the default grid and
-    the one 2x coarser in price and time: the solve's error has a clean h^2
-    term (Crank-Nicolson after a Rannacher start), which R cancels.  The
-    diagnostics give the grid (``law_nodes``, ``law_steps``, ``law_s_min``,
-    ``law_s_max``, in today's money), the nodes read (``nodes_or_paths``),
-    d = Phi^{-1}(P(X <= K')), ``fT_inv_K`` = d sqrt(T - t), ``ft_inv_x`` = 0
-    and ``law_error_estimate`` = |R - R_2|, R_2 the same extrapolation from
-    the grids 2x and 4x coarser.  At c1 = 0 the map is the closed form, then
-    exact, integrated by adaptive quadrature to ``tol``, the only price
-    ``tol`` moves; ``error_estimate`` is ``tol``.  (``_formula_quote(rn, opt,
-    tol, _CandidateMap(rn, opt))`` prices the paper's candidate map, which
-    for c1 > 0 is not the model's.)
+    ``tol`` must be finite and > 0 (InvalidGrid); at T = t the quote is the
+    intrinsic value.  Otherwise, for c1 > 0 the formula on the law map is
+    E[(X - K')^+] on the law solve (``law_map``), K' = K e^{-r(T-t)}, read off
+    its node sums (``SolvedLaw.price``) as R = P + (P - P_2) / 3 from the
+    default grid and the one 2x coarser in price and time: the solve's error
+    has a clean h^2 term (Crank-Nicolson after a Rannacher start), which R
+    cancels.  The diagnostics give the grid (``law_nodes``, ``law_steps``,
+    ``law_s_min``, ``law_s_max``, in today's money), the nodes read
+    (``nodes_or_paths``), d = Phi^{-1}(P(X <= K')), ``fT_inv_K`` = d sqrt(T - t),
+    ``ft_inv_x`` = 0 and ``law_error_estimate`` = |R - R_2|, R_2 the same
+    extrapolation from the grids 2x and 4x coarser.  At c1 = 0 the map is the
+    closed form, then exact, integrated by adaptive quadrature to ``tol``, the
+    only price ``tol`` moves; ``error_estimate`` is ``tol``.
+    (``_formula_quote(rn, opt, tol, _CandidateMap(rn, opt))`` prices the
+    paper's candidate map, which for c1 > 0 is not the model's.)
     """
-    return _law_formula_quote(rn, opt, tol, estimate=True)
+    _check_tol(tol)
+    if opt.maturity - opt.t == 0:
+        return _intrinsic_quote(rn.s0, opt.strike, "formula")
+    if rn.c1 == 0:
+        return _formula_quote(rn, opt, tol, _CandidateMap(rn, opt))
+    return _law_quote(rn, opt, tol)
 
 
 @functools.lru_cache(maxsize=4)
@@ -708,13 +719,16 @@ def price_bs(rn: RiskNeutralParams, opt: OptionSpec) -> OptionQuote:
     if strike == 0:
         return OptionQuote(price=s, method="black_scholes", error_estimate=0.0,
                            diagnostics={"d1": math.inf, "d2": math.inf})
-    sqrt_tau = math.sqrt(tau)
+    moneyness, vol = s / strike, sigma * math.sqrt(tau)
+    if not (moneyness > 0 and vol > 0):
+        raise OutOfRange(f"Black-Scholes needs s0 / strike and sigma sqrt(tau) > 0 in float "
+                         f"range, got {moneyness:.6g} and {vol:.6g}")
     try:
-        d1 = (math.log(s / strike) + (r + 0.5 * sigma ** 2) * tau) / (sigma * sqrt_tau)
+        d1 = (math.log(moneyness) + (r + 0.5 * sigma ** 2) * tau) / vol
     except OverflowError:
         raise OutOfRange(f"Black-Scholes needs sigma^2 in float range, got sigma = "
                          f"{sigma:.6g}") from None
-    d2 = d1 - sigma * sqrt_tau
+    d2 = d1 - vol
     price = s * norm_cdf(d1) - strike * _exp(-r * tau, "discount", "-r tau") * norm_cdf(d2)
     return OptionQuote(price=max(price, 0.0), method="black_scholes",
                        error_estimate=0.0, diagnostics={"d1": d1, "d2": d2})
@@ -727,20 +741,19 @@ def greeks_bump(pricer, rn: RiskNeutralParams, opt: OptionSpec,
     -> OptionQuote``, by central finite differences of bumped prices.
 
     Pass price_mc with a fixed seed to get common random numbers across bumps.
-    ``price_formula`` at c1 > 0 and T > t is not bumped: its Greeks come from
-    one backward sweep of the law solve's chain on each grid of its Richardson
-    price (``_law_greeks``), where ``ds`` is the fine grid's spot step and
-    ``dsig`` is 0, and an explicit ``ds`` or ``dsig`` raises InvalidGrid.
-    Elsewhere it is repriced without its ``law_error_estimate``, to the same
-    prices.
+    ``price_formula`` itself at c1 > 0 and T > t is not bumped: its Greeks come
+    from one backward sweep of the law solve's chain on each grid of its
+    Richardson price (``_law_greeks``), where ``ds`` is the fine grid's spot
+    step and ``dsig`` is 0, and an explicit ``ds`` or ``dsig`` raises
+    InvalidGrid.  The sweep raises OutOfRange where its gamma would be rounding
+    noise (see ``_sweep_law``).  Any other pricer, ``price_formula`` elsewhere
+    and a wrapper of it (``functools.partial(price_formula)``) are bumped.
     """
-    if pricer is price_formula:
-        if rn.c1 > 0 and opt.maturity > opt.t:
-            if ds is not None or dsig is not None:
-                raise InvalidGrid("price_formula's c1 > 0 Greeks are swept, not bumped: "
-                                  "pass neither ds nor dsig")
-            return _law_greeks(rn, opt, **pricer_kwargs)[1]
-        pricer = _law_formula_quote
+    if pricer is price_formula and rn.c1 > 0 and opt.maturity > opt.t:
+        if ds is not None or dsig is not None:
+            raise InvalidGrid("price_formula's c1 > 0 Greeks are swept, not bumped: "
+                              "pass neither ds nor dsig")
+        return _law_greeks(rn, opt, **pricer_kwargs)[1]
     if ds is None:
         ds = 1e-3 * rn.s0
     if dsig is None:

@@ -1,5 +1,6 @@
 """End-to-end tests for the vve CLI: outputs, schemas, determinism, errors."""
 
+import itertools
 import json
 import math
 import warnings
@@ -507,18 +508,22 @@ class TestIngest:
 
 
 class TestFuzzGrid:
-    """Every numeric flag of every command at edge values: a clean run or a JSON error,
-    with no ``RuntimeWarning`` on the way.
+    """Every numeric flag of every command at edge values, and every pair of
+    ``price``'s float flags: a clean run or a JSON error, with no
+    ``RuntimeWarning`` on the way.
 
     Each float flag gets NaN, +-inf, 0, -1, +-1e3, 1e300 and 1e-300; each int flag
     gets 0, -1 and 1 (a huge int would allocate).  A command is fuzzed from
     each base that reaches a different route (each pricing method, the exact
     and the refined reference, closed-form paths), with small grids so that
-    each run is short.
+    each run is short.  The pairs take 0, 1e-300, 1e300 and +-1e3 for both
+    flags; NaN, +-inf and -1 stay with the single flags, as a per-flag check
+    rejects each of them before any arithmetic.
     """
 
     FLOATS = ["nan", "inf", "-inf", "0", "-1", "1e3", "-1e3", "1e300", "1e-300"]
     INTS = ["0", "-1", "1"]
+    PAIR_FLOATS = ["0", "1e-300", "1e300", "1e3", "-1e3"]
     CSV = ["--csv", "{csv}", "--window", "5"]
     BASES = {
         "simulate": [["--paths", "8", "--steps", "8", "--c1", "5e-4"],
@@ -539,16 +544,29 @@ class TestFuzzGrid:
             for name, _, typ, _ in _options(command):
                 for value in {float: cls.FLOATS, int: cls.INTS}.get(typ, []):
                     for base in cls.BASES[command]:
-                        yield command, base, f"--{name.replace('_', '-')}={value}"
+                        yield command, base, [f"--{name.replace('_', '-')}={value}"]
 
-    def test_clean_run_or_json_error(self, tmp_path, capsys):
+    @classmethod
+    def pair_cases(cls):
+        from vve.cli import _options
+        flags = [f"--{name.replace('_', '-')}" for name, _, typ, _ in _options("price")
+                 if typ is float]
+        for pair in itertools.combinations(flags, 2):
+            for values in itertools.product(cls.PAIR_FLOATS, repeat=2):
+                for base in cls.BASES["price"]:
+                    yield "price", base, [f"{flag}={value}" for flag, value in zip(pair, values)]
+
+    @staticmethod
+    def failures(cases, tmp_path, capsys):
+        """One line per case that escapes with an exception or a ``RuntimeWarning``,
+        exits other than 0 or 1, writes non-JSON, or exits 1 without the JSON error line."""
         csv = tmp_path / "short.csv"
         csv.write_text("".join((DATA / "vve_synthetic.csv").read_text().splitlines(True)[:41]))
 
         failures = []
-        for i, (command, base, flag) in enumerate(self.cases()):
+        for i, (command, base, flags) in enumerate(cases):
             out = tmp_path / str(i)
-            argv = [command, *(arg.format(csv=csv) for arg in base), flag, "--out-dir", str(out)]
+            argv = [command, *(arg.format(csv=csv) for arg in base), *flags, "--out-dir", str(out)]
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 try:
@@ -569,4 +587,12 @@ class TestFuzzGrid:
                     assert set(line) == {"error", "message"} and line["message"]
             except (AssertionError, ValueError, IndexError) as exc:
                 failures.append(f"{' '.join(argv[:-2])}: exit {code}: {exc}")
+        return failures
+
+    def test_clean_run_or_json_error(self, tmp_path, capsys):
+        failures = self.failures(self.cases(), tmp_path, capsys)
+        assert not failures, "\n".join(failures)
+
+    def test_price_flag_pairs(self, tmp_path, capsys):
+        failures = self.failures(self.pair_cases(), tmp_path, capsys)
         assert not failures, "\n".join(failures)

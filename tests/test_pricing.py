@@ -41,7 +41,6 @@ from vve.pricing import (
     SolvedLaw,
     _CandidateMap,
     _formula_quote,
-    _law_formula_quote,
     _law_greeks,
     _law_quote,
     _map_coefficients,
@@ -63,6 +62,9 @@ from vve.sde import euler_terminal
 RN_GBM = RiskNeutralParams(sigma=0.2, c1=0.0, s0=100.0, r=0.05)
 RN_VVE = RiskNeutralParams(sigma=0.2, c1=5e-4, s0=100.0, r=0.05)
 ATM = OptionSpec(strike=100.0, maturity=1.0, rate=0.05)
+#: price_formula as a bump oracle: greeks_bump sweeps price_formula itself at c1 > 0, tau > 0,
+#: and bumps any other pricer
+BUMPED_FORMULA = functools.partial(price_formula)
 
 
 class TestSpecsAndParams:
@@ -616,13 +618,13 @@ class TestGreeks:
         e2 = abs(greeks_bump(price_formula, RN_GBM, ATM, ds=0.05, tol=1e-12)["delta"] - d_true)
         assert 2.0 < e1 / e2 < 8.0  # ~4x shrink for a second-order scheme
 
-    @pytest.mark.parametrize("rn, pricer", [(RN_GBM, price_formula), (RN_VVE, _law_formula_quote)],
+    @pytest.mark.parametrize("rn, pricer", [(RN_GBM, price_formula), (RN_VVE, BUMPED_FORMULA)],
                              ids=["c1=0", "c1>0"])
     @pytest.mark.parametrize("tol", [None, 1e-6])
     def test_formula_greeks_from_bumped_prices(self, rn, pricer, tol):
-        # the bumps reprice without the estimate's grid, to the same bits; tol = 1e-6
-        # moves the last bits of the c1 = 0 prices, so a dropped tol shows.  At c1 > 0
-        # price_formula's set is swept: _law_formula_quote is its bump oracle
+        # the bumps reprice price_formula, to the same bits; tol = 1e-6 moves the last
+        # bits of the c1 = 0 prices, so a dropped tol shows.  At c1 > 0 price_formula's
+        # set is swept: BUMPED_FORMULA is its bump oracle
         kwargs = {} if tol is None else {"tol": tol}
 
         def price(**over):
@@ -669,8 +671,8 @@ class TestGreeks:
         # sequence
         rn_b = replace(RN_VVE, c1=1e-3)
         short = OptionSpec(strike=95.0, maturity=0.25, rate=0.05)
-        calls = [lambda: greeks_bump(_law_formula_quote, RN_VVE, short),
-                 lambda: greeks_bump(_law_formula_quote, RN_VVE, short),
+        calls = [lambda: greeks_bump(BUMPED_FORMULA, RN_VVE, short),
+                 lambda: greeks_bump(BUMPED_FORMULA, RN_VVE, short),
                  lambda: greeks_bump(price_formula, rn_b, short),
                  lambda: (price_formula(RN_VVE, short).to_dict(),
                           price_formula(rn_b, short).to_dict())]
@@ -741,12 +743,13 @@ class TestLawSolveErrors:
         assert law_map.cache_info() == before
 
     def test_invalid_bump_raises(self):
-        # sigma - dsig < 0 on the bump route: the set prices three bumps, then raises
+        # sigma - dsig < 0 on the bump route: the set prices the base and three bumps,
+        # three law grids each (the estimate's among them), then raises
         rn = RiskNeutralParams(sigma=5e-5, c1=1e-3, s0=100.0, r=0.05)
         with pytest.raises(NegativeCoefficient, match="sigma and c1 must be >= 0"):
-            greeks_bump(_law_formula_quote, rn,
+            greeks_bump(BUMPED_FORMULA, rn,
                         OptionSpec(strike=100.0, maturity=0.25, rate=0.05))
-        assert law_map.cache_info().misses == 8
+        assert law_map.cache_info().misses == 12
 
 
 #: the c1 > 0 cells of the benchmark's formula surface (sigma 0.2, s0 100, r 0.05)
@@ -774,7 +777,7 @@ class TestLawGreeks:
         rn = replace(RN_VVE, c1=c1)
         for k in (90.0, 100.0, 110.0):
             opt = OptionSpec(strike=k, maturity=tau, rate=0.05)
-            bumped = greeks_bump(_law_formula_quote, rn, opt)
+            bumped = greeks_bump(BUMPED_FORMULA, rn, opt)
             greeks = swept(c1, tau, k)[1]
             for name in ("delta", "gamma", "vega"):
                 assert abs(greeks[name] - bumped[name]) <= 1e-5, name
@@ -810,6 +813,19 @@ class TestLawGreeks:
         assert all(math.isfinite(v) for v in greeks.values())
         assert 0.0 < greeks["delta"] < 1.0
 
+    @pytest.mark.parametrize("tau", [1e-20, 1e-16, 1e-12, 1e-8, 1e-4])
+    @pytest.mark.parametrize("strike", [90.0, 100.0, 110.0])
+    def test_tiny_maturity_sound_or_out_of_range(self, strike, tau):
+        # at a grid step s0 h tiny against the option's value, the gamma's second
+        # difference rounds to noise (gamma -2.5e6 at K = 90, tau = 1e-20): the set raises
+        try:
+            greeks = greeks_bump(price_formula, RN_VVE, OptionSpec(strike, tau, 0.05))
+        except OutOfRange as exc:
+            assert "rounding" in str(exc)
+            return
+        assert 0.0 <= greeks["delta"] <= 1.0
+        assert greeks["gamma"] >= -1e-6
+
     @pytest.mark.parametrize("bump", [{"ds": 0.1}, {"dsig": 1e-3}])
     def test_explicit_bump_rejected(self, bump):
         with pytest.raises(InvalidGrid, match="ds"):
@@ -842,4 +858,4 @@ class TestRichardsonTable:
         t = self.TABLE
         rn = RiskNeutralParams(sigma=t["sigma"], c1=0.0, s0=t["s0"], r=t["r"])
         opt = OptionSpec(strike=case["strike"], maturity=case["tau"], rate=t["r"])
-        assert abs(_law_quote(rn, opt, t["tol"], estimate=True).price - case["price"]) <= 1e-7
+        assert abs(_law_quote(rn, opt, t["tol"]).price - case["price"]) <= 1e-7

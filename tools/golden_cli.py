@@ -127,6 +127,22 @@ COMMANDS = [
     # f_T's denominator underflows to 0 at a tiny spot: no finite formula quote
     ("error_formula_den_underflow", ["price", "--method", "formula", "--c1", "0",
                                      "--s0", "1e-300", "--sigma", "10", "--r", "40"]),
+    # two flags at float-range edges: the closed form's inverse with c - a x = 0 (sigma s0
+    # underflows) and with b x = 0 (sigma K underflows), Black-Scholes with sigma sqrt(tau)
+    # = 0 and with s0 / K = 0, the law grid's top beyond float range, and the law grid's
+    # rate denominators underflowing to 0
+    ("error_formula_inverse_zero_den", ["price", "--method", "formula", "--c1", "0",
+                                        "--sigma", "1e-300", "--s0", "1e-300"]),
+    ("error_formula_inverse_zero_num", ["price", "--method", "formula", "--c1", "0",
+                                        "--sigma", "1e-300", "--strike", "1e-300"]),
+    ("error_bs_zero_vol", ["price", "--method", "bs", "--sigma", "1e-300",
+                           "--maturity", "1e-300"]),
+    ("error_bs_zero_moneyness", ["price", "--method", "bs", "--s0", "1e-300",
+                                 "--strike", "1e300"]),
+    ("error_formula_grid_top_overflow", ["price", "--method", "formula", "--c1", "1e-300",
+                                         "--s0", "1e300"]),
+    ("error_formula_grid_step_underflow", ["price", "--method", "formula", "--sigma", "1e-300",
+                                           "--c1", "1e-300"]),
     # the merged configuration: option defaults, config files and their precedence
     *((f"show_config_{cmd}", [cmd, "--show-config"])
       for cmd in ("simulate", "calibrate", "price", "convergence", "hv", "regress")),
