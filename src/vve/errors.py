@@ -46,15 +46,9 @@ class InvalidGrid(VveError):
 
 
 class SigmaZeroUnsupported(VveError):
-    """The closed-form path solution requires sigma > 0."""
+    """The closed-form path solution divides by sigma (and by no drift), so needs sigma > 0."""
 
     code = "sigma_zero_unsupported"
-
-
-class SingularDelta(VveError):
-    """Drift (mu or r) too close to sigma^2/2; the closed form divides by their difference."""
-
-    code = "singular_delta"
 
 
 # --- calibration ---------------------------------------------------------------

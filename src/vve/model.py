@@ -25,10 +25,6 @@ from .errors import (
     NonPositiveSpot,
 )
 
-# Tolerance for the mu = sigma^2/2 singularity in the closed-form solution map.
-GAMMA_TOL = 1e-8
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Parameters of the variable-volatility-elasticity price process.

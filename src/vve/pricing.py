@@ -113,10 +113,6 @@ class RiskNeutralParams:
     def __post_init__(self):
         check_coefficients(self.r, self.sigma, self.c1, self.s0)
 
-    @property
-    def gamma(self) -> float:
-        return self.r - 0.5 * self.sigma ** 2
-
 
 @dataclass(frozen=True)
 class OptionQuote:
@@ -146,12 +142,13 @@ class OptionQuote:
 # --------------------------------------------------------------------------
 
 def _map_coefficients(rn: RiskNeutralParams, t: float) -> tuple[float, float, float]:
-    """(a, b, c) with f_t(w) = c * u / (a*u + b), u = exp(sigma*w)."""
-    gamma, delta = closed_form_rates(rn.r, rn.sigma, "r")
+    """(a, b, c) with f_t(w) = c * u / (a*u + b), u = exp(sigma*w); see ``exact_values``."""
+    gamma = closed_form_rates(rn.r, rn.sigma)
     egt = _exp(gamma * t, "closed form", "gamma t")
     if egt == 0.0:  # c = 0 would leave f_t = 0 and its inverse undefined
         raise OutOfRange(f"closed form needs exp(gamma t) > 0, got gamma t = {gamma * t:.6g}")
-    a = rn.c1 * rn.s0 * ((delta - 1.0) * egt - delta)
+    integral = math.expm1(gamma * t) / gamma if gamma else t
+    a = -rn.c1 * rn.s0 * (1.0 - 0.5 * rn.sigma ** 2 * integral)
     b = rn.sigma + rn.c1 * rn.s0
     c = rn.sigma * rn.s0 * egt
     return a, b, c
@@ -258,6 +255,15 @@ class _LawChain:
             raise OutOfRange(f"law grid step h = {h:.3g} is too fine: its rate denominator "
                              f"{self.down_den:.3g} cannot carry the spot's variance "
                              f"{vol0 * vol0:.3g} in float range")
+        top = float(self.x[-1])
+        for t, dt_n, theta in self.steps:  # the top node's rate at each step, as ``rates`` has it
+            t_rate = t + theta * dt_n
+            vol = rn.c1 * _exp(rn.r * t_rate, "law solve", "r t") * top + rn.sigma
+            rate = vol * vol / self.down_den
+            if not (math.isfinite(rate) and math.isfinite(rate * dt_n)):
+                raise OutOfRange(f"law solve overflowed: at t = {t_rate:.3g} the grid top "
+                                 f"{top:.3g} jumps at rate {rate:.3g}, beyond float range "
+                                 f"over dt = {dt_n:.3g}")
         self.vol, self.var, self.up, self.down, self.tot, self.d = (
             np.empty(self.x.size) for _ in range(6))
         self.dl, self.du = np.empty(self.x.size - 1), np.empty(self.x.size - 1)

@@ -10,14 +10,15 @@ functions call one ensemble driver, ``_simulate(..., scheme)``.
 Verification status of the closed form
 --------------------------------------
 For c1 = 0 the closed form reduces to the exact geometric-Brownian-motion
-solution.  For c1 > 0 it does NOT satisfy the SDE: the Ito drift/diffusion
-residuals are nonzero (checked symbolically), and the gap between the closed
-form and refined Euler paths plateaus instead of vanishing as dt -> 0.  No
-function of (t, B_t) alone can solve this SDE, so the defect is structural,
-not a transcription issue.  The closed form is kept as stated for
-cross-checking; when c1 > 0 the convergence reference is the measured scheme
-itself on a grid ``REFINE_FACTOR`` (8) times finer than the finest level
-(``strong_convergence(..., reference="refined")``).
+solution.  Its division by mu - sigma^2/2 is removable, and ``exact_values``
+evaluates it at every drift.  For c1 > 0 it does NOT satisfy the SDE: the Ito
+drift/diffusion residuals are nonzero (checked symbolically), and the gap
+between the closed form and refined Euler paths plateaus instead of vanishing
+as dt -> 0.  No function of (t, B_t) alone can solve this SDE, so the defect
+is structural, not a transcription issue.  The closed form is kept as stated
+for cross-checking; when c1 > 0 the convergence reference is the measured
+scheme itself on a grid ``REFINE_FACTOR`` (8) times finer than the finest
+level (``strong_convergence(..., reference="refined")``).
 
 Randomness
 ----------
@@ -73,8 +74,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGrid, OutOfRange, SigmaZeroUnsupported, SingularDelta
-from .model import GAMMA_TOL, ModelParams
+from .errors import InvalidGrid, OutOfRange, SigmaZeroUnsupported
+from .model import ModelParams
 
 BLOCK_SIZE = 4096
 
@@ -346,42 +347,39 @@ def euler_terminal(params: ModelParams, horizon: float, steps: int, n_paths: int
 # Closed-form candidate solution
 # --------------------------------------------------------------------------
 
-def closed_form_rates(drift: float, sigma: float, drift_name: str) -> tuple[float, float]:
-    """(gamma, delta) = (drift - sigma^2/2, drift / gamma) of the closed form.
+def closed_form_rates(drift: float, sigma: float) -> float:
+    """gamma = drift - sigma^2/2 of the closed form.
 
-    The closed form divides by sigma and by gamma: raises
-    SigmaZeroUnsupported at sigma = 0 and SingularDelta where
-    |gamma| < GAMMA_TOL, and OutOfRange where sigma^2 is beyond the float
-    range.  ``drift_name`` names the drift in the message.
+    The closed form divides by sigma: raises SigmaZeroUnsupported at
+    sigma = 0, and OutOfRange where sigma^2 is beyond the float range.
     """
     if sigma == 0:
         raise SigmaZeroUnsupported("closed form requires sigma > 0")
     try:
-        gamma = drift - 0.5 * sigma ** 2
+        return drift - 0.5 * sigma ** 2
     except OverflowError:
         raise OutOfRange(f"closed form needs sigma^2 in float range, got sigma = "
                          f"{sigma:.6g}") from None
-    if abs(gamma) < GAMMA_TOL:
-        raise SingularDelta(f"|{drift_name} - sigma^2/2| = {abs(gamma):.3e} < {GAMMA_TOL}")
-    return gamma, drift / gamma
 
 
 def exact_values(params: ModelParams, t, b):
     """Evaluate the closed-form candidate solution at times t, Brownian values b.
 
-    S(t, B) = sigma*s0*E / [ (mu/g - 1)*c1*s0*E - (mu/g)*c1*s0*F + sigma + c1*s0 ]
+    S(t, B) = sigma*s0*E / [ sigma + c1*s0 - c1*s0*kappa(t)*F ]
 
-    with E = exp(g*t + sigma*B), F = exp(sigma*B), g = mu - sigma^2/2.  Exact
-    for c1 = 0 (geometric Brownian motion); see the module docstring for the
-    c1 > 0 verification status.  Returns (values, denominator).
+    with E = exp(g*t + sigma*B), F = exp(sigma*B), g = mu - sigma^2/2 and kappa(t) =
+    1 - (sigma^2/2) * int_0^t e^{g u} du: the paper's denominator, whose division by g
+    is removable.  Exact for c1 = 0 (geometric Brownian motion); see the module
+    docstring for the c1 > 0 verification status.  Returns (values, denominator).
     """
     sigma, c1, s0 = params.sigma, params.c1, params.s0
-    gamma, delta = closed_form_rates(params.mu, sigma, "mu")
+    gamma = closed_form_rates(params.mu, sigma)
     t = np.asarray(t, dtype=float)
     b = np.asarray(b, dtype=float)
+    integral = np.expm1(gamma * t) / gamma if gamma else t
     big_e = np.exp(gamma * t + sigma * b)
     big_f = np.exp(sigma * b)
-    den = (delta - 1.0) * c1 * s0 * big_e - delta * c1 * s0 * big_f + sigma + c1 * s0
+    den = sigma + c1 * s0 - c1 * s0 * (1.0 - 0.5 * sigma ** 2 * integral) * big_f
     with np.errstate(divide="ignore", invalid="ignore"):
         values = sigma * s0 * big_e / den
     return values, den
@@ -390,15 +388,16 @@ def exact_values(params: ModelParams, t, b):
 def _exact_rows(params: ModelParams, times: np.ndarray, b: np.ndarray):
     """Closed-form paths at ``times`` for each row of Brownian values ``b``.
 
-    A row whose denominator falls to or below ``DEN_TOL_FACTOR*(sigma+c1*s0)``,
-    or is NaN, is flagged exploded and is NaN from its first crossing onward.
-    Returns (values, exploded mask).
+    A row whose denominator falls to or below ``DEN_TOL_FACTOR*(sigma+c1*s0)``
+    or is NaN, or whose value leaves the float range, is flagged exploded and
+    is NaN from its first such time onward.  Returns (values, exploded mask).
     """
     with np.errstate(over="ignore", invalid="ignore"):  # flagged below
         values, den = exact_values(params, times[None, :], b)
     values[:, 0] = params.s0  # t=0, B=0 reduces algebraically to s0
     # a NaN denominator (an overflowing exponential times zero) is flagged too
-    bad = ~(den > DEN_TOL_FACTOR * (params.sigma + params.c1 * params.s0))
+    bad = ~((den > DEN_TOL_FACTOR * (params.sigma + params.c1 * params.s0))
+            & np.isfinite(values))
     values[np.logical_or.accumulate(bad, axis=1)] = np.nan
     return values, bad.any(axis=1)
 

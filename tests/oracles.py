@@ -13,7 +13,8 @@ route on a law solve: a cubic spline of the quantile through scipy's
 ``CubicSpline``, inverted with ``brentq`` and integrated by the quadrature,
 which the node-sum price of ``vve.pricing.SolvedLaw`` must match within its
 ``law_error_estimate``.  The inverse-Bessel oracle is the exact call price of
-the model at sigma = 0.
+the model at sigma = 0.  The closed-form oracle evaluates the paper's own
+expression in 50-digit arithmetic.
 """
 
 import math
@@ -94,6 +95,27 @@ def bs_vega_mp(s, strike, tau, r, sigma):
         s, strike, tau, r, sigma = map(mpmath.mpf, (s, strike, tau, r, sigma))
         d1 = (mpmath.log(s / strike) + (r + sigma ** 2 / 2) * tau) / (sigma * mpmath.sqrt(tau))
         return float(s * mpmath.npdf(d1) * mpmath.sqrt(tau))
+
+
+def closed_form_mp(mu, sigma, c1, s0, t, b=None):
+    """The paper's closed form in 50-digit arithmetic, as the paper writes it.
+
+    Returns the floats (a, b, c) of S_t = c u / (a u + b), u = exp(sigma B_t):
+    a = c1 s0 ((delta - 1) e^{gamma t} - delta), b = sigma + c1 s0 and
+    c = sigma s0 e^{gamma t}, with gamma = mu - sigma^2/2 and delta = mu / gamma
+    (gamma must not be 0 in exact arithmetic).  Given a Brownian value ``b``,
+    returns S_t there instead.
+    """
+    with mpmath.workdps(50):
+        mu, sigma, c1, s0, t = map(mpmath.mpf, (mu, sigma, c1, s0, t))
+        gamma = mu - sigma ** 2 / 2
+        delta = mu / gamma
+        egt = mpmath.exp(gamma * t)
+        coefs = c1 * s0 * ((delta - 1) * egt - delta), sigma + c1 * s0, sigma * s0 * egt
+        if b is None:
+            return tuple(map(float, coefs))
+        u = mpmath.exp(sigma * mpmath.mpf(b))
+        return float(coefs[2] * u / (coefs[0] * u + coefs[1]))
 
 
 def step_terminal_reference(params, dt, s0, db, milstein: bool, out=None):

@@ -114,12 +114,10 @@ class TestSimulate:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "sigma_zero_unsupported"
         assert err["message"]
-        # mu = sigma^2/2: the closed form divides by mu - sigma^2/2
+        # mu = sigma^2/2: the closed form's division by mu - sigma^2/2 is removable
         assert main(["simulate", "--scheme", "exact", "--mu", "0.02",
-                     "--out-dir", str(tmp_path)]) == 1
-        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert err["error"] == "singular_delta"
-        assert err["message"]
+                     "--out-dir", str(tmp_path)]) == 0
+        assert read_strict_json(tmp_path / "summary.json")["exploded_fraction"] == 0.0
 
     def test_exact_sigma_squared_overflow_is_json_error(self, tmp_path, capsys):
         assert main(["simulate", "--scheme", "exact", "--sigma", "1e300",
@@ -230,11 +228,12 @@ class TestPrice:
         argv = ["price", "--sigma", "0.2", "--r", "0.02", "--paths", "2000",
                 "--steps", "50", "--out-dir", str(tmp_path)]
         assert main(argv + ["--method", "mc,bs"]) == 0
-        assert set(json.loads((tmp_path / "price.json").read_text())["quotes"]) == {"mc", "bs"}
-        capsys.readouterr()
-        assert main(argv + ["--method", "formula", "--c1", "0"]) == 1
-        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == \
-            "singular_delta"
+        quotes = json.loads((tmp_path / "price.json").read_text())["quotes"]
+        assert set(quotes) == {"mc", "bs"}
+        # the closed form at c1 = 0 prices here too: its division by r - sigma^2/2 is removable
+        assert main(argv + ["--method", "formula", "--c1", "0"]) == 0
+        formula = json.loads((tmp_path / "price.json").read_text())["quotes"]["formula"]
+        assert formula["price"] == pytest.approx(quotes["bs"]["price"], abs=1e-9)
 
     @pytest.mark.parametrize("argv, error", [
         (["--method", "mc", "--paths", "1", "--steps", "10"], "invalid_grid"),
@@ -509,8 +508,8 @@ class TestIngest:
 
 class TestFuzzGrid:
     """Every numeric flag of every command at edge values, and every pair of
-    ``price``'s float flags: a clean run or a JSON error, with no
-    ``RuntimeWarning`` on the way.
+    float flags of ``price``, ``simulate`` and ``convergence``: a clean run or
+    a JSON error, with no ``RuntimeWarning`` on the way.
 
     Each float flag gets NaN, +-inf, 0, -1, +-1e3, 1e300 and 1e-300; each int flag
     gets 0, -1 and 1 (a huge int would allocate).  A command is fuzzed from
@@ -547,14 +546,14 @@ class TestFuzzGrid:
                         yield command, base, [f"--{name.replace('_', '-')}={value}"]
 
     @classmethod
-    def pair_cases(cls):
+    def pair_cases(cls, command):
         from vve.cli import _options
-        flags = [f"--{name.replace('_', '-')}" for name, _, typ, _ in _options("price")
+        flags = [f"--{name.replace('_', '-')}" for name, _, typ, _ in _options(command)
                  if typ is float]
         for pair in itertools.combinations(flags, 2):
             for values in itertools.product(cls.PAIR_FLOATS, repeat=2):
-                for base in cls.BASES["price"]:
-                    yield "price", base, [f"{flag}={value}" for flag, value in zip(pair, values)]
+                for base in cls.BASES[command]:
+                    yield command, base, [f"{flag}={value}" for flag, value in zip(pair, values)]
 
     @staticmethod
     def failures(cases, tmp_path, capsys):
@@ -594,5 +593,10 @@ class TestFuzzGrid:
         assert not failures, "\n".join(failures)
 
     def test_price_flag_pairs(self, tmp_path, capsys):
-        failures = self.failures(self.pair_cases(), tmp_path, capsys)
+        failures = self.failures(self.pair_cases("price"), tmp_path, capsys)
+        assert not failures, "\n".join(failures)
+
+    @pytest.mark.parametrize("command", ["simulate", "convergence"])
+    def test_flag_pairs(self, command, tmp_path, capsys):
+        failures = self.failures(self.pair_cases(command), tmp_path, capsys)
         assert not failures, "\n".join(failures)

@@ -18,6 +18,7 @@ from oracles import (
     bs_delta_mp,
     bs_gamma_mp,
     bs_vega_mp,
+    closed_form_mp,
     inverse_bessel_call,
     solve_law_reference,
 )
@@ -28,7 +29,6 @@ from vve.errors import (
     NonPositiveSpot,
     OutOfRange,
     SigmaZeroUnsupported,
-    SingularDelta,
 )
 from vve.model import ModelParams
 from vve.pricing import (
@@ -77,17 +77,19 @@ class TestSpecsAndParams:
             with pytest.raises(NegativeCoefficient):
                 OptionSpec(**{"strike": 100.0, "maturity": 1.0, "rate": 0.05, **bad})
 
-    def test_singular_delta_rejected(self):
-        """Only the closed-form map divides by r - sigma^2/2."""
-        gbm = RiskNeutralParams(sigma=0.2, c1=0.0, s0=100.0, r=0.02)  # r = sigma^2/2
-        vve = RiskNeutralParams(sigma=0.2, c1=1e-4, s0=100.0, r=0.02)
-        for rn in (gbm, vve):
-            with pytest.raises(SingularDelta):
-                _map_coefficients(rn, 1.0)
-            assert price_mc(rn, ATM, 100, 10, 0).price > 0.0
-        with pytest.raises(SingularDelta):
-            price_formula(gbm, ATM)  # the closed form at c1 = 0
-        assert price_formula(vve, ATM).price > 0.0  # the law map at c1 > 0
+    def test_closed_form_continuous_at_r_half_sigma_sq(self):
+        """The closed form's division by r - sigma^2/2 is removable: at and on either
+        side of r = sigma^2/2 its map matches the paper's expression in 50 digits."""
+        half_sq = 0.5 * 0.2 ** 2  # gamma = 0 exactly; 0.02 leaves gamma = -3.5e-18
+        for r in (half_sq - 1e-9, half_sq, half_sq + 1e-9, 0.02):
+            for c1 in (0.0, 1e-4):
+                rn = RiskNeutralParams(sigma=0.2, c1=c1, s0=100.0, r=r)
+                np.testing.assert_allclose(_map_coefficients(rn, 1.0),
+                                           closed_form_mp(r, 0.2, c1, 100.0, 1.0), rtol=1e-12)
+                assert price_mc(rn, ATM, 100, 10, 0).price > 0.0
+            gbm = RiskNeutralParams(sigma=0.2, c1=0.0, s0=100.0, r=r)
+            assert price_formula(gbm, ATM).price == pytest.approx(price_bs(gbm, ATM).price,
+                                                                  abs=1e-9)
 
     def test_non_positive_spot(self):
         with pytest.raises(NonPositiveSpot):
@@ -96,7 +98,8 @@ class TestSpecsAndParams:
     def test_negative_coefficient_names_values(self):
         with pytest.raises(NegativeCoefficient, match=r"got sigma=-0\.2, c1=0\.0001"):
             RiskNeutralParams(sigma=-0.2, c1=1e-4, s0=100.0, r=0.05)
-        assert RiskNeutralParams(sigma=0.0, c1=0.0, s0=100.0, r=0.05).gamma == 0.05
+        rn = RiskNeutralParams(sigma=0.0, c1=0.0, s0=100.0, r=0.05)  # riskless, yet valid
+        assert rn.r - 0.5 * rn.sigma ** 2 == 0.05
 
     @pytest.mark.parametrize("field", ["sigma", "c1", "s0", "r"])
     def test_non_finite_params_rejected(self, field):
@@ -121,7 +124,8 @@ class TestForwardMap:
 
     def test_gbm_collapse(self):
         w = np.linspace(-2, 2, 9)
-        expected = 100.0 * np.exp(RN_GBM.gamma * 0.7 + RN_GBM.sigma * w)
+        gamma = RN_GBM.r - 0.5 * RN_GBM.sigma ** 2
+        expected = 100.0 * np.exp(gamma * 0.7 + RN_GBM.sigma * w)
         np.testing.assert_allclose(forward_map(RN_GBM, 0.7, w), expected, rtol=1e-12)
 
     def test_strictly_increasing_and_derivative_positive(self):
@@ -157,8 +161,9 @@ class TestInverseMap:
         x = 100.0 * math.exp(0.05 - 0.02)
         assert inverse_map(RN_GBM, 1.0, x) == pytest.approx(0.0, abs=1e-9)
         assert inverse_map(RN_GBM, 0.0, 100.0) == 0.0  # the spot maps to B = 0
+        gamma = RN_GBM.r - 0.5 * RN_GBM.sigma ** 2
         for t, x in ((0.0, 80.0), (0.5, 100.0), (1.0, 125.0), (2.0, 40.0)):
-            w = (math.log(x / RN_GBM.s0) - RN_GBM.gamma * t) / RN_GBM.sigma
+            w = (math.log(x / RN_GBM.s0) - gamma * t) / RN_GBM.sigma
             assert inverse_map(RN_GBM, t, x) == pytest.approx(w, rel=0, abs=1e-15)
 
     def test_out_of_range_above_supremum(self):
@@ -705,34 +710,46 @@ class TestGreeks:
 class TestLawSolveErrors:
     """Errors and warnings of formula quotes and Greek sets at c1 > 0.
 
-    At r = 600, tau = 1 the law solve overflows, and so does the sweep of its
-    chain: the Greek set stops at its first sweep with OutOfRange.
+    At r = 600, tau = 1 the jump rate of the law grid's top node leaves the
+    float range: the chain raises OutOfRange before its first step, so the
+    Greek set stops at its first sweep.  At c1 = 0.01, r = 1345, tau = 0.25
+    the top node's rate stays finite, but the total rate of the node below it
+    overflows in the march.
     """
 
     RN = RiskNeutralParams(sigma=0.2, c1=1e-3, s0=100.0, r=600.0)
     OPT = OptionSpec(strike=100.0, maturity=1.0, rate=600.0)
+    RN_MARCH = RiskNeutralParams(sigma=0.2, c1=0.01, s0=100.0, r=1345.0)
+    OPT_MARCH = OptionSpec(strike=100.0, maturity=0.25, rate=1345.0)
 
     @pytest.fixture(autouse=True)
     def cold(self):
         law_map.cache_clear()
 
     def test_overflow_raises_out_of_range(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (price_formula, functools.partial(greeks_bump, price_formula)):
+                with pytest.raises(OutOfRange, match="overflowed: at t = .* the grid top"):
+                    call(self.RN, self.OPT)
+
+    def test_march_overflow_raises_out_of_range(self):
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
-            with pytest.raises(OutOfRange, match="overflowed"):
-                greeks_bump(price_formula, self.RN, self.OPT)
+            with pytest.raises(OutOfRange, match="overflowed; c1"):
+                price_formula(self.RN_MARCH, self.OPT_MARCH)
         assert record and all(w.category is RuntimeWarning for w in record)
 
     def test_ignored_errors_stay_silent(self):
         with warnings.catch_warnings(record=True) as record, np.errstate(all="ignore"):
             warnings.simplefilter("always")
-            with pytest.raises(OutOfRange, match="overflowed"):
-                greeks_bump(price_formula, self.RN, self.OPT)
+            with pytest.raises(OutOfRange, match="overflowed; c1"):
+                greeks_bump(price_formula, self.RN_MARCH, self.OPT_MARCH)
         assert record == []
 
     def test_raise_mode_raises(self):
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-            price_formula(self.RN, self.OPT)
+            price_formula(self.RN_MARCH, self.OPT_MARCH)
 
     def test_invalid_tol_starts_no_solve(self):
         before = law_map.cache_info()

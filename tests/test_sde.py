@@ -10,8 +10,8 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import step_terminal_reference
-from vve.errors import InvalidGrid, SigmaZeroUnsupported, SingularDelta
+from oracles import closed_form_mp, step_terminal_reference
+from vve.errors import InvalidGrid, SigmaZeroUnsupported
 from vve.model import ModelParams
 from vve.sde import (
     BLOCK_SIZE,
@@ -237,9 +237,18 @@ class TestExactPath:
             simulate_exact(p, TimeGrid(1.0, 4), 1, seed=0)
 
     def test_gamma_near_zero(self):
-        p = ModelParams(mu=0.02, sigma=0.2, c1=0.001, s0=100.0)  # mu = sigma^2/2
-        with pytest.raises(SingularDelta):
-            simulate_exact(p, TimeGrid(1.0, 4), 1, seed=0)
+        # the division by mu - sigma^2/2 is removable: exact_values is continuous across
+        # mu = sigma^2/2, matching the paper's expression in 50 digits on either side
+        t, b = np.array([0.25, 1.0, 2.0]), np.array([-0.5, 0.3, 1.2])
+        half_sq = 0.5 * 0.2 ** 2  # gamma = 0 exactly; 0.02 leaves gamma = -3.5e-18
+        for mu in (half_sq - 1e-9, half_sq, half_sq + 1e-9, 0.02):
+            for c1 in (0.0, 1e-3):
+                p = ModelParams(mu=mu, sigma=0.2, c1=c1, s0=100.0)
+                expected = [closed_form_mp(mu, 0.2, c1, 100.0, ti, bi) for ti, bi in zip(t, b)]
+                np.testing.assert_allclose(exact_values(p, t, b)[0], expected, rtol=1e-12)
+        p = ModelParams(mu=half_sq, sigma=0.2, c1=0.001, s0=100.0)
+        ens = simulate_exact(p, TimeGrid(1.0, 4), 3, seed=0)
+        assert not ens.exploded.any() and np.isfinite(ens.paths).all()
 
     def test_explosion_flagged_and_truncated(self):
         # large upward Brownian move drives the denominator through zero
@@ -253,7 +262,7 @@ class TestExactPath:
 
     @pytest.mark.parametrize("mu,horizon", [(1e300, 1.0), (0.05, 1e300)])
     def test_overflowing_exponential_flagged_without_warning(self, mu, horizon):
-        # at c1 = 0 an overflowing exp(gamma t + sigma B) makes the denominator 0 * inf = NaN
+        # at c1 = 0 an overflowing e^{gamma t} makes the denominator 0 * inf = NaN
         p = ModelParams(mu=mu, sigma=0.2, c1=0.0, s0=100.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -261,6 +270,17 @@ class TestExactPath:
         assert ens.exploded.all()
         assert np.all(ens.paths[:, 0] == 100.0)
         assert np.all(np.isnan(ens.paths[:, 1:]))
+
+    def test_overflowing_value_flagged(self):
+        # sigma s0 E leaves the float range while the denominator stays sigma
+        p = ModelParams(mu=0.05, sigma=0.2, c1=0.0, s0=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, exploded = _exact_rows(p, np.array([0.0, 1.0, 2.0]),
+                                           np.array([[0.0, 1.0, 0.0], [0.0, 3000.0, 0.0]]))
+        assert exploded.tolist() == [False, True]
+        assert np.isfinite(values[0]).all() and values[1, 0] == 1e300
+        assert np.isnan(values[1, 1:]).all()
 
     def test_simulate_exact_matches_exact_path(self):
         grid = TimeGrid(1.0, 32)
@@ -423,10 +443,11 @@ class TestBlockEngine:
 
     def test_error_in_a_block_propagates_and_engine_recovers(self):
         before = euler_terminal(VVE, 1.0, 16, self.N, seed=7)[0]
-        singular = ModelParams(mu=0.02, sigma=0.2, c1=0.0, s0=100.0)  # mu = sigma^2/2
-        with pytest.raises(SingularDelta) as info:
-            strong_convergence(singular, 1.0, self.LEVELS, self.N, seed=0, reference="exact")
-        assert type(info.value) is SingularDelta
+        no_closed_form = ModelParams(mu=0.05, sigma=0.0, c1=1e-3, s0=100.0)
+        with pytest.raises(SigmaZeroUnsupported) as info:
+            strong_convergence(no_closed_form, 1.0, self.LEVELS, self.N, seed=0,
+                               reference="exact")
+        assert type(info.value) is SigmaZeroUnsupported
         assert np.array_equal(euler_terminal(VVE, 1.0, 16, self.N, seed=7)[0], before)
 
     def test_concurrent_callers_get_sequential_bits(self):

@@ -90,6 +90,11 @@ COMMANDS = [
                                     "--s0", "1000", "--strike", "1000"]),
     ("error_formula_rate_overflow", ["price", "--method", "formula", "--c1", "1e-3",
                                      "--r", "800"]),
+    # the law grid top's jump rate beyond float range: refused before the first step
+    ("error_formula_top_rate_overflow", ["price", "--method", "formula", "--c1", "1e-3",
+                                         "--r", "600"]),
+    ("error_formula_top_rate_overflow_long", ["price", "--method", "formula", "--c1", "1e-3",
+                                              "--r", "300", "--maturity", "2"]),
     ("price_formula_strike_above_grid", ["price", "--method", "formula", "--strike", "1e308"]),
     # so short a maturity that the law grid's nodes collide in floating point
     ("error_formula_tiny_maturity", ["price", "--method", "formula", "--maturity", "1e-100"]),
@@ -103,6 +108,11 @@ COMMANDS = [
     # Carlo payoffs whose spread overflows
     ("simulate_exact_overflow", ["simulate", "--scheme", "exact", "--mu", "1e300",
                                  "--paths", "8", "--steps", "8"]),
+    # closed-form values beyond the float range over a finite denominator: flagged, null
+    ("simulate_exact_value_overflow", ["simulate", "--scheme", "exact", "--paths", "8",
+                                       "--steps", "8", "--mu=1e3", "--s0=1e300"]),
+    ("simulate_exact_value_overflow_long", ["simulate", "--scheme", "exact", "--paths", "8",
+                                            "--steps", "8", "--s0=1e300", "--horizon=1e3"]),
     ("error_mc_overflow", ["price", "--method", "mc", "--paths", "64", "--steps", "8",
                            "--r", "1e300"]),
     # exponentials beyond the float range: each method's discount at a large negative
@@ -116,9 +126,9 @@ COMMANDS = [
                                          "--c1", "0", "--r", "1e3"]),
     ("error_formula_closed_form_underflow", ["price", "--method", "formula", "--c1", "0",
                                              "--sigma", "1e3"]),
-    # guard errors: the closed form divides by sigma and by drift - sigma^2/2
-    ("error_exact_mu_half_sigma_sq", ["simulate", "--scheme", "exact", "--mu", "0.02"]),
-    ("error_formula_r_half_sigma_sq", ["price", "--method", "formula", "--c1", "0",
+    # the closed form divides by sigma; its division by drift - sigma^2/2 is removable
+    ("simulate_exact_mu_half_sigma_sq", ["simulate", "--scheme", "exact", "--mu", "0.02"]),
+    ("price_formula_r_half_sigma_sq", ["price", "--method", "formula", "--c1", "0",
                                        "--r", "0.02"]),
     ("error_formula_sigma_zero", ["price", "--method", "formula", "--c1", "0",
                                   "--sigma", "0"]),
