@@ -220,11 +220,12 @@ class _LawChain:
     """The grid and the Markov chain of a law solve (see ``_solve_law``).
 
     ``x`` holds the nodes x_k = s0 e^{kh}, the spot at index ``nodes_below``, and
-    ``steps`` the march's steps (t, dt_n, theta): four implicit-Euler half steps
-    (Rannacher), then Crank-Nicolson.  ``rates`` fills the jump rates at one
-    step, and ``solve`` solves that step's implicit system, in buffers every
-    step reuses.  Raises OutOfRange, before any step, where the grid leaves
-    the float range.
+    ``log_x`` their logs, and ``steps`` the march's steps (t, dt_n, theta): four
+    implicit-Euler half steps (Rannacher), then Crank-Nicolson.  ``rates`` fills
+    the jump rates at one step, and ``solve`` solves that step's implicit system,
+    in buffers every step reuses.  Raises OutOfRange, before any step, where the
+    logs do not strictly increase or the largest total jump rate times theta dt_n
+    (dt/2 on every step) is not finite: exactly where the march would overflow.
     """
 
     def __init__(self, rn: RiskNeutralParams, tau: float, s_max: float | None,
@@ -235,7 +236,6 @@ class _LawChain:
         depth = _LAW_DEPTH_SD * vol0 * math.sqrt(tau) + 0.5 * vol0 * vol0 * tau
         if not rn.s0 * math.exp(-depth) > 0.0:
             raise OutOfRange(f"law grid depth {depth:.3g} (log price) is beyond float range")
-        _exp(rn.r * tau, "law solve", "r * tau")  # the steps scale c1 by exp(r t), t <= tau
         h = depth / nodes_below
         if s_max is None:
             s_max = rn.s0 * math.exp(min(2.0 * depth, _LAW_TOP_LOG))
@@ -245,25 +245,28 @@ class _LawChain:
         nodes_above = max(math.ceil(math.log(s_max / rn.s0) / h), 1)
         self.rn, self.h = rn, h
         self.x = rn.s0 * np.exp(h * np.arange(-nodes_below, nodes_above + 1))
+        self.log_x = np.log(self.x)
+        if not np.all(np.diff(self.log_x) > 0):
+            raise OutOfRange(f"law nodes from {self.x[0]:.17g} to {self.x[-1]:.17g} are not "
+                             "strictly increasing in floating point")
         self.steps, t, dt = [], 0.0, tau / steps
         for dt_n, theta in [(0.5 * dt, 1.0)] * 4 + [(dt, 0.5)] * (steps - 2):
             self.steps.append((t, dt_n, theta))
             t += dt_n
         gap_up, gap_down = math.expm1(h), -math.expm1(-h)
         self.up_den, self.down_den = gap_up * (gap_up + gap_down), gap_down * (gap_up + gap_down)
-        if not self.down_den > vol0 * vol0 / sys.float_info.max:  # a finite rate at the spot
-            raise OutOfRange(f"law grid step h = {h:.3g} is too fine: its rate denominator "
-                             f"{self.down_den:.3g} cannot carry the spot's variance "
-                             f"{vol0 * vol0:.3g} in float range")
-        top = float(self.x[-1])
-        for t, dt_n, theta in self.steps:  # the top node's rate at each step, as ``rates`` has it
-            t_rate = t + theta * dt_n
-            vol = rn.c1 * _exp(rn.r * t_rate, "law solve", "r t") * top + rn.sigma
-            rate = vol * vol / self.down_den
-            if not (math.isfinite(rate) and math.isfinite(rate * dt_n)):
-                raise OutOfRange(f"law solve overflowed: at t = {t_rate:.3g} the grid top "
-                                 f"{top:.3g} jumps at rate {rate:.3g}, beyond float range "
-                                 f"over dt = {dt_n:.3g}")
+        # rates grow with x and e^{rt}: the largest are the top two nodes' where e^{rt}
+        # peaks (the top only jumps down), computed as ``rates`` computes them
+        t, dt_n, theta = self.steps[-1 if rn.r > 0 else 0]
+        growth, a = rn.c1 * _exp(rn.r * (t + theta * dt_n), "law solve", "r t"), theta * dt_n
+        with np.errstate(all="ignore"):
+            var = np.square(self.x[-2:] * growth + rn.sigma)
+            tot = (var[1] / self.down_den, var[0] / self.up_den + var[0] / self.down_den)
+            if not np.all(np.isfinite(np.multiply(tot, a))):
+                raise OutOfRange(f"law solve overflowed: at t = {t + a:.3g} the grid top "
+                                 f"{self.x[-1]:.3g} and the node below it jump at total rates "
+                                 f"{tot[0]:.3g} and {tot[1]:.3g}, beyond float range over "
+                                 f"dt/2 = {a:.3g}")
         self.vol, self.var, self.up, self.down, self.tot, self.d = (
             np.empty(self.x.size) for _ in range(6))
         self.dl, self.du = np.empty(self.x.size - 1), np.empty(self.x.size - 1)
@@ -314,12 +317,13 @@ def _solve_law(rn: RiskNeutralParams, tau: float, s_max: float | None,
     from the point mass at s0.  The top node is the first at or above
     ``s_max`` (default: as far above the spot, in log price, as twice the
     grid's depth below it, but at most e^69 ~ 1e30 times the spot: the mass
-    the top reflects converges as it rises).  Raises OutOfRange when the grid
-    or the solve leaves the floating-point range, as for very large
-    c1 * s0 * tau or r * tau.  With the Rannacher start the error expands
-    cleanly in h^2 and dt^2 (Giles & Carter 2006), so ``price_formula``
-    cancels its leading term by Richardson extrapolation from the default
-    grid (``LAW_NODES_BELOW`` x ``LAW_STEPS``) and the one 2x coarser in both.
+    the top reflects converges as it rises).  Raises OutOfRange before any
+    step where the grid or its rates leave the float range (``_LawChain``), as
+    for very large c1 s0 tau or r tau or tiny tau.  With the Rannacher start the
+    error expands cleanly in h^2 and dt^2 (Giles & Carter 2006), so
+    ``price_formula`` cancels its leading term by Richardson extrapolation
+    from the default grid (``LAW_NODES_BELOW`` x ``LAW_STEPS``) and the one
+    2x coarser in both.
 
     Returns (nodes, probabilities, h).
     """
@@ -345,15 +349,6 @@ def _solve_law(rn: RiskNeutralParams, tau: float, s_max: float | None,
     return chain.x, p, chain.h
 
 
-def _log_nodes(x):
-    """log x; raises OutOfRange where the nodes are not strictly increasing in floating point."""
-    log_x = np.log(x)
-    if not np.all(np.diff(log_x) > 0):
-        raise OutOfRange(f"law nodes from {x[0]:.17g} to {x[-1]:.17g} are not strictly "
-                         "increasing in floating point")
-    return log_x
-
-
 def _lagrange_weights(log_x, i: int, strike: float) -> tuple[int, list[float]]:
     """The first k of the 4 nodes around ``strike`` (``i`` of the nodes at or below
     it, 0 < i < nodes) and their Lagrange weights in log strike."""
@@ -366,13 +361,12 @@ def _lagrange_weights(log_x, i: int, strike: float) -> tuple[int, list[float]]:
 class SolvedLaw:
     """A law solve's node sums as read-only arrays: on the nodes x_j (discounted
     prices), ``calls[j]`` = E[(X - x_j)^+] = sum_{k>j} p_k (x_k - x_j), from two
-    reversed cumulative sums, and ``cdf[j]`` = P(X <= x_j).  Raises OutOfRange
-    where the nodes are not strictly increasing in floating point, as at a
-    maturity so short that the grid's log spacing is below the precision of log s0.
+    reversed cumulative sums, and ``cdf[j]`` = P(X <= x_j).  The nodes are a
+    ``_LawChain``'s, whose logs strictly increase.
     """
 
     def __init__(self, x, p, steps: int):
-        log_x = _log_nodes(x)
+        log_x = np.log(x)
         tail_p, tail_px = (np.cumsum(a[::-1])[::-1] for a in (p, p * x))
         self.x, self.log_x, self.calls, self.cdf = x, log_x, tail_px - x * tail_p, np.cumsum(p)
         for a in (self.x, self.log_x, self.calls, self.cdf):
@@ -430,15 +424,14 @@ def _sweep_law(rn: RiskNeutralParams, tau: float, strike: float, nodes_below: in
     product.  Delta and gamma are central differences in log price at the
     spot node (the grid held fixed); vega is the tangent dv/dsigma, carried by
     a second solve per step on the same matrix, where dA/dsigma is A with var
-    replaced by 2 vol.  Raises OutOfRange as ``_solve_law`` does, and where the
-    rounding of the gamma's second difference, 4 eps max|v| / (s0 h)^2 over the
-    three nodes, exceeds ``_GAMMA_ROUNDING`` x max(1, |gamma|): at maturities
-    so short that s0 h is tiny against the option's value (at c1 = 5e-4,
-    s0 = 100, K = 90 and tau = 1e-8, a rounding bound of 9.9e-6).
+    replaced by 2 vol.  Raises OutOfRange before any step as ``_solve_law`` does,
+    and where the rounding of the gamma's second difference, 4 eps max|v| /
+    (s0 h)^2 over the three nodes, exceeds ``_GAMMA_ROUNDING`` x max(1, |gamma|):
+    at maturities so short that s0 h is tiny against the option's value (at
+    c1 = 5e-4, s0 = 100, K = 90 and tau = 1e-8, a rounding bound of 9.9e-6).
     """
     chain = _LawChain(rn, tau, None, nodes_below, steps)
-    x, h, s, vol, var = chain.x, chain.h, nodes_below, chain.vol, chain.var
-    log_x = _log_nodes(x)
+    x, log_x, h, s, vol, var = chain.x, chain.log_x, chain.h, nodes_below, chain.vol, chain.var
     i = int(np.searchsorted(x, strike, side="right"))  # the nodes at or below K
     v = np.zeros(x.size)
     if i == 0:

@@ -40,6 +40,7 @@ from vve.pricing import (
     RiskNeutralParams,
     SolvedLaw,
     _CandidateMap,
+    _LawChain,
     _formula_quote,
     _law_greeks,
     _law_quote,
@@ -710,17 +711,19 @@ class TestGreeks:
 class TestLawSolveErrors:
     """Errors and warnings of formula quotes and Greek sets at c1 > 0.
 
-    At r = 600, tau = 1 the jump rate of the law grid's top node leaves the
-    float range: the chain raises OutOfRange before its first step, so the
-    Greek set stops at its first sweep.  At c1 = 0.01, r = 1345, tau = 0.25
-    the top node's rate stays finite, but the total rate of the node below it
-    overflows in the march.
+    Where the law grid's largest total jump rate times a step's implicit
+    weight leaves the float range, the chain raises OutOfRange before its
+    first step, so a quote or a Greek set stops with no numpy warning in any
+    numpy error state.  At r = 600, tau = 1 the top node's rate overflows.  At
+    c1 = 0.01, r = 1345, tau = 0.25 the top node's rate stays finite, but the
+    total rate of the node below it, about twice the top's, overflows.
     """
 
     RN = RiskNeutralParams(sigma=0.2, c1=1e-3, s0=100.0, r=600.0)
     OPT = OptionSpec(strike=100.0, maturity=1.0, rate=600.0)
     RN_MARCH = RiskNeutralParams(sigma=0.2, c1=0.01, s0=100.0, r=1345.0)
     OPT_MARCH = OptionSpec(strike=100.0, maturity=0.25, rate=1345.0)
+    BELOW_TOP = "overflowed: at t = .* jump at total rates [^ ]+ and inf"
 
     @pytest.fixture(autouse=True)
     def cold(self):
@@ -736,20 +739,57 @@ class TestLawSolveErrors:
     def test_march_overflow_raises_out_of_range(self):
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
-            with pytest.raises(OutOfRange, match="overflowed; c1"):
+            with pytest.raises(OutOfRange, match=self.BELOW_TOP):
                 price_formula(self.RN_MARCH, self.OPT_MARCH)
-        assert record and all(w.category is RuntimeWarning for w in record)
+        assert record == []
 
     def test_ignored_errors_stay_silent(self):
         with warnings.catch_warnings(record=True) as record, np.errstate(all="ignore"):
             warnings.simplefilter("always")
-            with pytest.raises(OutOfRange, match="overflowed; c1"):
+            with pytest.raises(OutOfRange, match=self.BELOW_TOP):
                 greeks_bump(price_formula, self.RN_MARCH, self.OPT_MARCH)
         assert record == []
 
     def test_raise_mode_raises(self):
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        with np.errstate(all="raise"), pytest.raises(OutOfRange, match=self.BELOW_TOP):
             price_formula(self.RN_MARCH, self.OPT_MARCH)
+
+    def test_rate_band_prices_or_refuses_silently(self):
+        # r steps across the edge where the node below the top overflows first
+        outcomes = []
+        for r in np.arange(1340.0, 1350.125, 0.25).tolist():
+            rn, opt = replace(self.RN_MARCH, r=r), replace(self.OPT_MARCH, rate=r)
+            for call in (price_formula, functools.partial(greeks_bump, price_formula)):
+                law_map.cache_clear()
+                with warnings.catch_warnings(record=True) as record:
+                    warnings.simplefilter("always")
+                    try:
+                        call(rn, opt)
+                        outcomes.append("priced")
+                    except OutOfRange:
+                        outcomes.append("refused")
+                assert [w for w in record if w.category is RuntimeWarning] == [], (r, call)
+        assert (outcomes.count("priced"), outcomes.count("refused")) == (36, 46)
+
+    @pytest.mark.parametrize("rn, opt", [
+        (RN, OPT),
+        (replace(RN, r=300.0), OptionSpec(strike=100.0, maturity=2.0, rate=300.0)),
+        (RN_MARCH, OPT_MARCH),
+        (RN_VVE, OptionSpec(strike=100.0, maturity=1e-100, rate=0.05)),
+        (replace(RN_VVE, sigma=1e-300, c1=1e-300), ATM),
+    ], ids=["r600", "r300_tau2", "below_top", "tau1e-100", "sigma_c1_1e-300"])
+    def test_refused_before_any_step(self, rn, opt, monkeypatch):
+        calls, rates = [], _LawChain.rates
+
+        def counted(chain, *step):
+            calls.append(step)
+            rates(chain, *step)
+
+        monkeypatch.setattr(_LawChain, "rates", counted)
+        for call in (price_formula, functools.partial(greeks_bump, price_formula)):
+            with pytest.raises(OutOfRange):
+                call(rn, opt)
+        assert calls == []
 
     def test_invalid_tol_starts_no_solve(self):
         before = law_map.cache_info()

@@ -90,11 +90,14 @@ COMMANDS = [
                                     "--s0", "1000", "--strike", "1000"]),
     ("error_formula_rate_overflow", ["price", "--method", "formula", "--c1", "1e-3",
                                      "--r", "800"]),
-    # the law grid top's jump rate beyond float range: refused before the first step
+    # the law grid top's jump rate beyond float range, and (at r = 1345) only the total
+    # rate of the node below it: refused before the first step
     ("error_formula_top_rate_overflow", ["price", "--method", "formula", "--c1", "1e-3",
                                          "--r", "600"]),
     ("error_formula_top_rate_overflow_long", ["price", "--method", "formula", "--c1", "1e-3",
                                               "--r", "300", "--maturity", "2"]),
+    ("error_formula_march_rate_overflow", ["price", "--method", "formula", "--c1", "0.01",
+                                           "--r", "1345", "--maturity", "0.25"]),
     ("price_formula_strike_above_grid", ["price", "--method", "formula", "--strike", "1e308"]),
     # so short a maturity that the law grid's nodes collide in floating point
     ("error_formula_tiny_maturity", ["price", "--method", "formula", "--maturity", "1e-100"]),
