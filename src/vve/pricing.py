@@ -14,8 +14,10 @@ Three routes:
   is the same number as E[(X - K')^+] for the discounted price X and strike
   K' = K e^{-r(T-t)}, which the solve's node sums give directly; its delta,
   gamma and vega come from one backward sweep of the solve's Markov chain
-  per grid (``greeks_bump``).  The forward solve and the sweep step through
-  one system solve (``_LawChain.solve``).  At c1 = 0 the map is the closed
+  per grid (``greeks_bump``).  The chain lives on graded nodes, dense at the
+  spot and sparse in the tails up to a top ~1e30 x s0 (``_LawChain``), and
+  the forward solve and the sweep step through one system solve
+  (``_LawChain.solve``).  At c1 = 0 the map is the closed
   form below, then the exact lognormal law, and the formula is evaluated by
   adaptive quadrature against the standard normal density.
 
@@ -205,12 +207,14 @@ def inverse_map(rn: RiskNeutralParams, t: float, x: float) -> float:
 # The model's law, solved on a price grid
 # --------------------------------------------------------------------------
 
-#: default law-solve grid: nodes below the spot, and time steps
-LAW_NODES_BELOW = 1000
-LAW_STEPS = 200
+#: default law-solve grid: nodes below the spot, and time steps (a multiple of 4, so
+#: that the grids 2x and 4x coarser are every 2nd and every 4th of its nodes)
+LAW_NODES_BELOW = 372
+LAW_STEPS = 240
 #: depth of the grid below the spot, in standard deviations at the spot
 _LAW_DEPTH_SD = 12.0
-#: largest log distance of the default grid top above the spot (~1e30 x s0)
+#: log distance of the grid top above the spot (~1e30 x s0): far out in the heavy
+#: upper tail of the strict local martingale
 _LAW_TOP_LOG = 69.0
 #: largest rounding error of a swept gamma, relative to max(1, |gamma|)
 _GAMMA_ROUNDING = 1e-6
@@ -219,83 +223,130 @@ _GAMMA_ROUNDING = 1e-6
 class _LawChain:
     """The grid and the Markov chain of a law solve (see ``_solve_law``).
 
-    ``x`` holds the nodes x_k = s0 e^{kh}, the spot at index ``nodes_below``, and
-    ``log_x`` their logs, and ``steps`` the march's steps (t, dt_n, theta): four
-    implicit-Euler half steps (Rannacher), then Crank-Nicolson.  ``rates`` fills
-    the jump rates at one step, and ``solve`` solves that step's implicit system,
-    in buffers every step reuses.  Raises OutOfRange, before any step, where the
-    logs do not strictly increase or the largest total jump rate times theta dt_n
-    (dt/2 on every step) is not finite: exactly where the march would overflow.
+    ``x`` holds the graded nodes x_k = s0 e^{y_k}, y_k = alpha sinh(k dxi) with
+    alpha = (sigma + c1 s0) sqrt(tau), one standard deviation at the spot; the
+    spot is at index ``nodes_below`` and the bottom ``_LAW_DEPTH_SD`` deviations
+    (plus the log's drift alpha^2 / 2) below it.  The top is the last node at or
+    below ``s_max`` (default: s0 e^{_LAW_TOP_LOG}) of the grid 4x coarser than
+    the default one, so that every grid of the default's family, 2x and 4x
+    coarser, is every 2nd and 4th of its nodes.  ``log_x`` holds their logs and
+    ``h`` = alpha sinh(dxi) the log gap on either side of the spot (sinh is odd).
+    A node's jump rates are var / (g+ (g+ + g-)) up and var / (g- (g+ + g-))
+    down, from its relative gaps g+ = x_{k+1} / x_k - 1 and g- = 1 - x_{k-1} / x_k
+    (each end's missing gap from one more node of the map), which match its
+    mean (zero) and variance var; the bottom absorbs and the top only jumps
+    down.  ``steps`` holds the march's steps (t, dt_n, theta): four
+    implicit-Euler half steps (Rannacher), then Crank-Nicolson, so that the
+    implicit weight a = theta dt_n is dt/2 on every step; ``sub`` and ``sup``
+    hold -a up[:-1] and -a down[1:] at var = 1, the off-diagonals of I - a A.
+    ``rates`` fills vol and var at one step and ``solve`` solves that step's
+    system (I - a A) y = b, in buffers every step reuses.  Raises OutOfRange,
+    before any step, where the nodes leave the float range or their logs do
+    not strictly increase, or where a node's total jump rate times a is not
+    finite at the step where e^{rt} peaks: exactly where the march would
+    overflow.
     """
 
     def __init__(self, rn: RiskNeutralParams, tau: float, s_max: float | None,
                  nodes_below: int, steps: int):
         if nodes_below < 2 or steps < 2:
             raise InvalidGrid("law solve needs at least 2 nodes below the spot and 2 steps")
-        vol0 = rn.sigma + rn.c1 * rn.s0
-        depth = _LAW_DEPTH_SD * vol0 * math.sqrt(tau) + 0.5 * vol0 * vol0 * tau
+        alpha = (rn.sigma + rn.c1 * rn.s0) * math.sqrt(tau)
+        top = _LAW_TOP_LOG if s_max is None else math.log(s_max / rn.s0)
+        if not (alpha > 0.0 and math.isfinite(top / alpha)):
+            raise OutOfRange(f"law grid needs alpha = (sigma + c1 s0) sqrt(tau) > 0 with top / "
+                             f"alpha in float range, got alpha = {alpha:.6g} and top = {top:.6g} "
+                             "(log price)")
+        depth = _LAW_DEPTH_SD * alpha + 0.5 * alpha * alpha
         if not rn.s0 * math.exp(-depth) > 0.0:
             raise OutOfRange(f"law grid depth {depth:.3g} (log price) is beyond float range")
-        h = depth / nodes_below
-        if s_max is None:
-            s_max = rn.s0 * math.exp(min(2.0 * depth, _LAW_TOP_LOG))
-        if not s_max * _exp(h, "law grid", "h") < math.inf:  # the top node is below s_max e^h
-            raise OutOfRange(f"law grid top {s_max:.3g} times e^h, h = {h:.3g}, is beyond "
-                             "float range")
-        nodes_above = max(math.ceil(math.log(s_max / rn.s0) / h), 1)
-        self.rn, self.h = rn, h
-        self.x = rn.s0 * np.exp(h * np.arange(-nodes_below, nodes_above + 1))
-        self.log_x = np.log(self.x)
-        if not np.all(np.diff(self.log_x) > 0):
-            raise OutOfRange(f"law nodes from {self.x[0]:.17g} to {self.x[-1]:.17g} are not "
+        xi_bottom, unit = math.asinh(depth / alpha), LAW_NODES_BELOW // 4
+        top_units = max(math.floor(math.asinh(top / alpha) / xi_bottom * unit), 1)
+        nodes_above = -(-top_units * nodes_below // unit)
+        # the map at every node and one more past each end
+        xi = xi_bottom * (np.arange(-nodes_below - 1, nodes_above + 2) / nodes_below)
+        with np.errstate(over="ignore"):
+            y = alpha * np.sinh(xi)
+            self.x = rn.s0 * np.exp(y[1:-1])
+            self.log_x = np.log(self.x)
+            gaps = np.diff(y)
+            up, down = np.expm1(gaps[1:]), -np.expm1(-gaps[:-1])
+        if not self.x[-1] < math.inf:
+            raise OutOfRange(f"law grid top s0 e^{y[-2]:.6g} is beyond float range")
+        increasing = np.diff(self.log_x) > 0
+        if not np.all(increasing):
+            k = int(np.argmin(increasing))
+            raise OutOfRange(f"law nodes {self.x[k]:.17g} and {self.x[k + 1]:.17g} are not "
                              "strictly increasing in floating point")
+        self.rn, self.h = rn, float(y[nodes_below + 2])
         self.steps, t, dt = [], 0.0, tau / steps
         for dt_n, theta in [(0.5 * dt, 1.0)] * 4 + [(dt, 0.5)] * (steps - 2):
             self.steps.append((t, dt_n, theta))
             t += dt_n
-        gap_up, gap_down = math.expm1(h), -math.expm1(-h)
-        self.up_den, self.down_den = gap_up * (gap_up + gap_down), gap_down * (gap_up + gap_down)
-        # rates grow with x and e^{rt}: the largest are the top two nodes' where e^{rt}
-        # peaks (the top only jumps down), computed as ``rates`` computes them
+        # the rates at var = 1, 0 where the chain cuts them
+        unit_up, unit_down = 1.0 / (up * (up + down)), 1.0 / (down * (up + down))
+        unit_up[[0, -1]] = unit_down[0] = 0.0
+        self.a = 0.5 * dt
+        self.sub, self.sup = -self.a * unit_up[:-1], -self.a * unit_down[1:]
+        self.vol, self.var, self.d = (np.empty(self.x.size) for _ in range(3))
+        self.lower, self.upper = np.empty(self.x.size - 1), np.empty(self.x.size - 1)
+        # rates grow with e^{rt}: the largest are where it peaks, computed as ``rates``
+        # and ``solve`` compute them
         t, dt_n, theta = self.steps[-1 if rn.r > 0 else 0]
-        growth, a = rn.c1 * _exp(rn.r * (t + theta * dt_n), "law solve", "r t"), theta * dt_n
+        growth = rn.c1 * _exp(rn.r * (t + theta * dt_n), "law solve", "r t")
         with np.errstate(all="ignore"):
-            var = np.square(self.x[-2:] * growth + rn.sigma)
-            tot = (var[1] / self.down_den, var[0] / self.up_den + var[0] / self.down_den)
-            if not np.all(np.isfinite(np.multiply(tot, a))):
-                raise OutOfRange(f"law solve overflowed: at t = {t + a:.3g} the grid top "
+            np.square(self.x * growth + rn.sigma, out=self.var)
+            self._system()
+            if not np.all(np.isfinite(self.d)):
+                total = (self.d[-2:] - 1.0) / self.a
+                raise OutOfRange(f"law solve overflowed: at t = {t + self.a:.3g} the grid top "
                                  f"{self.x[-1]:.3g} and the node below it jump at total rates "
-                                 f"{tot[0]:.3g} and {tot[1]:.3g}, beyond float range over "
-                                 f"dt/2 = {a:.3g}")
-        self.vol, self.var, self.up, self.down, self.tot, self.d = (
-            np.empty(self.x.size) for _ in range(6))
-        self.dl, self.du = np.empty(self.x.size - 1), np.empty(self.x.size - 1)
+                                 f"{total[1]:.3g} and {total[0]:.3g}, beyond float range over "
+                                 f"dt/2 = {self.a:.3g}")
         from scipy.linalg.lapack import dgtsv
         self._dgtsv = dgtsv
 
     def rates(self, t: float, dt_n: float, theta: float) -> None:
-        """Fill vol = sigma + c1 e^{rt} x at t + theta dt_n, var = vol^2, the rates
-        ``up`` and ``down`` that match that variance (the bottom node absorbs, the
-        top only jumps down) and their sum ``tot``."""
-        rn, vol, var, up, down = self.rn, self.vol, self.var, self.up, self.down
+        """Fill vol = sigma + c1 e^{rt} x at t + theta dt_n and var = vol^2, which
+        scales every jump rate."""
+        rn, vol = self.rn, self.vol
         np.multiply(self.x, rn.c1 * math.exp(rn.r * (t + theta * dt_n)), out=vol)
         np.add(vol, rn.sigma, out=vol)
-        np.square(vol, out=var)
-        np.divide(var, self.up_den, out=up)
-        np.divide(var, self.down_den, out=down)
-        up[0] = down[0] = up[-1] = 0.0
-        np.add(up, down, out=self.tot)
+        np.square(vol, out=self.var)
 
-    def solve(self, a: float, b, transposed: bool = False):
+    def _system(self) -> None:
+        """Fill ``lower``, ``d`` and ``upper`` with the diagonals of I - a A for the
+        generator A of the last ``rates``: lower = -a up[:-1], upper = -a down[1:]
+        and d = 1 - (the column's two off-diagonal entries), so that every column
+        sums to 1 as exactly as floating point allows, and the march conserves
+        probability and the mean to rounding."""
+        lower, upper, d = self.lower, self.upper, self.d
+        np.multiply(self.var[:-1], self.sub, out=lower)
+        np.multiply(self.var[1:], self.sup, out=upper)
+        np.negative(lower, out=d[:-1])
+        d[-1] = 0.0
+        np.subtract(d[1:], upper, out=d[1:])
+        np.add(d, 1.0, out=d)
+
+    def solve(self, b, transposed: bool = False):
         """y with (I - a A) y = b, or (I - a A)^T y = b, for the generator A of the
-        last ``rates``: A is tridiagonal (up[:-1], -tot, down[1:]), and its
-        transpose swaps the off-diagonals.  ``dgtsv`` solves in place, overwriting
-        the chain's diagonals and, where it can, ``b``."""
-        np.multiply(self.down[1:] if transposed else self.up[:-1], -a, out=self.dl)
-        np.multiply(self.tot, a, out=self.d)
-        np.add(self.d, 1.0, out=self.d)
-        np.multiply(self.up[:-1] if transposed else self.down[1:], -a, out=self.du)
-        return self._dgtsv(self.dl, self.d, self.du, b, 1, 1, 1, 1)[3]  # info > 0 goes unread
+        last ``rates``; the transpose swaps the off-diagonals.  ``dgtsv`` solves in
+        place, overwriting the chain's diagonals and, where it can, ``b``."""
+        self._system()
+        lower, upper = (self.upper, self.lower) if transposed else (self.lower, self.upper)
+        return self._dgtsv(lower, self.d, upper, b, 1, 1, 1, 1)[3]  # info > 0 goes unread
+
+
+def _cn_update(theta: float, y, p) -> None:
+    """p <- the step's image of p, from y = (I - a A)^{-1} p: y itself for an
+    implicit-Euler step, and for a Crank-Nicolson one (I - a A)^{-1} (I + a A) p
+    = 2 y - p, which needs no product with A and so adds no rounding from its
+    large rates.  Overwrites y."""
+    if theta < 1.0:
+        np.multiply(y, 2.0, out=y)
+        np.subtract(y, p, out=p)
+    else:
+        np.copyto(p, y)
 
 
 def _require_finite_law(*arrays) -> None:
@@ -308,43 +359,32 @@ def _solve_law(rn: RiskNeutralParams, tau: float, s_max: float | None,
     """Law of the discounted price X = e^{-r tau} S_tau given S_0 = s0.
 
     Crank-Nicolson solve of the model's forward equation in conservative
-    form on the nodes x_k = s0 e^{k h}: a continuous-time Markov chain whose
-    jump rates match the local mean (zero, after discounting) and variance
-    of dX = X (sigma + c1 e^{rt} X) dB at every node.  The bottom node
-    absorbs and the top node only jumps down, so probability is conserved
-    and the mean is conserved except for what the top reflects: it never
-    exceeds s0.  Four implicit-Euler half steps (Rannacher) start the march
-    from the point mass at s0.  The top node is the first at or above
-    ``s_max`` (default: as far above the spot, in log price, as twice the
-    grid's depth below it, but at most e^69 ~ 1e30 times the spot: the mass
-    the top reflects converges as it rises).  Raises OutOfRange before any
-    step where the grid or its rates leave the float range (``_LawChain``), as
-    for very large c1 s0 tau or r tau or tiny tau.  With the Rannacher start the
-    error expands cleanly in h^2 and dt^2 (Giles & Carter 2006), so
-    ``price_formula`` cancels its leading term by Richardson extrapolation
-    from the default grid (``LAW_NODES_BELOW`` x ``LAW_STEPS``) and the one
-    2x coarser in both.
+    form on the graded nodes of ``_LawChain``: a continuous-time Markov chain
+    whose jump rates match the local mean (zero, after discounting) and
+    variance of dX = X (sigma + c1 e^{rt} X) dB at every node.  The bottom
+    node absorbs and the top node only jumps down, so probability is
+    conserved and the mean is conserved except for what the top reflects: it
+    never exceeds s0.  Four implicit-Euler half steps (Rannacher) start the
+    march from the point mass at s0.  The top is far out in the heavy upper
+    tail (default ~1e30 x s0; the graded nodes make that cheap), so the value
+    the top reflects is negligible.  Raises OutOfRange before any step where
+    the grid or its rates leave the float range (``_LawChain``), as for very
+    large c1 s0 tau or r tau or tiny tau.  With the Rannacher start the error
+    expands cleanly in dxi^2 and dt^2 on the smooth graded map (Giles & Carter
+    2006), so ``price_formula`` cancels its leading term by Richardson
+    extrapolation from the default grid (``LAW_NODES_BELOW`` x ``LAW_STEPS``)
+    and the one 2x coarser in both, which is every 2nd node and step of it.
 
-    Returns (nodes, probabilities, h).
+    Returns (nodes, probabilities, h), h the log gap on either side of the spot.
     """
     chain = _LawChain(rn, tau, s_max, nodes_below, steps)
-    up, down, tot = chain.up, chain.down, chain.tot
-    p = np.zeros(chain.x.size)
+    p, y = np.zeros(chain.x.size), np.empty(chain.x.size)  # every step writes into these
     p[nodes_below] = 1.0
-    flow, part = np.empty(p.size), np.empty(p.size - 1)  # every step writes into these
     for t, dt_n, theta in chain.steps:
         chain.rates(t, dt_n, theta)
-        # flow = A p, then (I - a A) p_next = p + (dt_n - a) A p
-        np.multiply(tot, p, out=flow)
-        np.negative(flow, out=flow)
-        np.multiply(up[:-1], p[:-1], out=part)
-        np.add(flow[1:], part, out=flow[1:])
-        np.multiply(down[1:], p[1:], out=part)
-        np.add(flow[:-1], part, out=flow[:-1])
-        a = theta * dt_n
-        np.multiply(flow, dt_n - a, out=flow)
-        np.add(p, flow, out=p)
-        p = chain.solve(a, p)
+        np.copyto(y, p)
+        y = chain.solve(y)
+        _cn_update(theta, y, p)
     _require_finite_law(p)
     return chain.x, p, chain.h
 
@@ -400,9 +440,10 @@ def law_map(rn: RiskNeutralParams, tau: float, s_max: float | None = None,
     and a 4-node interpolation.  It depends on tau, not t: the SDE is
     time-homogeneous.  Every c1 > 0 ``price_formula`` quote reads the default
     grid, the 2x coarser one and (for ``law_error_estimate``) the 4x coarser
-    one.  A ``greeks_bump(price_formula, ...)`` set reads none: it sweeps the
-    chain of the first two grids backward (``_sweep_law``), uncached.  Threads
-    may share the cache; two that miss on one key each solve it alike.
+    one, which share the default grid's graded nodes (``_LawChain``).  A
+    ``greeks_bump(price_formula, ...)`` set reads none: it sweeps the chain of
+    the first two grids backward (``_sweep_law``), uncached.  Threads may share
+    the cache; two that miss on one key each solve it alike.
     """
     if rn.sigma == 0:
         raise SigmaZeroUnsupported("law map requires sigma > 0")
@@ -413,25 +454,27 @@ def law_map(rn: RiskNeutralParams, tau: float, s_max: float | None = None,
 def _sweep_law(rn: RiskNeutralParams, tau: float, strike: float, nodes_below: int,
                steps: int) -> tuple[float, float, float, float, float]:
     """(price, delta, gamma, vega, s0 h) of E[(X - K)^+] at the discounted strike
-    K, from a backward sweep of ``_solve_law``'s chain on the same grid.
+    K, from a backward sweep of ``_solve_law``'s chain on the same graded grid,
+    h the log gap on either side of the spot.
 
     The terminal vector g_k = sum_j w_j (x_k - x_j)^+ over the 4 nodes that
     ``SolvedLaw.price`` interpolates (weights w_j; x - K below the bottom node,
     0 at or above the top one) is that price's exact dual, so the swept value
     at the spot node is the forward price, unclamped, to rounding.  With
-    B = (I - a A)^{-1} (I + (dt_n - a) A) the forward step, the sweep walks
-    the steps in reverse: v <- B^T v, one transposed tridiagonal solve and a
-    product.  Delta and gamma are central differences in log price at the
-    spot node (the grid held fixed); vega is the tangent dv/dsigma, carried by
-    a second solve per step on the same matrix, where dA/dsigma is A with var
+    B = (I - a A)^{-1} (an implicit-Euler step) or 2 (I - a A)^{-1} - I (a
+    Crank-Nicolson one) the forward step, the sweep walks the steps in
+    reverse: v <- B^T v, one transposed tridiagonal solve.  Delta and gamma are
+    central differences in log price at the spot node, whose two gaps are
+    equal (the grid held fixed); vega is the tangent dv/dsigma, carried by a
+    second solve per step on the same matrix, where dA/dsigma is A with var
     replaced by 2 vol.  Raises OutOfRange before any step as ``_solve_law`` does,
     and where the rounding of the gamma's second difference, 4 eps max|v| /
     (s0 h)^2 over the three nodes, exceeds ``_GAMMA_ROUNDING`` x max(1, |gamma|):
     at maturities so short that s0 h is tiny against the option's value (at
-    c1 = 5e-4, s0 = 100, K = 90 and tau = 1e-8, a rounding bound of 9.9e-6).
+    c1 = 5e-4, s0 = 100, K = 90 and tau = 1e-8, a rounding bound of 1.9e-5).
     """
     chain = _LawChain(rn, tau, None, nodes_below, steps)
-    x, log_x, h, s, vol, var = chain.x, chain.log_x, chain.h, nodes_below, chain.vol, chain.var
+    x, log_x, h, s, vol = chain.x, chain.log_x, chain.h, nodes_below, chain.vol
     i = int(np.searchsorted(x, strike, side="right"))  # the nodes at or below K
     v = np.zeros(x.size)
     if i == 0:
@@ -443,37 +486,25 @@ def _sweep_law(rn: RiskNeutralParams, tau: float, strike: float, nodes_below: in
     dv = np.zeros(x.size)
     # every step writes into these
     diff, tmp = np.empty(x.size - 1), np.empty(x.size - 1)
-    q, gen, dgen = (np.empty(x.size) for _ in range(3))
-
-    def rate_weights(w):
-        # A^T w = var * q and (dA/dsigma)^T w = 2 vol * q: q holds the up and down
-        # differences of w over their rate denominators (0 at the absorbing bottom)
-        np.subtract(w[1:], w[:-1], out=diff)
-        np.divide(diff, chain.up_den, out=q[:-1])
-        q[-1] = 0.0
-        np.divide(diff, chain.down_den, out=tmp)
-        np.subtract(q[1:], tmp, out=q[1:])
-        q[0] = 0.0
-
+    q, w, dw = (np.empty(x.size) for _ in range(3))
     for t, dt_n, theta in reversed(chain.steps):
         chain.rates(t, dt_n, theta)
-        a = theta * dt_n
-        w = chain.solve(a, v, transposed=True)
-        rate_weights(w)
-        np.multiply(var, q, out=gen)  # A^T w
-        np.multiply(vol, q, out=dgen)  # (dA/dsigma)^T w / 2
-        np.multiply(dgen, 2.0 * a, out=q)
-        np.add(dv, q, out=dv)
-        dw = chain.solve(a, dv, transposed=True)  # (I - a A)^T dw = dv + a (dA/dsigma)^T w
-        # v <- (I + (dt_n - a) A)^T w, dv <- its sigma derivative
-        np.multiply(gen, dt_n - a, out=gen)
-        v = np.add(w, gen, out=w)
-        rate_weights(dw)
-        np.multiply(var, q, out=gen)
-        np.multiply(dgen, 2.0, out=dgen)
-        np.add(gen, dgen, out=gen)
-        np.multiply(gen, dt_n - a, out=gen)
-        dv = np.add(dw, gen, out=dw)
+        np.copyto(w, v)
+        w = chain.solve(w, transposed=True)
+        # a (dA/dsigma)^T w = -2 vol q, where q holds the up and down differences of
+        # w times the chain's sub- and super-diagonals at var = 1 (0 at the absorbing
+        # bottom); then (I - a A)^T dw = dv + a (dA/dsigma)^T w
+        np.subtract(w[1:], w[:-1], out=diff)
+        np.multiply(diff, chain.sub, out=q[:-1])
+        q[-1] = 0.0
+        np.multiply(diff, chain.sup, out=tmp)
+        np.subtract(q[1:], tmp, out=q[1:])
+        np.multiply(q, vol, out=q)
+        np.multiply(q, -2.0, out=q)
+        np.add(dv, q, out=dw)
+        dw = chain.solve(dw, transposed=True)
+        _cn_update(theta, w, v)  # v <- B^T v, B^T = (I - a A)^{-T} or 2 (I - a A)^{-T} - I
+        _cn_update(theta, dw, dv)  # dv <- its sigma derivative
     _require_finite_law(v, dv)
     below, price, above = v[s - 1:s + 2].tolist()
     v_y, v_yy = (above - below) / (2.0 * h), (above - 2.0 * price + below) / (h * h)
@@ -609,8 +640,8 @@ def _law_greeks(rn: RiskNeutralParams, opt: OptionSpec,
     """The price and ``greeks_bump``'s Greeks of ``price_formula`` at tau > 0, from
     ``_sweep_law`` on the default grid and the 2x coarser one, each
     Richardson-extrapolated as the price is; ``tol`` is checked, as it moves
-    no law price.  ``ds`` is the fine grid's spot step s0 h and ``dsig`` is 0,
-    as the vega is a tangent."""
+    no law price.  ``ds`` is s0 h, h = alpha sinh(dxi) the fine grid's log gap
+    on either side of the spot, and ``dsig`` is 0, as the vega is a tangent."""
     _check_tol(tol)
     if rn.sigma == 0:
         raise SigmaZeroUnsupported("law map requires sigma > 0")
@@ -619,6 +650,10 @@ def _law_greeks(rn: RiskNeutralParams, opt: OptionSpec,
     fine, coarse = (_sweep_law(rn, tau, strike, LAW_NODES_BELOW // m, LAW_STEPS // m)
                     for m in (1, 2))
     price, delta, gamma, vega = map(_richardson, fine[:4], coarse[:4])
+    # a call's delta lies in [0, 1]; its central difference can leave it by rounding
+    # (by ~1e-12 deep in the money), which the clamp takes off, as the price's clamp at 0
+    # does for the price
+    delta = min(max(delta, 0.0), 1.0)
     return price, {"delta": delta, "gamma": gamma, "vega": vega, "ds": fine[4], "dsig": 0.0}
 
 
@@ -630,9 +665,10 @@ def price_formula(rn: RiskNeutralParams, opt: OptionSpec,
     intrinsic value.  Otherwise, for c1 > 0 the formula on the law map is
     E[(X - K')^+] on the law solve (``law_map``), K' = K e^{-r(T-t)}, read off
     its node sums (``SolvedLaw.price``) as R = P + (P - P_2) / 3 from the
-    default grid and the one 2x coarser in price and time: the solve's error
-    has a clean h^2 term (Crank-Nicolson after a Rannacher start), which R
-    cancels.  The diagnostics give the grid (``law_nodes``, ``law_steps``,
+    default grid and the one 2x coarser in price and time (every 2nd node and
+    step): the solve's error has a clean dxi^2 term (Crank-Nicolson after a
+    Rannacher start, on a smooth graded map), which R cancels.  The
+    diagnostics give the grid (``law_nodes``, ``law_steps``,
     ``law_s_min``, ``law_s_max``, in today's money), the nodes read
     (``nodes_or_paths``), d = Phi^{-1}(P(X <= K')), ``fT_inv_K`` = d sqrt(T - t),
     ``ft_inv_x`` = 0 and ``law_error_estimate`` = |R - R_2|, R_2 the same

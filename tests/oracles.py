@@ -6,15 +6,17 @@ incomplete beta function rather than a t-distribution object), and the
 Black-Scholes oracles evaluate the normal-CDF terms in 50-digit arithmetic
 with mpmath.  The step-kernel oracle is the one-scheme,
 column-at-a-time Euler/Milstein loop that ``vve.sde._step_terminal`` must
-reproduce bit for bit.  The law-solve oracle is the Crank-Nicolson step loop
-that allocates its arrays each step, which ``vve.pricing._solve_law`` must
-reproduce bit for bit.  The law-map oracle is the explicit formula's other
+reproduce bit for bit.  The law-solve oracle builds the graded nodes and
+their rates on its own and runs the Crank-Nicolson step loop allocating its
+arrays each step, which ``vve.pricing._solve_law`` must reproduce bit for
+bit.  The law-map oracle is the explicit formula's other
 route on a law solve: a cubic spline of the quantile through scipy's
 ``CubicSpline``, inverted with ``brentq`` and integrated by the quadrature,
 which the node-sum price of ``vve.pricing.SolvedLaw`` must match within its
 ``law_error_estimate``.  The inverse-Bessel oracle is the exact call price of
-the model at sigma = 0.  The closed-form oracle evaluates the paper's own
-expression in 50-digit arithmetic.
+the model at sigma = 0, and the quadratic-normal-volatility oracle the exact
+call price at r = 0 and any sigma.  The closed-form oracle evaluates the
+paper's own expression in 50-digit arithmetic.
 """
 
 import math
@@ -147,46 +149,59 @@ def step_terminal_reference(params, dt, s0, db, milstein: bool, out=None):
 
 
 def solve_law_reference(rn, tau, s_max, nodes_below, steps):
-    """Law of X = e^{-r tau} S_tau on the nodes x_k = s0 e^{k h}, new arrays each step.
+    """Law of X = e^{-r tau} S_tau on graded nodes, new arrays each step.
 
-    Returns (nodes, probabilities, h); raises as ``vve.pricing._solve_law`` does.
+    The nodes are x_k = s0 e^{y_k}, y_k = alpha sinh(xi_k), alpha = (sigma +
+    c1 s0) sqrt(tau), xi_k = k xi_b / nodes_below with xi_b = asinh(depth /
+    alpha); the top is the last node at or below s_max (default s0 e^69) of
+    the grid with LAW_NODES_BELOW // 4 nodes below the spot.  A node's rates
+    come from its relative gaps to the nodes beside it, one more node of the
+    map past each end.  Returns (nodes, probabilities, h), h = y_1; raises as
+    ``vve.pricing._solve_law`` does.
     """
     from scipy.linalg.lapack import dgtsv
     from vve.errors import InvalidGrid, OutOfRange
-    from vve.pricing import _LAW_DEPTH_SD, _LAW_TOP_LOG
+    from vve.pricing import _LAW_DEPTH_SD, _LAW_TOP_LOG, LAW_NODES_BELOW
 
     if nodes_below < 2 or steps < 2:
         raise InvalidGrid("law solve needs at least 2 nodes below the spot and 2 steps")
-    vol0 = rn.sigma + rn.c1 * rn.s0
-    depth = _LAW_DEPTH_SD * vol0 * math.sqrt(tau) + 0.5 * vol0 * vol0 * tau
+    alpha = (rn.sigma + rn.c1 * rn.s0) * math.sqrt(tau)
+    depth = _LAW_DEPTH_SD * alpha + 0.5 * alpha * alpha
     if not rn.s0 * math.exp(-depth) > 0.0:
         raise OutOfRange(f"law grid depth {depth:.3g} (log price) is beyond float range")
-    h = depth / nodes_below
-    if s_max is None:
-        s_max = rn.s0 * math.exp(min(2.0 * depth, _LAW_TOP_LOG))
-    nodes_above = max(math.ceil(math.log(s_max / rn.s0) / h), 1)
-    x = rn.s0 * np.exp(h * np.arange(-nodes_below, nodes_above + 1))
-    gap_up, gap_down = math.expm1(h), -math.expm1(-h)
+    top = _LAW_TOP_LOG if s_max is None else math.log(s_max / rn.s0)
+    xi_b, coarsest = math.asinh(depth / alpha), LAW_NODES_BELOW // 4
+    top_steps = max(math.floor(math.asinh(top / alpha) / xi_b * coarsest), 1)
+    nodes_above = math.ceil(top_steps * nodes_below / coarsest)
+    k = np.arange(-nodes_below - 1, nodes_above + 2)
+    with np.errstate(over="ignore"):
+        y = alpha * np.sinh(xi_b * (k / nodes_below))
+        x = rn.s0 * np.exp(y[1:-1])
+    g_up = np.expm1(y[2:] - y[1:-1])
+    g_down = -np.expm1(-(y[1:-1] - y[:-2]))
+    unit_up = 1.0 / (g_up * (g_up + g_down))
+    unit_down = 1.0 / (g_down * (g_up + g_down))
+    unit_up[0] = unit_up[-1] = unit_down[0] = 0.0  # the bottom absorbs, the top only jumps down
+    dt = tau / steps
+    a = 0.5 * dt
     p = np.zeros(x.size)
     p[nodes_below] = 1.0
     t = 0.0
-    dt = tau / steps
     for dt_n, theta in [(0.5 * dt, 1.0)] * 4 + [(dt, 0.5)] * (steps - 2):
-        var = (rn.sigma + rn.c1 * math.exp(rn.r * (t + theta * dt_n)) * x) ** 2
-        up = var / (gap_up * (gap_up + gap_down))
-        down = var / (gap_down * (gap_up + gap_down))
-        up[0] = down[0] = up[-1] = 0.0
-        # dp/dt = A p with A tridiagonal: (up[:-1], diag, down[1:])
-        diag = -(up + down)
-        flow = diag * p
-        flow[1:] += up[:-1] * p[:-1]
-        flow[:-1] += down[1:] * p[1:]
-        a = theta * dt_n
-        p = dgtsv(-a * up[:-1], 1.0 - a * diag, -a * down[1:], p + (dt_n - a) * flow)[3]
+        var = (x * (rn.c1 * math.exp(rn.r * (t + theta * dt_n))) + rn.sigma) ** 2
+        # I - a A: sub-diagonal -a up[:-1], super-diagonal -a down[1:], and a diagonal
+        # that makes every column sum to 1
+        sub, sup = var[:-1] * (-a * unit_up[:-1]), var[1:] * (-a * unit_down[1:])
+        diag = np.zeros(x.size)
+        diag[:-1] -= sub
+        diag[1:] -= sup
+        solved = dgtsv(sub, diag + 1.0, sup, p.copy())[3]
+        # implicit Euler: that solve; Crank-Nicolson: (I - a A)^{-1} (I + a A) p = 2 solved - p
+        p = solved if theta == 1.0 else 2.0 * solved - p
         t += dt_n
     if not np.all(np.isfinite(p)):
         raise OutOfRange("law solve overflowed; c1 * s0 * tau is too large for its grid")
-    return x, p, h
+    return x, p, float(y[nodes_below + 2])
 
 
 #: |z| range over which ``LawMapReference`` tabulates its spline; it is log-linear beyond
@@ -196,22 +211,26 @@ _LAW_Z_TABLE = 8.5
 class LawMapReference:
     """The law map f(z) = F^{-1}(Phi(z)) of a law solve, on scipy's ``CubicSpline``.
 
-    Built from a law solve's (x, p, h): each node is the arithmetic centre of
-    its cell, and the map is a cubic spline of the log price in z through the
-    cell boundaries where |z| <= _LAW_Z_TABLE, log-linear in z beyond, scaled
-    to the solve's mean.  It is a solution map for
-    ``vve.pricing._formula_quote`` (``w_t``, ``sqrt_tau``, ``inverse``,
-    ``cut``), so the quadrature prices the formula on it.
+    Built from a law solve's nodes x and probabilities p: a cell's upper edge
+    is the harmonic mean 2 x_j x_{j+1} / (x_j + x_{j+1}) of its node and the
+    next (the top's next node continues the last ratio), which on equal log
+    gaps makes each node the arithmetic centre of its cell, and the map is a
+    cubic spline of the log price in z through the cell boundaries where
+    |z| <= _LAW_Z_TABLE, log-linear in z beyond, scaled to the solve's mean.
+    It is a solution map for ``vve.pricing._formula_quote`` (``w_t``,
+    ``sqrt_tau``, ``inverse``, ``cut``), so the quadrature prices the formula
+    on it.
     """
 
     w_t = 0.0
 
-    def __init__(self, rn, tau, x, p, h):
+    def __init__(self, rn, tau, x, p):
         from scipy import integrate, interpolate, special
 
         cdf = np.cumsum(p)
         survival = np.append(np.cumsum(p[::-1])[::-1][1:], 0.0)
-        upper_edge = x * (2.0 / (1.0 + math.exp(-h)))
+        above = np.append(x[1:], x[-1] ** 2 / x[-2])
+        upper_edge = 2.0 * x * above / (x + above)
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.where(cdf < 0.5, special.ndtri(cdf), -special.ndtri(survival))
         keep = np.abs(z) <= _LAW_Z_TABLE
@@ -296,3 +315,37 @@ def inverse_bessel_call(s0, c1, r, tau, strike):
         j1 = rho0 * i1 + clock * (phi(rho0) - phi(b - rho0))
         j2 = -rho0 * i2 + clock * (phi(rho0) - phi(b + rho0))
         return float((i1 - i2 - k * (j1 - j2)) / rho0)
+
+
+def qnv_call(s0, sigma, c1, tau, strike):
+    """The exact call price of the model at r = 0, in 50-digit arithmetic.
+
+    At r = 0 the price solves dX = X (sigma + c1 X) dB, a quadratic normal
+    volatility model with roots 0 and -kappa, kappa = sigma / c1.  By Ito,
+    V = 1 + kappa / X is a driftless GBM dV = -sigma V dB, Doob h-transformed
+    by h(v) = v - 1 to stay above 1, so E[g(X_T)] = (s0 / kappa)
+    E[g(kappa / (G_T - 1)) (G_T - 1); G > 1 on [0, T]] for a driftless GBM G
+    from V0 = 1 + kappa / s0.  Killed at 1, z = ln G_T has the density
+    n(z; z0 + m, s^2) - V0 n(z; -z0 + m, s^2) on z > 0 (method of images),
+    z0 = ln V0, m = -s^2 / 2, s = sigma sqrt(tau), and the call is
+    (s0 / kappa) int_0^b (kappa + K - K e^z) [that density] dz,
+    b = ln(1 + kappa / K) (infinite at K = 0): four normal CDF terms.
+    X is a strict local martingale: the zero-strike call is below s0.
+    """
+    with mpmath.workdps(50):
+        s0, sigma, c1, tau, strike = (mpmath.mpf(v) for v in (s0, sigma, c1, tau, strike))
+        kappa = sigma / c1
+        v0 = 1 + kappa / s0
+        s = sigma * mpmath.sqrt(tau)
+        b = mpmath.log(1 + kappa / strike) if strike else mpmath.inf
+
+        def mass(a, shift):
+            # int_0^b e^{shift z} n(z; a, s^2) dz, shift 0 or 1
+            centre = a + shift * s ** 2
+            return (mpmath.exp(shift * (a + s ** 2 / 2))
+                    * (mpmath.ncdf((b - centre) / s) - mpmath.ncdf(-centre / s)))
+
+        z0, m = mpmath.log(v0), -s ** 2 / 2
+        return float(s0 / kappa * sum(
+            weight * ((kappa + strike) * mass(a, 0) - strike * mass(a, 1))
+            for a, weight in ((z0 + m, 1), (-z0 + m, -v0))))

@@ -20,6 +20,7 @@ from oracles import (
     bs_vega_mp,
     closed_form_mp,
     inverse_bessel_call,
+    qnv_call,
     solve_law_reference,
 )
 from vve.errors import (
@@ -34,6 +35,7 @@ from vve.model import ModelParams
 from vve.pricing import (
     LAW_NODES_BELOW,
     LAW_STEPS,
+    _LAW_DEPTH_SD,
     _LAW_TOP_LOG,
     OptionQuote,
     OptionSpec,
@@ -272,7 +274,7 @@ class TestPriceFormula:
                     continue
                 assert math.isfinite(quote.price)
                 assert 0.0 <= quote.price <= 1000.0 + 1e-9
-                # the grid top is capped near 1e30 x s0 (one node may overshoot)
+                # the grid top is at most ~1e30 x s0
                 assert quote.diagnostics["law_s_max"] <= 1000.0 * 2e30
 
 
@@ -287,11 +289,12 @@ class TestLawMap:
         # grid 2000 x 400 and its 2x coarser one, not on the default grids: this bounds
         # a single grid's price, which a Richardson pair refines (TestRichardsonTable)
         law = law_map(RN_GBM, 1.0, nodes_below=2000, steps=400)
-        # P(X <= x_j) is the lognormal CDF at the top edge of node j's cell
-        h = law.log_x[1] - law.log_x[0]
+        # P(X <= x_j) is the lognormal CDF at the top edge of node j's cell, the
+        # midpoint in log price between node j and the node above it
+        edges = 0.5 * (law.log_x[:-1] + law.log_x[1:])
         log_mean = math.log(100.0) - 0.5 * 0.2 ** 2
-        inside = (law.x > 20.0) & (law.x < 500.0)
-        for y, cdf in zip(law.log_x[inside] + 0.5 * h, law.cdf[inside]):
+        inside = (law.x[:-1] > 20.0) & (law.x[:-1] < 500.0)
+        for y, cdf in zip(edges[inside], law.cdf[:-1][inside]):
             assert abs(cdf - norm_cdf((y - log_mean) / 0.2)) < 1e-5
         coarse = law_map(RN_GBM, 1.0, nodes_below=1000, steps=200)
         for k in (0.0, 60.0, 100.0, 120.0, 160.0):
@@ -341,7 +344,7 @@ class TestSolvedLaw:
         # the paper's formula by quadrature on the spline law map of the same two
         # solves, Richardson-extrapolated as the node sums are
         maps = [LawMapReference(rn, tau, *_solve_law(rn, tau, None, LAW_NODES_BELOW // m,
-                                                      LAW_STEPS // m)) for m in (1, 2)]
+                                                      LAW_STEPS // m)[:2]) for m in (1, 2)]
         for k in (70.0, 100.0, 130.0):
             opt = OptionSpec(strike=k, maturity=tau, rate=0.05)
             quote = price_formula(rn, opt)
@@ -351,7 +354,7 @@ class TestSolvedLaw:
 
     @pytest.mark.parametrize("tau", [1e-100, 1e-40, 1e-30, 1e-25])
     def test_tiny_maturity_quotes_or_refuses(self, tau):
-        # the nodes s0 e^{kh} collide in floating point where h is below the
+        # the nodes beside the spot collide in floating point where their gap is below the
         # precision of log s0: the law refuses; short of that a quote is >= 0
         for k in (90.0, 100.0, 100.0 + 1e-13):
             try:
@@ -361,11 +364,12 @@ class TestSolvedLaw:
             assert math.isfinite(quote.price) and quote.price >= 0.0
 
 
-def sigma_zero_law_price(c1, r, tau, strike):
-    """The node-sum price at sigma = 0, Richardson-extrapolated from the default grids."""
+def sigma_zero_law_price(c1, r, tau, strike, grids=(1, 2)):
+    """The node-sum price at sigma = 0, Richardson-extrapolated from the default grids
+    (``grids`` = (2, 4): from the grids 2x and 4x coarser, as ``law_error_estimate``)."""
     rn = RiskNeutralParams(sigma=0.0, c1=c1, s0=100.0, r=r)
     laws = [SolvedLaw(*_solve_law(rn, tau, None, LAW_NODES_BELOW // m, LAW_STEPS // m)[:2],
-                      LAW_STEPS // m) for m in (1, 2)]
+                      LAW_STEPS // m) for m in grids]
     return _richardson(*(law.price(strike * math.exp(-r * tau))[0] for law in laws))
 
 
@@ -373,16 +377,15 @@ class TestInverseBesselOracle:
     """The law solve at sigma = 0 against the exact inverse-Bessel call price.
 
     The second case loses 31.7 % of the spot to the strict local martingale.
-    At c1 = 2e-3, r = 0.05, tau = 2 every strike errs by -5.6e-6: the default
-    grid top (s0 e^{2 depth}, ~9.6e4) cuts the heavy upper tail off, and
-    ``law_error_estimate`` cannot see it, as both of its grids share the top.
+    The third has the heaviest upper tail: E[X; X > x] falls only like 1/x^2,
+    so a grid top at s0 e^{2 depth} (~9.6e4) cut 5.6e-6 off every strike; the
+    default top, ~1e30 x s0, leaves nothing measurable above it.
     """
 
     @pytest.mark.parametrize("c1, r, tau", [
         (5e-3, 0.05, 1.0),
         (1e-2, 0.0, 1.0),
-        pytest.param(2e-3, 0.05, 2.0, marks=pytest.mark.xfail(
-            strict=True, reason="the default grid top cuts off the upper tail")),
+        (2e-3, 0.05, 2.0),
     ], ids=["c1=5e-3", "c1=1e-2,r=0", "c1=2e-3,tau=2"])
     @pytest.mark.parametrize("strike", [0.0, 70.0, 100.0, 130.0])
     def test_law_price_within_1e6_of_exact(self, c1, r, tau, strike):
@@ -392,14 +395,88 @@ class TestInverseBesselOracle:
     def test_defect_of_the_second_case(self):
         assert inverse_bessel_call(100.0, 1e-2, 0.0, 1.0, 0.0) == pytest.approx(68.27, abs=5e-3)
 
+    @pytest.mark.parametrize("c1, r, tau", [(5e-3, 0.05, 1.0), (1e-2, 0.0, 1.0), (2e-3, 0.05, 2.0)],
+                             ids=["c1=5e-3", "c1=1e-2,r=0", "c1=2e-3,tau=2"])
+    def test_estimate_covers_error(self, c1, r, tau):
+        # the estimate price_formula would report at sigma > 0: |R - R_2|
+        for strike in (0.0, 70.0, 100.0, 130.0):
+            price = sigma_zero_law_price(c1, r, tau, strike)
+            estimate = abs(price - sigma_zero_law_price(c1, r, tau, strike, grids=(2, 4)))
+            assert estimate >= abs(price - inverse_bessel_call(100.0, c1, r, tau, strike))
+
+
+#: (c1, tau) at sigma 0.2, s0 100, r 0: zero-strike defects of 0.0 %, 2.0 %, 10.9 % and 39.6 %
+QNV_SETS = [(5e-4, 1.0), (2e-3, 2.0), (5e-3, 1.0), (1e-2, 1.0)]
+#: the cells whose error a uniform grid with a top at s0 e^{2 depth} left uncovered: it cut
+#: -1.9e-6 and -3.3e-7 to -3.7e-7 off every strike, against estimates down to 1.1e-9
+QNV_TOP_CUT = [(1e-2, 0.05), (5e-3, 0.25)]
+
+
+class TestQnvOracle:
+    """``price_formula`` at r = 0 against the exact quadratic-normal-volatility call price.
+
+    At r = 0 the discounted price solves dX = X (sigma + c1 X) dB, whose call
+    has a closed form in four normal CDFs (``tests/oracles.qnv_call``): an
+    oracle at sigma > 0 that shares nothing with the law route, its grid top
+    included.
+    """
+
+    @staticmethod
+    def error_and_estimate(c1, tau, strike):
+        rn = RiskNeutralParams(sigma=0.2, c1=c1, s0=100.0, r=0.0)
+        quote = price_formula(rn, OptionSpec(strike=strike, maturity=tau, rate=0.0))
+        error = abs(quote.price - qnv_call(100.0, 0.2, c1, tau, strike))
+        return error, quote.diagnostics["law_error_estimate"]
+
+    @pytest.mark.parametrize("c1, tau", QNV_SETS + QNV_TOP_CUT, ids=lambda v: f"{v:g}")
+    @pytest.mark.parametrize("strike", [0.0, 70.0, 100.0, 130.0])
+    def test_price_within_1e6_of_exact(self, c1, tau, strike):
+        error, estimate = self.error_and_estimate(c1, tau, strike)
+        assert error <= 1e-6
+        # errors up to 1e-9 are exempt: there the march's rounding (~1e-11 on the
+        # zero-strike call), which no coarser grid measures, is no longer negligible
+        assert estimate >= error or error <= 1e-9
+
+    @pytest.mark.parametrize("c1, tau", QNV_TOP_CUT, ids=lambda v: f"{v:g}")
+    def test_estimate_covers_the_top_cut_cells(self, c1, tau):
+        for strike in (0.0, 70.0, 100.0, 130.0):
+            error, estimate = self.error_and_estimate(c1, tau, strike)
+            assert estimate >= error
+
+    def test_defect_above_ten_percent(self):
+        assert qnv_call(100.0, 0.2, 5e-3, 1.0, 0.0) == pytest.approx(89.0933, abs=5e-5)
+        assert qnv_call(100.0, 0.2, 5e-3, 2.0, 0.0) == pytest.approx(72.4499, abs=5e-5)
+
+    @pytest.mark.parametrize("c1, tau", QNV_SETS[:3] + QNV_TOP_CUT[:1], ids=lambda v: f"{v:g}")
+    def test_swept_greeks_match_the_closed_form(self, c1, tau):
+        # central differences of the closed form, whose truncation and rounding errors at
+        # ds = 0.01 and dsig = 1e-4 are far below these bounds
+        rn = RiskNeutralParams(sigma=0.2, c1=c1, s0=100.0, r=0.0)
+        ds, dsig = 1e-2, 1e-4
+        for k in (90.0, 100.0, 110.0):
+            greeks = _law_greeks(rn, OptionSpec(strike=k, maturity=tau, rate=0.0))[1]
+            p0, p_up, p_dn = (qnv_call(100.0 + d, 0.2, c1, tau, k) for d in (0.0, ds, -ds))
+            v_up, v_dn = (qnv_call(100.0, 0.2 + d, c1, tau, k) for d in (dsig, -dsig))
+            assert abs(greeks["delta"] - (p_up - p_dn) / (2.0 * ds)) <= 1e-6
+            assert abs(greeks["gamma"] - (p_up - 2.0 * p0 + p_dn) / ds ** 2) <= 1e-6
+            assert abs(greeks["vega"] - (v_up - v_dn) / (2.0 * dsig)) <= 1e-5
+
 
 REF_CASES = {
     "c1>0": (RN_VVE, 1.0, None),
     "r=0": (RiskNeutralParams(sigma=0.2, c1=1e-3, s0=100.0, r=0.0), 0.5, None),
     "s_max": (RN_VVE, 1.0, 3000.0),
-    # 2 x depth is beyond _LAW_TOP_LOG, so the top is capped near 1e30 x s0
+    # the default top, ~1e30 x s0, at the largest jump rates of the four
     "top_capped": (RiskNeutralParams(sigma=0.2, c1=0.01, s0=1000.0, r=0.05), 1.0, None),
 }
+
+
+def next_top(rn, tau, x_top):
+    """The node one step of the grid 4x coarser than the default above ``x_top``."""
+    alpha = (rn.sigma + rn.c1 * rn.s0) * math.sqrt(tau)
+    xi_b = math.asinh((_LAW_DEPTH_SD * alpha + 0.5 * alpha ** 2) / alpha)
+    xi = math.asinh(math.log(x_top / rn.s0) / alpha) + xi_b / (LAW_NODES_BELOW // 4)
+    return rn.s0 * math.exp(alpha * math.sinh(xi))
 
 
 class TestLawSolve:
@@ -414,10 +491,10 @@ class TestLawSolve:
         assert h == h_ref
         assert x.tobytes() == x_ref.tobytes()
         assert p.tobytes() == p_ref.tobytes()
-        if s_max is not None:
-            assert x[-2] < s_max <= x[-1]
-        if case == "top_capped":
-            assert x[-1] / rn.s0 < math.exp(_LAW_TOP_LOG + h)
+        # the top is the last node at or below s_max (default s0 e^{_LAW_TOP_LOG}) of
+        # the grid 4x coarser than the default, whose nodes every grid of the family shares
+        top = rn.s0 * math.exp(_LAW_TOP_LOG) if s_max is None else s_max
+        assert x[-1] <= top < next_top(rn, tau, x[-1])
 
     def test_overflow_raises_as_reference(self):
         rn = RiskNeutralParams(sigma=0.2, c1=1e-3, s0=100.0, r=0.05)
@@ -715,8 +792,10 @@ class TestLawSolveErrors:
     weight leaves the float range, the chain raises OutOfRange before its
     first step, so a quote or a Greek set stops with no numpy warning in any
     numpy error state.  At r = 600, tau = 1 the top node's rate overflows.  At
-    c1 = 0.01, r = 1345, tau = 0.25 the top node's rate stays finite, but the
-    total rate of the node below it, about twice the top's, overflows.
+    c1 = 0.01, r = 1345, tau = 0.25 the total rates of the top node and of the
+    node below it both overflow; on the graded grid the top's, over the
+    widest gap, is the larger, and it leaves the float range first at
+    r = 1153.75.
     """
 
     RN = RiskNeutralParams(sigma=0.2, c1=1e-3, s0=100.0, r=600.0)
@@ -755,9 +834,9 @@ class TestLawSolveErrors:
             price_formula(self.RN_MARCH, self.OPT_MARCH)
 
     def test_rate_band_prices_or_refuses_silently(self):
-        # r steps across the edge where the node below the top overflows first
+        # r steps across the edge where the top node's total rate overflows
         outcomes = []
-        for r in np.arange(1340.0, 1350.125, 0.25).tolist():
+        for r in np.arange(1149.0, 1159.125, 0.25).tolist():
             rn, opt = replace(self.RN_MARCH, r=r), replace(self.OPT_MARCH, rate=r)
             for call in (price_formula, functools.partial(greeks_bump, price_formula)):
                 law_map.cache_clear()
@@ -769,7 +848,7 @@ class TestLawSolveErrors:
                     except OutOfRange:
                         outcomes.append("refused")
                 assert [w for w in record if w.category is RuntimeWarning] == [], (r, call)
-        assert (outcomes.count("priced"), outcomes.count("refused")) == (36, 46)
+        assert (outcomes.count("priced"), outcomes.count("refused")) == (38, 44)
 
     @pytest.mark.parametrize("rn, opt", [
         (RN, OPT),
@@ -892,9 +971,9 @@ class TestLawGreeks:
 class TestRichardsonTable:
     """The law-map price against the committed limits of ``tools/law_richardson_table.py``.
 
-    The limit is the Richardson extrapolation from grids 2000 x 400 and
-    4000 x 800, far finer than the default ones; the table is read, not
-    recomputed.
+    The limit is the Richardson extrapolation from the graded grids
+    1600 x 800 and 3200 x 1600, far finer than the default ones, with the
+    default top; the table is read, not recomputed.
     """
 
     TABLE = json.loads((Path(__file__).parent / "data" / "law_richardson_limits.json").read_text())
