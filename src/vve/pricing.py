@@ -156,27 +156,20 @@ def _map_coefficients(rn: RiskNeutralParams, t: float) -> tuple[float, float, fl
     return a, b, c
 
 
-def _forward_raw(coefs: tuple[float, float, float], sigma: float, w):
-    """f(w) = c / (a + b*exp(-sigma*w)) for ``coefs`` (a, b, c), and that
-    (positive-in-domain) denominator."""
-    a, b, c = coefs
-    w = np.asarray(w, dtype=float)
-    with np.errstate(over="ignore", divide="ignore"):  # a zero den: the quote rejects inf
-        den = a + b * np.exp(-sigma * w)
-        values = np.where(np.isinf(den), 0.0, c / den)
-    return values, den
-
-
 def forward_map(rn: RiskNeutralParams, t: float, w):
-    """Price f_t(w) for Brownian value(s) w; strictly increasing in w.
+    """Price f_t(w) = c / (a + b*exp(-sigma*w)) for Brownian value(s) w; strictly
+    increasing in w.
 
     Raises ExplosionRegion when the denominator is at or below tolerance
     (beyond the map's asymptote).
     """
-    coefs = _map_coefficients(rn, t)
-    values, den = _forward_raw(coefs, rn.sigma, w)
+    a, b, c = _map_coefficients(rn, t)
     w = np.asarray(w, dtype=float)
-    if np.any(den <= DEN_TOL_FACTOR * coefs[1] * np.exp(-rn.sigma * w)):
+    with np.errstate(over="ignore", divide="ignore"):
+        u = np.exp(-rn.sigma * w)
+        den = a + b * u
+        values = np.where(np.isinf(den), 0.0, c / den)
+    if np.any(den <= DEN_TOL_FACTOR * b * u):
         raise ExplosionRegion(f"denominator at or below tolerance for t={t}")
     return float(values) if values.ndim == 0 else values
 
@@ -239,11 +232,12 @@ class _LawChain:
     implicit-Euler half steps (Rannacher), then Crank-Nicolson, so that the
     implicit weight a = theta dt_n is dt/2 on every step; ``sub`` and ``sup``
     hold -a up[:-1] and -a down[1:] at var = 1, the off-diagonals of I - a A.
-    ``rates`` fills vol and var at one step and ``solve`` solves that step's
-    system (I - a A) y = b, in buffers every step reuses.  Raises OutOfRange,
-    before any step, where the nodes leave the float range or their logs do
-    not strictly increase, or where a node's total jump rate times a is not
-    finite at the step where e^{rt} peaks: exactly where the march would
+    ``rates`` builds one step's system, vol, var and the diagonals of I - a A
+    (``_system``), and ``solve`` solves (I - a A) y = b on it, in buffers
+    every step reuses.  Raises OutOfRange, before any step, where the nodes
+    leave the float range or their logs do not strictly increase, or where a
+    node's total jump rate times a is not finite in the system ``_system``
+    builds at the step where e^{rt} peaks: exactly where the march would
     overflow.
     """
 
@@ -290,13 +284,10 @@ class _LawChain:
         self.sub, self.sup = -self.a * unit_up[:-1], -self.a * unit_down[1:]
         self.vol, self.var, self.d = (np.empty(self.x.size) for _ in range(3))
         self.lower, self.upper = np.empty(self.x.size - 1), np.empty(self.x.size - 1)
-        # rates grow with e^{rt}: the largest are where it peaks, computed as ``rates``
-        # and ``solve`` compute them
+        # rates grow with e^{rt}: the largest are where it peaks
         t, dt_n, theta = self.steps[-1 if rn.r > 0 else 0]
-        growth = rn.c1 * _exp(rn.r * (t + theta * dt_n), "law solve", "r t")
         with np.errstate(all="ignore"):
-            np.square(self.x * growth + rn.sigma, out=self.var)
-            self._system()
+            self._system(rn.c1 * _exp(rn.r * (t + theta * dt_n), "law solve", "r t"))
             if not np.all(np.isfinite(self.d)):
                 total = (self.d[-2:] - 1.0) / self.a
                 raise OutOfRange(f"law solve overflowed: at t = {t + self.a:.3g} the grid top "
@@ -307,20 +298,21 @@ class _LawChain:
         self._dgtsv = dgtsv
 
     def rates(self, t: float, dt_n: float, theta: float) -> None:
-        """Fill vol = sigma + c1 e^{rt} x at t + theta dt_n and var = vol^2, which
-        scales every jump rate."""
-        rn, vol = self.rn, self.vol
-        np.multiply(self.x, rn.c1 * math.exp(rn.r * (t + theta * dt_n)), out=vol)
-        np.add(vol, rn.sigma, out=vol)
-        np.square(vol, out=self.var)
+        """Build the system of the step (t, dt_n, theta), whose rates are taken at
+        t + theta dt_n."""
+        self._system(self.rn.c1 * math.exp(self.rn.r * (t + theta * dt_n)))
 
-    def _system(self) -> None:
-        """Fill ``lower``, ``d`` and ``upper`` with the diagonals of I - a A for the
-        generator A of the last ``rates``: lower = -a up[:-1], upper = -a down[1:]
+    def _system(self, growth: float) -> None:
+        """Fill vol = sigma + growth x (growth = c1 e^{rt}) and var = vol^2, which
+        scales every jump rate, and ``lower``, ``d`` and ``upper`` with the diagonals
+        of I - a A for that generator A: lower = -a up[:-1], upper = -a down[1:]
         and d = 1 - (the column's two off-diagonal entries), so that every column
         sums to 1 as exactly as floating point allows, and the march conserves
         probability and the mean to rounding."""
-        lower, upper, d = self.lower, self.upper, self.d
+        vol, lower, upper, d = self.vol, self.lower, self.upper, self.d
+        np.multiply(self.x, growth, out=vol)
+        np.add(vol, self.rn.sigma, out=vol)
+        np.square(vol, out=self.var)
         np.multiply(self.var[:-1], self.sub, out=lower)
         np.multiply(self.var[1:], self.sup, out=upper)
         np.negative(lower, out=d[:-1])
@@ -328,13 +320,14 @@ class _LawChain:
         np.subtract(d[1:], upper, out=d[1:])
         np.add(d, 1.0, out=d)
 
-    def solve(self, b, transposed: bool = False):
-        """y with (I - a A) y = b, or (I - a A)^T y = b, for the generator A of the
+    def solve(self, b, transposed: bool = False, keep: bool = False) -> None:
+        """b <- y with (I - a A) y = b, or (I - a A)^T y = b, for the system of the
         last ``rates``; the transpose swaps the off-diagonals.  ``dgtsv`` solves in
-        place, overwriting the chain's diagonals and, where it can, ``b``."""
-        self._system()
+        place: b must be a contiguous float vector.  It consumes the system's
+        diagonals, unless ``keep`` has it solve on copies for a second solve."""
         lower, upper = (self.upper, self.lower) if transposed else (self.lower, self.upper)
-        return self._dgtsv(lower, self.d, upper, b, 1, 1, 1, 1)[3]  # info > 0 goes unread
+        consume = int(not keep)
+        self._dgtsv(lower, self.d, upper, b, consume, consume, consume, 1)  # info goes unread
 
 
 def _cn_update(theta: float, y, p) -> None:
@@ -383,7 +376,7 @@ def _solve_law(rn: RiskNeutralParams, tau: float, s_max: float | None,
     for t, dt_n, theta in chain.steps:
         chain.rates(t, dt_n, theta)
         np.copyto(y, p)
-        y = chain.solve(y)
+        chain.solve(y)
         _cn_update(theta, y, p)
     _require_finite_law(p)
     return chain.x, p, chain.h
@@ -466,8 +459,12 @@ def _sweep_law(rn: RiskNeutralParams, tau: float, strike: float, nodes_below: in
     reverse: v <- B^T v, one transposed tridiagonal solve.  Delta and gamma are
     central differences in log price at the spot node, whose two gaps are
     equal (the grid held fixed); vega is the tangent dv/dsigma, carried by a
-    second solve per step on the same matrix, where dA/dsigma is A with var
-    replaced by 2 vol.  Raises OutOfRange before any step as ``_solve_law`` does,
+    second solve per step on the same system, built once.  Its source term
+    needs no product with dA/dsigma: every rate is var = vol^2 times a unit
+    rate, so dA/dsigma = A diag(2 / vol), and the first solve's w = (I - a
+    A)^{-T} v has a A^T w = w - v, so a (dA/dsigma)^T w = (2 / vol) (w - v).
+    v and dv are two rows of one array, which one update advances.  Raises
+    OutOfRange before any step as ``_solve_law`` does,
     and where the rounding of the gamma's second difference, 4 eps max|v| /
     (s0 h)^2 over the three nodes, exceeds ``_GAMMA_ROUNDING`` x max(1, |gamma|):
     at maturities so short that s0 h is tiny against the option's value (at
@@ -476,35 +473,27 @@ def _sweep_law(rn: RiskNeutralParams, tau: float, strike: float, nodes_below: in
     chain = _LawChain(rn, tau, None, nodes_below, steps)
     x, log_x, h, s, vol = chain.x, chain.log_x, chain.h, nodes_below, chain.vol
     i = int(np.searchsorted(x, strike, side="right"))  # the nodes at or below K
-    v = np.zeros(x.size)
+    vd = np.zeros((2, x.size))  # v and dv
+    v, dv = vd
     if i == 0:
-        v = x - strike
+        np.subtract(x, strike, out=v)
     elif i < x.size:
         k, weights = _lagrange_weights(log_x, i, strike)
         for xj, w in zip(x[k:k + 4].tolist(), weights):
             v += w * np.maximum(x - xj, 0.0)
-    dv = np.zeros(x.size)
-    # every step writes into these
-    diff, tmp = np.empty(x.size - 1), np.empty(x.size - 1)
-    q, w, dw = (np.empty(x.size) for _ in range(3))
+    wd = np.empty((2, x.size))  # every step writes into it
+    w, dw = wd
     for t, dt_n, theta in reversed(chain.steps):
         chain.rates(t, dt_n, theta)
         np.copyto(w, v)
-        w = chain.solve(w, transposed=True)
-        # a (dA/dsigma)^T w = -2 vol q, where q holds the up and down differences of
-        # w times the chain's sub- and super-diagonals at var = 1 (0 at the absorbing
-        # bottom); then (I - a A)^T dw = dv + a (dA/dsigma)^T w
-        np.subtract(w[1:], w[:-1], out=diff)
-        np.multiply(diff, chain.sub, out=q[:-1])
-        q[-1] = 0.0
-        np.multiply(diff, chain.sup, out=tmp)
-        np.subtract(q[1:], tmp, out=q[1:])
-        np.multiply(q, vol, out=q)
-        np.multiply(q, -2.0, out=q)
-        np.add(dv, q, out=dw)
-        dw = chain.solve(dw, transposed=True)
-        _cn_update(theta, w, v)  # v <- B^T v, B^T = (I - a A)^{-T} or 2 (I - a A)^{-T} - I
-        _cn_update(theta, dw, dv)  # dv <- its sigma derivative
+        chain.solve(w, transposed=True, keep=True)
+        # (I - a A)^T dw = dv + a (dA/dsigma)^T w = dv + (2 / vol) (w - v)
+        np.subtract(w, v, out=dw)
+        np.divide(dw, vol, out=dw)
+        np.multiply(dw, 2.0, out=dw)
+        np.add(dw, dv, out=dw)
+        chain.solve(dw, transposed=True)
+        _cn_update(theta, wd, vd)  # v <- B^T v and dv <- its sigma derivative
     _require_finite_law(v, dv)
     below, price, above = v[s - 1:s + 2].tolist()
     v_y, v_yy = (above - below) / (2.0 * h), (above - 2.0 * price + below) / (h * h)
@@ -518,7 +507,14 @@ def _sweep_law(rn: RiskNeutralParams, tau: float, strike: float, nodes_below: in
 
 
 class _CandidateMap:
-    """The paper's closed form z -> f_T(w_t + z sqrt(tau)), w_t = f_t^{-1}(s0)."""
+    """The paper's closed form z -> f_T(w_t + z sqrt(tau)), w_t = f_t^{-1}(s0).
+
+    QUADPACK calls the map one z at a time, so it is evaluated in Python
+    floats around numpy's exp (``math.exp`` rounds differently on some
+    inputs), with the same bits as ``forward_map``'s array formula: 0 where
+    the denominator is infinite and inf where it is 0.  An e^{-sigma w} that
+    overflows warns under numpy's error state; ``_formula_quote`` ignores it.
+    """
 
     def __init__(self, rn: RiskNeutralParams, opt: OptionSpec):
         self.rn, self.maturity = rn, opt.maturity
@@ -527,8 +523,11 @@ class _CandidateMap:
         self.coefs = _map_coefficients(rn, opt.maturity)  # f_T's (a, b, c)
 
     def __call__(self, z: float) -> float:
-        f, _ = _forward_raw(self.coefs, self.rn.sigma, self.w_t + z * self.sqrt_tau)
-        return float(f)
+        a, b, c = self.coefs
+        den = a + b * float(np.exp(-self.rn.sigma * (self.w_t + z * self.sqrt_tau)))
+        if den == math.inf:
+            return 0.0
+        return c / den if den else math.inf
 
     def inverse(self, x: float) -> float:
         return inverse_map(self.rn, self.maturity, x)
@@ -567,7 +566,8 @@ def _formula_quote(rn: RiskNeutralParams, opt: OptionSpec, tol: float, smap) -> 
 
     The integral E[f(Z) 1_{Z > d}] is truncated at max(d, 0) + 12, or where
     ``smap.cut`` says; the mass beyond the cut is reported as
-    ``truncation_bound``.
+    ``truncation_bound``.  The quadrature runs in one numpy error state that
+    ignores overflow, where the map's e^{-sigma w} is infinite and f is 0.
     """
     tau = opt.maturity - opt.t
     w_t = smap.w_t
@@ -583,8 +583,9 @@ def _formula_quote(rn: RiskNeutralParams, opt: OptionSpec, tol: float, smap) -> 
     def integrand(z):
         return smap(z) * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
-    integral, quad_err, info = integrate.quad(
-        integrand, z_lo, z_hi, epsabs=tol, epsrel=0.0, limit=200, full_output=1)[:3]
+    with np.errstate(over="ignore"):
+        integral, quad_err, info = integrate.quad(
+            integrand, z_lo, z_hi, epsabs=tol, epsrel=0.0, limit=200, full_output=1)[:3]
 
     disc = _exp(-rn.r * tau, "discount", "-r tau")
     n_d = norm_cdf(d) if math.isfinite(d) else 0.0

@@ -47,7 +47,14 @@ Memory: the calling thread allocates ``k`` increment buffers of
 ``min(BLOCK_SIZE, n_paths) x steps`` once per call; block ``i`` fills buffer
 ``i % k`` in place, and at most ``k`` blocks are in flight.  Workers
 allocate no block of their own, so the peak stays one buffer per block in
-flight and freed blocks do not pile up in per-thread malloc arenas.
+flight and freed blocks do not pile up in per-thread malloc arenas.  The
+buffers are one anonymous memory mapping of their own, unmapped when the
+call drops them.  From malloc, buffers of this size came from the process
+heap once one had been freed; whether a call's freed buffers went back to
+the system or stayed a hole that smaller allocations split, so that the
+next call's buffers extended the heap, depended on what had been allocated
+above them meanwhile, and a run of ``price_mc`` calls peaked one buffer
+(16 MB at 4096 x 500) higher in some runs than in others.
 
 Step kernel
 -----------
@@ -69,6 +76,7 @@ state overflows.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 from dataclasses import dataclass
 
@@ -171,6 +179,23 @@ def _block_increments(seed: int, block: int, rows: int, steps: int, dt: float) -
     return _fill_increments(seed, block, np.empty((rows, steps)), dt)
 
 
+def _mapped_buffers(k: int, rows: int, steps: int) -> np.ndarray:
+    """``k`` buffers of ``rows x steps``, as one ``(k, rows, steps)`` array in an
+    anonymous memory mapping of its own, which is unmapped when the array and
+    its views are freed."""
+    size = k * rows * steps
+    if hasattr(mmap, "MAP_PRIVATE"):
+        region = mmap.mmap(-1, 8 * size, flags=mmap.MAP_PRIVATE)
+    else:  # Windows: an anonymous mapping takes no flags
+        region = mmap.mmap(-1, 8 * size)
+    if hasattr(mmap, "MADV_HUGEPAGE"):  # as numpy advises its own large arrays
+        try:
+            region.madvise(mmap.MADV_HUGEPAGE)
+        except OSError:  # a kernel without transparent huge pages
+            pass
+    return np.frombuffer(region, dtype=float, count=size).reshape(k, rows, steps)
+
+
 def _map_blocks(fn, seed: int, n_paths: int, steps: int, dt: float) -> list:
     """``fn(row slice, increments)`` for each block of ``n_paths`` paths, on a thread pool.
 
@@ -189,7 +214,7 @@ def _map_blocks(fn, seed: int, n_paths: int, steps: int, dt: float) -> list:
         cpus = os.cpu_count() or 1
     n_blocks = -(-n_paths // BLOCK_SIZE)
     k = min(cpus, 2, n_blocks)
-    bufs = [np.empty((min(BLOCK_SIZE, n_paths), steps)) for _ in range(k)]
+    bufs = _mapped_buffers(k, min(BLOCK_SIZE, n_paths), steps)
 
     def work(block):
         start = block * BLOCK_SIZE

@@ -4,19 +4,22 @@ These deliberately avoid the code paths they check: the OLS oracle works the
 textbook normal equations with explicit loops (p-values via the regularized
 incomplete beta function rather than a t-distribution object), and the
 Black-Scholes oracles evaluate the normal-CDF terms in 50-digit arithmetic
-with mpmath.  The step-kernel oracle is the one-scheme,
-column-at-a-time Euler/Milstein loop that ``vve.sde._step_terminal`` must
-reproduce bit for bit.  The law-solve oracle builds the graded nodes and
-their rates on its own and runs the Crank-Nicolson step loop allocating its
-arrays each step, which ``vve.pricing._solve_law`` must reproduce bit for
-bit.  The law-map oracle is the explicit formula's other
-route on a law solve: a cubic spline of the quantile through scipy's
-``CubicSpline``, inverted with ``brentq`` and integrated by the quadrature,
-which the node-sum price of ``vve.pricing.SolvedLaw`` must match within its
-``law_error_estimate``.  The inverse-Bessel oracle is the exact call price of
-the model at sigma = 0, and the quadratic-normal-volatility oracle the exact
-call price at r = 0 and any sigma.  The closed-form oracle evaluates the
-paper's own expression in 50-digit arithmetic.
+with mpmath.  The step-kernel oracle is the one-scheme, column-at-a-time
+Euler/Milstein loop that ``vve.sde._step_terminal`` must reproduce bit for
+bit.  The law-solve oracle builds the graded nodes and their rates on its own
+and runs the Crank-Nicolson step loop allocating its arrays each step, which
+``vve.pricing._solve_law`` must reproduce bit for bit; the law-sweep oracle
+walks the same chain backward with the vega tangent's source written out from
+the up and down differences, which ``vve.pricing._sweep_law`` must reproduce
+bit for bit in price, delta and gamma, and to rounding in vega.  The law-map
+oracle is the explicit formula's other route on a law solve: a cubic spline of
+the quantile through scipy's ``CubicSpline``, inverted with ``brentq`` and
+integrated by the quadrature, which the node-sum price of
+``vve.pricing.SolvedLaw`` must match within its ``law_error_estimate``.  The
+inverse-Bessel oracle is the exact call price of the model at sigma = 0, and
+the quadratic-normal-volatility oracle the exact call price at r = 0 and any
+sigma.  The closed-form oracle evaluates the paper's own expression in
+50-digit arithmetic.
 """
 
 import math
@@ -148,18 +151,17 @@ def step_terminal_reference(params, dt, s0, db, milstein: bool, out=None):
     return s, exploded
 
 
-def solve_law_reference(rn, tau, s_max, nodes_below, steps):
-    """Law of X = e^{-r tau} S_tau on graded nodes, new arrays each step.
+def _law_chain_reference(rn, tau, s_max, nodes_below, steps):
+    """The graded nodes of a law solve and their rates, built on their own.
 
     The nodes are x_k = s0 e^{y_k}, y_k = alpha sinh(xi_k), alpha = (sigma +
     c1 s0) sqrt(tau), xi_k = k xi_b / nodes_below with xi_b = asinh(depth /
     alpha); the top is the last node at or below s_max (default s0 e^69) of
     the grid with LAW_NODES_BELOW // 4 nodes below the spot.  A node's rates
     come from its relative gaps to the nodes beside it, one more node of the
-    map past each end.  Returns (nodes, probabilities, h), h = y_1; raises as
-    ``vve.pricing._solve_law`` does.
+    map past each end.  Returns (nodes, unit up rates, unit down rates, a =
+    dt/2, h = y_1, the march's steps as (time its rates are taken at, theta)).
     """
-    from scipy.linalg.lapack import dgtsv
     from vve.errors import InvalidGrid, OutOfRange
     from vve.pricing import _LAW_DEPTH_SD, _LAW_TOP_LOG, LAW_NODES_BELOW
 
@@ -183,25 +185,87 @@ def solve_law_reference(rn, tau, s_max, nodes_below, steps):
     unit_down = 1.0 / (g_down * (g_up + g_down))
     unit_up[0] = unit_up[-1] = unit_down[0] = 0.0  # the bottom absorbs, the top only jumps down
     dt = tau / steps
-    a = 0.5 * dt
+    march, t = [], 0.0
+    for dt_n, theta in [(0.5 * dt, 1.0)] * 4 + [(dt, 0.5)] * (steps - 2):
+        march.append((t + theta * dt_n, theta))
+        t += dt_n
+    return x, unit_up, unit_down, 0.5 * dt, float(y[nodes_below + 2]), march
+
+
+def _law_system_reference(rn, x, unit_up, unit_down, a, t):
+    """vol and the diagonals (sub, diag, sup) of I - a A, rates taken at time t."""
+    vol = x * (rn.c1 * math.exp(rn.r * t)) + rn.sigma
+    var = vol ** 2
+    # I - a A: sub-diagonal -a up[:-1], super-diagonal -a down[1:], and a diagonal
+    # that makes every column sum to 1
+    sub, sup = var[:-1] * (-a * unit_up[:-1]), var[1:] * (-a * unit_down[1:])
+    diag = np.zeros(x.size)
+    diag[:-1] -= sub
+    diag[1:] -= sup
+    return vol, sub, diag + 1.0, sup
+
+
+def solve_law_reference(rn, tau, s_max, nodes_below, steps):
+    """Law of X = e^{-r tau} S_tau on graded nodes, new arrays each step.
+
+    The chain is ``_law_chain_reference``'s.  Returns (nodes, probabilities,
+    h), h = y_1; raises as ``vve.pricing._solve_law`` does.
+    """
+    from scipy.linalg.lapack import dgtsv
+    from vve.errors import OutOfRange
+
+    x, unit_up, unit_down, a, h, march = _law_chain_reference(rn, tau, s_max, nodes_below, steps)
     p = np.zeros(x.size)
     p[nodes_below] = 1.0
-    t = 0.0
-    for dt_n, theta in [(0.5 * dt, 1.0)] * 4 + [(dt, 0.5)] * (steps - 2):
-        var = (x * (rn.c1 * math.exp(rn.r * (t + theta * dt_n))) + rn.sigma) ** 2
-        # I - a A: sub-diagonal -a up[:-1], super-diagonal -a down[1:], and a diagonal
-        # that makes every column sum to 1
-        sub, sup = var[:-1] * (-a * unit_up[:-1]), var[1:] * (-a * unit_down[1:])
-        diag = np.zeros(x.size)
-        diag[:-1] -= sub
-        diag[1:] -= sup
-        solved = dgtsv(sub, diag + 1.0, sup, p.copy())[3]
+    for t, theta in march:
+        _, sub, diag, sup = _law_system_reference(rn, x, unit_up, unit_down, a, t)
+        solved = dgtsv(sub, diag, sup, p.copy())[3]
         # implicit Euler: that solve; Crank-Nicolson: (I - a A)^{-1} (I + a A) p = 2 solved - p
         p = solved if theta == 1.0 else 2.0 * solved - p
-        t += dt_n
     if not np.all(np.isfinite(p)):
         raise OutOfRange("law solve overflowed; c1 * s0 * tau is too large for its grid")
-    return x, p, float(y[nodes_below + 2])
+    return x, p, h
+
+
+def sweep_law_reference(rn, tau, strike, nodes_below, steps):
+    """(price, delta, gamma, vega, s0 h) of E[(X - K)^+] at the discounted strike K
+    by a backward sweep of ``solve_law_reference``'s chain, new arrays each step.
+
+    The terminal vector is the 4-node Lagrange interpolation in log strike of
+    the node calls (x - K below the bottom node, 0 at or above the top one).
+    Each step solves (I - a A)^T w = v and, for the vega tangent,
+    (I - a A)^T dw = dv + a (dA/dsigma)^T w, with the source written out from
+    the up and down differences of w: a (dA/dsigma)^T w = -2 vol q, q_k =
+    -a up_k (w_{k+1} - w_k) + a down_k (w_k - w_{k-1}) at var = 1.  Delta and
+    gamma are central differences in log price at the spot node.
+    """
+    from scipy.linalg.lapack import dgtsv
+
+    x, unit_up, unit_down, a, h, march = _law_chain_reference(rn, tau, None, nodes_below, steps)
+    v = np.zeros(x.size)
+    i = int(np.searchsorted(x, strike, side="right"))
+    if i == 0:
+        v = x - strike
+    elif i < x.size:
+        k = min(max(i - 2, 0), x.size - 4)
+        ys, y = np.log(x[k:k + 4]).tolist(), math.log(strike)
+        for j, yj in enumerate(ys):
+            weight = math.prod([(y - ym) / (yj - ym) for ym in ys if ym != yj])
+            v += weight * np.maximum(x - x[k + j], 0.0)
+    dv = np.zeros(x.size)
+    for t, theta in reversed(march):
+        vol, sub, diag, sup = _law_system_reference(rn, x, unit_up, unit_down, a, t)
+        w = dgtsv(sup, diag, sub, v.copy())[3]  # the transpose swaps the off-diagonals
+        diff = w[1:] - w[:-1]
+        q = np.zeros(x.size)
+        q[:-1] = diff * (-a * unit_up[:-1])
+        q[1:] -= diff * (-a * unit_down[1:])
+        dw = dgtsv(sup, diag, sub, dv + q * vol * -2.0)[3]
+        v, dv = (w, dw) if theta == 1.0 else (2.0 * w - v, 2.0 * dw - dv)
+    s = nodes_below
+    below, price, above = v[s - 1:s + 2].tolist()
+    v_y, v_yy = (above - below) / (2.0 * h), (above - 2.0 * price + below) / (h * h)
+    return price, v_y / rn.s0, (v_yy - v_y) / rn.s0 ** 2, float(dv[s]), rn.s0 * h
 
 
 #: |z| range over which ``LawMapReference`` tabulates its spline; it is log-linear beyond

@@ -22,6 +22,7 @@ from oracles import (
     inverse_bessel_call,
     qnv_call,
     solve_law_reference,
+    sweep_law_reference,
 )
 from vve.errors import (
     ExplosionRegion,
@@ -183,6 +184,50 @@ class TestInverseMap:
     def test_non_positive_price(self):
         with pytest.raises(OutOfRange):
             inverse_map(RN_VVE, 1.0, 0.0)
+
+
+def candidate_map_reference(coefs, sigma, w):
+    """The candidate map's array formula c / (a + b e^{-sigma w}): 0 where the
+    denominator is infinite, c / 0 = inf where it is 0."""
+    a, b, c = coefs
+    with np.errstate(over="ignore", divide="ignore"):
+        den = a + b * np.exp(-sigma * np.asarray(w))
+        return np.where(np.isinf(den), 0.0, c / den)
+
+
+class TestCandidateMapIntegrand:
+    """The quadrature's integrand, one z at a time in floats, has the array formula's
+    bits; ``math.exp`` differs from numpy's exp on a few per cent of inputs."""
+
+    @pytest.mark.parametrize("rn, opt", [
+        (RN_GBM, ATM),
+        (RN_VVE, ATM),
+        (replace(RN_VVE, c1=2e-3, r=-0.02), OptionSpec(strike=90.0, maturity=2.0, rate=-0.02,
+                                                        t=0.5)),
+    ], ids=["c1=0", "c1>0", "c1>0_t>0"])
+    def test_bit_for_bit_with_array_formula(self, rn, opt):
+        smap = _CandidateMap(rn, opt)
+        rng = np.random.default_rng(2201)
+        # the quadrature's range, both sides of a c1 > 0 map's asymptote, and far
+        # below, where e^{-sigma w} overflows and f is 0
+        z = np.concatenate([rng.normal(0.0, 4.0, 10_000), rng.uniform(-40.0, 60.0, 2_000),
+                            rng.uniform(-1e4, -4e3, 500)]).tolist()
+        with np.errstate(over="ignore"):
+            got = np.array([smap(zi) for zi in z])
+        want = candidate_map_reference(smap.coefs, rn.sigma,
+                                       [smap.w_t + zi * smap.sqrt_tau for zi in z])
+        assert got.tobytes() == want.tobytes()
+        assert np.count_nonzero(got == 0.0) >= 500
+
+    def test_zero_denominator_is_inf(self):
+        # a map whose asymptote falls on a float w: there a + b e^{-sigma w} is exactly 0
+        smap = _CandidateMap(RN_VVE, ATM)
+        z = 3.0
+        w = smap.w_t + z * smap.sqrt_tau
+        a, b, c = smap.coefs
+        smap.coefs = (-(b * float(np.exp(-RN_VVE.sigma * w))), b, c)
+        assert smap(z) == math.inf
+        assert candidate_map_reference(smap.coefs, RN_VVE.sigma, [w]).tolist() == [math.inf]
 
 
 class TestPriceFormula:
@@ -529,6 +574,32 @@ class TestLawSolve:
             x_ref, p_ref, _ = solve_law_reference(rn, tau, s_max, LAW_NODES_BELOW, LAW_STEPS)
             assert results[i][0].tobytes() == x_ref.tobytes()
             assert results[i][1].tobytes() == p_ref.tobytes()
+
+
+#: the sweep's sets: REF_CASES at the default top (the sweep takes no s_max), a deep
+#: in-the-money short one and one at r < 0, each with its strikes
+SWEEP_CASES = {
+    **{case: (rn, tau, [f * rn.s0 for f in (0.9, 1.0, 1.1)])
+       for case, (rn, tau, s_max) in REF_CASES.items() if s_max is None},
+    "itm_tau0.25": (replace(RN_VVE, r=0.0), 0.25, [60.0]),
+    "r<0": (RiskNeutralParams(sigma=0.2, c1=2e-3, s0=100.0, r=-0.02), 1.0, [95.0, 140.0]),
+}
+
+
+class TestLawSweep:
+    @pytest.mark.parametrize("case", SWEEP_CASES)
+    @pytest.mark.parametrize("grid", [(LAW_NODES_BELOW, LAW_STEPS),
+                                      (LAW_NODES_BELOW // 2, LAW_STEPS // 2)],
+                             ids=["fine", "coarse"])
+    def test_matches_reference(self, case, grid):
+        # price, delta, gamma and s0 h bit for bit; the vega's source term is the
+        # identity (2 / vol) (w - v) here and the written-out differences there
+        rn, tau, strikes = SWEEP_CASES[case]
+        for strike in strikes:
+            swept = _sweep_law(rn, tau, strike, *grid)
+            ref = sweep_law_reference(rn, tau, strike, *grid)
+            assert [swept[i] for i in (0, 1, 2, 4)] == [ref[i] for i in (0, 1, 2, 4)]
+            assert abs(swept[3] - ref[3]) <= 1e-10
 
 
 class TestPriceMc:

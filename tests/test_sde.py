@@ -1,11 +1,13 @@
 """Unit tests for vve.sde: Brownian streams, schemes, closed form, convergence."""
 
 import math
+import mmap
 import os
 import signal
 import sys
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from vve.sde import (
     TimeGrid,
     _block_increments,
     _exact_rows,
+    _map_blocks,
     _step_terminal,
     _strong_convergence,
     euler_terminal,
@@ -474,6 +477,25 @@ class TestBlockEngine:
         assert not any(t.is_alive() for t in threads)
         for got, expected in zip(results, sequential):
             assert np.array_equal(got, expected)
+
+    def test_increments_live_in_a_mapping_the_call_releases(self):
+        # from malloc, freed buffers this size stayed in the heap, where what was
+        # allocated above them decided whether the next call's buffers fit
+        mappings = []
+
+        def record(rows, db):
+            view = db
+            while isinstance(view, np.ndarray):
+                view = view.base
+            assert isinstance(view.obj, mmap.mmap)  # a memoryview of the mapping
+            mappings.append(weakref.ref(view.obj))
+            return db[:, -1].copy()
+
+        last = _map_blocks(record, 13, self.N, 16, self.GRID.dt)
+        assert len(mappings) == len(last) == 3
+        assert all(ref() is None for ref in mappings)
+        for (_, db), got in zip(self.serial_blocks(13, 16, self.GRID.dt), last):
+            assert np.array_equal(got, db[:, -1])
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_gets_its_own_pool(self):
