@@ -11,9 +11,9 @@ prints the merged configuration and exits.  The only environment variable
 honored is VVE_OUTPUT_DIR, which overrides the default output directory.
 
 Every command is deterministic for a fixed seed and configuration;
-re-running produces byte-identical output files.  Errors are emitted to
-stderr as JSON with a machine-readable code, and the exit code is 0 iff no
-error occurred.
+re-running produces byte-identical output files.  Every error is emitted to
+stderr as one JSON line with a machine-readable code (``internal_error`` if
+it is not a ``VveError``); the exit code is 0 iff no error occurred.
 """
 
 from __future__ import annotations
@@ -274,8 +274,11 @@ def main(argv=None) -> int:
         for path in written:
             print(f"wrote {path}", file=sys.stderr)
         return 0
-    except VveError as exc:
-        print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
+    except Exception as exc:  # noqa: BLE001 - every failure is one JSON error line
+        known = isinstance(exc, VveError)
+        print(json.dumps({"error": exc.code if known else "internal_error",
+                          "message": str(exc) if known else f"{type(exc).__name__}: {exc}"}),
+              file=sys.stderr)
         return 1
 
 

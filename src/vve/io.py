@@ -11,6 +11,7 @@ import csv
 import datetime as dt
 import json
 import math
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -67,13 +68,16 @@ def ingest_csv(path) -> MarketSeries:
 
     Schema: UTF-8, comma-delimited, header row ``date,close``, ISO-8601
     dates, positive decimal closes.  Rows are sorted ascending by date;
-    duplicate dates are rejected.  Errors report the offending row number.
+    duplicate dates are rejected.  Errors, an unreadable file's among them,
+    report the offending row number or the reason.
     """
     path = Path(path)
-    if not path.exists():
-        raise CsvParseError(f"file not found: {path}")
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        raise CsvParseError(f"{path}: cannot read: {exc}") from None
     rows: list[tuple[dt.date, float]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -17,9 +17,10 @@ Three routes:
   per grid (``greeks_bump``).  The chain lives on graded nodes, dense at the
   spot and sparse in the tails up to a top ~1e30 x s0 (``_LawChain``), and
   the forward solve and the sweep step through one system solve
-  (``_LawChain.solve``).  At c1 = 0 the map is the closed
-  form below, then the exact lognormal law, and the formula is evaluated by
-  adaptive quadrature against the standard normal density.
+  (``_LawChain.solve``).  The route needs sigma + c1 s0 > 0 only: at sigma
+  = 0 it prices the constant-elasticity (CVE) model.  At c1 = 0 the map is
+  the closed form below, then the exact lognormal law, and the formula is
+  evaluated by adaptive quadrature against the standard normal density.
 
 * ``price_mc`` — risk-neutral Monte Carlo via the Euler scheme (not a
   solution map), an independent check on the formula.  The strikes of a
@@ -55,13 +56,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    ExplosionRegion,
-    InvalidGrid,
-    NegativeCoefficient,
-    OutOfRange,
-    SigmaZeroUnsupported,
-)
+from .errors import ExplosionRegion, InvalidGrid, NegativeCoefficient, OutOfRange
 from .model import ModelParams, check_coefficients, require_finite
 from .sde import DEN_TOL_FACTOR, closed_form_rates, euler_terminal
 
@@ -160,8 +155,8 @@ def forward_map(rn: RiskNeutralParams, t: float, w):
     """Price f_t(w) = c / (a + b*exp(-sigma*w)) for Brownian value(s) w; strictly
     increasing in w.
 
-    Raises ExplosionRegion when the denominator is at or below tolerance
-    (beyond the map's asymptote).
+    Raises ExplosionRegion where a finite denominator is at or below
+    tolerance (beyond the map's asymptote); an infinite one gives f = 0.
     """
     a, b, c = _map_coefficients(rn, t)
     w = np.asarray(w, dtype=float)
@@ -169,7 +164,7 @@ def forward_map(rn: RiskNeutralParams, t: float, w):
         u = np.exp(-rn.sigma * w)
         den = a + b * u
         values = np.where(np.isinf(den), 0.0, c / den)
-    if np.any(den <= DEN_TOL_FACTOR * b * u):
+    if np.any(np.isfinite(den) & (den <= DEN_TOL_FACTOR * b * u)):
         raise ExplosionRegion(f"denominator at or below tolerance for t={t}")
     return float(values) if values.ndim == 0 else values
 
@@ -220,10 +215,10 @@ class _LawChain:
     alpha = (sigma + c1 s0) sqrt(tau), one standard deviation at the spot; the
     spot is at index ``nodes_below`` and the bottom ``_LAW_DEPTH_SD`` deviations
     (plus the log's drift alpha^2 / 2) below it.  The top is the last node at or
-    below ``s_max`` (default: s0 e^{_LAW_TOP_LOG}) of the grid 4x coarser than
-    the default one, so that every grid of the default's family, 2x and 4x
-    coarser, is every 2nd and 4th of its nodes.  ``log_x`` holds their logs and
-    ``h`` = alpha sinh(dxi) the log gap on either side of the spot (sinh is odd).
+    below s0 e^{_LAW_TOP_LOG} of the grid 4x coarser than the default one, so
+    that every grid of the default's family, 2x and 4x coarser, is every 2nd
+    and 4th of its nodes.  ``log_x`` holds their logs and ``h`` = alpha
+    sinh(dxi) the log gap on either side of the spot (sinh is odd).
     A node's jump rates are var / (g+ (g+ + g-)) up and var / (g- (g+ + g-))
     down, from its relative gaps g+ = x_{k+1} / x_k - 1 and g- = 1 - x_{k-1} / x_k
     (each end's missing gap from one more node of the map), which match its
@@ -232,21 +227,18 @@ class _LawChain:
     implicit-Euler half steps (Rannacher), then Crank-Nicolson, so that the
     implicit weight a = theta dt_n is dt/2 on every step; ``sub`` and ``sup``
     hold -a up[:-1] and -a down[1:] at var = 1, the off-diagonals of I - a A.
-    ``rates`` builds one step's system, vol, var and the diagonals of I - a A
-    (``_system``), and ``solve`` solves (I - a A) y = b on it, in buffers
-    every step reuses.  Raises OutOfRange, before any step, where the nodes
-    leave the float range or their logs do not strictly increase, or where a
-    node's total jump rate times a is not finite in the system ``_system``
-    builds at the step where e^{rt} peaks: exactly where the march would
-    overflow.
+    ``rates`` builds one step's system, vol, var and the diagonals of I - a A,
+    and ``solve`` solves (I - a A) y = b on it, in buffers every step reuses.
+    Raises OutOfRange, before any step, where the nodes leave the float range
+    or their logs do not strictly increase, or where a node's total jump rate
+    times a is not finite in the system ``rates`` builds at the step where
+    e^{rt} peaks: exactly where the march would overflow.
     """
 
-    def __init__(self, rn: RiskNeutralParams, tau: float, s_max: float | None,
-                 nodes_below: int, steps: int):
+    def __init__(self, rn: RiskNeutralParams, tau: float, nodes_below: int, steps: int):
         if nodes_below < 2 or steps < 2:
             raise InvalidGrid("law solve needs at least 2 nodes below the spot and 2 steps")
-        alpha = (rn.sigma + rn.c1 * rn.s0) * math.sqrt(tau)
-        top = _LAW_TOP_LOG if s_max is None else math.log(s_max / rn.s0)
+        alpha, top = (rn.sigma + rn.c1 * rn.s0) * math.sqrt(tau), _LAW_TOP_LOG
         if not (alpha > 0.0 and math.isfinite(top / alpha)):
             raise OutOfRange(f"law grid needs alpha = (sigma + c1 s0) sqrt(tau) > 0 with top / "
                              f"alpha in float range, got alpha = {alpha:.6g} and top = {top:.6g} "
@@ -285,31 +277,27 @@ class _LawChain:
         self.vol, self.var, self.d = (np.empty(self.x.size) for _ in range(3))
         self.lower, self.upper = np.empty(self.x.size - 1), np.empty(self.x.size - 1)
         # rates grow with e^{rt}: the largest are where it peaks
-        t, dt_n, theta = self.steps[-1 if rn.r > 0 else 0]
+        peak = self.steps[-1 if rn.r > 0 else 0]
         with np.errstate(all="ignore"):
-            self._system(rn.c1 * _exp(rn.r * (t + theta * dt_n), "law solve", "r t"))
+            self.rates(*peak)
             if not np.all(np.isfinite(self.d)):
                 total = (self.d[-2:] - 1.0) / self.a
-                raise OutOfRange(f"law solve overflowed: at t = {t + self.a:.3g} the grid top "
-                                 f"{self.x[-1]:.3g} and the node below it jump at total rates "
+                raise OutOfRange(f"law solve overflowed: at t = {peak[0] + self.a:.3g} the grid "
+                                 f"top {self.x[-1]:.3g} and the node below it jump at total rates "
                                  f"{total[1]:.3g} and {total[0]:.3g}, beyond float range over "
                                  f"dt/2 = {self.a:.3g}")
         from scipy.linalg.lapack import dgtsv
         self._dgtsv = dgtsv
 
     def rates(self, t: float, dt_n: float, theta: float) -> None:
-        """Build the system of the step (t, dt_n, theta), whose rates are taken at
-        t + theta dt_n."""
-        self._system(self.rn.c1 * math.exp(self.rn.r * (t + theta * dt_n)))
-
-    def _system(self, growth: float) -> None:
-        """Fill vol = sigma + growth x (growth = c1 e^{rt}) and var = vol^2, which
-        scales every jump rate, and ``lower``, ``d`` and ``upper`` with the diagonals
-        of I - a A for that generator A: lower = -a up[:-1], upper = -a down[1:]
-        and d = 1 - (the column's two off-diagonal entries), so that every column
-        sums to 1 as exactly as floating point allows, and the march conserves
-        probability and the mean to rounding."""
+        """Build the system of the step (t, dt_n, theta): vol = sigma + c1 e^{rt} x at
+        t + theta dt_n and var = vol^2, which scales every jump rate, and ``lower``,
+        ``d`` and ``upper`` with the diagonals of I - a A for that generator A:
+        lower = -a up[:-1], upper = -a down[1:] and d = 1 - (the column's two
+        off-diagonal entries), so that every column sums to 1 as exactly as floating
+        point allows, and the march conserves probability and the mean to rounding."""
         vol, lower, upper, d = self.vol, self.lower, self.upper, self.d
+        growth = self.rn.c1 * _exp(self.rn.r * (t + theta * dt_n), "law solve", "r t")
         np.multiply(self.x, growth, out=vol)
         np.add(vol, self.rn.sigma, out=vol)
         np.square(vol, out=self.var)
@@ -347,8 +335,7 @@ def _require_finite_law(*arrays) -> None:
         raise OutOfRange("law solve overflowed; c1 * s0 * tau is too large for its grid")
 
 
-def _solve_law(rn: RiskNeutralParams, tau: float, s_max: float | None,
-               nodes_below: int, steps: int):
+def _solve_law(rn: RiskNeutralParams, tau: float, nodes_below: int, steps: int):
     """Law of the discounted price X = e^{-r tau} S_tau given S_0 = s0.
 
     Crank-Nicolson solve of the model's forward equation in conservative
@@ -359,8 +346,8 @@ def _solve_law(rn: RiskNeutralParams, tau: float, s_max: float | None,
     conserved and the mean is conserved except for what the top reflects: it
     never exceeds s0.  Four implicit-Euler half steps (Rannacher) start the
     march from the point mass at s0.  The top is far out in the heavy upper
-    tail (default ~1e30 x s0; the graded nodes make that cheap), so the value
-    the top reflects is negligible.  Raises OutOfRange before any step where
+    tail (~1e30 x s0; the graded nodes make that cheap), so the value the top
+    reflects is negligible.  Raises OutOfRange before any step where
     the grid or its rates leave the float range (``_LawChain``), as for very
     large c1 s0 tau or r tau or tiny tau.  With the Rannacher start the error
     expands cleanly in dxi^2 and dt^2 on the smooth graded map (Giles & Carter
@@ -368,9 +355,9 @@ def _solve_law(rn: RiskNeutralParams, tau: float, s_max: float | None,
     extrapolation from the default grid (``LAW_NODES_BELOW`` x ``LAW_STEPS``)
     and the one 2x coarser in both, which is every 2nd node and step of it.
 
-    Returns (nodes, probabilities, h), h the log gap on either side of the spot.
+    Returns (nodes, probabilities); at sigma = 0, those of the CVE model.
     """
-    chain = _LawChain(rn, tau, s_max, nodes_below, steps)
+    chain = _LawChain(rn, tau, nodes_below, steps)
     p, y = np.zeros(chain.x.size), np.empty(chain.x.size)  # every step writes into these
     p[nodes_below] = 1.0
     for t, dt_n, theta in chain.steps:
@@ -379,16 +366,21 @@ def _solve_law(rn: RiskNeutralParams, tau: float, s_max: float | None,
         chain.solve(y)
         _cn_update(theta, y, p)
     _require_finite_law(p)
-    return chain.x, p, chain.h
+    return chain.x, p
 
 
-def _lagrange_weights(log_x, i: int, strike: float) -> tuple[int, list[float]]:
-    """The first k of the 4 nodes around ``strike`` (``i`` of the nodes at or below
-    it, 0 < i < nodes) and their Lagrange weights in log strike."""
-    k = min(max(i - 2, 0), log_x.size - 4)
+def _bracket(x, log_x, strike: float) -> tuple[int, int, list[float]]:
+    """(i, k, weights): the number i of the nodes ``x`` at or below ``strike`` and,
+    strictly inside the grid (0 < i < nodes), the first k of the 4 nodes around
+    it with their Lagrange weights in log strike; below the bottom node and at
+    or above the top one, no weights."""
+    i = int(np.searchsorted(x, strike, side="right"))
+    if i in (0, x.size):
+        return i, 0, []
+    k = min(max(i - 2, 0), x.size - 4)
     ys = log_x[k:k + 4].tolist()
     y = math.log(strike)
-    return k, [math.prod([(y - ym) / (yj - ym) for ym in ys if ym != yj]) for yj in ys]
+    return i, k, [math.prod([(y - ym) / (yj - ym) for ym in ys if ym != yj]) for yj in ys]
 
 
 class SolvedLaw:
@@ -399,9 +391,8 @@ class SolvedLaw:
     """
 
     def __init__(self, x, p, steps: int):
-        log_x = np.log(x)
         tail_p, tail_px = (np.cumsum(a[::-1])[::-1] for a in (p, p * x))
-        self.x, self.log_x, self.calls, self.cdf = x, log_x, tail_px - x * tail_p, np.cumsum(p)
+        self.x, self.log_x, self.calls, self.cdf = x, np.log(x), tail_px - x * tail_p, np.cumsum(p)
         for a in (self.x, self.log_x, self.calls, self.cdf):
             a.flags.writeable = False
         self.mean = float(tail_px[0])
@@ -414,19 +405,16 @@ class SolvedLaw:
         The call is the 4-node Lagrange interpolation of ``calls`` in log strike,
         mean - K below the bottom node and 0 at or above the top one (where
         P(X <= K) is 1: the solve conserves mass), clamped at 0."""
-        i = int(np.searchsorted(self.x, strike, side="right"))  # the nodes at or below K
-        if i == 0:
-            return max(self.mean - strike, 0.0), 0.0, 0
-        if i == self.x.size:
-            return 0.0, 1.0, 0
-        k, weights = _lagrange_weights(self.log_x, i, strike)
+        i, k, weights = _bracket(self.x, self.log_x, strike)
+        if not weights:
+            return (max(self.mean - strike, 0.0), 0.0, 0) if i == 0 else (0.0, 1.0, 0)
         price = sum(c * w for c, w in zip(self.calls[k:k + 4].tolist(), weights))
         return max(price, 0.0), float(self.cdf[i - 1]), 4
 
 
 @functools.lru_cache(maxsize=32)
-def law_map(rn: RiskNeutralParams, tau: float, s_max: float | None = None,
-            nodes_below: int = LAW_NODES_BELOW, steps: int = LAW_STEPS) -> SolvedLaw:
+def law_map(rn: RiskNeutralParams, tau: float, nodes_below: int = LAW_NODES_BELOW,
+            steps: int = LAW_STEPS) -> SolvedLaw:
     """The law of the discounted S_{t+tau} given S_t = rn.s0, with its node sums.
 
     Cached, as the solve is the costly step; a warm quote is one binary search
@@ -436,12 +424,9 @@ def law_map(rn: RiskNeutralParams, tau: float, s_max: float | None = None,
     one, which share the default grid's graded nodes (``_LawChain``).  A
     ``greeks_bump(price_formula, ...)`` set reads none: it sweeps the chain of
     the first two grids backward (``_sweep_law``), uncached.  Threads may share
-    the cache; two that miss on one key each solve it alike.
+    the cache; two that miss on one key each solve it alike.  sigma = 0 is the CVE model.
     """
-    if rn.sigma == 0:
-        raise SigmaZeroUnsupported("law map requires sigma > 0")
-    x, p, _ = _solve_law(rn, tau, s_max, nodes_below, steps)
-    return SolvedLaw(x, p, steps)
+    return SolvedLaw(*_solve_law(rn, tau, nodes_below, steps), steps)
 
 
 def _sweep_law(rn: RiskNeutralParams, tau: float, strike: float, nodes_below: int,
@@ -451,9 +436,10 @@ def _sweep_law(rn: RiskNeutralParams, tau: float, strike: float, nodes_below: in
     h the log gap on either side of the spot.
 
     The terminal vector g_k = sum_j w_j (x_k - x_j)^+ over the 4 nodes that
-    ``SolvedLaw.price`` interpolates (weights w_j; x - K below the bottom node,
-    0 at or above the top one) is that price's exact dual, so the swept value
-    at the spot node is the forward price, unclamped, to rounding.  With
+    ``SolvedLaw.price`` interpolates (``_bracket``'s weights w_j; x - K below
+    the bottom node, 0 at or above the top one) is that price's exact dual, so
+    the swept value at the spot node is the forward price, unclamped, to
+    rounding.  With
     B = (I - a A)^{-1} (an implicit-Euler step) or 2 (I - a A)^{-1} - I (a
     Crank-Nicolson one) the forward step, the sweep walks the steps in
     reverse: v <- B^T v, one transposed tridiagonal solve.  Delta and gamma are
@@ -470,17 +456,15 @@ def _sweep_law(rn: RiskNeutralParams, tau: float, strike: float, nodes_below: in
     at maturities so short that s0 h is tiny against the option's value (at
     c1 = 5e-4, s0 = 100, K = 90 and tau = 1e-8, a rounding bound of 1.9e-5).
     """
-    chain = _LawChain(rn, tau, None, nodes_below, steps)
-    x, log_x, h, s, vol = chain.x, chain.log_x, chain.h, nodes_below, chain.vol
-    i = int(np.searchsorted(x, strike, side="right"))  # the nodes at or below K
+    chain = _LawChain(rn, tau, nodes_below, steps)
+    x, h, s, vol = chain.x, chain.h, nodes_below, chain.vol
+    i, k, weights = _bracket(x, chain.log_x, strike)
     vd = np.zeros((2, x.size))  # v and dv
     v, dv = vd
     if i == 0:
         np.subtract(x, strike, out=v)
-    elif i < x.size:
-        k, weights = _lagrange_weights(log_x, i, strike)
-        for xj, w in zip(x[k:k + 4].tolist(), weights):
-            v += w * np.maximum(x - xj, 0.0)
+    for xj, w in zip(x[k:k + 4].tolist(), weights):
+        v += w * np.maximum(x - xj, 0.0)
     wd = np.empty((2, x.size))  # every step writes into it
     w, dw = wd
     for t, dt_n, theta in reversed(chain.steps):
@@ -525,9 +509,7 @@ class _CandidateMap:
     def __call__(self, z: float) -> float:
         a, b, c = self.coefs
         den = a + b * float(np.exp(-self.rn.sigma * (self.w_t + z * self.sqrt_tau)))
-        if den == math.inf:
-            return 0.0
-        return c / den if den else math.inf
+        return c / den if den else math.inf  # c / inf is 0
 
     def inverse(self, x: float) -> float:
         return inverse_map(self.rn, self.maturity, x)
@@ -642,10 +624,9 @@ def _law_greeks(rn: RiskNeutralParams, opt: OptionSpec,
     ``_sweep_law`` on the default grid and the 2x coarser one, each
     Richardson-extrapolated as the price is; ``tol`` is checked, as it moves
     no law price.  ``ds`` is s0 h, h = alpha sinh(dxi) the fine grid's log gap
-    on either side of the spot, and ``dsig`` is 0, as the vega is a tangent."""
+    on either side of the spot, and ``dsig`` is 0, as the vega is a tangent
+    (one-sided at sigma = 0)."""
     _check_tol(tol)
-    if rn.sigma == 0:
-        raise SigmaZeroUnsupported("law map requires sigma > 0")
     tau = opt.maturity - opt.t
     strike = opt.strike * _exp(-rn.r * tau, "discount", "-r tau")
     fine, coarse = (_sweep_law(rn, tau, strike, LAW_NODES_BELOW // m, LAW_STEPS // m)
@@ -664,7 +645,8 @@ def price_formula(rn: RiskNeutralParams, opt: OptionSpec,
 
     ``tol`` must be finite and > 0 (InvalidGrid); at T = t the quote is the
     intrinsic value.  Otherwise, for c1 > 0 the formula on the law map is
-    E[(X - K')^+] on the law solve (``law_map``), K' = K e^{-r(T-t)}, read off
+    E[(X - K')^+] on the law solve (``law_map``), K' = K e^{-r(T-t)}, at any
+    sigma >= 0 (sigma = 0 is the constant-elasticity (CVE) model), read off
     its node sums (``SolvedLaw.price``) as R = P + (P - P_2) / 3 from the
     default grid and the one 2x coarser in price and time (every 2nd node and
     step): the solve's error has a clean dxi^2 term (Crank-Nicolson after a
@@ -675,7 +657,8 @@ def price_formula(rn: RiskNeutralParams, opt: OptionSpec,
     ``ft_inv_x`` = 0 and ``law_error_estimate`` = |R - R_2|, R_2 the same
     extrapolation from the grids 2x and 4x coarser.  At c1 = 0 the map is the
     closed form, then exact, integrated by adaptive quadrature to ``tol``, the
-    only price ``tol`` moves; ``error_estimate`` is ``tol``.
+    only price ``tol`` moves; ``error_estimate`` is ``tol`` (at sigma = 0,
+    SigmaZeroUnsupported: the closed form divides by sigma).
     (``_formula_quote(rn, opt, tol, _CandidateMap(rn, opt))`` prices the
     paper's candidate map, which for c1 > 0 is not the model's.)
     """

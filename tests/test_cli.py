@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 from jsonschema import validators
 
-from vve import io
+from vve import io, pricing
 from vve.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -283,6 +283,15 @@ class TestPrice:
         assert bs == {"d1": None, "d2": None}
         assert report["quotes"]["bs"]["price"] == 100.0
 
+    def test_formula_prices_the_cve_model(self, tmp_path):
+        # sigma = 0 with c1 > 0 is the constant-elasticity model: the law route prices it
+        assert main(["price", "--method", "formula", "--sigma", "0", "--c1", "5e-3",
+                     "--out-dir", str(tmp_path)]) == 0
+        formula = read_strict_json(tmp_path / "price.json")["quotes"]["formula"]
+        quote = pricing.price_formula(pricing.RiskNeutralParams(0.0, 5e-3, 100.0, 0.05),
+                                      pricing.OptionSpec(100.0, 1.0, 0.05))
+        assert formula["price"] == float(f"{quote.price:.12g}")
+
     def test_strike_above_law_grid_quotes_zero(self, tmp_path):
         # no law node reaches the strike: the call is worth 0, and d is +inf, written null
         assert main(["price", "--method", "formula", "--strike", "1e308",
@@ -505,11 +514,40 @@ class TestIngest:
         with pytest.raises(CsvParseError):
             io.ingest_csv(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize("name, reason", [("dir", "directory"), ("latin1.csv", "utf-8")])
+    def test_unreadable_file_is_json_error(self, tmp_path, capsys, name, reason):
+        # a directory and a file that is not UTF-8 (a Latin-1 e-acute) name the path
+        path = tmp_path / name
+        if name == "dir":
+            path.mkdir()
+        else:
+            path.write_bytes(b"date,close\n2020-01-02,100\n2020-01-03,101 \xe9\n")
+        out = tmp_path / "out"
+        assert main(["hv", "--csv", str(path), "--out-dir", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "csv_parse_error"
+        assert str(path) in err["message"] and reason in err["message"].lower()
+        assert not out.exists()
+
+
+class TestErrorContract:
+    def test_any_exception_is_json_internal_error(self, tmp_path, capsys, monkeypatch):
+        def broken(path):
+            raise RuntimeError("broken reader")
+
+        monkeypatch.setattr(io, "ingest_csv", broken)
+        assert main(["hv", "--csv", str(DATA / "vve_synthetic.csv"),
+                     "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(err[-1]) == {"error": "internal_error",
+                                       "message": "RuntimeError: broken reader"}
+
 
 class TestFuzzGrid:
     """Every numeric flag of every command at edge values, and every pair of
     float flags of ``price``, ``simulate`` and ``convergence``: a clean run or
-    a JSON error, with no ``RuntimeWarning`` on the way.
+    a JSON error other than ``internal_error``, with no ``RuntimeWarning`` on
+    the way.
 
     Each float flag gets NaN, +-inf, 0, -1, +-1e3, 1e300 and 1e-300; each int flag
     gets 0, -1 and 1 (a huge int would allocate).  A command is fuzzed from
@@ -584,6 +622,8 @@ class TestFuzzGrid:
                     assert code == 1, f"exit {code}"
                     line = json.loads(err[-1])
                     assert set(line) == {"error", "message"} and line["message"]
+                    # an internal error is an exception that escaped the checks
+                    assert line["error"] != "internal_error", line["message"]
             except (AssertionError, ValueError, IndexError) as exc:
                 failures.append(f"{' '.join(argv[:-2])}: exit {code}: {exc}")
         return failures

@@ -147,6 +147,13 @@ class TestForwardMap:
         with pytest.raises(ExplosionRegion):
             forward_map(RN_VVE, 1.0, w_star + 1.0)
 
+    @pytest.mark.parametrize("c1", [0.0, 5e-4])
+    def test_overflowing_lower_tail_is_zero(self, c1):
+        # e^{-sigma w} overflows: the denominator is infinite, not beyond the asymptote
+        rn = RiskNeutralParams(sigma=0.2, c1=c1, s0=100.0, r=0.05)
+        assert forward_map(rn, 1.0, -4000.0) == 0.0
+        assert forward_map(rn, 1.0, np.array([-4000.0, 0.0]))[0] == 0.0
+
     def test_sigma_zero_unsupported(self):
         rn = RiskNeutralParams(sigma=0.0, c1=0.001, s0=100.0, r=0.05)
         with pytest.raises(SigmaZeroUnsupported):
@@ -351,16 +358,12 @@ class TestLawMap:
             if k > 0:
                 assert error <= abs(price - law_price(coarse, opt, 0.05))
 
-    def test_grid_top_insensitive(self):
-        prices = [law_price(law_map(RN_VVE, 1.0, s_max), ATM, 0.05) for s_max in (3000.0, 10000.0)]
-        assert abs(prices[1] - prices[0]) < 1e-4
-
 
 class TestSolvedLaw:
     """The node sums of a law solve and the call read off them."""
 
     def test_node_sums_are_the_discrete_law(self):
-        x, p, _ = _solve_law(RN_VVE, 1.0, None, 250, 50)
+        x, p = _solve_law(RN_VVE, 1.0, 250, 50)
         law = SolvedLaw(x, p, 50)
         assert law.mean == pytest.approx(float(np.dot(p, x)), rel=1e-14)
         for j in (0, 100, 250, 400, x.size - 2):
@@ -388,8 +391,8 @@ class TestSolvedLaw:
     def test_matches_quadrature_on_the_law_map(self, rn, tau):
         # the paper's formula by quadrature on the spline law map of the same two
         # solves, Richardson-extrapolated as the node sums are
-        maps = [LawMapReference(rn, tau, *_solve_law(rn, tau, None, LAW_NODES_BELOW // m,
-                                                      LAW_STEPS // m)[:2]) for m in (1, 2)]
+        maps = [LawMapReference(rn, tau, *_solve_law(rn, tau, LAW_NODES_BELOW // m,
+                                                      LAW_STEPS // m)) for m in (1, 2)]
         for k in (70.0, 100.0, 130.0):
             opt = OptionSpec(strike=k, maturity=tau, rate=0.05)
             quote = price_formula(rn, opt)
@@ -409,17 +412,20 @@ class TestSolvedLaw:
             assert math.isfinite(quote.price) and quote.price >= 0.0
 
 
-def sigma_zero_law_price(c1, r, tau, strike, grids=(1, 2)):
-    """The node-sum price at sigma = 0, Richardson-extrapolated from the default grids
-    (``grids`` = (2, 4): from the grids 2x and 4x coarser, as ``law_error_estimate``)."""
-    rn = RiskNeutralParams(sigma=0.0, c1=c1, s0=100.0, r=r)
-    laws = [SolvedLaw(*_solve_law(rn, tau, None, LAW_NODES_BELOW // m, LAW_STEPS // m)[:2],
-                      LAW_STEPS // m) for m in grids]
-    return _richardson(*(law.price(strike * math.exp(-r * tau))[0] for law in laws))
+def sigma_zero_quote(c1, r, tau, strike, sigma=0.0):
+    """``price_formula`` in the CVE model (sigma = 0, unless ``sigma`` is given)."""
+    rn = RiskNeutralParams(sigma=sigma, c1=c1, s0=100.0, r=r)
+    return price_formula(rn, OptionSpec(strike=strike, maturity=tau, rate=r))
+
+
+#: the (c1, r, tau) sets of the inverse-Bessel oracle
+BESSEL_SETS = [(5e-3, 0.05, 1.0), (1e-2, 0.0, 1.0), (2e-3, 0.05, 2.0)]
+BESSEL_IDS = ["c1=5e-3", "c1=1e-2,r=0", "c1=2e-3,tau=2"]
 
 
 class TestInverseBesselOracle:
-    """The law solve at sigma = 0 against the exact inverse-Bessel call price.
+    """``price_formula`` at sigma = 0, the CVE model, against the exact
+    inverse-Bessel call price.
 
     The second case loses 31.7 % of the spot to the strict local martingale.
     The third has the heaviest upper tail: E[X; X > x] falls only like 1/x^2,
@@ -427,27 +433,36 @@ class TestInverseBesselOracle:
     default top, ~1e30 x s0, leaves nothing measurable above it.
     """
 
-    @pytest.mark.parametrize("c1, r, tau", [
-        (5e-3, 0.05, 1.0),
-        (1e-2, 0.0, 1.0),
-        (2e-3, 0.05, 2.0),
-    ], ids=["c1=5e-3", "c1=1e-2,r=0", "c1=2e-3,tau=2"])
+    @pytest.mark.parametrize("c1, r, tau", BESSEL_SETS, ids=BESSEL_IDS)
     @pytest.mark.parametrize("strike", [0.0, 70.0, 100.0, 130.0])
     def test_law_price_within_1e6_of_exact(self, c1, r, tau, strike):
         exact = inverse_bessel_call(100.0, c1, r, tau, strike)
-        assert abs(sigma_zero_law_price(c1, r, tau, strike) - exact) <= 1e-6
+        assert abs(sigma_zero_quote(c1, r, tau, strike).price - exact) <= 1e-6
 
     def test_defect_of_the_second_case(self):
         assert inverse_bessel_call(100.0, 1e-2, 0.0, 1.0, 0.0) == pytest.approx(68.27, abs=5e-3)
 
-    @pytest.mark.parametrize("c1, r, tau", [(5e-3, 0.05, 1.0), (1e-2, 0.0, 1.0), (2e-3, 0.05, 2.0)],
-                             ids=["c1=5e-3", "c1=1e-2,r=0", "c1=2e-3,tau=2"])
+    @pytest.mark.parametrize("c1, r, tau", BESSEL_SETS, ids=BESSEL_IDS)
     def test_estimate_covers_error(self, c1, r, tau):
-        # the estimate price_formula would report at sigma > 0: |R - R_2|
         for strike in (0.0, 70.0, 100.0, 130.0):
-            price = sigma_zero_law_price(c1, r, tau, strike)
-            estimate = abs(price - sigma_zero_law_price(c1, r, tau, strike, grids=(2, 4)))
-            assert estimate >= abs(price - inverse_bessel_call(100.0, c1, r, tau, strike))
+            quote = sigma_zero_quote(c1, r, tau, strike)
+            error = abs(quote.price - inverse_bessel_call(100.0, c1, r, tau, strike))
+            assert quote.diagnostics["law_error_estimate"] >= error
+
+    @pytest.mark.parametrize("c1, r, tau", BESSEL_SETS, ids=BESSEL_IDS)
+    def test_swept_greeks_match_the_exact_price(self, c1, r, tau):
+        # delta and gamma against central differences of the exact price at ds = 0.01; the
+        # vega, a derivative at the edge sigma = 0, against the one-sided second-order
+        # difference of price_formula itself at dsig = 1e-4
+        rn = RiskNeutralParams(sigma=0.0, c1=c1, s0=100.0, r=r)
+        ds, dsig = 1e-2, 1e-4
+        for k in (90.0, 100.0, 110.0):
+            greeks = greeks_bump(price_formula, rn, OptionSpec(strike=k, maturity=tau, rate=r))
+            p0, p_up, p_dn = (inverse_bessel_call(100.0 + d, c1, r, tau, k) for d in (0.0, ds, -ds))
+            assert abs(greeks["delta"] - (p_up - p_dn) / (2.0 * ds)) <= 1e-6
+            assert abs(greeks["gamma"] - (p_up - 2.0 * p0 + p_dn) / ds ** 2) <= 1e-6
+            v0, v1, v2 = (sigma_zero_quote(c1, r, tau, k, sigma=j * dsig).price for j in range(3))
+            assert abs(greeks["vega"] - (-3.0 * v0 + 4.0 * v1 - v2) / (2.0 * dsig)) <= 1e-4
 
 
 #: (c1, tau) at sigma 0.2, s0 100, r 0: zero-strike defects of 0.0 %, 2.0 %, 10.9 % and 39.6 %
@@ -508,11 +523,10 @@ class TestQnvOracle:
 
 
 REF_CASES = {
-    "c1>0": (RN_VVE, 1.0, None),
-    "r=0": (RiskNeutralParams(sigma=0.2, c1=1e-3, s0=100.0, r=0.0), 0.5, None),
-    "s_max": (RN_VVE, 1.0, 3000.0),
-    # the default top, ~1e30 x s0, at the largest jump rates of the four
-    "top_capped": (RiskNeutralParams(sigma=0.2, c1=0.01, s0=1000.0, r=0.05), 1.0, None),
+    "c1>0": (RN_VVE, 1.0),
+    "r=0": (RiskNeutralParams(sigma=0.2, c1=1e-3, s0=100.0, r=0.0), 0.5),
+    # the top, ~1e30 x s0, at the largest jump rates of the three
+    "top_capped": (RiskNeutralParams(sigma=0.2, c1=0.01, s0=1000.0, r=0.05), 1.0),
 }
 
 
@@ -530,28 +544,29 @@ class TestLawSolve:
                                       (LAW_NODES_BELOW // 2, LAW_STEPS // 2)],
                              ids=["fine", "coarse"])
     def test_matches_reference_bit_for_bit(self, case, grid):
-        rn, tau, s_max = REF_CASES[case]
-        x, p, h = _solve_law(rn, tau, s_max, *grid)
-        x_ref, p_ref, h_ref = solve_law_reference(rn, tau, s_max, *grid)
-        assert h == h_ref
+        rn, tau = REF_CASES[case]
+        x, p = _solve_law(rn, tau, *grid)
+        x_ref, p_ref, h_ref = solve_law_reference(rn, tau, None, *grid)
+        assert _LawChain(rn, tau, *grid).h == h_ref
         assert x.tobytes() == x_ref.tobytes()
         assert p.tobytes() == p_ref.tobytes()
-        # the top is the last node at or below s_max (default s0 e^{_LAW_TOP_LOG}) of
-        # the grid 4x coarser than the default, whose nodes every grid of the family shares
-        top = rn.s0 * math.exp(_LAW_TOP_LOG) if s_max is None else s_max
-        assert x[-1] <= top < next_top(rn, tau, x[-1])
+        # the top is the last node at or below s0 e^{_LAW_TOP_LOG} of the grid 4x
+        # coarser than the default, whose nodes every grid of the family shares
+        assert x[-1] <= rn.s0 * math.exp(_LAW_TOP_LOG) < next_top(rn, tau, x[-1])
 
     def test_overflow_raises_as_reference(self):
-        rn = RiskNeutralParams(sigma=0.2, c1=1e-3, s0=100.0, r=0.05)
-        for solve in (_solve_law, solve_law_reference):
-            with np.errstate(all="ignore"), pytest.raises(OutOfRange, match="overflowed"):
-                solve(rn, 1.0, 1e160, 50, 7)  # the variance at the top node overflows
+        # the top node's total jump rate overflows at r = 600
+        rn = RiskNeutralParams(sigma=0.2, c1=1e-3, s0=100.0, r=600.0)
+        with np.errstate(all="ignore"), pytest.raises(OutOfRange, match="overflowed"):
+            _solve_law(rn, 1.0, 50, 7)
+        with np.errstate(all="ignore"), pytest.raises(OutOfRange, match="overflowed"):
+            solve_law_reference(rn, 1.0, None, 50, 7)
 
     def test_rate_beyond_float_range_raises(self):
         # exp(r t) overflows near t = tau; the reference dies with an OverflowError
         rn = RiskNeutralParams(sigma=0.2, c1=1e-3, s0=100.0, r=800.0)
         with pytest.raises(OutOfRange, match="exp"):
-            _solve_law(rn, 1.0, None, 50, 7)
+            _solve_law(rn, 1.0, 50, 7)
         with np.errstate(all="ignore"), pytest.raises(OverflowError):
             solve_law_reference(rn, 1.0, None, 50, 7)
 
@@ -570,17 +585,17 @@ class TestLawSolve:
         for thread in threads:
             thread.join(timeout=120)
             assert not thread.is_alive()
-        for i, (rn, tau, s_max) in enumerate(cases):
-            x_ref, p_ref, _ = solve_law_reference(rn, tau, s_max, LAW_NODES_BELOW, LAW_STEPS)
+        for i, (rn, tau) in enumerate(cases):
+            x_ref, p_ref, _ = solve_law_reference(rn, tau, None, LAW_NODES_BELOW, LAW_STEPS)
             assert results[i][0].tobytes() == x_ref.tobytes()
             assert results[i][1].tobytes() == p_ref.tobytes()
 
 
-#: the sweep's sets: REF_CASES at the default top (the sweep takes no s_max), a deep
-#: in-the-money short one and one at r < 0, each with its strikes
+#: the sweep's sets: REF_CASES, a deep in-the-money short one and one at r < 0, each
+#: with its strikes
 SWEEP_CASES = {
     **{case: (rn, tau, [f * rn.s0 for f in (0.9, 1.0, 1.1)])
-       for case, (rn, tau, s_max) in REF_CASES.items() if s_max is None},
+       for case, (rn, tau) in REF_CASES.items()},
     "itm_tau0.25": (replace(RN_VVE, r=0.0), 0.25, [60.0]),
     "r<0": (RiskNeutralParams(sigma=0.2, c1=2e-3, s0=100.0, r=-0.02), 1.0, [95.0, 140.0]),
 }
@@ -929,13 +944,14 @@ class TestLawSolveErrors:
         (replace(RN_VVE, sigma=1e-300, c1=1e-300), ATM),
     ], ids=["r600", "r300_tau2", "below_top", "tau1e-100", "sigma_c1_1e-300"])
     def test_refused_before_any_step(self, rn, opt, monkeypatch):
-        calls, rates = [], _LawChain.rates
+        # every step solves the step's system at least once
+        calls, solve = [], _LawChain.solve
 
-        def counted(chain, *step):
-            calls.append(step)
-            rates(chain, *step)
+        def counted(chain, *args, **kwargs):
+            calls.append(args)
+            solve(chain, *args, **kwargs)
 
-        monkeypatch.setattr(_LawChain, "rates", counted)
+        monkeypatch.setattr(_LawChain, "solve", counted)
         for call in (price_formula, functools.partial(greeks_bump, price_formula)):
             with pytest.raises(OutOfRange):
                 call(rn, opt)

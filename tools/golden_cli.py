@@ -135,6 +135,9 @@ COMMANDS = [
                                        "--r", "0.02"]),
     ("error_formula_sigma_zero", ["price", "--method", "formula", "--c1", "0",
                                   "--sigma", "0"]),
+    # sigma = 0 with c1 > 0 is the constant-elasticity model, which the law route prices
+    ("price_formula_sigma_zero", ["price", "--method", "formula", "--sigma", "0",
+                                  "--c1", "5e-3"]),
     # every method at expiry (t = maturity) quotes the intrinsic value
     ("price_at_expiry", ["price", "--method", "formula,mc,bs", "--t", "1"]),
     # f_T's denominator underflows to 0 at a tiny spot: no finite formula quote
@@ -161,6 +164,8 @@ COMMANDS = [
       for cmd in ("simulate", "calibrate", "price", "convergence", "hv", "regress")),
     ("show_config_price_file", ["price", "--config", "{tmp}/cfg.json", "--show-config"]),
     ("error_config_malformed", ["price", "--method", "bs", "--config", "{tmp}/bad.json"]),
+    # a CSV path that is a directory: a JSON error line, not a traceback
+    ("error_hv_csv_directory", ["hv", "--csv", "src"]),
 ]
 
 
