@@ -14,13 +14,16 @@ Three routes:
   is the same number as E[(X - K')^+] for the discounted price X and strike
   K' = K e^{-r(T-t)}, which the solve's node sums give directly; its delta,
   gamma and vega come from one backward sweep of the solve's Markov chain
-  per grid (``greeks_bump``).  The chain lives on graded nodes, dense at the
-  spot and sparse in the tails up to a top ~1e30 x s0 (``_LawChain``), and
-  the forward solve and the sweep step through one system solve
-  (``_LawChain.solve``).  The route needs sigma + c1 s0 > 0 only: at sigma
-  = 0 it prices the constant-elasticity (CVE) model.  At c1 = 0 the map is
-  the closed form below, then the exact lognormal law, and the formula is
-  evaluated by adaptive quadrature against the standard normal density.
+  per grid (``greeks_bump``), the vega by pairing the sweep with the forward
+  march the solve kept (``_sweep_law``).  The chain lives on graded nodes,
+  dense at the spot and sparse in the tails up to a top ~1e30 x s0
+  (``_LawChain``), and each step of the forward solve and of the sweep is
+  one system solve (``_LawChain.solve``).  The forward marches of the last
+  law solved stay cached (``_solve_law``), one per grid a quote reads.  The
+  route needs sigma + c1 s0 > 0 only: at sigma = 0 it prices the
+  constant-elasticity (CVE) model.  At c1 = 0 the map is the closed form
+  below, then the exact lognormal law, and the formula is evaluated by
+  adaptive quadrature against the standard normal density.
 
 * ``price_mc`` — risk-neutral Monte Carlo via the Euler scheme (not a
   solution map), an independent check on the formula.  The strikes of a
@@ -215,9 +218,13 @@ class _LawChain:
     alpha = (sigma + c1 s0) sqrt(tau), one standard deviation at the spot; the
     spot is at index ``nodes_below`` and the bottom ``_LAW_DEPTH_SD`` deviations
     (plus the log's drift alpha^2 / 2) below it.  The top is the last node at or
-    below s0 e^{_LAW_TOP_LOG} of the grid 4x coarser than the default one, so
-    that every grid of the default's family, 2x and 4x coarser, is every 2nd
-    and 4th of its nodes.  ``log_x`` holds their logs and ``h`` = alpha
+    below s0 e^{top} of the grid 4x coarser than the default one, so that every
+    grid of the default's family, 2x and 4x coarser, is every 2nd and 4th of
+    its nodes; top is ``_LAW_TOP_LOG``, or log(float max / s0) - 1 where that
+    is lower (s0 above ~7e277), so that the top stays inside the float range.
+    Where that leaves less than ``_LAW_DEPTH_SD`` deviations above the spot
+    (s0 near the float max), the chain refuses rather than reflect the law
+    inside its body.  ``log_x`` holds their logs and ``h`` = alpha
     sinh(dxi) the log gap on either side of the spot (sinh is odd).
     A node's jump rates are var / (g+ (g+ + g-)) up and var / (g- (g+ + g-))
     down, from its relative gaps g+ = x_{k+1} / x_k - 1 and g- = 1 - x_{k-1} / x_k
@@ -228,17 +235,20 @@ class _LawChain:
     implicit weight a = theta dt_n is dt/2 on every step; ``sub`` and ``sup``
     hold -a up[:-1] and -a down[1:] at var = 1, the off-diagonals of I - a A.
     ``rates`` builds one step's system, vol, var and the diagonals of I - a A,
-    and ``solve`` solves (I - a A) y = b on it, in buffers every step reuses.
+    and ``solve`` solves (I - a A) y = b or its transpose on it, once, in
+    buffers every step reuses.
     Raises OutOfRange, before any step, where the nodes leave the float range
-    or their logs do not strictly increase, or where a node's total jump rate
-    times a is not finite in the system ``rates`` builds at the step where
-    e^{rt} peaks: exactly where the march would overflow.
+    or their logs do not strictly increase, where the top has no room, or
+    where a node's total jump rate times a is not finite in the system
+    ``rates`` builds at the step where e^{rt} peaks: exactly where the march
+    would overflow.
     """
 
     def __init__(self, rn: RiskNeutralParams, tau: float, nodes_below: int, steps: int):
         if nodes_below < 2 or steps < 2:
             raise InvalidGrid("law solve needs at least 2 nodes below the spot and 2 steps")
-        alpha, top = (rn.sigma + rn.c1 * rn.s0) * math.sqrt(tau), _LAW_TOP_LOG
+        alpha = (rn.sigma + rn.c1 * rn.s0) * math.sqrt(tau)
+        top = min(_LAW_TOP_LOG, math.log(sys.float_info.max / rn.s0) - 1.0)
         if not (alpha > 0.0 and math.isfinite(top / alpha)):
             raise OutOfRange(f"law grid needs alpha = (sigma + c1 s0) sqrt(tau) > 0 with top / "
                              f"alpha in float range, got alpha = {alpha:.6g} and top = {top:.6g} "
@@ -246,6 +256,10 @@ class _LawChain:
         depth = _LAW_DEPTH_SD * alpha + 0.5 * alpha * alpha
         if not rn.s0 * math.exp(-depth) > 0.0:
             raise OutOfRange(f"law grid depth {depth:.3g} (log price) is beyond float range")
+        if top < min(_LAW_TOP_LOG, _LAW_DEPTH_SD * alpha):
+            raise OutOfRange(f"law grid top needs {_LAW_DEPTH_SD * alpha:.3g} (log price, "
+                             f"{_LAW_DEPTH_SD:g} deviations) above s0 = {rn.s0:.6g}, where the "
+                             f"float range leaves {top:.3g}")
         xi_bottom, unit = math.asinh(depth / alpha), LAW_NODES_BELOW // 4
         top_units = max(math.floor(math.asinh(top / alpha) / xi_bottom * unit), 1)
         nodes_above = -(-top_units * nodes_below // unit)
@@ -308,21 +322,21 @@ class _LawChain:
         np.subtract(d[1:], upper, out=d[1:])
         np.add(d, 1.0, out=d)
 
-    def solve(self, b, transposed: bool = False, keep: bool = False) -> None:
+    def solve(self, b, transposed: bool = False) -> None:
         """b <- y with (I - a A) y = b, or (I - a A)^T y = b, for the system of the
         last ``rates``; the transpose swaps the off-diagonals.  ``dgtsv`` solves in
         place: b must be a contiguous float vector.  It consumes the system's
-        diagonals, unless ``keep`` has it solve on copies for a second solve."""
+        diagonals (not ``vol``), so each ``rates`` allows one solve."""
         lower, upper = (self.upper, self.lower) if transposed else (self.lower, self.upper)
-        consume = int(not keep)
-        self._dgtsv(lower, self.d, upper, b, consume, consume, consume, 1)  # info goes unread
+        self._dgtsv(lower, self.d, upper, b, 1, 1, 1, 1)  # info goes unread
 
 
 def _cn_update(theta: float, y, p) -> None:
     """p <- the step's image of p, from y = (I - a A)^{-1} p: y itself for an
     implicit-Euler step, and for a Crank-Nicolson one (I - a A)^{-1} (I + a A) p
     = 2 y - p, which needs no product with A and so adds no rounding from its
-    large rates.  Overwrites y."""
+    large rates.  Leaves c y in y: c = 2 on a Crank-Nicolson step, 1 on an
+    implicit-Euler one."""
     if theta < 1.0:
         np.multiply(y, 2.0, out=y)
         np.subtract(y, p, out=p)
@@ -335,8 +349,16 @@ def _require_finite_law(*arrays) -> None:
         raise OutOfRange("law solve overflowed; c1 * s0 * tau is too large for its grid")
 
 
+@functools.lru_cache(maxsize=1)
+def _law_solves(rn: RiskNeutralParams, tau: float) -> dict:
+    """The ``_solve_law`` results of the last (rn, tau) asked for, by grid: a new
+    (rn, tau) frees the last one's marches before its own allocate.  Threads
+    may share the dict; a grid two threads miss together is solved by each."""
+    return {}
+
+
 def _solve_law(rn: RiskNeutralParams, tau: float, nodes_below: int, steps: int):
-    """Law of the discounted price X = e^{-r tau} S_tau given S_0 = s0.
+    """Law of the discounted price X = e^{-r tau} S_tau given S_0 = s0, with its march.
 
     Crank-Nicolson solve of the model's forward equation in conservative
     form on the graded nodes of ``_LawChain``: a continuous-time Markov chain
@@ -355,18 +377,31 @@ def _solve_law(rn: RiskNeutralParams, tau: float, nodes_below: int, steps: int):
     extrapolation from the default grid (``LAW_NODES_BELOW`` x ``LAW_STEPS``)
     and the one 2x coarser in both, which is every 2nd node and step of it.
 
-    Returns (nodes, probabilities); at sigma = 0, those of the CVE model.
+    Returns (nodes, probabilities, march), read-only; at sigma = 0, those of
+    the CVE model.  Row n of the (len(chain.steps), nodes) array ``march`` is
+    c_n y_n, y_n = (I - a A_n)^{-1} p_n the solve of step n, c_n = 2 on a
+    Crank-Nicolson step and 1 on an implicit-Euler one (``_cn_update``): what
+    ``_sweep_law`` pairs its vega with.  Cached for the last (rn, tau)
+    (``_law_solves``): a quote's three grids, ~2.8 MB at the defaults, whose
+    first two the Greek set after it sweeps.
     """
+    solves = _law_solves(rn, tau)
+    if (nodes_below, steps) in solves:
+        return solves[nodes_below, steps]
     chain = _LawChain(rn, tau, nodes_below, steps)
-    p, y = np.zeros(chain.x.size), np.empty(chain.x.size)  # every step writes into these
+    p = np.zeros(chain.x.size)
     p[nodes_below] = 1.0
-    for t, dt_n, theta in chain.steps:
+    march = np.empty((len(chain.steps), chain.x.size))  # step n solves in row n
+    for (t, dt_n, theta), y in zip(chain.steps, march):
         chain.rates(t, dt_n, theta)
         np.copyto(y, p)
         chain.solve(y)
         _cn_update(theta, y, p)
     _require_finite_law(p)
-    return chain.x, p
+    for a in (chain.x, p, march):
+        a.flags.writeable = False
+    solves[nodes_below, steps] = chain.x, p, march
+    return chain.x, p, march
 
 
 def _bracket(x, log_x, strike: float) -> tuple[int, int, list[float]]:
@@ -421,12 +456,14 @@ def law_map(rn: RiskNeutralParams, tau: float, nodes_below: int = LAW_NODES_BELO
     and a 4-node interpolation.  It depends on tau, not t: the SDE is
     time-homogeneous.  Every c1 > 0 ``price_formula`` quote reads the default
     grid, the 2x coarser one and (for ``law_error_estimate``) the 4x coarser
-    one, which share the default grid's graded nodes (``_LawChain``).  A
-    ``greeks_bump(price_formula, ...)`` set reads none: it sweeps the chain of
-    the first two grids backward (``_sweep_law``), uncached.  Threads may share
-    the cache; two that miss on one key each solve it alike.  sigma = 0 is the CVE model.
+    one, which share the default grid's graded nodes (``_LawChain``).  It is
+    built from ``_solve_law``, whose marches of the first two grids a
+    ``greeks_bump(price_formula, ...)`` set then pairs with its sweeps
+    (``_sweep_law``).  Threads may share the cache; two that miss on one key
+    each solve it alike.  sigma = 0 is the CVE model.
     """
-    return SolvedLaw(*_solve_law(rn, tau, nodes_below, steps), steps)
+    x, p, _ = _solve_law(rn, tau, nodes_below, steps)
+    return SolvedLaw(x, p, steps)
 
 
 def _sweep_law(rn: RiskNeutralParams, tau: float, strike: float, nodes_below: int,
@@ -442,43 +479,43 @@ def _sweep_law(rn: RiskNeutralParams, tau: float, strike: float, nodes_below: in
     rounding.  With
     B = (I - a A)^{-1} (an implicit-Euler step) or 2 (I - a A)^{-1} - I (a
     Crank-Nicolson one) the forward step, the sweep walks the steps in
-    reverse: v <- B^T v, one transposed tridiagonal solve.  Delta and gamma are
-    central differences in log price at the spot node, whose two gaps are
-    equal (the grid held fixed); vega is the tangent dv/dsigma, carried by a
-    second solve per step on the same system, built once.  Its source term
-    needs no product with dA/dsigma: every rate is var = vol^2 times a unit
-    rate, so dA/dsigma = A diag(2 / vol), and the first solve's w = (I - a
-    A)^{-T} v has a A^T w = w - v, so a (dA/dsigma)^T w = (2 / vol) (w - v).
-    v and dv are two rows of one array, which one update advances.  Raises
-    OutOfRange before any step as ``_solve_law`` does,
+    reverse: v <- B^T v, one transposed tridiagonal solve w = (I - a A)^{-T} v
+    per step.  Delta and gamma are central differences in log price at the
+    spot node, whose two gaps are equal (the grid held fixed).  The vega (the
+    grid held fixed, too) pairs the sweep with the forward march from the
+    spot, ``_solve_law``'s cached ``march`` on the same grid, which a quote's
+    ``law_map`` has just run (on a miss the march runs here): the price is
+    v_{n+1}^T B_n p_n at every step n, and dB_n/dsigma = c_n (I - a A)^{-1} a
+    (dA/dsigma) (I - a A)^{-1}, so the vega is sum_n c_n w_n^T a (dA/dsigma)
+    y_n, y_n the march's solve.  Every rate is var = vol^2 times a unit rate,
+    so dA/dsigma = A diag(2 / vol), and w has a A^T w = w - v, so step n adds
+    2 ((w - v) / vol) . row_n, row_n = c_n y_n.  Raises OutOfRange before any
+    step as ``_solve_law`` does,
     and where the rounding of the gamma's second difference, 4 eps max|v| /
     (s0 h)^2 over the three nodes, exceeds ``_GAMMA_ROUNDING`` x max(1, |gamma|):
     at maturities so short that s0 h is tiny against the option's value (at
     c1 = 5e-4, s0 = 100, K = 90 and tau = 1e-8, a rounding bound of 1.9e-5).
     """
     chain = _LawChain(rn, tau, nodes_below, steps)
+    march = _solve_law(rn, tau, nodes_below, steps)[2]
     x, h, s, vol = chain.x, chain.h, nodes_below, chain.vol
     i, k, weights = _bracket(x, chain.log_x, strike)
-    vd = np.zeros((2, x.size))  # v and dv
-    v, dv = vd
+    v = np.zeros(x.size)
     if i == 0:
         np.subtract(x, strike, out=v)
     for xj, w in zip(x[k:k + 4].tolist(), weights):
         v += w * np.maximum(x - xj, 0.0)
-    wd = np.empty((2, x.size))  # every step writes into it
-    w, dw = wd
-    for t, dt_n, theta in reversed(chain.steps):
+    w, source, vega = np.empty(x.size), np.empty(x.size), 0.0  # every step writes into these
+    for (t, dt_n, theta), row in zip(reversed(chain.steps), march[::-1]):
         chain.rates(t, dt_n, theta)
         np.copyto(w, v)
-        chain.solve(w, transposed=True, keep=True)
-        # (I - a A)^T dw = dv + a (dA/dsigma)^T w = dv + (2 / vol) (w - v)
-        np.subtract(w, v, out=dw)
-        np.divide(dw, vol, out=dw)
-        np.multiply(dw, 2.0, out=dw)
-        np.add(dw, dv, out=dw)
-        chain.solve(dw, transposed=True)
-        _cn_update(theta, wd, vd)  # v <- B^T v and dv <- its sigma derivative
-    _require_finite_law(v, dv)
+        chain.solve(w, transposed=True)
+        np.subtract(w, v, out=source)
+        np.divide(source, vol, out=source)
+        vega += float(np.dot(source, row))
+        _cn_update(theta, w, v)  # v <- B^T v
+    vega *= 2.0
+    _require_finite_law(v, vega)
     below, price, above = v[s - 1:s + 2].tolist()
     v_y, v_yy = (above - below) / (2.0 * h), (above - 2.0 * price + below) / (h * h)
     gamma = (v_yy - v_y) / rn.s0 ** 2
@@ -487,7 +524,7 @@ def _sweep_law(rn: RiskNeutralParams, tau: float, strike: float, nodes_below: in
     if rounding > _GAMMA_ROUNDING * max(1.0, abs(gamma)):
         raise OutOfRange(f"swept gamma {gamma:.6g} has a rounding error up to {rounding:.3g} on "
                          f"the grid step s0 h = {rn.s0 * h:.3g}: the maturity is too short")
-    return price, v_y / rn.s0, gamma, float(dv[s]), rn.s0 * h
+    return price, v_y / rn.s0, gamma, vega, rn.s0 * h
 
 
 class _CandidateMap:
@@ -624,8 +661,9 @@ def _law_greeks(rn: RiskNeutralParams, opt: OptionSpec,
     ``_sweep_law`` on the default grid and the 2x coarser one, each
     Richardson-extrapolated as the price is; ``tol`` is checked, as it moves
     no law price.  ``ds`` is s0 h, h = alpha sinh(dxi) the fine grid's log gap
-    on either side of the spot, and ``dsig`` is 0, as the vega is a tangent
-    (one-sided at sigma = 0)."""
+    on either side of the spot, and ``dsig`` is 0, as the vega is the exact
+    sigma derivative of the swept price on the grid held fixed (one-sided at
+    sigma = 0)."""
     _check_tol(tol)
     tau = opt.maturity - opt.t
     strike = opt.strike * _exp(-rn.r * tau, "discount", "-r tau")
@@ -762,11 +800,14 @@ def greeks_bump(pricer, rn: RiskNeutralParams, opt: OptionSpec,
     Pass price_mc with a fixed seed to get common random numbers across bumps.
     ``price_formula`` itself at c1 > 0 and T > t is not bumped: its Greeks come
     from one backward sweep of the law solve's chain on each grid of its
-    Richardson price (``_law_greeks``), where ``ds`` is the fine grid's spot
-    step and ``dsig`` is 0, and an explicit ``ds`` or ``dsig`` raises
-    InvalidGrid.  The sweep raises OutOfRange where its gamma would be rounding
-    noise (see ``_sweep_law``).  Any other pricer, ``price_formula`` elsewhere
-    and a wrapper of it (``functools.partial(price_formula)``) are bumped.
+    Richardson price (``_law_greeks``), one transposed solve per step, with
+    the vega paired from the forward march that the quote's law solve kept
+    (``_solve_law``; without a quote before it, the sweep runs the march).
+    ``ds`` is the fine grid's spot step and ``dsig`` is 0, and an explicit
+    ``ds`` or ``dsig`` raises InvalidGrid.  The sweep raises OutOfRange where
+    its gamma would be rounding noise (see ``_sweep_law``).  Any other
+    pricer, ``price_formula`` elsewhere and a wrapper of it
+    (``functools.partial(price_formula)``) are bumped.
     """
     if pricer is price_formula and rn.c1 > 0 and opt.maturity > opt.t:
         if ds is not None or dsig is not None:

@@ -11,7 +11,8 @@ and runs the Crank-Nicolson step loop allocating its arrays each step, which
 ``vve.pricing._solve_law`` must reproduce bit for bit; the law-sweep oracle
 walks the same chain backward with the vega tangent's source written out from
 the up and down differences, which ``vve.pricing._sweep_law`` must reproduce
-bit for bit in price, delta and gamma, and to rounding in vega.  The law-map
+bit for bit in price, delta and gamma, and to rounding in vega, which
+``_sweep_law`` pairs with the forward march instead of carrying.  The law-map
 oracle is the explicit formula's other route on a law solve: a cubic spline of
 the quantile through scipy's ``CubicSpline``, inverted with ``brentq`` and
 integrated by the quadrature, which the node-sum price of
@@ -23,6 +24,7 @@ sigma.  The closed-form oracle evaluates the paper's own expression in
 """
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -151,13 +153,14 @@ def step_terminal_reference(params, dt, s0, db, milstein: bool, out=None):
     return s, exploded
 
 
-def _law_chain_reference(rn, tau, s_max, nodes_below, steps):
+def _law_chain_reference(rn, tau, nodes_below, steps):
     """The graded nodes of a law solve and their rates, built on their own.
 
     The nodes are x_k = s0 e^{y_k}, y_k = alpha sinh(xi_k), alpha = (sigma +
     c1 s0) sqrt(tau), xi_k = k xi_b / nodes_below with xi_b = asinh(depth /
-    alpha); the top is the last node at or below s_max (default s0 e^69) of
-    the grid with LAW_NODES_BELOW // 4 nodes below the spot.  A node's rates
+    alpha); the top is the last node at or below s0 e^69 of the grid with
+    LAW_NODES_BELOW // 4 nodes below the spot, or at or below max_float / e
+    where that is lower, so that the top stays a float.  A node's rates
     come from its relative gaps to the nodes beside it, one more node of the
     map past each end.  Returns (nodes, unit up rates, unit down rates, a =
     dt/2, h = y_1, the march's steps as (time its rates are taken at, theta)).
@@ -171,7 +174,7 @@ def _law_chain_reference(rn, tau, s_max, nodes_below, steps):
     depth = _LAW_DEPTH_SD * alpha + 0.5 * alpha * alpha
     if not rn.s0 * math.exp(-depth) > 0.0:
         raise OutOfRange(f"law grid depth {depth:.3g} (log price) is beyond float range")
-    top = _LAW_TOP_LOG if s_max is None else math.log(s_max / rn.s0)
+    top = min(_LAW_TOP_LOG, math.log(sys.float_info.max / rn.s0) - 1.0)
     xi_b, coarsest = math.asinh(depth / alpha), LAW_NODES_BELOW // 4
     top_steps = max(math.floor(math.asinh(top / alpha) / xi_b * coarsest), 1)
     nodes_above = math.ceil(top_steps * nodes_below / coarsest)
@@ -205,7 +208,7 @@ def _law_system_reference(rn, x, unit_up, unit_down, a, t):
     return vol, sub, diag + 1.0, sup
 
 
-def solve_law_reference(rn, tau, s_max, nodes_below, steps):
+def solve_law_reference(rn, tau, nodes_below, steps):
     """Law of X = e^{-r tau} S_tau on graded nodes, new arrays each step.
 
     The chain is ``_law_chain_reference``'s.  Returns (nodes, probabilities,
@@ -214,7 +217,7 @@ def solve_law_reference(rn, tau, s_max, nodes_below, steps):
     from scipy.linalg.lapack import dgtsv
     from vve.errors import OutOfRange
 
-    x, unit_up, unit_down, a, h, march = _law_chain_reference(rn, tau, s_max, nodes_below, steps)
+    x, unit_up, unit_down, a, h, march = _law_chain_reference(rn, tau, nodes_below, steps)
     p = np.zeros(x.size)
     p[nodes_below] = 1.0
     for t, theta in march:
@@ -241,7 +244,7 @@ def sweep_law_reference(rn, tau, strike, nodes_below, steps):
     """
     from scipy.linalg.lapack import dgtsv
 
-    x, unit_up, unit_down, a, h, march = _law_chain_reference(rn, tau, None, nodes_below, steps)
+    x, unit_up, unit_down, a, h, march = _law_chain_reference(rn, tau, nodes_below, steps)
     v = np.zeros(x.size)
     i = int(np.searchsorted(x, strike, side="right"))
     if i == 0:

@@ -1,11 +1,13 @@
 """Unit tests for vve.pricing: solution map, inverse, and the three pricers."""
 
 import functools
+import gc
 import json
 import math
 import sys
 import threading
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -47,6 +49,7 @@ from vve.pricing import (
     _formula_quote,
     _law_greeks,
     _law_quote,
+    _law_solves,
     _map_coefficients,
     _richardson,
     _solve_law,
@@ -363,7 +366,7 @@ class TestSolvedLaw:
     """The node sums of a law solve and the call read off them."""
 
     def test_node_sums_are_the_discrete_law(self):
-        x, p = _solve_law(RN_VVE, 1.0, 250, 50)
+        x, p, _ = _solve_law(RN_VVE, 1.0, 250, 50)
         law = SolvedLaw(x, p, 50)
         assert law.mean == pytest.approx(float(np.dot(p, x)), rel=1e-14)
         for j in (0, 100, 250, 400, x.size - 2):
@@ -382,7 +385,9 @@ class TestSolvedLaw:
     def test_cached_law_is_read_only(self):
         law = law_map(RN_VVE, 1.0)
         assert law_map(RN_VVE, 1.0) is law
-        for values in (law.x, law.log_x, law.calls, law.cdf):
+        # the cached march, too: every later sweep on its grid pairs with it
+        solved = _solve_law(RN_VVE, 1.0, LAW_NODES_BELOW, LAW_STEPS)
+        for values in (law.x, law.log_x, law.calls, law.cdf, *solved):
             with pytest.raises(ValueError):
                 values[0] = 0.0
 
@@ -392,7 +397,7 @@ class TestSolvedLaw:
         # the paper's formula by quadrature on the spline law map of the same two
         # solves, Richardson-extrapolated as the node sums are
         maps = [LawMapReference(rn, tau, *_solve_law(rn, tau, LAW_NODES_BELOW // m,
-                                                      LAW_STEPS // m)) for m in (1, 2)]
+                                                      LAW_STEPS // m)[:2]) for m in (1, 2)]
         for k in (70.0, 100.0, 130.0):
             opt = OptionSpec(strike=k, maturity=tau, rate=0.05)
             quote = price_formula(rn, opt)
@@ -545,14 +550,44 @@ class TestLawSolve:
                              ids=["fine", "coarse"])
     def test_matches_reference_bit_for_bit(self, case, grid):
         rn, tau = REF_CASES[case]
-        x, p = _solve_law(rn, tau, *grid)
-        x_ref, p_ref, h_ref = solve_law_reference(rn, tau, None, *grid)
-        assert _LawChain(rn, tau, *grid).h == h_ref
+        x, p, march = _solve_law(rn, tau, *grid)
+        x_ref, p_ref, h_ref = solve_law_reference(rn, tau, *grid)
+        chain = _LawChain(rn, tau, *grid)
+        assert chain.h == h_ref
         assert x.tobytes() == x_ref.tobytes()
         assert p.tobytes() == p_ref.tobytes()
+        # row n of the march is y_n on an implicit-Euler step and 2 y_n on a
+        # Crank-Nicolson one, so the rows alone replay p: p <- row or row - p
+        assert march.shape == (len(chain.steps), x.size)
+        replay = np.zeros(x.size)
+        replay[grid[0]] = 1.0
+        for (_, _, theta), row in zip(chain.steps, march):
+            replay = row.copy() if theta == 1.0 else row - replay
+        assert replay.tobytes() == p.tobytes()
         # the top is the last node at or below s0 e^{_LAW_TOP_LOG} of the grid 4x
         # coarser than the default, whose nodes every grid of the family shares
         assert x[-1] <= rn.s0 * math.exp(_LAW_TOP_LOG) < next_top(rn, tau, x[-1])
+
+    def test_top_stays_in_float_range(self):
+        # s0 e^{_LAW_TOP_LOG} overflows at s0 = 1e290: the top is capped at max_float / e,
+        # and the law prices Black-Scholes (c1 s0 = 1e-10) within its estimate, and the
+        # same model at s0 = 100, whose top is uncapped, to rounding
+        rn = RiskNeutralParams(sigma=0.2, c1=1e-300, s0=1e290, r=0.05)
+        quote = price_formula(rn, OptionSpec(strike=1e290, maturity=1.0, rate=0.05))
+        bs = price_bs(rn, OptionSpec(strike=1e290, maturity=1.0, rate=0.05)).price
+        assert abs(quote.price - bs) <= quote.diagnostics["law_error_estimate"]
+        small = price_formula(replace(rn, c1=1e-12, s0=100.0), ATM).price
+        assert quote.price / 1e288 == pytest.approx(small, rel=1e-12)
+        # at s0 = 5e307 the float range leaves 0.28 above the spot, under 12 deviations:
+        # a top there would reflect the law's body
+        with pytest.raises(OutOfRange, match="law grid top needs"):
+            price_formula(replace(rn, c1=1e-320, s0=5e307),
+                          OptionSpec(strike=5e307, maturity=1.0, rate=0.05))
+        x, p, _ = _solve_law(rn, 1.0, LAW_NODES_BELOW, LAW_STEPS)
+        x_ref, p_ref, _ = solve_law_reference(rn, 1.0, LAW_NODES_BELOW, LAW_STEPS)
+        assert x.tobytes() == x_ref.tobytes()
+        assert p.tobytes() == p_ref.tobytes()
+        assert x[-1] <= sys.float_info.max / math.e < next_top(rn, 1.0, x[-1])
 
     def test_overflow_raises_as_reference(self):
         # the top node's total jump rate overflows at r = 600
@@ -560,7 +595,7 @@ class TestLawSolve:
         with np.errstate(all="ignore"), pytest.raises(OutOfRange, match="overflowed"):
             _solve_law(rn, 1.0, 50, 7)
         with np.errstate(all="ignore"), pytest.raises(OutOfRange, match="overflowed"):
-            solve_law_reference(rn, 1.0, None, 50, 7)
+            solve_law_reference(rn, 1.0, 50, 7)
 
     def test_rate_beyond_float_range_raises(self):
         # exp(r t) overflows near t = tau; the reference dies with an OverflowError
@@ -568,7 +603,7 @@ class TestLawSolve:
         with pytest.raises(OutOfRange, match="exp"):
             _solve_law(rn, 1.0, 50, 7)
         with np.errstate(all="ignore"), pytest.raises(OverflowError):
-            solve_law_reference(rn, 1.0, None, 50, 7)
+            solve_law_reference(rn, 1.0, 50, 7)
 
     def test_two_solves_at_once_match_reference(self):
         # two threads solving at once must not share any state
@@ -586,18 +621,21 @@ class TestLawSolve:
             thread.join(timeout=120)
             assert not thread.is_alive()
         for i, (rn, tau) in enumerate(cases):
-            x_ref, p_ref, _ = solve_law_reference(rn, tau, None, LAW_NODES_BELOW, LAW_STEPS)
+            x_ref, p_ref, _ = solve_law_reference(rn, tau, LAW_NODES_BELOW, LAW_STEPS)
             assert results[i][0].tobytes() == x_ref.tobytes()
             assert results[i][1].tobytes() == p_ref.tobytes()
 
 
-#: the sweep's sets: REF_CASES, a deep in-the-money short one and one at r < 0, each
-#: with its strikes
+#: the sweep's sets: REF_CASES, a deep in-the-money short one, one at r < 0 and one at
+#: sigma = 0, each with its strikes
 SWEEP_CASES = {
     **{case: (rn, tau, [f * rn.s0 for f in (0.9, 1.0, 1.1)])
        for case, (rn, tau) in REF_CASES.items()},
     "itm_tau0.25": (replace(RN_VVE, r=0.0), 0.25, [60.0]),
     "r<0": (RiskNeutralParams(sigma=0.2, c1=2e-3, s0=100.0, r=-0.02), 1.0, [95.0, 140.0]),
+    # the CVE model: the vega divides by vol = c1 e^{rt} x alone
+    "sigma=0": (RiskNeutralParams(sigma=0.0, c1=5e-3, s0=100.0, r=0.05), 1.0,
+                [90.0, 100.0, 110.0]),
 }
 
 
@@ -607,8 +645,8 @@ class TestLawSweep:
                                       (LAW_NODES_BELOW // 2, LAW_STEPS // 2)],
                              ids=["fine", "coarse"])
     def test_matches_reference(self, case, grid):
-        # price, delta, gamma and s0 h bit for bit; the vega's source term is the
-        # identity (2 / vol) (w - v) here and the written-out differences there
+        # price, delta, gamma and s0 h bit for bit; the vega is the sweep paired with
+        # the forward march here and a tangent carried through the sweep there
         rn, tau, strikes = SWEEP_CASES[case]
         for strike in strikes:
             swept = _sweep_law(rn, tau, strike, *grid)
@@ -760,6 +798,12 @@ class TestAtExpiry:
                    for q in quotes)
 
 
+def clear_law_caches():
+    """Clear the law maps and the marches they and the Greek sweeps read."""
+    law_map.cache_clear()
+    _law_solves.cache_clear()
+
+
 class TestGreeks:
     def test_delta_bounds_across_strikes(self):
         rn = RiskNeutralParams(sigma=0.2, c1=1e-4, s0=100.0, r=0.05)
@@ -833,6 +877,46 @@ class TestGreeks:
         greeks_bump(price_formula, rn, OptionSpec(strike=100.0, maturity=0.5, rate=0.05))
         assert law_map.cache_info().misses == misses
         assert grids == [(LAW_NODES_BELOW, LAW_STEPS), (LAW_NODES_BELOW // 2, LAW_STEPS // 2)]
+
+    def test_set_after_a_strip_solves_once_per_sweep_step(self, monkeypatch):
+        # the strip runs the marches of its three grids; the set after it pairs each
+        # sweep with its grid's march: one transposed solve per step and no forward one
+        rn, tau = RiskNeutralParams(sigma=0.2, c1=1e-3, s0=100.0, r=0.05), 0.5
+        clear_law_caches()
+        for k in (90.0, 100.0, 110.0):
+            price_formula(rn, OptionSpec(strike=k, maturity=tau, rate=0.05))
+        calls, solve = [], _LawChain.solve
+
+        def counted(chain, b, transposed=False):
+            calls.append(transposed)
+            solve(chain, b, transposed)
+
+        monkeypatch.setattr(_LawChain, "solve", counted)
+        greeks_bump(price_formula, rn, OptionSpec(strike=100.0, maturity=tau, rate=0.05))
+        steps = sum(len(_LawChain(rn, tau, LAW_NODES_BELOW // m, LAW_STEPS // m).steps)
+                    for m in (1, 2))
+        assert calls == [True] * steps
+
+    def test_a_new_law_frees_the_last_marches(self):
+        # the cache holds one (rn, tau)'s marches: the next law's quote frees them
+        clear_law_caches()
+        price_formula(RN_VVE, ATM)
+        march = weakref.ref(_solve_law(RN_VVE, 1.0, LAW_NODES_BELOW, LAW_STEPS)[2])
+        assert sorted(_law_solves(RN_VVE, 1.0)) == [
+            (LAW_NODES_BELOW // m, LAW_STEPS // m) for m in (4, 2, 1)]
+        price_formula(replace(RN_VVE, c1=1e-3), ATM)
+        gc.collect()
+        assert march() is None
+
+    def test_cold_set_is_the_set_after_its_strip(self):
+        # with no march cached the sweep runs its own: the same bits
+        rn, opt = replace(RN_VVE, c1=2e-3), OptionSpec(strike=95.0, maturity=0.25, rate=0.05)
+        clear_law_caches()
+        cold = greeks_bump(price_formula, rn, opt)
+        clear_law_caches()
+        price_formula(rn, opt)
+        after = greeks_bump(price_formula, rn, opt)
+        assert {k: v.hex() for k, v in after.items()} == {k: v.hex() for k, v in cold.items()}
 
     def test_parallel_solves_keep_serial_bits(self):
         # four user threads: a bump set twice on one key of the law-map cache, a
@@ -942,7 +1026,8 @@ class TestLawSolveErrors:
         (RN_MARCH, OPT_MARCH),
         (RN_VVE, OptionSpec(strike=100.0, maturity=1e-100, rate=0.05)),
         (replace(RN_VVE, sigma=1e-300, c1=1e-300), ATM),
-    ], ids=["r600", "r300_tau2", "below_top", "tau1e-100", "sigma_c1_1e-300"])
+        (replace(RN_VVE, c1=1e-320, s0=5e307), replace(ATM, strike=5e307)),
+    ], ids=["r600", "r300_tau2", "below_top", "tau1e-100", "sigma_c1_1e-300", "top_no_room"])
     def test_refused_before_any_step(self, rn, opt, monkeypatch):
         # every step solves the step's system at least once
         calls, solve = [], _LawChain.solve

@@ -145,8 +145,8 @@ COMMANDS = [
                                      "--s0", "1e-300", "--sigma", "10", "--r", "40"]),
     # two flags at float-range edges: the closed form's inverse with c - a x = 0 (sigma s0
     # underflows) and with b x = 0 (sigma K underflows), Black-Scholes with sigma sqrt(tau)
-    # = 0 and with s0 / K = 0, the law grid's top beyond float range, and the law grid's
-    # rate denominators underflowing to 0
+    # = 0 and with s0 / K = 0, the law grid's top capped below the float max (s0 1e300),
+    # and the law grid's rate denominators underflowing to 0
     ("error_formula_inverse_zero_den", ["price", "--method", "formula", "--c1", "0",
                                         "--sigma", "1e-300", "--s0", "1e-300"]),
     ("error_formula_inverse_zero_num", ["price", "--method", "formula", "--c1", "0",
@@ -155,10 +155,16 @@ COMMANDS = [
                            "--maturity", "1e-300"]),
     ("error_bs_zero_moneyness", ["price", "--method", "bs", "--s0", "1e-300",
                                  "--strike", "1e300"]),
-    ("error_formula_grid_top_overflow", ["price", "--method", "formula", "--c1", "1e-300",
+    ("price_formula_grid_top_s0_1e300", ["price", "--method", "formula", "--c1", "1e-300",
                                          "--s0", "1e300"]),
     ("error_formula_grid_step_underflow", ["price", "--method", "formula", "--sigma", "1e-300",
                                            "--c1", "1e-300"]),
+    # a spot whose e^69 multiple overflows: the capped top prices Black-Scholes at c1 s0 =
+    # 1e-10; and a spot so near the float max that no top 12 deviations above it is a float
+    ("price_formula_grid_top_s0_1e290", ["price", "--method", "formula,bs", "--c1", "1e-300",
+                                         "--s0", "1e290", "--strike", "1e290"]),
+    ("error_formula_grid_top_no_room", ["price", "--method", "formula", "--c1", "1e-320",
+                                        "--s0", "5e307", "--strike", "5e307"]),
     # the merged configuration: option defaults, config files and their precedence
     *((f"show_config_{cmd}", [cmd, "--show-config"])
       for cmd in ("simulate", "calibrate", "price", "convergence", "hv", "regress")),
