@@ -6,9 +6,10 @@ incomplete beta function rather than a t-distribution object), and the
 Black-Scholes oracles evaluate the normal-CDF terms in 50-digit arithmetic
 with mpmath.  The step-kernel oracle is the one-scheme, column-at-a-time
 Euler/Milstein loop that ``vve.sde._step_terminal`` must reproduce bit for
-bit.  The law-solve oracle builds the graded nodes and their rates on its own
-and runs the Crank-Nicolson step loop allocating its arrays each step, which
-``vve.pricing._solve_law`` must reproduce bit for bit; the law-sweep oracle
+bit.  The law-solve oracle builds the graded nodes and their rates on its own,
+factors the chain's one system once and runs the Crank-Nicolson step loop
+allocating its arrays each step, which ``vve.pricing._solve_law`` must
+reproduce bit for bit; the law-sweep oracle
 walks the same chain backward with the vega tangent's source written out from
 the up and down differences, which ``vve.pricing._sweep_law`` must reproduce
 bit for bit in price, delta and gamma, and to rounding in vega, which
@@ -154,97 +155,146 @@ def step_terminal_reference(params, dt, s0, db, milstein: bool, out=None):
 
 
 def _law_chain_reference(rn, tau, nodes_below, steps):
-    """The graded nodes of a law solve and their rates, built on their own.
+    """The graded nodes of a law solve and the one system of its chain, built on
+    their own.
 
-    The nodes are x_k = s0 e^{y_k}, y_k = alpha sinh(xi_k), alpha = (sigma +
-    c1 s0) sqrt(tau), xi_k = k xi_b / nodes_below with xi_b = asinh(depth /
-    alpha); the top is the last node at or below s0 e^69 of the grid with
+    The chain is that of the undiscounted price S, whose rates do not depend
+    on time.  The nodes are s0 e^{y_k}, y_k = alpha sinh(xi_k), alpha = (sigma
+    + c1 s0) sqrt(tau), xi_k = k xi_b / nodes_below with xi_b = asinh(depth /
+    alpha); where |r| tau exceeds alpha, a run of nodes at the spot's gap h,
+    ceil((|r| tau - alpha) / h) of them, sits on the drift's side of the
+    spot, and the graded map starts again at its end.  The top is the last
+    node at or below s0 e^69 (less the run, above the spot) of the grid with
     LAW_NODES_BELOW // 4 nodes below the spot, or at or below max_float / e
-    where that is lower, so that the top stays a float.  A node's rates
-    come from its relative gaps to the nodes beside it, one more node of the
-    map past each end.  Returns (nodes, unit up rates, unit down rates, a =
-    dt/2, h = y_1, the march's steps as (time its rates are taken at, theta)).
+    where that is lower.  A node's diffusion rates come from its relative
+    gaps to the nodes beside it, one more node of the map past each end, and
+    its drift rates match r x with the gaps on both sides, or on one side
+    where a total rate would be negative.  Returns a namespace: the nodes in
+    today's money (over the growth rho of the march's mean), vol, the unit
+    diffusion rates, the diagonals of I - a A, a = dt/2, the spot's log gap h
+    and index, the steps' thetas and rho.
     """
+    from types import SimpleNamespace
+
     from vve.errors import InvalidGrid, OutOfRange
     from vve.pricing import _LAW_DEPTH_SD, _LAW_TOP_LOG, LAW_NODES_BELOW
 
     if nodes_below < 2 or steps < 2:
         raise InvalidGrid("law solve needs at least 2 nodes below the spot and 2 steps")
     alpha = (rn.sigma + rn.c1 * rn.s0) * math.sqrt(tau)
+    a, r = 0.5 * (tau / steps), rn.r
     depth = _LAW_DEPTH_SD * alpha + 0.5 * alpha * alpha
-    if not rn.s0 * math.exp(-depth) > 0.0:
-        raise OutOfRange(f"law grid depth {depth:.3g} (log price) is beyond float range")
     top = min(_LAW_TOP_LOG, math.log(sys.float_info.max / rn.s0) - 1.0)
+    if abs(r) * tau - alpha > min(depth, top):
+        raise OutOfRange("law grid cannot follow the drift")
+    if abs(r) * a >= 1.0:
+        raise OutOfRange("law chain needs |r| dt/2 < 1")
     xi_b, coarsest = math.asinh(depth / alpha), LAW_NODES_BELOW // 4
-    top_steps = max(math.floor(math.asinh(top / alpha) / xi_b * coarsest), 1)
-    nodes_above = math.ceil(top_steps * nodes_below / coarsest)
-    k = np.arange(-nodes_below - 1, nodes_above + 2)
+    spot_gap, run = alpha * math.sinh(xi_b / nodes_below), 0
+    if abs(r) * tau - alpha > 0.0:
+        run = math.ceil((abs(r) * tau - alpha) / spot_gap)
+    run_log = run * spot_gap if run else 0.0
+    if not rn.s0 * math.exp(-depth - (0.0 if r > 0 else run_log)) > 0.0:
+        raise OutOfRange("law grid depth is beyond float range")
+    top_steps = max(math.floor(math.asinh((top - (run_log if r > 0 else 0.0)) / alpha) / xi_b
+                               * coarsest), 1)
+    n_below = nodes_below + (0 if r > 0 else run)
+    n_above = math.ceil(top_steps * nodes_below / coarsest) + (run if r > 0 else 0)
+
+    def graded(k):
+        with np.errstate(over="ignore"):
+            return alpha * np.sinh(xi_b * (np.asarray(k) / nodes_below))
+
+    if r > 0:  # the run, if any, above the spot
+        h = -float(graded([-1])[0])
+        y = np.concatenate([graded(np.arange(-n_below - 1, 1)),
+                            np.arange(1, run + 1) * h,
+                            graded(np.arange(1, n_above + 2 - run)) + run * h])
+    else:
+        h = float(graded([1])[0])
+        y = np.concatenate([graded(np.arange(-n_below - 1 + run, 0)) - run * h,
+                            np.arange(-run, 0) * h,
+                            graded(np.arange(0, n_above + 2))])
     with np.errstate(over="ignore"):
-        y = alpha * np.sinh(xi_b * (k / nodes_below))
         x = rn.s0 * np.exp(y[1:-1])
     g_up = np.expm1(y[2:] - y[1:-1])
     g_down = -np.expm1(-(y[1:-1] - y[:-2]))
     unit_up = 1.0 / (g_up * (g_up + g_down))
     unit_down = 1.0 / (g_down * (g_up + g_down))
     unit_up[0] = unit_up[-1] = unit_down[0] = 0.0  # the bottom absorbs, the top only jumps down
-    dt = tau / steps
-    march, t = [], 0.0
-    for dt_n, theta in [(0.5 * dt, 1.0)] * 4 + [(dt, 0.5)] * (steps - 2):
-        march.append((t + theta * dt_n, theta))
-        t += dt_n
-    return x, unit_up, unit_down, 0.5 * dt, float(y[nodes_below + 2]), march
-
-
-def _law_system_reference(rn, x, unit_up, unit_down, a, t):
-    """vol and the diagonals (sub, diag, sup) of I - a A, rates taken at time t."""
-    vol = x * (rn.c1 * math.exp(rn.r * t)) + rn.sigma
+    vol = rn.c1 * x + rn.sigma
     var = vol ** 2
+    # the drift r x from both gaps, or from one where a total rate would be negative
+    drift_up, drift_down = r * g_down * unit_up, -r * g_up * unit_down
+    for k in range(x.size):
+        if var[k] * unit_up[k] + drift_up[k] < 0.0 or var[k] * unit_down[k] + drift_down[k] < 0.0:
+            drift_up[k], drift_down[k] = max(r, 0.0) / g_up[k], max(-r, 0.0) / g_down[k]
+    drift_up[0] = drift_up[-1] = drift_down[0] = 0.0
     # I - a A: sub-diagonal -a up[:-1], super-diagonal -a down[1:], and a diagonal
     # that makes every column sum to 1
-    sub, sup = var[:-1] * (-a * unit_up[:-1]), var[1:] * (-a * unit_down[1:])
+    sub = -a * (var[:-1] * unit_up[:-1] + drift_up[:-1])
+    sup = -a * (var[1:] * unit_down[1:] + drift_down[1:])
     diag = np.zeros(x.size)
     diag[:-1] -= sub
     diag[1:] -= sup
-    return vol, sub, diag + 1.0, sup
+    rho = ((1.0 + a * r) / (1.0 - a * r)) ** (steps - 2) / (1.0 - a * r) ** 4
+    return SimpleNamespace(x=x / rho, vol=vol, unit_up=unit_up, unit_down=unit_down,
+                           sub=sub, diag=diag + 1.0, sup=sup, a=a, h=h, spot=n_below,
+                           thetas=[1.0] * 4 + [0.5] * (steps - 2), rho=rho)
+
+
+def _law_factors_reference(chain):
+    """``dgttrf``'s factors of the chain's I - a A; raises as ``vve.pricing`` does
+    where the system is not finite."""
+    from scipy.linalg.lapack import dgttrf
+    from vve.errors import OutOfRange
+
+    if not np.all(np.isfinite(chain.diag)):
+        raise OutOfRange("law solve overflowed")
+    return dgttrf(chain.sub, chain.diag, chain.sup)[:5]
 
 
 def solve_law_reference(rn, tau, nodes_below, steps):
-    """Law of X = e^{-r tau} S_tau on graded nodes, new arrays each step.
+    """Law of S_tau on graded nodes in today's money, new arrays each step.
 
-    The chain is ``_law_chain_reference``'s.  Returns (nodes, probabilities,
-    h), h = y_1; raises as ``vve.pricing._solve_law`` does.
+    The chain is ``_law_chain_reference``'s, its one system factored once.
+    Returns (nodes, probabilities, h), h the spot's log gap; raises as
+    ``vve.pricing._solve_law`` does.
     """
-    from scipy.linalg.lapack import dgtsv
+    from scipy.linalg.lapack import dgttrs
     from vve.errors import OutOfRange
 
-    x, unit_up, unit_down, a, h, march = _law_chain_reference(rn, tau, nodes_below, steps)
-    p = np.zeros(x.size)
-    p[nodes_below] = 1.0
-    for t, theta in march:
-        _, sub, diag, sup = _law_system_reference(rn, x, unit_up, unit_down, a, t)
-        solved = dgtsv(sub, diag, sup, p.copy())[3]
+    chain = _law_chain_reference(rn, tau, nodes_below, steps)
+    factors = _law_factors_reference(chain)
+    p = np.zeros(chain.x.size)
+    p[chain.spot] = 1.0
+    for theta in chain.thetas:
+        solved = dgttrs(*factors, p)[0]
         # implicit Euler: that solve; Crank-Nicolson: (I - a A)^{-1} (I + a A) p = 2 solved - p
         p = solved if theta == 1.0 else 2.0 * solved - p
     if not np.all(np.isfinite(p)):
         raise OutOfRange("law solve overflowed; c1 * s0 * tau is too large for its grid")
-    return x, p, h
+    return chain.x, p, chain.h
 
 
 def sweep_law_reference(rn, tau, strike, nodes_below, steps):
-    """(price, delta, gamma, vega, s0 h) of E[(X - K)^+] at the discounted strike K
-    by a backward sweep of ``solve_law_reference``'s chain, new arrays each step.
+    """(price, delta, gamma, vega, s0 h) of E[(X - K / rho)^+] for the strike K by a
+    backward sweep of ``solve_law_reference``'s chain, new arrays each step.
 
     The terminal vector is the 4-node Lagrange interpolation in log strike of
-    the node calls (x - K below the bottom node, 0 at or above the top one).
-    Each step solves (I - a A)^T w = v and, for the vega tangent,
-    (I - a A)^T dw = dv + a (dA/dsigma)^T w, with the source written out from
-    the up and down differences of w: a (dA/dsigma)^T w = -2 vol q, q_k =
-    -a up_k (w_{k+1} - w_k) + a down_k (w_k - w_{k-1}) at var = 1.  Delta and
-    gamma are central differences in log price at the spot node.
+    the node calls at K / rho (x - K / rho below the bottom node, 0 at or
+    above the top one).  Each step solves (I - a A)^T w = v and, for the
+    vega tangent, (I - a A)^T dw = dv + a (dA/dsigma)^T w: only the diffusion
+    rates move with sigma, so the source is written out from the up and down
+    differences of w, a (dA/dsigma)^T w = -2 vol q, q_k = -a up_k (w_{k+1} -
+    w_k) + a down_k (w_k - w_{k-1}) at var = 1.  Delta and gamma are central
+    differences in log price at the spot node.
     """
-    from scipy.linalg.lapack import dgtsv
+    from scipy.linalg.lapack import dgttrs
 
-    x, unit_up, unit_down, a, h, march = _law_chain_reference(rn, tau, nodes_below, steps)
+    chain = _law_chain_reference(rn, tau, nodes_below, steps)
+    factors = _law_factors_reference(chain)
+    x, a, strike = chain.x, chain.a, strike / chain.rho
     v = np.zeros(x.size)
     i = int(np.searchsorted(x, strike, side="right"))
     if i == 0:
@@ -256,16 +306,15 @@ def sweep_law_reference(rn, tau, strike, nodes_below, steps):
             weight = math.prod([(y - ym) / (yj - ym) for ym in ys if ym != yj])
             v += weight * np.maximum(x - x[k + j], 0.0)
     dv = np.zeros(x.size)
-    for t, theta in reversed(march):
-        vol, sub, diag, sup = _law_system_reference(rn, x, unit_up, unit_down, a, t)
-        w = dgtsv(sup, diag, sub, v.copy())[3]  # the transpose swaps the off-diagonals
+    for theta in reversed(chain.thetas):
+        w = dgttrs(*factors, v, "T")[0]
         diff = w[1:] - w[:-1]
         q = np.zeros(x.size)
-        q[:-1] = diff * (-a * unit_up[:-1])
-        q[1:] -= diff * (-a * unit_down[1:])
-        dw = dgtsv(sup, diag, sub, dv + q * vol * -2.0)[3]
+        q[:-1] = diff * (-a * chain.unit_up[:-1])
+        q[1:] -= diff * (-a * chain.unit_down[1:])
+        dw = dgttrs(*factors, dv + q * chain.vol * -2.0, "T")[0]
         v, dv = (w, dw) if theta == 1.0 else (2.0 * w - v, 2.0 * dw - dv)
-    s = nodes_below
+    s, h = chain.spot, chain.h
     below, price, above = v[s - 1:s + 2].tolist()
     v_y, v_yy = (above - below) / (2.0 * h), (above - 2.0 * price + below) / (h * h)
     return price, v_y / rn.s0, (v_yy - v_y) / rn.s0 ** 2, float(dv[s]), rn.s0 * h

@@ -333,9 +333,9 @@ class TestPriceFormula:
                 assert quote.diagnostics["law_s_max"] <= 1000.0 * 2e30
 
 
-def law_price(law, opt, r):
-    """The node-sum call of ``law`` at the discounted strike of ``opt``."""
-    return law.price(opt.strike * math.exp(-r * (opt.maturity - opt.t)))[0]
+def law_price(law, opt):
+    """The node-sum call of ``law`` at the strike of ``opt``."""
+    return law.price(opt.strike)[0]
 
 
 class TestLawMap:
@@ -354,20 +354,22 @@ class TestLawMap:
         coarse = law_map(RN_GBM, 1.0, nodes_below=1000, steps=200)
         for k in (0.0, 60.0, 100.0, 120.0, 160.0):
             opt = OptionSpec(strike=k, maturity=1.0, rate=0.05)
-            price = law_price(law, opt, 0.05)
+            price = law_price(law, opt)
             error = abs(price - price_bs(RN_GBM, opt).price)
             assert error < 1e-4
             # the coarse grid's change covers the true error
             if k > 0:
-                assert error <= abs(price - law_price(coarse, opt, 0.05))
+                assert error <= abs(price - law_price(coarse, opt))
 
 
 class TestSolvedLaw:
     """The node sums of a law solve and the call read off them."""
 
     def test_node_sums_are_the_discrete_law(self):
-        x, p, _ = _solve_law(RN_VVE, 1.0, 250, 50)
-        law = SolvedLaw(x, p, 50)
+        chain, p, _ = _solve_law(RN_VVE, 1.0, 250, 50)
+        x = chain.x
+        # rho = 1 reads a strike in today's money, on the nodes themselves
+        law = SolvedLaw(x, p, 50, 1.0)
         assert law.mean == pytest.approx(float(np.dot(p, x)), rel=1e-14)
         for j in (0, 100, 250, 400, x.size - 2):
             exact = float(np.dot(p, np.maximum(x - x[j], 0.0)))
@@ -381,13 +383,19 @@ class TestSolvedLaw:
         assert law.calls[-1] == 0.0
         for top in (float(x[-1]), 2.0 * float(x[-1])):
             assert law.price(top) == (0.0, 1.0, 0)
+        # law_map's law reads a strike K at K / rho, rho the march's growth of the mean;
+        # discounted by it, the law keeps its mean at s0 (no defect at c1 = 5e-4, tau = 1)
+        grown = law_map(RN_VVE, 1.0, nodes_below=250, steps=50)
+        assert grown.price(100.0) == law.price(100.0 / chain.rho)
+        assert abs(grown.mean - 100.0) <= 1e-10
 
     def test_cached_law_is_read_only(self):
         law = law_map(RN_VVE, 1.0)
         assert law_map(RN_VVE, 1.0) is law
         # the cached march, too: every later sweep on its grid pairs with it
-        solved = _solve_law(RN_VVE, 1.0, LAW_NODES_BELOW, LAW_STEPS)
-        for values in (law.x, law.log_x, law.calls, law.cdf, *solved):
+        chain, p, march = _solve_law(RN_VVE, 1.0, LAW_NODES_BELOW, LAW_STEPS)
+        for values in (law.x, law.log_x, law.calls, law.cdf, p, march, chain.vol,
+                       chain.drift_up, chain.drift_down):
             with pytest.raises(ValueError):
                 values[0] = 0.0
 
@@ -396,8 +404,8 @@ class TestSolvedLaw:
     def test_matches_quadrature_on_the_law_map(self, rn, tau):
         # the paper's formula by quadrature on the spline law map of the same two
         # solves, Richardson-extrapolated as the node sums are
-        maps = [LawMapReference(rn, tau, *_solve_law(rn, tau, LAW_NODES_BELOW // m,
-                                                      LAW_STEPS // m)[:2]) for m in (1, 2)]
+        solves = [_solve_law(rn, tau, LAW_NODES_BELOW // m, LAW_STEPS // m) for m in (1, 2)]
+        maps = [LawMapReference(rn, tau, chain.x, p) for chain, p, _ in solves]
         for k in (70.0, 100.0, 130.0):
             opt = OptionSpec(strike=k, maturity=tau, rate=0.05)
             quote = price_formula(rn, opt)
@@ -470,6 +478,30 @@ class TestInverseBesselOracle:
             assert abs(greeks["vega"] - (-3.0 * v0 + 4.0 * v1 - v2) / (2.0 * dsig)) <= 1e-4
 
 
+#: (c1, r, tau, bound) of the inverse-Bessel oracle where the drift leads: a negative
+#: rate, and a drift of 5.7 deviations alpha at the spot, which the chain follows with a
+#: segment at the spot's gap
+BESSEL_DRIFT_SETS = [(5e-3, -0.3, 1.0, 1e-6), (5e-4, 0.2, 2.0, 2e-6)]
+
+
+class TestInverseBesselDriftSets:
+    """``price_formula`` in the CVE model against the exact price where the drift
+    leads: the chain's drift rates are one-sided in the lower tail, and at
+    r = 0.2, tau = 2 the law sits in a segment of the grid at the spot's gap.
+    """
+
+    @pytest.mark.parametrize("c1, r, tau, bound", BESSEL_DRIFT_SETS,
+                             ids=["c1=5e-3,r=-0.3", "c1=5e-4,r=0.2,tau=2"])
+    @pytest.mark.parametrize("strike", [0.0, 70.0, 100.0, 130.0, 150.0])
+    def test_price_within_bound_and_covered(self, c1, r, tau, bound, strike):
+        quote = sigma_zero_quote(c1, r, tau, strike)
+        error = abs(quote.price - inverse_bessel_call(100.0, c1, r, tau, strike))
+        assert error <= bound
+        # errors up to 1e-9 are exempt, as in TestQnvOracle: the march's rounding (3.5e-12
+        # on the zero-strike call at r = 0.2), which no coarser grid measures
+        assert quote.diagnostics["law_error_estimate"] >= error or error <= 1e-9
+
+
 #: (c1, tau) at sigma 0.2, s0 100, r 0: zero-strike defects of 0.0 %, 2.0 %, 10.9 % and 39.6 %
 QNV_SETS = [(5e-4, 1.0), (2e-3, 2.0), (5e-3, 1.0), (1e-2, 1.0)]
 #: the cells whose error a uniform grid with a top at s0 e^{2 depth} left uncovered: it cut
@@ -508,6 +540,15 @@ class TestQnvOracle:
             error, estimate = self.error_and_estimate(c1, tau, strike)
             assert estimate >= error
 
+    @pytest.mark.parametrize("c1, tau", QNV_SETS, ids=lambda v: f"{v:g}")
+    def test_martingale_defect_is_the_exact_one(self, c1, tau):
+        # s0 less the extrapolated discounted mean: the value the strict local martingale
+        # loses, S0 - C(0), up to 39.6 % of the spot
+        rn = RiskNeutralParams(sigma=0.2, c1=c1, s0=100.0, r=0.0)
+        quote = price_formula(rn, OptionSpec(strike=100.0, maturity=tau, rate=0.0))
+        exact = 100.0 - qnv_call(100.0, 0.2, c1, tau, 0.0)
+        assert abs(quote.diagnostics["martingale_defect"] - exact) <= 1e-6
+
     def test_defect_above_ten_percent(self):
         assert qnv_call(100.0, 0.2, 5e-3, 1.0, 0.0) == pytest.approx(89.0933, abs=5e-5)
         assert qnv_call(100.0, 0.2, 5e-3, 2.0, 0.0) == pytest.approx(72.4499, abs=5e-5)
@@ -532,6 +573,10 @@ REF_CASES = {
     "r=0": (RiskNeutralParams(sigma=0.2, c1=1e-3, s0=100.0, r=0.0), 0.5),
     # the top, ~1e30 x s0, at the largest jump rates of the three
     "top_capped": (RiskNeutralParams(sigma=0.2, c1=0.01, s0=1000.0, r=0.05), 1.0),
+    # the CVE model with the drift dominant (|r| tau = 5.7 alpha): a segment at the spot's
+    # gap above the spot, or below it, and one-sided drift rates in the lower tail
+    "drift_up": (RiskNeutralParams(sigma=0.0, c1=5e-4, s0=100.0, r=0.2), 2.0),
+    "drift_down": (RiskNeutralParams(sigma=0.0, c1=5e-4, s0=100.0, r=-0.2), 2.0),
 }
 
 
@@ -550,9 +595,9 @@ class TestLawSolve:
                              ids=["fine", "coarse"])
     def test_matches_reference_bit_for_bit(self, case, grid):
         rn, tau = REF_CASES[case]
-        x, p, march = _solve_law(rn, tau, *grid)
+        chain, p, march = _solve_law(rn, tau, *grid)
         x_ref, p_ref, h_ref = solve_law_reference(rn, tau, *grid)
-        chain = _LawChain(rn, tau, *grid)
+        x = chain.x
         assert chain.h == h_ref
         assert x.tobytes() == x_ref.tobytes()
         assert p.tobytes() == p_ref.tobytes()
@@ -560,13 +605,15 @@ class TestLawSolve:
         # Crank-Nicolson one, so the rows alone replay p: p <- row or row - p
         assert march.shape == (len(chain.steps), x.size)
         replay = np.zeros(x.size)
-        replay[grid[0]] = 1.0
-        for (_, _, theta), row in zip(chain.steps, march):
+        replay[chain.spot] = 1.0
+        for theta, row in zip(chain.steps, march):
             replay = row.copy() if theta == 1.0 else row - replay
         assert replay.tobytes() == p.tobytes()
         # the top is the last node at or below s0 e^{_LAW_TOP_LOG} of the grid 4x
-        # coarser than the default, whose nodes every grid of the family shares
-        assert x[-1] <= rn.s0 * math.exp(_LAW_TOP_LOG) < next_top(rn, tau, x[-1])
+        # coarser than the default, whose nodes every grid of the family shares (the
+        # nodes are in today's money: times rho, the chain's)
+        top = x[-1] * chain.rho
+        assert top <= rn.s0 * math.exp(_LAW_TOP_LOG) * (1 + 1e-15) < next_top(rn, tau, top)
 
     def test_top_stays_in_float_range(self):
         # s0 e^{_LAW_TOP_LOG} overflows at s0 = 1e290: the top is capped at max_float / e,
@@ -583,27 +630,48 @@ class TestLawSolve:
         with pytest.raises(OutOfRange, match="law grid top needs"):
             price_formula(replace(rn, c1=1e-320, s0=5e307),
                           OptionSpec(strike=5e307, maturity=1.0, rate=0.05))
-        x, p, _ = _solve_law(rn, 1.0, LAW_NODES_BELOW, LAW_STEPS)
+        chain, p, _ = _solve_law(rn, 1.0, LAW_NODES_BELOW, LAW_STEPS)
         x_ref, p_ref, _ = solve_law_reference(rn, 1.0, LAW_NODES_BELOW, LAW_STEPS)
-        assert x.tobytes() == x_ref.tobytes()
+        assert chain.x.tobytes() == x_ref.tobytes()
         assert p.tobytes() == p_ref.tobytes()
-        assert x[-1] <= sys.float_info.max / math.e < next_top(rn, 1.0, x[-1])
+        top = chain.x[-1] * chain.rho
+        assert top <= sys.float_info.max / math.e * (1 + 1e-15) < next_top(rn, 1.0, top)
 
     def test_overflow_raises_as_reference(self):
-        # the top node's total jump rate overflows at r = 600
-        rn = RiskNeutralParams(sigma=0.2, c1=1e-3, s0=100.0, r=600.0)
-        with np.errstate(all="ignore"), pytest.raises(OutOfRange, match="overflowed"):
-            _solve_law(rn, 1.0, 50, 7)
-        with np.errstate(all="ignore"), pytest.raises(OutOfRange, match="overflowed"):
-            solve_law_reference(rn, 1.0, 50, 7)
+        # with the top moved out to ~1e299 x s0 the top node's diffusion rate, (c1 x)^2
+        # over its gaps, overflows: the one system is not finite
+        import vve.pricing
 
-    def test_rate_beyond_float_range_raises(self):
-        # exp(r t) overflows near t = tau; the reference dies with an OverflowError
-        rn = RiskNeutralParams(sigma=0.2, c1=1e-3, s0=100.0, r=800.0)
-        with pytest.raises(OutOfRange, match="exp"):
-            _solve_law(rn, 1.0, 50, 7)
-        with np.errstate(all="ignore"), pytest.raises(OverflowError):
-            solve_law_reference(rn, 1.0, 50, 7)
+        rn = RiskNeutralParams(sigma=0.2, c1=1e-3, s0=100.0, r=0.05)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(vve.pricing, "_LAW_TOP_LOG", 690.0)
+            grid = (LAW_NODES_BELOW // 4, LAW_STEPS // 4)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(OutOfRange, match="overflowed: the grid top .* inf"):
+                    _solve_law(rn, 1.0, *grid)
+            with np.errstate(all="ignore"), pytest.raises(OutOfRange, match="overflowed"):
+                solve_law_reference(rn, 1.0, *grid)
+
+    def test_drift_past_the_grid_raises_as_reference(self):
+        # r tau - alpha = 599.7 against a reach of 3.65 (the grid's depth)
+        rn = RiskNeutralParams(sigma=0.2, c1=1e-3, s0=100.0, r=600.0)
+        for solve in (_solve_law, solve_law_reference):
+            with pytest.raises(OutOfRange, match="cannot follow the drift"):
+                solve(rn, 1.0, 50, 7)
+
+    def test_rate_times_half_step_raises_as_reference(self):
+        # on 2 steps of a 1-year law a = 1/4: the chain needs |r| a < 1, here r < 4; the
+        # drift (r tau - alpha = 2.8) is inside the grid's reach (15.1)
+        rn = RiskNeutralParams(sigma=0.2, c1=1e-2, s0=100.0, r=4.0)
+        for solve in (_solve_law, solve_law_reference):
+            with pytest.raises(OutOfRange, match="dt/2 < 1"):
+                solve(rn, 1.0, 50, 2)
+        rn = replace(rn, r=3.9)
+        chain, p, _ = _solve_law(rn, 1.0, 50, 2)
+        x_ref, p_ref, _ = solve_law_reference(rn, 1.0, 50, 2)
+        assert chain.x.tobytes() == x_ref.tobytes()
+        assert p.tobytes() == p_ref.tobytes()
 
     def test_two_solves_at_once_match_reference(self):
         # two threads solving at once must not share any state
@@ -622,7 +690,7 @@ class TestLawSolve:
             assert not thread.is_alive()
         for i, (rn, tau) in enumerate(cases):
             x_ref, p_ref, _ = solve_law_reference(rn, tau, LAW_NODES_BELOW, LAW_STEPS)
-            assert results[i][0].tobytes() == x_ref.tobytes()
+            assert results[i][0].x.tobytes() == x_ref.tobytes()
             assert results[i][1].tobytes() == p_ref.tobytes()
 
 
@@ -897,6 +965,54 @@ class TestGreeks:
                     for m in (1, 2))
         assert calls == [True] * steps
 
+    @staticmethod
+    def count_lapack(monkeypatch):
+        """Wrap LAPACK's dgttrf and dgttrs, which chains built from now on call; returns
+        the calls, ("dgttrf",) or ("dgttrs", trans), in order."""
+        from scipy.linalg import lapack
+
+        calls, dgttrf, dgttrs = [], lapack.dgttrf, lapack.dgttrs
+
+        def factor(*args, **kwargs):
+            calls.append(("dgttrf",))
+            return dgttrf(*args, **kwargs)
+
+        def solve(*args, **kwargs):
+            calls.append(("dgttrs", args[6]))
+            return dgttrs(*args, **kwargs)
+
+        monkeypatch.setattr(lapack, "dgttrf", factor)
+        monkeypatch.setattr(lapack, "dgttrs", solve)
+        return calls
+
+    def test_cold_quote_factors_once_per_grid(self, monkeypatch):
+        # the chain's generator does not depend on time: one factorization per grid, then
+        # one forward solve on its factors per step
+        rn, tau = RiskNeutralParams(sigma=0.2, c1=1e-3, s0=100.0, r=0.05), 0.5
+        clear_law_caches()
+        calls = self.count_lapack(monkeypatch)
+        price_formula(rn, OptionSpec(strike=100.0, maturity=tau, rate=0.05))
+        steps = [len(_solve_law(rn, tau, LAW_NODES_BELOW // m, LAW_STEPS // m)[0].steps)
+                 for m in (1, 2, 4)]  # cached: no more factorizations
+        assert calls.count(("dgttrf",)) == 3
+        # each grid's 4 implicit-Euler half steps and LAW_STEPS // m - 2 Crank-Nicolson ones
+        assert calls.count(("dgttrs", "N")) == sum(steps) == 242 + 122 + 62
+        assert len(calls) == 3 + sum(steps)
+
+    def test_set_after_a_strip_factors_nothing(self, monkeypatch):
+        # the set sweeps on the factors its strip's chains hold: no factorization, one
+        # transposed solve per sweep step
+        rn, tau = RiskNeutralParams(sigma=0.2, c1=1e-3, s0=100.0, r=0.05), 0.5
+        clear_law_caches()
+        calls = self.count_lapack(monkeypatch)
+        for k in (90.0, 100.0, 110.0):
+            price_formula(rn, OptionSpec(strike=k, maturity=tau, rate=0.05))
+        steps = [len(chain.steps) for chain, _, _ in (
+            _solve_law(rn, tau, LAW_NODES_BELOW // m, LAW_STEPS // m) for m in (1, 2))]
+        calls.clear()
+        greeks_bump(price_formula, rn, OptionSpec(strike=100.0, maturity=tau, rate=0.05))
+        assert calls == [("dgttrs", "T")] * sum(steps)
+
     def test_a_new_law_frees_the_last_marches(self):
         # the cache holds one (rn, tau)'s marches: the next law's quote frees them
         clear_law_caches()
@@ -958,58 +1074,57 @@ class TestGreeks:
 class TestLawSolveErrors:
     """Errors and warnings of formula quotes and Greek sets at c1 > 0.
 
-    Where the law grid's largest total jump rate times a step's implicit
-    weight leaves the float range, the chain raises OutOfRange before its
-    first step, so a quote or a Greek set stops with no numpy warning in any
-    numpy error state.  At r = 600, tau = 1 the top node's rate overflows.  At
-    c1 = 0.01, r = 1345, tau = 0.25 the total rates of the top node and of the
-    node below it both overflow; on the graded grid the top's, over the
-    widest gap, is the larger, and it leaves the float range first at
-    r = 1153.75.
+    Where the drift would carry the law past the grid, |r| tau - alpha beyond
+    the grid's depth below the spot (or beyond its top), the chain raises
+    OutOfRange before its first step, so a quote or a Greek set stops with
+    no numpy warning in any numpy error state.  At r = 600, tau = 1 the drift
+    is ~2000 deviations alpha.  At c1 = 0.01, tau = 0.25 (alpha = 0.6, a
+    depth of 7.38) the edge is at r = 31.92; at r = 1345 the drift is 336.
     """
 
     RN = RiskNeutralParams(sigma=0.2, c1=1e-3, s0=100.0, r=600.0)
     OPT = OptionSpec(strike=100.0, maturity=1.0, rate=600.0)
-    RN_MARCH = RiskNeutralParams(sigma=0.2, c1=0.01, s0=100.0, r=1345.0)
-    OPT_MARCH = OptionSpec(strike=100.0, maturity=0.25, rate=1345.0)
-    BELOW_TOP = "overflowed: at t = .* jump at total rates [^ ]+ and inf"
+    RN_DRIFT = RiskNeutralParams(sigma=0.2, c1=0.01, s0=100.0, r=1345.0)
+    OPT_DRIFT = OptionSpec(strike=100.0, maturity=0.25, rate=1345.0)
+    PAST = "cannot follow the drift: .* carries the law past the grid"
 
     @pytest.fixture(autouse=True)
     def cold(self):
         law_map.cache_clear()
 
-    def test_overflow_raises_out_of_range(self):
+    def test_drift_past_the_grid_raises_out_of_range(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for call in (price_formula, functools.partial(greeks_bump, price_formula)):
-                with pytest.raises(OutOfRange, match="overflowed: at t = .* the grid top"):
+                with pytest.raises(OutOfRange, match=self.PAST):
                     call(self.RN, self.OPT)
 
-    def test_march_overflow_raises_out_of_range(self):
+    def test_refusal_records_no_warning(self):
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
-            with pytest.raises(OutOfRange, match=self.BELOW_TOP):
-                price_formula(self.RN_MARCH, self.OPT_MARCH)
+            with pytest.raises(OutOfRange, match=self.PAST):
+                price_formula(self.RN_DRIFT, self.OPT_DRIFT)
         assert record == []
 
     def test_ignored_errors_stay_silent(self):
         with warnings.catch_warnings(record=True) as record, np.errstate(all="ignore"):
             warnings.simplefilter("always")
-            with pytest.raises(OutOfRange, match=self.BELOW_TOP):
-                greeks_bump(price_formula, self.RN_MARCH, self.OPT_MARCH)
+            with pytest.raises(OutOfRange, match=self.PAST):
+                greeks_bump(price_formula, self.RN_DRIFT, self.OPT_DRIFT)
         assert record == []
 
     def test_raise_mode_raises(self):
-        with np.errstate(all="raise"), pytest.raises(OutOfRange, match=self.BELOW_TOP):
-            price_formula(self.RN_MARCH, self.OPT_MARCH)
+        with np.errstate(all="raise"), pytest.raises(OutOfRange, match=self.PAST):
+            price_formula(self.RN_DRIFT, self.OPT_DRIFT)
 
     def test_rate_band_prices_or_refuses_silently(self):
-        # r steps across the edge where the top node's total rate overflows
+        # r steps across the edge where the drift leaves the grid's reach (r = 31.92):
+        # below it the law's segment at the spot's gap is at its longest
         outcomes = []
-        for r in np.arange(1149.0, 1159.125, 0.25).tolist():
-            rn, opt = replace(self.RN_MARCH, r=r), replace(self.OPT_MARCH, rate=r)
+        for r in np.arange(29.5, 34.625, 0.125).tolist():
+            rn, opt = replace(self.RN_DRIFT, r=r), replace(self.OPT_DRIFT, rate=r)
             for call in (price_formula, functools.partial(greeks_bump, price_formula)):
-                law_map.cache_clear()
+                clear_law_caches()
                 with warnings.catch_warnings(record=True) as record:
                     warnings.simplefilter("always")
                     try:
@@ -1018,16 +1133,16 @@ class TestLawSolveErrors:
                     except OutOfRange:
                         outcomes.append("refused")
                 assert [w for w in record if w.category is RuntimeWarning] == [], (r, call)
-        assert (outcomes.count("priced"), outcomes.count("refused")) == (38, 44)
+        assert (outcomes.count("priced"), outcomes.count("refused")) == (40, 42)
 
     @pytest.mark.parametrize("rn, opt", [
         (RN, OPT),
         (replace(RN, r=300.0), OptionSpec(strike=100.0, maturity=2.0, rate=300.0)),
-        (RN_MARCH, OPT_MARCH),
+        (RN_DRIFT, OPT_DRIFT),
         (RN_VVE, OptionSpec(strike=100.0, maturity=1e-100, rate=0.05)),
         (replace(RN_VVE, sigma=1e-300, c1=1e-300), ATM),
         (replace(RN_VVE, c1=1e-320, s0=5e307), replace(ATM, strike=5e307)),
-    ], ids=["r600", "r300_tau2", "below_top", "tau1e-100", "sigma_c1_1e-300", "top_no_room"])
+    ], ids=["r600", "r300_tau2", "r1345", "tau1e-100", "sigma_c1_1e-300", "top_no_room"])
     def test_refused_before_any_step(self, rn, opt, monkeypatch):
         # every step solves the step's system at least once
         calls, solve = [], _LawChain.solve
@@ -1099,7 +1214,7 @@ class TestLawGreeks:
         assert abs(greeks["vega"] - bs_vega_mp(*args)) <= 1e-6
 
     def test_default_grids_within_1e5_of_finer_pair(self):
-        rn, tau, strike = replace(RN_VVE, c1=1e-3), 1.0, 100.0 * math.exp(-0.05)
+        rn, tau, strike = replace(RN_VVE, c1=1e-3), 1.0, 100.0
         finer = [_sweep_law(rn, tau, strike, 2 * LAW_NODES_BELOW // m, 2 * LAW_STEPS // m)
                  for m in (1, 2)]
         greeks = swept(1e-3, tau, 100.0)[1]

@@ -79,7 +79,8 @@ COMMANDS = [
     ("convergence_zero_error", ["convergence", "--c1", "5", "--levels", "8,16,32"]),
     # law formula quotes: a short and a long maturity, a grid top capped near
     # 1e30 x s0 (c1 s0 = 10), a grid depth beyond the float range (c1 s0 = 100),
-    # exp(r t) beyond it (r = 800), and a strike above the grid top (K = 1e308)
+    # a drift the grid cannot follow (r = 800), and a strike above the grid top
+    # (K = 1e308)
     ("price_formula_short", ["price", "--method", "formula", "--c1", "1e-3",
                              "--maturity", "0.25", "--strike", "90"]),
     ("price_formula_long", ["price", "--method", "formula", "--c1", "2e-3",
@@ -90,14 +91,14 @@ COMMANDS = [
                                     "--s0", "1000", "--strike", "1000"]),
     ("error_formula_rate_overflow", ["price", "--method", "formula", "--c1", "1e-3",
                                      "--r", "800"]),
-    # the law grid top's jump rate beyond float range, and (at r = 1345) only the total
-    # rate of the node below it: refused before the first step
-    ("error_formula_top_rate_overflow", ["price", "--method", "formula", "--c1", "1e-3",
-                                         "--r", "600"]),
-    ("error_formula_top_rate_overflow_long", ["price", "--method", "formula", "--c1", "1e-3",
-                                              "--r", "300", "--maturity", "2"]),
-    ("error_formula_march_rate_overflow", ["price", "--method", "formula", "--c1", "0.01",
-                                           "--r", "1345", "--maturity", "0.25"]),
+    # drifts r tau of 600, 600 and 336 that carry the law past the grid (its reach is its
+    # depth below the spot, 3.65, 3.65 and 7.38): refused before the first step
+    ("error_formula_drift_past_grid", ["price", "--method", "formula", "--c1", "1e-3",
+                                       "--r", "600"]),
+    ("error_formula_drift_past_grid_long", ["price", "--method", "formula", "--c1", "1e-3",
+                                            "--r", "300", "--maturity", "2"]),
+    ("error_formula_drift_past_grid_short", ["price", "--method", "formula", "--c1", "0.01",
+                                             "--r", "1345", "--maturity", "0.25"]),
     ("price_formula_strike_above_grid", ["price", "--method", "formula", "--strike", "1e308"]),
     # so short a maturity that the law grid's nodes collide in floating point
     ("error_formula_tiny_maturity", ["price", "--method", "formula", "--maturity", "1e-100"]),
@@ -119,8 +120,8 @@ COMMANDS = [
     ("error_mc_overflow", ["price", "--method", "mc", "--paths", "64", "--steps", "8",
                            "--r", "1e300"]),
     # exponentials beyond the float range: each method's discount at a large negative
-    # rate, the deterministic growth at sigma = c1 = 0, and exp(gamma T) underflowing
-    # to 0 in the closed form
+    # rate (the law route's drift, 1000, is past its grid first), the deterministic
+    # growth at sigma = c1 = 0, and exp(gamma T) underflowing to 0 in the closed form
     ("error_formula_discount_overflow", ["price", "--method", "formula", "--r=-1e3"]),
     ("error_mc_discount_overflow", ["price", "--method", "mc", "--paths", "64",
                                     "--steps", "8", "--r=-1e3"]),
@@ -138,6 +139,13 @@ COMMANDS = [
     # sigma = 0 with c1 > 0 is the constant-elasticity model, which the law route prices
     ("price_formula_sigma_zero", ["price", "--method", "formula", "--sigma", "0",
                                   "--c1", "5e-3"]),
+    # the CVE model at a negative rate (one-sided drift rates in the lower tail), and
+    # with a drift of 5.7 deviations at the spot, which the grid follows with a segment
+    ("price_formula_cve_negative_rate", ["price", "--method", "formula", "--sigma", "0",
+                                         "--c1", "5e-3", "--r=-0.3"]),
+    ("price_formula_drift_dominated", ["price", "--method", "formula", "--sigma", "0",
+                                       "--c1", "5e-4", "--r", "0.2", "--maturity", "2",
+                                       "--strike", "150"]),
     # every method at expiry (t = maturity) quotes the intrinsic value
     ("price_at_expiry", ["price", "--method", "formula,mc,bs", "--t", "1"]),
     # f_T's denominator underflows to 0 at a tiny spot: no finite formula quote
@@ -146,7 +154,8 @@ COMMANDS = [
     # two flags at float-range edges: the closed form's inverse with c - a x = 0 (sigma s0
     # underflows) and with b x = 0 (sigma K underflows), Black-Scholes with sigma sqrt(tau)
     # = 0 and with s0 / K = 0, the law grid's top capped below the float max (s0 1e300),
-    # and the law grid's rate denominators underflowing to 0
+    # and a law grid so narrow (alpha = 1e-298) that the default drift, r tau = 0.05, is
+    # past it
     ("error_formula_inverse_zero_den", ["price", "--method", "formula", "--c1", "0",
                                         "--sigma", "1e-300", "--s0", "1e-300"]),
     ("error_formula_inverse_zero_num", ["price", "--method", "formula", "--c1", "0",

@@ -1,16 +1,17 @@
 """Reference table for the formula price's law route.
 
-    python3 tools/law_richardson_table.py
+    python3 tools/law_richardson_table.py [--out PATH]
 
-Writes ``tests/data/law_richardson_limits.json``, which a Tier-1 test reads
-without recomputing it:
+Writes ``tests/data/law_richardson_limits.json`` (or ``--out``), which a
+Tier-1 test reads without recomputing it:
 
 * ``cases``: for the ``formula_surface`` benchmark's c1 > 0 cells (sigma 0.2,
   s0 100, r 0.05; c1 in {5e-4, 1e-3, 2e-3} x tau in {0.25, 0.5, 1, 2}) at
   K = 70, 100 and 130, the limit R(1600 x 800, 3200 x 1600): the Richardson
   extrapolation of the law's node-sum prices on 1600 graded nodes below the
   spot x 800 steps and on the grid 2x finer in both, with the default grid
-  top (~1e30 x s0).
+  top (~1e30 x s0), each read at the strike over its grid's growth rho of
+  the mean, as ``price_formula`` reads it.
 * ``black_scholes``: at c1 = 0, tau = 1 and K = 80, 100 and 120, the
   Black-Scholes price that the law route must reproduce there.
 
@@ -18,14 +19,15 @@ Each line printed gives a case, its limit, the error of today's
 ``price_formula`` against it and the ratio of its ``law_error_estimate`` to
 that error.  As a check of the limits themselves, the same cells at r = 0 are
 then printed with their limit's error against the exact r = 0 price
-(``tests/oracles.qnv_call``).  The finest solves hold up to 10,221 nodes; the
-whole run takes about 20 s on one core.
+(``tests/oracles.qnv_call``).  Last, it prints the largest difference
+between the limits it writes and those of the committed table.  The finest
+solves hold up to 10,221 nodes; the whole run takes about 20 s on one core.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -55,13 +57,15 @@ TOL = 1e-10
 
 def limit_price(rn: RiskNeutralParams, opt: OptionSpec) -> float:
     tau = opt.maturity - opt.t
-    strike = opt.strike * math.exp(-rn.r * tau)
-    coarse, fine = (law_map(rn, tau, nodes_below=n, steps=m).price(strike)[0]
+    coarse, fine = (law_map(rn, tau, nodes_below=n, steps=m).price(opt.strike)[0]
                     for n, m in LIMIT_GRIDS)
     return _richardson(fine, coarse)
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, default=OUT, help="where to write the table")
+    out = parser.parse_args(argv).out
     cases = []
     for c1 in C1S:
         for tau in TAUS:
@@ -92,9 +96,11 @@ def main() -> int:
     table = {"sigma": SIGMA, "s0": S0, "r": RATE, "tol": TOL,
              "limit_grids": [list(g) for g in LIMIT_GRIDS],
              "cases": cases, "black_scholes": black_scholes}
-    OUT.write_text(json.dumps(table, indent=1) + "\n")
-    print(f"wrote {OUT.relative_to(ROOT)}: {len(cases)} limits, {len(black_scholes)} "
-          "Black-Scholes prices")
+    committed = json.loads(OUT.read_text())["cases"]
+    print("largest difference from the committed limits: "
+          f"{max(abs(a['limit'] - b['limit']) for a, b in zip(cases, committed)):.3g}")
+    out.write_text(json.dumps(table, indent=1) + "\n")
+    print(f"wrote {out}: {len(cases)} limits, {len(black_scholes)} Black-Scholes prices")
     return 0
 
 
