@@ -249,7 +249,7 @@ COMMANDS = {
         ("paths", 100000, "Monte Carlo paths"),
         ("steps", 500, "Monte Carlo time steps"),
         ("seed", 0, "random seed"),
-        ("tol", 1e-10, "quadrature absolute tolerance (moves c1 = 0 formula quotes only)"),
+        ("tol", 1e-10, "formula error_estimate to report; must be > 0, moves no price"),
     ], cmd_price),
     "convergence": ("strong-convergence study", [
         *_PATH_OPTIONS,

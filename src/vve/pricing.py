@@ -25,19 +25,21 @@ Three routes:
   one per grid a quote reads.  The route needs sigma + c1 s0 > 0 and a drift
   |r| (T - t) that the grid can follow: at sigma = 0 it prices the
   constant-elasticity (CVE) model.  At c1 = 0 the map is the closed form
-  below, then the exact lognormal law, and the formula is evaluated by
-  adaptive quadrature against the standard normal density.
+  below, then the exact lognormal law, and the formula is the Black-Scholes
+  closed form, which ``price_bs`` evaluates.
 
 * ``price_mc`` — risk-neutral Monte Carlo via the Euler scheme (not a
   solution map), an independent check on the formula.  The strikes of a
   strip share one cached path set.
 
-* ``price_bs`` — the Black-Scholes closed form, the c1 = 0 oracle.
+* ``price_bs`` — the Black-Scholes closed form: the c1 = 0 oracle, and the
+  arithmetic of the c1 = 0 formula.
 
 The paper's closed-form candidate map f_t (``forward_map``/``inverse_map``,
-the same closed form as :mod:`vve.sde`) does not satisfy the SDE for c1 > 0.
-The quadrature still prices with it (``_CandidateMap``), so that the
-finding stays measurable: the candidate prices the process
+the same closed form as :mod:`vve.sde`) does not satisfy the SDE for c1 > 0,
+so no pricer uses it.  The test suite prices the formula on it by adaptive
+quadrature (``_CandidateMap`` in ``tests/oracles.py``), so that the finding
+stays measurable: the candidate prices the process
 f_t(B_t), lies 8 to 48 Monte Carlo standard errors above the model's price
 on the acceptance grid, depends on the valuation time t and not only on
 T - t, and prices the zero-strike call above the spot (101.31 at c1 = 5e-4,
@@ -47,10 +49,10 @@ admissible inputs; the map as coded has the algebraic inverse
 w = ln(b x / (c - a x)) / sigma on its whole range, which ``inverse_map``
 evaluates.
 
-The module needs numpy only at import.  The functions that call scipy (the
-law solve and the quadrature) import it at first use, so that ``vve``
-commands that never price by formula do not pay for loading it; a c1 > 0
-formula quote, and its Greeks, load only scipy's tridiagonal solver.
+The module needs numpy only at import.  The law solve imports scipy's
+tridiagonal solver at first use, so that ``vve`` commands that never price
+by formula at c1 > 0 do not pay for loading it; a c1 > 0 formula quote, and
+its Greeks, load only that solver, and a c1 = 0 one loads no scipy.
 """
 
 from __future__ import annotations
@@ -62,14 +64,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ExplosionRegion, InvalidGrid, NegativeCoefficient, OutOfRange
+from .errors import (
+    ExplosionRegion,
+    InvalidGrid,
+    NegativeCoefficient,
+    OutOfRange,
+    SigmaZeroUnsupported,
+)
 from .model import ModelParams, check_coefficients, require_finite
 from .sde import DEN_TOL_FACTOR, closed_form_rates, euler_terminal
-
-#: margin denominator (in units of sigma + c1*s0) at which the quadrature
-#: domain is cut short of the explosion asymptote of f_T
-_QUAD_DEN_MARGIN = 1e-6
-
 
 def norm_cdf(x: float) -> float:
     """Standard normal CDF via the complementary error function."""
@@ -580,50 +583,6 @@ def _sweep_law(rn: RiskNeutralParams, tau: float, strike: float, nodes_below: in
     return price, v_y / rn.s0, gamma, vega, rn.s0 * h
 
 
-class _CandidateMap:
-    """The paper's closed form z -> f_T(w_t + z sqrt(tau)), w_t = f_t^{-1}(s0).
-
-    QUADPACK calls the map one z at a time, so it is evaluated in Python
-    floats around numpy's exp (``math.exp`` rounds differently on some
-    inputs), with the same bits as ``forward_map``'s array formula: 0 where
-    the denominator is infinite and inf where it is 0.  An e^{-sigma w} that
-    overflows warns under numpy's error state; ``_formula_quote`` ignores it.
-    """
-
-    def __init__(self, rn: RiskNeutralParams, opt: OptionSpec):
-        self.rn, self.maturity = rn, opt.maturity
-        self.sqrt_tau = math.sqrt(opt.maturity - opt.t)
-        self.w_t = inverse_map(rn, opt.t, rn.s0)
-        self.coefs = _map_coefficients(rn, opt.maturity)  # f_T's (a, b, c)
-
-    def __call__(self, z: float) -> float:
-        a, b, c = self.coefs
-        den = a + b * float(np.exp(-self.rn.sigma * (self.w_t + z * self.sqrt_tau)))
-        return c / den if den else math.inf  # c / inf is 0
-
-    def inverse(self, x: float) -> float:
-        return inverse_map(self.rn, self.maturity, x)
-
-    def cut(self, z_hi: float) -> tuple[float, float]:
-        """Cut short of f_T's explosion asymptote; bound the cut tail mass."""
-        (a, b, c), sigma = self.coefs, self.rn.sigma
-        tail_bound = 0.0
-        if a < 0:
-            # the w at which the denominator a + b*exp(-sigma*w) falls to 0, to the
-            # cut margin and to the explosion tolerance
-            w_star, w_cut, w_dentol = (-math.log((level - a) / b) / sigma for level in
-                                       (0.0, _QUAD_DEN_MARGIN * b, DEN_TOL_FACTOR * b))
-            z_cut = (w_cut - self.w_t) / self.sqrt_tau
-            if z_cut < z_hi:
-                z_hi = z_cut
-                # f ~ c / (sigma*|a|*(w* - w)) near the asymptote; bound the cut
-                # logarithmic tail mass by its value at the cut point
-                phi_cut = math.exp(-0.5 * z_cut ** 2) / math.sqrt(2.0 * math.pi)
-                tail_bound = (phi_cut / self.sqrt_tau * c / (sigma * abs(a))
-                              * math.log((w_star - w_cut) / (w_star - w_dentol)))
-        return z_hi, tail_bound
-
-
 # --------------------------------------------------------------------------
 # Pricers
 # --------------------------------------------------------------------------
@@ -633,45 +592,8 @@ def _intrinsic_quote(x: float, strike: float, method: str) -> OptionQuote:
                        error_estimate=0.0, diagnostics={"intrinsic": True})
 
 
-def _formula_quote(rn: RiskNeutralParams, opt: OptionSpec, tol: float, smap) -> OptionQuote:
-    """The explicit formula with solution map ``smap`` by adaptive quadrature.
-
-    The integral E[f(Z) 1_{Z > d}] is truncated at max(d, 0) + 12, or where
-    ``smap.cut`` says; the mass beyond the cut is reported as
-    ``truncation_bound``.  The quadrature runs in one numpy error state that
-    ignores overflow, where the map's e^{-sigma w} is infinite and f is 0.
-    """
-    tau = opt.maturity - opt.t
-    w_t = smap.w_t
-    w_K = smap.inverse(opt.strike) if opt.strike > 0 else -math.inf
-    d = (w_K - w_t) / smap.sqrt_tau
-    z_lo = d if math.isfinite(d) else -12.0
-    z_hi, tail_bound = smap.cut(max(d, 0.0) + 12.0)
-    if z_hi <= z_lo:
-        raise OutOfRange("strike beyond the quadrature domain of f_T")
-
-    from scipy import integrate
-
-    def integrand(z):
-        return smap(z) * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-
-    with np.errstate(over="ignore"):
-        integral, quad_err, info = integrate.quad(
-            integrand, z_lo, z_hi, epsabs=tol, epsrel=0.0, limit=200, full_output=1)[:3]
-
-    disc = _exp(-rn.r * tau, "discount", "-r tau")
-    n_d = norm_cdf(d) if math.isfinite(d) else 0.0
-    price = disc * integral - opt.strike * disc * (1.0 - n_d)
-    return OptionQuote(
-        price=max(price, 0.0), method="formula", error_estimate=tol,
-        diagnostics={"d": d, "fT_inv_K": w_K, "ft_inv_x": w_t,
-                     "nodes_or_paths": int(info["neval"]),
-                     "quad_abserr": float(quad_err),
-                     "z_cut": z_hi, "truncation_bound": tail_bound,
-                     "exploded_fraction": 0.0})
-
-
-#: quadrature tolerance of ``price_formula``
+#: default ``tol`` of ``price_formula``: checked, and reported as a quote's
+#: ``error_estimate``; it moves no price
 _FORMULA_TOL = 1e-10
 
 
@@ -713,7 +635,7 @@ def _law_greeks(rn: RiskNeutralParams, opt: OptionSpec,
     """The price and ``greeks_bump``'s Greeks of ``price_formula`` at tau > 0, from
     ``_sweep_law`` on the default grid and the 2x coarser one, each
     Richardson-extrapolated as the price is; ``tol`` is checked, as it moves
-    no law price.  Each sweep reads the strike at K / rho, its grid's growth
+    no price.  Each sweep reads the strike at K / rho, its grid's growth
     rho, as the quote does.  ``ds`` is s0 h, h = alpha sinh(dxi) the fine
     grid's log gap on either side of the spot, and ``dsig`` is 0, as the
     vega is the exact sigma derivative of the swept price on the grid held
@@ -732,9 +654,10 @@ def _law_greeks(rn: RiskNeutralParams, opt: OptionSpec,
 
 def price_formula(rn: RiskNeutralParams, opt: OptionSpec,
                   tol: float = _FORMULA_TOL) -> OptionQuote:
-    """Explicit-formula price: on the solved law for c1 > 0, by quadrature at c1 = 0.
+    """Explicit-formula price: on the solved law for c1 > 0, in closed form at c1 = 0.
 
-    ``tol`` must be finite and > 0 (InvalidGrid); at T = t the quote is the
+    ``tol`` must be finite and > 0 (InvalidGrid) and is the quote's
+    ``error_estimate``; it moves no price.  At T = t the quote is the
     intrinsic value.  Otherwise, for c1 > 0 the formula on the law map is
     E[(X - K')^+] on the law solve (``law_map``), X = S_T / rho and K' = K /
     rho discounted by the solve's growth rho of the mean, at any sigma >= 0
@@ -749,18 +672,26 @@ def price_formula(rn: RiskNeutralParams, opt: OptionSpec,
     = |R - R_2|, R_2 the same extrapolation from the grids 2x and 4x coarser,
     and ``martingale_defect`` = s0 - E[X] extrapolated as R is: the value the
     strict local martingale loses, S0 - C(0).  At c1 = 0 the map is the
-    closed form, then exact, integrated by adaptive quadrature to ``tol``, the
-    only price ``tol`` moves; ``error_estimate`` is ``tol`` (at sigma = 0,
-    SigmaZeroUnsupported: the closed form divides by sigma).
-    (``_formula_quote(rn, opt, tol, _CandidateMap(rn, opt))`` prices the
-    paper's candidate map, which for c1 > 0 is not the model's.)
+    closed form, the exact lognormal law, and the formula is Black-Scholes:
+    the price is ``price_bs``'s, bit for bit, and it loads no scipy.  Its
+    diagnostics follow the law route's: d = -d2 (f(d) = K), ``fT_inv_K`` = d
+    sqrt(T - t), ``ft_inv_x`` = 0 and no nodes read.  It refuses where
+    ``price_bs`` refuses, and at sigma = 0 with SigmaZeroUnsupported: the
+    closed form divides by sigma.
     """
     _check_tol(tol)
-    if opt.maturity - opt.t == 0:
+    tau = opt.maturity - opt.t
+    if tau == 0:
         return _intrinsic_quote(rn.s0, opt.strike, "formula")
-    if rn.c1 == 0:
-        return _formula_quote(rn, opt, tol, _CandidateMap(rn, opt))
-    return _law_quote(rn, opt, tol)
+    if rn.c1 > 0:
+        return _law_quote(rn, opt, tol)
+    if rn.sigma == 0:
+        raise SigmaZeroUnsupported("closed form requires sigma > 0")
+    bs = price_bs(rn, opt)
+    d = -bs.diagnostics["d2"]
+    return OptionQuote(price=bs.price, method="formula", error_estimate=tol,
+                       diagnostics={"d": d, "fT_inv_K": d * math.sqrt(tau), "ft_inv_x": 0.0,
+                                    "nodes_or_paths": 0, "exploded_fraction": 0.0})
 
 
 @functools.lru_cache(maxsize=4)

@@ -16,9 +16,13 @@ bit for bit in price, delta and gamma, and to rounding in vega, which
 ``_sweep_law`` pairs with the forward march instead of carrying.  The law-map
 oracle is the explicit formula's other route on a law solve: a cubic spline of
 the quantile through scipy's ``CubicSpline``, inverted with ``brentq`` and
-integrated by the quadrature, which the node-sum price of
+integrated by the quadrature below, which the node-sum price of
 ``vve.pricing.SolvedLaw`` must match within its ``law_error_estimate``.  The
-inverse-Bessel oracle is the exact call price of the model at sigma = 0, and
+candidate-map oracle is the paper's closed-form solution map, which no pricer
+uses, with the formula's adaptive quadrature (``_formula_quote``): at c1 = 0,
+where the map is the exact lognormal law, ``vve.pricing.price_formula`` must
+match it within 1e-12, and at c1 > 0 it keeps the candidate's gap above Monte
+Carlo measurable.  The inverse-Bessel oracle is the exact call price of the model at sigma = 0, and
 the quadratic-normal-volatility oracle the exact call price at r = 0 and any
 sigma.  The closed-form oracle evaluates the paper's own expression in
 50-digit arithmetic.
@@ -30,6 +34,18 @@ import sys
 import mpmath
 import numpy as np
 from scipy import special
+
+from vve.errors import OutOfRange
+from vve.pricing import (
+    OptionQuote,
+    OptionSpec,
+    RiskNeutralParams,
+    _exp,
+    _map_coefficients,
+    inverse_map,
+    norm_cdf,
+)
+from vve.sde import DEN_TOL_FACTOR
 
 
 def brute_force_ols(x, y):
@@ -320,6 +336,97 @@ def sweep_law_reference(rn, tau, strike, nodes_below, steps):
     return price, v_y / rn.s0, (v_yy - v_y) / rn.s0 ** 2, float(dv[s]), rn.s0 * h
 
 
+# --------------------------------------------------------------------------
+# The paper's candidate map, priced by the formula's quadrature
+# --------------------------------------------------------------------------
+
+#: margin denominator (in units of sigma + c1*s0) at which the quadrature
+#: domain is cut short of the explosion asymptote of f_T
+_QUAD_DEN_MARGIN = 1e-6
+
+
+class _CandidateMap:
+    """The paper's closed form z -> f_T(w_t + z sqrt(tau)), w_t = f_t^{-1}(s0).
+
+    QUADPACK calls the map one z at a time, so it is evaluated in Python
+    floats around numpy's exp (``math.exp`` rounds differently on some
+    inputs), with the same bits as ``forward_map``'s array formula: 0 where
+    the denominator is infinite and inf where it is 0.  An e^{-sigma w} that
+    overflows warns under numpy's error state; ``_formula_quote`` ignores it.
+    """
+
+    def __init__(self, rn: RiskNeutralParams, opt: OptionSpec):
+        self.rn, self.maturity = rn, opt.maturity
+        self.sqrt_tau = math.sqrt(opt.maturity - opt.t)
+        self.w_t = inverse_map(rn, opt.t, rn.s0)
+        self.coefs = _map_coefficients(rn, opt.maturity)  # f_T's (a, b, c)
+
+    def __call__(self, z: float) -> float:
+        a, b, c = self.coefs
+        den = a + b * float(np.exp(-self.rn.sigma * (self.w_t + z * self.sqrt_tau)))
+        return c / den if den else math.inf  # c / inf is 0
+
+    def inverse(self, x: float) -> float:
+        return inverse_map(self.rn, self.maturity, x)
+
+    def cut(self, z_hi: float) -> tuple[float, float]:
+        """Cut short of f_T's explosion asymptote; bound the cut tail mass."""
+        (a, b, c), sigma = self.coefs, self.rn.sigma
+        tail_bound = 0.0
+        if a < 0:
+            # the w at which the denominator a + b*exp(-sigma*w) falls to 0, to the
+            # cut margin and to the explosion tolerance
+            w_star, w_cut, w_dentol = (-math.log((level - a) / b) / sigma for level in
+                                       (0.0, _QUAD_DEN_MARGIN * b, DEN_TOL_FACTOR * b))
+            z_cut = (w_cut - self.w_t) / self.sqrt_tau
+            if z_cut < z_hi:
+                z_hi = z_cut
+                # f ~ c / (sigma*|a|*(w* - w)) near the asymptote; bound the cut
+                # logarithmic tail mass by its value at the cut point
+                phi_cut = math.exp(-0.5 * z_cut ** 2) / math.sqrt(2.0 * math.pi)
+                tail_bound = (phi_cut / self.sqrt_tau * c / (sigma * abs(a))
+                              * math.log((w_star - w_cut) / (w_star - w_dentol)))
+        return z_hi, tail_bound
+
+
+def _formula_quote(rn: RiskNeutralParams, opt: OptionSpec, tol: float, smap) -> OptionQuote:
+    """The explicit formula with solution map ``smap`` by adaptive quadrature.
+
+    The integral E[f(Z) 1_{Z > d}] is truncated at max(d, 0) + 12, or where
+    ``smap.cut`` says; the mass beyond the cut is reported as
+    ``truncation_bound``.  The quadrature runs in one numpy error state that
+    ignores overflow, where the map's e^{-sigma w} is infinite and f is 0.
+    """
+    tau = opt.maturity - opt.t
+    w_t = smap.w_t
+    w_K = smap.inverse(opt.strike) if opt.strike > 0 else -math.inf
+    d = (w_K - w_t) / smap.sqrt_tau
+    z_lo = d if math.isfinite(d) else -12.0
+    z_hi, tail_bound = smap.cut(max(d, 0.0) + 12.0)
+    if z_hi <= z_lo:
+        raise OutOfRange("strike beyond the quadrature domain of f_T")
+
+    from scipy import integrate
+
+    def integrand(z):
+        return smap(z) * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+    with np.errstate(over="ignore"):
+        integral, quad_err, info = integrate.quad(
+            integrand, z_lo, z_hi, epsabs=tol, epsrel=0.0, limit=200, full_output=1)[:3]
+
+    disc = _exp(-rn.r * tau, "discount", "-r tau")
+    n_d = norm_cdf(d) if math.isfinite(d) else 0.0
+    price = disc * integral - opt.strike * disc * (1.0 - n_d)
+    return OptionQuote(
+        price=max(price, 0.0), method="formula", error_estimate=tol,
+        diagnostics={"d": d, "fT_inv_K": w_K, "ft_inv_x": w_t,
+                     "nodes_or_paths": int(info["neval"]),
+                     "quad_abserr": float(quad_err),
+                     "z_cut": z_hi, "truncation_bound": tail_bound,
+                     "exploded_fraction": 0.0})
+
+
 #: |z| range over which ``LawMapReference`` tabulates its spline; it is log-linear beyond
 _LAW_Z_TABLE = 8.5
 
@@ -333,9 +440,8 @@ class LawMapReference:
     gaps makes each node the arithmetic centre of its cell, and the map is a
     cubic spline of the log price in z through the cell boundaries where
     |z| <= _LAW_Z_TABLE, log-linear in z beyond, scaled to the solve's mean.
-    It is a solution map for ``vve.pricing._formula_quote`` (``w_t``,
-    ``sqrt_tau``, ``inverse``, ``cut``), so the quadrature prices the formula
-    on it.
+    It is a solution map for ``_formula_quote`` (``w_t``, ``sqrt_tau``,
+    ``inverse``, ``cut``), so the quadrature prices the formula on it.
     """
 
     w_t = 0.0

@@ -7,9 +7,9 @@ node sums (vve.pricing.law_map), with no quadrature, so criterion 9's
 tolerance halving moves those quotes by exactly 0.  The paper's closed-form
 solution map, which does not satisfy the SDE for c1 > 0 (see the vve.sde
 module docstring and README), stays reachable through the formula's
-quadrature (candidate_quote below); its companion test pins that the
-candidate sits systematically above Monte Carlo by far more than 3 standard
-errors.
+quadrature in the test oracles (candidate_quote below); its companion test
+pins that the candidate sits systematically above Monte Carlo by far more
+than 3 standard errors.
 """
 
 import functools
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from oracles import brute_force_ols
+from oracles import _CandidateMap, _formula_quote, brute_force_ols
 from vve import io
 from vve.calibration import calibrate_vve, ols_fit
 from vve.cli import main
@@ -28,8 +28,6 @@ from vve.model import ModelParams, elasticity, elasticity_derivative, volatility
 from vve.pricing import (
     OptionSpec,
     RiskNeutralParams,
-    _CandidateMap,
-    _formula_quote,
     forward_map,
     inverse_map,
     price_bs,

@@ -257,11 +257,10 @@ class TestPrice:
         (["--method", "formula", "--c1", "0", "--sigma", "1e200"], "out_of_range"),
         # the deterministic growth exp(r tau) at sigma = c1 = 0 leaves the float range
         (["--method", "mc", "--sigma", "0", "--c1", "0", "--r", "1e3"], "out_of_range"),
-        # f_T's quadrature domain ends below the strike
-        (["--method", "formula", "--c1", "0", "--sigma", "38"], "out_of_range"),
-        # f_T's denominator underflows to 0 at a tiny spot
-        (["--method", "formula", "--c1", "0", "--s0", "1e-300", "--sigma", "10",
-          "--r", "40"], "out_of_range"),
+        # the c1 = 0 formula is Black-Scholes: its discount, and s0 / K = 0
+        (["--method", "formula", "--c1", "0", "--r=-1e3"], "out_of_range"),
+        (["--method", "formula", "--c1", "0", "--s0", "1e-300", "--strike", "1e300"],
+         "out_of_range"),
     ])
     def test_input_without_finite_quote_is_json_error(self, tmp_path, capsys, argv, error):
         argv = with_config_files(argv, tmp_path)

@@ -1,10 +1,11 @@
 """Start-up guard: which vve entry points load scipy.
 
 ``import vve`` and the commands that need no scipy (hv, simulate,
-convergence) load none of it; calibrate and regress load scipy.special for
-their p-values, never scipy.stats; a formula price at c1 > 0, and the
-Greeks of one, load scipy's tridiagonal solver and none of its quadrature,
-interpolation, root finding or special functions.  ``import vve`` also starts no thread and
+convergence, and a formula and Black-Scholes price at c1 = 0, where the
+formula is the closed form) load none of it; calibrate and regress load
+scipy.special for their p-values, never scipy.stats; a formula price at
+c1 > 0, and the Greeks of one, load scipy's tridiagonal solver and none of
+its quadrature, interpolation, root finding or special functions.  ``import vve`` also starts no thread and
 does not load ``concurrent.futures``: the block engine's thread pool is made
 per call.  Each check runs in a fresh interpreter, since this test process
 has imported scipy long before.
@@ -51,7 +52,8 @@ def scipy_modules_after(argv, tmp_path):
     ["hv", "--csv", CSV],
     ["simulate", "--c1", "5e-4", "--paths", "20", "--steps", "16"],
     ["convergence", "--c1", "5e-4", "--paths", "16", "--levels", "4,8"],
-], ids=["import", "hv", "simulate", "convergence"])
+    ["price", "--method", "formula,bs", "--c1", "0"],
+], ids=["import", "hv", "simulate", "convergence", "price_c1_zero"])
 def test_no_scipy(argv, tmp_path):
     assert scipy_modules_after(argv, tmp_path) == []
 

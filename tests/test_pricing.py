@@ -16,6 +16,8 @@ import pytest
 
 from oracles import (
     LawMapReference,
+    _CandidateMap,
+    _formula_quote,
     bs_call_mp,
     bs_delta_mp,
     bs_gamma_mp,
@@ -44,9 +46,7 @@ from vve.pricing import (
     OptionSpec,
     RiskNeutralParams,
     SolvedLaw,
-    _CandidateMap,
     _LawChain,
-    _formula_quote,
     _law_greeks,
     _law_quote,
     _law_solves,
@@ -312,7 +312,7 @@ class TestPriceFormula:
         def candidate(rn, opt):
             return _formula_quote(rn, opt, 1e-10, _CandidateMap(rn, opt))
 
-        assert candidate(RN_GBM, ATM) == price_formula(RN_GBM, ATM)
+        assert abs(candidate(RN_GBM, ATM).price - price_formula(RN_GBM, ATM).price) <= 1e-12
         zero = OptionSpec(strike=0.0, maturity=1.0, rate=0.05)
         assert candidate(RN_VVE, zero).price > 101.0
 
@@ -331,6 +331,73 @@ class TestPriceFormula:
                 assert 0.0 <= quote.price <= 1000.0 + 1e-9
                 # the grid top is at most ~1e30 x s0
                 assert quote.diagnostics["law_s_max"] <= 1000.0 * 2e30
+
+
+class TestClosedFormAtC1Zero:
+    """At c1 = 0 the formula is the Black-Scholes closed form: ``price_bs``'s price
+    bit for bit, which the paper's map priced by quadrature matches to rounding."""
+
+    @pytest.mark.parametrize("sigma", [0.05, 0.1, 0.2, 0.35, 0.5])
+    def test_black_scholes_bits_and_the_quadrature(self, sigma):
+        worst = 0.0
+        for r in (-0.02, 0.0, 0.05, 0.1, 0.3):
+            rn = RiskNeutralParams(sigma=sigma, c1=0.0, s0=100.0, r=r)
+            for tau in (0.02, 0.25, 1.0, 5.0):
+                for k in (0.0, 1.0, 50.0, 80.0, 100.0, 120.0, 200.0):
+                    opt = OptionSpec(strike=k, maturity=tau, rate=r)
+                    price = price_formula(rn, opt).price
+                    assert price == price_bs(rn, opt).price
+                    quadrature = _formula_quote(rn, opt, 1e-10, _CandidateMap(rn, opt)).price
+                    worst = max(worst, abs(price - quadrature))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("rn", [
+        replace(RN_GBM, sigma=30.0),
+        replace(RN_GBM, sigma=38.0),
+        replace(RN_GBM, sigma=1e3),
+        replace(RN_GBM, r=800.0),
+        RiskNeutralParams(sigma=10.0, c1=0.0, s0=1e-300, r=40.0),
+        RiskNeutralParams(sigma=1e-300, c1=0.0, s0=1e-300, r=0.05),
+        replace(RN_GBM, sigma=1e-300),
+    ], ids=["sigma=30", "sigma=38", "sigma=1e3", "r=800", "s0=1e-300", "sigma=s0=1e-300",
+            "sigma=1e-300"])
+    def test_prices_where_black_scholes_prices(self, rn):
+        # each of these the quadrature refused (an infinite integral, a domain cut below
+        # the strike, exp(gamma t) or the map's denominator or inverse out of float range)
+        for k in (0.0, 100.0):
+            opt = replace(ATM, strike=k)
+            assert price_formula(rn, opt).price == price_bs(rn, opt).price
+
+    def test_sigma_zero_unsupported(self):
+        with pytest.raises(SigmaZeroUnsupported):
+            price_formula(replace(RN_GBM, sigma=0.0), ATM)
+
+    @pytest.mark.parametrize("rn, opt", [
+        (replace(RN_GBM, sigma=1e200), ATM),
+        (replace(RN_GBM, r=-1e3), ATM),
+        (replace(RN_GBM, s0=1e-300), replace(ATM, strike=1e300)),
+    ], ids=["sigma^2_overflow", "discount_overflow", "zero_moneyness"])
+    def test_refuses_where_black_scholes_refuses(self, rn, opt):
+        for pricer in (price_formula, price_bs):
+            with pytest.raises(OutOfRange):
+                pricer(rn, opt)
+
+    @pytest.mark.parametrize("opt", [ATM, OptionSpec(strike=90.0, maturity=1.5, rate=0.05, t=0.5),
+                                     replace(ATM, strike=0.0)], ids=["t=0", "t>0", "K=0"])
+    def test_diagnostics_follow_the_law_route(self, opt):
+        quote = price_formula(RN_GBM, opt, tol=1e-7)
+        d2 = price_bs(RN_GBM, opt).diagnostics["d2"]
+        assert quote.method == "formula" and quote.error_estimate == 1e-7
+        assert quote.diagnostics == {"d": -d2, "fT_inv_K": -d2 * math.sqrt(opt.maturity - opt.t),
+                                     "ft_inv_x": 0.0, "nodes_or_paths": 0,
+                                     "exploded_fraction": 0.0}
+        if opt.t == 0 and opt.strike > 0:
+            # at t = 0 the candidate map's own d, f_T^{-1}(K) and f_t^{-1}(s0)
+            smap = _CandidateMap(RN_GBM, opt)
+            w_k = smap.inverse(opt.strike)
+            assert smap.w_t == 0.0
+            assert quote.diagnostics["fT_inv_K"] == pytest.approx(w_k, rel=1e-14)
+            assert quote.diagnostics["d"] == pytest.approx(w_k / smap.sqrt_tau, rel=1e-14)
 
 
 def law_price(law, opt):
@@ -903,9 +970,8 @@ class TestGreeks:
                              ids=["c1=0", "c1>0"])
     @pytest.mark.parametrize("tol", [None, 1e-6])
     def test_formula_greeks_from_bumped_prices(self, rn, pricer, tol):
-        # the bumps reprice price_formula, to the same bits; tol = 1e-6 moves the last
-        # bits of the c1 = 0 prices, so a dropped tol shows.  At c1 > 0 price_formula's
-        # set is swept: BUMPED_FORMULA is its bump oracle
+        # the bumps reprice price_formula, to the same bits, with tol passed through.  At
+        # c1 > 0 price_formula's set is swept: BUMPED_FORMULA is its bump oracle
         kwargs = {} if tol is None else {"tol": tol}
 
         def price(**over):

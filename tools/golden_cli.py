@@ -120,8 +120,10 @@ COMMANDS = [
     ("error_mc_overflow", ["price", "--method", "mc", "--paths", "64", "--steps", "8",
                            "--r", "1e300"]),
     # exponentials beyond the float range: each method's discount at a large negative
-    # rate (the law route's drift, 1000, is past its grid first), the deterministic
-    # growth at sigma = c1 = 0, and exp(gamma T) underflowing to 0 in the closed form
+    # rate (the law route's drift, 1000, is past its grid first) and the deterministic
+    # growth at sigma = c1 = 0.  The c1 = 0 formula is Black-Scholes, so the "error_"
+    # commands at c1 = 0 below keep the names of the candidate map's refusals (here
+    # exp(gamma T) underflowing to 0) and now price where Black-Scholes prices
     ("error_formula_discount_overflow", ["price", "--method", "formula", "--r=-1e3"]),
     ("error_mc_discount_overflow", ["price", "--method", "mc", "--paths", "64",
                                     "--steps", "8", "--r=-1e3"]),
@@ -134,6 +136,12 @@ COMMANDS = [
     ("simulate_exact_mu_half_sigma_sq", ["simulate", "--scheme", "exact", "--mu", "0.02"]),
     ("price_formula_r_half_sigma_sq", ["price", "--method", "formula", "--c1", "0",
                                        "--r", "0.02"]),
+    # the c1 = 0 formula is Black-Scholes, which prices at a volatility and a rate whose
+    # candidate map leaves the float range
+    ("price_formula_c1_zero_high_vol", ["price", "--method", "formula,bs", "--c1", "0",
+                                        "--sigma", "30"]),
+    ("price_formula_c1_zero_high_rate", ["price", "--method", "formula,bs", "--c1", "0",
+                                         "--r", "800"]),
     ("error_formula_sigma_zero", ["price", "--method", "formula", "--c1", "0",
                                   "--sigma", "0"]),
     # sigma = 0 with c1 > 0 is the constant-elasticity model, which the law route prices
@@ -148,14 +156,14 @@ COMMANDS = [
                                        "--strike", "150"]),
     # every method at expiry (t = maturity) quotes the intrinsic value
     ("price_at_expiry", ["price", "--method", "formula,mc,bs", "--t", "1"]),
-    # f_T's denominator underflows to 0 at a tiny spot: no finite formula quote
+    # a tiny spot, where the candidate map's denominator underflowed to 0
     ("error_formula_den_underflow", ["price", "--method", "formula", "--c1", "0",
                                      "--s0", "1e-300", "--sigma", "10", "--r", "40"]),
-    # two flags at float-range edges: the closed form's inverse with c - a x = 0 (sigma s0
-    # underflows) and with b x = 0 (sigma K underflows), Black-Scholes with sigma sqrt(tau)
+    # two flags at float-range edges: the candidate map's inverse with c - a x = 0 (sigma
+    # s0 underflows) and with b x = 0 (sigma K underflows), Black-Scholes with sigma sqrt(tau)
     # = 0 and with s0 / K = 0, the law grid's top capped below the float max (s0 1e300),
-    # and a law grid so narrow (alpha = 1e-298) that the default drift, r tau = 0.05, is
-    # past it
+    # and a law grid so narrow (alpha = 1e-298) that its nodes beside the spot collide in
+    # floating point (at r = 0: the default drift, r tau = 0.05, is past it first)
     ("error_formula_inverse_zero_den", ["price", "--method", "formula", "--c1", "0",
                                         "--sigma", "1e-300", "--s0", "1e-300"]),
     ("error_formula_inverse_zero_num", ["price", "--method", "formula", "--c1", "0",
@@ -167,7 +175,7 @@ COMMANDS = [
     ("price_formula_grid_top_s0_1e300", ["price", "--method", "formula", "--c1", "1e-300",
                                          "--s0", "1e300"]),
     ("error_formula_grid_step_underflow", ["price", "--method", "formula", "--sigma", "1e-300",
-                                           "--c1", "1e-300"]),
+                                           "--c1", "1e-300", "--r", "0"]),
     # a spot whose e^69 multiple overflows: the capped top prices Black-Scholes at c1 s0 =
     # 1e-10; and a spot so near the float max that no top 12 deviations above it is a float
     ("price_formula_grid_top_s0_1e290", ["price", "--method", "formula,bs", "--c1", "1e-300",
