@@ -51,8 +51,10 @@ evaluates.
 
 The module needs numpy only at import.  The law solve imports scipy's
 tridiagonal solver at first use, so that ``vve`` commands that never price
-by formula at c1 > 0 do not pay for loading it; a c1 > 0 formula quote, and
-its Greeks, load only that solver, and a c1 = 0 one loads no scipy.
+by formula at c1 > 0 do not pay for loading it.  That import loads the
+whole ``scipy.linalg`` package (85 scipy modules, and ``numpy.f2py`` and
+``numpy.testing`` through scipy's array-API copy of numpy), once per process,
+for a c1 > 0 formula quote or its Greeks; a c1 = 0 quote loads no scipy.
 """
 
 from __future__ import annotations

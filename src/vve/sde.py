@@ -63,14 +63,17 @@ schemes over one increment matrix: states of shape ``(schemes, rows)``, the
 Euler part once per step over the whole stack, the Milstein correction on
 the Milstein rows only.  ``euler_terminal`` and ``_simulate`` pass a
 one-scheme stack; ``_strong_convergence`` makes one call for the
-refined reference and one per level, covering all its schemes.
+refined reference and one per level, covering all its schemes.  A level
+reads the block's increment matrix in place, ``group`` columns a step, and
+takes their sums tile by tile as it stages the panel.
 
 Memory: each call allocates four ``(schemes, rows)`` work arrays and the
 exploded mask, a ``PANEL_WIDTH x rows`` increment panel (1 MB at 4096 rows),
 a ``TILE_ROWS x PANEL_WIDTH`` staging tile (32 kB) and, when the stack has a
 Milstein row, a second panel for ``dB^2 - dt`` and one row of corrections.
 Every step writes into these, so a step allocates no array data unless a
-state overflows.
+state overflows.  So the increment matrix is the only ``rows x steps`` array
+a convergence block holds: no level copies its summed increments.
 """
 
 from __future__ import annotations
@@ -237,7 +240,8 @@ def _map_blocks(fn, seed: int, n_paths: int, steps: int, dt: float) -> list:
 # Discretization schemes
 # --------------------------------------------------------------------------
 
-def _step_terminal(params: ModelParams, dt: float, s0, db, milstein, out=None):
+def _step_terminal(params: ModelParams, dt: float, s0, db, milstein, out=None, *,
+                   group: int = 1):
     """Advance a stack of schemes through all columns of ``db``.
 
     ``milstein`` holds one flag per scheme (False: Euler, True: Milstein);
@@ -247,6 +251,11 @@ def _step_terminal(params: ModelParams, dt: float, s0, db, milstein, out=None):
     shape ``(schemes, rows)``.  Only the current states are kept, unless
     ``out`` is given: an array of shape ``(schemes, rows, steps + 1)`` whose
     column k + 1 then receives the states after step k.
+
+    With ``group`` g > 1, ``db`` has ``steps * g`` columns and step k takes
+    the sum of columns ``k g`` to ``(k + 1) g - 1``: the same bits as stepping
+    ``db.reshape(rows, steps, g).sum(axis=2)``, without making that copy.
+    The sums are taken row tile by row tile, as the tile is staged.
 
     Each step runs the Euler part once over every row of the stack and adds
     the Milstein correction on the Milstein rows only; every element takes the
@@ -264,7 +273,7 @@ def _step_terminal(params: ModelParams, dt: float, s0, db, milstein, out=None):
     # 0-d arrays: a ufunc takes them with less call overhead than Python floats
     mu, sigma, c1, two_c1, dt, half, zero = (np.array(float(v)) for v in (
         params.mu, params.sigma, params.c1, 2.0 * params.c1, dt, 0.5, 0.0))
-    rows, steps = db.shape
+    rows, steps = len(db), db.shape[1] // group
     shape = (len(milstein), rows)
     s, s_new, b, work = (np.empty(shape) for _ in range(4))
     s[...] = s0
@@ -280,7 +289,11 @@ def _step_terminal(params: ModelParams, dt: float, s0, db, milstein, out=None):
             width = min(PANEL_WIDTH, steps - k0)
             for r0 in range(0, rows, TILE_ROWS):  # rows first, then transpose in cache
                 rows_in = tile[:min(TILE_ROWS, rows - r0), :width]
-                np.copyto(rows_in, db[r0:r0 + TILE_ROWS, k0:k0 + width])
+                if group == 1:
+                    np.copyto(rows_in, db[r0:r0 + TILE_ROWS, k0:k0 + width])
+                else:  # the contiguous pairwise sum that the full reshape takes
+                    np.sum(db[r0:r0 + TILE_ROWS, k0 * group:(k0 + width) * group]
+                           .reshape(len(rows_in), width, group), axis=2, out=rows_in)
                 np.copyto(panel[:width, r0:r0 + TILE_ROWS], rows_in.T)
             if m_rows:
                 np.square(panel[:width], out=sq[:width])
@@ -486,7 +499,10 @@ def _strong_convergence(params: ModelParams, horizon: float, dt_levels, n_paths:
     """``strong_convergence`` for each of ``schemes``, stepped from one fill.
 
     Each report has the same errors as a ``strong_convergence`` call of its
-    scheme alone.
+    scheme alone.  Each level steps the block's increment matrix in place,
+    with ``group = gen_steps // n``: its coarse increments are summed row tile
+    by row tile as the kernel stages them, so that matrix is the only
+    ``rows x steps`` array a block holds.
     """
     if not schemes:
         raise InvalidGrid("no scheme given")
@@ -514,9 +530,8 @@ def _strong_convergence(params: ModelParams, horizon: float, dt_levels, n_paths:
             ref = _step_terminal(params, gen_dt, params.s0, db, milstein)[0]
         sums = np.empty((len(schemes), len(level_steps)))
         for i, n in enumerate(level_steps):
-            db_level = db.reshape(len(db), n, gen_steps // n).sum(axis=2)
-            term = _step_terminal(params, horizon / n, params.s0, db_level, milstein)[0]
-            del db_level  # else it is still held while the next, twice larger level is summed
+            term = _step_terminal(params, horizon / n, params.s0, db, milstein,
+                                  group=gen_steps // n)[0]
             sums[:, i] = np.abs(term - ref).sum(axis=1)
         return sums
 

@@ -6,6 +6,7 @@ import os
 import signal
 import sys
 import threading
+import tracemalloc
 import warnings
 import weakref
 
@@ -497,6 +498,23 @@ class TestBlockEngine:
         for (_, db), got in zip(self.serial_blocks(13, 16, self.GRID.dt), last):
             assert np.array_equal(got, db[:, -1])
 
+    @pytest.mark.parametrize("params,reference", [(GBM, "exact"), (VVE, "refined")])
+    def test_strong_convergence_steps_levels_without_a_copy(self, params, reference):
+        # numpy reports its data buffers to tracemalloc, and the mapped increment
+        # matrix is not among them: no level may copy its summed increments
+        levels = [1.0 / n for n in (64, 128, 256, 512, 1024)]
+        args = (params, 1.0, levels, 256, 15, ["euler", "milstein"], reference)
+        expected = _strong_convergence(*args)  # warm: imports and first-call caches
+        tracemalloc.start()
+        try:
+            reports = _strong_convergence(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024 * 8 // 4  # a quarter of the finest level's increments
+        for got, want in zip(reports, expected):
+            assert np.array_equal(got.strong_errors, want.strong_errors)
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_gets_its_own_pool(self):
         # a child forked after the parent ran blocks on threads makes and joins its own
@@ -526,24 +544,32 @@ class TestStepKernel:
 
     STACKS = [(False, True), (True, False)]
 
-    def check(self, params, dt, s0, db, milstein):
-        """Kernel states, exploded masks and paths equal the oracle's, scheme by scheme."""
-        rows, steps = db.shape
+    def check(self, params, dt, s0, db, milstein, group=1):
+        """Kernel states, exploded masks and paths equal the oracle's, scheme by scheme.
+
+        With ``group`` g the kernel reads ``db`` g columns a step, and the oracle
+        and the ungrouped kernel step ``db``'s g-column sums.
+        """
+        rows, steps = len(db), db.shape[1] // group
+        summed = db if group == 1 else db.reshape(rows, steps, group).sum(axis=2)
         out = np.full((len(milstein), rows, steps + 1), np.nan)
         out[..., 0] = s0
-        states, exploded = _step_terminal(params, dt, s0, db, milstein, out=out)
+        states, exploded = _step_terminal(params, dt, s0, db, milstein, out=out, group=group)
         assert states.shape == exploded.shape == (len(milstein), rows)
         for i, m in enumerate(milstein):
             expected = np.empty((rows, steps + 1))
             expected[:, 0] = s0
-            ref_states, ref_exploded = step_terminal_reference(params, dt, s0, db, m,
+            ref_states, ref_exploded = step_terminal_reference(params, dt, s0, summed, m,
                                                                out=expected)
             assert np.array_equal(states[i], ref_states)
             assert np.array_equal(exploded[i], ref_exploded)
             assert np.array_equal(out[i], expected)
-        no_out = _step_terminal(params, dt, s0, db, milstein)
-        assert np.array_equal(no_out[0], states)
-        assert np.array_equal(no_out[1], exploded)
+        runs = [_step_terminal(params, dt, s0, db, milstein, group=group)]
+        if group > 1:
+            runs.append(_step_terminal(params, dt, s0, summed, milstein))
+        for run in runs:
+            assert np.array_equal(run[0], states)
+            assert np.array_equal(run[1], exploded)
         return exploded
 
     @pytest.mark.parametrize("milstein", STACKS)
@@ -556,13 +582,28 @@ class TestStepKernel:
         self.check(VVE, 1.0 / steps, VVE.s0, db, milstein)
 
     @pytest.mark.parametrize("milstein", STACKS)
-    def test_rows_that_overflow_in_one_scheme_only(self, milstein):
+    @pytest.mark.parametrize("group", [2, 3, 8, 24, 256])
+    @pytest.mark.parametrize("steps", [1, 31, 32, 33])  # across the panel seams
+    def test_grouped_read_matches_summed_increments(self, milstein, group, steps):
+        rows = 2 * TILE_ROWS + 37
+        db = _block_increments(14, 0, rows, steps * group, 1.0 / (steps * group))
+        self.check(VVE, 1.0 / steps, VVE.s0, db, milstein, group)
+
+    def check_overflow(self, milstein, group):
         # superlinear diffusion at dt = 1: dB = 0.5 squares the Euler state each step
         # until it overflows, while Milstein's correction, -0.375 b b', truncates it to
         # 0; dB = -2 truncates Euler and drives Milstein over
         p = ModelParams(mu=0.0, sigma=0.1, c1=1.0, s0=100.0)
-        db = np.repeat([[0.5], [-2.0], [0.0]], 40, axis=1)
-        exploded = self.check(p, 1.0, p.s0, db, milstein)
+        db = np.repeat([[0.5], [-2.0], [0.0]], 40 * group, axis=1) / group  # exact sums
+        exploded = self.check(p, 1.0, p.s0, db, milstein, group)
         euler, mil = milstein.index(False), milstein.index(True)
         assert exploded[euler].tolist() == [True, False, False]
         assert exploded[mil].tolist() == [False, True, False]
+
+    @pytest.mark.parametrize("milstein", STACKS)
+    def test_rows_that_overflow_in_one_scheme_only(self, milstein):
+        self.check_overflow(milstein, 1)
+
+    @pytest.mark.parametrize("milstein", STACKS)
+    def test_grouped_rows_that_overflow_in_one_scheme_only(self, milstein):
+        self.check_overflow(milstein, 2)

@@ -77,6 +77,11 @@ COMMANDS = [
                                      "--seed", "1"]),
     # every path is absorbed at 0 on the finer levels: a zero error, no fitted slope
     ("convergence_zero_error", ["convergence", "--c1", "5", "--levels", "8,16,32"]),
+    # levels step grouped sums of the block's increments: groups 6, 2 and 1 against
+    # the exact reference, 72, 24 and 8 against the refined one, whose 45-step level
+    # crosses a panel seam
+    ("convergence_exact_groups", ["convergence", "--c1", "0", "--levels", "2,6,12"]),
+    ("convergence_refined_groups", ["convergence", "--c1", "5e-4", "--levels", "5,15,45"]),
     # law formula quotes: a short and a long maturity, a grid top capped near
     # 1e30 x s0 (c1 s0 = 10), a grid depth beyond the float range (c1 s0 = 100),
     # a drift the grid cannot follow (r = 800), and a strike above the grid top
