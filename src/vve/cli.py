@@ -11,9 +11,10 @@ prints the merged configuration and exits.  The only environment variable
 honored is VVE_OUTPUT_DIR, which overrides the default output directory.
 
 Every command is deterministic for a fixed seed and configuration;
-re-running produces byte-identical output files.  Every error is emitted to
-stderr as one JSON line with a machine-readable code (``internal_error`` if
-it is not a ``VveError``); the exit code is 0 iff no error occurred.
+re-running produces byte-identical output files.  Every error, a usage error
+included, is emitted to stderr as one JSON line with a machine-readable code
+(``internal_error`` if it is not a ``VveError``); the exit code is 0 iff no
+error occurred (``-h`` prints the usage and exits 0).
 """
 
 from __future__ import annotations
@@ -38,8 +39,15 @@ def _options(command: str) -> list[tuple[str, object, type, str]]:
                                          ("out_dir", ".", "output directory")]]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a VveError, so that it leaves as a JSON error line."""
+
+    def error(self, message):
+        raise VveError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vve",
         description="Variable-volatility-elasticity model: simulate, calibrate, price.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -137,7 +145,7 @@ def cmd_calibrate(cfg: dict) -> list[str]:
 
 
 def cmd_price(cfg: dict) -> list[str]:
-    pricers = {"formula": lambda: pricing.price_formula(rn, opt, tol=cfg["tol"]),
+    pricers = {"formula": lambda: pricing.price_formula(rn, opt),
                "mc": lambda: pricing.price_mc(rn, opt, cfg["paths"], cfg["steps"], cfg["seed"]),
                "bs": lambda: pricing.price_bs(rn, opt)}
     methods = [m.strip() for m in cfg["method"].split(",") if m.strip()]
@@ -249,7 +257,6 @@ COMMANDS = {
         ("paths", 100000, "Monte Carlo paths"),
         ("steps", 500, "Monte Carlo time steps"),
         ("seed", 0, "random seed"),
-        ("tol", 1e-10, "formula error_estimate to report; must be > 0, moves no price"),
     ], cmd_price),
     "convergence": ("strong-convergence study", [
         *_PATH_OPTIONS,
@@ -264,8 +271,8 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = _merge_config(args.command, args)
         if args.show_config:
             print(io.dumps(cfg))

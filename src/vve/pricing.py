@@ -594,17 +594,12 @@ def _intrinsic_quote(x: float, strike: float, method: str) -> OptionQuote:
                        error_estimate=0.0, diagnostics={"intrinsic": True})
 
 
-#: default ``tol`` of ``price_formula``: checked, and reported as a quote's
-#: ``error_estimate``; it moves no price
-_FORMULA_TOL = 1e-10
-
-
 def _richardson(fine: float, coarse: float) -> float:
     """A second-order price with its h^2 error cancelled, from grids h (fine) and 2h."""
     return fine + (fine - coarse) / 3.0
 
 
-def _law_quote(rn: RiskNeutralParams, opt: OptionSpec, tol: float) -> OptionQuote:
+def _law_quote(rn: RiskNeutralParams, opt: OptionSpec) -> OptionQuote:
     """The formula on the solved law, at any c1 and tau > 0 (see ``price_formula``)."""
     from statistics import NormalDist  # 5 ms that commands without a law quote skip
 
@@ -619,7 +614,7 @@ def _law_quote(rn: RiskNeutralParams, opt: OptionSpec, tol: float) -> OptionQuot
     price = _richardson(fine, half_price)
     d = -math.inf if below <= 0 else math.inf if below >= 1 else NormalDist().inv_cdf(below)
     estimate = abs(price - _richardson(half_price, coarse(4).price(opt.strike)[0]))
-    return OptionQuote(price=max(price, 0.0), method="formula", error_estimate=tol,
+    return OptionQuote(price=max(price, 0.0), method="formula", error_estimate=estimate,
                        diagnostics={"d": d, "fT_inv_K": d * math.sqrt(tau), "ft_inv_x": 0.0,
                                     "nodes_or_paths": nodes_read, "exploded_fraction": 0.0,
                                     **law.grid, "law_error_estimate": estimate,
@@ -627,22 +622,14 @@ def _law_quote(rn: RiskNeutralParams, opt: OptionSpec, tol: float) -> OptionQuot
                                                                              half.mean)})
 
 
-def _check_tol(tol: float) -> None:
-    if not 0 < tol < math.inf:
-        raise InvalidGrid(f"tol must be a finite number > 0, got {tol}")
-
-
-def _law_greeks(rn: RiskNeutralParams, opt: OptionSpec,
-                tol: float = _FORMULA_TOL) -> tuple[float, dict]:
+def _law_greeks(rn: RiskNeutralParams, opt: OptionSpec) -> tuple[float, dict]:
     """The price and ``greeks_bump``'s Greeks of ``price_formula`` at tau > 0, from
     ``_sweep_law`` on the default grid and the 2x coarser one, each
-    Richardson-extrapolated as the price is; ``tol`` is checked, as it moves
-    no price.  Each sweep reads the strike at K / rho, its grid's growth
-    rho, as the quote does.  ``ds`` is s0 h, h = alpha sinh(dxi) the fine
-    grid's log gap on either side of the spot, and ``dsig`` is 0, as the
-    vega is the exact sigma derivative of the swept price on the grid held
-    fixed (one-sided at sigma = 0)."""
-    _check_tol(tol)
+    Richardson-extrapolated as the price is.  Each sweep reads the strike at
+    K / rho, its grid's growth rho, as the quote does.  ``ds`` is s0 h,
+    h = alpha sinh(dxi) the fine grid's log gap on either side of the spot,
+    and ``dsig`` is 0, as the vega is the exact sigma derivative of the
+    swept price on the grid held fixed (one-sided at sigma = 0)."""
     tau = opt.maturity - opt.t
     fine, coarse = (_sweep_law(rn, tau, opt.strike, LAW_NODES_BELOW // m, LAW_STEPS // m)
                     for m in (1, 2))
@@ -654,44 +641,45 @@ def _law_greeks(rn: RiskNeutralParams, opt: OptionSpec,
     return price, {"delta": delta, "gamma": gamma, "vega": vega, "ds": fine[4], "dsig": 0.0}
 
 
-def price_formula(rn: RiskNeutralParams, opt: OptionSpec,
-                  tol: float = _FORMULA_TOL) -> OptionQuote:
+def price_formula(rn: RiskNeutralParams, opt: OptionSpec) -> OptionQuote:
     """Explicit-formula price: on the solved law for c1 > 0, in closed form at c1 = 0.
 
-    ``tol`` must be finite and > 0 (InvalidGrid) and is the quote's
-    ``error_estimate``; it moves no price.  At T = t the quote is the
-    intrinsic value.  Otherwise, for c1 > 0 the formula on the law map is
-    E[(X - K')^+] on the law solve (``law_map``), X = S_T / rho and K' = K /
-    rho discounted by the solve's growth rho of the mean, at any sigma >= 0
-    (sigma = 0 is the constant-elasticity (CVE) model), read off its node
-    sums (``SolvedLaw.price``) as R = P + (P - P_2) / 3 from the default grid
-    and the one 2x coarser in price and time (every 2nd node and step): the
+    At T = t the quote is the intrinsic value, with ``error_estimate`` 0.
+    Otherwise, for c1 > 0 the formula on the law map is E[(X - K')^+] on the
+    law solve (``law_map``), X = S_T / rho and K' = K / rho discounted by the
+    solve's growth rho of the mean, at any sigma >= 0 (sigma = 0 is the
+    constant-elasticity (CVE) model), read off its node sums
+    (``SolvedLaw.price``) as R = P + (P - P_2) / 3 from the default grid and
+    the one 2x coarser in price and time (every 2nd node and step): the
     solve's error has a clean dxi^2 term (Crank-Nicolson after a Rannacher
-    start, on a smooth graded map), which R cancels.  The diagnostics give
-    the grid (``law_nodes``, ``law_steps``, ``law_s_min``, ``law_s_max``, in
-    today's money), the nodes read (``nodes_or_paths``), d = Phi^{-1}(P(X <=
-    K')), ``fT_inv_K`` = d sqrt(T - t), ``ft_inv_x`` = 0, ``law_error_estimate``
-    = |R - R_2|, R_2 the same extrapolation from the grids 2x and 4x coarser,
-    and ``martingale_defect`` = s0 - E[X] extrapolated as R is: the value the
-    strict local martingale loses, S0 - C(0).  At c1 = 0 the map is the
-    closed form, the exact lognormal law, and the formula is Black-Scholes:
-    the price is ``price_bs``'s, bit for bit, and it loads no scipy.  Its
-    diagnostics follow the law route's: d = -d2 (f(d) = K), ``fT_inv_K`` = d
-    sqrt(T - t), ``ft_inv_x`` = 0 and no nodes read.  It refuses where
-    ``price_bs`` refuses, and at sigma = 0 with SigmaZeroUnsupported: the
+    start, on a smooth graded map), which R cancels.  The quote's
+    ``error_estimate`` is |R - R_2|, R_2 the same extrapolation from the
+    grids 2x and 4x coarser: an estimate of R's error, not a bound (at c1 =
+    2e-3, T - t = 0.5, K = 90, r = 0 the error is 3.15e-9 against an
+    estimate of 3.08e-9).  The diagnostics give the grid (``law_nodes``,
+    ``law_steps``, ``law_s_min``, ``law_s_max``, in today's money), the nodes
+    read (``nodes_or_paths``), d = Phi^{-1}(P(X <= K')), ``fT_inv_K`` = d
+    sqrt(T - t), ``ft_inv_x`` = 0, ``law_error_estimate`` (the same
+    |R - R_2|) and ``martingale_defect`` = s0 - E[X] extrapolated as R is:
+    the value the strict local martingale loses, S0 - C(0).  At c1 = 0 the
+    map is the closed form, the exact lognormal law, and the formula is
+    Black-Scholes: the price is ``price_bs``'s, bit for bit, with
+    ``error_estimate`` 0 as there, and it loads no scipy.  Its diagnostics
+    follow the law route's: d = -d2 (f(d) = K), ``fT_inv_K`` = d sqrt(T - t),
+    ``ft_inv_x`` = 0 and no nodes read.  It refuses where ``price_bs``
+    refuses, and at sigma = 0 with SigmaZeroUnsupported: the
     closed form divides by sigma.
     """
-    _check_tol(tol)
     tau = opt.maturity - opt.t
     if tau == 0:
         return _intrinsic_quote(rn.s0, opt.strike, "formula")
     if rn.c1 > 0:
-        return _law_quote(rn, opt, tol)
+        return _law_quote(rn, opt)
     if rn.sigma == 0:
         raise SigmaZeroUnsupported("closed form requires sigma > 0")
     bs = price_bs(rn, opt)
     d = -bs.diagnostics["d2"]
-    return OptionQuote(price=bs.price, method="formula", error_estimate=tol,
+    return OptionQuote(price=bs.price, method="formula", error_estimate=0.0,
                        diagnostics={"d": d, "fT_inv_K": d * math.sqrt(tau), "ft_inv_x": 0.0,
                                     "nodes_or_paths": 0, "exploded_fraction": 0.0})
 

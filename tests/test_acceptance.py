@@ -3,8 +3,8 @@
 Criterion 4 compares price_formula with an independent Monte Carlo price of
 the SDE at 3 standard errors.  At c1 > 0 price_formula evaluates its formula
 on the model's law map F^{-1}(Phi(z)) as E[(X - K')^+] on the law solve's
-node sums (vve.pricing.law_map), with no quadrature, so criterion 9's
-tolerance halving moves those quotes by exactly 0.  The paper's closed-form
+node sums (vve.pricing.law_map), with no quadrature; its one discretisation
+is the law grid, which criterion 9 halves.  The paper's closed-form
 solution map, which does not satisfy the SDE for c1 > 0 (see the vve.sde
 module docstring and README), stays reachable through the formula's
 quadrature in the test oracles (candidate_quote below); its companion test
@@ -26,10 +26,14 @@ from vve.calibration import calibrate_vve, ols_fit
 from vve.cli import main
 from vve.model import ModelParams, elasticity, elasticity_derivative, volatility
 from vve.pricing import (
+    LAW_NODES_BELOW,
+    LAW_STEPS,
     OptionSpec,
     RiskNeutralParams,
+    _richardson,
     forward_map,
     inverse_map,
+    law_map,
     price_bs,
     price_formula,
     price_mc,
@@ -68,7 +72,7 @@ def criterion4_quotes():
         opt = OptionSpec(strike=strike, maturity=1.0, rate=0.05)
         rows.append({
             "c1": c1, "strike": strike,
-            "formula": price_formula(rn, opt, tol=1e-10),
+            "formula": price_formula(rn, opt),
             "candidate": candidate_quote(rn, opt),
             "mc": price_mc(rn, opt, C4_PATHS, C4_STEPS, C4_SEED),
         })
@@ -280,17 +284,22 @@ def test_criterion_08_inverse_map_round_trip(capsys):
     assert ok, detail
 
 
-def test_criterion_09_quadrature_self_consistency(capsys):
-    """Halving the quadrature tolerance moves every criterion-4 quote by < 1e-8."""
+def test_criterion_09_law_grid_self_consistency(capsys):
+    """Halving the law grid's step moves every criterion-4 formula quote by < 1e-8.
+
+    The quote extrapolates the default grid and the one 2x coarser; the
+    check extrapolates the grid 2x finer (in price and in time) and the
+    default one.
+    """
     worst = 0.0
     for c1, strike in C4_GRID:
         rn = RiskNeutralParams(sigma=0.2, c1=c1, s0=100.0, r=0.05)
         opt = OptionSpec(strike=strike, maturity=1.0, rate=0.05)
-        p1 = price_formula(rn, opt, tol=1e-10).price
-        p2 = price_formula(rn, opt, tol=5e-11).price
-        worst = max(worst, abs(p1 - p2))
+        fine = law_map(rn, 1.0, nodes_below=2 * LAW_NODES_BELOW, steps=2 * LAW_STEPS)
+        finer = _richardson(fine.price(strike)[0], law_map(rn, 1.0).price(strike)[0])
+        worst = max(worst, abs(price_formula(rn, opt).price - finer))
     ok = worst < 1e-8
-    detail = f"worst tolerance-halving shift {worst:.2e} (limit 1e-8)"
+    detail = f"worst law-grid-halving shift {worst:.2e} (limit 1e-8)"
     emit(capsys, f"ACCEPTANCE  9: {'PASS' if ok else 'FAIL'} — {detail}")
     assert ok, detail
 

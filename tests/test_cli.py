@@ -239,8 +239,9 @@ class TestPrice:
         (["--method", "mc", "--paths", "1", "--steps", "10"], "invalid_grid"),
         (["--method", "bs", "--r", "nan"], "non_finite"),
         (["--method", "formula", "--sigma", "nan"], "non_finite"),
-        (["--method", "formula", "--tol", "0"], "invalid_grid"),
-        (["--method", "formula", "--tol", "nan"], "invalid_grid"),
+        # usage errors take the JSON contract too: a removed flag, a flag's bad value
+        (["--method", "formula", "--tol", "1e-10"], "error"),
+        (["--method", "bs", "--paths", "abc"], "error"),
         # config values go through the flag's type; unreadable configs are errors
         (["--method", "mc", "--config", ConfigText('{"paths": 2000.0}')], "error"),
         (["--method", "mc", "--config", ConfigText('{"price": {"paths": "abc"}}')], "error"),
@@ -540,6 +541,25 @@ class TestErrorContract:
         err = capsys.readouterr().err.strip().splitlines()
         assert json.loads(err[-1]) == {"error": "internal_error",
                                        "message": "RuntimeError: broken reader"}
+
+    @pytest.mark.parametrize("argv", [[], ["trinomial"], ["hv", "extra"], ["price", "--method"],
+                                      ["price", "--s", "1"]],
+                             ids=["no_command", "unknown_command", "extra_argument",
+                                  "missing_value", "ambiguous_flag"])
+    def test_usage_error_is_one_json_line(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == "" and len(err) == 1
+        line = json.loads(err[0])
+        assert line["error"] == "error" and line["message"].startswith("vve")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["price", "--help"])
+        assert exit_.value.code == 0
+        help_text = capsys.readouterr().out
+        assert "--strike" in help_text and "--tol" not in help_text
 
 
 class TestFuzzGrid:

@@ -246,11 +246,6 @@ class TestPriceFormula:
         otm = price_formula(RN_VVE, OptionSpec(strike=120.0, maturity=1.0, rate=0.05, t=1.0))
         assert itm.price == 20.0 and otm.price == 0.0
 
-    def test_tolerance_refinement(self):
-        p1 = price_formula(RN_VVE, ATM, tol=1e-10).price
-        p2 = price_formula(RN_VVE, ATM, tol=5e-11).price
-        assert abs(p1 - p2) < 1e-8
-
     def test_gbm_matches_black_scholes(self):
         formula = price_formula(RN_GBM, ATM).price
         bs = price_bs(RN_GBM, ATM).price
@@ -290,7 +285,8 @@ class TestPriceFormula:
         for key in ("d", "fT_inv_K", "ft_inv_x", "nodes_or_paths", "exploded_fraction"):
             assert key in quote.diagnostics
         assert quote.method == "formula"
-        assert quote.error_estimate == 1e-10
+        # the error estimate is the law route's own: |R - R_2|
+        assert quote.error_estimate == quote.diagnostics["law_error_estimate"]
         # the interpolation reads 4 law nodes; d is Phi^{-1}(P(X <= K')), near 0 at the money
         assert quote.diagnostics["nodes_or_paths"] == 4
         assert abs(quote.diagnostics["d"]) < 0.2
@@ -385,9 +381,9 @@ class TestClosedFormAtC1Zero:
     @pytest.mark.parametrize("opt", [ATM, OptionSpec(strike=90.0, maturity=1.5, rate=0.05, t=0.5),
                                      replace(ATM, strike=0.0)], ids=["t=0", "t>0", "K=0"])
     def test_diagnostics_follow_the_law_route(self, opt):
-        quote = price_formula(RN_GBM, opt, tol=1e-7)
+        quote = price_formula(RN_GBM, opt)
         d2 = price_bs(RN_GBM, opt).diagnostics["d2"]
-        assert quote.method == "formula" and quote.error_estimate == 1e-7
+        assert quote.method == "formula" and quote.error_estimate == 0.0
         assert quote.diagnostics == {"d": -d2, "fT_inv_K": -d2 * math.sqrt(opt.maturity - opt.t),
                                      "ft_inv_x": 0.0, "nodes_or_paths": 0,
                                      "exploded_fraction": 0.0}
@@ -944,12 +940,12 @@ class TestGreeks:
         rn = RiskNeutralParams(sigma=0.2, c1=1e-4, s0=100.0, r=0.05)
         for k in (80.0, 100.0, 120.0):
             g = greeks_bump(price_formula, rn,
-                            OptionSpec(strike=k, maturity=1.0, rate=0.05), tol=1e-11)
+                            OptionSpec(strike=k, maturity=1.0, rate=0.05))
             assert 0.0 <= g["delta"] <= 1.0 + 1e-6
             assert g["gamma"] > 0.0
 
     def test_gbm_delta_matches_analytic(self):
-        g = greeks_bump(price_formula, RN_GBM, ATM, ds=0.1, tol=1e-12)
+        g = greeks_bump(price_formula, RN_GBM, ATM, ds=0.1)
         assert g["delta"] == pytest.approx(bs_delta_mp(100.0, 100.0, 1.0, 0.05, 0.2), abs=1e-4)
 
     def test_bs_greeks_match_closed_forms(self):
@@ -962,35 +958,26 @@ class TestGreeks:
 
     def test_bump_halving_second_order(self):
         d_true = bs_delta_mp(100.0, 100.0, 1.0, 0.05, 0.2)
-        e1 = abs(greeks_bump(price_formula, RN_GBM, ATM, ds=0.1, tol=1e-12)["delta"] - d_true)
-        e2 = abs(greeks_bump(price_formula, RN_GBM, ATM, ds=0.05, tol=1e-12)["delta"] - d_true)
+        e1 = abs(greeks_bump(price_formula, RN_GBM, ATM, ds=0.1)["delta"] - d_true)
+        e2 = abs(greeks_bump(price_formula, RN_GBM, ATM, ds=0.05)["delta"] - d_true)
         assert 2.0 < e1 / e2 < 8.0  # ~4x shrink for a second-order scheme
 
     @pytest.mark.parametrize("rn, pricer", [(RN_GBM, price_formula), (RN_VVE, BUMPED_FORMULA)],
                              ids=["c1=0", "c1>0"])
-    @pytest.mark.parametrize("tol", [None, 1e-6])
-    def test_formula_greeks_from_bumped_prices(self, rn, pricer, tol):
-        # the bumps reprice price_formula, to the same bits, with tol passed through.  At
-        # c1 > 0 price_formula's set is swept: BUMPED_FORMULA is its bump oracle
-        kwargs = {} if tol is None else {"tol": tol}
-
+    def test_formula_greeks_from_bumped_prices(self, rn, pricer):
+        # the bumps reprice price_formula, to the same bits.  At c1 > 0
+        # price_formula's set is swept: BUMPED_FORMULA is its bump oracle
         def price(**over):
-            return price_formula(replace(rn, **over), ATM, **kwargs).price
+            return price_formula(replace(rn, **over), ATM).price
 
         ds, dsig = 1e-3 * rn.s0, 1e-3 * max(rn.sigma, 0.1)
         p0, p_up, p_dn = price(), price(s0=rn.s0 + ds), price(s0=rn.s0 - ds)
         v_up, v_dn = price(sigma=rn.sigma + dsig), price(sigma=rn.sigma - dsig)
-        assert greeks_bump(pricer, rn, ATM, **kwargs) == {
+        assert greeks_bump(pricer, rn, ATM) == {
             "delta": (p_up - p_dn) / (2.0 * ds),
             "gamma": (p_up - 2.0 * p0 + p_dn) / ds ** 2,
             "vega": (v_up - v_dn) / (2.0 * dsig),
             "ds": ds, "dsig": dsig}
-
-    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
-    def test_formula_greeks_invalid_tol(self, tol):
-        for rn in (RN_GBM, RN_VVE):
-            with pytest.raises(InvalidGrid):
-                greeks_bump(price_formula, rn, ATM, tol=tol)
 
     def test_cold_formula_set_runs_two_sweeps(self, monkeypatch):
         # a strip pays three law solves (the price's two grids and the estimate's);
@@ -1223,13 +1210,17 @@ class TestLawSolveErrors:
                 call(rn, opt)
         assert calls == []
 
-    def test_invalid_tol_starts_no_solve(self):
-        before = law_map.cache_info()
-        for call in (lambda: price_formula(RN_VVE, ATM, tol=0.0),
-                     lambda: greeks_bump(price_formula, RN_VVE, ATM, tol=math.nan)):
-            with pytest.raises(InvalidGrid):
-                call()
-        assert law_map.cache_info() == before
+    @pytest.mark.parametrize("rn", [RN_GBM, RN_VVE], ids=["c1=0", "c1>0"])
+    def test_tol_keyword_is_refused_before_any_solve(self, rn, monkeypatch):
+        # price_formula takes no keyword: a stale tol= is a TypeError on the
+        # quote, the swept set (c1 > 0) and the bumped set (c1 = 0), before any law solve
+        clear_law_caches()
+        calls = []
+        monkeypatch.setattr(_LawChain, "solve", lambda chain, *args, **kwargs: calls.append(args))
+        for call in (price_formula, functools.partial(greeks_bump, price_formula)):
+            with pytest.raises(TypeError, match="tol"):
+                call(rn, ATM, tol=1e-10)
+        assert calls == [] and law_map.cache_info().currsize == 0
 
     def test_invalid_bump_raises(self):
         # sigma - dsig < 0 on the bump route: the set prices the base and three bumps,
@@ -1337,7 +1328,7 @@ class TestRichardsonTable:
         t = self.TABLE
         rn = RiskNeutralParams(sigma=t["sigma"], c1=case["c1"], s0=t["s0"], r=t["r"])
         quote = price_formula(rn, OptionSpec(strike=case["strike"], maturity=case["tau"],
-                                             rate=t["r"]), tol=t["tol"])
+                                             rate=t["r"]))
         error = abs(quote.price - case["limit"])
         assert error <= 1e-6
         assert quote.diagnostics["law_error_estimate"] >= error
@@ -1347,4 +1338,4 @@ class TestRichardsonTable:
         t = self.TABLE
         rn = RiskNeutralParams(sigma=t["sigma"], c1=0.0, s0=t["s0"], r=t["r"])
         opt = OptionSpec(strike=case["strike"], maturity=case["tau"], rate=t["r"])
-        assert abs(_law_quote(rn, opt, t["tol"]).price - case["price"]) <= 1e-7
+        assert abs(_law_quote(rn, opt).price - case["price"]) <= 1e-7

@@ -194,6 +194,9 @@ COMMANDS = [
     ("error_config_malformed", ["price", "--method", "bs", "--config", "{tmp}/bad.json"]),
     # a CSV path that is a directory: a JSON error line, not a traceback
     ("error_hv_csv_directory", ["hv", "--csv", "src"]),
+    # usage errors: a flag that price no longer has, and a flag's unreadable value
+    ("error_flag_tol_removed", ["price", "--method", "formula", "--tol", "1e-10"]),
+    ("error_flag_bad_value", ["price", "--method", "bs", "--paths", "abc"]),
 ]
 
 

@@ -52,7 +52,6 @@ TAUS = (0.25, 0.5, 1.0, 2.0)
 STRIKES = (70.0, 100.0, 130.0)
 #: the two grids of the limit, (nodes below the spot, steps), coarse first
 LIMIT_GRIDS = ((1600, 800), (3200, 1600))
-TOL = 1e-10
 
 
 def limit_price(rn: RiskNeutralParams, opt: OptionSpec) -> float:
@@ -93,7 +92,7 @@ def main(argv=None) -> int:
     black_scholes = [{"tau": 1.0, "strike": k,
                       "price": price_bs(gbm, OptionSpec(k, 1.0, RATE)).price}
                      for k in (80.0, 100.0, 120.0)]
-    table = {"sigma": SIGMA, "s0": S0, "r": RATE, "tol": TOL,
+    table = {"sigma": SIGMA, "s0": S0, "r": RATE,
              "limit_grids": [list(g) for g in LIMIT_GRIDS],
              "cases": cases, "black_scholes": black_scholes}
     committed = json.loads(OUT.read_text())["cases"]
