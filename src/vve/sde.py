@@ -32,29 +32,37 @@ chunking, or thread count.
 Block engine
 ------------
 ``_map_blocks(fn, seed, n_paths, steps, dt)`` is the one place an ensemble
-draws its increments.  Each block's work (the Philox fill, then
-``fn(row slice, increments)``) runs on a thread pool of
+draws its increments.  Each block's work runs on a thread pool of
 ``k = min(usable CPUs, 2, blocks)`` workers that the call makes for itself
 (``concurrent.futures`` is imported at the first call) and whose threads it
-joins before it returns, so no thread outlives a call; ``fn``'s results
-come back in block order.  Two workers let one block's fill overlap another
-block's steps; the steps hold the GIL between their small numpy calls, so a
-third worker would mostly add a buffer.  Block functions write disjoint row
-slices of the caller's arrays or return per-block sums that the caller adds
-in block order, so no bit depends on the number of threads.
+joins before it returns, so no thread outlives a call.  A block is drawn
+and stepped in two row halves, one after the other: the Philox fill of the
+first half, ``fn(row slice, increments)``, then the same for the second
+half, from the block's one generator (a last block no taller than a half
+takes one part).  numpy's normal sampler consumes the stream row after row,
+so the two fills give the bits of one fill of the whole block.  Two workers let one block's fill overlap another block's
+steps; the steps hold the GIL between their small numpy calls, so a third
+worker would mostly add a buffer.  Block functions write disjoint row slices
+of the caller's arrays, and the convergence study sums its per-row errors
+block by block afterwards, so no bit depends on the number of threads.
 
 Memory: the calling thread allocates ``k`` increment buffers of
-``min(BLOCK_SIZE, n_paths) x steps`` once per call; block ``i`` fills buffer
-``i % k`` in place, and at most ``k`` blocks are in flight.  Workers
-allocate no block of their own, so the peak stays one buffer per block in
-flight and freed blocks do not pile up in per-thread malloc arenas.  The
-buffers are one anonymous memory mapping of their own, unmapped when the
-call drops them.  From malloc, buffers of this size came from the process
-heap once one had been freed; whether a call's freed buffers went back to
-the system or stayed a hole that smaller allocations split, so that the
-next call's buffers extended the heap, depended on what had been allocated
-above them meanwhile, and a run of ``price_mc`` calls peaked one buffer
-(16 MB at 4096 x 500) higher in some runs than in others.
+``ceil(min(BLOCK_SIZE, n_paths) / 2) x steps`` once per call; block ``i``
+fills buffer ``i % k`` in place, one half after the other, and at most ``k``
+blocks are in flight.  So a buffer holds half a block: 65 MB, not 131 MB,
+for the default convergence study's 1000 x 16384 refined increments.  A
+second half re-pays the step kernel's per-step call overhead once more,
+which its panel-level check (below) pays for; a third part would not pay.
+Workers allocate no block of their own, so the peak stays one buffer per
+block in flight and freed blocks do not pile up in per-thread malloc
+arenas.  The buffers are one anonymous memory mapping of their own,
+unmapped when the call drops them.  From malloc, buffers of this size came
+from the process heap once one had been freed; whether a call's freed
+buffers went back to the system or stayed a hole that smaller allocations
+split, so that the next call's buffers extended the heap, depended on what
+had been allocated above them meanwhile, and a run of ``price_mc`` calls
+peaked one whole-block buffer (16 MB at 4096 x 500) higher in some runs
+than in others.
 
 Step kernel
 -----------
@@ -67,13 +75,19 @@ refined reference and one per level, covering all its schemes.  A level
 reads the block's increment matrix in place, ``group`` columns a step, and
 takes their sums tile by tile as it stages the panel.
 
-Memory: each call allocates four ``(schemes, rows)`` work arrays and the
-exploded mask, a ``PANEL_WIDTH x rows`` increment panel (1 MB at 4096 rows),
-a ``TILE_ROWS x PANEL_WIDTH`` staging tile (32 kB) and, when the stack has a
+A panel's steps check for a state that left the finite range once, at the
+panel's end; only a panel that ends with one is replayed from its saved
+start with a per-step check (see ``_step_terminal``).
+
+Memory: each call allocates five ``(schemes, rows)`` work arrays (two
+states, the panel's saved start and two of scratch) and the exploded mask,
+a ``PANEL_WIDTH x rows`` increment panel (1 MB at 4096 rows), a
+``TILE_ROWS x PANEL_WIDTH`` staging tile (32 kB) and, when the stack has a
 Milstein row, a second panel for ``dB^2 - dt`` and one row of corrections.
 Every step writes into these, so a step allocates no array data unless a
-state overflows.  So the increment matrix is the only ``rows x steps`` array
-a convergence block holds: no level copies its summed increments.
+state overflows.  So the half-block increment matrix is the only
+``rows x steps`` array a convergence block holds: no level copies its
+summed increments.
 """
 
 from __future__ import annotations
@@ -170,16 +184,20 @@ def _block_generator(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[int(seed), int(block)]))
 
 
-def _fill_increments(seed: int, block: int, out: np.ndarray, dt: float) -> np.ndarray:
-    """Fill ``out`` with the increments of the first ``len(out)`` paths of one block."""
-    _block_generator(seed, block).standard_normal(out=out)
+def _fill_increments(gen: np.random.Generator, out: np.ndarray, dt: float) -> np.ndarray:
+    """Fill ``out`` with the next ``out.size`` increments of ``gen``, row by row.
+
+    Successive fills from one generator continue its stream, so filling a
+    block's rows in parts gives the bits of one fill of them all.
+    """
+    gen.standard_normal(out=out)
     out *= np.sqrt(dt)
     return out
 
 
 def _block_increments(seed: int, block: int, rows: int, steps: int, dt: float) -> np.ndarray:
     """Increment matrix for the first ``rows`` paths of one block."""
-    return _fill_increments(seed, block, np.empty((rows, steps)), dt)
+    return _fill_increments(_block_generator(seed, block), np.empty((rows, steps)), dt)
 
 
 def _mapped_buffers(k: int, rows: int, steps: int) -> np.ndarray:
@@ -199,15 +217,18 @@ def _mapped_buffers(k: int, rows: int, steps: int) -> np.ndarray:
     return np.frombuffer(region, dtype=float, count=size).reshape(k, rows, steps)
 
 
-def _map_blocks(fn, seed: int, n_paths: int, steps: int, dt: float) -> list:
-    """``fn(row slice, increments)`` for each block of ``n_paths`` paths, on a thread pool.
+def _map_blocks(fn, seed: int, n_paths: int, steps: int, dt: float) -> None:
+    """``fn(row slice, increments)`` for each half of each block of ``n_paths``
+    paths, on a thread pool.
 
-    The pool has ``k = min(usable CPUs, 2, blocks)`` workers, is made for
-    this call and its threads are joined before the call returns.  Returns
-    ``fn``'s results in block order.  The increments passed to ``fn`` live in
-    one of ``k`` buffers that the next block using it refills, so ``fn`` must
-    copy out what it keeps.  If a block raises, the at most ``k`` blocks in
-    flight are waited for and the exception propagates.
+    Each block is drawn and passed to ``fn`` in parts of at most
+    ``ceil(min(BLOCK_SIZE, n_paths) / 2)`` rows, in row order, from the one
+    generator of the block.  The pool has ``k = min(usable CPUs, 2, blocks)``
+    workers, is made for this call and its threads are joined before the call
+    returns.  The increments passed to ``fn`` live in one of ``k`` buffers that
+    the next part using it refills, so ``fn`` must copy out what it keeps.  If
+    a block raises, the at most ``k`` blocks in flight are waited for and the
+    exception propagates.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -217,23 +238,24 @@ def _map_blocks(fn, seed: int, n_paths: int, steps: int, dt: float) -> list:
         cpus = os.cpu_count() or 1
     n_blocks = -(-n_paths // BLOCK_SIZE)
     k = min(cpus, 2, n_blocks)
-    bufs = _mapped_buffers(k, min(BLOCK_SIZE, n_paths), steps)
+    part = -(-min(BLOCK_SIZE, n_paths) // 2)
+    bufs = _mapped_buffers(k, part, steps)
 
     def work(block):
-        start = block * BLOCK_SIZE
-        rows = min(BLOCK_SIZE, n_paths - start)
-        db = _fill_increments(seed, block, bufs[block % k][:rows], dt)
-        return fn(slice(start, start + rows), db)
+        gen = _block_generator(seed, block)
+        end = min(n_paths, (block + 1) * BLOCK_SIZE)
+        for start in range(block * BLOCK_SIZE, end, part):
+            db = _fill_increments(gen, bufs[block % k][:min(part, end - start)], dt)
+            fn(slice(start, start + len(db)), db)
 
-    results, in_flight = [], []
+    in_flight = []
     with ThreadPoolExecutor(max_workers=k, thread_name_prefix="vve-block") as pool:
         for block in range(n_blocks):
             if len(in_flight) == k:
-                results.append(in_flight.pop(0).result())
+                in_flight.pop(0).result()
             in_flight.append(pool.submit(work, block))
-        while in_flight:
-            results.append(in_flight.pop(0).result())
-    return results
+        for future in in_flight:
+            future.result()
 
 
 # --------------------------------------------------------------------------
@@ -260,13 +282,18 @@ def _step_terminal(params: ModelParams, dt: float, s0, db, milstein, out=None, *
     Each step runs the Euler part once over every row of the stack and adds
     the Milstein correction on the Milstein rows only; every element takes the
     same IEEE operations, in the same order, as a scheme stepped alone.  Every
-    ufunc writes into work arrays allocated once per call.  Increments are
-    read through a panel that holds ``db[:, k0:k0 + PANEL_WIDTH].T`` in
-    contiguous rows, copied row tile by row tile, so a step reads a
-    contiguous row instead of a strided column; ``dB^2 - dt`` is computed
-    once per panel.  After the truncation at zero every entry is >= 0, inf
-    or NaN, so one max-reduction per step finds a step with a non-finite
-    entry; only such a step runs the per-element guard, which keeps each
+    ufunc writes into work arrays allocated once per call, through row views
+    also made once per call.  Increments are read through a panel that holds
+    ``db[:, k0:k0 + PANEL_WIDTH].T`` in contiguous rows, copied row tile by
+    row tile, so a step reads a contiguous row instead of a strided column;
+    ``dB^2 - dt`` is computed once per panel.
+
+    After the truncation at zero every entry is >= 0, inf or NaN, and an inf
+    or NaN state stays inf or NaN through every later step, so one
+    max-reduction of the states at a panel's end finds a panel in which some
+    step left the finite range.  Only such a panel is replayed, from its
+    saved start, with a max-reduction per step; a step that finds a
+    non-finite entry runs the per-element guard, which keeps each
     overflowing state at its value before the step and flags it exploded.
     The next step starts from that value.
     """
@@ -275,8 +302,9 @@ def _step_terminal(params: ModelParams, dt: float, s0, db, milstein, out=None, *
         params.mu, params.sigma, params.c1, 2.0 * params.c1, dt, 0.5, 0.0))
     rows, steps = len(db), db.shape[1] // group
     shape = (len(milstein), rows)
-    s, s_new, b, work = (np.empty(shape) for _ in range(4))
-    s[...] = s0
+    states = np.empty((2,) + shape)
+    states[0] = s0
+    b, work, start = (np.empty(shape) for _ in range(3))
     exploded = np.zeros(shape, dtype=bool)
     m_rows = [i for i, flag in enumerate(milstein) if flag]
     panel = np.empty((min(PANEL_WIDTH, steps), rows))
@@ -284,6 +312,14 @@ def _step_terminal(params: ModelParams, dt: float, s0, db, milstein, out=None, *
     if m_rows:
         corr = np.empty(rows)
         sq = np.empty_like(panel)
+    # views made once: the two state arrays swap roles each step (current, next),
+    # and each role reads its own Milstein rows
+    roles = [(states[p], states[1 - p],
+              [(states[p, i], states[1 - p, i], b[i], work[i]) for i in m_rows])
+             for p in (0, 1)]
+    panel_rows = list(panel)
+    sq_rows = list(sq) if m_rows else []
+    p = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, steps, PANEL_WIDTH):
             width = min(PANEL_WIDTH, steps - k0)
@@ -298,31 +334,37 @@ def _step_terminal(params: ModelParams, dt: float, s0, db, milstein, out=None, *
             if m_rows:
                 np.square(panel[:width], out=sq[:width])
                 np.subtract(sq[:width], dt, out=sq[:width])
-            for j in range(width):
-                np.multiply(s, c1, out=b)
-                np.add(b, sigma, out=b)
-                np.multiply(b, s, out=b)                     # b = s (sigma + c1 s)
-                np.multiply(s, mu, out=s_new)
-                np.multiply(s_new, dt, out=s_new)
-                np.add(s, s_new, out=s_new)
-                np.multiply(b, panel[j], out=work)
-                np.add(s_new, work, out=s_new)               # s + mu s dt + b dB
-                for i in m_rows:
-                    np.multiply(s[i], two_c1, out=work[i])
-                    np.add(work[i], sigma, out=work[i])
-                    np.multiply(b[i], half, out=corr)
-                    np.multiply(corr, work[i], out=corr)
-                    np.multiply(corr, sq[j], out=corr)
-                    np.add(s_new[i], corr, out=s_new[i])     # + 0.5 b b' (dB^2 - dt)
-                np.maximum(s_new, zero, out=s_new)
-                if not math.isfinite(np.maximum.reduce(s_new, axis=None)):
-                    bad = ~np.isfinite(s_new)
-                    s_new[bad] = s[bad]
-                    exploded |= bad
-                s, s_new = s_new, s
-                if out is not None:
-                    out[..., k0 + j + 1] = s
-    return s, exploded
+            np.copyto(start, roles[p][0])
+            for guard in (False, True):
+                for j in range(width):
+                    s, s_new, m_views = roles[p]
+                    np.multiply(s, c1, out=b)
+                    np.add(b, sigma, out=b)
+                    np.multiply(b, s, out=b)                     # b = s (sigma + c1 s)
+                    np.multiply(s, mu, out=s_new)
+                    np.multiply(s_new, dt, out=s_new)
+                    np.add(s, s_new, out=s_new)
+                    np.multiply(b, panel_rows[j], out=work)
+                    np.add(s_new, work, out=s_new)               # s + mu s dt + b dB
+                    for s_i, new_i, b_i, work_i in m_views:
+                        np.multiply(s_i, two_c1, out=work_i)
+                        np.add(work_i, sigma, out=work_i)
+                        np.multiply(b_i, half, out=corr)
+                        np.multiply(corr, work_i, out=corr)
+                        np.multiply(corr, sq_rows[j], out=corr)
+                        np.add(new_i, corr, out=new_i)           # + 0.5 b b' (dB^2 - dt)
+                    np.maximum(s_new, zero, out=s_new)
+                    if guard and not math.isfinite(np.maximum.reduce(s_new, axis=None)):
+                        bad = ~np.isfinite(s_new)
+                        s_new[bad] = s[bad]
+                        exploded |= bad
+                    p = 1 - p
+                    if out is not None:
+                        out[..., k0 + j + 1] = s_new
+                if guard or math.isfinite(np.maximum.reduce(roles[p][0], axis=None)):
+                    break
+                np.copyto(roles[p][0], start)  # replay the panel with the guard
+    return roles[p][0], exploded
 
 
 def _check_n_paths(n_paths: int) -> None:
@@ -499,10 +541,14 @@ def _strong_convergence(params: ModelParams, horizon: float, dt_levels, n_paths:
     """``strong_convergence`` for each of ``schemes``, stepped from one fill.
 
     Each report has the same errors as a ``strong_convergence`` call of its
-    scheme alone.  Each level steps the block's increment matrix in place,
-    with ``group = gen_steps // n``: its coarse increments are summed row tile
-    by row tile as the kernel stages them, so that matrix is the only
-    ``rows x steps`` array a block holds.
+    scheme alone.  Each level steps the half block's increment matrix in
+    place, with ``group = gen_steps // n``: its coarse increments are summed
+    row tile by row tile as the kernel stages them, so that matrix is the
+    only ``rows x steps`` array a half block holds.  Each row's
+    ``|terminal - reference|`` goes to a ``(schemes, levels, n_paths)`` array
+    (96 B a path for two schemes at six levels, 96 KB at the defaults), and
+    each block's rows are summed from it in block order: the pairwise sum
+    over a block's rows that a whole block would take.
     """
     if not schemes:
         raise InvalidGrid("no scheme given")
@@ -521,23 +567,24 @@ def _strong_convergence(params: ModelParams, horizon: float, dt_levels, n_paths:
     gen_dt = horizon / gen_steps
     milstein = [name == "milstein" for name in schemes]
 
-    def block(_, db):
-        """Per-scheme, per-level sums of |level terminal - reference| over the block."""
+    row_errors = np.empty((len(schemes), len(level_steps), n_paths))
+
+    def block(rows, db):
+        """|level terminal - reference| of each row, per scheme and level."""
         if reference == "exact":
             with np.errstate(over="ignore", invalid="ignore"):  # raised below as OutOfRange
                 ref = exact_values(params, horizon, db.sum(axis=1))[0]
         else:
             ref = _step_terminal(params, gen_dt, params.s0, db, milstein)[0]
-        sums = np.empty((len(schemes), len(level_steps)))
         for i, n in enumerate(level_steps):
             term = _step_terminal(params, horizon / n, params.s0, db, milstein,
                                   group=gen_steps // n)[0]
-            sums[:, i] = np.abs(term - ref).sum(axis=1)
-        return sums
+            row_errors[:, i, rows] = np.abs(term - ref)
 
+    _map_blocks(block, seed, n_paths, gen_steps, gen_dt)
     errors = np.zeros((len(schemes), len(level_steps)))
-    for sums in _map_blocks(block, seed, n_paths, gen_steps, gen_dt):
-        errors += sums
+    for start in range(0, n_paths, BLOCK_SIZE):  # block by block, as the rows were drawn
+        errors += row_errors[..., start:start + BLOCK_SIZE].sum(axis=-1)
     errors /= n_paths
     if not np.isfinite(errors).all():
         raise OutOfRange(f"strong errors are not finite: the paths or the {reference} "

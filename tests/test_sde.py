@@ -16,6 +16,7 @@ import pytest
 from oracles import closed_form_mp, step_terminal_reference
 from vve.errors import InvalidGrid, SigmaZeroUnsupported
 from vve.model import ModelParams
+import vve.sde as sde
 from vve.sde import (
     BLOCK_SIZE,
     TILE_ROWS,
@@ -378,27 +379,32 @@ class TestBlockEngine:
     N = 2 * BLOCK_SIZE + 3  # three blocks, the last one partial
     GRID = TimeGrid(1.0, 16)
     LEVELS = [0.25, 0.125, 0.0625]
+    # a block drawn in halves of 501 and 500 rows; a full block in halves, then a
+    # 1-row block; three blocks, the last one partial
+    PATH_COUNTS = [1001, BLOCK_SIZE + 1, N]
 
-    def serial_blocks(self, seed, steps, dt):
-        for b, start in enumerate(range(0, self.N, BLOCK_SIZE)):
-            rows = min(BLOCK_SIZE, self.N - start)
+    def serial_blocks(self, seed, steps, dt, n=N):
+        for b, start in enumerate(range(0, n, BLOCK_SIZE)):
+            rows = min(BLOCK_SIZE, n - start)
             yield slice(start, start + rows), _block_increments(seed, b, rows, steps, dt)
 
-    def test_euler_terminal_matches_serial_oracle(self):
-        terminal, fraction = euler_terminal(VVE, 1.0, 16, self.N, seed=3)
-        expected = np.empty(self.N)
-        for rows, db in self.serial_blocks(3, 16, self.GRID.dt):
+    @pytest.mark.parametrize("n", PATH_COUNTS)
+    def test_euler_terminal_matches_serial_oracle(self, n):
+        terminal, fraction = euler_terminal(VVE, 1.0, 16, n, seed=3)
+        expected = np.empty(n)
+        for rows, db in self.serial_blocks(3, 16, self.GRID.dt, n):
             expected[rows] = step_terminal_reference(VVE, self.GRID.dt, VVE.s0, db, False)[0]
         assert np.array_equal(terminal, expected)
         assert fraction == 0.0
 
+    @pytest.mark.parametrize("n", PATH_COUNTS)
     @pytest.mark.parametrize("simulate,milstein", [(simulate_euler, False),
                                                    (simulate_milstein, True)])
-    def test_stepped_ensembles_match_serial_oracle(self, simulate, milstein):
-        ens = simulate(VVE, self.GRID, self.N, seed=4)
-        expected = np.empty((self.N, self.GRID.steps + 1))
+    def test_stepped_ensembles_match_serial_oracle(self, simulate, milstein, n):
+        ens = simulate(VVE, self.GRID, n, seed=4)
+        expected = np.empty((n, self.GRID.steps + 1))
         expected[:, 0] = VVE.s0
-        for rows, db in self.serial_blocks(4, self.GRID.steps, self.GRID.dt):
+        for rows, db in self.serial_blocks(4, self.GRID.steps, self.GRID.dt, n):
             step_terminal_reference(VVE, self.GRID.dt, VVE.s0, db, milstein,
                                     out=expected[rows])
         assert np.array_equal(ens.paths, expected)
@@ -416,18 +422,19 @@ class TestBlockEngine:
         assert np.array_equal(ens.exploded, np.concatenate(exploded))
         assert ens.exploded.any()
 
+    @pytest.mark.parametrize("n_paths", PATH_COUNTS)
     @pytest.mark.parametrize("params,reference", [(GBM, "exact"), (VVE, "refined")])
-    def test_strong_convergence_matches_serial_oracle(self, params, reference):
+    def test_strong_convergence_matches_serial_oracle(self, params, reference, n_paths):
         steps = [4, 8, 16]
         gen_steps = 16 * (8 if reference == "refined" else 1)
-        reports = _strong_convergence(params, 1.0, self.LEVELS, self.N, 6,
+        reports = _strong_convergence(params, 1.0, self.LEVELS, n_paths, 6,
                                       ["euler", "milstein"], reference)
         assert [r.scheme for r in reports] == ["euler", "milstein"]
         for report in reports:
             assert report.reference == reference
             milstein = report.scheme == "milstein"
             errors = np.zeros(len(steps))
-            for _, db in self.serial_blocks(6, gen_steps, 1.0 / gen_steps):
+            for _, db in self.serial_blocks(6, gen_steps, 1.0 / gen_steps, n_paths):
                 if reference == "exact":
                     ref = exact_values(params, 1.0, db.sum(axis=1))[0]
                 else:
@@ -438,9 +445,9 @@ class TestBlockEngine:
                     term = step_terminal_reference(params, 1.0 / n, params.s0, db_level,
                                                    milstein)[0]
                     errors[i] += np.abs(term - ref).sum()
-            errors /= self.N
+            errors /= n_paths
             assert np.array_equal(report.strong_errors, errors)
-            single = strong_convergence(params, 1.0, self.LEVELS, self.N, seed=6,
+            single = strong_convergence(params, 1.0, self.LEVELS, n_paths, seed=6,
                                         scheme=report.scheme, reference=reference)
             assert np.array_equal(single.strong_errors, errors)
             assert single.fitted_slope == report.fitted_slope
@@ -482,7 +489,7 @@ class TestBlockEngine:
     def test_increments_live_in_a_mapping_the_call_releases(self):
         # from malloc, freed buffers this size stayed in the heap, where what was
         # allocated above them decided whether the next call's buffers fit
-        mappings = []
+        mappings, seen = [], {}
 
         def record(rows, db):
             view = db
@@ -490,13 +497,42 @@ class TestBlockEngine:
                 view = view.base
             assert isinstance(view.obj, mmap.mmap)  # a memoryview of the mapping
             mappings.append(weakref.ref(view.obj))
-            return db[:, -1].copy()
+            assert len(db) == rows.stop - rows.start
+            seen[rows.start] = db.copy()
 
-        last = _map_blocks(record, 13, self.N, 16, self.GRID.dt)
-        assert len(mappings) == len(last) == 3
+        assert _map_blocks(record, 13, self.N, 16, self.GRID.dt) is None
+        assert len(mappings) == 5  # two halves of each full block, then 3 rows
         assert all(ref() is None for ref in mappings)
-        for (_, db), got in zip(self.serial_blocks(13, 16, self.GRID.dt), last):
-            assert np.array_equal(got, db[:, -1])
+        got = np.concatenate([seen[start] for start in sorted(seen)])
+        expected = np.concatenate([db for _, db in self.serial_blocks(13, 16, self.GRID.dt)])
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("run,buffers,rows", [
+        # the default convergence study: 1000 paths, refined 8 x beyond 2048 steps
+        (lambda: _strong_convergence(VVE, 1.0, [1.0 / 2 ** e for e in range(6, 12)], 1000,
+                                     16, ["euler", "milstein"], "refined"),
+         (1, 500, 16384), 500),
+        (lambda: euler_terminal(VVE, 1.0, 500, 4 * BLOCK_SIZE, 16),
+         (2, BLOCK_SIZE // 2, 500), BLOCK_SIZE // 2),
+    ], ids=["convergence", "euler_terminal"])
+    def test_blocks_are_drawn_and_stepped_in_halves(self, monkeypatch, run, buffers, rows):
+        asked, stepped = [], []
+        mapped_buffers, step_terminal = sde._mapped_buffers, sde._step_terminal
+
+        def record_buffers(*args):
+            asked.append(args)
+            return mapped_buffers(*args)
+
+        def record_steps(params, dt, s0, db, *args, **kwargs):
+            stepped.append(len(db))
+            return step_terminal(params, dt, s0, db, *args, **kwargs)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(sde, "_mapped_buffers", record_buffers)
+        monkeypatch.setattr(sde, "_step_terminal", record_steps)
+        run()
+        assert asked == [buffers]
+        assert max(stepped) == rows
 
     @pytest.mark.parametrize("params,reference", [(GBM, "exact"), (VVE, "refined")])
     def test_strong_convergence_steps_levels_without_a_copy(self, params, reference):
@@ -607,3 +643,19 @@ class TestStepKernel:
     @pytest.mark.parametrize("milstein", STACKS)
     def test_grouped_rows_that_overflow_in_one_scheme_only(self, milstein):
         self.check_overflow(milstein, 2)
+
+    @pytest.mark.parametrize("milstein", STACKS)
+    @pytest.mark.parametrize("group", [1, 3])
+    @pytest.mark.parametrize("at", [0, 31, 32, 69])  # panel edges; 69 ends a partial panel
+    def test_panel_with_an_overflow_is_replayed(self, milstein, group, at):
+        # at dt = 0 a zero increment holds every state, so the first state to leave
+        # the finite range does so at step ``at``: there dB = 1e305 sends b dB over
+        # in both schemes, while dB = -1e153 truncates Euler to 0 and sends
+        # Milstein's b b' dB^2 over
+        p = ModelParams(mu=0.0, sigma=0.1, c1=1.0, s0=100.0)
+        db = np.zeros((3, 70 * group))
+        db[:2, at * group] = [1e305, -1e153]
+        exploded = self.check(p, 0.0, p.s0, db, milstein, group)
+        euler, mil = milstein.index(False), milstein.index(True)
+        assert exploded[euler].tolist() == [True, False, False]
+        assert exploded[mil].tolist() == [True, True, False]

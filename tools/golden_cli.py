@@ -64,6 +64,11 @@ COMMANDS = [
                                  "--levels", "8,16,32"]),
     ("simulate_exact_multi_block", ["simulate", "--scheme", "exact", "--c1", "5e-4",
                                     "--paths", "8195", "--steps", "16"]),
+    # a block is drawn and stepped in two row halves: 501 and 500 rows, and a full
+    # block's two halves followed by a 1-row block
+    ("simulate_odd_halves", ["simulate", "--c1", "5e-4", "--paths", "1001", "--steps", "33"]),
+    ("convergence_block_plus_one", ["convergence", "--c1", "5e-4", "--paths", "4097",
+                                    "--levels", "8,16,32"]),
     # the step kernel's scheme stacks: either order, one scheme, and Euler rows that
     # overflow and are guarded (c1 = 0.2 at 16 and 32 steps); 33 steps cross a panel seam
     ("convergence_milstein_euler", ["convergence", "--c1", "5e-4", "--scheme", "milstein,euler"]),
