@@ -31,32 +31,50 @@ chunking, or thread count.
 
 Block engine
 ------------
-``_map_blocks(fn, seed, n_paths, steps, dt)`` is the one place an ensemble
-draws its increments.  Each block's work runs on a thread pool of
-``k = min(usable CPUs, 2, blocks)`` workers that the call makes for itself
-(``concurrent.futures`` is imported at the first call) and whose threads it
-joins before it returns, so no thread outlives a call.  A block is drawn
-and stepped in two row halves, one after the other: the Philox fill of the
-first half, ``fn(row slice, increments)``, then the same for the second
-half, from the block's one generator (a last block no taller than a half
-takes one part).  numpy's normal sampler consumes the stream row after row,
-so the two fills give the bits of one fill of the whole block.  Two workers let one block's fill overlap another block's
-steps; the steps hold the GIL between their small numpy calls, so a third
-worker would mostly add a buffer.  Block functions write disjoint row slices
-of the caller's arrays, and the convergence study sums its per-row errors
-block by block afterwards, so no bit depends on the number of threads.
+``_run_blocks(work, n_paths, rows, cols)`` runs ``work(block, buffer)`` for
+each block on a thread pool of ``k = min(usable CPUs, 2, blocks)`` workers
+that the call makes for itself (``concurrent.futures`` is imported at the
+first call) and whose threads it joins before it returns, so no thread
+outlives a call.  Its callers draw a block in one of two orders, each the
+cheaper one for its caller:
 
-Memory: the calling thread allocates ``k`` increment buffers of
-``ceil(min(BLOCK_SIZE, n_paths) / 2) x steps`` once per call; block ``i``
-fills buffer ``i % k`` in place, one half after the other, and at most ``k``
-blocks are in flight.  So a buffer holds half a block: 65 MB, not 131 MB,
-for the default convergence study's 1000 x 16384 refined increments.  A
-second half re-pays the step kernel's per-step call overhead once more,
-which its panel-level check (below) pays for; a third part would not pay.
-Workers allocate no block of their own, so the peak stays one buffer per
-block in flight and freed blocks do not pile up in per-thread malloc
-arenas.  The buffers are one anonymous memory mapping of their own,
-unmapped when the call drops them.  From malloc, buffers of this size came
+* ``_map_blocks(fn, seed, n_paths, steps, dt)``, for ``_simulate`` and
+  ``euler_terminal``, draws and steps a block in two row halves, one after
+  the other: the Philox fill of the first half, ``fn(row slice,
+  increments)``, then the same for the second half, from the block's one
+  generator (a last block no taller than a half takes one part).  numpy's
+  normal sampler consumes the stream row after row, so the two fills give
+  the bits of one fill of the whole block.
+* ``_strong_convergence`` steps a block in column windows that cover all
+  its rows, drawn in two passes over the block's one generator.  The first
+  walks the rows, filling each row's first window and saving where the
+  row's stream then stands in a generator of the row's own; the second
+  refills each later window from those.  Philox is counter based, so a
+  saved state resumes its stream bit for bit.  Each kernel call then steps
+  all of a block's rows, not half of them, which wins back most of the
+  second fill on the long refined grid.  On a Monte Carlo grid the fill is
+  about two thirds of the thread time (16384 paths x 500 steps), so the
+  halves, which fill each increment once, are the cheaper order there.
+
+Two workers let one block's fill overlap another block's steps; the steps
+hold the GIL between their small numpy calls, so a third worker would
+mostly add a buffer.  Block functions write disjoint row slices of the
+caller's arrays, and the convergence study sums its per-row errors block by
+block afterwards, so no bit depends on the number of threads.
+
+Memory: the calling thread allocates ``k`` increment buffers once per call;
+block ``i`` fills buffer ``i % k`` in place, and at most ``k`` blocks are in
+flight.  A half-block buffer holds ``ceil(min(BLOCK_SIZE, n_paths) / 2) x
+steps`` increments (8 MB at 2048 x 500).  A window buffer holds
+``min(BLOCK_SIZE, n_paths) x W``, where the window width W keeps it within
+``_WINDOW_BUDGET`` (2^20 increments, 8 MiB) unless one whole step of every
+level is wider (see ``_strong_convergence``), so it does not grow with the
+length of the refined grid: 8 MB for the default convergence study's 1000 x
+16384 refined increments, where a half block held 65 MB.  Each row's saved
+generator adds ~0.6 kB.  Workers allocate no block of their own, so the
+peak stays one buffer per block in flight and freed blocks do not pile up
+in per-thread malloc arenas.  The buffers are one anonymous memory mapping
+of their own, unmapped when the call drops them.  From malloc, buffers of this size came
 from the process heap once one had been freed; whether a call's freed
 buffers went back to the system or stayed a hole that smaller allocations
 split, so that the next call's buffers extended the heap, depended on what
@@ -70,10 +88,11 @@ Step kernel
 schemes over one increment matrix: states of shape ``(schemes, rows)``, the
 Euler part once per step over the whole stack, the Milstein correction on
 the Milstein rows only.  ``euler_terminal`` and ``_simulate`` pass a
-one-scheme stack; ``_strong_convergence`` makes one call for the
-refined reference and one per level, covering all its schemes.  A level
-reads the block's increment matrix in place, ``group`` columns a step, and
-takes their sums tile by tile as it stages the panel.
+one-scheme stack; ``_strong_convergence`` makes one call per window for
+the refined reference and one per window and level, covering all its
+schemes, and each call starts from the states the last one returned.  A
+level reads the window in place, ``group`` columns a step, and takes their
+sums tile by tile as it stages the panel.
 
 A panel's steps check for a state that left the finite range once, at the
 panel's end; only a panel that ends with one is replayed from its saved
@@ -85,9 +104,8 @@ a ``PANEL_WIDTH x rows`` increment panel (1 MB at 4096 rows), a
 ``TILE_ROWS x PANEL_WIDTH`` staging tile (32 kB) and, when the stack has a
 Milstein row, a second panel for ``dB^2 - dt`` and one row of corrections.
 Every step writes into these, so a step allocates no array data unless a
-state overflows.  So the half-block increment matrix is the only
-``rows x steps`` array a convergence block holds: no level copies its
-summed increments.
+state overflows.  So the window is the only ``rows x steps`` array a
+convergence block holds: no level copies its summed increments.
 """
 
 from __future__ import annotations
@@ -118,6 +136,11 @@ DEN_TOL_FACTOR = 1e-10
 
 #: how much finer than the finest level the ``"refined"`` convergence reference steps
 REFINE_FACTOR = 8
+
+#: increments a convergence block's column window holds at most, unless one
+#: window must be wider to hold a whole step of every level: 8 MiB, about one
+#: half-block part of a 4096-path Monte Carlo block at 500 steps
+_WINDOW_BUDGET = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -217,18 +240,14 @@ def _mapped_buffers(k: int, rows: int, steps: int) -> np.ndarray:
     return np.frombuffer(region, dtype=float, count=size).reshape(k, rows, steps)
 
 
-def _map_blocks(fn, seed: int, n_paths: int, steps: int, dt: float) -> None:
-    """``fn(row slice, increments)`` for each half of each block of ``n_paths``
-    paths, on a thread pool.
+def _run_blocks(work, n_paths: int, rows: int, cols: int) -> None:
+    """``work(block, buffer)`` for each block of ``n_paths`` paths, on a thread pool.
 
-    Each block is drawn and passed to ``fn`` in parts of at most
-    ``ceil(min(BLOCK_SIZE, n_paths) / 2)`` rows, in row order, from the one
-    generator of the block.  The pool has ``k = min(usable CPUs, 2, blocks)``
-    workers, is made for this call and its threads are joined before the call
-    returns.  The increments passed to ``fn`` live in one of ``k`` buffers that
-    the next part using it refills, so ``fn`` must copy out what it keeps.  If
-    a block raises, the at most ``k`` blocks in flight are waited for and the
-    exception propagates.
+    The pool has ``k = min(usable CPUs, 2, blocks)`` workers, is made for this
+    call and its threads are joined before the call returns.  Block ``i`` gets
+    buffer ``i % k`` of ``k`` buffers of ``rows x cols``, and at most ``k``
+    blocks are in flight, so no two of them share a buffer.  If a block
+    raises, the blocks in flight are waited for and the exception propagates.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -238,24 +257,36 @@ def _map_blocks(fn, seed: int, n_paths: int, steps: int, dt: float) -> None:
         cpus = os.cpu_count() or 1
     n_blocks = -(-n_paths // BLOCK_SIZE)
     k = min(cpus, 2, n_blocks)
-    part = -(-min(BLOCK_SIZE, n_paths) // 2)
-    bufs = _mapped_buffers(k, part, steps)
-
-    def work(block):
-        gen = _block_generator(seed, block)
-        end = min(n_paths, (block + 1) * BLOCK_SIZE)
-        for start in range(block * BLOCK_SIZE, end, part):
-            db = _fill_increments(gen, bufs[block % k][:min(part, end - start)], dt)
-            fn(slice(start, start + len(db)), db)
-
+    bufs = _mapped_buffers(k, rows, cols)
     in_flight = []
     with ThreadPoolExecutor(max_workers=k, thread_name_prefix="vve-block") as pool:
         for block in range(n_blocks):
             if len(in_flight) == k:
                 in_flight.pop(0).result()
-            in_flight.append(pool.submit(work, block))
+            in_flight.append(pool.submit(work, block, bufs[block % k]))
         for future in in_flight:
             future.result()
+
+
+def _map_blocks(fn, seed: int, n_paths: int, steps: int, dt: float) -> None:
+    """``fn(row slice, increments)`` for each half of each block of ``n_paths``
+    paths, on ``_run_blocks``' thread pool.
+
+    Each block is drawn and passed to ``fn`` in parts of at most
+    ``ceil(min(BLOCK_SIZE, n_paths) / 2)`` rows, in row order, from the one
+    generator of the block.  The increments passed to ``fn`` live in a buffer
+    that the next part using it refills, so ``fn`` must copy out what it keeps.
+    """
+    part = -(-min(BLOCK_SIZE, n_paths) // 2)
+
+    def work(block, buf):
+        gen = _block_generator(seed, block)
+        end = min(n_paths, (block + 1) * BLOCK_SIZE)
+        for start in range(block * BLOCK_SIZE, end, part):
+            db = _fill_increments(gen, buf[:min(part, end - start)], dt)
+            fn(slice(start, start + len(db)), db)
+
+    _run_blocks(work, n_paths, part, steps)
 
 
 # --------------------------------------------------------------------------
@@ -496,7 +527,9 @@ def simulate_exact(params: ModelParams, grid: TimeGrid, n_paths: int, seed: int)
 # --------------------------------------------------------------------------
 
 def _validate_dt_levels(horizon: float, dt_levels) -> list[int]:
-    """Check dyadic refinement structure; return steps per level, coarse to fine."""
+    """Check that each level's step count divides the finest level's, so that
+    every level steps sums of the finest increments; return steps per level,
+    coarse to fine."""
     TimeGrid(horizon, 1)  # checks the horizon
     dts = np.asarray(dt_levels, dtype=float)
     if len(dts) < 2 or np.any(np.diff(dts) >= 0):
@@ -510,7 +543,8 @@ def _validate_dt_levels(horizon: float, dt_levels) -> list[int]:
     finest = steps[-1]
     for n in steps:
         if finest % n != 0:
-            raise InvalidGrid("dt_levels must be dyadic refinements of a common grid")
+            raise InvalidGrid(f"each level's step count must divide the finest level's: "
+                              f"{n} does not divide {finest}")
     return steps
 
 
@@ -538,13 +572,28 @@ def strong_convergence(params: ModelParams, horizon: float, dt_levels, n_paths: 
 def _strong_convergence(params: ModelParams, horizon: float, dt_levels, n_paths: int,
                         seed: int, schemes: list[str],
                         reference: str) -> list[ConvergenceReport]:
-    """``strong_convergence`` for each of ``schemes``, stepped from one fill.
+    """``strong_convergence`` for each of ``schemes``, stepped from one draw.
 
     Each report has the same errors as a ``strong_convergence`` call of its
-    scheme alone.  Each level steps the half block's increment matrix in
-    place, with ``group = gen_steps // n``: its coarse increments are summed
-    row tile by row tile as the kernel stages them, so that matrix is the
-    only ``rows x steps`` array a half block holds.  Each row's
+    scheme alone.  A block of R rows and G = ``gen_steps`` increments a row
+    is drawn and stepped in column windows of width W that cover all R
+    rows.  W is G when R x G is at most ``_WINDOW_BUDGET`` (2^20
+    increments, 8 MiB).  Otherwise W is the largest multiple of L, the least
+    common multiple of the level groups ``G // n``, with R x W within that
+    budget, and at least L; G is a multiple of L, so every window, the last
+    and shorter one included, holds whole steps of every level.
+
+    Pass 1 walks the rows in order through the block's generator: it fills
+    a row's first window, saves the generator's state into a generator of
+    the row's own, and draws the rest of the row into a one-row scratch,
+    whose scaled sum is the exact reference's B_T.  Pass 2 refills each
+    later window from the rows' own generators, so the windows join to the
+    block's increment matrix bit for bit.  The refined reference and each
+    level carry their ``(schemes, R)`` states from window to window through
+    ``_step_terminal``'s ``s0``.  A level reads the window in place, with
+    ``group = G // n``: its coarse increments are summed row tile by row
+    tile as the kernel stages them, so the window is the only
+    ``rows x steps`` array a block holds.  Each row's
     ``|terminal - reference|`` goes to a ``(schemes, levels, n_paths)`` array
     (96 B a path for two schemes at six levels, 96 KB at the defaults), and
     each block's rows are summed from it in block order: the pairwise sum
@@ -563,25 +612,56 @@ def _strong_convergence(params: ModelParams, horizon: float, dt_levels, n_paths:
     _check_n_paths(n_paths)
     level_steps = _validate_dt_levels(horizon, dt_levels)
     finest = level_steps[-1]
-    gen_steps = finest * REFINE_FACTOR if reference == "refined" else finest
+    exact = reference == "exact"
+    gen_steps = finest if exact else finest * REFINE_FACTOR
     gen_dt = horizon / gen_steps
+    scale = np.sqrt(gen_dt)  # as _fill_increments scales
     milstein = [name == "milstein" for name in schemes]
-
+    rows = min(BLOCK_SIZE, n_paths)
+    unit = math.lcm(*(gen_steps // n for n in level_steps))  # a whole step of every level
+    width = (gen_steps if rows * gen_steps <= _WINDOW_BUDGET
+             else max(unit, _WINDOW_BUDGET // rows // unit * unit))
     row_errors = np.empty((len(schemes), len(level_steps), n_paths))
 
-    def block(rows, db):
-        """|level terminal - reference| of each row, per scheme and level."""
-        if reference == "exact":
+    def block(b, buf):
+        """|level terminal - reference| of each row of block ``b``, per scheme and level."""
+        start = b * BLOCK_SIZE
+        db = buf[:min(BLOCK_SIZE, n_paths - start)]
+        gen = _block_generator(seed, b)
+        row, row_gens, b_t = np.empty(gen_steps), [], np.empty(len(db))
+        for r in range(len(db)):  # pass 1: each row's first window, and where its stream stands
+            gen.standard_normal(out=row[:width])
+            if width < gen_steps:
+                row_gens.append(_block_generator(seed, b))
+                row_gens[-1].bit_generator.state = gen.bit_generator.state
+                gen.standard_normal(out=row[width:])
+            db[r] = row[:width]
+            if exact:  # B_T: the sum of the scaled row
+                row *= scale
+                b_t[r] = row.sum()
+        db *= scale
+        del row  # only the window buffer holds increments while the kernel steps
+        if exact:
             with np.errstate(over="ignore", invalid="ignore"):  # raised below as OutOfRange
-                ref = exact_values(params, horizon, db.sum(axis=1))[0]
+                ref = exact_values(params, horizon, b_t)[0]
         else:
-            ref = _step_terminal(params, gen_dt, params.s0, db, milstein)[0]
-        for i, n in enumerate(level_steps):
-            term = _step_terminal(params, horizon / n, params.s0, db, milstein,
-                                  group=gen_steps // n)[0]
-            row_errors[:, i, rows] = np.abs(term - ref)
+            ref = params.s0
+        terms = [params.s0] * len(level_steps)
+        for w0 in range(0, gen_steps, width):  # states carry from window to window
+            window = db[:, :min(width, gen_steps - w0)]
+            if w0:  # pass 2: each row's stream fills the row's next window
+                for row_gen, increments in zip(row_gens, window):
+                    row_gen.standard_normal(out=increments)
+                window *= scale
+            if not exact:
+                ref = _step_terminal(params, gen_dt, ref, window, milstein)[0]
+            for i, n in enumerate(level_steps):
+                terms[i] = _step_terminal(params, horizon / n, terms[i], window, milstein,
+                                          group=gen_steps // n)[0]
+        for i, term in enumerate(terms):
+            row_errors[:, i, start:start + len(db)] = np.abs(term - ref)
 
-    _map_blocks(block, seed, n_paths, gen_steps, gen_dt)
+    _run_blocks(block, n_paths, rows, width)
     errors = np.zeros((len(schemes), len(level_steps)))
     for start in range(0, n_paths, BLOCK_SIZE):  # block by block, as the rows were drawn
         errors += row_errors[..., start:start + BLOCK_SIZE].sum(axis=-1)

@@ -353,9 +353,11 @@ class TestStrongConvergence:
         with pytest.raises(InvalidGrid):
             strong_convergence(GBM, 1.0, [0.125, 0.25], 16, seed=0)  # increasing
         with pytest.raises(InvalidGrid):
-            strong_convergence(GBM, 1.0, [0.5, 0.3], 16, seed=0)  # non-divisor
-        with pytest.raises(InvalidGrid):
-            strong_convergence(GBM, 1.0, [0.5, 0.25, 0.1], 16, seed=0)  # non-dyadic
+            strong_convergence(GBM, 1.0, [0.5, 0.3], 16, seed=0)  # 0.3 does not divide 1.0
+        with pytest.raises(InvalidGrid, match="4 does not divide 10"):
+            strong_convergence(GBM, 1.0, [0.5, 0.25, 0.1], 16, seed=0)  # 2, 4 and 10 steps
+        # divisors of the finest level's step count need not be dyadic: 2, 6 and 12 steps
+        strong_convergence(GBM, 1.0, [1 / 2, 1 / 6, 1 / 12], 16, seed=0)
         with pytest.raises(InvalidGrid):
             strong_convergence(GBM, 1.0, [0.5], 16, seed=0)  # single level
         for horizon in (math.nan, math.inf):
@@ -422,12 +424,20 @@ class TestBlockEngine:
         assert np.array_equal(ens.exploded, np.concatenate(exploded))
         assert ens.exploded.any()
 
-    @pytest.mark.parametrize("n_paths", PATH_COUNTS)
-    @pytest.mark.parametrize("params,reference", [(GBM, "exact"), (VVE, "refined")])
-    def test_strong_convergence_matches_serial_oracle(self, params, reference, n_paths):
-        steps = [4, 8, 16]
-        gen_steps = 16 * (8 if reference == "refined" else 1)
-        reports = _strong_convergence(params, 1.0, self.LEVELS, n_paths, 6,
+    @pytest.mark.parametrize("params,reference,n_paths,steps", [
+        *(pytest.param(params, reference, n, [4, 8, 16], id=f"params{i}-{reference}-{n}")
+          for n in PATH_COUNTS
+          for i, (params, reference) in enumerate([(GBM, "exact"), (VVE, "refined")])),
+        # one block in column windows of whole level steps: 4800 refined steps in
+        # windows of 1008 (a unit of 48, above the coarsest group of 24) and a last
+        # one of 768; 1200 exact steps in windows of 1044 (a unit of 12) and 156
+        pytest.param(VVE, "refined", 1001, [200, 300, 600], id="refined-1001-windows"),
+        pytest.param(GBM, "exact", 1001, [200, 300, 1200], id="exact-1001-windows"),
+    ])
+    def test_strong_convergence_matches_serial_oracle(self, params, reference, n_paths, steps):
+        gen_steps = steps[-1] * (8 if reference == "refined" else 1)
+        levels = [1.0 / n for n in steps]
+        reports = _strong_convergence(params, 1.0, levels, n_paths, 6,
                                       ["euler", "milstein"], reference)
         assert [r.scheme for r in reports] == ["euler", "milstein"]
         for report in reports:
@@ -447,7 +457,7 @@ class TestBlockEngine:
                     errors[i] += np.abs(term - ref).sum()
             errors /= n_paths
             assert np.array_equal(report.strong_errors, errors)
-            single = strong_convergence(params, 1.0, self.LEVELS, n_paths, seed=6,
+            single = strong_convergence(params, 1.0, levels, n_paths, seed=6,
                                         scheme=report.scheme, reference=reference)
             assert np.array_equal(single.strong_errors, errors)
             assert single.fitted_slope == report.fitted_slope
@@ -508,10 +518,11 @@ class TestBlockEngine:
         assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("run,buffers,rows", [
-        # the default convergence study: 1000 paths, refined 8 x beyond 2048 steps
+        # the default convergence study: 1000 paths, refined 8 x beyond 2048 steps,
+        # stepped whole in 16 windows of 1024 columns (a 2 ** 20 increment budget)
         (lambda: _strong_convergence(VVE, 1.0, [1.0 / 2 ** e for e in range(6, 12)], 1000,
                                      16, ["euler", "milstein"], "refined"),
-         (1, 500, 16384), 500),
+         (1, 1000, 1024), 1000),
         (lambda: euler_terminal(VVE, 1.0, 500, 4 * BLOCK_SIZE, 16),
          (2, BLOCK_SIZE // 2, 500), BLOCK_SIZE // 2),
     ], ids=["convergence", "euler_terminal"])
@@ -532,7 +543,35 @@ class TestBlockEngine:
         monkeypatch.setattr(sde, "_step_terminal", record_steps)
         run()
         assert asked == [buffers]
-        assert max(stepped) == rows
+        assert set(stepped) == {rows}
+
+    @pytest.mark.parametrize("n_paths,steps,reference,widths", [
+        (1001, [200, 300, 600], "refined", [1008] * 4 + [768]),
+        (1001, [200, 300, 1200], "exact", [1044, 156]),
+        # two blocks, the second of one row, in the first block's windows
+        (BLOCK_SIZE + 1, [16, 32, 64], "refined", [256, 256]),
+    ])
+    def test_convergence_windows_join_to_the_block_increments(self, monkeypatch, n_paths,
+                                                              steps, reference, widths):
+        # each window is stepped once ungrouped: by the refined reference, or by the
+        # exact study's finest level
+        windows, step_terminal = [], sde._step_terminal
+
+        def record(params, dt, s0, db, milstein, group=1):
+            if group == 1:
+                windows.append(db.copy())
+            return step_terminal(params, dt, s0, db, milstein, group=group)
+
+        monkeypatch.setattr(sde, "_step_terminal", record)
+        _strong_convergence(VVE, 1.0, [1.0 / n for n in steps], n_paths, 17, ["euler"],
+                            reference)
+        gen_steps = sum(widths)
+        for b, start in enumerate(range(0, n_paths, BLOCK_SIZE)):
+            rows = min(BLOCK_SIZE, n_paths - start)
+            block = [w for w in windows if len(w) == rows]  # a block's windows come in order
+            assert [w.shape[1] for w in block] == widths
+            assert np.array_equal(np.concatenate(block, axis=1),
+                                  _block_increments(17, b, rows, gen_steps, 1.0 / gen_steps))
 
     @pytest.mark.parametrize("params,reference", [(GBM, "exact"), (VVE, "refined")])
     def test_strong_convergence_steps_levels_without_a_copy(self, params, reference):

@@ -87,6 +87,12 @@ COMMANDS = [
     # crosses a panel seam
     ("convergence_exact_groups", ["convergence", "--c1", "0", "--levels", "2,6,12"]),
     ("convergence_refined_groups", ["convergence", "--c1", "5e-4", "--levels", "5,15,45"]),
+    # a study too long for one column window: 1000 paths x 4800 refined steps in
+    # windows of 1008 (a whole step of groups 24, 16 and 8 is 48 columns) and a last
+    # one of 768; 1200 exact steps in windows of 1044 (groups 6, 4 and 1) and 156
+    ("convergence_window_seams", ["convergence", "--c1", "5e-4", "--levels", "200,300,600"]),
+    ("convergence_exact_window_seams", ["convergence", "--c1", "0",
+                                        "--levels", "200,300,1200"]),
     # law formula quotes: a short and a long maturity, a grid top capped near
     # 1e30 x s0 (c1 s0 = 10), a grid depth beyond the float range (c1 s0 = 100),
     # a drift the grid cannot follow (r = 800), and a strike above the grid top
