@@ -12,7 +12,7 @@ Three checks:
    adaptive quadrature (``tests/oracles.py``, which this demo imports by
    path), sits far above both for c1 > 0, by a gap that grows with c1.  It
    is not the model's law: its zero-strike call is worth more than the
-   spot, so its discounted value is not a martingale (see the vve.pricing
+   spot, so its discounted value is not a martingale (see the vve.sde
    docstring and README).
 
 At c1 = 0 the formula is the Black-Scholes closed form, so its quote loads

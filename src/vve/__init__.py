@@ -30,9 +30,7 @@ from .pricing import (
     OptionQuote,
     OptionSpec,
     RiskNeutralParams,
-    forward_map,
     greeks_bump,
-    inverse_map,
     price_bs,
     price_formula,
     price_mc,
@@ -41,6 +39,8 @@ from .sde import (
     ConvergenceReport,
     PathEnsemble,
     TimeGrid,
+    forward_map,
+    inverse_map,
     simulate_euler,
     simulate_exact,
     simulate_milstein,

@@ -13,6 +13,7 @@ identically 1.  All rates and volatilities are annualized; time is in years.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .errors import (
     NegativePrice,
     NonFinite,
     NonPositiveSpot,
+    OutOfRange,
 )
 
 @dataclass(frozen=True)
@@ -65,6 +67,15 @@ def check_coefficients(drift, sigma, c1, s0) -> None:
         raise NonPositiveSpot(f"s0 must be > 0, got {s0}")
     if sigma < 0 or c1 < 0:
         raise NegativeCoefficient(f"sigma and c1 must be >= 0, got sigma={sigma}, c1={c1}")
+
+
+def _exp(x: float, what: str, name: str) -> float:
+    """exp(x); raises OutOfRange, naming the exponent ``name``, where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise OutOfRange(f"{what} needs exp({name}) in float range, got {name} = "
+                         f"{x:.6g}") from None
 
 
 def validate_params(mu: float, sigma: float, c1: float, s0: float) -> ModelParams:

@@ -1,6 +1,6 @@
 """European call pricing under the variable-volatility-elasticity model.
 
-Three routes:
+Three pricers:
 
 * ``price_formula`` — the explicit formula: with a solution map f from a
   standard normal variable Z to the price at maturity,
@@ -8,86 +8,38 @@ Three routes:
       C(t, x) = e^{-r(T-t)} E[ f(Z) 1_{Z > d} ] - K e^{-r(T-t)} (1 - N(d)),
       f(d) = K.
 
-  For c1 > 0 the map is the model's own law map f(z) = F^{-1}(Phi(z)),
-  where F is the risk-neutral distribution function of S_T given S_t = x;
-  on a law solve of the model's forward equation (``law_map``) the formula
-  is the same number as E[(X - K / rho)^+] for the price X = S_T / rho
-  discounted by the solve's own growth rho of the mean (~e^{r(T-t)}), which
-  the solve's node sums give directly; its delta, gamma and vega come from
-  one backward sweep of the solve's Markov chain per grid (``greeks_bump``),
-  the vega by pairing the sweep with the forward march the solve kept
-  (``_sweep_law``).  The chain is that of the undiscounted price on graded
-  nodes, dense at the spot and sparse in the tails up to a top ~1e30 x s0
-  (``_LawChain``); its generator does not depend on time, so its one system
-  is factored once per grid and each step of the forward solve and of the
-  sweep is one solve on those factors (``_LawChain.solve``).  The chains
-  and forward marches of the last law solved stay cached (``_solve_law``),
-  one per grid a quote reads.  The route needs sigma + c1 s0 > 0 and a drift
-  |r| (T - t) that the grid can follow: at sigma = 0 it prices the
-  constant-elasticity (CVE) model.  At c1 = 0 the map is the closed form
-  below, then the exact lognormal law, and the formula is the Black-Scholes
-  closed form, which ``price_bs`` evaluates.
-
+  For c1 > 0 the map is the model's own law map, solved on a price grid
+  (:mod:`vve.law`), and the formula and its Greeks are read off that solve.
+  At c1 = 0 the map is the exact lognormal law, and the formula is the
+  Black-Scholes closed form, which ``price_bs`` evaluates.
 * ``price_mc`` — risk-neutral Monte Carlo via the Euler scheme (not a
   solution map), an independent check on the formula.  The strikes of a
   strip share one cached path set.
-
 * ``price_bs`` — the Black-Scholes closed form: the c1 = 0 oracle, and the
   arithmetic of the c1 = 0 formula.
 
-The paper's closed-form candidate map f_t (``forward_map``/``inverse_map``,
-the same closed form as :mod:`vve.sde`) does not satisfy the SDE for c1 > 0,
-so no pricer uses it.  The test suite prices the formula on it by adaptive
-quadrature (``_CandidateMap`` in ``tests/oracles.py``), so that the finding
-stays measurable: the candidate prices the process
-f_t(B_t), lies 8 to 48 Monte Carlo standard errors above the model's price
-on the acceptance grid, depends on the valuation time t and not only on
-T - t, and prices the zero-strike call above the spot (101.31 at c1 = 5e-4,
-s0 = 100), so its discounted value is not a martingale.  The paper's own
-inverse formula takes the logarithm of a number that is not positive for
-admissible inputs; the map as coded has the algebraic inverse
-w = ln(b x / (c - a x)) / sigma on its whole range, which ``inverse_map``
-evaluates.
-
-The module needs numpy only at import.  The law solve imports scipy's
-tridiagonal solver at first use, so that ``vve`` commands that never price
-by formula at c1 > 0 do not pay for loading it.  That import loads the
-whole ``scipy.linalg`` package (85 scipy modules, and ``numpy.f2py`` and
-``numpy.testing`` through scipy's array-API copy of numpy), once per process,
-for a c1 > 0 formula quote or its Greeks; a c1 = 0 quote loads no scipy.
+``greeks_bump`` gives the delta, gamma and vega of any of them.  No pricer
+uses the paper's closed-form candidate map (``vve.sde.forward_map``), which
+does not satisfy the SDE for c1 > 0.  The module needs numpy only at import;
+a c1 > 0 formula quote loads scipy's tridiagonal solver (:mod:`vve.law`).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    ExplosionRegion,
-    InvalidGrid,
-    NegativeCoefficient,
-    OutOfRange,
-    SigmaZeroUnsupported,
-)
-from .model import ModelParams, check_coefficients, require_finite
-from .sde import DEN_TOL_FACTOR, closed_form_rates, euler_terminal
+from .errors import InvalidGrid, NegativeCoefficient, OutOfRange
+from .law import LAW_NODES_BELOW, LAW_STEPS, _richardson, _sweep_law, law_map
+from .model import ModelParams, _exp, check_coefficients, require_finite
+from .sde import euler_terminal
 
 def norm_cdf(x: float) -> float:
     """Standard normal CDF via the complementary error function."""
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-def _exp(x: float, what: str, name: str) -> float:
-    """exp(x); raises OutOfRange, naming the exponent ``name``, where it overflows."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        raise OutOfRange(f"{what} needs exp({name}) in float range, got {name} = "
-                         f"{x:.6g}") from None
 
 
 @dataclass(frozen=True)
@@ -145,458 +97,9 @@ class OptionQuote:
                                 for k, v in self.diagnostics.items()}}
 
 
-# --------------------------------------------------------------------------
-# The solution map f_t and its inverse
-# --------------------------------------------------------------------------
-
-def _map_coefficients(rn: RiskNeutralParams, t: float) -> tuple[float, float, float]:
-    """(a, b, c) with f_t(w) = c * u / (a*u + b), u = exp(sigma*w); see ``exact_values``."""
-    gamma = closed_form_rates(rn.r, rn.sigma)
-    egt = _exp(gamma * t, "closed form", "gamma t")
-    if egt == 0.0:  # c = 0 would leave f_t = 0 and its inverse undefined
-        raise OutOfRange(f"closed form needs exp(gamma t) > 0, got gamma t = {gamma * t:.6g}")
-    integral = math.expm1(gamma * t) / gamma if gamma else t
-    a = -rn.c1 * rn.s0 * (1.0 - 0.5 * rn.sigma ** 2 * integral)
-    b = rn.sigma + rn.c1 * rn.s0
-    c = rn.sigma * rn.s0 * egt
-    return a, b, c
-
-
-def forward_map(rn: RiskNeutralParams, t: float, w):
-    """Price f_t(w) = c / (a + b*exp(-sigma*w)) for Brownian value(s) w; strictly
-    increasing in w.
-
-    Raises ExplosionRegion where a finite denominator is at or below
-    tolerance (beyond the map's asymptote); an infinite one gives f = 0.
-    """
-    a, b, c = _map_coefficients(rn, t)
-    w = np.asarray(w, dtype=float)
-    with np.errstate(over="ignore", divide="ignore"):
-        u = np.exp(-rn.sigma * w)
-        den = a + b * u
-        values = np.where(np.isinf(den), 0.0, c / den)
-    if np.any(np.isfinite(den) & (den <= DEN_TOL_FACTOR * b * u)):
-        raise ExplosionRegion(f"denominator at or below tolerance for t={t}")
-    return float(values) if values.ndim == 0 else values
-
-
-def inverse_map(rn: RiskNeutralParams, t: float, x: float) -> float:
-    """Brownian value w with f_t(w) = x: w = ln(b x / (c - a x)) / sigma.
-
-    The algebraic inverse of f_t(w) = c u / (a u + b), u = exp(sigma w).
-    Raises OutOfRange for x outside the range of f_t (including beyond the
-    explosion asymptote).
-    """
-    if x <= 0 or not math.isfinite(x):
-        raise OutOfRange(f"x must be a finite positive price, got {x}")
-    a, b, c = _map_coefficients(rn, t)
-    if a > 0 and x >= c / a:
-        raise OutOfRange(f"x={x} at or above the map's supremum {c / a}")
-    f_hi = c / (DEN_TOL_FACTOR * b)
-    if a < 0 and x >= f_hi:
-        raise OutOfRange(f"x={x} beyond the explosion asymptote (f <= {f_hi:.6g})")
-    num, den = b * x, c - a * x
-    if not (den > 0 and 0 < num / den < math.inf):
-        raise OutOfRange(f"x={x}: the inverse ln(b x / (c - a x)) leaves float range "
-                         f"(b x = {num:.6g}, c - a x = {den:.6g})")
-    return math.log(num / den) / rn.sigma
-
-
-# --------------------------------------------------------------------------
-# The model's law, solved on a price grid
-# --------------------------------------------------------------------------
-
-#: default law-solve grid: nodes below the spot, and time steps (a multiple of 4, so
-#: that the grids 2x and 4x coarser are every 2nd and every 4th of its nodes)
-LAW_NODES_BELOW = 372
-LAW_STEPS = 240
-#: depth of the grid below the spot, in standard deviations at the spot
-_LAW_DEPTH_SD = 12.0
-#: log distance of the grid top above the spot (~1e30 x s0): far out in the heavy
-#: upper tail of the strict local martingale
-_LAW_TOP_LOG = 69.0
-#: largest rounding error of a swept gamma, relative to max(1, |gamma|)
-_GAMMA_ROUNDING = 1e-6
-
-
-class _LawChain:
-    """The grid and the Markov chain of a law solve (see ``_solve_law``).
-
-    The chain is that of the undiscounted price S.  Its generator A does not
-    depend on time, so the one system I - a A of every step is factored once
-    (``dgttrf``), and each step, forward or transposed, is one solve on its
-    factors (``solve``).
-
-    The nodes are s0 e^{y_k}, y_k = alpha sinh(k dxi) with alpha = (sigma +
-    c1 s0) sqrt(tau), one standard deviation at the spot; the spot is at
-    index ``spot`` and the bottom ``_LAW_DEPTH_SD`` deviations (plus the
-    log's drift alpha^2 / 2) below it.  The top is the last node at or below
-    s0 e^{top} of the grid 4x coarser than the default one, so that every
-    grid of the default's family, 2x and 4x coarser, is every 2nd and 4th of
-    its nodes (where it has no segment, below); top is ``_LAW_TOP_LOG``, or log(float max / s0) - 1 where that
-    is lower (s0 above ~7e277), so that the top stays inside the float range.
-    ``h`` = alpha sinh(dxi) is the log gap on either side of the spot (sinh is
-    odd).  Where the drift dominates, |r| tau > alpha, the law leaves the
-    dense part of the grid: a uniform segment of gaps h, at least
-    |r| tau - alpha long, is inserted at the spot on the drift side, and the
-    graded nodes continue past it.
-
-    A node's diffusion rates are var / (g+ (g+ + g-)) up and var / (g- (g+ +
-    g-)) down, var = (sigma + c1 x)^2, from its relative gaps g+ = x_{k+1} /
-    x_k - 1 and g- = 1 - x_{k-1} / x_k (each end's missing gap from one more
-    node of the map): they match its variance with zero mean.  Its drift
-    rates r g- / (g+ (g+ + g-)) up and -r g+ / (g- (g+ + g-)) down match the
-    drift r x exactly; where a total rate would then be negative (at sigma =
-    0, in the lower tail) the node's drift is one-sided, max(r, 0) / g+ up
-    and max(-r, 0) / g- down.  The bottom absorbs and the top only jumps
-    down.  The diagonal of I - a A is 1 less its column's two off-diagonal
-    entries, so that every column sums to 1 as exactly as floating point
-    allows.  ``vol`` = sigma + c1 x, and ``drift_up`` and ``drift_down`` (a
-    times the drift rates up from node k and down from node k + 1) are what
-    the vega's pairing reads (``_sweep_law``).
-
-    ``steps`` holds each step's theta: four implicit-Euler half steps
-    (Rannacher), then Crank-Nicolson, so that the implicit weight a =
-    theta dt_n is dt/2 on every step.  The march grows the mean by 1 / (1 -
-    a r) on an implicit-Euler step and by (1 + a r) / (1 - a r) on a
-    Crank-Nicolson one, rho in all, and ``x`` holds the nodes in today's
-    money, s0 e^{y_k} / rho, with their logs in ``log_x``: discounted by its
-    own growth, the law keeps its mean at s0 to rounding.
-    Raises OutOfRange, before any step, where a |r| >= 1; where the drift
-    would carry the law past the grid (|r| tau - alpha beyond the depth or
-    the top); where the nodes leave the float range or their logs do not
-    strictly increase; where the top has less than ``_LAW_DEPTH_SD``
-    deviations above the spot (s0 near the float max), rather than reflect
-    the law inside its body; and where the system is not finite.
-    """
-
-    def __init__(self, rn: RiskNeutralParams, tau: float, nodes_below: int, steps: int):
-        if nodes_below < 2 or steps < 2:
-            raise InvalidGrid("law solve needs at least 2 nodes below the spot and 2 steps")
-        alpha = (rn.sigma + rn.c1 * rn.s0) * math.sqrt(tau)
-        top = min(_LAW_TOP_LOG, math.log(sys.float_info.max / rn.s0) - 1.0)
-        if not (alpha > 0.0 and math.isfinite(top / alpha)):
-            raise OutOfRange(f"law grid needs alpha = (sigma + c1 s0) sqrt(tau) > 0 with top / "
-                             f"alpha in float range, got alpha = {alpha:.6g} and top = {top:.6g} "
-                             "(log price)")
-        depth = _LAW_DEPTH_SD * alpha + 0.5 * alpha * alpha
-        drift, reach = abs(rn.r) * tau - alpha, min(depth, top)
-        if drift > reach:
-            raise OutOfRange(f"law grid cannot follow the drift: |r| tau - alpha = {drift:.6g} "
-                             f"(log price) carries the law past the grid, which reaches "
-                             f"{reach:.3g} from s0")
-        a = 0.5 * (tau / steps)
-        if not abs(rn.r) * a < 1.0:
-            raise OutOfRange(f"law chain needs |r| dt/2 < 1, got {abs(rn.r) * a:.6g}")
-        xi_bottom, unit = math.asinh(depth / alpha), LAW_NODES_BELOW // 4
-        # the segment: n_seg gaps of ~h on the drift side (up if r > 0), which shifts the
-        # graded nodes past it
-        gap = alpha * math.sinh(xi_bottom / nodes_below)
-        side, n_seg = (1 if rn.r > 0 else -1), (math.ceil(drift / gap) if drift > 0.0 else 0)
-        shift = n_seg * gap if n_seg else 0.0
-        shift_down, shift_up = (0.0, shift) if side > 0 else (shift, 0.0)
-        if not rn.s0 * math.exp(-depth - shift_down) > 0.0:
-            raise OutOfRange(f"law grid depth {depth + shift_down:.3g} (log price) is beyond "
-                             "float range")
-        if top < min(_LAW_TOP_LOG, _LAW_DEPTH_SD * alpha):
-            raise OutOfRange(f"law grid top needs {_LAW_DEPTH_SD * alpha:.3g} (log price, "
-                             f"{_LAW_DEPTH_SD:g} deviations) above s0 = {rn.s0:.6g}, where the "
-                             f"float range leaves {top:.3g}")
-        top_units = max(math.floor(math.asinh((top - shift_up) / alpha) / xi_bottom * unit), 1)
-        below = nodes_below + (n_seg if side < 0 else 0)
-        above = -(-top_units * nodes_below // unit) + (n_seg if side > 0 else 0)
-        # the map at every node and one more past each end: graded, and past the
-        # segment graded again from its end
-        k = np.arange(-below - 1, above + 2)
-        past = np.maximum(side * k - n_seg, 0)
-        with np.errstate(all="ignore"):
-            y = alpha * np.sinh(xi_bottom * (np.where(side * k > 0, side * past, k) / nodes_below))
-            self.h = h = float(y[below + 2] if side < 0 or not n_seg else -y[below])
-            if n_seg:
-                y = np.where(side * k > n_seg, y + side * (n_seg * h),
-                             np.where(side * k > 0, k * h, y))
-            x = rn.s0 * np.exp(y[1:-1])
-            gaps = np.diff(y)
-            up, down = np.expm1(gaps[1:]), -np.expm1(-gaps[:-1])
-        if not x[-1] < math.inf:
-            raise OutOfRange(f"law grid top s0 e^{y[-2]:.6g} is beyond float range")
-        growth = (1.0 + a * rn.r) / (1.0 - a * rn.r)
-        try:
-            self.rho = rho = growth ** (steps - 2) / (1.0 - a * rn.r) ** 4
-        except OverflowError:
-            rho = math.inf
-        with np.errstate(all="ignore"):
-            self.x = x / rho
-        if not (self.x[0] > 0.0 and self.x[-1] < math.inf):
-            raise OutOfRange(f"law nodes over the march's growth rho = {rho:.6g} leave the "
-                             "float range")
-        self.log_x = np.log(self.x)
-        increasing = np.diff(self.log_x) > 0
-        if not np.all(increasing):
-            j = int(np.argmin(increasing))
-            raise OutOfRange(f"law nodes {self.x[j]:.17g} and {self.x[j + 1]:.17g} are not "
-                             "strictly increasing in floating point")
-        self.spot, self.steps = below, [1.0] * 4 + [0.5] * (steps - 2)
-        with np.errstate(all="ignore"):
-            unit_up, unit_down = 1.0 / (up * (up + down)), 1.0 / (down * (up + down))
-            unit_up[[0, -1]] = unit_down[0] = 0.0
-            self.vol = rn.c1 * x + rn.sigma
-            var = np.square(self.vol)
-            drift_up, drift_down = rn.r * down * unit_up, -rn.r * up * unit_down
-            one_sided = (var * unit_up + drift_up < 0.0) | (var * unit_down + drift_down < 0.0)
-            drift_up = np.where(one_sided, max(rn.r, 0.0) / up, drift_up)
-            drift_down = np.where(one_sided, max(-rn.r, 0.0) / down, drift_down)
-            drift_up[[0, -1]] = drift_down[0] = 0.0  # the bottom absorbs, the top only jumps down
-            lower = -a * (var[:-1] * unit_up[:-1] + drift_up[:-1])
-            upper = -a * (var[1:] * unit_down[1:] + drift_down[1:])
-            self.drift_up, self.drift_down = a * drift_up[:-1], a * drift_down[1:]
-            d = np.zeros(x.size)
-            d[:-1] -= lower
-            d[1:] -= upper
-            d += 1.0
-        if not np.all(np.isfinite(d)):
-            total = (d[-2:] - 1.0) / a
-            raise OutOfRange(f"law solve overflowed: the grid top {x[-1]:.3g} and the node below "
-                             f"it jump at total rates {total[1]:.3g} and {total[0]:.3g}, beyond "
-                             f"float range over dt/2 = {a:.3g}")
-        from scipy.linalg.lapack import dgttrf, dgttrs
-        self._factors, self._dgttrs = dgttrf(lower, d, upper)[:5], dgttrs
-        for array in (self.x, self.log_x, self.vol, self.drift_up, self.drift_down, *self._factors):
-            array.flags.writeable = False
-
-    def solve(self, b, transposed: bool = False) -> None:
-        """b <- y with (I - a A) y = b, or (I - a A)^T y = b, on the one system's
-        factors; ``dgttrs`` solves in place: b must be a contiguous float vector."""
-        self._dgttrs(*self._factors, b, "T" if transposed else "N", 1)  # info goes unread
-
-
-def _cn_update(theta: float, y, p) -> None:
-    """p <- the step's image of p, from y = (I - a A)^{-1} p: y itself for an
-    implicit-Euler step, and for a Crank-Nicolson one (I - a A)^{-1} (I + a A) p
-    = 2 y - p, which needs no product with A and so adds no rounding from its
-    large rates.  Leaves c y in y: c = 2 on a Crank-Nicolson step, 1 on an
-    implicit-Euler one."""
-    if theta < 1.0:
-        np.multiply(y, 2.0, out=y)
-        np.subtract(y, p, out=p)
-    else:
-        np.copyto(p, y)
-
-
-def _require_finite_law(*arrays) -> None:
-    if not all(np.all(np.isfinite(a)) for a in arrays):
-        raise OutOfRange("law solve overflowed; c1 * s0 * tau is too large for its grid")
-
-
-@functools.lru_cache(maxsize=1)
-def _law_solves(rn: RiskNeutralParams, tau: float) -> dict:
-    """The ``_solve_law`` results of the last (rn, tau) asked for, by grid: a new
-    (rn, tau) frees the last one's chains and marches before its own allocate.
-    Threads may share the dict; a grid two threads miss together is solved by
-    each."""
-    return {}
-
-
-def _solve_law(rn: RiskNeutralParams, tau: float, nodes_below: int, steps: int):
-    """Law of S_tau given S_0 = s0 on the chain ``_LawChain``, with its march.
-
-    Crank-Nicolson solve of the model's forward equation in conservative
-    form on the graded nodes of ``_LawChain``: a continuous-time Markov chain
-    whose jump rates match the local mean and variance of dS = S (r dt +
-    (sigma + c1 S) dB) at every node, with one generator for every step.
-    The bottom node absorbs and the top node only jumps down, so probability
-    is conserved and the mean grows by the chain's own growth rho except for
-    what the top reflects: discounted by rho, it exceeds s0 by rounding at
-    most.  Four
-    implicit-Euler half steps (Rannacher) start the march from the point mass
-    at s0.  The top is far out in the heavy upper tail (~1e30 x s0; the
-    graded nodes make that cheap), so the value the top reflects is
-    negligible.  Each step is one solve on the chain's factors.  Raises
-    OutOfRange before any step where the grid, the drift or the system
-    leave the chain's range (``_LawChain``), as for very large c1 s0 tau or
-    |r| tau or tiny tau.  With the Rannacher start the error expands cleanly
-    in dxi^2 and dt^2 on the smooth graded map (Giles & Carter 2006), so
-    ``price_formula`` cancels its leading term by Richardson extrapolation
-    from the default grid (``LAW_NODES_BELOW`` x ``LAW_STEPS``) and the one 2x
-    coarser in both, which is every 2nd node and step of it.
-
-    Returns (chain, probabilities, march), the arrays read-only; at sigma =
-    0, those of the CVE model.  The probabilities sit on the nodes
-    ``chain.x``, which are in today's money.  Row n of the
-    (len(chain.steps), nodes) array ``march`` is c_n y_n, y_n = (I - a A)^{-1}
-    p_n the solve of step n, c_n = 2 on a Crank-Nicolson step and 1 on an
-    implicit-Euler one (``_cn_update``): what ``_sweep_law`` pairs its vega
-    with.  Cached for the last (rn, tau) (``_law_solves``): a quote's three
-    grids, ~2.8 MB at the defaults, whose first two the Greek set after it
-    sweeps on the same factors.
-    """
-    solves = _law_solves(rn, tau)
-    if (nodes_below, steps) in solves:
-        return solves[nodes_below, steps]
-    chain = _LawChain(rn, tau, nodes_below, steps)
-    p = np.zeros(chain.x.size)
-    p[chain.spot] = 1.0
-    march = np.empty((len(chain.steps), chain.x.size))  # step n solves in row n
-    for theta, y in zip(chain.steps, march):
-        np.copyto(y, p)
-        chain.solve(y)
-        _cn_update(theta, y, p)
-    _require_finite_law(p)
-    for a in (p, march):
-        a.flags.writeable = False
-    solves[nodes_below, steps] = chain, p, march
-    return chain, p, march
-
-
-def _bracket(x, log_x, strike: float) -> tuple[int, int, list[float]]:
-    """(i, k, weights): the number i of the nodes ``x`` at or below ``strike`` and,
-    strictly inside the grid (0 < i < nodes), the first k of the 4 nodes around
-    it with their Lagrange weights in log strike; below the bottom node and at
-    or above the top one, no weights."""
-    i = int(np.searchsorted(x, strike, side="right"))
-    if i in (0, x.size):
-        return i, 0, []
-    k = min(max(i - 2, 0), x.size - 4)
-    ys = log_x[k:k + 4].tolist()
-    y = math.log(strike)
-    return i, k, [math.prod([(y - ym) / (yj - ym) for ym in ys if ym != yj]) for yj in ys]
-
-
-class SolvedLaw:
-    """A law solve's node sums as read-only arrays: on the nodes x_j (prices in
-    today's money, the chain's nodes over its growth rho), ``calls[j]`` =
-    E[(X - x_j)^+] = sum_{k>j} p_k (x_k - x_j), from two reversed cumulative
-    sums, and ``cdf[j]`` = P(X <= x_j); ``mean`` is E[X].  The nodes are a
-    ``_LawChain``'s, whose logs strictly increase.
-    """
-
-    def __init__(self, x, p, steps: int, rho: float):
-        tail_p, tail_px = (np.cumsum(a[::-1])[::-1] for a in (p, p * x))
-        self.x, self.log_x, self.calls, self.cdf = x, np.log(x), tail_px - x * tail_p, np.cumsum(p)
-        for a in (self.x, self.log_x, self.calls, self.cdf):
-            a.flags.writeable = False
-        self.mean, self.rho = float(tail_px[0]), rho
-        self.grid = {"law_nodes": int(x.size), "law_steps": steps,
-                     "law_s_min": float(x[0]), "law_s_max": float(x[-1])}
-
-    def price(self, strike: float) -> tuple[float, float, int]:
-        """E[(X - K / rho)^+] for the strike K, P(X <= K / rho) and the nodes read.
-
-        The call is the 4-node Lagrange interpolation of ``calls`` in log strike,
-        mean - K / rho below the bottom node and 0 at or above the top one (where
-        P(X <= K / rho) is 1: the solve conserves mass), clamped at 0."""
-        strike /= self.rho
-        i, k, weights = _bracket(self.x, self.log_x, strike)
-        if not weights:
-            return (max(self.mean - strike, 0.0), 0.0, 0) if i == 0 else (0.0, 1.0, 0)
-        price = sum(c * w for c, w in zip(self.calls[k:k + 4].tolist(), weights))
-        return max(price, 0.0), float(self.cdf[i - 1]), 4
-
-
-@functools.lru_cache(maxsize=32)
-def law_map(rn: RiskNeutralParams, tau: float, nodes_below: int = LAW_NODES_BELOW,
-            steps: int = LAW_STEPS) -> SolvedLaw:
-    """The law of S_{t+tau} given S_t = rn.s0, discounted by the chain's growth
-    rho, with its node sums.
-
-    Cached, as the solve is the costly step; a warm quote is one binary search
-    and a 4-node interpolation.  It depends on tau, not t: the SDE is
-    time-homogeneous.  Every c1 > 0 ``price_formula`` quote reads the default
-    grid, the 2x coarser one and (for ``law_error_estimate``) the 4x coarser
-    one, which share the default grid's graded nodes (``_LawChain``), and
-    reads each at K / rho, rho that grid's growth.  It is built from
-    ``_solve_law``, whose chains and marches of the first two grids a
-    ``greeks_bump(price_formula, ...)`` set then sweeps and pairs its vega
-    with (``_sweep_law``).  Threads may share the cache; two that miss on one
-    key each solve it alike.  sigma = 0 is the CVE model.
-    """
-    chain, p, _ = _solve_law(rn, tau, nodes_below, steps)
-    return SolvedLaw(chain.x, p, steps, chain.rho)
-
-
-def _sweep_law(rn: RiskNeutralParams, tau: float, strike: float, nodes_below: int,
-               steps: int) -> tuple[float, float, float, float, float]:
-    """(price, delta, gamma, vega, s0 h) of ``SolvedLaw.price``'s E[(X - K / rho)^+]
-    for the strike K, from a backward sweep of ``_solve_law``'s chain on the
-    same graded grid, h the log gap on either side of the spot.
-
-    The terminal vector g_k = sum_j w_j (x_k - x_j)^+ over the 4 nodes that
-    ``SolvedLaw.price`` interpolates (``_bracket``'s weights w_j at K / rho;
-    x - K / rho below the bottom node, 0 at or above the top one) is that
-    price's exact dual, so the swept value at the spot node is the forward
-    price, unclamped, to rounding.  With B = (I - a A)^{-1} (an implicit-Euler
-    step) or 2 (I - a A)^{-1} - I (a Crank-Nicolson one) the forward step, the
-    sweep walks the steps in reverse: v <- B^T v, one transposed solve w =
-    (I - a A)^{-T} v per step on the factors of the chain, which the quote's
-    ``law_map`` has just built (on a miss, the chain and its march are built
-    here).  Delta and gamma are central differences in log price at the spot
-    node, whose two gaps are equal (the grid held fixed).  The vega (the grid
-    held fixed, too) pairs the sweep with the forward march from the spot,
-    ``_solve_law``'s cached ``march``: the price is v_{n+1}^T B_n p_n at every
-    step n, and dB_n/dsigma = c_n (I - a A)^{-1} a (dA/dsigma) (I - a A)^{-1},
-    so the vega is sum_n c_n w_n^T a (dA/dsigma) y_n, y_n the march's solve.
-    Only the diffusion rates A_d move with sigma, each var = vol^2 times a
-    unit rate, so dA/dsigma = A_d diag(2 / vol); w has a A^T w = w - v, and
-    the drift's part a A_r^T w is a two-term difference of w, so step n adds
-    2 ((w - v - a A_r^T w) / vol) . row_n, row_n = c_n y_n.  Raises
-    OutOfRange before any step as ``_solve_law`` does, and where the rounding
-    of the gamma's second difference, 4 eps max|v| / (s0 h)^2 over the three
-    nodes, exceeds ``_GAMMA_ROUNDING`` x max(1, |gamma|): at maturities so
-    short that s0 h is tiny against the option's value (at c1 = 5e-4, s0 =
-    100, K = 90 and tau = 1e-8, a rounding bound of 1.9e-5).
-    """
-    chain, _, march = _solve_law(rn, tau, nodes_below, steps)
-    x, h, s, vol = chain.x, chain.h, chain.spot, chain.vol
-    strike /= chain.rho
-    i, k, weights = _bracket(x, chain.log_x, strike)
-    v = np.zeros(x.size)
-    if i == 0:
-        np.subtract(x, strike, out=v)
-    for xj, w in zip(x[k:k + 4].tolist(), weights):
-        v += w * np.maximum(x - xj, 0.0)
-    # every step writes into these
-    w, source, diff, flow, vega = (np.empty(x.size), np.empty(x.size), np.empty(x.size - 1),
-                                   np.empty(x.size - 1), 0.0)
-    # the drift rates, and w and the source without their first and their last node
-    up, down, w_hi, w_lo, source_hi, source_lo = (chain.drift_up, chain.drift_down, w[1:], w[:-1],
-                                                  source[1:], source[:-1])
-    for theta, row in zip(reversed(chain.steps), march[::-1]):
-        np.copyto(w, v)
-        chain.solve(w, transposed=True)
-        np.subtract(w, v, out=source)  # a A^T w; less a A_r^T w, the drift's part
-        np.subtract(w_hi, w_lo, out=diff)
-        np.multiply(up, diff, out=flow)
-        np.subtract(source_lo, flow, out=source_lo)
-        np.multiply(down, diff, out=flow)
-        np.add(source_hi, flow, out=source_hi)
-        np.divide(source, vol, out=source)
-        vega += float(np.dot(source, row))
-        _cn_update(theta, w, v)  # v <- B^T v
-    vega *= 2.0
-    _require_finite_law(v, vega)
-    below, price, above = v[s - 1:s + 2].tolist()
-    v_y, v_yy = (above - below) / (2.0 * h), (above - 2.0 * price + below) / (h * h)
-    gamma = (v_yy - v_y) / rn.s0 ** 2
-    rounding = (4.0 * sys.float_info.epsilon * max(map(abs, (below, price, above)))
-                / (rn.s0 * h) ** 2)
-    if rounding > _GAMMA_ROUNDING * max(1.0, abs(gamma)):
-        raise OutOfRange(f"swept gamma {gamma:.6g} has a rounding error up to {rounding:.3g} on "
-                         f"the grid step s0 h = {rn.s0 * h:.3g}: the maturity is too short")
-    return price, v_y / rn.s0, gamma, vega, rn.s0 * h
-
-
-# --------------------------------------------------------------------------
-# Pricers
-# --------------------------------------------------------------------------
-
 def _intrinsic_quote(x: float, strike: float, method: str) -> OptionQuote:
     return OptionQuote(price=max(x - strike, 0.0), method=method,
                        error_estimate=0.0, diagnostics={"intrinsic": True})
-
-
-def _richardson(fine: float, coarse: float) -> float:
-    """A second-order price with its h^2 error cancelled, from grids h (fine) and 2h."""
-    return fine + (fine - coarse) / 3.0
 
 
 def _law_quote(rn: RiskNeutralParams, opt: OptionSpec) -> OptionQuote:
@@ -667,16 +170,13 @@ def price_formula(rn: RiskNeutralParams, opt: OptionSpec) -> OptionQuote:
     ``error_estimate`` 0 as there, and it loads no scipy.  Its diagnostics
     follow the law route's: d = -d2 (f(d) = K), ``fT_inv_K`` = d sqrt(T - t),
     ``ft_inv_x`` = 0 and no nodes read.  It refuses where ``price_bs``
-    refuses, and at sigma = 0 with SigmaZeroUnsupported: the
-    closed form divides by sigma.
+    refuses, at sigma = 0 too.
     """
     tau = opt.maturity - opt.t
     if tau == 0:
         return _intrinsic_quote(rn.s0, opt.strike, "formula")
     if rn.c1 > 0:
         return _law_quote(rn, opt)
-    if rn.sigma == 0:
-        raise SigmaZeroUnsupported("closed form requires sigma > 0")
     bs = price_bs(rn, opt)
     d = -bs.diagnostics["d2"]
     return OptionQuote(price=bs.price, method="formula", error_estimate=0.0,

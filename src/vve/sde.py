@@ -4,21 +4,34 @@
 
 Schemes: Euler-Maruyama and Milstein with full truncation at zero (the
 diffusion vanishes at 0, so 0 is absorbing), plus the closed-form candidate
-solution (``exact_values``, ``simulate_exact``).  The three ``simulate_*``
-functions call one ensemble driver, ``_simulate(..., scheme)``.
+solution (``exact_values``, ``simulate_exact``) and its map and inverse
+(``forward_map``, ``inverse_map``).  The three ``simulate_*`` functions call
+one ensemble driver, ``_simulate(..., scheme)``.
 
 Verification status of the closed form
 --------------------------------------
 For c1 = 0 the closed form reduces to the exact geometric-Brownian-motion
-solution.  Its division by mu - sigma^2/2 is removable, and ``exact_values``
-evaluates it at every drift.  For c1 > 0 it does NOT satisfy the SDE: the Ito
-drift/diffusion residuals are nonzero (checked symbolically), and the gap
-between the closed form and refined Euler paths plateaus instead of vanishing
-as dt -> 0.  No function of (t, B_t) alone can solve this SDE, so the defect
-is structural, not a transcription issue.  The closed form is kept as stated
-for cross-checking; when c1 > 0 the convergence reference is the measured
-scheme itself on a grid ``REFINE_FACTOR`` (8) times finer than the finest
-level (``strong_convergence(..., reference="refined")``).
+solution.  Its division by mu - sigma^2/2 is removable, and ``_closed_form``,
+which ``exact_values`` and the map read, evaluates it at every drift.  For
+c1 > 0 it does NOT satisfy the SDE: the Ito drift/diffusion residuals are
+nonzero (checked symbolically), and the gap between the closed form and
+refined Euler paths plateaus instead of vanishing as dt -> 0.  No function
+of (t, B_t) alone can solve this SDE, so the defect is structural, not a
+transcription issue.  The closed form is kept as stated for cross-checking;
+when c1 > 0 the convergence reference is the measured scheme itself on a
+grid ``REFINE_FACTOR`` (8) times finer than the finest level
+(``strong_convergence(..., reference="refined")``).
+
+As the map f_t(w) of the price at B_t = w (``forward_map``) it is the
+paper's candidate for its pricing formula, which no pricer uses.  The test
+suite prices the formula on it by quadrature (``tests/oracles.py``), so that
+the finding stays measurable: the candidate lies 8 to 48 Monte Carlo
+standard errors above the model's price on the acceptance grid, depends on
+the valuation time t and not only on T - t, and prices the zero-strike call
+above the spot (101.31 at c1 = 5e-4, s0 = 100): its discounted value is not
+a martingale.  The paper's own inverse takes the logarithm of a number that
+is not positive for admissible inputs; ``inverse_map`` evaluates the map's
+algebraic inverse w = ln(b x / (c - a x)) / sigma on its whole range.
 
 Randomness
 ----------
@@ -70,7 +83,7 @@ steps`` increments (8 MB at 2048 x 500).  A window buffer holds
 ``_WINDOW_BUDGET`` (2^20 increments, 8 MiB) unless one whole step of every
 level is wider (see ``_strong_convergence``), so it does not grow with the
 length of the refined grid: 8 MB for the default convergence study's 1000 x
-16384 refined increments, where a half block held 65 MB.  Each row's saved
+16384 refined increments.  Each row's saved
 generator adds ~0.6 kB.  Workers allocate no block of their own, so the
 peak stays one buffer per block in flight and freed blocks do not pile up
 in per-thread malloc arenas.  The buffers are one anonymous memory mapping
@@ -117,8 +130,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGrid, OutOfRange, SigmaZeroUnsupported
-from .model import ModelParams
+from .errors import ExplosionRegion, InvalidGrid, OutOfRange, SigmaZeroUnsupported
+from .model import ModelParams, _exp
 
 BLOCK_SIZE = 4096
 
@@ -458,19 +471,24 @@ def euler_terminal(params: ModelParams, horizon: float, steps: int, n_paths: int
 # Closed-form candidate solution
 # --------------------------------------------------------------------------
 
-def closed_form_rates(drift: float, sigma: float) -> float:
-    """gamma = drift - sigma^2/2 of the closed form.
+def _closed_form(drift: float, sigma: float, c1: float, s0: float, t):
+    """(gamma, a, b) of the closed form at time(s) t: gamma = drift - sigma^2/2 and
+    its denominator b + a exp(sigma*B), a = -c1*s0*kappa(t), b = sigma + c1*s0.
 
-    The closed form divides by sigma: raises SigmaZeroUnsupported at
-    sigma = 0, and OutOfRange where sigma^2 is beyond the float range.
+    kappa(t) = 1 - (sigma^2/2) * int_0^t e^{gamma u} du, the integral
+    expm1(gamma t) / gamma, or t at gamma = 0: the paper's division by gamma
+    is removable.  Raises SigmaZeroUnsupported at sigma = 0 (the closed form
+    divides by sigma), and OutOfRange where sigma^2 is beyond the float range.
     """
     if sigma == 0:
         raise SigmaZeroUnsupported("closed form requires sigma > 0")
     try:
-        return drift - 0.5 * sigma ** 2
+        gamma = drift - 0.5 * sigma ** 2
     except OverflowError:
         raise OutOfRange(f"closed form needs sigma^2 in float range, got sigma = "
                          f"{sigma:.6g}") from None
+    integral = np.expm1(gamma * t) / gamma if gamma else t
+    return gamma, -c1 * s0 * (1.0 - 0.5 * sigma ** 2 * integral), sigma + c1 * s0
 
 
 def exact_values(params: ModelParams, t, b):
@@ -478,22 +496,71 @@ def exact_values(params: ModelParams, t, b):
 
     S(t, B) = sigma*s0*E / [ sigma + c1*s0 - c1*s0*kappa(t)*F ]
 
-    with E = exp(g*t + sigma*B), F = exp(sigma*B), g = mu - sigma^2/2 and kappa(t) =
-    1 - (sigma^2/2) * int_0^t e^{g u} du: the paper's denominator, whose division by g
-    is removable.  Exact for c1 = 0 (geometric Brownian motion); see the module
-    docstring for the c1 > 0 verification status.  Returns (values, denominator).
+    with E = exp(gamma*t + sigma*B), F = exp(sigma*B) and ``_closed_form``'s
+    gamma and kappa(t): the paper's denominator.  Exact for c1 = 0 (geometric
+    Brownian motion); see the module docstring for the c1 > 0 verification
+    status.  Returns (values, denominator).
     """
-    sigma, c1, s0 = params.sigma, params.c1, params.s0
-    gamma = closed_form_rates(params.mu, sigma)
+    sigma, s0 = params.sigma, params.s0
     t = np.asarray(t, dtype=float)
     b = np.asarray(b, dtype=float)
-    integral = np.expm1(gamma * t) / gamma if gamma else t
+    gamma, a, b0 = _closed_form(params.mu, sigma, params.c1, s0, t)
     big_e = np.exp(gamma * t + sigma * b)
-    big_f = np.exp(sigma * b)
-    den = sigma + c1 * s0 - c1 * s0 * (1.0 - 0.5 * sigma ** 2 * integral) * big_f
+    den = b0 + a * np.exp(sigma * b)
     with np.errstate(divide="ignore", invalid="ignore"):
         values = sigma * s0 * big_e / den
     return values, den
+
+
+def _map_coefficients(rn: RiskNeutralParams, t: float) -> tuple[float, float, float]:
+    """(a, b, c) with f_t(w) = c * u / (a*u + b), u = exp(sigma*w): ``_closed_form``'s
+    a and b at the rate r, and c = sigma*s0*exp(gamma*t)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a gamma t past exp's range raises below
+        gamma, a, b = _closed_form(rn.r, rn.sigma, rn.c1, rn.s0, t)
+    egt = _exp(gamma * t, "closed form", "gamma t")
+    if egt == 0.0:  # c = 0 would leave f_t = 0 and its inverse undefined
+        raise OutOfRange(f"closed form needs exp(gamma t) > 0, got gamma t = {gamma * t:.6g}")
+    return float(a), b, rn.sigma * rn.s0 * egt
+
+
+def forward_map(rn: RiskNeutralParams, t: float, w):
+    """Price f_t(w) = c / (a + b*exp(-sigma*w)) for Brownian value(s) w; strictly
+    increasing in w.
+
+    Raises ExplosionRegion where a finite denominator is at or below
+    tolerance (beyond the map's asymptote); an infinite one gives f = 0.
+    """
+    a, b, c = _map_coefficients(rn, t)
+    w = np.asarray(w, dtype=float)
+    with np.errstate(over="ignore", divide="ignore"):
+        u = np.exp(-rn.sigma * w)
+        den = a + b * u
+        values = np.where(np.isinf(den), 0.0, c / den)
+    if np.any(np.isfinite(den) & (den <= DEN_TOL_FACTOR * b * u)):
+        raise ExplosionRegion(f"denominator at or below tolerance for t={t}")
+    return float(values) if values.ndim == 0 else values
+
+
+def inverse_map(rn: RiskNeutralParams, t: float, x: float) -> float:
+    """Brownian value w with f_t(w) = x: w = ln(b x / (c - a x)) / sigma.
+
+    The algebraic inverse of f_t(w) = c u / (a u + b), u = exp(sigma w).
+    Raises OutOfRange for x outside the range of f_t (including beyond the
+    explosion asymptote).
+    """
+    if x <= 0 or not math.isfinite(x):
+        raise OutOfRange(f"x must be a finite positive price, got {x}")
+    a, b, c = _map_coefficients(rn, t)
+    if a > 0 and x >= c / a:
+        raise OutOfRange(f"x={x} at or above the map's supremum {c / a}")
+    f_hi = c / (DEN_TOL_FACTOR * b)
+    if a < 0 and x >= f_hi:
+        raise OutOfRange(f"x={x} beyond the explosion asymptote (f <= {f_hi:.6g})")
+    num, den = b * x, c - a * x
+    if not (den > 0 and 0 < num / den < math.inf):
+        raise OutOfRange(f"x={x}: the inverse ln(b x / (c - a x)) leaves float range "
+                         f"(b x = {num:.6g}, c - a x = {den:.6g})")
+    return math.log(num / den) / rn.sigma
 
 
 def _exact_rows(params: ModelParams, times: np.ndarray, b: np.ndarray):

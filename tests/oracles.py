@@ -8,16 +8,16 @@ with mpmath.  The step-kernel oracle is the one-scheme, column-at-a-time
 Euler/Milstein loop that ``vve.sde._step_terminal`` must reproduce bit for
 bit.  The law-solve oracle builds the graded nodes and their rates on its own,
 factors the chain's one system once and runs the Crank-Nicolson step loop
-allocating its arrays each step, which ``vve.pricing._solve_law`` must
+allocating its arrays each step, which ``vve.law._solve_law`` must
 reproduce bit for bit; the law-sweep oracle
 walks the same chain backward with the vega tangent's source written out from
-the up and down differences, which ``vve.pricing._sweep_law`` must reproduce
+the up and down differences, which ``vve.law._sweep_law`` must reproduce
 bit for bit in price, delta and gamma, and to rounding in vega, which
 ``_sweep_law`` pairs with the forward march instead of carrying.  The law-map
 oracle is the explicit formula's other route on a law solve: a cubic spline of
 the quantile through scipy's ``CubicSpline``, inverted with ``brentq`` and
 integrated by the quadrature below, which the node-sum price of
-``vve.pricing.SolvedLaw`` must match within its ``law_error_estimate``.  The
+``vve.law.SolvedLaw`` must match within its ``law_error_estimate``.  The
 candidate-map oracle is the paper's closed-form solution map, which no pricer
 uses, with the formula's adaptive quadrature (``_formula_quote``): at c1 = 0,
 where the map is the exact lognormal law, ``vve.pricing.price_formula`` must
@@ -36,16 +36,9 @@ import numpy as np
 from scipy import special
 
 from vve.errors import OutOfRange
-from vve.pricing import (
-    OptionQuote,
-    OptionSpec,
-    RiskNeutralParams,
-    _exp,
-    _map_coefficients,
-    inverse_map,
-    norm_cdf,
-)
-from vve.sde import DEN_TOL_FACTOR
+from vve.model import _exp
+from vve.pricing import OptionQuote, OptionSpec, RiskNeutralParams, norm_cdf
+from vve.sde import DEN_TOL_FACTOR, _map_coefficients, inverse_map
 
 
 def brute_force_ols(x, y):
@@ -193,7 +186,7 @@ def _law_chain_reference(rn, tau, nodes_below, steps):
     from types import SimpleNamespace
 
     from vve.errors import InvalidGrid, OutOfRange
-    from vve.pricing import _LAW_DEPTH_SD, _LAW_TOP_LOG, LAW_NODES_BELOW
+    from vve.law import _LAW_DEPTH_SD, _LAW_TOP_LOG, LAW_NODES_BELOW
 
     if nodes_below < 2 or steps < 2:
         raise InvalidGrid("law solve needs at least 2 nodes below the spot and 2 steps")
@@ -260,7 +253,7 @@ def _law_chain_reference(rn, tau, nodes_below, steps):
 
 
 def _law_factors_reference(chain):
-    """``dgttrf``'s factors of the chain's I - a A; raises as ``vve.pricing`` does
+    """``dgttrf``'s factors of the chain's I - a A; raises as ``vve.law`` does
     where the system is not finite."""
     from scipy.linalg.lapack import dgttrf
     from vve.errors import OutOfRange
@@ -275,7 +268,7 @@ def solve_law_reference(rn, tau, nodes_below, steps):
 
     The chain is ``_law_chain_reference``'s, its one system factored once.
     Returns (nodes, probabilities, h), h the spot's log gap; raises as
-    ``vve.pricing._solve_law`` does.
+    ``vve.law._solve_law`` does.
     """
     from scipy.linalg.lapack import dgttrs
     from vve.errors import OutOfRange

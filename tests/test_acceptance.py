@@ -3,7 +3,7 @@
 Criterion 4 compares price_formula with an independent Monte Carlo price of
 the SDE at 3 standard errors.  At c1 > 0 price_formula evaluates its formula
 on the model's law map F^{-1}(Phi(z)) as E[(X - K')^+] on the law solve's
-node sums (vve.pricing.law_map), with no quadrature; its one discretisation
+node sums (vve.law.law_map), with no quadrature; its one discretisation
 is the law grid, which criterion 9 halves.  The paper's closed-form
 solution map, which does not satisfy the SDE for c1 > 0 (see the vve.sde
 module docstring and README), stays reachable through the formula's
@@ -31,14 +31,12 @@ from vve.pricing import (
     OptionSpec,
     RiskNeutralParams,
     _richardson,
-    forward_map,
-    inverse_map,
     law_map,
     price_bs,
     price_formula,
     price_mc,
 )
-from vve.sde import strong_convergence
+from vve.sde import forward_map, inverse_map, strong_convergence
 
 DATA = Path(__file__).parent / "data"
 

@@ -1,4 +1,5 @@
-"""Unit tests for vve.pricing: solution map, inverse, and the three pricers."""
+"""Unit tests for vve.pricing, the law solve it reads (vve.law) and the paper's
+candidate map with its inverse (vve.sde)."""
 
 import functools
 import gc
@@ -36,35 +37,34 @@ from vve.errors import (
     OutOfRange,
     SigmaZeroUnsupported,
 )
+from vve.law import (
+    _LAW_DEPTH_SD,
+    _LAW_TOP_LOG,
+    SolvedLaw,
+    _LawChain,
+    _law_solves,
+    _solve_law,
+)
 from vve.model import ModelParams
 from vve.pricing import (
     LAW_NODES_BELOW,
     LAW_STEPS,
-    _LAW_DEPTH_SD,
-    _LAW_TOP_LOG,
     OptionQuote,
     OptionSpec,
     RiskNeutralParams,
-    SolvedLaw,
-    _LawChain,
     _law_greeks,
     _law_quote,
-    _law_solves,
-    _map_coefficients,
     _richardson,
-    _solve_law,
     _sweep_law,
     _terminal_values,
-    forward_map,
     greeks_bump,
-    inverse_map,
     law_map,
     norm_cdf,
     price_bs,
     price_formula,
     price_mc,
 )
-from vve.sde import euler_terminal
+from vve.sde import _map_coefficients, euler_terminal, forward_map, inverse_map
 
 RN_GBM = RiskNeutralParams(sigma=0.2, c1=0.0, s0=100.0, r=0.05)
 RN_VVE = RiskNeutralParams(sigma=0.2, c1=5e-4, s0=100.0, r=0.05)
@@ -120,6 +120,11 @@ class TestSpecsAndParams:
             with pytest.raises(OutOfRange):
                 OptionQuote(price=price, method="monte_carlo", error_estimate=error)
 
+    def test_negative_quote_rejected(self):
+        for price, error in ((-1.0, 0.0), (1.0, -1e-300)):
+            with pytest.raises(NegativeCoefficient, match="must be >= 0"):
+                OptionQuote(price=price, method="formula", error_estimate=error)
+
     def test_norm_cdf(self):
         assert norm_cdf(0.0) == 0.5
         assert norm_cdf(3.0) + norm_cdf(-3.0) == pytest.approx(1.0, abs=1e-15)
@@ -162,6 +167,14 @@ class TestForwardMap:
         with pytest.raises(SigmaZeroUnsupported):
             forward_map(rn, 0.5, 0.0)
 
+    def test_exp_gamma_t_underflow_refused(self):
+        # gamma t = -1000.02: exp(gamma t), and with it c, is 0, which leaves f_t = 0
+        rn = RiskNeutralParams(sigma=0.2, c1=1e-4, s0=100.0, r=-1e3)
+        for call in (functools.partial(forward_map, rn, 1.0, 0.0),
+                     functools.partial(inverse_map, rn, 1.0, 100.0)):
+            with pytest.raises(OutOfRange, match=r"exp\(gamma t\) > 0, got gamma t = -1000\.02"):
+                call()
+
 
 class TestInverseMap:
     def test_round_trip_residual_contract(self):
@@ -194,6 +207,18 @@ class TestInverseMap:
     def test_non_positive_price(self):
         with pytest.raises(OutOfRange):
             inverse_map(RN_VVE, 1.0, 0.0)
+
+    @pytest.mark.parametrize("rn, x, num, den", [
+        # sigma s0 underflows: c - a x = 0
+        (RiskNeutralParams(sigma=1e-300, c1=0.0, s0=1e-300, r=0.05), 1e-300, "0", "0"),
+        # sigma x underflows: b x = 0 over a positive c - a x
+        (RiskNeutralParams(sigma=1e-300, c1=0.0, s0=100.0, r=0.05), 1e-300, "0",
+         "1.05127e-298"),
+    ], ids=["zero_den", "zero_num"])
+    def test_inverse_leaves_float_range(self, rn, x, num, den):
+        with pytest.raises(OutOfRange, match=rf"leaves float range \(b x = {num}, "
+                                             rf"c - a x = {den}\)"):
+            inverse_map(rn, 1.0, x)
 
 
 def candidate_map_reference(coefs, sigma, w):
@@ -365,8 +390,14 @@ class TestClosedFormAtC1Zero:
             assert price_formula(rn, opt).price == price_bs(rn, opt).price
 
     def test_sigma_zero_unsupported(self):
-        with pytest.raises(SigmaZeroUnsupported):
-            price_formula(replace(RN_GBM, sigma=0.0), ATM)
+        # at sigma = c1 = 0 the formula refuses as Black-Scholes does, type and message
+        rn = replace(RN_GBM, sigma=0.0)
+        with pytest.raises(NegativeCoefficient) as bs:
+            price_bs(rn, ATM)
+        with pytest.raises(NegativeCoefficient) as formula:
+            price_formula(rn, ATM)
+        assert type(formula.value) is type(bs.value)
+        assert str(formula.value) == str(bs.value) == "sigma and tau must be > 0"
 
     @pytest.mark.parametrize("rn, opt", [
         (replace(RN_GBM, sigma=1e200), ATM),
@@ -703,11 +734,11 @@ class TestLawSolve:
     def test_overflow_raises_as_reference(self):
         # with the top moved out to ~1e299 x s0 the top node's diffusion rate, (c1 x)^2
         # over its gaps, overflows: the one system is not finite
-        import vve.pricing
+        import vve.law
 
         rn = RiskNeutralParams(sigma=0.2, c1=1e-3, s0=100.0, r=0.05)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(vve.pricing, "_LAW_TOP_LOG", 690.0)
+            patch.setattr(vve.law, "_LAW_TOP_LOG", 690.0)
             grid = (LAW_NODES_BELOW // 4, LAW_STEPS // 4)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -1230,6 +1261,47 @@ class TestLawSolveErrors:
             greeks_bump(BUMPED_FORMULA, rn,
                         OptionSpec(strike=100.0, maturity=0.25, rate=0.05))
         assert law_map.cache_info().misses == 12
+
+    @pytest.mark.parametrize("rn, grid, error, match", [
+        (RN_VVE, {"nodes_below": 1}, InvalidGrid, "at least 2 nodes below the spot and 2 steps"),
+        (RN_VVE, {"steps": 1}, InvalidGrid, "at least 2 nodes below the spot and 2 steps"),
+        # the CVE model at c1 s0 = 1e-308: top / alpha = 6.9e309 leaves the float range
+        (RiskNeutralParams(sigma=0.0, c1=1e-310, s0=100.0, r=0.05), {}, OutOfRange,
+         r"alpha in float range, got alpha = 1e-308 and top = 69"),
+        # the top is a whole node of the grid: with 2 nodes below the spot the first one
+        # at or past the 4x coarser grid's top (s0 e^18 at s0 = 1e300) is s0 e^76
+        (RiskNeutralParams(sigma=0.2, c1=1e-300, s0=1e300, r=0.05),
+         {"nodes_below": 2, "steps": 2}, OutOfRange,
+         r"grid top s0 e\^76\.0761 is beyond float range"),
+        # |r| dt/2 = 1 - 1.25e-9: the march's growth (1 + a r) / (1 - a r) per step
+        # overflows over 38 Crank-Nicolson steps
+        (RiskNeutralParams(sigma=0.2, c1=0.12, s0=100.0, r=79.9999999),
+         {"nodes_below": 16, "steps": 40}, OutOfRange,
+         "over the march's growth rho = inf leave the float range"),
+    ], ids=["nodes_below_1", "steps_1", "alpha_tiny", "top_past_float_max", "rho_overflow"])
+    def test_chain_refused_before_any_step(self, rn, grid, error, match, monkeypatch):
+        calls, solve = [], _LawChain.solve
+
+        def counted(chain, *args, **kwargs):
+            calls.append(args)
+            solve(chain, *args, **kwargs)
+
+        monkeypatch.setattr(_LawChain, "solve", counted)
+        clear_law_caches()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=match):
+                law_map(rn, 1.0, **grid)
+        assert calls == []
+
+    def test_sweep_overflow_raises(self):
+        # the CVE model at s0 = 1e306: the quote prices, but the sweep's values near the
+        # grid top (5.7e307) leave the float range on its Crank-Nicolson steps
+        rn = RiskNeutralParams(sigma=0.0, c1=2e-307, s0=1e306, r=0.05)
+        opt = OptionSpec(strike=1e306, maturity=1.0, rate=0.05)
+        assert price_formula(rn, opt).price > 0.0
+        with pytest.raises(OutOfRange, match="c1 \\* s0 \\* tau is too large for its grid"):
+            greeks_bump(price_formula, rn, opt)
 
 
 #: the c1 > 0 cells of the benchmark's formula surface (sigma 0.2, s0 100, r 0.05)

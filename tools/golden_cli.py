@@ -150,6 +150,15 @@ COMMANDS = [
                                              "--sigma", "1e3"]),
     # the closed form divides by sigma; its division by drift - sigma^2/2 is removable
     ("simulate_exact_mu_half_sigma_sq", ["simulate", "--scheme", "exact", "--mu", "0.02"]),
+    # mu - sigma^2/2 is exactly 0 here (0.02 above leaves -3.5e-18): the integral is t
+    ("simulate_exact_gamma_zero", ["simulate", "--scheme", "exact", "--mu", "0.5", "--sigma", "1",
+                                   "--c1", "5e-4", "--paths", "8", "--steps", "16"]),
+    ("convergence_exact_gamma_zero", ["convergence", "--c1", "0", "--mu", "0.5", "--sigma", "1",
+                                      "--levels", "8,16", "--paths", "64"]),
+    # the closed form's own refusals: sigma = 0, and sigma^2 beyond the float range
+    ("error_exact_sigma_zero", ["simulate", "--scheme", "exact", "--sigma", "0", "--c1", "5e-4"]),
+    ("error_exact_sigma_overflow", ["simulate", "--scheme", "exact", "--sigma", "1e200",
+                                    "--paths", "8", "--steps", "8"]),
     ("price_formula_r_half_sigma_sq", ["price", "--method", "formula", "--c1", "0",
                                        "--r", "0.02"]),
     # the c1 = 0 formula is Black-Scholes, which prices at a volatility and a rate whose
@@ -158,6 +167,7 @@ COMMANDS = [
                                         "--sigma", "30"]),
     ("price_formula_c1_zero_high_rate", ["price", "--method", "formula,bs", "--c1", "0",
                                          "--r", "800"]),
+    # at sigma = c1 = 0 the formula refuses as Black-Scholes does
     ("error_formula_sigma_zero", ["price", "--method", "formula", "--c1", "0",
                                   "--sigma", "0"]),
     # sigma = 0 with c1 > 0 is the constant-elasticity model, which the law route prices

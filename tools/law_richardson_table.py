@@ -34,14 +34,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from vve.pricing import (  # noqa: E402
-    OptionSpec,
-    RiskNeutralParams,
-    _richardson,
-    law_map,
-    price_bs,
-    price_formula,
-)
+from vve.law import _richardson, law_map  # noqa: E402
+from vve.pricing import OptionSpec, RiskNeutralParams, price_bs, price_formula  # noqa: E402
 
 from oracles import qnv_call  # noqa: E402
 
