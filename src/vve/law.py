@@ -18,19 +18,26 @@ one per grid a quote reads.  The route needs sigma + c1 s0 > 0 and a drift
 |r| (T - t) that the grid can follow: at sigma = 0 it prices the
 constant-elasticity (CVE) model.
 
-The module needs numpy only at import.  The law solve imports scipy's
+The module needs numpy only at import.  The law solve loads scipy's
 tridiagonal solver at first use, so that ``vve`` commands that never price
-by formula at c1 > 0 do not pay for loading it.  That import loads the
-whole ``scipy.linalg`` package (85 scipy modules, and ``numpy.f2py`` and
-``numpy.testing`` through scipy's array-API copy of numpy), once per process,
-for a c1 > 0 formula quote or its Greeks; a c1 = 0 quote loads no scipy.
+by formula at c1 > 0 do not pay for loading it: ``_lapack`` loads scipy's
+f2py LAPACK module ``scipy.linalg._flapack``, whose ``dgttrf`` and
+``dgttrs`` ``scipy.linalg.lapack`` re-exports, without the ``scipy.linalg``
+package, whose import also loads ``numpy.f2py`` and ``numpy.testing``
+through scipy's array-API copy of numpy.  A c1 > 0 formula quote or its
+Greeks load ``scipy``'s start-up modules and that one extension, once per
+process; a c1 = 0 quote loads no scipy.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
+import os
 import sys
+import threading
+from importlib.machinery import PathFinder
 
 import numpy as np
 
@@ -47,6 +54,36 @@ _LAW_DEPTH_SD = 12.0
 _LAW_TOP_LOG = 69.0
 #: largest rounding error of a swept gamma, relative to max(1, |gamma|)
 _GAMMA_ROUNDING = 1e-6
+
+
+_LAPACK = "scipy.linalg._flapack"
+_lapack_lock = threading.Lock()
+
+
+@functools.cache
+def _lapack():
+    """scipy's f2py LAPACK module, ``scipy.linalg._flapack``, loaded from its file
+    in scipy's ``linalg`` directory without running the ``scipy.linalg``
+    package's ``__init__``, so its functions are the very objects that
+    ``scipy.linalg.lapack`` re-exports.  The module is registered under its
+    name, so that a later ``import scipy.linalg`` reuses it (its ``from``
+    imports read ``sys.modules``); the package then lacks the attribute
+    ``_flapack``, which scipy never reads.  Where scipy is not installed as
+    plain files, the module comes from ``from scipy.linalg import _flapack``.
+    Threads that first call it together load it once."""
+    with _lapack_lock:
+        module = sys.modules.get(_LAPACK)
+        if module is not None:
+            return module
+        import scipy  # its start-up, which sets its library paths
+
+        spec = PathFinder.find_spec(_LAPACK, [os.path.join(scipy.__path__[0], "linalg")])
+        if spec is None:
+            from scipy.linalg import _flapack
+            return _flapack
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return sys.modules.setdefault(_LAPACK, module)
 
 
 class _LawChain:
@@ -189,8 +226,8 @@ class _LawChain:
             raise OutOfRange(f"law solve overflowed: the grid top {x[-1]:.3g} and the node below "
                              f"it jump at total rates {total[1]:.3g} and {total[0]:.3g}, beyond "
                              f"float range over dt/2 = {a:.3g}")
-        from scipy.linalg.lapack import dgttrf, dgttrs
-        self._factors, self._dgttrs = dgttrf(lower, d, upper)[:5], dgttrs
+        lapack = _lapack()
+        self._factors, self._dgttrs = lapack.dgttrf(lower, d, upper)[:5], lapack.dgttrs
         for array in (self.x, self.log_x, self.vol, self.drift_up, self.drift_down, *self._factors):
             array.flags.writeable = False
 
@@ -369,7 +406,8 @@ def _sweep_law(rn: RiskNeutralParams, tau: float, strike: float, nodes_below: in
     unit rate, so dA/dsigma = A_d diag(2 / vol); w has a A^T w = w - v, and
     the drift's part a A_r^T w is a two-term difference of w, so step n adds
     2 ((w - v - a A_r^T w) / vol) . row_n, row_n = c_n y_n.  Raises
-    OutOfRange before any step as ``_solve_law`` does, and where the rounding
+    OutOfRange before any step as ``_solve_law`` does, where s0^2 or (s0 h)^2
+    leave the float range (s0^2 does above s0 ~1.34e154), and where the rounding
     of the gamma's second difference, 4 eps max|v| / (s0 h)^2 over the three
     nodes, exceeds ``_GAMMA_ROUNDING`` x max(1, |gamma|): at maturities so
     short that s0 h is tiny against the option's value (at c1 = 5e-4, s0 =
@@ -406,9 +444,13 @@ def _sweep_law(rn: RiskNeutralParams, tau: float, strike: float, nodes_below: in
     _require_finite_law(v, vega)
     below, price, above = v[s - 1:s + 2].tolist()
     v_y, v_yy = (above - below) / (2.0 * h), (above - 2.0 * price + below) / (h * h)
-    gamma = (v_yy - v_y) / rn.s0 ** 2
-    rounding = (4.0 * sys.float_info.epsilon * max(map(abs, (below, price, above)))
-                / (rn.s0 * h) ** 2)
+    try:
+        gamma = (v_yy - v_y) / rn.s0 ** 2
+        rounding = (4.0 * sys.float_info.epsilon * max(map(abs, (below, price, above)))
+                    / (rn.s0 * h) ** 2)
+    except OverflowError:
+        raise OutOfRange(f"swept gamma divides by s0^2 and (s0 h)^2, beyond float range at "
+                         f"s0 = {rn.s0:.6g} (s0 h = {rn.s0 * h:.3g})") from None
     if rounding > _GAMMA_ROUNDING * max(1.0, abs(gamma)):
         raise OutOfRange(f"swept gamma {gamma:.6g} has a rounding error up to {rounding:.3g} on "
                          f"the grid step s0 h = {rn.s0 * h:.3g}: the maturity is too short")

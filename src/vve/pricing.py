@@ -282,7 +282,8 @@ def greeks_bump(pricer, rn: RiskNeutralParams, opt: OptionSpec,
     sweep builds the chain and runs the march).
     ``ds`` is the fine grid's spot step and ``dsig`` is 0, and an explicit
     ``ds`` or ``dsig`` raises InvalidGrid.  The sweep raises OutOfRange where
-    its gamma would be rounding noise (see ``_sweep_law``).  Any other
+    its gamma would be rounding noise or s0^2 leaves the float range (see
+    ``_sweep_law``), and a bumped set where ds^2 does.  Any other
     pricer, ``price_formula`` elsewhere and a wrapper of it
     (``functools.partial(price_formula)``) are bumped.
     """
@@ -302,9 +303,14 @@ def greeks_bump(pricer, rn: RiskNeutralParams, opt: OptionSpec,
     p0 = reprice()
     p_up, p_dn = reprice(s0=rn.s0 + ds), reprice(s0=rn.s0 - ds)
     v_up, v_dn = reprice(sigma=rn.sigma + dsig), reprice(sigma=rn.sigma - dsig)
+    try:
+        gamma = (p_up - 2.0 * p0 + p_dn) / ds ** 2
+    except OverflowError:
+        raise OutOfRange(f"bumped gamma divides by ds^2, beyond float range at ds = {ds:.6g} "
+                         f"(s0 = {rn.s0:.6g})") from None
     return {
         "delta": (p_up - p_dn) / (2.0 * ds),
-        "gamma": (p_up - 2.0 * p0 + p_dn) / ds ** 2,
+        "gamma": gamma,
         "vega": (v_up - v_dn) / (2.0 * dsig),
         "ds": ds, "dsig": dsig,
     }

@@ -42,6 +42,7 @@ from vve.law import (
     _LAW_TOP_LOG,
     SolvedLaw,
     _LawChain,
+    _lapack,
     _law_solves,
     _solve_law,
 )
@@ -1051,10 +1052,10 @@ class TestGreeks:
 
     @staticmethod
     def count_lapack(monkeypatch):
-        """Wrap LAPACK's dgttrf and dgttrs, which chains built from now on call; returns
-        the calls, ("dgttrf",) or ("dgttrs", trans), in order."""
-        from scipy.linalg import lapack
-
+        """Wrap LAPACK's dgttrf and dgttrs on the module vve.law reads, which chains
+        built from now on call; returns the calls, ("dgttrf",) or ("dgttrs", trans), in
+        order."""
+        lapack = _lapack()
         calls, dgttrf, dgttrs = [], lapack.dgttrf, lapack.dgttrs
 
         def factor(*args, **kwargs):
@@ -1302,6 +1303,21 @@ class TestLawSolveErrors:
         assert price_formula(rn, opt).price > 0.0
         with pytest.raises(OutOfRange, match="c1 \\* s0 \\* tau is too large for its grid"):
             greeks_bump(price_formula, rn, opt)
+
+    @pytest.mark.parametrize("pricer, sigma, c1_s0, s0, match", [
+        (price_formula, 0.0, 0.2, 1e200, "swept gamma .* at s0 = 1e\\+200"),
+        (price_formula, 0.2, 5e-3, 1e306, "swept gamma .* at s0 = 1e\\+306"),
+        (price_bs, 0.2, 0.0, 1e200, "bumped gamma .* \\(s0 = 1e\\+200\\)"),
+        (price_formula, 0.2, 0.0, 1e200, "bumped gamma .* \\(s0 = 1e\\+200\\)"),
+    ], ids=["swept_cve", "swept_vve", "bumped_bs", "bumped_formula_c1_zero"])
+    def test_gamma_at_huge_spot_raises(self, pricer, sigma, c1_s0, s0, match):
+        # the quote prices, but the gamma's s0^2 (swept) or ds^2 (bumped) leaves the float
+        # range
+        rn = RiskNeutralParams(sigma=sigma, c1=c1_s0 / s0, s0=s0, r=0.05)
+        opt = OptionSpec(strike=s0, maturity=1.0, rate=0.05)
+        assert pricer(rn, opt).price > 0.0
+        with pytest.raises(OutOfRange, match=match):
+            greeks_bump(pricer, rn, opt)
 
 
 #: the c1 > 0 cells of the benchmark's formula surface (sigma 0.2, s0 100, r 0.05)
