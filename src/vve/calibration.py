@@ -134,7 +134,8 @@ def ols_fit(x, y) -> RegressionReport:
     of its t statistic, also bit for bit.
 
     A perfect linear fit (zero residual variance) reports both p-values as 0
-    and sets ``exact_fit``.
+    and sets ``exact_fit``.  Raises DegenerateX where x's variance, which the
+    slope divides by, is 0 in floating point.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -143,11 +144,10 @@ def ols_fit(x, y) -> RegressionReport:
         raise TooFewPoints("x and y must have equal length")
     if n < 3:
         raise TooFewPoints(f"need at least 3 points, got {n}")
-    if np.ptp(x) == 0:
-        raise DegenerateX("x has zero variance; slope undefined")
-
     xmean, ymean = np.mean(x), np.mean(y)
     ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if np.ptp(x) == 0 or ssxm == 0:  # a constant x, or a spread whose square underflows
+        raise DegenerateX("x has zero variance in floating point; slope undefined")
     slope = float(ssxym / ssxm)
     intercept = float(ymean - slope * xmean)
     resid = y - intercept - slope * x
@@ -167,7 +167,7 @@ def ols_fit(x, y) -> RegressionReport:
 
     from scipy import special
 
-    if ssxm == 0.0 or ssym == 0.0:
+    if ssym == 0.0:
         r = math.nan if ssxym == 0 else 0.0
     else:
         r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)

@@ -2,7 +2,8 @@
 
 All numeric output is printed with 12 significant digits, and writers are
 deterministic (sorted JSON keys, no timestamps), so re-running a command
-with the same inputs produces byte-identical files.
+with the same inputs produces byte-identical files.  Every JSON report is
+RFC 8259 JSON: an infinity is written as null, and a NaN is refused.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import MarketSeries
-from .errors import CsvParseError, DuplicateDate, NonPositiveClose
+from .errors import CsvParseError, DuplicateDate, NonFinite, NonPositiveClose
 from .sde import PathEnsemble
 
 
@@ -27,7 +28,8 @@ def fmt(value) -> str:
 
 
 def _round12(obj):
-    """Recursively clamp floats to 12 significant digits for JSON output."""
+    """Recursively clamp floats to 12 significant digits for JSON output, and
+    write an infinity as None, since JSON has none."""
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -36,15 +38,21 @@ def _round12(obj):
         return [_round12(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
-        return v if not math.isfinite(v) else float(f"{v:.12g}")
+        return None if math.isinf(v) else float(f"{v:.12g}")
     if isinstance(obj, (np.integer,)):
         return int(obj)
     return obj
 
 
 def dumps(obj) -> str:
-    """``obj`` as the reports' JSON text: 12 significant digits, sorted keys."""
-    return json.dumps(_round12(obj), indent=2, sort_keys=True)
+    """``obj`` as the reports' JSON text: 12 significant digits, sorted keys.
+
+    Raises NonFinite where ``obj`` holds a NaN, which JSON cannot write.
+    """
+    try:
+        return json.dumps(_round12(obj), indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFinite(f"a report value is NaN, which JSON cannot write ({exc})") from None
 
 
 def write_json(path, obj) -> None:

@@ -50,8 +50,6 @@ class ModelParams:
 
     def __post_init__(self):
         check_coefficients(self.mu, self.sigma, self.c1, self.s0)
-        if self.sigma == 0 and self.c1 == 0:
-            raise DegenerateDiffusion("sigma = c1 = 0 leaves a risk-free asset, not a risk asset")
 
 
 def require_finite(*values) -> None:
@@ -61,12 +59,14 @@ def require_finite(*values) -> None:
 
 
 def check_coefficients(drift, sigma, c1, s0) -> None:
-    """Raise unless all four are finite, s0 > 0 and sigma, c1 >= 0."""
+    """Raise unless all four are finite, s0 > 0, sigma, c1 >= 0 and not both 0."""
     require_finite(drift, sigma, c1, s0)
     if s0 <= 0:
         raise NonPositiveSpot(f"s0 must be > 0, got {s0}")
     if sigma < 0 or c1 < 0:
         raise NegativeCoefficient(f"sigma and c1 must be >= 0, got sigma={sigma}, c1={c1}")
+    if sigma == 0 and c1 == 0:
+        raise DegenerateDiffusion("sigma = c1 = 0 leaves a risk-free asset, not a risk asset")
 
 
 def _exp(x: float, what: str, name: str) -> float:

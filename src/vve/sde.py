@@ -411,15 +411,19 @@ def _step_terminal(params: ModelParams, dt: float, s0, db, milstein, out=None, *
     return roles[p][0], exploded
 
 
-def _check_n_paths(n_paths: int) -> None:
+def _check_paths_and_seed(n_paths: int, seed: int) -> None:
+    """Refuse n_paths < 1, and a seed that is not an integer in [0, 2^63), which
+    Philox's key would take modulo 2^64 or round through float64 into another's."""
     if n_paths < 1:
         raise InvalidGrid(f"n_paths must be >= 1, got {n_paths}")
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 63):
+        raise InvalidGrid(f"seed must be an integer in [0, 2^63), got {seed!r}")
 
 
 def _simulate(params: ModelParams, grid: TimeGrid, n_paths: int, seed: int,
               scheme: str) -> PathEnsemble:
     """Ensemble of ``scheme`` ("euler", "milstein" or "exact") paths."""
-    _check_n_paths(n_paths)
+    _check_paths_and_seed(n_paths, seed)
     paths = np.empty((n_paths, grid.steps + 1))
     exploded = np.zeros(n_paths, dtype=bool)
 
@@ -454,7 +458,7 @@ def euler_terminal(params: ModelParams, horizon: float, steps: int, n_paths: int
     the Monte Carlo pricer where full path matrices would not fit in memory.
     Returns (terminal values, exploded fraction).
     """
-    _check_n_paths(n_paths)
+    _check_paths_and_seed(n_paths, seed)
     dt = TimeGrid(horizon, steps).dt
     terminal = np.empty(n_paths)
     exploded = np.zeros(n_paths, dtype=bool)
@@ -676,7 +680,7 @@ def _strong_convergence(params: ModelParams, horizon: float, dt_levels, n_paths:
     if reference not in ("exact", "refined"):
         raise InvalidGrid(f"unknown reference {reference!r}")
 
-    _check_n_paths(n_paths)
+    _check_paths_and_seed(n_paths, seed)
     level_steps = _validate_dt_levels(horizon, dt_levels)
     finest = level_steps[-1]
     exact = reference == "exact"

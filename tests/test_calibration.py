@@ -3,6 +3,7 @@
 import datetime as dt
 import math
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +198,11 @@ class TestOlsFit:
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateX):
             ols_fit(np.full(5, 2.0), np.arange(5, dtype=float))
+        # x spread ~1e-200: its variance, which the slope divides by, underflows to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateX):
+                ols_fit(np.tile([1e-200, 2e-200, 3e-200], 20), np.arange(60, dtype=float))
         with pytest.raises(TooFewPoints):
             ols_fit(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
         with pytest.raises(TooFewPoints):

@@ -12,6 +12,7 @@ from jsonschema import validators
 
 from vve import io, pricing
 from vve.cli import main
+from vve.errors import NonFinite
 
 DATA = Path(__file__).parent / "data"
 SCHEMAS = Path(__file__).parents[1] / "src" / "vve" / "schemas"
@@ -88,6 +89,17 @@ class TestSimulate:
         assert main(argv + ["--out-dir", str(b)]) == 0
         for name in ("paths.csv", "summary.json"):
             assert read_bytes(a / name) == read_bytes(b / name)
+
+    @pytest.mark.parametrize("seed", ["-1", "9223372036854775808", "18446744073709551615",
+                                      "18446744073709551616"])
+    def test_seed_outside_key_range_is_invalid_grid(self, tmp_path, capsys, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "invalid value encountered in cast"
+            assert main(["simulate", "--paths", "2", "--steps", "3", "--seed", seed,
+                         "--out-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.err)["error"] == "invalid_grid"
+        assert not list(tmp_path.iterdir())
 
     def test_all_exploded_column_mean_is_null(self, tmp_path):
         # the one closed-form path explodes, so the columns after it have no value
@@ -256,12 +268,16 @@ class TestPrice:
         # sigma^2 leaves the float range
         (["--method", "bs", "--sigma", "1e300"], "out_of_range"),
         (["--method", "formula", "--c1", "0", "--sigma", "1e200"], "out_of_range"),
-        # the deterministic growth exp(r tau) at sigma = c1 = 0 leaves the float range
-        (["--method", "mc", "--sigma", "0", "--c1", "0", "--r", "1e3"], "out_of_range"),
+        # sigma = c1 = 0 leaves a riskless asset, which no method prices
+        (["--method", "mc", "--sigma", "0", "--c1", "0", "--r", "1e3"], "degenerate_diffusion"),
         # the c1 = 0 formula is Black-Scholes: its discount, and s0 / K = 0
         (["--method", "formula", "--c1", "0", "--r=-1e3"], "out_of_range"),
         (["--method", "formula", "--c1", "0", "--s0", "1e-300", "--strike", "1e300"],
          "out_of_range"),
+        # the formula refuses sigma = c1 = 0 too
+        (["--method", "formula", "--c1", "0", "--sigma", "0"], "degenerate_diffusion"),
+        # a seed that the generator's key would alias to another
+        (["--method", "mc", "--seed", "18446744073709551615"], "invalid_grid"),
     ])
     def test_input_without_finite_quote_is_json_error(self, tmp_path, capsys, argv, error):
         argv = with_config_files(argv, tmp_path)
@@ -272,14 +288,14 @@ class TestPrice:
         assert err["error"] == error and err["message"]
         assert not (tmp_path / "price.json").exists()
 
-    def test_zero_strike_infinite_diagnostics_are_null(self, tmp_path):
+    def test_zero_strike_writes_infinite_d_as_null(self, tmp_path):
         assert main(["price", "--method", "formula,bs", "--strike", "0",
                      "--out-dir", str(tmp_path)]) == 0
 
         report = read_strict_json(tmp_path / "price.json")
         validate(report, "price.json")
         formula, bs = (report["quotes"][m]["diagnostics"] for m in ("formula", "bs"))
-        assert formula["d"] is None and formula["fT_inv_K"] is None
+        assert formula["d"] is None and "fT_inv_K" not in formula
         assert bs == {"d1": None, "d2": None}
         assert report["quotes"]["bs"]["price"] == 100.0
 
@@ -405,6 +421,23 @@ class TestHvAndRegress:
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "invalid_grid"
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["regress", "calibrate"])
+    def test_x_variance_underflow_is_degenerate_x(self, tmp_path, capsys, command):
+        # closes cycling 1e-200, 2e-200, 3e-200: the regressor's variance underflows to 0
+        csv = tmp_path / "tiny.csv"
+        csv.write_text("date,close\n" + "".join(
+            f"2020-{1 + i // 28:02d}-{1 + i % 28:02d},{(1 + i % 3) * 1e-200!r}\n"
+            for i in range(60)))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--csv", str(csv), "--window", "5",
+                         "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "degenerate_x"
+        assert not out.exists() or not list(out.iterdir())
 
 
 class TestConfigPrecedence:
@@ -553,6 +586,18 @@ class TestErrorContract:
         assert captured.out == "" and len(err) == 1
         line = json.loads(err[0])
         assert line["error"] == "error" and line["message"].startswith("vve")
+
+    def test_report_is_strict_json(self, capsys):
+        # the writer owns JSON validity: an infinity is null, a NaN is refused
+        assert json.loads(io.dumps({"a": math.inf, "b": [-math.inf, 1.0]})) == \
+            {"a": None, "b": [None, 1.0]}
+        with pytest.raises(NonFinite):
+            io.dumps({"a": [math.nan]})
+        assert main(["price", "--strike", "inf", "--show-config"]) == 0
+        assert json.loads(capsys.readouterr().out)["strike"] is None
+        assert main(["price", "--sigma", "nan", "--show-config"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and json.loads(captured.err)["error"] == "non_finite"
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exit_:

@@ -30,6 +30,7 @@ from oracles import (
     sweep_law_reference,
 )
 from vve.errors import (
+    DegenerateDiffusion,
     ExplosionRegion,
     InvalidGrid,
     NegativeCoefficient,
@@ -46,7 +47,7 @@ from vve.law import (
     _law_solves,
     _solve_law,
 )
-from vve.model import ModelParams
+from vve.model import ModelParams, validate_params
 from vve.pricing import (
     LAW_NODES_BELOW,
     LAW_STEPS,
@@ -106,8 +107,13 @@ class TestSpecsAndParams:
     def test_negative_coefficient_names_values(self):
         with pytest.raises(NegativeCoefficient, match=r"got sigma=-0\.2, c1=0\.0001"):
             RiskNeutralParams(sigma=-0.2, c1=1e-4, s0=100.0, r=0.05)
-        rn = RiskNeutralParams(sigma=0.0, c1=0.0, s0=100.0, r=0.05)  # riskless, yet valid
-        assert rn.r - 0.5 * rn.sigma ** 2 == 0.05
+
+    def test_riskless_refused_as_by_validate_params(self):
+        # sigma = c1 = 0 leaves no risk: one check refuses it for both parameter classes
+        for build in (functools.partial(RiskNeutralParams, 0.0, 0.0, 100.0, 0.05),
+                      functools.partial(validate_params, 0.05, 0.0, 0.0, 100.0)):
+            with pytest.raises(DegenerateDiffusion, match="sigma = c1 = 0"):
+                build()
 
     @pytest.mark.parametrize("field", ["sigma", "c1", "s0", "r"])
     def test_non_finite_params_rejected(self, field):
@@ -306,17 +312,17 @@ class TestPriceFormula:
         assert prices[0] < 1000.0
         assert prices[0] == pytest.approx(68.4, abs=0.5)
 
-    def test_diagnostics_contract(self):
+    def test_diagnostics_report_the_law_route(self):
         quote = price_formula(RN_VVE, ATM)
-        for key in ("d", "fT_inv_K", "ft_inv_x", "nodes_or_paths", "exploded_fraction"):
-            assert key in quote.diagnostics
+        assert quote.diagnostics.keys() == {"d", "nodes_or_paths", "law_nodes", "law_steps",
+                                            "law_s_min", "law_s_max", "law_error_estimate",
+                                            "martingale_defect"}
         assert quote.method == "formula"
         # the error estimate is the law route's own: |R - R_2|
         assert quote.error_estimate == quote.diagnostics["law_error_estimate"]
         # the interpolation reads 4 law nodes; d is Phi^{-1}(P(X <= K')), near 0 at the money
         assert quote.diagnostics["nodes_or_paths"] == 4
         assert abs(quote.diagnostics["d"]) < 0.2
-        assert quote.diagnostics["fT_inv_K"] == quote.diagnostics["d"]
         # the law solve reports its grid, which brackets the spot
         assert quote.diagnostics["law_steps"] > 0
         assert quote.diagnostics["law_s_min"] < 100.0 < quote.diagnostics["law_s_max"]
@@ -390,15 +396,13 @@ class TestClosedFormAtC1Zero:
             opt = replace(ATM, strike=k)
             assert price_formula(rn, opt).price == price_bs(rn, opt).price
 
-    def test_sigma_zero_unsupported(self):
-        # at sigma = c1 = 0 the formula refuses as Black-Scholes does, type and message
-        rn = replace(RN_GBM, sigma=0.0)
-        with pytest.raises(NegativeCoefficient) as bs:
-            price_bs(rn, ATM)
-        with pytest.raises(NegativeCoefficient) as formula:
-            price_formula(rn, ATM)
-        assert type(formula.value) is type(bs.value)
-        assert str(formula.value) == str(bs.value) == "sigma and tau must be > 0"
+    def test_sigma_zero_is_riskless_and_refused(self):
+        # at c1 = 0, sigma = 0 is the riskless asset, refused before any pricer; as
+        # sigma -> 0 the formula tends to the riskless call s0 - K e^{-r tau}
+        with pytest.raises(DegenerateDiffusion):
+            replace(RN_GBM, sigma=0.0)
+        quote = price_formula(replace(RN_GBM, sigma=1e-12), ATM)
+        assert quote.price == pytest.approx(100.0 - 100.0 * math.exp(-0.05), rel=1e-12)
 
     @pytest.mark.parametrize("rn, opt", [
         (replace(RN_GBM, sigma=1e200), ATM),
@@ -412,20 +416,17 @@ class TestClosedFormAtC1Zero:
 
     @pytest.mark.parametrize("opt", [ATM, OptionSpec(strike=90.0, maturity=1.5, rate=0.05, t=0.5),
                                      replace(ATM, strike=0.0)], ids=["t=0", "t>0", "K=0"])
-    def test_diagnostics_follow_the_law_route(self, opt):
+    def test_diagnostics_are_d_and_no_nodes(self, opt):
         quote = price_formula(RN_GBM, opt)
         d2 = price_bs(RN_GBM, opt).diagnostics["d2"]
         assert quote.method == "formula" and quote.error_estimate == 0.0
-        assert quote.diagnostics == {"d": -d2, "fT_inv_K": -d2 * math.sqrt(opt.maturity - opt.t),
-                                     "ft_inv_x": 0.0, "nodes_or_paths": 0,
-                                     "exploded_fraction": 0.0}
+        assert quote.diagnostics == {"d": -d2, "nodes_or_paths": 0}
         if opt.t == 0 and opt.strike > 0:
-            # at t = 0 the candidate map's own d, f_T^{-1}(K) and f_t^{-1}(s0)
+            # at t = 0, d sqrt(tau) is the candidate map's f_T^{-1}(K), with f_t^{-1}(s0) = 0
             smap = _CandidateMap(RN_GBM, opt)
             w_k = smap.inverse(opt.strike)
             assert smap.w_t == 0.0
-            assert quote.diagnostics["fT_inv_K"] == pytest.approx(w_k, rel=1e-14)
-            assert quote.diagnostics["d"] == pytest.approx(w_k / smap.sqrt_tau, rel=1e-14)
+            assert quote.diagnostics["d"] * smap.sqrt_tau == pytest.approx(w_k, rel=1e-14)
 
 
 def law_price(law, opt):
@@ -819,12 +820,21 @@ class TestLawSweep:
 
 
 class TestPriceMc:
-    def test_deterministic_degenerate_case(self):
-        rn = RiskNeutralParams(sigma=0.0, c1=0.0, s0=100.0, r=0.05)
+    def test_near_riskless_limit_is_the_euler_forward(self):
+        # sigma = c1 = 0 is refused; as sigma -> 0 every Euler path tends to the riskless
+        # one, s0 (1 + r dt)^steps, with no spread
+        rn = RiskNeutralParams(sigma=1e-12, c1=0.0, s0=100.0, r=0.05)
         quote = price_mc(rn, OptionSpec(strike=90.0, maturity=1.0, rate=0.05), 10, 10, 0)
-        expected = math.exp(-0.05) * (100.0 * math.exp(0.05) - 90.0)
-        assert quote.price == pytest.approx(expected, rel=1e-15)
-        assert quote.error_estimate == 0.0
+        expected = math.exp(-0.05) * (100.0 * (1.0 + 0.05 / 10) ** 10 - 90.0)
+        assert quote.price == pytest.approx(expected, rel=1e-9)
+        assert quote.error_estimate < 1e-8
+        assert quote.diagnostics["exploded_fraction"] == 0.0
+
+    def test_bump_onto_riskless_refused(self):
+        # at sigma = dsig and c1 = 0 the down bump is the riskless asset
+        rn = replace(RN_GBM, sigma=1e-4)
+        with pytest.raises(DegenerateDiffusion):
+            greeks_bump(price_mc, rn, ATM, n_paths=10, steps=10, seed=0)
 
     def test_single_path_rejected(self):
         """One payoff has no standard error; the quote would carry NaN."""
@@ -936,7 +946,7 @@ class TestPriceBs:
             OptionQuote(price=0.0, method="black_scholes", error_estimate=0.0,
                         diagnostics={"intrinsic": True})
         with pytest.raises(NegativeCoefficient):
-            price_bs(replace(RN_GBM, sigma=0.0), ATM)
+            price_bs(replace(RN_VVE, sigma=0.0), ATM)
         with pytest.raises(NegativeCoefficient):
             price_bs(replace(RN_GBM, r=math.nan), ATM)
         with pytest.raises(NegativeCoefficient, match="strike must be >= 0"):

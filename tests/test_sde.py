@@ -186,6 +186,24 @@ class TestSimulateEuler:
             with pytest.raises(InvalidGrid):
                 strong_convergence(GBM, 1.0, [0.5, 0.25], n_paths, seed=0)
 
+    def test_seed_outside_philox_key_range_refused(self):
+        # Philox takes its key modulo 2^64 or through float64: seeds -1 and 2^64 - 1, and
+        # 2^63 and 2^63 + 1, drew one stream each
+        for seed in (-1, 1.5, 2 ** 63, 2 ** 64 - 1, 2 ** 64):
+            with pytest.raises(InvalidGrid, match=r"seed must be an integer in \[0, 2\^63\)"):
+                simulate_euler(GBM, TimeGrid(1.0, 4), 2, seed=seed)
+            with pytest.raises(InvalidGrid):
+                euler_terminal(GBM, 1.0, 4, 2, seed=seed)
+            with pytest.raises(InvalidGrid):
+                strong_convergence(GBM, 1.0, [0.5, 0.25], 2, seed=seed)
+        largest = 2 ** 63 - 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            paths = simulate_euler(GBM, TimeGrid(1.0, 4), 2, seed=largest).paths
+        assert not np.array_equal(paths, simulate_euler(GBM, TimeGrid(1.0, 4), 2, seed=0).paths)
+        assert np.array_equal(paths, simulate_euler(GBM, TimeGrid(1.0, 4), 2,
+                                                    seed=np.int64(largest)).paths)
+
 
 class TestSimulateMilstein:
     def test_constant_paths_degenerate(self):

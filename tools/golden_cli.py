@@ -118,7 +118,7 @@ COMMANDS = [
     ("price_formula_strike_above_grid", ["price", "--method", "formula", "--strike", "1e308"]),
     # so short a maturity that the law grid's nodes collide in floating point
     ("error_formula_tiny_maturity", ["price", "--method", "formula", "--maturity", "1e-100"]),
-    # a zero strike: d, fT_inv_K, d1 and d2 are infinite, written as null
+    # a zero strike: d, d1 and d2 are infinite, written as null
     ("price_zero_strike", ["price", "--method", "formula,bs", "--strike", "0"]),
     # sigma^2 beyond the float range, and an exact reference that leaves it
     ("error_bs_sigma_overflow", ["price", "--method", "bs", "--sigma", "1e300"]),
@@ -136,10 +136,11 @@ COMMANDS = [
     ("error_mc_overflow", ["price", "--method", "mc", "--paths", "64", "--steps", "8",
                            "--r", "1e300"]),
     # exponentials beyond the float range: each method's discount at a large negative
-    # rate (the law route's drift, 1000, is past its grid first) and the deterministic
-    # growth at sigma = c1 = 0.  The c1 = 0 formula is Black-Scholes, so the "error_"
-    # commands at c1 = 0 below keep the names of the candidate map's refusals (here
-    # exp(gamma T) underflowing to 0) and now price where Black-Scholes prices
+    # rate (the law route's drift, 1000, is past its grid first).  sigma = c1 = 0, whose
+    # deterministic growth once overflowed here, is refused as a riskless asset.  The
+    # c1 = 0 formula is Black-Scholes, so the "error_" commands at c1 = 0 below keep the
+    # names of the candidate map's refusals (here exp(gamma T) underflowing to 0) and now
+    # price where Black-Scholes prices
     ("error_formula_discount_overflow", ["price", "--method", "formula", "--r=-1e3"]),
     ("error_mc_discount_overflow", ["price", "--method", "mc", "--paths", "64",
                                     "--steps", "8", "--r=-1e3"]),
@@ -167,7 +168,7 @@ COMMANDS = [
                                         "--sigma", "30"]),
     ("price_formula_c1_zero_high_rate", ["price", "--method", "formula,bs", "--c1", "0",
                                          "--r", "800"]),
-    # at sigma = c1 = 0 the formula refuses as Black-Scholes does
+    # sigma = c1 = 0 is a riskless asset, which every method refuses
     ("error_formula_sigma_zero", ["price", "--method", "formula", "--c1", "0",
                                   "--sigma", "0"]),
     # sigma = 0 with c1 > 0 is the constant-elasticity model, which the law route prices
