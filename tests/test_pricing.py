@@ -1410,6 +1410,80 @@ class TestLawGreeks:
             greeks_bump(price_formula, RN_VVE, ATM, **bump)
 
 
+#: (sigma, c1, r, tau) at s0 = 100 of the symmetry checks, with their strikes and factors
+SYMMETRY_SETS = [(0.2, 5e-4, 0.05, 1.0), (0.1, 2e-3, 0.0, 0.5), (0.0, 1e-3, 0.03, 2.0),
+                 (0.3, 1e-4, -0.02, 4.0)]
+SYMMETRY_STRIKES = (50.0, 90.0, 100.0, 130.0)
+SYMMETRY_FACTORS = (0.37, 3.0, 1000.0)
+
+
+def rescaled(sigma, c1, r, tau, lam, kind):
+    """(rn, tau, strike factor, vega factor) of a set at s0 = 100 under a symmetry of
+    the SDE: in space (lam s0, lam K, c1 / lam), where C scales by lam, or in time
+    (tau / lam, sigma sqrt(lam), c1 sqrt(lam), r lam), where C keeps its value and
+    the vega, a derivative in sigma sqrt(lam), scales by 1 / sqrt(lam)."""
+    if kind == "space":
+        return RiskNeutralParams(sigma=sigma, c1=c1 / lam, s0=100.0 * lam, r=r), tau, lam, 1.0
+    root = math.sqrt(lam)
+    return (RiskNeutralParams(sigma=sigma * root, c1=c1 * root, s0=100.0, r=r * lam),
+            tau / lam, 1.0, root)
+
+
+def scale_free_quote(rn, tau, strike, vega_factor):
+    """A formula quote and its swept set in units of s0: price, error_estimate,
+    martingale_defect, delta, gamma s0 and vega (times ``vega_factor``) over s0."""
+    opt = OptionSpec(strike=strike, maturity=tau, rate=rn.r)
+    quote, greeks = price_formula(rn, opt), greeks_bump(price_formula, rn, opt)
+    return np.array([quote.price / rn.s0, quote.error_estimate / rn.s0,
+                     quote.diagnostics["martingale_defect"] / rn.s0, greeks["delta"],
+                     greeks["gamma"] * rn.s0, greeks["vega"] * vega_factor / rn.s0])
+
+
+class TestScaleSymmetry:
+    """The SDE's two exact symmetries, which the law route keeps to rounding.
+
+    In space, if S solves it with (sigma, c1) then lam S solves it with
+    (sigma, c1 / lam), so C(lam s0, lam K; sigma, c1 / lam) = lam C(s0, K;
+    sigma, c1).  In time, rescaling the clock by lam gives C(tau / lam;
+    sigma sqrt(lam), c1 sqrt(lam), r lam) = C(tau; sigma, c1, r).  The law
+    chain depends only on sigma sqrt(tau), c1 s0 sqrt(tau) and r tau, so a
+    quote and its swept set, in units of s0, agree to 1e-11 (1e-9 for gamma
+    s0, a second difference over h^2).  The bounds are absolute: near-zero
+    deep out-of-the-money gammas and estimates break relative ones.
+    """
+
+    #: bounds on price, error_estimate, martingale_defect, delta, gamma s0 and vega / s0
+    BOUNDS = np.array([1e-11, 1e-11, 1e-11, 1e-11, 1e-9, 1e-11])
+
+    @pytest.mark.parametrize("kind", ["space", "time"])
+    @pytest.mark.parametrize("params", SYMMETRY_SETS, ids=lambda p: "-".join(map(str, p)))
+    def test_law_route_keeps_the_symmetry(self, params, kind):
+        sigma, c1, r, tau = params
+        rn = RiskNeutralParams(sigma=sigma, c1=c1, s0=100.0, r=r)
+        base = {k: scale_free_quote(rn, tau, k, 1.0) for k in SYMMETRY_STRIKES}
+        for lam in SYMMETRY_FACTORS:
+            rn_lam, tau_lam, strike_factor, vega_factor = rescaled(*params, lam, kind)
+            for k in SYMMETRY_STRIKES:
+                mapped = scale_free_quote(rn_lam, tau_lam, k * strike_factor, vega_factor)
+                assert np.all(np.abs(mapped - base[k]) <= self.BOUNDS), (lam, k, mapped - base[k])
+
+    @pytest.mark.parametrize("params", SYMMETRY_SETS, ids=lambda p: "-".join(map(str, p)))
+    def test_monte_carlo_keeps_the_space_symmetry(self, params):
+        # the same seed draws the same increments: Euler's arithmetic rescales to rounding
+        sigma, c1, r, tau = params
+
+        def quote(rn, strike):
+            mc = price_mc(rn, OptionSpec(strike=strike, maturity=tau, rate=r), 2048, 64, 11)
+            return np.array([mc.price, mc.error_estimate]) / rn.s0
+
+        rn = RiskNeutralParams(sigma=sigma, c1=c1, s0=100.0, r=r)
+        base = {k: quote(rn, k) for k in SYMMETRY_STRIKES}
+        for lam in SYMMETRY_FACTORS:
+            rn_lam = rescaled(*params, lam, "space")[0]
+            for k in SYMMETRY_STRIKES:
+                assert np.all(np.abs(quote(rn_lam, lam * k) - base[k]) <= 1e-11), (lam, k)
+
+
 class TestRichardsonTable:
     """The law-map price against the committed limits of ``tools/law_richardson_table.py``.
 
