@@ -156,7 +156,8 @@ def price_formula(rn: RiskNeutralParams, opt: OptionSpec) -> OptionQuote:
     sample of 2,860 (parameter set, strike) pairs over the admissible space,
     60 erred by more than max(estimate, 1e-9), by up to 1,700x the estimate.
     The diagnostics give the grid (``law_nodes``, ``law_steps``,
-    ``law_s_min``, ``law_s_max``, in today's money), the nodes read
+    ``law_s_min``, ``law_s_max``, in today's money, the top infinite where
+    it is beyond the float range), the nodes read
     (``nodes_or_paths``), d = Phi^{-1}(P(X <= K')), ``law_error_estimate``
     (the same |R - R_2|) and ``martingale_defect`` = s0 - E[X] extrapolated
     as R is: the value the strict local martingale loses, S0 - C(0).  At
@@ -266,10 +267,10 @@ def greeks_bump(pricer, rn: RiskNeutralParams, opt: OptionSpec,
     sweep builds the chain and runs the march).
     ``ds`` is the fine grid's spot step and ``dsig`` is 0, and an explicit
     ``ds`` or ``dsig`` raises InvalidGrid.  The sweep raises OutOfRange where
-    its gamma would be rounding noise or s0^2 leaves the float range (see
-    ``_sweep_law``), and a bumped set where ds^2 does.  Any other
+    its gamma would be rounding noise (see ``_sweep_law``).  Any other
     pricer, ``price_formula`` elsewhere and a wrapper of it
-    (``functools.partial(price_formula)``) are bumped.
+    (``functools.partial(price_formula)``) are bumped; a bumped gamma divides
+    by ds twice, so that it keeps its digits where ds^2 would be subnormal.
     """
     if pricer is price_formula and rn.c1 > 0 and opt.maturity > opt.t:
         if ds is not None or dsig is not None:
@@ -287,14 +288,9 @@ def greeks_bump(pricer, rn: RiskNeutralParams, opt: OptionSpec,
     p0 = reprice()
     p_up, p_dn = reprice(s0=rn.s0 + ds), reprice(s0=rn.s0 - ds)
     v_up, v_dn = reprice(sigma=rn.sigma + dsig), reprice(sigma=rn.sigma - dsig)
-    try:
-        gamma = (p_up - 2.0 * p0 + p_dn) / ds ** 2
-    except OverflowError:
-        raise OutOfRange(f"bumped gamma divides by ds^2, beyond float range at ds = {ds:.6g} "
-                         f"(s0 = {rn.s0:.6g})") from None
     return {
         "delta": (p_up - p_dn) / (2.0 * ds),
-        "gamma": gamma,
+        "gamma": (p_up - 2.0 * p0 + p_dn) / ds / ds,
         "vega": (v_up - v_dn) / (2.0 * dsig),
         "ds": ds, "dsig": dsig,
     }

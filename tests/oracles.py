@@ -7,9 +7,9 @@ Black-Scholes oracles evaluate the normal-CDF terms in 50-digit arithmetic
 with mpmath.  The step-kernel oracle is the one-scheme, column-at-a-time
 Euler/Milstein loop that ``vve.sde._step_terminal`` must reproduce bit for
 bit.  The law-solve oracle builds the graded nodes and their rates on its own,
-factors the chain's one system once and runs the Crank-Nicolson step loop
-allocating its arrays each step, which ``vve.law._solve_law`` must
-reproduce bit for bit; the law-sweep oracle
+in units of s0 as the law route does, factors the chain's one system once and
+runs the Crank-Nicolson step loop allocating its arrays each step, which
+``vve.law._solve_law`` must reproduce bit for bit; the law-sweep oracle
 walks the same chain backward with the vega tangent's source written out from
 the up and down differences, which ``vve.law._sweep_law`` must reproduce
 bit for bit in price, delta and gamma, and to rounding in vega, which
@@ -29,7 +29,6 @@ sigma.  The closed-form oracle evaluates the paper's own expression in
 """
 
 import math
-import sys
 
 import mpmath
 import numpy as np
@@ -167,21 +166,21 @@ def _law_chain_reference(rn, tau, nodes_below, steps):
     """The graded nodes of a law solve and the one system of its chain, built on
     their own.
 
-    The chain is that of the undiscounted price S, whose rates do not depend
-    on time.  The nodes are s0 e^{y_k}, y_k = alpha sinh(xi_k), alpha = (sigma
+    The chain is that of the undiscounted price in units of s0, S / s0, whose
+    rates do not depend on time and whose volatility is sigma + (c1 s0) x.
+    The nodes are e^{y_k}, y_k = alpha sinh(xi_k), alpha = (sigma
     + c1 s0) sqrt(tau), xi_k = k xi_b / nodes_below with xi_b = asinh(depth /
     alpha); where |r| tau exceeds alpha, a run of nodes at the spot's gap h,
     ceil((|r| tau - alpha) / h) of them, sits on the drift's side of the
     spot, and the graded map starts again at its end.  The top is the last
-    node at or below s0 e^69 (less the run, above the spot) of the grid with
-    LAW_NODES_BELOW // 4 nodes below the spot, or at or below max_float / e
-    where that is lower.  A node's diffusion rates come from its relative
+    node at or below e^69 (less the run, above the spot) of the grid with
+    LAW_NODES_BELOW // 4 nodes below the spot.  A node's diffusion rates come from its relative
     gaps to the nodes beside it, one more node of the map past each end, and
     its drift rates match r x with the gaps on both sides, or on one side
     where a total rate would be negative.  Returns a namespace: the nodes in
-    today's money (over the growth rho of the march's mean), vol, the unit
-    diffusion rates, the diagonals of I - a A, a = dt/2, the spot's log gap h
-    and index, the steps' thetas and rho.
+    units of s0 of today's money (over the growth rho of the march's mean),
+    vol, the unit diffusion rates, the diagonals of I - a A, a = dt/2, the
+    spot's log gap h and index, the steps' thetas and rho.
     """
     from types import SimpleNamespace
 
@@ -193,8 +192,7 @@ def _law_chain_reference(rn, tau, nodes_below, steps):
     alpha = (rn.sigma + rn.c1 * rn.s0) * math.sqrt(tau)
     a, r = 0.5 * (tau / steps), rn.r
     depth = _LAW_DEPTH_SD * alpha + 0.5 * alpha * alpha
-    top = min(_LAW_TOP_LOG, math.log(sys.float_info.max / rn.s0) - 1.0)
-    if abs(r) * tau - alpha > min(depth, top):
+    if abs(r) * tau - alpha > min(depth, _LAW_TOP_LOG):
         raise OutOfRange("law grid cannot follow the drift")
     if abs(r) * a >= 1.0:
         raise OutOfRange("law chain needs |r| dt/2 < 1")
@@ -203,10 +201,10 @@ def _law_chain_reference(rn, tau, nodes_below, steps):
     if abs(r) * tau - alpha > 0.0:
         run = math.ceil((abs(r) * tau - alpha) / spot_gap)
     run_log = run * spot_gap if run else 0.0
-    if not rn.s0 * math.exp(-depth - (0.0 if r > 0 else run_log)) > 0.0:
+    if not math.exp(-depth - (0.0 if r > 0 else run_log)) > 0.0:
         raise OutOfRange("law grid depth is beyond float range")
-    top_steps = max(math.floor(math.asinh((top - (run_log if r > 0 else 0.0)) / alpha) / xi_b
-                               * coarsest), 1)
+    top_steps = max(math.floor(math.asinh((_LAW_TOP_LOG - (run_log if r > 0 else 0.0)) / alpha)
+                               / xi_b * coarsest), 1)
     n_below = nodes_below + (0 if r > 0 else run)
     n_above = math.ceil(top_steps * nodes_below / coarsest) + (run if r > 0 else 0)
 
@@ -224,14 +222,13 @@ def _law_chain_reference(rn, tau, nodes_below, steps):
         y = np.concatenate([graded(np.arange(-n_below - 1 + run, 0)) - run * h,
                             np.arange(-run, 0) * h,
                             graded(np.arange(0, n_above + 2))])
-    with np.errstate(over="ignore"):
-        x = rn.s0 * np.exp(y[1:-1])
+    x = np.exp(y[1:-1])
     g_up = np.expm1(y[2:] - y[1:-1])
     g_down = -np.expm1(-(y[1:-1] - y[:-2]))
     unit_up = 1.0 / (g_up * (g_up + g_down))
     unit_down = 1.0 / (g_down * (g_up + g_down))
     unit_up[0] = unit_up[-1] = unit_down[0] = 0.0  # the bottom absorbs, the top only jumps down
-    vol = rn.c1 * x + rn.sigma
+    vol = rn.c1 * rn.s0 * x + rn.sigma
     var = vol ** 2
     # the drift r x from both gaps, or from one where a total rate would be negative
     drift_up, drift_down = r * g_down * unit_up, -r * g_up * unit_down
@@ -264,7 +261,8 @@ def _law_factors_reference(chain):
 
 
 def solve_law_reference(rn, tau, nodes_below, steps):
-    """Law of S_tau on graded nodes in today's money, new arrays each step.
+    """Law of S_tau / s0 on graded nodes in units of s0 of today's money, new
+    arrays each step.
 
     The chain is ``_law_chain_reference``'s, its one system factored once.
     Returns (nodes, probabilities, h), h the spot's log gap; raises as
@@ -287,23 +285,25 @@ def solve_law_reference(rn, tau, nodes_below, steps):
 
 
 def sweep_law_reference(rn, tau, strike, nodes_below, steps):
-    """(price, delta, gamma, vega, s0 h) of E[(X - K / rho)^+] for the strike K by a
-    backward sweep of ``solve_law_reference``'s chain, new arrays each step.
+    """(price, delta, gamma, vega, s0 h) of s0 E[(X - K')^+] for the strike K, K' = K /
+    s0 / rho, by a backward sweep of ``solve_law_reference``'s chain in units of s0,
+    new arrays each step.
 
     The terminal vector is the 4-node Lagrange interpolation in log strike of
-    the node calls at K / rho (x - K / rho below the bottom node, 0 at or
-    above the top one).  Each step solves (I - a A)^T w = v and, for the
+    the node calls at K' (x - K' below the bottom node, 0 at or above the top
+    one).  Each step solves (I - a A)^T w = v and, for the
     vega tangent, (I - a A)^T dw = dv + a (dA/dsigma)^T w: only the diffusion
     rates move with sigma, so the source is written out from the up and down
     differences of w, a (dA/dsigma)^T w = -2 vol q, q_k = -a up_k (w_{k+1} -
     w_k) + a down_k (w_k - w_{k-1}) at var = 1.  Delta and gamma are central
-    differences in log price at the spot node.
+    differences in log price at the spot node; the price and vega are s0
+    times the swept ones and the gamma the swept one over s0.
     """
     from scipy.linalg.lapack import dgttrs
 
     chain = _law_chain_reference(rn, tau, nodes_below, steps)
     factors = _law_factors_reference(chain)
-    x, a, strike = chain.x, chain.a, strike / chain.rho
+    x, a, strike = chain.x, chain.a, strike / rn.s0 / chain.rho
     v = np.zeros(x.size)
     i = int(np.searchsorted(x, strike, side="right"))
     if i == 0:
@@ -326,7 +326,7 @@ def sweep_law_reference(rn, tau, strike, nodes_below, steps):
     s, h = chain.spot, chain.h
     below, price, above = v[s - 1:s + 2].tolist()
     v_y, v_yy = (above - below) / (2.0 * h), (above - 2.0 * price + below) / (h * h)
-    return price, v_y / rn.s0, (v_yy - v_y) / rn.s0 ** 2, float(dv[s]), rn.s0 * h
+    return rn.s0 * price, v_y, (v_yy - v_y) / rn.s0, rn.s0 * float(dv[s]), rn.s0 * h
 
 
 # --------------------------------------------------------------------------

@@ -441,10 +441,10 @@ class TestLawMap:
         # a single grid's price, which a Richardson pair refines (TestRichardsonTable)
         law = law_map(RN_GBM, 1.0, nodes_below=2000, steps=400)
         # P(X <= x_j) is the lognormal CDF at the top edge of node j's cell, the
-        # midpoint in log price between node j and the node above it
+        # midpoint in log price between node j and the node above it (in units of s0)
         edges = 0.5 * (law.log_x[:-1] + law.log_x[1:])
-        log_mean = math.log(100.0) - 0.5 * 0.2 ** 2
-        inside = (law.x[:-1] > 20.0) & (law.x[:-1] < 500.0)
+        log_mean = -0.5 * 0.2 ** 2
+        inside = (law.x[:-1] > 0.2) & (law.x[:-1] < 5.0)
         for y, cdf in zip(edges[inside], law.cdf[:-1][inside]):
             assert abs(cdf - norm_cdf((y - log_mean) / 0.2)) < 1e-5
         coarse = law_map(RN_GBM, 1.0, nodes_below=1000, steps=200)
@@ -464,8 +464,8 @@ class TestSolvedLaw:
     def test_node_sums_are_the_discrete_law(self):
         chain, p, _ = _solve_law(RN_VVE, 1.0, 250, 50)
         x = chain.x
-        # rho = 1 reads a strike in today's money, on the nodes themselves
-        law = SolvedLaw(x, p, 50, 1.0)
+        # rho = s0 = 1 reads a strike on the nodes themselves, in units of s0
+        law = SolvedLaw(x, p, 50, 1.0, 1.0)
         assert law.mean == pytest.approx(float(np.dot(p, x)), rel=1e-14)
         for j in (0, 100, 250, 400, x.size - 2):
             exact = float(np.dot(p, np.maximum(x - x[j], 0.0)))
@@ -479,10 +479,12 @@ class TestSolvedLaw:
         assert law.calls[-1] == 0.0
         for top in (float(x[-1]), 2.0 * float(x[-1])):
             assert law.price(top) == (0.0, 1.0, 0)
-        # law_map's law reads a strike K at K / rho, rho the march's growth of the mean;
-        # discounted by it, the law keeps its mean at s0 (no defect at c1 = 5e-4, tau = 1)
+        # law_map's law reads a strike K at K / s0 / rho, rho the march's growth of the
+        # mean, and prices in money; discounted by rho, the law keeps its mean at s0 (no
+        # defect at c1 = 5e-4, tau = 1)
         grown = law_map(RN_VVE, 1.0, nodes_below=250, steps=50)
-        assert grown.price(100.0) == law.price(100.0 / chain.rho)
+        price, below, nodes_read = law.price(1.0 / chain.rho)
+        assert grown.price(100.0) == (100.0 * price, below, nodes_read)
         assert abs(grown.mean - 100.0) <= 1e-10
 
     def test_cached_law_is_read_only(self):
@@ -490,8 +492,8 @@ class TestSolvedLaw:
         assert law_map(RN_VVE, 1.0) is law
         # the cached march, too: every later sweep on its grid pairs with it
         chain, p, march = _solve_law(RN_VVE, 1.0, LAW_NODES_BELOW, LAW_STEPS)
-        for values in (law.x, law.log_x, law.calls, law.cdf, p, march, chain.vol,
-                       chain.drift_up, chain.drift_down):
+        for values in (law.x, law.log_x, law.calls, law.cdf, p, march, chain.vega_up,
+                       chain.vega_down):
             with pytest.raises(ValueError):
                 values[0] = 0.0
 
@@ -501,7 +503,7 @@ class TestSolvedLaw:
         # the paper's formula by quadrature on the spline law map of the same two
         # solves, Richardson-extrapolated as the node sums are
         solves = [_solve_law(rn, tau, LAW_NODES_BELOW // m, LAW_STEPS // m) for m in (1, 2)]
-        maps = [LawMapReference(rn, tau, chain.x, p) for chain, p, _ in solves]
+        maps = [LawMapReference(rn, tau, rn.s0 * chain.x, p) for chain, p, _ in solves]
         for k in (70.0, 100.0, 130.0):
             opt = OptionSpec(strike=k, maturity=tau, rate=0.05)
             quote = price_formula(rn, opt)
@@ -677,11 +679,12 @@ REF_CASES = {
 
 
 def next_top(rn, tau, x_top):
-    """The node one step of the grid 4x coarser than the default above ``x_top``."""
+    """The node one step of the grid 4x coarser than the default above ``x_top``, both
+    in units of s0."""
     alpha = (rn.sigma + rn.c1 * rn.s0) * math.sqrt(tau)
     xi_b = math.asinh((_LAW_DEPTH_SD * alpha + 0.5 * alpha ** 2) / alpha)
-    xi = math.asinh(math.log(x_top / rn.s0) / alpha) + xi_b / (LAW_NODES_BELOW // 4)
-    return rn.s0 * math.exp(alpha * math.sinh(xi))
+    xi = math.asinh(math.log(x_top) / alpha) + xi_b / (LAW_NODES_BELOW // 4)
+    return math.exp(alpha * math.sinh(xi))
 
 
 class TestLawSolve:
@@ -707,31 +710,9 @@ class TestLawSolve:
         assert replay.tobytes() == p.tobytes()
         # the top is the last node at or below s0 e^{_LAW_TOP_LOG} of the grid 4x
         # coarser than the default, whose nodes every grid of the family shares (the
-        # nodes are in today's money: times rho, the chain's)
+        # nodes are in units of s0 over the chain's growth rho)
         top = x[-1] * chain.rho
-        assert top <= rn.s0 * math.exp(_LAW_TOP_LOG) * (1 + 1e-15) < next_top(rn, tau, top)
-
-    def test_top_stays_in_float_range(self):
-        # s0 e^{_LAW_TOP_LOG} overflows at s0 = 1e290: the top is capped at max_float / e,
-        # and the law prices Black-Scholes (c1 s0 = 1e-10) within its estimate, and the
-        # same model at s0 = 100, whose top is uncapped, to rounding
-        rn = RiskNeutralParams(sigma=0.2, c1=1e-300, s0=1e290, r=0.05)
-        quote = price_formula(rn, OptionSpec(strike=1e290, maturity=1.0, rate=0.05))
-        bs = price_bs(rn, OptionSpec(strike=1e290, maturity=1.0, rate=0.05)).price
-        assert abs(quote.price - bs) <= quote.diagnostics["law_error_estimate"]
-        small = price_formula(replace(rn, c1=1e-12, s0=100.0), ATM).price
-        assert quote.price / 1e288 == pytest.approx(small, rel=1e-12)
-        # at s0 = 5e307 the float range leaves 0.28 above the spot, under 12 deviations:
-        # a top there would reflect the law's body
-        with pytest.raises(OutOfRange, match="law grid top needs"):
-            price_formula(replace(rn, c1=1e-320, s0=5e307),
-                          OptionSpec(strike=5e307, maturity=1.0, rate=0.05))
-        chain, p, _ = _solve_law(rn, 1.0, LAW_NODES_BELOW, LAW_STEPS)
-        x_ref, p_ref, _ = solve_law_reference(rn, 1.0, LAW_NODES_BELOW, LAW_STEPS)
-        assert chain.x.tobytes() == x_ref.tobytes()
-        assert p.tobytes() == p_ref.tobytes()
-        top = chain.x[-1] * chain.rho
-        assert top <= sys.float_info.max / math.e * (1 + 1e-15) < next_top(rn, 1.0, top)
+        assert top <= math.exp(_LAW_TOP_LOG) * (1 + 1e-15) < next_top(rn, tau, top)
 
     def test_overflow_raises_as_reference(self):
         # with the top moved out to ~1e299 x s0 the top node's diffusion rate, (c1 x)^2
@@ -1017,7 +998,7 @@ class TestGreeks:
         v_up, v_dn = price(sigma=rn.sigma + dsig), price(sigma=rn.sigma - dsig)
         assert greeks_bump(pricer, rn, ATM) == {
             "delta": (p_up - p_dn) / (2.0 * ds),
-            "gamma": (p_up - 2.0 * p0 + p_dn) / ds ** 2,
+            "gamma": (p_up - 2.0 * p0 + p_dn) / ds / ds,
             "vega": (v_up - v_dn) / (2.0 * dsig),
             "ds": ds, "dsig": dsig}
 
@@ -1236,8 +1217,7 @@ class TestLawSolveErrors:
         (RN_DRIFT, OPT_DRIFT),
         (RN_VVE, OptionSpec(strike=100.0, maturity=1e-100, rate=0.05)),
         (replace(RN_VVE, sigma=1e-300, c1=1e-300), ATM),
-        (replace(RN_VVE, c1=1e-320, s0=5e307), replace(ATM, strike=5e307)),
-    ], ids=["r600", "r300_tau2", "r1345", "tau1e-100", "sigma_c1_1e-300", "top_no_room"])
+    ], ids=["r600", "r300_tau2", "r1345", "tau1e-100", "sigma_c1_1e-300"])
     def test_refused_before_any_step(self, rn, opt, monkeypatch):
         # every step solves the step's system at least once
         calls, solve = [], _LawChain.solve
@@ -1279,17 +1259,12 @@ class TestLawSolveErrors:
         # the CVE model at c1 s0 = 1e-308: top / alpha = 6.9e309 leaves the float range
         (RiskNeutralParams(sigma=0.0, c1=1e-310, s0=100.0, r=0.05), {}, OutOfRange,
          r"alpha in float range, got alpha = 1e-308 and top = 69"),
-        # the top is a whole node of the grid: with 2 nodes below the spot the first one
-        # at or past the 4x coarser grid's top (s0 e^18 at s0 = 1e300) is s0 e^76
-        (RiskNeutralParams(sigma=0.2, c1=1e-300, s0=1e300, r=0.05),
-         {"nodes_below": 2, "steps": 2}, OutOfRange,
-         r"grid top s0 e\^76\.0761 is beyond float range"),
         # |r| dt/2 = 1 - 1.25e-9: the march's growth (1 + a r) / (1 - a r) per step
         # overflows over 38 Crank-Nicolson steps
         (RiskNeutralParams(sigma=0.2, c1=0.12, s0=100.0, r=79.9999999),
          {"nodes_below": 16, "steps": 40}, OutOfRange,
          "over the march's growth rho = inf leave the float range"),
-    ], ids=["nodes_below_1", "steps_1", "alpha_tiny", "top_past_float_max", "rho_overflow"])
+    ], ids=["nodes_below_1", "steps_1", "alpha_tiny", "rho_overflow"])
     def test_chain_refused_before_any_step(self, rn, grid, error, match, monkeypatch):
         calls, solve = [], _LawChain.solve
 
@@ -1304,30 +1279,6 @@ class TestLawSolveErrors:
             with pytest.raises(error, match=match):
                 law_map(rn, 1.0, **grid)
         assert calls == []
-
-    def test_sweep_overflow_raises(self):
-        # the CVE model at s0 = 1e306: the quote prices, but the sweep's values near the
-        # grid top (5.7e307) leave the float range on its Crank-Nicolson steps
-        rn = RiskNeutralParams(sigma=0.0, c1=2e-307, s0=1e306, r=0.05)
-        opt = OptionSpec(strike=1e306, maturity=1.0, rate=0.05)
-        assert price_formula(rn, opt).price > 0.0
-        with pytest.raises(OutOfRange, match="c1 \\* s0 \\* tau is too large for its grid"):
-            greeks_bump(price_formula, rn, opt)
-
-    @pytest.mark.parametrize("pricer, sigma, c1_s0, s0, match", [
-        (price_formula, 0.0, 0.2, 1e200, "swept gamma .* at s0 = 1e\\+200"),
-        (price_formula, 0.2, 5e-3, 1e306, "swept gamma .* at s0 = 1e\\+306"),
-        (price_bs, 0.2, 0.0, 1e200, "bumped gamma .* \\(s0 = 1e\\+200\\)"),
-        (price_formula, 0.2, 0.0, 1e200, "bumped gamma .* \\(s0 = 1e\\+200\\)"),
-    ], ids=["swept_cve", "swept_vve", "bumped_bs", "bumped_formula_c1_zero"])
-    def test_gamma_at_huge_spot_raises(self, pricer, sigma, c1_s0, s0, match):
-        # the quote prices, but the gamma's s0^2 (swept) or ds^2 (bumped) leaves the float
-        # range
-        rn = RiskNeutralParams(sigma=sigma, c1=c1_s0 / s0, s0=s0, r=0.05)
-        opt = OptionSpec(strike=s0, maturity=1.0, rate=0.05)
-        assert pricer(rn, opt).price > 0.0
-        with pytest.raises(OutOfRange, match=match):
-            greeks_bump(pricer, rn, opt)
 
 
 #: the c1 > 0 cells of the benchmark's formula surface (sigma 0.2, s0 100, r 0.05)
@@ -1466,6 +1417,33 @@ class TestScaleSymmetry:
             for k in SYMMETRY_STRIKES:
                 mapped = scale_free_quote(rn_lam, tau_lam, k * strike_factor, vega_factor)
                 assert np.all(np.abs(mapped - base[k]) <= self.BOUNDS), (lam, k, mapped - base[k])
+
+    @pytest.mark.parametrize("s0", [1e-300, 1e-200, 1e-158, 1e200, 1e300, 5e307])
+    def test_any_spot_prices_as_s0_100(self, s0):
+        # the law chain is solved in units of s0, so a spot anywhere in the float range
+        # prices on the grid of s0 = 100, at sigma 0.2, c1 s0 0.01 (subnormal c1 at 5e307),
+        # r 0.05, tau 1 and K = s0.  Each set is (delta, gamma s0, vega / s0): swept, to
+        # 1e-11 relative, and bumped (a second difference of prices over (1e-3 s0)^2 for
+        # the gamma), where s0 = 1e-158 once read the Black-Scholes gamma 1.2 % off on
+        # subnormal squares.  Euler MC sets use one seed; above s0 ~1e154 their squared
+        # payoffs leave the float range and the MC quote refuses
+        def priced(s0):
+            rn = RiskNeutralParams(sigma=0.2, c1=0.01 / s0, s0=s0, r=0.05)
+            opt = OptionSpec(strike=s0, maturity=1.0, rate=0.05)
+            quote = price_formula(rn, opt)
+            pricers = {"swept": price_formula, "formula": BUMPED_FORMULA, "bs": price_bs}
+            if s0 < 1e154:
+                pricers["mc"] = functools.partial(price_mc, n_paths=2048, steps=64, seed=11)
+            sets = {name: greeks_bump(pricer, rn, opt) for name, pricer in pricers.items()}
+            return quote, {name: np.array([g["delta"], g["gamma"] * s0, g["vega"] / s0])
+                           for name, g in sets.items()}
+
+        (base, base_sets), (quote, sets) = priced(100.0), priced(s0)
+        assert quote.diagnostics["law_nodes"] == base.diagnostics["law_nodes"] == 1129
+        assert quote.price / s0 == pytest.approx(base.price / 100.0, rel=1e-11)
+        assert np.all(np.abs(sets.pop("swept") / base_sets["swept"] - 1.0) <= 1e-11)
+        for name, greeks in sets.items():
+            assert np.all(np.abs(greeks - base_sets[name]) <= [1e-9, 1e-7, 1e-9]), name
 
     @pytest.mark.parametrize("params", SYMMETRY_SETS, ids=lambda p: "-".join(map(str, p)))
     def test_monte_carlo_keeps_the_space_symmetry(self, params):

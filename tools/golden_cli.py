@@ -188,9 +188,10 @@ COMMANDS = [
                                      "--s0", "1e-300", "--sigma", "10", "--r", "40"]),
     # two flags at float-range edges: the candidate map's inverse with c - a x = 0 (sigma
     # s0 underflows) and with b x = 0 (sigma K underflows), Black-Scholes with sigma sqrt(tau)
-    # = 0 and with s0 / K = 0, the law grid's top capped below the float max (s0 1e300),
-    # and a law grid so narrow (alpha = 1e-298) that its nodes beside the spot collide in
-    # floating point (at r = 0: the default drift, r tau = 0.05, is past it first)
+    # = 0 and with s0 / K = 0, a law quote at s0 1e300 (c1 s0 = 1), whose grid top in money,
+    # s0 e^69, is beyond the float range and reads null, and a law grid so narrow (alpha =
+    # 1e-298) that its nodes beside the spot collide in floating point (at r = 0: the
+    # default drift, r tau = 0.05, is past it first)
     ("error_formula_inverse_zero_den", ["price", "--method", "formula", "--c1", "0",
                                         "--sigma", "1e-300", "--s0", "1e-300"]),
     ("error_formula_inverse_zero_num", ["price", "--method", "formula", "--c1", "0",
@@ -203,12 +204,15 @@ COMMANDS = [
                                          "--s0", "1e300"]),
     ("error_formula_grid_step_underflow", ["price", "--method", "formula", "--sigma", "1e-300",
                                            "--c1", "1e-300", "--r", "0"]),
-    # a spot whose e^69 multiple overflows: the capped top prices Black-Scholes at c1 s0 =
-    # 1e-10; and a spot so near the float max that no top 12 deviations above it is a float
+    # the law chain is solved in units of s0, so any spot prices on the grid of s0 = 100:
+    # at 1e290 the law prices Black-Scholes at c1 s0 = 1e-10, near the float max (c1 s0 =
+    # 4.9e-13, from a subnormal c1) and at 1e-300 (c1 s0 = 1e-3) too
     ("price_formula_grid_top_s0_1e290", ["price", "--method", "formula,bs", "--c1", "1e-300",
                                          "--s0", "1e290", "--strike", "1e290"]),
-    ("error_formula_grid_top_no_room", ["price", "--method", "formula", "--c1", "1e-320",
-                                        "--s0", "5e307", "--strike", "5e307"]),
+    ("price_formula_s0_near_float_max", ["price", "--method", "formula", "--c1", "1e-320",
+                                         "--s0", "5e307", "--strike", "5e307"]),
+    ("price_formula_s0_1e-300", ["price", "--method", "formula", "--s0", "1e-300",
+                                 "--c1", "1e297", "--strike", "1e-300"]),
     # the merged configuration: option defaults, config files and their precedence
     *((f"show_config_{cmd}", [cmd, "--show-config"])
       for cmd in ("simulate", "calibrate", "price", "convergence", "hv", "regress")),

@@ -10,8 +10,8 @@ Tier-1 test reads without recomputing it:
   K = 70, 100 and 130, the limit R(1600 x 800, 3200 x 1600): the Richardson
   extrapolation of the law's node-sum prices on 1600 graded nodes below the
   spot x 800 steps and on the grid 2x finer in both, with the default grid
-  top (~1e30 x s0), each read at the strike over its grid's growth rho of
-  the mean, as ``price_formula`` reads it.
+  top (~1e30 x s0), each read at the strike over s0 and its grid's growth
+  rho of the mean, as ``price_formula`` reads it.
 * ``black_scholes``: at c1 = 0, tau = 1 and K = 80, 100 and 120, the
   Black-Scholes price that the law route must reproduce there.
 
