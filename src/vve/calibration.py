@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -77,11 +77,10 @@ class RegressionReport:
     r_squared: float
     pearson_corr: float
     n_points: int
-    exact_fit: bool = False
 
     def to_dict(self) -> dict:
-        """The seven statistics by field name; ``exact_fit`` is not reported."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "exact_fit"}
+        """The seven statistics by field name."""
+        return asdict(self)
 
 
 @dataclass
@@ -133,9 +132,9 @@ def ols_fit(x, y) -> RegressionReport:
     they are the same bits; the intercept's p-value is ``2 * stats.t.sf``
     of its t statistic, also bit for bit.
 
-    A perfect linear fit (zero residual variance) reports both p-values as 0
-    and sets ``exact_fit``.  Raises DegenerateX where x's variance, which the
-    slope divides by, is 0 in floating point.
+    A perfect linear fit (zero residual variance) reports both p-values as 0.
+    Raises DegenerateX where x's variance, which the slope divides by, is 0
+    in floating point.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -158,12 +157,12 @@ def ols_fit(x, y) -> RegressionReport:
         # constant response: slope 0 fits exactly, correlation undefined -> 0
         return RegressionReport(slope=slope, intercept=intercept, p_slope=0.0,
                                 p_intercept=0.0, r_squared=0.0, pearson_corr=0.0,
-                                n_points=n, exact_fit=True)
+                                n_points=n)
     if sse <= 1e-24 * sst:
         return RegressionReport(slope=slope, intercept=intercept, p_slope=0.0,
                                 p_intercept=0.0, r_squared=1.0,
                                 pearson_corr=float(np.sign(slope)) if slope else 0.0,
-                                n_points=n, exact_fit=True)
+                                n_points=n)
 
     from scipy import special
 

@@ -96,7 +96,10 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
 
 def _out(cfg: dict, name: str) -> Path:
     out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise VveError(f"cannot make output directory {out_dir}: {exc}") from None
     return out_dir / name
 
 

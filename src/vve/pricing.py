@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -89,8 +89,7 @@ class OptionQuote:
             raise NegativeCoefficient("price and error_estimate must be >= 0")
 
     def to_dict(self) -> dict:
-        return {"price": self.price, "method": self.method,
-                "error_estimate": self.error_estimate, "diagnostics": dict(self.diagnostics)}
+        return asdict(self)
 
 
 def _intrinsic_quote(x: float, strike: float, method: str) -> OptionQuote:
@@ -179,14 +178,20 @@ def price_formula(rn: RiskNeutralParams, opt: OptionSpec) -> OptionQuote:
 
 @functools.lru_cache(maxsize=4)
 def _terminal_values(params: ModelParams, tau: float, steps: int, n_paths: int,
-                     seed: int) -> tuple[np.ndarray, float]:
+                     seed: int) -> tuple[np.ndarray, float, float]:
     """``euler_terminal``, cached so that the strikes of a strip share one path set.
 
-    The array is read-only: every later quote on the same key reads it.
+    Returns (terminal values / unit, exploded fraction, unit), the unit the
+    power of two at or below s0: a power of two scales exactly, and payoffs
+    of order 1 keep their squares in float range at any spot.  The array is
+    read-only: every later quote on the same key reads it.
     """
     terminal, exploded_fraction = euler_terminal(params, tau, steps, n_paths, seed)
+    unit = math.ldexp(1.0, math.frexp(params.s0)[1] - 1)
+    with np.errstate(over="ignore"):  # an exploded path past float max / unit: refused later
+        terminal /= unit
     terminal.flags.writeable = False
-    return terminal, exploded_fraction
+    return terminal, exploded_fraction, unit
 
 
 def price_mc(rn: RiskNeutralParams, opt: OptionSpec, n_paths: int, steps: int,
@@ -212,11 +217,11 @@ def price_mc(rn: RiskNeutralParams, opt: OptionSpec, n_paths: int, steps: int,
         return _intrinsic_quote(rn.s0, opt.strike, "monte_carlo")
     disc = _exp(-rn.r * tau, "discount", "-r tau")
     params = ModelParams(mu=rn.r, sigma=rn.sigma, c1=rn.c1, s0=rn.s0)
-    terminal, exploded_fraction = _terminal_values(params, tau, steps, n_paths, seed)
-    payoffs = np.maximum(terminal - opt.strike, 0.0)
+    terminal, exploded_fraction, unit = _terminal_values(params, tau, steps, n_paths, seed)
+    payoffs = np.maximum(terminal - opt.strike / unit, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):  # raised below as OutOfRange
-        mean = float(payoffs.mean())
-        se = float(payoffs.std(ddof=1) / math.sqrt(n_paths))
+        mean = float(payoffs.mean()) * unit
+        se = float(payoffs.std(ddof=1) / math.sqrt(n_paths)) * unit
     if not (math.isfinite(mean) and math.isfinite(se)):
         raise OutOfRange(f"Monte Carlo payoffs have no finite spread (mean {mean:.6g}, "
                          f"standard error {se:.6g}): they leave the float range")
@@ -256,7 +261,8 @@ def greeks_bump(pricer, rn: RiskNeutralParams, opt: OptionSpec,
                 ds: float | None = None, dsig: float | None = None,
                 **pricer_kwargs) -> dict:
     """Delta, gamma (spot) and vega (sigma) of ``pricer(rn, opt, **pricer_kwargs)
-    -> OptionQuote``, by central finite differences of bumped prices.
+    -> OptionQuote``, by central finite differences of bumped prices; the vega
+    is a forward difference where sigma < ``dsig``, as sigma - dsig has no price.
 
     Pass price_mc with a fixed seed to get common random numbers across bumps.
     ``price_formula`` itself at c1 > 0 and T > t is not bumped: its Greeks come
@@ -287,10 +293,14 @@ def greeks_bump(pricer, rn: RiskNeutralParams, opt: OptionSpec,
 
     p0 = reprice()
     p_up, p_dn = reprice(s0=rn.s0 + ds), reprice(s0=rn.s0 - ds)
-    v_up, v_dn = reprice(sigma=rn.sigma + dsig), reprice(sigma=rn.sigma - dsig)
+    v_up = reprice(sigma=rn.sigma + dsig)
+    if rn.sigma < dsig:  # sigma - dsig < 0 has no price: a forward difference
+        vega = (v_up - p0) / dsig
+    else:
+        vega = (v_up - reprice(sigma=rn.sigma - dsig)) / (2.0 * dsig)
     return {
         "delta": (p_up - p_dn) / (2.0 * ds),
         "gamma": (p_up - 2.0 * p0 + p_dn) / ds / ds,
-        "vega": (v_up - v_dn) / (2.0 * dsig),
+        "vega": vega,
         "ds": ds, "dsig": dsig,
     }

@@ -72,8 +72,9 @@ cheaper one for its caller:
 Two workers let one block's fill overlap another block's steps; the steps
 hold the GIL between their small numpy calls, so a third worker would
 mostly add a buffer.  Block functions write disjoint row slices of the
-caller's arrays, and the convergence study sums its per-row errors block by
-block afterwards, so no bit depends on the number of threads.
+caller's arrays, or one block's error sums of the convergence study, which
+are added in block order afterwards, so no bit depends on the number of
+threads.
 
 Memory: the calling thread allocates ``k`` increment buffers once per call;
 block ``i`` fills buffer ``i % k`` in place, and at most ``k`` blocks are in
@@ -101,8 +102,8 @@ Step kernel
 schemes over one increment matrix: states of shape ``(schemes, rows)``, the
 Euler part once per step over the whole stack, the Milstein correction on
 the Milstein rows only.  ``euler_terminal`` and ``_simulate`` pass a
-one-scheme stack; ``_strong_convergence`` makes one call per window for
-the refined reference and one per window and level, covering all its
+one-scheme stack; ``_strong_convergence`` makes one call per window and
+level, the refined reference stepped as one more level, covering all its
 schemes, and each call starts from the states the last one returned.  A
 level reads the window in place, ``group`` columns a step, and takes their
 sums tile by tile as it stages the panel.
@@ -657,18 +658,20 @@ def _strong_convergence(params: ModelParams, horizon: float, dt_levels, n_paths:
     Pass 1 walks the rows in order through the block's generator: it fills
     a row's first window, saves the generator's state into a generator of
     the row's own, and draws the rest of the row into a one-row scratch,
-    whose scaled sum is the exact reference's B_T.  Pass 2 refills each
-    later window from the rows' own generators, so the windows join to the
-    block's increment matrix bit for bit.  The refined reference and each
-    level carry their ``(schemes, R)`` states from window to window through
-    ``_step_terminal``'s ``s0``.  A level reads the window in place, with
-    ``group = G // n``: its coarse increments are summed row tile by row
-    tile as the kernel stages them, so the window is the only
-    ``rows x steps`` array a block holds.  Each row's
-    ``|terminal - reference|`` goes to a ``(schemes, levels, n_paths)`` array
-    (96 B a path for two schemes at six levels, 96 KB at the defaults), and
-    each block's rows are summed from it in block order: the pairwise sum
-    over a block's rows that a whole block would take.
+    which also takes a copy of the first window when the exact reference
+    needs B_T, the sum of the whole row.  Pass 2 refills each later window
+    from the rows' own generators, so the windows join to the block's
+    increment matrix bit for bit.  Every fill is one ``_fill_increments``
+    call.  Each level, and the refined
+    reference as one more level of G steps, carries its ``(schemes, R)``
+    states from window to window through ``_step_terminal``'s ``s0``.  A
+    level reads the window in place, with ``group = G // n``: its coarse
+    increments are summed row tile by row tile as the kernel stages them, so
+    the window is the only ``rows x steps`` array a block holds.  After its
+    last window a block sums each level's ``|terminal - reference|`` over its
+    rows, the pairwise sum that a whole block would take, into a
+    ``(blocks, schemes, levels)`` array, and the blocks' sums are added in
+    block order: no array of the study grows with ``n_paths``.
     """
     if not schemes:
         raise InvalidGrid("no scheme given")
@@ -686,56 +689,50 @@ def _strong_convergence(params: ModelParams, horizon: float, dt_levels, n_paths:
     exact = reference == "exact"
     gen_steps = finest if exact else finest * REFINE_FACTOR
     gen_dt = horizon / gen_steps
-    scale = np.sqrt(gen_dt)  # as _fill_increments scales
+    stepped = level_steps if exact else [*level_steps, gen_steps]  # the refined reference last
     milstein = [name == "milstein" for name in schemes]
     rows = min(BLOCK_SIZE, n_paths)
     unit = math.lcm(*(gen_steps // n for n in level_steps))  # a whole step of every level
     width = (gen_steps if rows * gen_steps <= _WINDOW_BUDGET
              else max(unit, _WINDOW_BUDGET // rows // unit * unit))
-    row_errors = np.empty((len(schemes), len(level_steps), n_paths))
+    block_sums = np.empty((-(-n_paths // BLOCK_SIZE), len(schemes), len(level_steps)))
 
     def block(b, buf):
-        """|level terminal - reference| of each row of block ``b``, per scheme and level."""
-        start = b * BLOCK_SIZE
-        db = buf[:min(BLOCK_SIZE, n_paths - start)]
+        """Sum over block ``b``'s rows of |level terminal - reference|, per scheme and level."""
+        db = buf[:min(BLOCK_SIZE, n_paths - b * BLOCK_SIZE)]
         gen = _block_generator(seed, b)
         row, row_gens, b_t = np.empty(gen_steps), [], np.empty(len(db))
-        for r in range(len(db)):  # pass 1: each row's first window, and where its stream stands
-            gen.standard_normal(out=row[:width])
+        for r, first in enumerate(db):  # pass 1: each row's first window, where its stream stands
+            _fill_increments(gen, first, gen_dt)
             if width < gen_steps:
                 row_gens.append(_block_generator(seed, b))
                 row_gens[-1].bit_generator.state = gen.bit_generator.state
-                gen.standard_normal(out=row[width:])
-            db[r] = row[:width]
-            if exact:  # B_T: the sum of the scaled row
-                row *= scale
+                _fill_increments(gen, row[width:], gen_dt)
+            if exact:  # B_T: the sum of the whole row
+                row[:width] = first
                 b_t[r] = row.sum()
-        db *= scale
         del row  # only the window buffer holds increments while the kernel steps
-        if exact:
-            with np.errstate(over="ignore", invalid="ignore"):  # raised below as OutOfRange
-                ref = exact_values(params, horizon, b_t)[0]
-        else:
-            ref = params.s0
-        terms = [params.s0] * len(level_steps)
+        terms = [params.s0] * len(stepped)
         for w0 in range(0, gen_steps, width):  # states carry from window to window
             window = db[:, :min(width, gen_steps - w0)]
             if w0:  # pass 2: each row's stream fills the row's next window
                 for row_gen, increments in zip(row_gens, window):
-                    row_gen.standard_normal(out=increments)
-                window *= scale
-            if not exact:
-                ref = _step_terminal(params, gen_dt, ref, window, milstein)[0]
-            for i, n in enumerate(level_steps):
+                    _fill_increments(row_gen, increments, gen_dt)
+            for i, n in enumerate(stepped):
                 terms[i] = _step_terminal(params, horizon / n, terms[i], window, milstein,
                                           group=gen_steps // n)[0]
+        if exact:
+            with np.errstate(over="ignore", invalid="ignore"):  # raised below as OutOfRange
+                ref = exact_values(params, horizon, b_t)[0]
+        else:
+            ref = terms.pop()
         for i, term in enumerate(terms):
-            row_errors[:, i, start:start + len(db)] = np.abs(term - ref)
+            block_sums[b, :, i] = np.abs(term - ref).sum(axis=-1)
 
     _run_blocks(block, n_paths, rows, width)
     errors = np.zeros((len(schemes), len(level_steps)))
-    for start in range(0, n_paths, BLOCK_SIZE):  # block by block, as the rows were drawn
-        errors += row_errors[..., start:start + BLOCK_SIZE].sum(axis=-1)
+    for sums in block_sums:  # in block order, as the rows were drawn
+        errors += sums
     errors /= n_paths
     if not np.isfinite(errors).all():
         raise OutOfRange(f"strong errors are not finite: the paths or the {reference} "

@@ -575,6 +575,20 @@ class TestErrorContract:
         assert json.loads(err[-1]) == {"error": "internal_error",
                                        "message": "RuntimeError: broken reader"}
 
+    @pytest.mark.parametrize("command", [["price", "--method", "bs"],
+                                         ["simulate", "--paths", "5", "--steps", "8"]])
+    def test_out_dir_naming_a_file_is_json_error(self, tmp_path, capsys, command):
+        # mkdir refuses a path that is a file: a config-style error naming the path,
+        # not an escaped exception
+        path = tmp_path / "taken"
+        path.write_text("a file\n")
+        assert main([*command, "--out-dir", str(path)]) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.err.strip().splitlines()[-1])
+        assert captured.out == "" and err["error"] == "error"
+        assert str(path) in err["message"]
+        assert path.read_text() == "a file\n"
+
     @pytest.mark.parametrize("argv", [[], ["trinomial"], ["hv", "extra"], ["price", "--method"],
                                       ["price", "--s", "1"]],
                              ids=["no_command", "unknown_command", "extra_argument",

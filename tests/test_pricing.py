@@ -817,6 +817,18 @@ class TestPriceMc:
         with pytest.raises(DegenerateDiffusion):
             greeks_bump(price_mc, rn, ATM, n_paths=10, steps=10, seed=0)
 
+    def test_huge_spots_price_as_1e153(self):
+        # the cached terminal values are in units of a power of two near s0, so the
+        # payoffs' squares stay in float range where the spot's square does not
+        def quote(s0):
+            rn = RiskNeutralParams(sigma=0.2, c1=0.05 / s0, s0=s0, r=0.05)
+            mc = price_mc(rn, OptionSpec(strike=0.9 * s0, maturity=1.0, rate=0.05), 2048, 64, 11)
+            return np.array([mc.price, mc.error_estimate]) / s0
+
+        base = quote(1e153)
+        for s0 in (1e154, 1e200, 1e300):
+            assert np.all(np.abs(quote(s0) / base - 1.0) <= 1e-12), s0
+
     def test_single_path_rejected(self):
         """One payoff has no standard error; the quote would carry NaN."""
         for n_paths in (1, 0):
@@ -897,7 +909,7 @@ class TestPriceMcCache:
 
     def test_cached_terminal_values_read_only(self):
         params = ModelParams(mu=0.05, sigma=0.2, c1=5e-4, s0=100.0)
-        terminal, _ = _terminal_values(params, 1.0, 50, 2000, 42)
+        terminal = _terminal_values(params, 1.0, 50, 2000, 42)[0]
         assert not terminal.flags.writeable
         with pytest.raises(ValueError):
             terminal[0] = 0.0
@@ -1001,6 +1013,24 @@ class TestGreeks:
             "gamma": (p_up - 2.0 * p0 + p_dn) / ds / ds,
             "vega": (v_up - v_dn) / (2.0 * dsig),
             "ds": ds, "dsig": dsig}
+
+    @pytest.mark.parametrize("sigma", [0.0, 5e-5])
+    def test_bump_below_dsig_takes_a_forward_vega(self, sigma):
+        # sigma - dsig < 0 has no price: the set prices the base and three bumps, three
+        # law grids each (the estimate's among them), and its vega is one-sided, as the
+        # swept vega is at sigma = 0
+        rn = RiskNeutralParams(sigma=sigma, c1=1e-3, s0=100.0, r=0.05)
+        law_map.cache_clear()
+        bumped = greeks_bump(BUMPED_FORMULA, rn, ATM)
+        assert law_map.cache_info().misses == 12
+        mc = greeks_bump(price_mc, rn, ATM, n_paths=2048, steps=64, seed=11)
+        for greeks in (bumped, mc):
+            assert greeks["dsig"] == 1e-4 and all(map(math.isfinite, greeks.values()))
+        up, base = (BUMPED_FORMULA(replace(rn, sigma=v), ATM).price for v in (sigma + 1e-4, sigma))
+        assert bumped["vega"] == (up - base) / 1e-4
+        if sigma == 0.0:  # 34.34245 bumped against 34.33818 swept
+            swept = greeks_bump(price_formula, rn, ATM)["vega"]
+            assert bumped["vega"] == pytest.approx(swept, rel=1e-3)
 
     def test_cold_formula_set_runs_two_sweeps(self, monkeypatch):
         # a strip pays three law solves (the price's two grids and the estimate's);
@@ -1244,15 +1274,6 @@ class TestLawSolveErrors:
                 call(rn, ATM, tol=1e-10)
         assert calls == [] and law_map.cache_info().currsize == 0
 
-    def test_invalid_bump_raises(self):
-        # sigma - dsig < 0 on the bump route: the set prices the base and three bumps,
-        # three law grids each (the estimate's among them), then raises
-        rn = RiskNeutralParams(sigma=5e-5, c1=1e-3, s0=100.0, r=0.05)
-        with pytest.raises(NegativeCoefficient, match="sigma and c1 must be >= 0"):
-            greeks_bump(BUMPED_FORMULA, rn,
-                        OptionSpec(strike=100.0, maturity=0.25, rate=0.05))
-        assert law_map.cache_info().misses == 12
-
     @pytest.mark.parametrize("rn, grid, error, match", [
         (RN_VVE, {"nodes_below": 1}, InvalidGrid, "at least 2 nodes below the spot and 2 steps"),
         (RN_VVE, {"steps": 1}, InvalidGrid, "at least 2 nodes below the spot and 2 steps"),
@@ -1335,8 +1356,8 @@ class TestLawGreeks:
                                           LAW_STEPS)[4]
 
     def test_small_sigma_quotes(self):
-        # the bump route cannot price sigma - dsig < 0 (TestLawSolveErrors); the sweep
-        # has no sigma bump
+        # the sweep has no sigma bump; the bump route takes a forward vega here
+        # (TestGreeks)
         rn = RiskNeutralParams(sigma=5e-5, c1=1e-3, s0=100.0, r=0.05)
         greeks = greeks_bump(price_formula, rn, OptionSpec(strike=100.0, maturity=0.25, rate=0.05))
         assert all(math.isfinite(v) for v in greeks.values())
@@ -1425,15 +1446,13 @@ class TestScaleSymmetry:
         # r 0.05, tau 1 and K = s0.  Each set is (delta, gamma s0, vega / s0): swept, to
         # 1e-11 relative, and bumped (a second difference of prices over (1e-3 s0)^2 for
         # the gamma), where s0 = 1e-158 once read the Black-Scholes gamma 1.2 % off on
-        # subnormal squares.  Euler MC sets use one seed; above s0 ~1e154 their squared
-        # payoffs leave the float range and the MC quote refuses
+        # subnormal squares.  Euler MC sets use one seed
         def priced(s0):
             rn = RiskNeutralParams(sigma=0.2, c1=0.01 / s0, s0=s0, r=0.05)
             opt = OptionSpec(strike=s0, maturity=1.0, rate=0.05)
             quote = price_formula(rn, opt)
-            pricers = {"swept": price_formula, "formula": BUMPED_FORMULA, "bs": price_bs}
-            if s0 < 1e154:
-                pricers["mc"] = functools.partial(price_mc, n_paths=2048, steps=64, seed=11)
+            pricers = {"swept": price_formula, "formula": BUMPED_FORMULA, "bs": price_bs,
+                       "mc": functools.partial(price_mc, n_paths=2048, steps=64, seed=11)}
             sets = {name: greeks_bump(pricer, rn, opt) for name, pricer in pricers.items()}
             return quote, {name: np.array([g["delta"], g["gamma"] * s0, g["vega"] / s0])
                            for name, g in sets.items()}

@@ -608,6 +608,24 @@ class TestBlockEngine:
         for got, want in zip(reports, expected):
             assert np.array_equal(got.strong_errors, want.strong_errors)
 
+    def test_strong_convergence_peak_does_not_grow_with_paths(self, monkeypatch):
+        # one worker steps the blocks one after another, so the traced peak is one
+        # block's; each block sums its own errors, so the paths add no array
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        levels = [1.0 / 2 ** e for e in range(1, 7)]
+
+        def peak(n_paths):
+            tracemalloc.start()
+            try:
+                _strong_convergence(GBM, 1.0, levels, n_paths, 0, ["euler", "milstein"], "exact")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(16)  # warm: imports and first-call caches
+        # an error kept per path would add 96 B a path here: 0.75 MiB
+        assert peak(3 * BLOCK_SIZE) - peak(BLOCK_SIZE) < 2 ** 18
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_gets_its_own_pool(self):
         # a child forked after the parent ran blocks on threads makes and joins its own

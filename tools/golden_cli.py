@@ -213,6 +213,10 @@ COMMANDS = [
                                          "--s0", "5e307", "--strike", "5e307"]),
     ("price_formula_s0_1e-300", ["price", "--method", "formula", "--s0", "1e-300",
                                  "--c1", "1e297", "--strike", "1e-300"]),
+    # Monte Carlo at a spot whose square is beyond the float range: its terminal values
+    # are cached in units of a power of two near s0, so the payoffs' spread stays finite
+    ("price_mc_huge_spot", ["price", "--method", "mc,bs", "--s0", "1e200", "--c1", "1e-202",
+                            "--strike", "1e200", "--paths", "2048", "--steps", "64"]),
     # the merged configuration: option defaults, config files and their precedence
     *((f"show_config_{cmd}", [cmd, "--show-config"])
       for cmd in ("simulate", "calibrate", "price", "convergence", "hv", "regress")),
