@@ -23,6 +23,7 @@ from .errors import (
     DegenerateX,
     InvalidGrid,
     NegativeSlope,
+    NonFinite,
     NonPositivePrice,
     SeriesTooShort,
     TooFewPoints,
@@ -133,8 +134,8 @@ def ols_fit(x, y) -> RegressionReport:
     of its t statistic, also bit for bit.
 
     A perfect linear fit (zero residual variance) reports both p-values as 0.
-    Raises DegenerateX where x's variance, which the slope divides by, is 0
-    in floating point.
+    Raises NonFinite where a point is NaN or infinite, and DegenerateX where
+    x's variance, which the slope divides by, is 0 in floating point.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -143,6 +144,8 @@ def ols_fit(x, y) -> RegressionReport:
         raise TooFewPoints("x and y must have equal length")
     if n < 3:
         raise TooFewPoints(f"need at least 3 points, got {n}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NonFinite("x and y must be finite numbers")
     xmean, ymean = np.mean(x), np.mean(y)
     ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
     if np.ptp(x) == 0 or ssxm == 0:  # a constant x, or a spread whose square underflows

@@ -94,13 +94,17 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _out(cfg: dict, name: str) -> Path:
-    out_dir = Path(cfg["out_dir"])
+def _write(cfg: dict, name: str, write) -> str:
+    """Make the output directory, ``write(path)`` the file ``name`` in it and
+    return the path; an ``OSError`` from either step (a file in the way, no
+    permission) is a VveError naming the path."""
+    path = Path(cfg["out_dir"]) / name
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file in the way, or no permission
-        raise VveError(f"cannot make output directory {out_dir}: {exc}") from None
-    return out_dir / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write(path)
+    except OSError as exc:
+        raise VveError(f"cannot write {path}: {exc}") from None
+    return str(path)
 
 
 def _require_csv(cfg: dict) -> str:
@@ -122,10 +126,9 @@ def cmd_simulate(cfg: dict) -> list[str]:
     if scheme not in simulators:
         raise VveError(f"unknown scheme {scheme!r}; expected euler, milstein, or exact")
     ensemble = simulators[scheme](params, grid, cfg["paths"], cfg["seed"])
-    paths_file, summary_file = _out(cfg, "paths.csv"), _out(cfg, "summary.json")
-    io.ensemble_to_csv(ensemble, paths_file)
-    io.write_json(summary_file, io.ensemble_summary(ensemble))
-    return [str(paths_file), str(summary_file)]
+    return [_write(cfg, "paths.csv", lambda path: io.ensemble_to_csv(ensemble, path)),
+            _write(cfg, "summary.json",
+                   lambda path: io.write_json(path, io.ensemble_summary(ensemble)))]
 
 
 def cmd_calibrate(cfg: dict) -> list[str]:
@@ -139,12 +142,11 @@ def cmd_calibrate(cfg: dict) -> list[str]:
         "window": window,
         "trading_days_per_year": cfg["trading_days"],
     }
-    json_file, overlay_file = _out(cfg, "calibration.json"), _out(cfg, "overlay.csv")
-    io.write_json(json_file, report)
     rows = ([d.isoformat(), io.fmt(c), io.fmt(v)] for d, c, v in
             zip(result.vols.dates, series.closes[window:], result.vols.vols))
-    io.write_csv(overlay_file, ["date", "close", "hv"], rows)
-    return [str(json_file), str(overlay_file)]
+    return [_write(cfg, "calibration.json", lambda path: io.write_json(path, report)),
+            _write(cfg, "overlay.csv",
+                   lambda path: io.write_csv(path, ["date", "close", "hv"], rows))]
 
 
 def cmd_price(cfg: dict) -> list[str]:
@@ -174,10 +176,9 @@ def cmd_price(cfg: dict) -> list[str]:
         "quotes": {m: q.to_dict() for m, q in quotes.items()},
         "differences": differences,
     }
-    json_file = _out(cfg, "price.json")
-    io.write_json(json_file, report)
+    written = [_write(cfg, "price.json", lambda path: io.write_json(path, report))]
     print(io.dumps(report))
-    return [str(json_file)]
+    return written
 
 
 def cmd_convergence(cfg: dict) -> list[str]:
@@ -196,22 +197,18 @@ def cmd_convergence(cfg: dict) -> list[str]:
                             "fitted_slope": rep.fitted_slope,
                             "reference": rep.reference}
                for rep in reports}
-    json_file, csv_file = _out(cfg, "convergence.json"), _out(cfg, "convergence.csv")
-    io.write_json(json_file, results)
     header = ["dt"] + [f"error_{s}" for s in schemes]
     rows = ([io.fmt(dt)] + [io.fmt(results[s]["strong_errors"][i]) for s in schemes]
             for i, dt in enumerate(dt_levels))
-    io.write_csv(csv_file, header, rows)
-    return [str(json_file), str(csv_file)]
+    return [_write(cfg, "convergence.json", lambda path: io.write_json(path, results)),
+            _write(cfg, "convergence.csv", lambda path: io.write_csv(path, header, rows))]
 
 
 def cmd_hv(cfg: dict) -> list[str]:
     series = io.ingest_csv(_require_csv(cfg))
     vols = calibration.rolling_hv(series, cfg["window"], cfg["trading_days"])
-    csv_file = _out(cfg, "hv.csv")
     rows = ([d.isoformat(), io.fmt(v)] for d, v in zip(vols.dates, vols.vols))
-    io.write_csv(csv_file, ["date", "hv"], rows)
-    return [str(csv_file)]
+    return [_write(cfg, "hv.csv", lambda path: io.write_csv(path, ["date", "hv"], rows))]
 
 
 def cmd_regress(cfg: dict) -> list[str]:
@@ -219,10 +216,9 @@ def cmd_regress(cfg: dict) -> list[str]:
     window = cfg["window"]
     vols = calibration.rolling_hv(series, window, cfg["trading_days"])
     report = calibration.ols_fit(series.closes[window:], vols.vols)
-    json_file = _out(cfg, "regress.json")
-    io.write_json(json_file, report.to_dict())
+    written = [_write(cfg, "regress.json", lambda path: io.write_json(path, report.to_dict()))]
     print(io.dumps(report.to_dict()))
-    return [str(json_file)]
+    return written
 
 
 _CSV_OPTIONS = [

@@ -88,8 +88,11 @@ def validate_params(mu: float, sigma: float, c1: float, s0: float) -> ModelParam
 
 
 def _prices(s) -> np.ndarray:
-    """``s`` as a float array; raises NegativePrice if any price is below 0."""
+    """``s`` as a float array; raises NonFinite on a NaN or infinite price and
+    NegativePrice if any price is below 0."""
     s = np.asarray(s, dtype=float)
+    if not np.isfinite(s).all():
+        raise NonFinite("price must be a finite number")
     if np.any(s < 0):
         raise NegativePrice("price must be >= 0")
     return s

@@ -59,15 +59,17 @@ cheaper one for its caller:
   normal sampler consumes the stream row after row, so the two fills give
   the bits of one fill of the whole block.
 * ``_strong_convergence`` steps a block in column windows that cover all
-  its rows, drawn in two passes over the block's one generator.  The first
-  walks the rows, filling each row's first window and saving where the
-  row's stream then stands in a generator of the row's own; the second
-  refills each later window from those.  Philox is counter based, so a
-  saved state resumes its stream bit for bit.  Each kernel call then steps
-  all of a block's rows, not half of them, which wins back most of the
-  second fill on the long refined grid.  On a Monte Carlo grid the fill is
-  about two thirds of the thread time (16384 paths x 500 steps), so the
-  halves, which fill each increment once, are the cheaper order there.
+  its rows.  Where one window holds the whole grid, the block is drawn in
+  one fill.  Otherwise it is drawn in two passes over the block's one
+  generator.  The first walks the rows, filling each row's first window
+  and saving where the row's stream then stands in a generator of the
+  row's own; the second refills each later window from those.  Philox is
+  counter based, so a saved state resumes its stream bit for bit.  Each
+  kernel call then steps all of a block's rows, not half of them, which
+  wins back most of the second fill on the long refined grid.  On a Monte
+  Carlo grid the fill is about two thirds of the thread time (16384 paths
+  x 500 steps), so the halves, which fill each increment once, are the
+  cheaper order there.
 
 Two workers let one block's fill overlap another block's steps; the steps
 hold the GIL between their small numpy calls, so a third worker would
@@ -167,6 +169,8 @@ class TimeGrid:
     def __post_init__(self):
         if not 0 < self.horizon < np.inf:
             raise InvalidGrid(f"horizon must be a finite number > 0, got {self.horizon}")
+        if not isinstance(self.steps, (int, np.integer)):
+            raise InvalidGrid(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise InvalidGrid(f"steps must be >= 1, got {self.steps}")
 
@@ -413,8 +417,11 @@ def _step_terminal(params: ModelParams, dt: float, s0, db, milstein, out=None, *
 
 
 def _check_paths_and_seed(n_paths: int, seed: int) -> None:
-    """Refuse n_paths < 1, and a seed that is not an integer in [0, 2^63), which
-    Philox's key would take modulo 2^64 or round through float64 into another's."""
+    """Refuse an n_paths that is not an integer >= 1, and a seed that is not an
+    integer in [0, 2^63), which Philox's key would take modulo 2^64 or round
+    through float64 into another's."""
+    if not isinstance(n_paths, (int, np.integer)):
+        raise InvalidGrid(f"n_paths must be an integer, got {n_paths!r}")
     if n_paths < 1:
         raise InvalidGrid(f"n_paths must be >= 1, got {n_paths}")
     if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 63):
@@ -655,14 +662,18 @@ def _strong_convergence(params: ModelParams, horizon: float, dt_levels, n_paths:
     budget, and at least L; G is a multiple of L, so every window, the last
     and shorter one included, holds whole steps of every level.
 
-    Pass 1 walks the rows in order through the block's generator: it fills
-    a row's first window, saves the generator's state into a generator of
-    the row's own, and draws the rest of the row into a one-row scratch,
-    which also takes a copy of the first window when the exact reference
-    needs B_T, the sum of the whole row.  Pass 2 refills each later window
-    from the rows' own generators, so the windows join to the block's
-    increment matrix bit for bit.  Every fill is one ``_fill_increments``
-    call.  Each level, and the refined
+    Where W is G, the block is one ``_fill_increments`` call, and the exact
+    reference's B_T is each row's sum.  Otherwise the block is drawn in two
+    passes.  Pass 1 walks the rows in order through the block's generator:
+    it fills a row's first window, saves the generator's state into a
+    generator of the row's own, and draws the rest of the row into a
+    one-row scratch, which also takes a copy of the first window when the
+    exact reference needs B_T, the sum of the whole row.  Pass 2 refills
+    each later window from the rows' own generators, so the windows join to
+    the block's increment matrix bit for bit.  Every fill is one
+    ``_fill_increments`` call; numpy's normal sampler consumes the stream
+    row after row, so a one-fill block has the same bits as the two
+    passes.  Each level, and the refined
     reference as one more level of G steps, carries its ``(schemes, R)``
     states from window to window through ``_step_terminal``'s ``s0``.  A
     level reads the window in place, with ``group = G // n``: its coarse
@@ -701,17 +712,21 @@ def _strong_convergence(params: ModelParams, horizon: float, dt_levels, n_paths:
         """Sum over block ``b``'s rows of |level terminal - reference|, per scheme and level."""
         db = buf[:min(BLOCK_SIZE, n_paths - b * BLOCK_SIZE)]
         gen = _block_generator(seed, b)
-        row, row_gens, b_t = np.empty(gen_steps), [], np.empty(len(db))
-        for r, first in enumerate(db):  # pass 1: each row's first window, where its stream stands
-            _fill_increments(gen, first, gen_dt)
-            if width < gen_steps:
+        if width == gen_steps:  # one window: the whole block in one fill
+            _fill_increments(gen, db, gen_dt)
+            if exact:  # B_T: the sum of each row
+                b_t = db.sum(axis=-1)
+        else:
+            row, row_gens, b_t = np.empty(gen_steps), [], np.empty(len(db))
+            for r, first in enumerate(db):  # pass 1: a row's first window, where its stream stands
+                _fill_increments(gen, first, gen_dt)
                 row_gens.append(_block_generator(seed, b))
                 row_gens[-1].bit_generator.state = gen.bit_generator.state
                 _fill_increments(gen, row[width:], gen_dt)
-            if exact:  # B_T: the sum of the whole row
-                row[:width] = first
-                b_t[r] = row.sum()
-        del row  # only the window buffer holds increments while the kernel steps
+                if exact:  # B_T: the sum of the whole row
+                    row[:width] = first
+                    b_t[r] = row.sum()
+            del row  # only the window buffer holds increments while the kernel steps
         terms = [params.s0] * len(stepped)
         for w0 in range(0, gen_steps, width):  # states carry from window to window
             window = db[:, :min(width, gen_steps - w0)]

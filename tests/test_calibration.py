@@ -22,6 +22,7 @@ from vve.errors import (
     DegenerateX,
     InvalidGrid,
     NegativeSlope,
+    NonFinite,
     NonPositivePrice,
     SeriesTooShort,
     TooFewPoints,
@@ -205,6 +206,16 @@ class TestOlsFit:
             ols_fit(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
         with pytest.raises(TooFewPoints):
             ols_fit(np.arange(4, dtype=float), np.arange(5, dtype=float))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_rejected(self, bad):
+        # a NaN read as a report of NaNs, and an inf warned in np.cov on the way
+        x, y = np.arange(5, dtype=float), np.array([1.0, 3.0, 2.0, 5.0, 4.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for xs, ys in [(np.where(x == 2, bad, x), y), (x, np.where(y == 2, bad, y))]:
+                with pytest.raises(NonFinite, match="x and y must be finite numbers"):
+                    ols_fit(xs, ys)
 
 
 class TestEstimateDrift:

@@ -589,6 +589,24 @@ class TestErrorContract:
         assert str(path) in err["message"]
         assert path.read_text() == "a file\n"
 
+    @pytest.mark.parametrize("name,command", [
+        ("price.json", ["price", "--method", "bs"]),
+        ("summary.json", ["simulate", "--paths", "5", "--steps", "8"]),  # the second file
+        ("hv.csv", ["hv", "--csv", str(DATA / "vve_synthetic.csv")]),
+        ("convergence.csv", ["convergence", "--c1", "0", "--paths", "4", "--levels", "2,4",
+                             "--scheme", "euler"]),
+    ])
+    def test_output_file_that_cannot_be_written_is_json_error(self, tmp_path, capsys, name,
+                                                               command):
+        # a directory where the file should go: an error naming the file, no report on stdout
+        (tmp_path / name).mkdir()
+        assert main([*command, "--out-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.err.strip().splitlines()[-1])
+        assert captured.out == "" and err["error"] == "error"
+        assert err["message"].startswith(f"cannot write {tmp_path / name}: ")
+        assert (tmp_path / name).is_dir()
+
     @pytest.mark.parametrize("argv", [[], ["trinomial"], ["hv", "extra"], ["price", "--method"],
                                       ["price", "--s", "1"]],
                              ids=["no_command", "unknown_command", "extra_argument",

@@ -1,6 +1,7 @@
 """Unit tests for vve.model: parameter validation and the pure primitives."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from vve.errors import (
     DegenerateDiffusion,
     NegativeCoefficient,
     NegativePrice,
+    NonFinite,
     NonPositiveSpot,
 )
 from vve.model import (
@@ -18,6 +20,17 @@ from vve.model import (
     validate_params,
     volatility,
 )
+
+
+NON_FINITE_PRICES = [math.nan, math.inf, -math.inf, np.array([100.0, math.nan])]
+
+
+def refuses_non_finite(fn, params, s):
+    """``fn(params, s)`` raises NonFinite, with no RuntimeWarning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="price must be a finite number"):
+            fn(params, s)
 
 
 class TestValidateParams:
@@ -74,6 +87,10 @@ class TestVolatility:
         out = volatility(ModelParams(0.0, 0.1, 0.001, 100), np.array([0.0, 100.0]))
         np.testing.assert_allclose(out, [0.1, 0.2])
 
+    @pytest.mark.parametrize("s", NON_FINITE_PRICES)
+    def test_non_finite_price_rejected(self, s):
+        refuses_non_finite(volatility, ModelParams(0.0, 0.1, 0.001, 100), s)
+
 
 class TestElasticity:
     def test_gbm_case_zero(self):
@@ -104,6 +121,15 @@ class TestElasticity:
             elasticity(ModelParams(0.0, 0.2, 0.001, 100), -0.5)
         with pytest.raises(NegativePrice, match="price must be >= 0"):
             elasticity_derivative(ModelParams(0.0, 0.2, 0.001, 100), np.array([1.0, -0.5]))
+
+    @pytest.mark.parametrize("s", NON_FINITE_PRICES)
+    def test_non_finite_price_rejected(self, s):
+        # elasticity(inf) read inf / inf: NaN after a RuntimeWarning
+        refuses_non_finite(elasticity, ModelParams(0.0, 0.1, 0.001, 100), s)
+
+    @pytest.mark.parametrize("s", NON_FINITE_PRICES)
+    def test_derivative_non_finite_price_rejected(self, s):
+        refuses_non_finite(elasticity_derivative, ModelParams(0.0, 0.1, 0.001, 100), s)
 
     def test_zero_volatility_level_rejected(self):
         # sigma = 0 and s = 0: the elasticity's denominator sigma + c1*s is 0

@@ -835,6 +835,13 @@ class TestPriceMc:
             with pytest.raises(InvalidGrid):
                 price_mc(RN_VVE, ATM, n_paths, 10, 0)
 
+    def test_non_integer_counts_refused(self):
+        # a float count reached numpy as a shape or a slice bound: a bare TypeError
+        with pytest.raises(InvalidGrid, match="n_paths must be an integer"):
+            price_mc(RN_VVE, ATM, 100.0, 10, 23)
+        with pytest.raises(InvalidGrid, match="steps must be an integer"):
+            price_mc(RN_VVE, ATM, 100, 10.5, 23)
+
     def test_intrinsic_at_expiry(self):
         quote = price_mc(RN_VVE, OptionSpec(strike=80.0, maturity=1.0, rate=0.05, t=1.0),
                          10, 10, 0)

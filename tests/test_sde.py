@@ -60,7 +60,8 @@ class TestTimeGrid:
         np.testing.assert_allclose(grid.times, [0, 0.25, 0.5, 0.75, 1.0])
 
     @pytest.mark.parametrize("horizon,steps", [(0.0, 4), (-1.0, 4), (1.0, 0),
-                                               (math.nan, 4), (math.inf, 4)])
+                                               (math.nan, 4), (math.inf, 4), (1.0, 2.5),
+                                               (1.0, 4.0)])
     def test_invalid(self, horizon, steps):
         with pytest.raises(InvalidGrid):
             TimeGrid(horizon, steps)
@@ -185,6 +186,21 @@ class TestSimulateEuler:
                 euler_terminal(GBM, 1.0, 4, n_paths, seed=0)
             with pytest.raises(InvalidGrid):
                 strong_convergence(GBM, 1.0, [0.5, 0.25], n_paths, seed=0)
+
+    def test_non_integer_counts_refused(self):
+        # a float count reached numpy as a shape or a slice bound: a bare TypeError
+        with pytest.raises(InvalidGrid, match="steps must be an integer"):
+            euler_terminal(GBM, 1.0, 2.5, 4, seed=0)
+        for n_paths in (16.0, 2.5):
+            with pytest.raises(InvalidGrid, match="n_paths must be an integer"):
+                simulate_euler(GBM, TimeGrid(1.0, 4), n_paths, seed=0)
+            with pytest.raises(InvalidGrid, match="n_paths must be an integer"):
+                euler_terminal(GBM, 1.0, 4, n_paths, seed=0)
+            with pytest.raises(InvalidGrid, match="n_paths must be an integer"):
+                strong_convergence(GBM, 1.0, [0.5, 0.25], n_paths, seed=0)
+        grid = TimeGrid(1.0, np.int64(4))
+        assert np.array_equal(simulate_euler(GBM, grid, np.int64(3), seed=0).paths,
+                              simulate_euler(GBM, TimeGrid(1.0, 4), 3, seed=0).paths)
 
     def test_seed_outside_philox_key_range_refused(self):
         # Philox takes its key modulo 2^64 or through float64: seeds -1 and 2^64 - 1, and
@@ -590,6 +606,25 @@ class TestBlockEngine:
             assert [w.shape[1] for w in block] == widths
             assert np.array_equal(np.concatenate(block, axis=1),
                                   _block_increments(17, b, rows, gen_steps, 1.0 / gen_steps))
+
+    @pytest.mark.parametrize("params,reference", [(GBM, "exact"), (VVE, "refined")])
+    def test_one_window_block_is_one_fill(self, monkeypatch, params, reference):
+        # a grid that fits one window draws each block in one fill, not one a row
+        calls, fill = [], sde._fill_increments
+
+        def record(gen, out, dt):
+            calls.append(out.shape)
+            return fill(gen, out, dt)
+
+        levels = [1.0 / n for n in (8, 16, 32)]
+        expected = _strong_convergence(params, 1.0, levels, BLOCK_SIZE + 1, 3, ["euler"],
+                                       reference)
+        monkeypatch.setattr(sde, "_fill_increments", record)
+        reports = _strong_convergence(params, 1.0, levels, BLOCK_SIZE + 1, 3, ["euler"],
+                                      reference)
+        gen_steps = 32 * (8 if reference == "refined" else 1)
+        assert sorted(calls) == [(1, gen_steps), (BLOCK_SIZE, gen_steps)]
+        assert np.array_equal(reports[0].strong_errors, expected[0].strong_errors)
 
     @pytest.mark.parametrize("params,reference", [(GBM, "exact"), (VVE, "refined")])
     def test_strong_convergence_steps_levels_without_a_copy(self, params, reference):
