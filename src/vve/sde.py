@@ -44,10 +44,10 @@ chunking, or thread count.
 
 Block engine
 ------------
-``_run_blocks(work, n_paths, rows, cols)`` runs ``work(block, buffer)`` for
-each block on a thread pool of ``k = min(usable CPUs, 2, blocks)`` workers
-that the call makes for itself (``concurrent.futures`` is imported at the
-first call) and whose threads it joins before it returns, so no thread
+``_run_blocks(work, n_paths, rows, cols)`` runs ``work(block, buffer, lock)``
+for each block on a thread pool of ``k = min(usable CPUs, 2, blocks)``
+workers that the call makes for itself (``concurrent.futures`` is imported at
+the first call) and whose threads it joins before it returns, so no thread
 outlives a call.  Its callers draw a block in one of two orders, each the
 cheaper one for its caller:
 
@@ -71,12 +71,21 @@ cheaper one for its caller:
   x 500 steps), so the halves, which fill each increment once, are the
   cheaper order there.
 
-Two workers let one block's fill overlap another block's steps; the steps
-hold the GIL between their small numpy calls, so a third worker would
-mostly add a buffer.  Block functions write disjoint row slices of the
-caller's arrays, or one block's error sums of the convergence study, which
-are added in block order afterwards, so no bit depends on the number of
-threads.
+One kernel at a time: every ``_step_terminal`` call of a block runs under
+the call's one ``threading.Lock``, and every ``_fill_increments`` call
+outside it, so one block's fill overlaps another block's steps and no two
+blocks step at once.  A fill is one sampler call that releases the GIL
+throughout, and two at once take the time of one.  A step is ~9 short numpy
+calls that each take the GIL, and two kernels at once hand it back and
+forth on every call: on 2 vCPUs two threads stepping 8 half-block kernels
+(2048 x 500) each at once took about twice as long as the same two threads
+taking turns under one lock (``tools/engine_layers.py``, ``BENCH_39.json``).
+So a third worker would only add a buffer.  The lock is made per call, so
+no state outlives a call, and a child forked while another thread steps
+inherits no held lock that its own calls need.  Block functions write
+disjoint row slices of the caller's arrays, or one block's error sums of the
+convergence study, which are added in block order afterwards, so no bit
+depends on the number of threads.
 
 Memory: the calling thread allocates ``k`` increment buffers once per call;
 block ``i`` fills buffer ``i % k`` in place, and at most ``k`` blocks are in
@@ -129,6 +138,7 @@ from __future__ import annotations
 import math
 import mmap
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,13 +269,15 @@ def _mapped_buffers(k: int, rows: int, steps: int) -> np.ndarray:
 
 
 def _run_blocks(work, n_paths: int, rows: int, cols: int) -> None:
-    """``work(block, buffer)`` for each block of ``n_paths`` paths, on a thread pool.
+    """``work(block, buffer, lock)`` for each block of ``n_paths`` paths, on a thread pool.
 
     The pool has ``k = min(usable CPUs, 2, blocks)`` workers, is made for this
     call and its threads are joined before the call returns.  Block ``i`` gets
     buffer ``i % k`` of ``k`` buffers of ``rows x cols``, and at most ``k``
-    blocks are in flight, so no two of them share a buffer.  If a block
-    raises, the blocks in flight are waited for and the exception propagates.
+    blocks are in flight, so no two of them share a buffer.  Every block gets
+    the one ``threading.Lock`` of this call, under which it runs its step
+    kernels and outside which it fills its buffer.  If a block raises, the
+    blocks in flight are waited for and the exception propagates.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -276,12 +288,13 @@ def _run_blocks(work, n_paths: int, rows: int, cols: int) -> None:
     n_blocks = -(-n_paths // BLOCK_SIZE)
     k = min(cpus, 2, n_blocks)
     bufs = _mapped_buffers(k, rows, cols)
+    lock = threading.Lock()
     in_flight = []
     with ThreadPoolExecutor(max_workers=k, thread_name_prefix="vve-block") as pool:
         for block in range(n_blocks):
             if len(in_flight) == k:
                 in_flight.pop(0).result()
-            in_flight.append(pool.submit(work, block, bufs[block % k]))
+            in_flight.append(pool.submit(work, block, bufs[block % k], lock))
         for future in in_flight:
             future.result()
 
@@ -294,15 +307,18 @@ def _map_blocks(fn, seed: int, n_paths: int, steps: int, dt: float) -> None:
     ``ceil(min(BLOCK_SIZE, n_paths) / 2)`` rows, in row order, from the one
     generator of the block.  The increments passed to ``fn`` live in a buffer
     that the next part using it refills, so ``fn`` must copy out what it keeps.
+    ``fn`` runs under the call's lock, one part at a time; the fills run
+    outside it.
     """
     part = -(-min(BLOCK_SIZE, n_paths) // 2)
 
-    def work(block, buf):
+    def work(block, buf, lock):
         gen = _block_generator(seed, block)
         end = min(n_paths, (block + 1) * BLOCK_SIZE)
         for start in range(block * BLOCK_SIZE, end, part):
             db = _fill_increments(gen, buf[:min(part, end - start)], dt)
-            fn(slice(start, start + len(db)), db)
+            with lock:
+                fn(slice(start, start + len(db)), db)
 
     _run_blocks(work, n_paths, part, steps)
 
@@ -708,7 +724,7 @@ def _strong_convergence(params: ModelParams, horizon: float, dt_levels, n_paths:
              else max(unit, _WINDOW_BUDGET // rows // unit * unit))
     block_sums = np.empty((-(-n_paths // BLOCK_SIZE), len(schemes), len(level_steps)))
 
-    def block(b, buf):
+    def block(b, buf, lock):
         """Sum over block ``b``'s rows of |level terminal - reference|, per scheme and level."""
         db = buf[:min(BLOCK_SIZE, n_paths - b * BLOCK_SIZE)]
         gen = _block_generator(seed, b)
@@ -733,9 +749,10 @@ def _strong_convergence(params: ModelParams, horizon: float, dt_levels, n_paths:
             if w0:  # pass 2: each row's stream fills the row's next window
                 for row_gen, increments in zip(row_gens, window):
                     _fill_increments(row_gen, increments, gen_dt)
-            for i, n in enumerate(stepped):
-                terms[i] = _step_terminal(params, horizon / n, terms[i], window, milstein,
-                                          group=gen_steps // n)[0]
+            with lock:
+                for i, n in enumerate(stepped):
+                    terms[i] = _step_terminal(params, horizon / n, terms[i], window, milstein,
+                                              group=gen_steps // n)[0]
         if exact:
             with np.errstate(over="ignore", invalid="ignore"):  # raised below as OutOfRange
                 ref = exact_values(params, horizon, b_t)[0]

@@ -836,11 +836,20 @@ class TestPriceMc:
                 price_mc(RN_VVE, ATM, n_paths, 10, 0)
 
     def test_non_integer_counts_refused(self):
-        # a float count reached numpy as a shape or a slice bound: a bare TypeError
-        with pytest.raises(InvalidGrid, match="n_paths must be an integer"):
-            price_mc(RN_VVE, ATM, 100.0, 10, 23)
-        with pytest.raises(InvalidGrid, match="steps must be an integer"):
-            price_mc(RN_VVE, ATM, 100, 10.5, 23)
+        # a float count reached numpy as a shape or a slice bound: a bare TypeError.
+        # The path-set cache's key takes 100.0 == 100, so each is refused warm too
+        cases = [((100.0, 10, 0), "n_paths must be an integer, got 100.0"),
+                 ((100, 10.0, 0), "steps must be an integer, got 10.0"),
+                 ((100, 10.5, 0), "steps must be an integer, got 10.5"),
+                 ((100, 10, 0.0), r"seed must be an integer in \[0, 2\^63\), got 0.0")]
+        _terminal_values.cache_clear()
+        for args, match in cases:
+            with pytest.raises(InvalidGrid, match=match):
+                price_mc(RN_VVE, ATM, *args)
+        price_mc(RN_VVE, ATM, 100, 10, 0)
+        for args, match in cases:
+            with pytest.raises(InvalidGrid, match=match):
+                price_mc(RN_VVE, ATM, *args)
 
     def test_intrinsic_at_expiry(self):
         quote = price_mc(RN_VVE, OptionSpec(strike=80.0, maturity=1.0, rate=0.05, t=1.0),

@@ -6,6 +6,7 @@ import os
 import signal
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -424,6 +425,23 @@ class TestBlockEngine:
             rows = min(BLOCK_SIZE, n - start)
             yield slice(start, start + rows), _block_increments(seed, b, rows, steps, dt)
 
+    def convergence_oracle(self, params, reference, n_paths, steps, seed, milstein):
+        """Strong errors of one scheme, block by block with the column-loop kernel."""
+        gen_steps = steps[-1] * (8 if reference == "refined" else 1)
+        errors = np.zeros(len(steps))
+        for _, db in self.serial_blocks(seed, gen_steps, 1.0 / gen_steps, n_paths):
+            if reference == "exact":
+                ref = exact_values(params, 1.0, db.sum(axis=1))[0]
+            else:
+                ref = step_terminal_reference(params, 1.0 / gen_steps, params.s0, db,
+                                              milstein)[0]
+            for i, n in enumerate(steps):
+                db_level = db.reshape(len(db), n, gen_steps // n).sum(axis=2)
+                term = step_terminal_reference(params, 1.0 / n, params.s0, db_level,
+                                               milstein)[0]
+                errors[i] += np.abs(term - ref).sum()
+        return errors / n_paths
+
     @pytest.mark.parametrize("n", PATH_COUNTS)
     def test_euler_terminal_matches_serial_oracle(self, n):
         terminal, fraction = euler_terminal(VVE, 1.0, 16, n, seed=3)
@@ -469,27 +487,14 @@ class TestBlockEngine:
         pytest.param(GBM, "exact", 1001, [200, 300, 1200], id="exact-1001-windows"),
     ])
     def test_strong_convergence_matches_serial_oracle(self, params, reference, n_paths, steps):
-        gen_steps = steps[-1] * (8 if reference == "refined" else 1)
         levels = [1.0 / n for n in steps]
         reports = _strong_convergence(params, 1.0, levels, n_paths, 6,
                                       ["euler", "milstein"], reference)
         assert [r.scheme for r in reports] == ["euler", "milstein"]
         for report in reports:
             assert report.reference == reference
-            milstein = report.scheme == "milstein"
-            errors = np.zeros(len(steps))
-            for _, db in self.serial_blocks(6, gen_steps, 1.0 / gen_steps, n_paths):
-                if reference == "exact":
-                    ref = exact_values(params, 1.0, db.sum(axis=1))[0]
-                else:
-                    ref = step_terminal_reference(params, 1.0 / gen_steps, params.s0, db,
-                                                  milstein)[0]
-                for i, n in enumerate(steps):
-                    db_level = db.reshape(len(db), n, gen_steps // n).sum(axis=2)
-                    term = step_terminal_reference(params, 1.0 / n, params.s0, db_level,
-                                                   milstein)[0]
-                    errors[i] += np.abs(term - ref).sum()
-            errors /= n_paths
+            errors = self.convergence_oracle(params, reference, n_paths, steps, 6,
+                                             report.scheme == "milstein")
             assert np.array_equal(report.strong_errors, errors)
             single = strong_convergence(params, 1.0, levels, n_paths, seed=6,
                                         scheme=report.scheme, reference=reference)
@@ -529,6 +534,88 @@ class TestBlockEngine:
         assert not any(t.is_alive() for t in threads)
         for got, expected in zip(results, sequential):
             assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("case", ["euler_terminal", "simulate_milstein",
+                                      "convergence-one-window", "convergence-windowed"])
+    def test_blocks_step_one_at_a_time(self, monkeypatch, case):
+        # two workers, frequent thread switches, and a kernel that sleeps as it
+        # enters, which hands the GIL to the other worker: only the call's lock
+        # keeps that worker's kernel from starting meanwhile
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        step_terminal, count_lock = sde._step_terminal, threading.Lock()
+        running, most = [0], [0]
+
+        def counted(*args, **kwargs):
+            with count_lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            try:
+                time.sleep(1e-3)
+                return step_terminal(*args, **kwargs)
+            finally:
+                with count_lock:
+                    running[0] -= 1
+
+        grid = self.GRID
+        if case == "euler_terminal":  # three blocks
+            expected = np.empty(self.N)
+            for rows, db in self.serial_blocks(3, grid.steps, grid.dt):
+                expected[rows] = step_terminal_reference(VVE, grid.dt, VVE.s0, db, False)[0]
+
+            def run():
+                return euler_terminal(VVE, 1.0, grid.steps, self.N, seed=3)[0]
+        elif case == "simulate_milstein":
+            expected = np.empty((self.N, grid.steps + 1))
+            expected[:, 0] = VVE.s0
+            for rows, db in self.serial_blocks(4, grid.steps, grid.dt):
+                step_terminal_reference(VVE, grid.dt, VVE.s0, db, True, out=expected[rows])
+
+            def run():
+                return simulate_milstein(VVE, grid, self.N, seed=4).paths
+        else:  # two full blocks: 128 refined steps fit one window, 512 take two
+            steps = [4, 8, 16] if case == "convergence-one-window" else [16, 32, 64]
+            n_paths = 2 * BLOCK_SIZE
+            expected = np.array([self.convergence_oracle(VVE, "refined", n_paths, steps, 6,
+                                                         milstein) for milstein in (False, True)])
+
+            def run():
+                reports = _strong_convergence(VVE, 1.0, [1.0 / n for n in steps], n_paths, 6,
+                                              ["euler", "milstein"], "refined")
+                return np.array([r.strong_errors for r in reports])
+
+        monkeypatch.setattr(sde, "_step_terminal", counted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = run()
+        finally:
+            sys.setswitchinterval(interval)
+        assert most[0] == 1
+        assert np.array_equal(got, expected)
+
+    def test_block_that_raises_releases_the_lock(self, monkeypatch):
+        # block 1 raises under the lock while block 2 is in flight and needs it: a
+        # lock left held would hang block 2 and with it the pool's join
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        stepped, caught = [], []
+
+        def fn(rows, db):
+            if rows.start == BLOCK_SIZE:
+                raise ValueError("block 1")
+            stepped.append(rows.start)
+
+        def call():
+            try:
+                _map_blocks(fn, 14, self.N, 16, self.GRID.dt)
+            except ValueError as exc:
+                caught.append(exc)
+
+        thread = threading.Thread(target=call, daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert [str(exc) for exc in caught] == ["block 1"]
+        assert 2 * BLOCK_SIZE in stepped  # block 2 still took the lock
 
     def test_increments_live_in_a_mapping_the_call_releases(self):
         # from malloc, freed buffers this size stayed in the heap, where what was
