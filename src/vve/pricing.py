@@ -35,7 +35,7 @@ import numpy as np
 from .errors import InvalidGrid, NegativeCoefficient, OutOfRange
 from .law import LAW_NODES_BELOW, LAW_STEPS, _richardson, _sweep_law, law_map
 from .model import ModelParams, _exp, check_coefficients, require_finite
-from .sde import TimeGrid, _check_paths_and_seed, euler_terminal
+from .sde import euler_terminal
 
 def norm_cdf(x: float) -> float:
     """Standard normal CDF via the complementary error function."""
@@ -176,7 +176,7 @@ def price_formula(rn: RiskNeutralParams, opt: OptionSpec) -> OptionQuote:
                        diagnostics={"d": -bs.diagnostics["d2"], "nodes_or_paths": 0})
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=4, typed=True)
 def _terminal_values(params: ModelParams, tau: float, steps: int, n_paths: int,
                      seed: int) -> tuple[np.ndarray, float, float]:
     """``euler_terminal``, cached so that the strikes of a strip share one path set.
@@ -208,9 +208,9 @@ def price_mc(rn: RiskNeutralParams, opt: OptionSpec, n_paths: int, steps: int,
     on the strike, so quotes that share those arguments share one simulated
     path set: the last 4 path sets are cached, at most 4 x 8 bytes x
     ``n_paths`` (32 MB at 10^6 paths).  Every quote is the same as from a
-    fresh simulation.  The standard error needs ``n_paths >= 2``.  The counts
-    and the seed are checked before the cache is read, whose key takes
-    ``100.0 == 100``, so a cached path set refuses what a fresh one does.
+    fresh simulation.  The standard error needs ``n_paths >= 2``.  The cache
+    is typed, so a float count or seed misses it and is refused as a fresh
+    one is.
     """
     if n_paths < 2:
         raise InvalidGrid(f"n_paths must be >= 2 for a standard error, got {n_paths}")
@@ -219,8 +219,6 @@ def price_mc(rn: RiskNeutralParams, opt: OptionSpec, n_paths: int, steps: int,
         return _intrinsic_quote(rn.s0, opt.strike, "monte_carlo")
     disc = _exp(-rn.r * tau, "discount", "-r tau")
     params = ModelParams(mu=rn.r, sigma=rn.sigma, c1=rn.c1, s0=rn.s0)
-    _check_paths_and_seed(n_paths, seed)
-    TimeGrid(tau, steps)
     terminal, exploded_fraction, unit = _terminal_values(params, tau, steps, n_paths, seed)
     payoffs = np.maximum(terminal - opt.strike / unit, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):  # raised below as OutOfRange

@@ -54,10 +54,10 @@ cheaper one for its caller:
 * ``_map_blocks(fn, seed, n_paths, steps, dt)``, for ``_simulate`` and
   ``euler_terminal``, draws and steps a block in two row halves, one after
   the other: the Philox fill of the first half, ``fn(row slice,
-  increments)``, then the same for the second half, from the block's one
-  generator (a last block no taller than a half takes one part).  numpy's
-  normal sampler consumes the stream row after row, so the two fills give
-  the bits of one fill of the whole block.
+  increments, lock)``, then the same for the second half, from the
+  block's one generator (a last block no taller than a half takes one
+  part).  numpy's normal sampler consumes the stream row after row, so the
+  two fills give the bits of one fill of the whole block.
 * ``_strong_convergence`` steps a block in column windows that cover all
   its rows.  Where one window holds the whole grid, the block is drawn in
   one fill.  Otherwise it is drawn in two passes over the block's one
@@ -72,20 +72,25 @@ cheaper one for its caller:
   cheaper order there.
 
 One kernel at a time: every ``_step_terminal`` call of a block runs under
-the call's one ``threading.Lock``, and every ``_fill_increments`` call
-outside it, so one block's fill overlaps another block's steps and no two
-blocks step at once.  A fill is one sampler call that releases the GIL
+the call's one ``threading.Lock``, and every fill of a whole buffer outside
+it, so one block's fill overlaps another block's steps and no two blocks
+step at once.  A whole-buffer fill is one sampler call that releases the GIL
 throughout, and two at once take the time of one.  A step is ~9 short numpy
-calls that each take the GIL, and two kernels at once hand it back and
-forth on every call: on 2 vCPUs two threads stepping 8 half-block kernels
-(2048 x 500) each at once took about twice as long as the same two threads
-taking turns under one lock (``tools/engine_layers.py``, ``BENCH_39.json``).
-So a third worker would only add a buffer.  The lock is made per call, so
-no state outlives a call, and a child forked while another thread steps
-inherits no held lock that its own calls need.  Block functions write
-disjoint row slices of the caller's arrays, or one block's error sums of the
-convergence study, which are added in block order afterwards, so no bit
-depends on the number of threads.
+calls that each take the GIL, and two kernels at once hand it back and forth
+on every call: on 2 vCPUs two threads stepping 8 half-block kernels (2048 x
+500) each at once took about twice as long as the same two threads taking
+turns under one lock (``tools/engine_layers.py``, ``BENCH_39.json``).  So a
+third worker would only add a buffer.  The windowed convergence study fills
+one row at a time, in short calls that take the GIL as a kernel's do, so
+those fills run under the lock too; left outside it, they slowed ``vve
+convergence --c1 5e-4 --paths 8192`` from 10.3 to 12.0 s (medians of 6
+alternated processes).  ``_simulate``'s exact blocks step no kernel: their
+few whole-array calls release the GIL, and they take no lock.  The lock is
+made per call, so no state outlives a call, and a child forked while another
+thread steps inherits no held lock that its own calls need.  Block functions
+write disjoint row slices of the caller's arrays, or one block's error sums
+of the convergence study, which are added in block order afterwards, so no
+bit depends on the number of threads.
 
 Memory: the calling thread allocates ``k`` increment buffers once per call;
 block ``i`` fills buffer ``i % k`` in place, and at most ``k`` blocks are in
@@ -276,8 +281,8 @@ def _run_blocks(work, n_paths: int, rows: int, cols: int) -> None:
     buffer ``i % k`` of ``k`` buffers of ``rows x cols``, and at most ``k``
     blocks are in flight, so no two of them share a buffer.  Every block gets
     the one ``threading.Lock`` of this call, under which it runs its step
-    kernels and outside which it fills its buffer.  If a block raises, the
-    blocks in flight are waited for and the exception propagates.
+    kernels and outside which it fills a whole buffer.  If a block raises,
+    the blocks in flight are waited for and the exception propagates.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -300,15 +305,15 @@ def _run_blocks(work, n_paths: int, rows: int, cols: int) -> None:
 
 
 def _map_blocks(fn, seed: int, n_paths: int, steps: int, dt: float) -> None:
-    """``fn(row slice, increments)`` for each half of each block of ``n_paths``
-    paths, on ``_run_blocks``' thread pool.
+    """``fn(row slice, increments, lock)`` for each half of each block of
+    ``n_paths`` paths, on ``_run_blocks``' thread pool.
 
     Each block is drawn and passed to ``fn`` in parts of at most
     ``ceil(min(BLOCK_SIZE, n_paths) / 2)`` rows, in row order, from the one
     generator of the block.  The increments passed to ``fn`` live in a buffer
     that the next part using it refills, so ``fn`` must copy out what it keeps.
-    ``fn`` runs under the call's lock, one part at a time; the fills run
-    outside it.
+    ``fn`` runs its step kernels under ``lock``, the call's one lock; the
+    fills run outside it.
     """
     part = -(-min(BLOCK_SIZE, n_paths) // 2)
 
@@ -317,8 +322,7 @@ def _map_blocks(fn, seed: int, n_paths: int, steps: int, dt: float) -> None:
         end = min(n_paths, (block + 1) * BLOCK_SIZE)
         for start in range(block * BLOCK_SIZE, end, part):
             db = _fill_increments(gen, buf[:min(part, end - start)], dt)
-            with lock:
-                fn(slice(start, start + len(db)), db)
+            fn(slice(start, start + len(db)), db, lock)
 
     _run_blocks(work, n_paths, part, steps)
 
@@ -451,14 +455,16 @@ def _simulate(params: ModelParams, grid: TimeGrid, n_paths: int, seed: int,
     paths = np.empty((n_paths, grid.steps + 1))
     exploded = np.zeros(n_paths, dtype=bool)
 
-    def block(rows, db):
-        if scheme == "exact":
+    def block(rows, db, lock):
+        if scheme == "exact":  # a few whole-array calls, which release the GIL: no lock
             b = np.concatenate([np.zeros((len(db), 1)), np.cumsum(db, axis=1)], axis=1)
             paths[rows], exploded[rows] = _exact_rows(params, grid.times, b)
         else:
             paths[rows, 0] = params.s0
-            exploded[rows] = _step_terminal(params, grid.dt, params.s0, db,
-                                            (scheme == "milstein",), out=paths[None, rows])[1][0]
+            with lock:
+                exploded[rows] = _step_terminal(params, grid.dt, params.s0, db,
+                                                (scheme == "milstein",),
+                                                out=paths[None, rows])[1][0]
 
     _map_blocks(block, seed, n_paths, grid.steps, grid.dt)
     return PathEnsemble(grid=grid, paths=paths, seed=seed, scheme=scheme, exploded=exploded)
@@ -487,8 +493,9 @@ def euler_terminal(params: ModelParams, horizon: float, steps: int, n_paths: int
     terminal = np.empty(n_paths)
     exploded = np.zeros(n_paths, dtype=bool)
 
-    def block(rows, db):
-        s, bad = _step_terminal(params, dt, params.s0, db, (False,))
+    def block(rows, db, lock):
+        with lock:
+            s, bad = _step_terminal(params, dt, params.s0, db, (False,))
         terminal[rows], exploded[rows] = s[0], bad[0]
 
     _map_blocks(block, seed, n_paths, steps, dt)
@@ -734,22 +741,25 @@ def _strong_convergence(params: ModelParams, horizon: float, dt_levels, n_paths:
                 b_t = db.sum(axis=-1)
         else:
             row, row_gens, b_t = np.empty(gen_steps), [], np.empty(len(db))
-            for r, first in enumerate(db):  # pass 1: a row's first window, where its stream stands
-                _fill_increments(gen, first, gen_dt)
-                row_gens.append(_block_generator(seed, b))
-                row_gens[-1].bit_generator.state = gen.bit_generator.state
-                _fill_increments(gen, row[width:], gen_dt)
-                if exact:  # B_T: the sum of the whole row
-                    row[:width] = first
-                    b_t[r] = row.sum()
+            # pass 1: a row's first window, where its stream stands.  One-row fills are
+            # short calls that take the GIL as a kernel's do, so they run under the lock
+            with lock:
+                for r, first in enumerate(db):
+                    _fill_increments(gen, first, gen_dt)
+                    row_gens.append(_block_generator(seed, b))
+                    row_gens[-1].bit_generator.state = gen.bit_generator.state
+                    _fill_increments(gen, row[width:], gen_dt)
+                    if exact:  # B_T: the sum of the whole row
+                        row[:width] = first
+                        b_t[r] = row.sum()
             del row  # only the window buffer holds increments while the kernel steps
         terms = [params.s0] * len(stepped)
         for w0 in range(0, gen_steps, width):  # states carry from window to window
             window = db[:, :min(width, gen_steps - w0)]
-            if w0:  # pass 2: each row's stream fills the row's next window
-                for row_gen, increments in zip(row_gens, window):
-                    _fill_increments(row_gen, increments, gen_dt)
             with lock:
+                if w0:  # pass 2: each row's stream fills the row's next window
+                    for row_gen, increments in zip(row_gens, window):
+                        _fill_increments(row_gen, increments, gen_dt)
                 for i, n in enumerate(stepped):
                     terms[i] = _step_terminal(params, horizon / n, terms[i], window, milstein,
                                               group=gen_steps // n)[0]

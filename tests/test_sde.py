@@ -540,21 +540,29 @@ class TestBlockEngine:
     def test_blocks_step_one_at_a_time(self, monkeypatch, case):
         # two workers, frequent thread switches, and a kernel that sleeps as it
         # enters, which hands the GIL to the other worker: only the call's lock
-        # keeps that worker's kernel from starting meanwhile
+        # keeps that worker's kernel, or its fill of one row, from starting meanwhile
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        step_terminal, count_lock = sde._step_terminal, threading.Lock()
+        step_terminal, fill = sde._step_terminal, sde._fill_increments
+        count_lock = threading.Lock()
         running, most = [0], [0]
 
-        def counted(*args, **kwargs):
-            with count_lock:
-                running[0] += 1
-                most[0] = max(most[0], running[0])
-            try:
-                time.sleep(1e-3)
-                return step_terminal(*args, **kwargs)
-            finally:
+        def counted(fn, pause):
+            def call(*args, **kwargs):
                 with count_lock:
-                    running[0] -= 1
+                    running[0] += 1
+                    most[0] = max(most[0], running[0])
+                try:
+                    time.sleep(pause)
+                    return fn(*args, **kwargs)
+                finally:
+                    with count_lock:
+                        running[0] -= 1
+            return call
+
+        counted_row_fill = counted(fill, 0)
+
+        def fill_increments(gen, out, dt):  # a whole buffer's fill may overlap a kernel
+            return (counted_row_fill if out.ndim == 1 else fill)(gen, out, dt)
 
         grid = self.GRID
         if case == "euler_terminal":  # three blocks
@@ -583,7 +591,8 @@ class TestBlockEngine:
                                               ["euler", "milstein"], "refined")
                 return np.array([r.strong_errors for r in reports])
 
-        monkeypatch.setattr(sde, "_step_terminal", counted)
+        monkeypatch.setattr(sde, "_step_terminal", counted(step_terminal, 1e-3))
+        monkeypatch.setattr(sde, "_fill_increments", fill_increments)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -599,10 +608,11 @@ class TestBlockEngine:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         stepped, caught = [], []
 
-        def fn(rows, db):
-            if rows.start == BLOCK_SIZE:
-                raise ValueError("block 1")
-            stepped.append(rows.start)
+        def fn(rows, db, lock):
+            with lock:
+                if rows.start == BLOCK_SIZE:
+                    raise ValueError("block 1")
+                stepped.append(rows.start)
 
         def call():
             try:
@@ -622,7 +632,7 @@ class TestBlockEngine:
         # allocated above them decided whether the next call's buffers fit
         mappings, seen = [], {}
 
-        def record(rows, db):
+        def record(rows, db, lock):
             view = db
             while isinstance(view, np.ndarray):
                 view = view.base

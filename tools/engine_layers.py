@@ -1,9 +1,9 @@
 """Stage timings of the Monte Carlo block engine, in isolation.
 
-    python3 tools/engine_layers.py [--quick] [--repeats N]
+    python3 tools/engine_layers.py [--quick]
 
-Times each stage ``--repeats`` times (default 7) in this one process and
-prints the medians, in seconds, as one JSON object:
+Times each stage 15 times in this one process and prints the medians, in
+seconds, as one JSON object:
 
 * ``fill_s``: one half-block Philox fill (``sde._fill_increments`` into a
   2048-row x ``steps`` buffer) and ``kernel_s``: one Euler step kernel
@@ -123,13 +123,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
                         help="8192 paths x 200 steps and 3 repeats")
-    parser.add_argument("--repeats", type=int, help="repeats per stage (default 7)")
     args = parser.parse_args(argv)
-    paths, steps, repeats = (8192, 200, 3) if args.quick else (16384, 500, 7)
-    if args.repeats is not None:
-        repeats = args.repeats
-    if repeats < 1:
-        parser.error("--repeats must be >= 1")
+    paths, steps, repeats = (8192, 200, 3) if args.quick else (16384, 500, 15)
     batch = 8
     result = {"paths": paths, "steps": steps, "half_block_rows": sde.BLOCK_SIZE // 2,
               "batch": batch, "repeats": repeats,
